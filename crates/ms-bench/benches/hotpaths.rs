@@ -249,7 +249,7 @@ fn bench_engine_ablation(c: &mut Criterion) {
 
 /// What moving a tuple between HAUs costs once the boundary is a real
 /// socket: tuples/sec through framed `WireMsg::Data` over loopback TCP
-/// versus the in-process crossbeam channel `ms-live` uses, at 1KB and
+/// versus an in-process bounded channel (`std::sync::mpsc`), at 1KB and
 /// 100KB logical payloads. The receiver acks once per batch so every
 /// measurement covers full delivery, not just enqueue. The
 /// `tcp_buffered_*` variants wrap the stream in the same `BufWriter`
@@ -274,8 +274,8 @@ fn bench_wire_throughput(c: &mut Criterion) {
             vec![Value::Str("x".repeat(bytes))],
         );
 
-        let (tx, rx) = crossbeam::channel::bounded::<Tuple>(64);
-        let (ack_tx, ack_rx) = crossbeam::channel::bounded::<()>(1);
+        let (tx, rx) = std::sync::mpsc::sync_channel::<Tuple>(64);
+        let (ack_tx, ack_rx) = std::sync::mpsc::sync_channel::<()>(1);
         let drain = std::thread::spawn(move || 'outer: loop {
             for _ in 0..BATCH {
                 if rx.recv().is_err() {
@@ -286,7 +286,7 @@ fn bench_wire_throughput(c: &mut Criterion) {
                 break;
             }
         });
-        g.bench_function(&format!("crossbeam_{label}"), |b| {
+        g.bench_function(&format!("channel_{label}"), |b| {
             b.iter(|| {
                 for _ in 0..BATCH {
                     tx.send(t.clone()).unwrap();
@@ -299,7 +299,7 @@ fn bench_wire_throughput(c: &mut Criterion) {
 
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let (ack_tx, ack_rx) = crossbeam::channel::bounded::<()>(1);
+        let (ack_tx, ack_rx) = std::sync::mpsc::sync_channel::<()>(1);
         let reader = std::thread::spawn(move || {
             let (mut conn, _) = listener.accept().unwrap();
             'outer: loop {
@@ -361,7 +361,7 @@ fn bench_meter_overhead(c: &mut Criterion) {
         // An upstream thread allocates tuples and pushes them through
         // the same bounded channel the live wiring uses; the consumer
         // side is the host thread's apply+route with the meter calls.
-        let (tx, rx) = crossbeam::channel::bounded::<Tuple>(1024);
+        let (tx, rx) = std::sync::mpsc::sync_channel::<Tuple>(1024);
         let producer = std::thread::spawn(move || {
             for seq in 0..n {
                 let t = Tuple::new(
@@ -708,7 +708,7 @@ fn bench_edge_scaling(c: &mut Criterion) {
         // --- Thread-per-edge: one blocking reader thread per socket. ---
         let (writers, readers) = edges(edge_count);
         let quota = FRAMES / edge_count;
-        let (ack_tx, ack_rx) = crossbeam::channel::bounded::<()>(edge_count);
+        let (ack_tx, ack_rx) = std::sync::mpsc::sync_channel::<()>(edge_count);
         let before = resident_threads();
         let handles: Vec<_> = readers
             .into_iter()
@@ -764,7 +764,7 @@ fn bench_edge_scaling(c: &mut Criterion) {
         for r in &readers {
             r.set_nonblocking(true).unwrap();
         }
-        let (ack_tx, ack_rx) = crossbeam::channel::bounded::<()>(1);
+        let (ack_tx, ack_rx) = std::sync::mpsc::sync_channel::<()>(1);
         let stop = Arc::new(AtomicBool::new(false));
         let reader_stop = stop.clone();
         let before = resident_threads();

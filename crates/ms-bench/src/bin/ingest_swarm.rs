@@ -20,16 +20,20 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::mpsc::channel;
 use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::unbounded;
 use ms_core::codec::{frame, FrameDecoder};
+use ms_core::error::Result;
 use ms_core::gate::{GateConfig, GateMsg};
-use ms_core::ids::OperatorId;
+use ms_core::ids::{EpochId, OperatorId};
+use ms_core::tuple::Tuple;
 use ms_gate::{run_gate, GateMeter, GateWiring};
-use ms_live::{HostMsg, LiveStorage, OutputRoute, Persister};
+use ms_live::{
+    CkptWrite, HostMsg, LiveHauCheckpoint, LiveStorage, OutputRoute, Persister, StableStore,
+};
 
 /// Total batches per cell, split evenly over the producers so every
 /// cell admits the same event volume regardless of swarm width.
@@ -38,6 +42,35 @@ const EVENTS_PER_BATCH: u64 = 32;
 /// The skew: every batch cycles over the same 8 hot keys, so per-key
 /// pre-aggregation folds 32 events to 8 tuples (4x) per batch.
 const HOT_KEYS: u64 = 8;
+
+/// The pre-batching baseline store: everything forwards to the inner
+/// store except the group append, which is left at the trait's default
+/// — one `append_log` (one lock, one encode, one write) per tuple.
+struct PerTupleLog(Arc<LiveStorage>);
+
+impl StableStore for PerTupleLog {
+    fn put_checkpoint(&self, epoch: EpochId, op: OperatorId, ckpt: CkptWrite) -> Result<bool> {
+        self.0.put_checkpoint(epoch, op, ckpt)
+    }
+    fn get_checkpoint(&self, epoch: EpochId, op: OperatorId) -> Option<LiveHauCheckpoint> {
+        self.0.get_checkpoint(epoch, op)
+    }
+    fn latest_complete(&self) -> Option<EpochId> {
+        self.0.latest_complete()
+    }
+    fn append_log(&self, source: OperatorId, t: Tuple) -> Result<()> {
+        self.0.append_log(source, t)
+    }
+    fn mark_epoch(&self, source: OperatorId, epoch: EpochId, next_seq: u64) -> Result<()> {
+        self.0.mark_epoch(source, epoch, next_seq)
+    }
+    fn replay_from(&self, source: OperatorId, epoch: EpochId) -> Vec<Tuple> {
+        self.0.replay_from(source, epoch)
+    }
+    fn preserved_tuples(&self) -> usize {
+        self.0.preserved_tuples()
+    }
+}
 
 fn send(sock: &mut TcpStream, msg: &GateMsg) {
     sock.write_all(&frame(&msg.encode())).unwrap();
@@ -125,8 +158,8 @@ fn run_cell(producers: u64, preagg: bool, group_commit: bool, total_batches: u64
     let store = Arc::new(LiveStorage::new(1));
     let persister = Persister::spawn(store.clone());
     let persist = persister.sender();
-    let (cmd_tx, cmd_rx) = unbounded();
-    let (tx, rx) = unbounded::<HostMsg>();
+    let (cmd_tx, cmd_rx) = channel();
+    let (tx, rx) = channel::<HostMsg>();
     let meter = Arc::new(GateMeter::new());
     let addr_file = dir.join("gate.addr");
     let wiring = GateWiring {
@@ -146,10 +179,13 @@ fn run_cell(producers: u64, preagg: bool, group_commit: bool, total_batches: u64
         replay: Vec::new(),
         meter: meter.clone(),
         telemetry: None,
-        group_commit,
     };
-    let store2 = store.clone();
-    let gate = thread::spawn(move || run_gate(wiring, store2, persist));
+    let gate_store: Arc<dyn StableStore> = if group_commit {
+        store.clone()
+    } else {
+        Arc::new(PerTupleLog(store.clone()))
+    };
+    let gate = thread::spawn(move || run_gate(wiring, gate_store, persist));
     // Engine-edge drain: counts every tuple the gateway emits
     // (batches count as their tuples).
     let drain = thread::spawn(move || {

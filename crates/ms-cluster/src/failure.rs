@@ -24,12 +24,11 @@
 use ms_core::ids::NodeId;
 use ms_core::time::{SimDuration, SimTime};
 use ms_sim::DetRng;
-use serde::{Deserialize, Serialize};
 
 use crate::Cluster;
 
 /// Failure cause categories of Table I.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FailureSource {
     /// Rack, switch, router and DNS malfunctions. A major source of
     /// large-scale burst failures.
@@ -70,7 +69,7 @@ impl FailureSource {
 }
 
 /// How many nodes one incident takes down.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FailureScope {
     /// One node.
     SingleNode,
@@ -83,7 +82,7 @@ pub enum FailureScope {
 
 /// One incident class: e.g. "rack failure: 20 per year, whole rack,
 /// 1–6 h to recover".
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct IncidentClass {
     /// Descriptive name.
     pub name: &'static str,

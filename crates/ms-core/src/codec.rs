@@ -3,8 +3,7 @@
 //!
 //! Checkpoints must serialize operator state to stable storage and
 //! restore it bit-identically on recovery (§III-A step 2, §IV-C phase
-//! 3). The workspace's approved dependency list has no serde *format*
-//! crate, so this module provides the (small) wire format: length-
+//! 3). This module is the (small) wire format that does it: length-
 //! prefixed, little-endian, with per-item type tags so decoding errors
 //! are detected instead of misinterpreted.
 //!
@@ -16,8 +15,6 @@
 //! length prefix restores *message* boundaries on top of that byte
 //! stream, and a bounded [`MAX_FRAME_BYTES`] keeps a corrupt or
 //! hostile length from forcing a giant allocation.
-
-use bytes::{Buf, BufMut};
 
 use crate::error::{Error, Result};
 use crate::ids::OperatorId;
@@ -104,40 +101,45 @@ impl SnapshotWriter {
         self.buf.is_empty()
     }
 
+    /// Appends an untagged little-endian length prefix.
+    fn put_len(&mut self, n: usize) {
+        self.buf.extend_from_slice(&(n as u64).to_le_bytes());
+    }
+
     /// Writes an unsigned 64-bit integer.
     pub fn put_u64(&mut self, v: u64) -> &mut Self {
-        self.buf.put_u8(Tag::U64 as u8);
-        self.buf.put_u64_le(v);
+        self.buf.push(Tag::U64 as u8);
+        self.buf.extend_from_slice(&v.to_le_bytes());
         self
     }
 
     /// Writes a signed 64-bit integer.
     pub fn put_i64(&mut self, v: i64) -> &mut Self {
-        self.buf.put_u8(Tag::I64 as u8);
-        self.buf.put_i64_le(v);
+        self.buf.push(Tag::I64 as u8);
+        self.buf.extend_from_slice(&v.to_le_bytes());
         self
     }
 
     /// Writes a 64-bit float.
     pub fn put_f64(&mut self, v: f64) -> &mut Self {
-        self.buf.put_u8(Tag::F64 as u8);
-        self.buf.put_f64_le(v);
+        self.buf.push(Tag::F64 as u8);
+        self.buf.extend_from_slice(&v.to_le_bytes());
         self
     }
 
     /// Writes a string.
     pub fn put_str(&mut self, v: &str) -> &mut Self {
-        self.buf.put_u8(Tag::Str as u8);
-        self.buf.put_u64_le(v.len() as u64);
-        self.buf.put_slice(v.as_bytes());
+        self.buf.push(Tag::Str as u8);
+        self.put_len(v.len());
+        self.buf.extend_from_slice(v.as_bytes());
         self
     }
 
     /// Writes a raw byte slice.
     pub fn put_bytes(&mut self, v: &[u8]) -> &mut Self {
-        self.buf.put_u8(Tag::Bytes as u8);
-        self.buf.put_u64_le(v.len() as u64);
-        self.buf.put_slice(v);
+        self.buf.push(Tag::Bytes as u8);
+        self.put_len(v.len());
+        self.buf.extend_from_slice(v);
         self
     }
 
@@ -145,21 +147,21 @@ impl SnapshotWriter {
     pub fn put_value(&mut self, v: &Value) -> &mut Self {
         match v {
             Value::Int(x) => {
-                self.buf.put_u8(Tag::ValueInt as u8);
-                self.buf.put_i64_le(*x);
+                self.buf.push(Tag::ValueInt as u8);
+                self.buf.extend_from_slice(&x.to_le_bytes());
             }
             Value::Float(x) => {
-                self.buf.put_u8(Tag::ValueFloat as u8);
-                self.buf.put_f64_le(*x);
+                self.buf.push(Tag::ValueFloat as u8);
+                self.buf.extend_from_slice(&x.to_le_bytes());
             }
             Value::Str(s) => {
-                self.buf.put_u8(Tag::ValueStr as u8);
-                self.buf.put_u64_le(s.len() as u64);
-                self.buf.put_slice(s.as_bytes());
+                self.buf.push(Tag::ValueStr as u8);
+                self.put_len(s.len());
+                self.buf.extend_from_slice(s.as_bytes());
             }
             Value::List(vs) => {
-                self.buf.put_u8(Tag::ValueList as u8);
-                self.buf.put_u64_le(vs.len() as u64);
+                self.buf.push(Tag::ValueList as u8);
+                self.put_len(vs.len());
                 for v in vs {
                     self.put_value(v);
                 }
@@ -168,11 +170,11 @@ impl SnapshotWriter {
                 logical_bytes,
                 digest,
             } => {
-                self.buf.put_u8(Tag::ValueBlob as u8);
-                self.buf.put_u64_le(*logical_bytes);
-                self.buf.put_u64_le(digest.len() as u64);
+                self.buf.push(Tag::ValueBlob as u8);
+                self.buf.extend_from_slice(&logical_bytes.to_le_bytes());
+                self.put_len(digest.len());
                 for d in digest {
-                    self.buf.put_f32_le(*d);
+                    self.buf.extend_from_slice(&d.to_le_bytes());
                 }
             }
         }
@@ -181,11 +183,12 @@ impl SnapshotWriter {
 
     /// Writes a [`Tuple`].
     pub fn put_tuple(&mut self, t: &Tuple) -> &mut Self {
-        self.buf.put_u8(Tag::Tuple as u8);
-        self.buf.put_u32_le(t.producer.0);
-        self.buf.put_u64_le(t.seq);
-        self.buf.put_u64_le(t.source_time.as_micros());
-        self.buf.put_u64_le(t.fields.len() as u64);
+        self.buf.push(Tag::Tuple as u8);
+        self.buf.extend_from_slice(&t.producer.0.to_le_bytes());
+        self.buf.extend_from_slice(&t.seq.to_le_bytes());
+        self.buf
+            .extend_from_slice(&t.source_time.as_micros().to_le_bytes());
+        self.put_len(t.fields.len());
         for f in &t.fields {
             self.put_value(f);
         }
@@ -260,7 +263,7 @@ fn check_frame_len(len: usize) -> Result<()> {
 /// Encodes one frame (length prefix + payload) into a fresh buffer.
 pub fn frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
-    out.put_u32_le(payload.len() as u32);
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(payload);
     out
 }
@@ -285,7 +288,7 @@ where
     let mut w = SnapshotWriter::with_capacity(total);
     for t in iter {
         w.buf
-            .put_u32_le(SnapshotWriter::encoded_tuple_bytes(t) as u32);
+            .extend_from_slice(&(SnapshotWriter::encoded_tuple_bytes(t) as u32).to_le_bytes());
         w.put_tuple(t);
     }
     w.finish()
@@ -433,20 +436,29 @@ impl<'a> SnapshotReader<'a> {
         self.buf.is_empty()
     }
 
-    fn need(&self, n: usize, what: &str) -> Result<()> {
-        if self.buf.remaining() < n {
-            Err(Error::Codec(format!(
+    /// Splits `n` bytes off the front, or reports the truncation.
+    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
+        if self.buf.len() < n {
+            return Err(Error::Codec(format!(
                 "truncated snapshot: need {n} bytes for {what}, have {}",
-                self.buf.remaining()
-            )))
-        } else {
-            Ok(())
+                self.buf.len()
+            )));
         }
+        let (head, rest) = self.buf.split_at(n);
+        self.buf = rest;
+        Ok(head)
+    }
+
+    /// Splits a fixed-width little-endian field off the front.
+    fn take_le<const N: usize>(&mut self, what: &str) -> Result<[u8; N]> {
+        Ok(self
+            .take(N, what)?
+            .try_into()
+            .expect("take returned N bytes"))
     }
 
     fn expect_tag(&mut self, want: Tag) -> Result<()> {
-        self.need(1, "tag")?;
-        let got = Tag::from_u8(self.buf.get_u8())?;
+        let got = Tag::from_u8(self.take(1, "tag")?[0])?;
         if got != want {
             return Err(Error::Codec(format!("expected {want:?}, found {got:?}")));
         }
@@ -456,73 +468,64 @@ impl<'a> SnapshotReader<'a> {
     /// Reads an unsigned 64-bit integer.
     pub fn get_u64(&mut self) -> Result<u64> {
         self.expect_tag(Tag::U64)?;
-        self.need(8, "u64")?;
-        Ok(self.buf.get_u64_le())
+        Ok(u64::from_le_bytes(self.take_le("u64")?))
     }
 
     /// Reads a signed 64-bit integer.
     pub fn get_i64(&mut self) -> Result<i64> {
         self.expect_tag(Tag::I64)?;
-        self.need(8, "i64")?;
-        Ok(self.buf.get_i64_le())
+        Ok(i64::from_le_bytes(self.take_le("i64")?))
     }
 
     /// Reads a 64-bit float.
     pub fn get_f64(&mut self) -> Result<f64> {
         self.expect_tag(Tag::F64)?;
-        self.need(8, "f64")?;
-        Ok(self.buf.get_f64_le())
+        Ok(f64::from_le_bytes(self.take_le("f64")?))
     }
 
-    fn get_len(&mut self) -> Result<usize> {
-        self.need(8, "length")?;
-        let len = self.buf.get_u64_le();
-        if len > self.buf.remaining() as u64 {
+    /// Reads a length prefix counting items of at least `item_bytes`
+    /// encoded bytes each, rejecting one the remaining buffer cannot
+    /// hold — a hostile length errors here instead of sizing a loop or
+    /// an allocation.
+    fn get_len(&mut self, item_bytes: usize) -> Result<usize> {
+        let len = u64::from_le_bytes(self.take_le("length")?);
+        if len > (self.buf.len() / item_bytes) as u64 {
             return Err(Error::Codec(format!(
                 "length {len} exceeds remaining {}",
-                self.buf.remaining()
+                self.buf.len()
             )));
         }
         Ok(len as usize)
     }
 
+    fn get_string(&mut self) -> Result<String> {
+        let len = self.get_len(1)?;
+        String::from_utf8(self.take(len, "string")?.to_vec())
+            .map_err(|e| Error::Codec(e.to_string()))
+    }
+
     /// Reads a string.
     pub fn get_str(&mut self) -> Result<String> {
         self.expect_tag(Tag::Str)?;
-        let len = self.get_len()?;
-        let bytes = self.buf.copy_to_bytes(len);
-        String::from_utf8(bytes.to_vec()).map_err(|e| Error::Codec(e.to_string()))
+        self.get_string()
     }
 
     /// Reads a raw byte vector.
     pub fn get_bytes(&mut self) -> Result<Vec<u8>> {
         self.expect_tag(Tag::Bytes)?;
-        let len = self.get_len()?;
-        Ok(self.buf.copy_to_bytes(len).to_vec())
+        let len = self.get_len(1)?;
+        Ok(self.take(len, "bytes")?.to_vec())
     }
 
     /// Reads a [`Value`].
     pub fn get_value(&mut self) -> Result<Value> {
-        self.need(1, "value tag")?;
-        let tag = Tag::from_u8(self.buf.get_u8())?;
+        let tag = Tag::from_u8(self.take(1, "value tag")?[0])?;
         Ok(match tag {
-            Tag::ValueInt => {
-                self.need(8, "int value")?;
-                Value::Int(self.buf.get_i64_le())
-            }
-            Tag::ValueFloat => {
-                self.need(8, "float value")?;
-                Value::Float(self.buf.get_f64_le())
-            }
-            Tag::ValueStr => {
-                let len = self.get_len()?;
-                let bytes = self.buf.copy_to_bytes(len);
-                Value::Str(
-                    String::from_utf8(bytes.to_vec()).map_err(|e| Error::Codec(e.to_string()))?,
-                )
-            }
+            Tag::ValueInt => Value::Int(i64::from_le_bytes(self.take_le("int value")?)),
+            Tag::ValueFloat => Value::Float(f64::from_le_bytes(self.take_le("float value")?)),
+            Tag::ValueStr => Value::Str(self.get_string()?),
             Tag::ValueList => {
-                let len = self.get_len()?;
+                let len = self.get_len(1)?;
                 let mut vs = Vec::with_capacity(len.min(1 << 16));
                 for _ in 0..len {
                     vs.push(self.get_value()?);
@@ -530,14 +533,13 @@ impl<'a> SnapshotReader<'a> {
                 Value::List(vs)
             }
             Tag::ValueBlob => {
-                self.need(16, "blob header")?;
-                let logical_bytes = self.buf.get_u64_le();
-                let n = self.buf.get_u64_le() as usize;
-                self.need(n * 4, "blob digest")?;
-                let mut digest = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    digest.push(self.buf.get_f32_le());
-                }
+                let logical_bytes = u64::from_le_bytes(self.take_le("blob header")?);
+                let n = self.get_len(4)?;
+                let digest = self
+                    .take(n * 4, "blob digest")?
+                    .chunks_exact(4)
+                    .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+                    .collect();
                 Value::Blob {
                     logical_bytes,
                     digest,
@@ -550,11 +552,10 @@ impl<'a> SnapshotReader<'a> {
     /// Reads a [`Tuple`].
     pub fn get_tuple(&mut self) -> Result<Tuple> {
         self.expect_tag(Tag::Tuple)?;
-        self.need(4 + 8 + 8 + 8, "tuple header")?;
-        let producer = OperatorId(self.buf.get_u32_le());
-        let seq = self.buf.get_u64_le();
-        let source_time = SimTime::from_micros(self.buf.get_u64_le());
-        let nfields = self.buf.get_u64_le() as usize;
+        let producer = OperatorId(u32::from_le_bytes(self.take_le("tuple producer")?));
+        let seq = u64::from_le_bytes(self.take_le("tuple seq")?);
+        let source_time = SimTime::from_micros(u64::from_le_bytes(self.take_le("tuple time")?));
+        let nfields = u64::from_le_bytes(self.take_le("tuple field count")?) as usize;
         let mut fields = Vec::with_capacity(nfields.min(1 << 16));
         for _ in 0..nfields {
             fields.push(self.get_value()?);
@@ -628,6 +629,40 @@ mod tests {
         let buf = w.finish();
         let mut r = SnapshotReader::new(&buf);
         assert_eq!(r.get_tuple().unwrap(), t);
+    }
+
+    /// Golden bytes captured from the `bytes`-crate encoder this
+    /// module used to sit on: one tuple carrying every [`Value`]
+    /// variant. Checkpoints, WAL records and wire frames written by
+    /// older builds must keep decoding, so the layout is pinned against
+    /// that encoder, not against a roundtrip through this one.
+    #[test]
+    fn tuple_with_every_value_variant_matches_golden_bytes() {
+        const GOLDEN: &str = "200700000008070605040302014433221100000000050000000000000010\
+            feffffffffffffff11000000000000f83f12060000000000000068c3a96c6c6f13020000000000\
+            00001003000000000000001201000000000000007814000010000000000002000000000000000000\
+            803e000000c1";
+        let t = Tuple::new(
+            OperatorId(7),
+            0x0102_0304_0506_0708,
+            SimTime::from_micros(0x1122_3344),
+            vec![
+                Value::Int(-2),
+                Value::Float(1.5),
+                Value::Str("héllo".into()),
+                Value::List(vec![Value::Int(3), Value::Str("x".into())]),
+                Value::Blob {
+                    logical_bytes: 1 << 20,
+                    digest: vec![0.25, -8.0],
+                },
+            ],
+        );
+        let mut w = SnapshotWriter::new();
+        w.put_tuple(&t);
+        let encoded = w.finish();
+        let hex: String = encoded.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN);
+        assert_eq!(SnapshotReader::new(&encoded).get_tuple().unwrap(), t);
     }
 
     #[test]

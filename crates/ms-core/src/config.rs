@@ -1,11 +1,9 @@
 //! Configuration shared across substrates.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimDuration;
 
 /// Which fault-tolerance scheme drives checkpointing (§II-B3, §III).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SchemeKind {
     /// The state-of-the-art baseline: independent periodic checkpoints
     /// per HAU (randomized phase), synchronous snapshots, and *input
@@ -68,7 +66,7 @@ impl std::fmt::Display for SchemeKind {
 }
 
 /// Checkpoint cadence configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CheckpointConfig {
     /// Checkpoint period. The paper's default is 200 s; the Fig. 12/13
     /// sweeps instead pin "N checkpoints within a 10-minute window".

@@ -7,14 +7,13 @@
 //! stream application can then be viewed at a higher level as a DAG of
 //! HAUs (Fig. 1.b); the token protocol operates on that HAU graph.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 use crate::error::{Error, Result};
 use crate::ids::{HauId, OperatorId, PortId};
 
 /// Static metadata for one operator vertex.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct OperatorMeta {
     /// The operator's id (index into the network's operator table).
     pub id: OperatorId,
@@ -30,7 +29,7 @@ pub struct OperatorMeta {
 /// positional: the `k`-th entry of [`QueryNetwork::upstream`] feeds
 /// input port `k`, and the `k`-th entry of [`QueryNetwork::downstream`]
 /// is reached by output port `k`.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct QueryNetwork {
     ops: Vec<OperatorMeta>,
     /// Adjacency: downstream[i] lists consumers of operator i, in
@@ -199,7 +198,7 @@ impl QueryNetwork {
 }
 
 /// Assignment of operators to High Availability Units.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct HauAssignment {
     hau_of_op: Vec<HauId>,
     ops_of_hau: Vec<Vec<OperatorId>>,
@@ -270,7 +269,7 @@ impl HauAssignment {
 /// The high-level query network between HAUs (Fig. 1.b), derived from a
 /// query network plus an HAU assignment. The token protocol, the
 /// checkpoint schemes and recovery all operate at this level.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct HauGraph {
     /// HAU-level adjacency, deduplicated, in deterministic order.
     downstream: Vec<Vec<HauId>>,

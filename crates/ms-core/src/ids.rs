@@ -4,7 +4,6 @@
 //! small-integer identifiers; newtypes prevent cross-wiring (e.g.
 //! indexing a node table with an operator id).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! id_type {
@@ -12,7 +11,6 @@ macro_rules! id_type {
         $(#[$meta])*
         #[derive(
             Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-            Serialize, Deserialize,
         )]
         pub struct $name(pub u32);
 
@@ -84,7 +82,7 @@ id_type!(
 /// monotonically by the token origin (source HAUs in MS-src, the
 /// controller in MS-src+ap/+aa); a checkpoint is *complete* once every
 /// HAU has finished its individual checkpoint for that epoch.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct EpochId(pub u64);
 
 impl EpochId {

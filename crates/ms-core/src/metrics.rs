@@ -8,8 +8,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::{SimDuration, SimTime};
 
 /// A point-in-time reading of one worker's backpressure state: how
@@ -17,7 +15,7 @@ use crate::time::{SimDuration, SimTime};
 /// windows are holding back. Rising queue depths or window occupancy
 /// are the early signal of a stalled stage — visible in the heartbeat
 /// long before the stall degrades into a timeout-detected failure.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BackpressureGauges {
     /// Tuples sitting unread in host input channels.
     pub queued_tuples: u64,
@@ -82,7 +80,7 @@ impl BackpressureMeter {
 
 /// Lock-free per-operator (per-HAU) meter: the host thread and the
 /// persister thread bump it on their hot paths with relaxed atomics,
-/// and a sampler (heartbeat thread, `LiveRuntime::telemetry`) reads it
+/// and a sampler (the worker's heartbeat thread) reads it
 /// concurrently. Collects the quantities the paper's evaluation plots
 /// per HAU: tuple flow, the state-size trace (Fig. 5), and the
 /// checkpoint phase breakdown (Fig. 14) with delta-vs-full byte
@@ -199,7 +197,7 @@ impl OperatorMeter {
 /// One reading of an [`OperatorMeter`] — a plain value that crosses
 /// threads and the wire (workers fold these into telemetry messages;
 /// the controller keys them into the run ledger).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OperatorSample {
     /// Tuples applied to the operator since launch.
     pub tuples_in: u64,
@@ -254,7 +252,7 @@ const SUB: usize = 1 << SUB_BITS;
 /// within ~6% of the true sample. Memory is bounded (≤ 976 counters)
 /// and grows lazily from the low buckets, so an empty histogram is a
 /// few words.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct LatencyHistogram {
     counts: Vec<u64>,
     total: u64,
@@ -338,7 +336,7 @@ impl LatencyHistogram {
 
 /// Streaming summary of a sequence of duration samples, including
 /// fixed-bucket percentiles (see [`LatencyHistogram`]).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct DurationStats {
     count: u64,
     sum_us: u128,
@@ -421,7 +419,7 @@ impl DurationStats {
 
 /// A `(time, value)` series, e.g. state size over time (Fig. 5) or
 /// instantaneous latency during a checkpoint (Fig. 15).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct TimeSeries {
     points: Vec<(SimTime, f64)>,
 }
@@ -536,7 +534,7 @@ impl TimeSeries {
 /// A labelled breakdown of one measured duration into phases — used for
 /// checkpoint time (token collection / disk I/O / other, Fig. 14) and
 /// recovery time (reconnection / disk I/O / other, Fig. 16).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Breakdown {
     parts: Vec<(String, SimDuration)>,
 }
@@ -584,7 +582,7 @@ impl Breakdown {
 /// 10-minute time window", §IV-A). Latency is end-to-end: it is
 /// sampled wherever a tuple is terminally consumed — at a sink, or at
 /// an absorbing operator (e.g. a windowed kernel pooling its input).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct RunMetrics {
     /// Data tuples processed by any operator inside the window.
     pub processed_tuples: u64,

@@ -8,12 +8,10 @@
 //! upstream HAU's (Fig. 6). That boundary is what guarantees no tuple
 //! is missed or processed twice across a recovery.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{EpochId, HauId};
 
 /// How far a token travels before being consumed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TokenKind {
     /// MS-src tokens: forwarded hop by hop down the query network after
     /// each HAU's (synchronous) individual checkpoint.
@@ -26,7 +24,7 @@ pub enum TokenKind {
 }
 
 /// A checkpoint token flowing through a stream.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Token {
     /// The application-wide checkpoint this token belongs to.
     pub epoch: EpochId,

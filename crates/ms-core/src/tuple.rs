@@ -9,8 +9,6 @@
 use std::ops::Deref;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::OperatorId;
 use crate::state::StateSize;
 use crate::time::SimTime;
@@ -115,7 +113,7 @@ impl PartialEq<[Value]> for Fields {
 }
 
 /// A unit of data passed between operators.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Tuple {
     /// The operator that produced this tuple.
     pub producer: OperatorId,
@@ -171,7 +169,7 @@ impl StateSize for Tuple {
 }
 
 /// What travels on a connection between two HAUs.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum StreamItem {
     /// A data tuple.
     Data(Tuple),

@@ -8,12 +8,10 @@
 //! the reproduction run gigabyte-scale operator state on laptop memory
 //! while charging network/disk cost models with paper-scale sizes.
 
-use serde::{Deserialize, Serialize};
-
 use crate::state::StateSize;
 
 /// One field of a tuple.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     /// A 64-bit signed integer.
     Int(i64),

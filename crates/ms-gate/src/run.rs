@@ -24,29 +24,32 @@
 //! re-delivers via the producer's retry, which the rebuilt dedup
 //! table answers with `Accepted` and no re-admission.
 //!
-//! Checkpoints ride the same [`SourceCmd`] channel as every source
-//! host: mark the stream boundary durably, hand the dedup snapshot to
-//! the persister, broadcast the token, reopen the admission window.
+//! The loop is a driver for [`ms_live::SourceCore`], which owns that
+//! preserve-then-route order, recovery replay, and the checkpoint
+//! sequence every source host runs on a [`SourceCmd`]: mark the stream
+//! boundary durably, hand the dedup snapshot to the persister,
+//! broadcast the token. The gate then reopens its admission window.
 
 use std::fs;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::ops::Range;
 use std::path::PathBuf;
+use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crossbeam::channel::{Receiver, Sender, TryRecvError};
 use ms_core::codec::{frame, FrameDecoder, SnapshotWriter, FRAME_HEADER_BYTES};
-use ms_core::error::{Error, Result};
+use ms_core::error::Result;
 use ms_core::gate::{GateConfig, GateMsg};
-use ms_core::ids::{EpochId, OperatorId, PortId};
+use ms_core::ids::{OperatorId, PortId};
 use ms_core::metrics::OperatorMeter;
 use ms_core::operator::{DeferredSnapshot, Operator, OperatorContext, OperatorSnapshot};
 use ms_core::tuple::Tuple;
-use ms_live::{HostExit, OutputRoute, PersistItem, SourceCmd, StableStore};
+use ms_live::{HostExit, OutputRoute, PersistItem, SourceCmd, SourceCore, StableStore};
 use ms_net::ready::{poll, Interest, PollTarget};
 
-use crate::admission::{Admission, GateCore};
+use crate::admission::{is_fin_marker, Admission, GateCore};
 use crate::meter::GateMeter;
 
 /// Poll timeout: bounds how stale a [`SourceCmd`] can go unseen while
@@ -94,11 +97,6 @@ pub struct GateWiring {
     /// Standard per-operator meter (checkpoint phases, tuples out);
     /// `None` disables.
     pub telemetry: Option<Arc<OperatorMeter>>,
-    /// Commit every batch admitted in one poll turn with a single
-    /// group append (one WAL write across producers) instead of one
-    /// append per tuple. Production gates keep this on; the off
-    /// position exists to measure the per-tuple baseline.
-    pub group_commit: bool,
 }
 
 /// The inert [`Operator`] a finished gateway hands back in its
@@ -208,8 +206,8 @@ struct PendingAccept {
     batch: u64,
     /// Producer events the batch carried (pre-agg input count).
     events: u64,
-    /// `(offset, len)` of the batch's tuples inside [`Turn::wal`].
-    range: (usize, usize),
+    /// The batch's tuples inside [`Turn::wal`].
+    range: Range<usize>,
     /// Admission instant, for the ack-latency meter.
     start: Instant,
 }
@@ -274,7 +272,7 @@ fn process_frames(
                         // Stage for the group commit: the tuples are
                         // owned, so they move straight into the WAL
                         // batch — no per-tuple clone on this path.
-                        let range = (turn.wal.len(), tuples.len());
+                        let range = turn.wal.len()..turn.wal.len() + tuples.len();
                         turn.wal.extend(tuples);
                         turn.accepts.push(PendingAccept {
                             conn: conn_idx,
@@ -329,48 +327,26 @@ fn process_frames(
 }
 
 /// Commits one poll turn: a single group append covering every batch
-/// and Fin marker admitted this turn, then — and only then — routing,
-/// metering, and ack queueing. `Err` means stable storage failed —
-/// fatal for the whole gate, with nothing from the group acked.
-#[allow(clippy::too_many_arguments)]
+/// and Fin marker admitted this turn, then — and only then — routing
+/// (both inside [`SourceCore::send`]), metering, and ack queueing.
+/// `false` means stable storage failed — fatal for the whole gate, with
+/// nothing from the group acked.
 fn commit_turn(
     turn: &mut Turn,
     conns: &mut [Conn],
-    outputs: &[OutputRoute],
-    store: &Arc<dyn StableStore>,
-    op_id: OperatorId,
+    src: &mut SourceCore,
     meter: &GateMeter,
-    telemetry: &Option<Arc<OperatorMeter>>,
-    group_commit: bool,
-) -> Result<()> {
-    if !turn.wal.is_empty() {
-        if group_commit {
-            store.append_log_batch(op_id, &turn.wal)?;
-        } else {
-            // Baseline mode: one lock/encode/write per tuple.
-            for t in &turn.wal {
-                store.append_log(op_id, t.clone())?;
-            }
-        }
+) -> bool {
+    if !src.send(&turn.wal, turn.accepts.iter().map(|acc| acc.range.clone())) {
+        return false;
     }
     for acc in turn.accepts.drain(..) {
-        let tuples = &turn.wal[acc.range.0..acc.range.0 + acc.range.1];
-        let mut wal_bytes = 0u64;
-        let mut payload_bytes = 0u64;
-        for t in tuples {
-            wal_bytes += (SnapshotWriter::encoded_tuple_bytes(t) + FRAME_HEADER_BYTES) as u64;
-            payload_bytes += t.payload_bytes();
-        }
-        for route in outputs {
-            route.data_batch(tuples);
-        }
-        let n = tuples.len() as u64;
-        if let Some(m) = telemetry {
-            if n > 0 {
-                m.add_tuples_out(n, payload_bytes);
-            }
-        }
-        meter.record_accept(acc.events, n, wal_bytes);
+        let tuples = &turn.wal[acc.range];
+        let wal_bytes: usize = tuples
+            .iter()
+            .map(|t| SnapshotWriter::encoded_tuple_bytes(t) + FRAME_HEADER_BYTES)
+            .sum();
+        meter.record_accept(acc.events, tuples.len() as u64, wal_bytes as u64);
         if let Some(c) = conns.get_mut(acc.conn) {
             c.queue(&GateMsg::Accepted { batch: acc.batch });
         }
@@ -382,82 +358,66 @@ fn commit_turn(
         }
     }
     turn.wal.clear();
-    Ok(())
+    true
+}
+
+/// Binds the producer listener and publishes its address.
+fn listen(listen: &str, addr_file: Option<&PathBuf>) -> Result<TcpListener> {
+    let listener = TcpListener::bind(listen)?;
+    listener.set_nonblocking(true)?;
+    if let Some(path) = addr_file {
+        let tmp = path.with_extension("tmp");
+        fs::write(&tmp, listener.local_addr()?.to_string())?;
+        fs::rename(&tmp, path)?;
+    }
+    Ok(listener)
 }
 
 /// Runs one gateway HAU to completion on the current thread. Exits
 /// when every expected producer has sent `Fin`, on [`SourceCmd::Stop`],
 /// or on a stable-storage failure (reported in the exit record).
 pub fn run_gate(
-    mut w: GateWiring,
+    w: GateWiring,
     store: Arc<dyn StableStore>,
     persist: Sender<PersistItem>,
 ) -> HostExit {
     let mut core = GateCore::new(w.op_id, w.cfg);
-    let mut next_seq = w.restored_seq;
-    let mut error: Option<Error> = None;
-
-    let finish = |core: &GateCore, outputs: &[OutputRoute], error: Option<Error>| -> HostExit {
-        for route in outputs {
-            route.eos();
-        }
-        HostExit {
-            op_id: w.op_id,
-            op: Box::new(GateOp::new(core.snapshot())),
-            error,
+    let mut src = SourceCore::new(
+        w.op_id,
+        w.outputs,
+        w.restored_seq,
+        None,
+        store,
+        persist,
+        w.telemetry,
+    );
+    let setup = match &w.restored {
+        Some(snapshot) => core.restore(snapshot),
+        None => Ok(()),
+    }
+    .and_then(|()| {
+        // Recovery: fold the preserved tuples' batch ids and Fin
+        // markers back into the admission state, then resend them (they
+        // were durable — and their batches possibly acked — before the
+        // crash). Fin markers are WAL-only: they must not reach
+        // downstream operators, whose tuple counts would diverge from
+        // the unfailed run.
+        core.rebuild_from_replay(&w.replay);
+        src.replay(w.replay, |t| !is_fin_marker(t));
+        listen(&w.listen, w.addr_file.as_ref())
+    });
+    let listener = match setup {
+        Ok(l) => l,
+        Err(e) => {
+            src.fail(e);
+            return src.finish(Box::new(GateOp::new(core.snapshot())));
         }
     };
-
-    if let Some(snapshot) = &w.restored {
-        if let Err(e) = core.restore(snapshot) {
-            return finish(&core, &w.outputs, Some(e));
-        }
-    }
-    // Recovery: resend preserved tuples (they were durable — and their
-    // batches possibly acked — before the crash), fold their batch ids
-    // and Fin markers back into the admission state, and continue
-    // sequence numbering past them. Fin markers are WAL-only: they
-    // must not reach downstream operators, whose tuple counts would
-    // diverge from the unfailed run.
-    core.rebuild_from_replay(&w.replay);
-    if let Some(last) = w.replay.last() {
-        next_seq = next_seq.max(last.seq + 1);
-    }
-    let resend: Vec<Tuple> = w
-        .replay
-        .drain(..)
-        .filter(|t| !crate::admission::is_fin_marker(t))
-        .collect();
-    if !resend.is_empty() {
-        // The whole preserved run goes downstream as one batch per
-        // route — replay is the worst case for per-tuple framing.
-        for route in &w.outputs {
-            let _ = route.data_batch(&resend);
-        }
-    }
     // Every expected producer already Fin'd before the crash: their
     // FinOk acks were durable promises, so the recovered gate closes
     // the stream instead of waiting forever for Fins that will never
     // be re-sent (the producers exited on their acks).
     let mut all_fin = core.all_finished();
-
-    let listener = match TcpListener::bind(&w.listen) {
-        Ok(l) => l,
-        Err(e) => return finish(&core, &w.outputs, Some(e.into())),
-    };
-    if let Err(e) = listener.set_nonblocking(true) {
-        return finish(&core, &w.outputs, Some(e.into()));
-    }
-    if let Some(path) = &w.addr_file {
-        let addr = match listener.local_addr() {
-            Ok(a) => a.to_string(),
-            Err(e) => return finish(&core, &w.outputs, Some(e.into())),
-        };
-        let tmp = path.with_extension("tmp");
-        if let Err(e) = fs::write(&tmp, &addr).and_then(|()| fs::rename(&tmp, path)) {
-            return finish(&core, &w.outputs, Some(e.into()));
-        }
-    }
 
     let mut conns: Vec<Conn> = Vec::new();
     let mut stopping = false;
@@ -468,17 +428,9 @@ pub fn run_gate(
         loop {
             match w.cmd.try_recv() {
                 Ok(SourceCmd::Checkpoint(epoch)) => {
-                    if let Err(e) = take_checkpoint(
-                        &core,
-                        &store,
-                        &persist,
-                        w.op_id,
-                        epoch,
-                        next_seq,
-                        &w.outputs,
-                        &w.telemetry,
-                    ) {
-                        error = Some(e);
+                    let snap = core.snapshot();
+                    let state_bytes = snap.logical_bytes;
+                    if !src.checkpoint(epoch, DeferredSnapshot::Ready(snap), None, state_bytes) {
                         break 'outer;
                     }
                     core.reset_window();
@@ -508,7 +460,7 @@ pub fn run_gate(
         let ready = match poll(&entries, POLL_MS) {
             Ok(r) => r,
             Err(e) => {
-                error = Some(e.into());
+                src.fail(e.into());
                 break;
             }
         };
@@ -545,7 +497,7 @@ pub fn run_gate(
                 conn_idx,
                 conn,
                 &mut core,
-                &mut next_seq,
+                src.next_seq_mut(),
                 &mut turn,
                 &w.meter,
                 &mut all_fin,
@@ -555,20 +507,8 @@ pub fn run_gate(
         // ready producer — goes durable in one append, and only then
         // are the acks queued and flushed. Connection indices are
         // stable here because retain() runs after.
-        if !turn.is_empty() {
-            if let Err(e) = commit_turn(
-                &mut turn,
-                &mut conns,
-                &w.outputs,
-                &store,
-                w.op_id,
-                &w.meter,
-                &w.telemetry,
-                w.group_commit,
-            ) {
-                error = Some(e);
-                break 'outer;
-            }
+        if !turn.is_empty() && !commit_turn(&mut turn, &mut conns, &mut src, &w.meter) {
+            break 'outer;
         }
         for c in &mut conns {
             if !c.out.is_empty() {
@@ -582,51 +522,17 @@ pub fn run_gate(
     for c in &mut conns {
         c.flush();
     }
-    finish(&core, &w.outputs, error)
-}
-
-/// The source checkpoint protocol, verbatim: durable mark first, then
-/// the snapshot to the persister, then the token downstream.
-#[allow(clippy::too_many_arguments)]
-fn take_checkpoint(
-    core: &GateCore,
-    store: &Arc<dyn StableStore>,
-    persist: &Sender<PersistItem>,
-    op_id: OperatorId,
-    epoch: EpochId,
-    next_seq: u64,
-    outputs: &[OutputRoute],
-    telemetry: &Option<Arc<OperatorMeter>>,
-) -> Result<()> {
-    store.mark_epoch(op_id, epoch, next_seq)?;
-    let snap = core.snapshot();
-    if let Some(m) = telemetry {
-        m.set_state_bytes(snap.logical_bytes);
-    }
-    let _ = persist.send(PersistItem {
-        epoch,
-        op: op_id,
-        snapshot: DeferredSnapshot::Ready(snap),
-        base: None,
-        next_seq,
-        in_flight: Vec::new(),
-        resume_seq: Vec::new(),
-        align_us: 0,
-        meter: telemetry.clone(),
-    });
-    for route in outputs {
-        route.token(epoch);
-    }
-    Ok(())
+    src.finish(Box::new(GateOp::new(core.snapshot())))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
     use ms_core::gate::EVENT_BYTES;
+    use ms_core::ids::EpochId;
     use ms_core::value::Value;
     use ms_live::{HostMsg, LiveStorage, Persister};
+    use std::sync::mpsc::channel;
     use std::time::Duration;
 
     fn send(sock: &mut TcpStream, msg: &GateMsg) {
@@ -646,20 +552,8 @@ mod tests {
     }
 
     fn recv_host(rx: &Receiver<HostMsg>) -> HostMsg {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            match rx.try_recv() {
-                Ok(m) => return m,
-                Err(TryRecvError::Empty) => {
-                    assert!(
-                        Instant::now() < deadline,
-                        "timed out waiting on engine edge"
-                    );
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(TryRecvError::Disconnected) => panic!("gateway edge disconnected"),
-            }
-        }
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("engine edge delivers within the deadline")
     }
 
     fn wait_addr(path: &std::path::Path) -> String {
@@ -691,8 +585,8 @@ mod tests {
         let store = Arc::new(LiveStorage::new(1));
         let persister = Persister::spawn(store.clone());
         let persist = persister.sender();
-        let (cmd_tx, cmd_rx) = unbounded();
-        let (tx, rx) = unbounded::<HostMsg>();
+        let (cmd_tx, cmd_rx) = channel();
+        let (tx, rx) = channel::<HostMsg>();
         let addr_file = dir.join("gate.addr");
         let wiring = GateWiring {
             op_id: OperatorId(0),
@@ -706,7 +600,6 @@ mod tests {
             replay: Vec::new(),
             meter: Arc::new(GateMeter::new()),
             telemetry: None,
-            group_commit: true,
         };
         let store2 = store.clone();
         let handle = std::thread::spawn(move || {
@@ -888,8 +781,8 @@ mod tests {
         let store = Arc::new(LiveStorage::new(1));
         let persister = Persister::spawn(store.clone());
         let persist = persister.sender();
-        let (cmd_tx, cmd_rx) = unbounded();
-        let (tx, rx) = unbounded::<HostMsg>();
+        let (cmd_tx, cmd_rx) = channel();
+        let (tx, rx) = channel::<HostMsg>();
         let mut pre = GateCore::new(
             OperatorId(0),
             GateConfig {
@@ -918,7 +811,6 @@ mod tests {
             replay,
             meter: Arc::new(GateMeter::new()),
             telemetry: None,
-            group_commit: true,
         };
         let handle = std::thread::spawn(move || run_gate(wiring, store, persist));
         // No producer ever connects. The gate must still terminate:
@@ -952,8 +844,8 @@ mod tests {
         let store = Arc::new(LiveStorage::new(1));
         let persister = Persister::spawn(store.clone());
         let persist = persister.sender();
-        let (cmd_tx, cmd_rx) = unbounded();
-        let (tx, rx) = unbounded::<HostMsg>();
+        let (cmd_tx, cmd_rx) = channel();
+        let (tx, rx) = channel::<HostMsg>();
         // Build the "pre-crash" tuples through a core.
         let mut pre = GateCore::new(OperatorId(0), GateConfig::default());
         let mut seq = 0;
@@ -976,7 +868,6 @@ mod tests {
             replay: walled.clone(),
             meter: Arc::new(GateMeter::new()),
             telemetry: None,
-            group_commit: true,
         };
         let store2 = store.clone();
         let handle = std::thread::spawn(move || run_gate(wiring, store2, persist));

@@ -48,6 +48,23 @@ impl Read for OneByteReader<'_> {
     }
 }
 
+/// Golden bytes captured from the encoder before `ms-core::codec`
+/// dropped the `bytes` crate: deployed producers speak this layout, so
+/// it is pinned against that encoder, not against a roundtrip.
+#[test]
+fn gate_batch_matches_golden_bytes() {
+    const GOLDEN: &str = "010200000000000000010300000000000000010200000000000000\
+        010500000000000000020a0000000000000001ffffffffffffffff02ffffffffffffffff";
+    let msg = GateMsg::Batch {
+        batch: 3,
+        events: vec![(5, 10), (u64::MAX, -1)],
+    };
+    let payload = msg.encode();
+    let hex: String = payload.iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(hex, GOLDEN);
+    assert_eq!(GateMsg::decode(&payload).unwrap(), msg);
+}
+
 proptest! {
     /// Every producer-protocol message survives its codec bit-exactly.
     #[test]

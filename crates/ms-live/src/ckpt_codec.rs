@@ -1,10 +1,10 @@
-//! The checkpoint payload byte format shared by both runtimes.
+//! The checkpoint payload byte format shared by every store.
 //!
 //! A [`CkptWrite`] serializes to exactly one payload layout, whichever
 //! store persists it: `ms-wire`'s `FsStore` frames these bytes into
 //! `ckpt/e{epoch}_op{N}.ckpt` / `.delta` files, and the in-memory
 //! [`LiveStorage`](crate::LiveStorage) round-trips every accepted
-//! write through the same codec — so the in-process runtime can never
+//! write through the same codec — so an in-memory deployment can never
 //! hold a checkpoint the filesystem store could not persist, and folds
 //! across the two stores are byte-identical by construction.
 //!
@@ -193,6 +193,37 @@ mod tests {
         assert_eq!(delta.removed, vec![4]);
         assert_eq!(delta.logical_bytes, 55);
         assert_eq!(back.resume_seq, vec![3]);
+    }
+
+    /// Golden bytes captured from the encoder before `ms-core::codec`
+    /// dropped the `bytes` crate: delta files written by older builds
+    /// must keep folding, so the layout is pinned against that encoder,
+    /// not against a roundtrip through this one.
+    #[test]
+    fn delta_payload_matches_golden_bytes() {
+        const GOLDEN: &str = "014d0000000000000001040000000000000001001000000000\
+            0000010100000000000000010100000000000000050100000000000000aa01010000000000\
+            00000102000000000000000101000000000000000101000000000000002001000000090000\
+            00000000000000000000000000010000000000000010050000000000000001010000000000\
+            0000010a00000000000000";
+        let small = Tuple::new(OperatorId(1), 9, SimTime::ZERO, vec![Value::Int(5)]);
+        let w = CkptWrite {
+            state: CkptState::Delta {
+                base: EpochId(4),
+                delta: StateDelta {
+                    changed: vec![(1, vec![0xAA])],
+                    removed: vec![2],
+                    logical_bytes: 4096,
+                },
+            },
+            next_seq: 77,
+            in_flight: vec![(1, small)],
+            resume_seq: vec![10],
+        };
+        let payload = encode_ckpt(&w);
+        let hex: String = payload.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN);
+        assert_eq!(decode_delta(&payload).unwrap().in_flight, w.in_flight);
     }
 
     #[test]

@@ -1,18 +1,26 @@
 //! The operator-host layer: one HAU of the MS-src token protocol,
 //! independent of *what carries its streams* and *what thread runs it*.
 //!
-//! A host owns a [`ms_core::operator::Operator`], a set of input
-//! streams of [`HostMsg`], a set of [`OutputRoute`]s (one per logical
-//! consumer, each either a single edge or a hash-sharded group of
-//! edges), and (for sources) a [`SourceCmd`] channel from the
-//! controller. The in-process runtime ([`crate::LiveRuntime`]) wires
-//! hosts directly to each other with crossbeam channels and runs
-//! [`run_host`] on one thread per HAU; the TCP runtime (`ms-wire`)
-//! drives the same protocol through [`InteriorCore`] — the thread-free
-//! interior state machine — from a small fixed apply pool fed by an
-//! event loop. Either way the protocol logic — source preservation
-//! before send, token alignment on fan-in, individual checkpoints
-//! handed to a [`Persister`] — is this module's, unduplicated.
+//! A host is a plain state machine with no I/O of its own. It owns a
+//! set of [`OutputRoute`]s (one per logical consumer, each either a
+//! single edge or a hash-sharded group of edges) and comes in the
+//! paper's two shapes (§III-A/B):
+//!
+//! * [`SourceCore`] — preserve every emitted tuple in the
+//!   [`StableStore`] *before* sending it; on a checkpoint command mark
+//!   the stream boundary durably, hand the capture to the
+//!   [`Persister`], then emit the token; on recovery resend the
+//!   preserved suffix and resume numbering past it.
+//! * [`InteriorCore`] — align tokens on fan-in, cut the checkpoint,
+//!   forward the token.
+//!
+//! Whatever owns the streams drives them: `ms-wire` runs every
+//! interior core from a small fixed apply pool fed by an event loop and
+//! gives each source a thread (demo generators tick an
+//! [`Operator`](ms_core::operator::Operator); `ms-gate` feeds its
+//! source core from producer sockets), and the crate's own tests pump
+//! both cores deterministically on one thread. Either way the protocol
+//! logic is this module's, unduplicated.
 //!
 //! # The alignment window (MS-src+ap)
 //!
@@ -54,17 +62,14 @@
 //! of a slightly larger replay. Deployments wired entirely from
 //! deterministic producers (every pre-existing shape) keep the flag on
 //! and their checkpoint bytes are unchanged.
-//!
-//! Invariant: a host with a `cmd` channel is a *source* and must have
-//! no inputs; a host without one is interior (or a sink) and must have
-//! at least one input.
 
 use std::collections::VecDeque;
+use std::ops::Range;
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crossbeam::channel::{unbounded, Receiver, Select, Sender};
 use ms_core::error::{Error, Result};
 use ms_core::ids::{EpochId, OperatorId, PortId};
 use ms_core::metrics::{BackpressureMeter, OperatorMeter};
@@ -91,6 +96,17 @@ pub enum HostMsg {
     Token(EpochId),
     /// End of stream: the upstream host drained and exited.
     Eos,
+}
+
+impl HostMsg {
+    /// Data tuples this message carries (tokens and EOS carry none).
+    pub fn tuple_count(&self) -> usize {
+        match self {
+            HostMsg::Data(_) => 1,
+            HostMsg::DataBatch(batch) => batch.len(),
+            HostMsg::Token(_) | HostMsg::Eos => 0,
+        }
+    }
 }
 
 /// Controller commands delivered to source hosts.
@@ -132,6 +148,53 @@ pub struct PersistItem {
     pub meter: Option<Arc<OperatorMeter>>,
 }
 
+impl PersistItem {
+    /// Resolves the capture (the expensive serialization) and writes
+    /// the checkpoint to `store` — the persister thread's whole job per
+    /// item, callable inline by a single-threaded driver. `Ok(complete)`
+    /// is the store's verdict on the epoch.
+    pub fn persist(self, store: &dyn StableStore) -> Result<bool> {
+        let serialize_start = Instant::now();
+        let state = match (self.snapshot.resolve(), self.base) {
+            (SnapshotPayload::Full(s), _) => CkptState::Full(s),
+            (SnapshotPayload::Delta(delta), Some(base)) => CkptState::Delta { base, delta },
+            (SnapshotPayload::Delta(_), None) => {
+                return Err(Error::Storage(format!(
+                    "delta capture {}/{} submitted without a base epoch",
+                    self.epoch, self.op
+                )))
+            }
+        };
+        let serialize_us = serialize_start.elapsed().as_micros() as u64;
+        let (bytes, is_delta) = match &state {
+            CkptState::Full(s) => (s.data.len() as u64, false),
+            CkptState::Delta { delta, .. } => (delta.encoded_bytes() as u64, true),
+        };
+        let persist_start = Instant::now();
+        let complete = store.put_checkpoint(
+            self.epoch,
+            self.op,
+            CkptWrite {
+                state,
+                next_seq: self.next_seq,
+                in_flight: self.in_flight,
+                resume_seq: self.resume_seq,
+            },
+        )?;
+        if let Some(m) = &self.meter {
+            m.record_checkpoint(
+                self.epoch.0,
+                bytes,
+                is_delta,
+                self.align_us,
+                serialize_us,
+                persist_start.elapsed().as_micros() as u64,
+            );
+        }
+        Ok(complete)
+    }
+}
+
 /// Called by the persister after each checkpoint write attempt with
 /// the store's verdict: `Ok(complete)` or the storage error.
 pub type DurableHook = Box<dyn Fn(EpochId, OperatorId, &Result<bool>) + Send>;
@@ -157,60 +220,16 @@ impl Persister {
     /// the TCP worker uses it to ack durable checkpoints to the
     /// controller (`CkptDone`), closing the epoch barrier.
     pub fn spawn_with(store: Arc<dyn StableStore>, on_durable: Option<DurableHook>) -> Persister {
-        let (tx, rx) = unbounded::<PersistItem>();
+        let (tx, rx) = channel::<PersistItem>();
         let handle = std::thread::spawn(move || {
             while let Ok(item) = rx.recv() {
-                // Serialize phase: resolving the deferred capture is
-                // where the expensive encoding happens.
-                let serialize_start = Instant::now();
-                let state = match (item.snapshot.resolve(), item.base) {
-                    (SnapshotPayload::Full(s), _) => Ok(CkptState::Full(s)),
-                    (SnapshotPayload::Delta(delta), Some(base)) => {
-                        Ok(CkptState::Delta { base, delta })
-                    }
-                    (SnapshotPayload::Delta(_), None) => Err(Error::Storage(format!(
-                        "delta capture {}/{} submitted without a base epoch",
-                        item.epoch, item.op
-                    ))),
-                };
-                let serialize_us = serialize_start.elapsed().as_micros() as u64;
-                let encoded = match &state {
-                    Ok(CkptState::Full(s)) => Some((s.data.len() as u64, false)),
-                    Ok(CkptState::Delta { delta, .. }) => {
-                        Some((delta.encoded_bytes() as u64, true))
-                    }
-                    Err(_) => None,
-                };
-                let persist_start = Instant::now();
-                let outcome = state.and_then(|state| {
-                    store.put_checkpoint(
-                        item.epoch,
-                        item.op,
-                        CkptWrite {
-                            state,
-                            next_seq: item.next_seq,
-                            in_flight: item.in_flight,
-                            resume_seq: item.resume_seq,
-                        },
-                    )
-                });
+                let (epoch, op) = (item.epoch, item.op);
+                let outcome = item.persist(&*store);
                 if let Err(e) = &outcome {
-                    eprintln!(
-                        "persister: checkpoint {}/{} not persisted: {e}",
-                        item.epoch, item.op
-                    );
-                } else if let (Some(m), Some((bytes, delta))) = (&item.meter, encoded) {
-                    m.record_checkpoint(
-                        item.epoch.0,
-                        bytes,
-                        delta,
-                        item.align_us,
-                        serialize_us,
-                        persist_start.elapsed().as_micros() as u64,
-                    );
+                    eprintln!("persister: checkpoint {epoch}/{op} not persisted: {e}");
                 }
                 if let Some(hook) = &on_durable {
-                    hook(item.epoch, item.op, &outcome);
+                    hook(epoch, op, &outcome);
                 }
             }
         });
@@ -242,11 +261,10 @@ impl Drop for Persister {
 /// shard.
 pub type RouteKeyFn = Arc<dyn Fn(&Tuple) -> u64 + Send + Sync>;
 
-/// One transmit edge a host can push a [`HostMsg`] down: a crossbeam
-/// channel to a co-located host, or (in `ms-wire`) an apply-pool inbox
-/// or a buffered egress socket. Returns `false` when the consumer is
-/// gone for good — the host stops emitting, exactly as it does today
-/// when a channel send fails.
+/// One transmit edge a host can push a [`HostMsg`] down: an in-process
+/// channel, or (in `ms-wire`) an apply-pool inbox or a buffered egress
+/// socket. Returns `false` when the consumer is gone for good — the
+/// host stops emitting.
 pub trait EdgeTx: Send {
     /// Pushes one message; `false` = consumer gone.
     fn send(&self, msg: HostMsg) -> bool;
@@ -291,11 +309,6 @@ impl OutputRoute {
             targets,
             key: Some(key),
         }
-    }
-
-    /// Number of physical edges behind this route.
-    pub fn width(&self) -> usize {
-        self.targets.len()
     }
 
     /// Delivers a data tuple to the key's shard (or the only target).
@@ -356,38 +369,26 @@ impl OutputRoute {
     }
 }
 
-/// Everything a host needs to run one HAU.
+/// Everything an interior (or sink) host needs to run one HAU.
 pub struct HostWiring {
     /// The operator's id (stamped on emitted tuples).
     pub op_id: OperatorId,
     /// The operator itself.
     pub op: Box<dyn Operator>,
-    /// One receiver per input port, in port order. Empty for sources.
-    pub inputs: Vec<Receiver<HostMsg>>,
     /// One route per *logical* output port, in port order. A sharded
     /// consumer is one route over its whole instance group, so the
     /// operator's fanout (what `emit_all` sees) stays the logical one.
     pub outputs: Vec<OutputRoute>,
-    /// Controller command channel — present iff this is a source.
-    pub cmd: Option<Receiver<SourceCmd>>,
     /// First emission sequence (restored from a checkpoint, else 0).
     pub restored_seq: u64,
-    /// Preserved tuples to resend before generating (recovery).
-    pub replay: Vec<Tuple>,
     /// Restored per-input replay thresholds: a tuple arriving on input
     /// `i` with `seq < resume_seq[i]` was already accounted for by the
     /// restored cut (applied or captured in-flight) and is dropped.
     /// Empty means no filtering (fresh start).
     pub resume_seq: Vec<u64>,
-    /// The restored cut's in-flight tuples, applied before any channel
+    /// The restored cut's in-flight tuples, applied before any stream
     /// input is read.
     pub in_flight: Vec<(u32, Tuple)>,
-    /// If true, an exhausted source closes its stream on its own
-    /// (first silent tick ⇒ Eos) instead of waiting for an explicit
-    /// [`SourceCmd::Stop`]. The in-process runtime keeps this `false`
-    /// (its `finish()` drives the stop); the TCP runtime sets it so a
-    /// finite stream drains without a controller round-trip.
-    pub auto_stop: bool,
     /// Epoch of the checkpoint this host was restored from, if any.
     /// Seeds incremental capture: a delta-capable operator's first
     /// delta after recovery chains on the restored epoch (whose
@@ -485,35 +486,38 @@ struct Window {
     opened: Instant,
 }
 
-/// Stamps, meters, optionally preserves and routes a batch of
-/// emissions. `Ok(true)`: keep going; `Ok(false)`: a consumer is gone;
-/// `Err`: the preservation append failed.
-fn route_emissions(
+/// Stamps a run of emissions with consecutive sequence numbers.
+fn stamp(
     op_id: OperatorId,
-    outputs: &[OutputRoute],
-    telemetry: &Option<Arc<OperatorMeter>>,
     next_seq: &mut u64,
     emissions: Vec<(PortId, Fields)>,
-    preserve: Option<&Arc<dyn StableStore>>,
-) -> Result<bool> {
+) -> impl Iterator<Item = (PortId, Tuple)> + '_ {
+    emissions.into_iter().map(move |(port, fields)| {
+        let t = Tuple::new(op_id, *next_seq, SimTime::ZERO, fields);
+        *next_seq += 1;
+        (port, t)
+    })
+}
+
+/// Meters a run of stamped emissions and routes each to its port.
+/// `false`: a consumer is gone.
+fn route_stamped(
+    outputs: &[OutputRoute],
+    telemetry: &Option<Arc<OperatorMeter>>,
+    stamped: impl Iterator<Item = (PortId, Tuple)>,
+) -> bool {
     // Emission metering is batched: one pair of relaxed adds per call,
     // not per tuple.
     let mut emitted = 0u64;
     let mut emitted_bytes = 0u64;
-    for (port, fields) in emissions {
-        let t = Tuple::new(op_id, *next_seq, SimTime::ZERO, fields);
-        *next_seq += 1;
+    for (port, t) in stamped {
         if telemetry.is_some() {
             emitted += 1;
             emitted_bytes += t.payload_bytes();
         }
-        if let Some(store) = preserve {
-            // Source preservation: stable storage *before* sending.
-            store.append_log(op_id, t.clone())?;
-        }
         if let Some(route) = outputs.get(port.index()) {
             if !route.data(t) {
-                return Ok(false);
+                return false;
             }
         }
     }
@@ -522,15 +526,14 @@ fn route_emissions(
             m.add_tuples_out(emitted, emitted_bytes);
         }
     }
-    Ok(true)
+    true
 }
 
 /// The interior/sink half of the host protocol as a plain state
 /// machine: feed it messages with [`InteriorCore::on_msg`] from
-/// whatever execution engine owns the streams — a blocking
-/// channel-select thread ([`run_host`]) or `ms-wire`'s apply pool —
-/// and it runs token alignment, cuts checkpoints, and routes
-/// downstream exactly as the threaded host always has.
+/// whatever execution engine owns the streams — `ms-wire`'s apply
+/// pool, or a single-threaded test pump — and it runs token alignment,
+/// cuts checkpoints, and routes downstream.
 pub struct InteriorCore {
     op_id: OperatorId,
     op: Box<dyn Operator>,
@@ -548,7 +551,6 @@ pub struct InteriorCore {
     /// Applied-tuple counter driving the periodic state-gauge sample
     /// in [`InteriorCore::apply`].
     applied: u64,
-    error: Option<Error>,
     done: bool,
 }
 
@@ -562,14 +564,12 @@ pub struct InteriorCore {
 const STATE_GAUGE_SAMPLE_EVERY: u64 = 32;
 
 impl InteriorCore {
-    /// Builds the state machine from interior wiring (`cmd` must be
-    /// `None`) and applies the restored cut's in-flight tuples — they
-    /// were already inside this HAU at the cut, so they run before any
-    /// stream input. May finish the host immediately (restored replay
-    /// into a gone consumer); check [`InteriorCore::is_done`].
-    pub fn new(mut w: HostWiring, persist: Sender<PersistItem>) -> InteriorCore {
-        debug_assert!(w.cmd.is_none(), "a source host cannot run as InteriorCore");
-        let n_in = w.inputs.len();
+    /// Builds the state machine for a host with `n_in` input ports and
+    /// applies the restored cut's in-flight tuples — they were already
+    /// inside this HAU at the cut, so they run before any stream
+    /// input. May finish the host immediately (restored replay into a
+    /// gone consumer); check [`InteriorCore::is_done`].
+    pub fn new(mut w: HostWiring, n_in: usize, persist: Sender<PersistItem>) -> InteriorCore {
         debug_assert!(n_in > 0, "an interior host has at least one input");
         let cut_seq = if w.resume_seq.len() == n_in {
             w.resume_seq.clone()
@@ -591,7 +591,6 @@ impl InteriorCore {
             meter: w.meter,
             telemetry: w.telemetry,
             applied: 0,
-            error: None,
             done: false,
         };
         for (port, t) in std::mem::take(&mut w.in_flight) {
@@ -608,11 +607,6 @@ impl InteriorCore {
     /// ignored.
     pub fn is_done(&self) -> bool {
         self.done
-    }
-
-    /// Whether input `i` has delivered EOS.
-    pub fn input_eos(&self, i: usize) -> bool {
-        self.eos[i]
     }
 
     /// Publishes backpressure gauges: the driver supplies the queued
@@ -710,7 +704,7 @@ impl InteriorCore {
         HostExit {
             op_id: self.op_id,
             op: self.op,
-            error: self.error,
+            error: None,
         }
     }
 
@@ -729,20 +723,11 @@ impl InteriorCore {
             seed: t.seq ^ 0xA5A5_A5A5,
         };
         self.op.on_tuple(PortId(port), t, &mut ctx);
-        match route_emissions(
-            self.op_id,
+        route_stamped(
             &self.outputs,
             &self.telemetry,
-            &mut self.next_seq,
-            ctx.emissions,
-            None,
-        ) {
-            Ok(keep) => keep,
-            Err(e) => {
-                self.error = Some(e);
-                false
-            }
-        }
+            stamp(self.op_id, &mut self.next_seq, ctx.emissions),
+        )
     }
 
     /// Cuts every leading window whose tokens (or EOS) are complete.
@@ -804,171 +789,355 @@ impl InteriorCore {
     }
 }
 
-/// Runs one HAU to completion on the current thread; returns a
-/// [`HostExit`] with the operator (and its final state) for inspection
-/// by the owner.
-///
-/// Sources: drain commands, tick the operator, preserve every emitted
-/// tuple in the stable store *before* sending it (§III-A source
-/// preservation), mark + snapshot + emit a token on
-/// [`SourceCmd::Checkpoint`]. Interior/sink hosts: non-blocking
-/// token alignment — see the module docs.
-pub fn run_host(
-    mut w: HostWiring,
+/// The source half of the host protocol as a plain state machine
+/// (§III-A): every tuple goes to stable storage before it goes
+/// downstream, a checkpoint is durable mark → capture to the persister
+/// → token, recovery resends the preserved suffix and resumes numbering
+/// past it. The driver owns whatever produces the data — a generating
+/// [`Operator`] it [`tick`](SourceCore::tick)s, or (`ms-gate`) producer
+/// sockets whose admitted batches it [`send`](SourceCore::send)s — and
+/// the command channel that says when to checkpoint. The first storage
+/// failure stops the host: later calls are refused and
+/// [`SourceCore::finish`] reports it in the [`HostExit`].
+pub struct SourceCore {
+    op_id: OperatorId,
+    outputs: Vec<OutputRoute>,
+    next_seq: u64,
+    last_captured: Option<EpochId>,
     store: Arc<dyn StableStore>,
     persist: Sender<PersistItem>,
-) -> HostExit {
-    let fanout = w.outputs.len();
-    let mut next_seq = w.restored_seq;
-    let mut error: Option<Error> = None;
+    telemetry: Option<Arc<OperatorMeter>>,
+    error: Option<Error>,
+}
 
-    if let Some(cmd) = w.cmd.take() {
-        debug_assert!(w.inputs.is_empty(), "a source host has no inputs");
-        // Replay preserved tuples first (recovery catch-up), then
-        // fast-forward the operator through the replayed interval so
-        // it does not regenerate the same data (the preserved log IS
-        // that data — post-failure, a real sensor source could not
-        // regenerate it). Live sources emit one tuple per tick.
-        //
-        // Replay goes through the routes, not a broadcast: a sharded
-        // consumer must see each replayed tuple on the same shard the
-        // original delivery used, which the deterministic hash
-        // guarantees.
-        let replayed = w.replay.len() as u64;
-        for t in w.replay.drain(..) {
-            for route in &w.outputs {
-                let _ = route.data(t.clone());
-            }
+impl SourceCore {
+    /// Builds a source host. `restored_seq` and `last_durable` mean
+    /// what they mean in [`HostWiring`].
+    pub fn new(
+        op_id: OperatorId,
+        outputs: Vec<OutputRoute>,
+        restored_seq: u64,
+        last_durable: Option<EpochId>,
+        store: Arc<dyn StableStore>,
+        persist: Sender<PersistItem>,
+        telemetry: Option<Arc<OperatorMeter>>,
+    ) -> SourceCore {
+        SourceCore {
+            op_id,
+            outputs,
+            next_seq: restored_seq,
+            last_captured: last_durable,
+            store,
+            persist,
+            telemetry,
+            error: None,
         }
+    }
+
+    /// The emission counter, for a driver that stamps its own tuples
+    /// before handing them to [`SourceCore::send`].
+    pub fn next_seq_mut(&mut self) -> &mut u64 {
+        &mut self.next_seq
+    }
+
+    /// Stops the host on `e` (the first error wins).
+    pub fn fail(&mut self, e: Error) {
+        self.error.get_or_insert(e);
+    }
+
+    /// Recovery catch-up: resends the preserved log suffix downstream —
+    /// one batch per route, skipping records that are not `routable`
+    /// (WAL-only markers) — and continues numbering past all of it.
+    /// Replay goes through the routes, so a sharded consumer sees each
+    /// tuple on the shard the original delivery used.
+    pub fn replay(&mut self, mut preserved: Vec<Tuple>, routable: impl Fn(&Tuple) -> bool) {
+        if let Some(last) = preserved.last() {
+            self.next_seq = self.next_seq.max(last.seq + 1);
+        }
+        preserved.retain(routable);
+        for route in &self.outputs {
+            route.data_batch(&preserved);
+        }
+    }
+
+    /// [`SourceCore::replay`] for a generating operator, which is then
+    /// fast-forwarded through the replayed interval: the preserved log
+    /// *is* that data, it must not be generated again.
+    pub fn resume(&mut self, op: &mut dyn Operator, preserved: Vec<Tuple>) {
+        let replayed = preserved.len();
+        self.replay(preserved, |_| true);
         for _ in 0..replayed {
-            let mut discard = LiveCtx {
-                op: w.op_id,
-                fanout,
-                emissions: Vec::new(),
-                seed: 0,
-            };
-            w.op.on_timer(&mut discard);
+            op.on_timer(&mut self.ctx(0));
         }
-        next_seq += replayed;
-        let mut stopping = false;
-        // Epoch of this host's previous capture — the base for an
-        // incremental capture. Seeded from the restored checkpoint.
-        let mut last_captured = w.last_durable;
-        let mut take_checkpoint =
-            |op: &mut dyn Operator, epoch: EpochId, next_seq: u64| -> Result<()> {
-                // The mark is durable before the checkpoint is even
-                // enqueued: an epoch that looks complete on disk always
-                // has its replay boundary.
-                store.mark_epoch(w.op_id, epoch, next_seq)?;
-                if let Some(m) = &w.telemetry {
-                    m.set_state_bytes(op.state_size());
-                }
-                let (snapshot, base) = capture(op, last_captured);
-                last_captured = Some(epoch);
-                let _ = persist.send(PersistItem {
-                    epoch,
-                    op: w.op_id,
-                    snapshot,
-                    base,
-                    next_seq,
-                    in_flight: Vec::new(),
-                    resume_seq: Vec::new(),
-                    align_us: 0,
-                    meter: w.telemetry.clone(),
-                });
-                for route in &w.outputs {
-                    route.token(epoch);
-                }
-                Ok(())
-            };
-        'source: loop {
-            // Drain pending controller commands. Stop is graceful: the
-            // source finishes its data before the stream closes.
-            while let Ok(c) = cmd.try_recv() {
-                match c {
-                    SourceCmd::Checkpoint(epoch) => {
-                        if let Err(e) = take_checkpoint(w.op.as_mut(), epoch, next_seq) {
-                            error = Some(e);
-                            break 'source;
-                        }
-                    }
-                    SourceCmd::Stop => stopping = true,
-                }
-            }
-            let mut ctx = LiveCtx {
-                op: w.op_id,
-                fanout,
-                emissions: Vec::new(),
-                seed: 0x5DEECE66D ^ w.op_id.0 as u64,
-            };
-            w.op.on_timer(&mut ctx);
-            if ctx.emissions.is_empty() {
-                // Exhausted source (convention: a silent tick means
-                // the source is done) — close the stream, or wait for
-                // Stop/Checkpoint if the controller drives shutdown.
-                if stopping || w.auto_stop {
-                    break;
-                }
-                match cmd.recv() {
-                    Ok(SourceCmd::Checkpoint(epoch)) => {
-                        if let Err(e) = take_checkpoint(w.op.as_mut(), epoch, next_seq) {
-                            error = Some(e);
-                            break;
-                        }
-                    }
-                    _ => break,
-                }
-            } else {
-                match route_emissions(
-                    w.op_id,
-                    &w.outputs,
-                    &w.telemetry,
-                    &mut next_seq,
-                    ctx.emissions,
-                    Some(&store),
-                ) {
-                    Ok(true) => {}
-                    Ok(false) => break,
-                    Err(e) => {
-                        error = Some(e);
-                        break;
-                    }
-                }
+    }
+
+    fn ctx(&self, seed: u64) -> LiveCtx {
+        LiveCtx {
+            op: self.op_id,
+            fanout: self.outputs.len(),
+            emissions: Vec::new(),
+            seed,
+        }
+    }
+
+    /// Source preservation: `wal` is durable when this returns `true`.
+    fn preserve(&mut self, wal: &[Tuple]) -> bool {
+        if self.error.is_none() && !wal.is_empty() {
+            if let Err(e) = self.store.append_log_batch(self.op_id, wal) {
+                self.fail(e);
             }
         }
-        for route in &w.outputs {
+        self.error.is_none()
+    }
+
+    /// Ticks a generating operator once: stamps what it emits,
+    /// preserves the run, then routes each tuple to its port. `false`
+    /// means stop ticking — the operator stayed silent (the convention
+    /// for an exhausted source), a consumer is gone, or the host failed.
+    pub fn tick(&mut self, op: &mut dyn Operator) -> bool {
+        if self.error.is_some() {
+            return false;
+        }
+        let mut ctx = self.ctx(0x5DEECE66D ^ self.op_id.0 as u64);
+        op.on_timer(&mut ctx);
+        let (ports, tuples): (Vec<PortId>, Vec<Tuple>) =
+            stamp(self.op_id, &mut self.next_seq, ctx.emissions).unzip();
+        !tuples.is_empty()
+            && self.preserve(&tuples)
+            && route_stamped(
+                &self.outputs,
+                &self.telemetry,
+                ports.into_iter().zip(tuples),
+            )
+    }
+
+    /// Preserves `wal` — tuples the driver stamped itself — as one
+    /// group append, and only then delivers each `deliver` range of it
+    /// as one batch on every route (a gateway fans out like a source).
+    /// Records outside every range are WAL-only. `false`: nothing is
+    /// durable and nothing was sent.
+    pub fn send(&mut self, wal: &[Tuple], deliver: impl IntoIterator<Item = Range<usize>>) -> bool {
+        if !self.preserve(wal) {
+            return false;
+        }
+        for run in deliver.into_iter().map(|range| &wal[range]) {
+            for route in &self.outputs {
+                route.data_batch(run);
+            }
+            if let Some(m) = self.telemetry.as_ref().filter(|_| !run.is_empty()) {
+                m.add_tuples_out(run.len() as u64, run.iter().map(Tuple::payload_bytes).sum());
+            }
+        }
+        true
+    }
+
+    /// The source checkpoint, in the only safe order: the stream
+    /// boundary is durable before the checkpoint is even enqueued (an
+    /// epoch that looks complete on disk always has its replay
+    /// boundary), and the token leaves last. `base` is the epoch a
+    /// delta `capture` chains on; `state_bytes` feeds the state-size
+    /// gauge. `false`: the mark failed — nothing enqueued, no token.
+    pub fn checkpoint(
+        &mut self,
+        epoch: EpochId,
+        capture: DeferredSnapshot,
+        base: Option<EpochId>,
+        state_bytes: u64,
+    ) -> bool {
+        if self.error.is_some() {
+            return false;
+        }
+        if let Err(e) = self.store.mark_epoch(self.op_id, epoch, self.next_seq) {
+            self.fail(e);
+            return false;
+        }
+        if let Some(m) = &self.telemetry {
+            m.set_state_bytes(state_bytes);
+        }
+        self.last_captured = Some(epoch);
+        let _ = self.persist.send(PersistItem {
+            epoch,
+            op: self.op_id,
+            snapshot: capture,
+            base,
+            next_seq: self.next_seq,
+            in_flight: Vec::new(),
+            resume_seq: Vec::new(),
+            align_us: 0,
+            meter: self.telemetry.clone(),
+        });
+        for route in &self.outputs {
+            route.token(epoch);
+        }
+        true
+    }
+
+    /// [`SourceCore::checkpoint`] of a generating operator's state — a
+    /// delta on its previous capture when the operator supports it.
+    pub fn checkpoint_operator(&mut self, epoch: EpochId, op: &mut dyn Operator) -> bool {
+        let (snapshot, base) = capture(op, self.last_captured);
+        self.checkpoint(epoch, snapshot, base, op.state_size())
+    }
+
+    /// Consumes the host: broadcasts EOS downstream and returns the
+    /// exit record carrying `op`'s final state.
+    pub fn finish(self, op: Box<dyn Operator>) -> HostExit {
+        for route in &self.outputs {
             route.eos();
         }
-        return HostExit {
-            op_id: w.op_id,
-            op: w.op,
-            error,
-        };
+        HostExit {
+            op_id: self.op_id,
+            op,
+            error: self.error,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc::Receiver;
+    use std::sync::Mutex;
+
+    use crate::protocol::CountSource;
+    use crate::storage::LiveHauCheckpoint;
+
+    /// A recording store, and the ordered log it shares with the
+    /// recording edges. Every note first moves whatever sits in the
+    /// persist queue into the log, so a [`PersistItem`] lands exactly
+    /// between the last call made before it was enqueued and the first
+    /// one made after. Calls whose name starts with `fail` are refused.
+    struct Rec {
+        log: Mutex<Vec<String>>,
+        persist_rx: Mutex<Receiver<PersistItem>>,
+        fail: &'static str,
     }
 
-    // Interior/sink thread: the InteriorCore state machine driven by a
-    // blocking channel select. Receiver clones don't hold the channel
-    // open (senders do), so the core consuming the wiring is harmless.
-    let inputs = w.inputs.clone();
-    let mut core = InteriorCore::new(w, persist);
-    while !core.is_done() {
-        core.publish_backpressure(inputs.iter().map(Receiver::len).sum::<usize>() as u64);
-        let readable: Vec<usize> = (0..inputs.len()).filter(|&i| !core.input_eos(i)).collect();
-        if readable.is_empty() {
-            break;
+    impl Rec {
+        /// Locks the log, first moving queued checkpoints into it.
+        fn log(&self) -> std::sync::MutexGuard<'_, Vec<String>> {
+            let mut log = self.log.lock().unwrap();
+            let queued = self.persist_rx.lock().unwrap();
+            log.extend(queued.try_iter().map(|i| format!("enqueue {}", i.epoch.0)));
+            log
         }
-        let mut sel = Select::new();
-        for &i in &readable {
-            sel.recv(&inputs[i]);
+
+        fn note(&self, ev: String) -> Result<()> {
+            let mut log = self.log();
+            if !self.fail.is_empty() && ev.starts_with(self.fail) {
+                return Err(Error::Storage(format!("{ev} refused")));
+            }
+            log.push(ev);
+            Ok(())
         }
-        let oper = sel.select();
-        let idx = readable[oper.index()];
-        let msg = match oper.recv(&inputs[idx]) {
-            Ok(msg) => msg,
-            // A dropped sender is an implicit EOS (teardown).
-            Err(_) => HostMsg::Eos,
-        };
-        core.on_msg(idx, msg);
+
+        fn take(&self) -> Vec<String> {
+            std::mem::take(&mut *self.log())
+        }
     }
-    core.finish()
+
+    impl StableStore for Rec {
+        fn put_checkpoint(&self, _: EpochId, _: OperatorId, _: CkptWrite) -> Result<bool> {
+            unreachable!("no persister runs")
+        }
+        fn get_checkpoint(&self, _: EpochId, _: OperatorId) -> Option<LiveHauCheckpoint> {
+            None
+        }
+        fn latest_complete(&self) -> Option<EpochId> {
+            None
+        }
+        fn append_log(&self, source: OperatorId, t: Tuple) -> Result<()> {
+            self.append_log_batch(source, &[t])
+        }
+        fn append_log_batch(&self, _: OperatorId, batch: &[Tuple]) -> Result<()> {
+            self.note(format!("append {}", batch.len()))
+        }
+        fn mark_epoch(&self, _: OperatorId, epoch: EpochId, _: u64) -> Result<()> {
+            self.note(format!("mark {}", epoch.0))
+        }
+        fn replay_from(&self, _: OperatorId, _: EpochId) -> Vec<Tuple> {
+            Vec::new()
+        }
+        fn preserved_tuples(&self) -> usize {
+            0
+        }
+    }
+
+    struct RecEdge(Arc<Rec>, usize);
+
+    impl EdgeTx for RecEdge {
+        fn send(&self, msg: HostMsg) -> bool {
+            let what = match &msg {
+                HostMsg::Token(epoch) => format!("token {}", epoch.0),
+                HostMsg::Eos => "eos".into(),
+                data => format!("data x{}", data.tuple_count()),
+            };
+            self.0.note(format!("{what} on {}", self.1)).is_ok()
+        }
+    }
+
+    /// A two-route source over a recording store.
+    fn source(fail: &'static str) -> (SourceCore, Arc<Rec>) {
+        let (persist, persist_rx) = channel();
+        let rec = Arc::new(Rec {
+            log: Mutex::new(Vec::new()),
+            persist_rx: Mutex::new(persist_rx),
+            fail,
+        });
+        let outputs = (0..2)
+            .map(|route| OutputRoute::single(RecEdge(rec.clone(), route)))
+            .collect();
+        let src = SourceCore::new(OperatorId(0), outputs, 0, None, rec.clone(), persist, None);
+        (src, rec)
+    }
+
+    fn stamped(seqs: Range<u64>) -> Vec<Tuple> {
+        seqs.map(|seq| Tuple::new(OperatorId(0), seq, SimTime::ZERO, Vec::new()))
+            .collect()
+    }
+
+    #[test]
+    fn source_preserves_before_routing_and_marks_before_enqueue_before_token() {
+        let (mut src, rec) = source("");
+        let mut op = CountSource::new(10);
+        // One tick of a two-port source: both emissions are durable in
+        // one append before either leaves.
+        assert!(src.tick(&mut op));
+        assert_eq!(rec.take(), ["append 2", "data x1 on 0", "data x1 on 1"]);
+        // A driver-stamped run: the WAL-only record in the middle is
+        // preserved with the rest and delivered nowhere.
+        assert!(src.send(&stamped(2..7), [0..2, 3..5]));
+        let twice = ["data x2 on 0", "data x2 on 1"];
+        assert_eq!(rec.take(), [&["append 5"][..], &twice, &twice].concat());
+        assert!(src.checkpoint_operator(EpochId(1), &mut op));
+        assert_eq!(
+            rec.take(),
+            ["mark 1", "enqueue 1", "token 1 on 0", "token 1 on 1"]
+        );
+        assert!(src.finish(Box::new(op)).error.is_none());
+        assert_eq!(rec.take(), ["eos on 0", "eos on 1"]);
+    }
+
+    #[test]
+    fn failed_mark_enqueues_nothing_sends_no_token_and_surfaces_at_exit() {
+        let (mut src, rec) = source("mark");
+        let mut op = CountSource::new(10);
+        assert!(src.tick(&mut op));
+        rec.take();
+        assert!(!src.checkpoint_operator(EpochId(1), &mut op));
+        assert!(!src.tick(&mut op), "a failed host stops generating");
+        assert!(rec.take().is_empty());
+        let exit = src.finish(Box::new(op));
+        assert!(matches!(exit.error, Some(Error::Storage(_))));
+    }
+
+    #[test]
+    fn failed_append_routes_nothing() {
+        let (mut src, rec) = source("append");
+        assert!(!src.send(&stamped(0..3), Some(0..3)));
+        assert!(!src.tick(&mut CountSource::new(10)));
+        assert!(rec.take().is_empty());
+        let exit = src.finish(Box::new(CountSource::new(0)));
+        assert!(matches!(exit.error, Some(Error::Storage(_))));
+    }
 }

@@ -1,38 +1,19 @@
-//! A real-thread mini-runtime for the Meteor Shower token protocol.
+//! The operator-host layer of the Meteor Shower token protocol.
 //!
-//! The evaluation-scale experiments run on the deterministic simulator
-//! (`ms-runtime`); this crate complements them by executing the *same
-//! operator trait* on actual OS threads connected by bounded crossbeam
-//! channels, with checkpoint tokens riding the dataflow — evidence
-//! that the protocol is a runnable system and not only a simulation.
+//! One HAU of MS-src (§III-A/B) as sans-IO state machines —
+//! [`SourceCore`] (preserve before send; mark → snapshot → token;
+//! replay on recovery) and [`InteriorCore`] (token alignment, cut,
+//! forward) — plus what they persist through: the [`Persister`] that
+//! serializes and writes captures off the hot path, the
+//! [`StableStore`] contract with its in-memory [`LiveStorage`], and the
+//! checkpoint payload codec shared with `ms-wire`'s filesystem store.
 //!
-//! Scope: the MS-src propagating-token protocol (§III-A) with source
-//! preservation against an in-memory stable store, asynchronous
-//! snapshot persistence on a writer thread (the COW child's role), and
-//! checkpoint/replay recovery. One operator per HAU; acyclic graphs.
+//! The hosts own no threads, sockets or clocks. `ms-wire` drives them
+//! from its poll(2) event loop and apply pool across OS processes,
+//! `ms-gate` feeds a source core from producer connections, and this
+//! crate's tests pump them deterministically on one thread.
 //!
-//! ```
-//! use ms_live::{LiveRuntime, LiveStorage, CountSource, Summer};
-//! use ms_core::graph::QueryNetwork;
-//! use std::sync::Arc;
-//!
-//! let mut qn = QueryNetwork::new();
-//! let s = qn.add_operator("src");
-//! let k = qn.add_operator("sink");
-//! qn.connect(s, k).unwrap();
-//!
-//! let storage = Arc::new(LiveStorage::new(2));
-//! let mut rt = LiveRuntime::start(&qn, storage.clone(), |op| {
-//!     if op == s {
-//!         Box::new(CountSource::new(100))
-//!     } else {
-//!         Box::new(Summer::default())
-//!     }
-//! }).unwrap();
-//! rt.checkpoint();                        // tokens trickle down the graph
-//! let final_ops = rt.finish().unwrap();   // drain and join
-//! assert!(final_ops.len() == 2);
-//! ```
+//! Scope: one operator per HAU; acyclic graphs.
 
 #![warn(missing_docs)]
 
@@ -43,9 +24,9 @@ pub mod storage;
 
 pub use host::{
     DurableHook, EdgeTx, HostExit, HostMsg, HostWiring, InteriorCore, OutputRoute, PersistItem,
-    Persister, RouteKeyFn, SourceCmd,
+    Persister, RouteKeyFn, SourceCmd, SourceCore,
 };
-pub use protocol::{CountSource, Doubler, LiveRuntime, LiveTelemetry, Summer};
+pub use protocol::{CountSource, Doubler, Summer};
 pub use storage::{
     CkptState, CkptWrite, LiveHauCheckpoint, LiveStorage, RebasePolicy, StableStore,
 };

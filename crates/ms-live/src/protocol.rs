@@ -1,237 +1,18 @@
-//! The threaded token protocol.
+//! Demo operators, and the token protocol exercised end to end.
 //!
-//! Each HAU is one OS thread; streams are bounded crossbeam channels;
-//! checkpoint tokens ride the dataflow. The protocol implemented is
-//! MS-src+ap (§III): the controller commands the source HAUs, each
-//! source snapshots and emits a token, every interior HAU aligns
-//! tokens with a non-blocking per-epoch buffer window (see
-//! [`crate::host`]), snapshots with the buffered tuples as the cut's
-//! in-flight portion, and forwards the token. Snapshot serialization
-//! and persistence happen on a separate writer thread — the live
-//! stand-in for the forked COW child.
-//!
-//! The per-HAU execution loop itself lives in [`crate::host`]; this
-//! module is the single-process deployment of it. `ms-wire` deploys
-//! the same hosts across OS processes connected by TCP.
+//! [`CountSource`], [`Doubler`] and [`Summer`] are the small operators
+//! the crate's tests, `ms-wire`'s demo shapes and the benches build
+//! pipelines from. The tests below deploy them over
+//! [`SourceCore`](crate::SourceCore) / [`InteriorCore`](crate::InteriorCore)
+//! and [`LiveStorage`](crate::LiveStorage) with a deterministic
+//! single-threaded pump — every edge a queue, every persist inline —
+//! so checkpoint cuts, alignment windows and recovery are asserted on
+//! exact interleavings rather than on what a scheduler happened to do.
 
-use std::collections::HashMap;
-use std::sync::Arc;
-use std::thread::JoinHandle;
-
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use ms_core::error::{Error, Result};
-use ms_core::graph::QueryNetwork;
-use ms_core::ids::{EpochId, OperatorId, PortId};
-use ms_core::metrics::{BackpressureGauges, BackpressureMeter, OperatorMeter, OperatorSample};
+use ms_core::ids::PortId;
 use ms_core::operator::{Operator, OperatorContext, OperatorSnapshot};
 use ms_core::tuple::Tuple;
 use ms_core::value::Value;
-
-use crate::host::{run_host, HostExit, HostMsg, HostWiring, OutputRoute, Persister, SourceCmd};
-use crate::storage::{LiveStorage, StableStore};
-
-/// Depth of each inter-host channel (the live stand-in for the
-/// simulator's bounded per-channel buffers — hop-by-hop backpressure).
-pub const CHANNEL_DEPTH: usize = 256;
-
-/// A point-in-time view of a running [`LiveRuntime`]: the merged
-/// backpressure gauges its hosts keep current, plus one
-/// [`OperatorSample`] per HAU (tuple flow, state-size gauge, last
-/// checkpoint's bytes and phase breakdown). Sampling is lock-free and
-/// advisory — see [`ms_core::metrics::OperatorMeter`].
-#[derive(Clone, Debug, Default)]
-pub struct LiveTelemetry {
-    /// Field-wise sum of every host's backpressure gauges.
-    pub backpressure: BackpressureGauges,
-    /// One sample per operator, in graph order.
-    pub operators: Vec<(OperatorId, OperatorSample)>,
-}
-
-/// A running live deployment.
-pub struct LiveRuntime {
-    handles: Vec<JoinHandle<HostExit>>,
-    src_cmds: Vec<Sender<SourceCmd>>,
-    next_epoch: EpochId,
-    persister: Option<Persister>,
-    meters: Vec<(OperatorId, Arc<BackpressureMeter>, Arc<OperatorMeter>)>,
-}
-
-impl LiveRuntime {
-    /// Builds channels and spawns one thread per operator.
-    pub fn start(
-        qn: &QueryNetwork,
-        storage: Arc<LiveStorage>,
-        factory: impl Fn(OperatorId) -> Box<dyn Operator>,
-    ) -> Result<LiveRuntime> {
-        Self::launch(qn, storage, factory, None)
-    }
-
-    /// Restores every operator from `epoch` and replays preserved
-    /// source tuples before resuming generation — the recovery path.
-    /// A missing or corrupt individual checkpoint fails the deploy
-    /// here (`Err`), before any thread is spawned.
-    pub fn restore(
-        qn: &QueryNetwork,
-        storage: Arc<LiveStorage>,
-        epoch: EpochId,
-        factory: impl Fn(OperatorId) -> Box<dyn Operator>,
-    ) -> Result<LiveRuntime> {
-        Self::launch(qn, storage, factory, Some(epoch))
-    }
-
-    fn launch(
-        qn: &QueryNetwork,
-        storage: Arc<LiveStorage>,
-        factory: impl Fn(OperatorId) -> Box<dyn Operator>,
-        restore_epoch: Option<EpochId>,
-    ) -> Result<LiveRuntime> {
-        qn.validate()?;
-        let store: Arc<dyn StableStore> = storage.clone();
-        // One channel per edge.
-        let mut senders: HashMap<(OperatorId, OperatorId), Sender<HostMsg>> = HashMap::new();
-        let mut receivers: HashMap<(OperatorId, OperatorId), Receiver<HostMsg>> = HashMap::new();
-        for (from, to) in qn.edges() {
-            let (tx, rx) = bounded(CHANNEL_DEPTH);
-            senders.insert((from, to), tx);
-            receivers.insert((from, to), rx);
-        }
-        let persister = Persister::spawn(store.clone());
-
-        let mut handles = Vec::new();
-        let mut src_cmds = Vec::new();
-        let mut meters = Vec::new();
-        for op_id in qn.operators() {
-            let mut op = factory(op_id);
-            let mut restored_seq = 0;
-            let mut replay = Vec::new();
-            let mut resume_seq = Vec::new();
-            let mut in_flight = Vec::new();
-            if let Some(epoch) = restore_epoch {
-                let ck = store.get_checkpoint(epoch, op_id).ok_or_else(|| {
-                    Error::Recovery(format!("no checkpoint for {op_id} at {epoch}"))
-                })?;
-                op.restore(&ck.snapshot)?;
-                restored_seq = ck.next_seq;
-                resume_seq = ck.resume_seq;
-                in_flight = ck.in_flight;
-                if qn.upstream(op_id).is_empty() {
-                    replay = store.replay_from(op_id, epoch);
-                }
-            }
-            let inputs: Vec<Receiver<HostMsg>> = qn
-                .upstream(op_id)
-                .iter()
-                .map(|&u| receivers.remove(&(u, op_id)).expect("edge receiver"))
-                .collect();
-            let outputs: Vec<OutputRoute> = qn
-                .downstream(op_id)
-                .iter()
-                .map(|&d| {
-                    OutputRoute::single(senders.get(&(op_id, d)).expect("edge sender").clone())
-                })
-                .collect();
-            let cmd = if inputs.is_empty() {
-                let (tx, rx) = unbounded();
-                src_cmds.push(tx);
-                Some(rx)
-            } else {
-                None
-            };
-            let bp = Arc::new(BackpressureMeter::new());
-            let tel = Arc::new(OperatorMeter::new());
-            meters.push((op_id, bp.clone(), tel.clone()));
-            let wiring = HostWiring {
-                op_id,
-                op,
-                inputs,
-                outputs,
-                cmd,
-                restored_seq,
-                replay,
-                resume_seq,
-                in_flight,
-                auto_stop: false,
-                last_durable: restore_epoch,
-                // Every producer in the in-process runtime regenerates
-                // identical sequences after a rollback (single-threaded
-                // channel order per edge), so cuts keep the historical
-                // in-flight persistence.
-                persist_in_flight: true,
-                meter: Some(bp),
-                telemetry: Some(tel),
-            };
-            let store = store.clone();
-            let persist_tx = persister.sender();
-            handles.push(std::thread::spawn(move || {
-                run_host(wiring, store, persist_tx)
-            }));
-        }
-        // Only threads hold the remaining sender clones.
-        drop(senders);
-
-        Ok(LiveRuntime {
-            handles,
-            src_cmds,
-            next_epoch: restore_epoch.unwrap_or(EpochId::INITIAL),
-            persister: Some(persister),
-            meters,
-        })
-    }
-
-    /// Samples the deployment's meters: merged backpressure gauges
-    /// (queue depth, alignment-window occupancy) plus one
-    /// [`OperatorSample`] per HAU. Lock-free; callable from any thread
-    /// while the hosts run.
-    pub fn telemetry(&self) -> LiveTelemetry {
-        let mut backpressure = BackpressureGauges::default();
-        let mut operators = Vec::with_capacity(self.meters.len());
-        for (op_id, bp, tel) in &self.meters {
-            backpressure = backpressure.merge(&bp.sample());
-            operators.push((*op_id, tel.sample()));
-        }
-        LiveTelemetry {
-            backpressure,
-            operators,
-        }
-    }
-
-    /// Initiates an application checkpoint; returns its epoch.
-    pub fn checkpoint(&mut self) -> EpochId {
-        self.next_epoch = self.next_epoch.next();
-        for tx in &self.src_cmds {
-            let _ = tx.send(SourceCmd::Checkpoint(self.next_epoch));
-        }
-        self.next_epoch
-    }
-
-    /// Stops the sources, drains the graph, joins every thread and the
-    /// persister; returns the final operators by id. `Err` if any host
-    /// stopped on a stable-storage failure (the operators are lost in
-    /// that case — their streams were already cut short).
-    pub fn finish(mut self) -> Result<HashMap<OperatorId, Box<dyn Operator>>> {
-        for tx in &self.src_cmds {
-            let _ = tx.send(SourceCmd::Stop);
-        }
-        let mut out = HashMap::new();
-        let mut failure = None;
-        for h in self.handles.drain(..) {
-            let exit = h.join().expect("operator thread");
-            if let Some(e) = exit.error {
-                failure.get_or_insert(e);
-            }
-            out.insert(exit.op_id, exit.op);
-        }
-        // Dropping the persister closes its queue and joins the
-        // thread, so every submitted checkpoint is durable on return.
-        drop(self.persister.take());
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
-    }
-}
-
-// ---------------- demo operators ----------------
 
 /// A source that emits the integers `0..limit`, one per tick.
 pub struct CountSource {
@@ -363,19 +144,190 @@ impl Operator for Doubler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ms_core::graph::QueryNetwork;
+    use std::collections::{BTreeMap, HashMap};
+    use std::sync::mpsc::{channel, Receiver};
+    use std::sync::Arc;
 
-    fn chain() -> (QueryNetwork, OperatorId, OperatorId, OperatorId) {
-        let mut qn = QueryNetwork::new();
-        let s = qn.add_operator("src");
-        let d = qn.add_operator("double");
-        let k = qn.add_operator("sink");
-        qn.connect(s, d).unwrap();
-        qn.connect(d, k).unwrap();
-        (qn, s, d, k)
+    use ms_core::error::{Error, Result};
+    use ms_core::graph::QueryNetwork;
+    use ms_core::ids::{EpochId, OperatorId};
+    use ms_core::metrics::OperatorMeter;
+
+    use crate::host::{
+        HostExit, HostMsg, HostWiring, InteriorCore, OutputRoute, PersistItem, SourceCore,
+    };
+    use crate::storage::{LiveStorage, StableStore};
+
+    type Factory<'a> = &'a dyn Fn(OperatorId) -> Box<dyn Operator>;
+
+    /// One deployment of a query network on the calling thread. Edges
+    /// are unbounded queues; [`Pump::settle`] delivers them in
+    /// topological order (each host's inputs in port order) and then
+    /// persists every queued checkpoint inline, so a test decides the
+    /// interleaving by the order it ticks, tokens and settles.
+    struct Pump {
+        storage: Arc<LiveStorage>,
+        sources: BTreeMap<OperatorId, (SourceCore, Box<dyn Operator>)>,
+        /// Interior hosts, topological order, with their input queues.
+        interiors: Vec<(Option<InteriorCore>, Vec<Receiver<HostMsg>>)>,
+        persist_rx: Receiver<PersistItem>,
+        meters: HashMap<OperatorId, Arc<OperatorMeter>>,
+        epoch: EpochId,
+        exits: Vec<HostExit>,
     }
 
-    fn build(s: OperatorId, d: OperatorId, limit: u64) -> impl Fn(OperatorId) -> Box<dyn Operator> {
+    impl Pump {
+        /// Deploys `qn`; with `restore`, every operator starts from its
+        /// checkpoint of that epoch and sources resend their preserved
+        /// tuples before generating — the recovery path.
+        fn launch(
+            qn: &QueryNetwork,
+            storage: Arc<LiveStorage>,
+            factory: Factory<'_>,
+            restore: Option<EpochId>,
+        ) -> Result<Pump> {
+            qn.validate()?;
+            let store: Arc<dyn StableStore> = storage.clone();
+            let (mut txs, mut rxs) = (HashMap::new(), HashMap::new());
+            for edge in qn.edges() {
+                let (tx, rx) = channel();
+                txs.insert(edge, tx);
+                rxs.insert(edge, rx);
+            }
+            let (persist, persist_rx) = channel();
+            let mut pump = Pump {
+                storage,
+                sources: BTreeMap::new(),
+                interiors: Vec::new(),
+                persist_rx,
+                meters: HashMap::new(),
+                epoch: restore.unwrap_or(EpochId::INITIAL),
+                exits: Vec::new(),
+            };
+            for id in qn.topo_order()? {
+                let mut op = factory(id);
+                let missing = || Error::Recovery(format!("no checkpoint for {id}"));
+                let ck = restore.map(|epoch| store.get_checkpoint(epoch, id).ok_or_else(missing));
+                let ck = ck.transpose()?;
+                if let Some(ck) = &ck {
+                    op.restore(&ck.snapshot)?;
+                }
+                let outputs = qn.downstream(id).iter();
+                let outputs = outputs.map(|&d| OutputRoute::single(txs[&(id, d)].clone()));
+                let restored_seq = ck.as_ref().map_or(0, |ck| ck.next_seq);
+                let tel = Arc::new(OperatorMeter::new());
+                pump.meters.insert(id, tel.clone());
+                let inputs: Vec<_> = qn.upstream(id).iter().collect();
+                if inputs.is_empty() {
+                    let mut src = SourceCore::new(
+                        id,
+                        outputs.collect(),
+                        restored_seq,
+                        restore,
+                        store.clone(),
+                        persist.clone(),
+                        Some(tel),
+                    );
+                    if let Some(epoch) = restore {
+                        src.resume(op.as_mut(), store.replay_from(id, epoch));
+                    }
+                    pump.sources.insert(id, (src, op));
+                } else {
+                    let (resume_seq, in_flight) =
+                        ck.map_or_else(Default::default, |ck| (ck.resume_seq, ck.in_flight));
+                    let wiring = HostWiring {
+                        op_id: id,
+                        op,
+                        outputs: outputs.collect(),
+                        restored_seq,
+                        resume_seq,
+                        in_flight,
+                        last_durable: restore,
+                        // FIFO queues on one thread: every producer
+                        // regenerates identical sequences on rollback.
+                        persist_in_flight: true,
+                        meter: None,
+                        telemetry: Some(tel),
+                    };
+                    let core = InteriorCore::new(wiring, inputs.len(), persist.clone());
+                    let rxs = inputs.iter().map(|&&u| rxs.remove(&(u, id)).expect("edge"));
+                    pump.interiors.push((Some(core), rxs.collect()));
+                }
+            }
+            Ok(pump)
+        }
+
+        /// Ticks source `id` up to `n` times (fewer if it runs dry).
+        fn tick(&mut self, id: OperatorId, n: u64) {
+            let (src, op) = self.sources.get_mut(&id).expect("a source");
+            for _ in 0..n {
+                if !src.tick(op.as_mut()) {
+                    break;
+                }
+            }
+        }
+
+        /// Source `id` checkpoints `epoch` and emits its token.
+        fn token(&mut self, id: OperatorId, epoch: EpochId) {
+            let (src, op) = self.sources.get_mut(&id).expect("a source");
+            assert!(src.checkpoint_operator(epoch, op.as_mut()));
+        }
+
+        /// Delivers everything queued on every edge, finishes hosts
+        /// whose inputs all ended, and makes queued checkpoints durable.
+        fn settle(&mut self) {
+            for (slot, inputs) in &mut self.interiors {
+                let Some(core) = slot else { continue };
+                for (port, rx) in inputs.iter().enumerate() {
+                    for msg in rx.try_iter() {
+                        core.on_msg(port, msg);
+                    }
+                }
+                if core.is_done() {
+                    self.exits.push(slot.take().expect("core").finish());
+                }
+            }
+            for item in self.persist_rx.try_iter() {
+                item.persist(&*self.storage).expect("in-memory persist");
+            }
+        }
+
+        /// Initiates an application checkpoint on every source and lets
+        /// the tokens trickle down; returns its epoch.
+        fn checkpoint(&mut self) -> EpochId {
+            self.epoch = self.epoch.next();
+            for (src, op) in self.sources.values_mut() {
+                assert!(src.checkpoint_operator(self.epoch, op.as_mut()));
+            }
+            self.settle();
+            self.epoch
+        }
+
+        /// Lets the sources finish their data, closes the streams,
+        /// drains the graph; returns the final operators by id, or the
+        /// first storage failure that stopped a host.
+        fn finish(mut self) -> Result<HashMap<OperatorId, Box<dyn Operator>>> {
+            for (mut src, mut op) in std::mem::take(&mut self.sources).into_values() {
+                while src.tick(op.as_mut()) {}
+                self.exits.push(src.finish(op));
+            }
+            self.settle();
+            let exits = self.exits.into_iter();
+            exits
+                .map(|exit| exit.error.map_or(Ok((exit.op_id, exit.op)), Err))
+                .collect()
+        }
+    }
+
+    fn chain() -> (QueryNetwork, [OperatorId; 3]) {
+        let mut qn = QueryNetwork::new();
+        let ids = ["src", "double", "sink"].map(|name| qn.add_operator(name));
+        qn.connect(ids[0], ids[1]).unwrap();
+        qn.connect(ids[1], ids[2]).unwrap();
+        (qn, ids)
+    }
+
+    fn build([s, d, _]: [OperatorId; 3], limit: u64) -> impl Fn(OperatorId) -> Box<dyn Operator> {
         move |op| -> Box<dyn Operator> {
             if op == s {
                 Box::new(CountSource::new(limit))
@@ -394,88 +346,60 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_runs_to_completion() {
-        let (qn, s, d, k) = chain();
+    fn pump_runs_pipeline_to_completion() {
+        let (qn, ids) = chain();
         let storage = Arc::new(LiveStorage::new(qn.len()));
-        let rt = LiveRuntime::start(&qn, storage, build(s, d, 200)).unwrap();
-        let ops = rt.finish().unwrap();
-        let (sum, count) = sink_sum(&ops, k);
+        let pump = Pump::launch(&qn, storage, &build(ids, 200), None).unwrap();
+        let ops = pump.finish().unwrap();
+        assert_eq!(ops.len(), 3);
+        let (sum, count) = sink_sum(&ops, ids[2]);
         assert_eq!(count, 200);
         assert_eq!(sum, 2 * (0..200).sum::<i64>());
     }
 
     #[test]
-    fn checkpoint_and_recovery_are_exactly_once() {
-        const N: u64 = 100_000;
-        let (qn, s, d, k) = chain();
+    fn pump_checkpoint_and_recovery_are_exactly_once() {
+        const N: u64 = 1000;
+        let (qn, ids) = chain();
+        let [s, _, k] = ids;
         let storage = Arc::new(LiveStorage::new(qn.len()));
-        let mut rt = LiveRuntime::start(&qn, storage.clone(), build(s, d, N)).unwrap();
+        let mut pump = Pump::launch(&qn, storage.clone(), &build(ids, N), None).unwrap();
         // Let some tuples flow, checkpoint mid-stream, keep flowing.
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        rt.checkpoint();
-        let ops = rt.finish().unwrap();
+        pump.tick(s, 400);
+        pump.checkpoint();
+        let ops = pump.finish().unwrap();
         let (ref_sum, ref_count) = sink_sum(&ops, k);
         assert_eq!(ref_count, N, "reference run consumed everything");
 
         let epoch = storage.latest_complete().expect("complete checkpoint");
         let replay = storage.replay_from(s, epoch);
-        assert!(
-            !replay.is_empty() && (replay.len() as u64) < N,
-            "checkpoint must land mid-stream (replay {} of {N})",
-            replay.len()
-        );
+        assert_eq!(replay.len(), 600, "the mark cut the log at tick 400");
         // "Crash" and recover: every operator restored to the MRC, the
         // source replays its preserved tuples and resumes.
-        let rt = LiveRuntime::restore(&qn, storage.clone(), epoch, build(s, d, N)).unwrap();
-        let ops = rt.finish().unwrap();
+        let pump = Pump::launch(&qn, storage, &build(ids, N), Some(epoch)).unwrap();
+        let ops = pump.finish().unwrap();
         let (sum, count) = sink_sum(&ops, k);
         assert_eq!(count, N, "no tuple missed or duplicated");
         assert_eq!(sum, ref_sum);
     }
 
     #[test]
-    fn telemetry_reports_flow_and_checkpoint_phases() {
-        const N: u64 = 50_000;
-        let (qn, s, d, k) = chain();
+    fn pump_telemetry_reports_flow_and_checkpoint_phases() {
+        let (qn, ids) = chain();
         let storage = Arc::new(LiveStorage::new(qn.len()));
-        let mut rt = LiveRuntime::start(&qn, storage, build(s, d, N)).unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        let epoch = rt.checkpoint();
-        // Wait (bounded) for the checkpoint to reach the persister and
-        // be reported back into every operator's meter.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        loop {
-            let tel = rt.telemetry();
-            let all_ckpted = tel
-                .operators
-                .iter()
-                .all(|(_, sample)| sample.ckpt_epoch >= epoch.0);
-            if all_ckpted || std::time::Instant::now() > deadline {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        let tel = rt.telemetry();
-        rt.finish().unwrap();
+        let mut pump = Pump::launch(&qn, storage, &build(ids, 500), None).unwrap();
+        pump.tick(ids[0], 100);
+        let epoch = pump.checkpoint();
+        assert_eq!(pump.meters.len(), 3);
+        let [src, dbl, sink] = ids.map(|op| pump.meters[&op].sample());
+        pump.finish().unwrap();
 
-        assert_eq!(tel.operators.len(), 3);
-        let sample = |op: OperatorId| {
-            tel.operators
-                .iter()
-                .find(|(id, _)| *id == op)
-                .map(|(_, sample)| *sample)
-                .expect("sampled operator")
-        };
-        let (src, dbl, sink) = (sample(s), sample(d), sample(k));
         // Flow: the source only emits, the sink only consumes, and the
         // doubler forwards what it sees.
-        assert_eq!(src.tuples_in, 0);
-        assert!(src.tuples_out > 0);
+        assert_eq!((src.tuples_in, src.tuples_out), (0, 100));
         assert!(src.bytes_out > 0);
-        assert!(dbl.tuples_in > 0);
-        assert!(dbl.tuples_out > 0);
-        assert!(sink.tuples_in > 0);
-        assert_eq!(sink.tuples_out, 0);
+        assert_eq!((dbl.tuples_in, dbl.tuples_out), (100, 100));
+        assert_eq!((sink.tuples_in, sink.tuples_out), (100, 0));
         // Checkpoint accounting: every operator recorded the epoch, a
         // state-size gauge, and full-snapshot bytes.
         for smp in [src, dbl, sink] {
@@ -490,27 +414,25 @@ mod tests {
     }
 
     #[test]
-    fn multiple_checkpoints_produce_multiple_epochs() {
-        let (qn, s, d, _k) = chain();
+    fn pump_multiple_checkpoints_produce_multiple_epochs() {
+        let (qn, ids) = chain();
         let storage = Arc::new(LiveStorage::new(qn.len()));
-        let mut rt = LiveRuntime::start(&qn, storage.clone(), build(s, d, 300)).unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        let e1 = rt.checkpoint();
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        let e2 = rt.checkpoint();
+        let mut pump = Pump::launch(&qn, storage.clone(), &build(ids, 300), None).unwrap();
+        pump.tick(ids[0], 100);
+        let e1 = pump.checkpoint();
+        pump.tick(ids[0], 100);
+        let e2 = pump.checkpoint();
         assert!(e2 > e1);
-        rt.finish().unwrap();
+        pump.finish().unwrap();
         assert_eq!(storage.latest_complete(), Some(e2));
     }
 
     #[test]
-    fn fan_in_alignment() {
+    fn pump_fan_in_alignment() {
         // Two sources into one sink: the sink must wait for tokens on
         // both inputs before checkpointing.
         let mut qn = QueryNetwork::new();
-        let s1 = qn.add_operator("s1");
-        let s2 = qn.add_operator("s2");
-        let k = qn.add_operator("sink");
+        let [s1, s2, k] = ["s1", "s2", "sink"].map(|name| qn.add_operator(name));
         qn.connect(s1, k).unwrap();
         qn.connect(s2, k).unwrap();
         let storage = Arc::new(LiveStorage::new(qn.len()));
@@ -521,34 +443,39 @@ mod tests {
                 Box::new(CountSource::new(100))
             }
         };
-        let mut rt = LiveRuntime::start(&qn, storage.clone(), factory).unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        rt.checkpoint();
-        let ops = rt.finish().unwrap();
-        let snap = ops[&k].snapshot();
-        let mut r = ms_core::codec::SnapshotReader::new(&snap.data);
-        let _sum = r.get_i64().unwrap();
-        let count = r.get_u64().unwrap();
-        assert_eq!(count, 200);
-        assert!(storage.latest_complete().is_some());
+        let mut pump = Pump::launch(&qn, storage.clone(), &factory, None).unwrap();
+        pump.tick(s1, 30);
+        pump.tick(s2, 30);
+        // s1's token reaches the sink ahead of s2's, and s1 keeps
+        // sending: those ten tuples sit in the alignment window.
+        let epoch = EpochId::INITIAL.next();
+        pump.token(s1, epoch);
+        pump.tick(s1, 10);
+        pump.settle();
+        assert_eq!(storage.latest_complete(), None, "no cut before s2's token");
+        assert_eq!(
+            pump.meters[&k].sample().tuples_in,
+            60,
+            "buffered, unapplied"
+        );
+        pump.token(s2, epoch);
+        pump.settle();
+        assert_eq!(storage.latest_complete(), Some(epoch));
+        let cut = storage.get_checkpoint(epoch, k).unwrap();
+        assert_eq!(cut.in_flight.len(), 10, "the window is the cut's in-flight");
+        assert_eq!(cut.resume_seq, vec![40, 30]);
+        assert_eq!(
+            pump.meters[&k].sample().tuples_in,
+            70,
+            "applied after the cut"
+        );
+        let ops = pump.finish().unwrap();
+        assert_eq!(sink_sum(&ops, k).1, 200);
 
         // The checkpointed sink state is consistent: recovering and
         // replaying both sources reproduces the full run.
-        let epoch = storage.latest_complete().unwrap();
-        let factory = move |op: OperatorId| -> Box<dyn Operator> {
-            if op == k {
-                Box::new(Summer::default())
-            } else {
-                Box::new(CountSource::new(100))
-            }
-        };
-        let rt = LiveRuntime::restore(&qn, storage, epoch, factory).unwrap();
-        let ops = rt.finish().unwrap();
-        let snap = ops[&k].snapshot();
-        let mut r = ms_core::codec::SnapshotReader::new(&snap.data);
-        let sum = r.get_i64().unwrap();
-        let count = r.get_u64().unwrap();
-        assert_eq!(count, 200);
-        assert_eq!(sum, 2 * (0..100).sum::<i64>());
+        let pump = Pump::launch(&qn, storage, &factory, Some(epoch)).unwrap();
+        let ops = pump.finish().unwrap();
+        assert_eq!(sink_sum(&ops, k), (2 * (0..100).sum::<i64>(), 200));
     }
 }

@@ -1,4 +1,4 @@
-//! Stable storage for the live runtimes.
+//! Stable storage for the operator hosts.
 //!
 //! [`StableStore`] is the storage contract of the MS-src protocol:
 //! individual checkpoints land in it (written by a background
@@ -6,7 +6,7 @@
 //! logs are appended *before* tuples are sent (source preservation),
 //! and application-checkpoint completeness is tracked exactly as in
 //! `ms-storage`. [`LiveStorage`] is the in-memory implementation used
-//! by the single-process runtime; `ms-wire` provides a filesystem
+//! by tests and benches; `ms-wire` provides a filesystem
 //! implementation shared by every process of a TCP cluster, so one
 //! operator-host layer serves both.
 //!
@@ -120,8 +120,8 @@ impl RebasePolicy {
     }
 }
 
-/// The stable-storage contract shared by the in-process and TCP
-/// runtimes (preserve / mark / checkpoint / load — §III-A).
+/// The stable-storage contract every driver of the operator hosts
+/// shares (preserve / mark / checkpoint / load — §III-A).
 ///
 /// Implementations must be safe to call from many operator threads
 /// (and, for multi-process stores, many OS processes) at once. The

@@ -8,10 +8,7 @@
 //!
 //! The generator is SplitMix64 — tiny, fast, passes BigCrush-level
 //! statistical scrutiny for simulation purposes, and trivially seedable
-//! from a hash. (`rand`'s distributions are still usable through the
-//! [`rand::RngCore`] impl.)
-
-use rand::RngCore;
+//! from a hash.
 
 /// A deterministic random stream.
 #[derive(Clone, Debug)]
@@ -136,21 +133,6 @@ impl DetRng {
     }
 }
 
-impl RngCore for DetRng {
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-    fn next_u64(&mut self) -> u64 {
-        DetRng::next_u64(self)
-    }
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,13 +230,5 @@ mod tests {
         }
         let empty: [u8; 0] = [];
         assert!(r.pick(&empty).is_none());
-    }
-
-    #[test]
-    fn fill_bytes_works() {
-        let mut r = DetRng::new(5);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }

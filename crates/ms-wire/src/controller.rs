@@ -27,11 +27,11 @@ use std::io::Write;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Sender};
 use ms_cluster::{place_gates, spread_shards};
 use ms_core::error::{Error, Result};
 use ms_core::gate::GateConfig;
@@ -342,7 +342,7 @@ pub fn run_controller(cfg: ControllerConfig) -> Result<ClusterReport> {
     println!("ms-controller: listening on {addr}");
     listener.set_nonblocking(true)?;
 
-    let (etx, erx) = unbounded::<Event>();
+    let (etx, erx) = channel::<Event>();
     let stop = Arc::new(AtomicBool::new(false));
 
     let accept_stop = stop.clone();

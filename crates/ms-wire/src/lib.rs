@@ -1,13 +1,13 @@
 //! Real TCP transport and multi-process cluster runtime for the
 //! Meteor Shower reproduction.
 //!
-//! Everything below `ms-wire` models: the simulator (`ms-runtime`)
-//! replays the protocol in virtual time, and `ms-live` runs it on OS
-//! threads inside one process. This crate is the missing distribution
-//! layer — the same `ms-live` operator hosts, wired across *process*
-//! boundaries by length-prefixed binary frames over `TcpStream`, with
-//! a controller daemon and worker daemons forming a miniature cluster
-//! on localhost (or any reachable network).
+//! Everything below `ms-wire` models or abstracts: the simulator
+//! (`ms-runtime`) replays the protocol in virtual time, and `ms-live`
+//! holds it as operator-host state machines that own no I/O. This crate
+//! is the distribution layer — those `ms-live` hosts, wired across
+//! *process* boundaries by length-prefixed binary frames over
+//! `TcpStream`, with a controller daemon and worker daemons forming a
+//! miniature cluster on localhost (or any reachable network).
 //!
 //! | module | role |
 //! |---|---|
@@ -20,6 +20,7 @@
 //! | [`controller`] | the `ms-controller` daemon: deploy / pace / detect / recover |
 //! | [`cadence`] | the live telemetry plane: §III-C aware barrier initiation + adaptive checkpoint cadence |
 //! | [`ledger`] | the epoch-keyed run ledger (JSONL telemetry trail) + `ms_ledger` summarizer |
+//! | [`args`] | the strict `--flag VALUE` parser both daemons share |
 //!
 //! # Run a 3-process cluster on localhost
 //!
@@ -44,6 +45,7 @@
 #![warn(missing_docs)]
 
 pub mod apps;
+pub mod args;
 pub mod cadence;
 pub mod chaos;
 pub mod controller;

@@ -11,8 +11,8 @@
 //!   writability.
 //! * **A fixed apply pool** (2–4 threads) runs the protocol state
 //!   machine ([`ms_live::InteriorCore`]) of every interior/sink HAU.
-//! * **Source HAUs** keep a dedicated thread each
-//!   ([`ms_live::host::run_host`]): they block on pacing sleeps and
+//! * **Source HAUs** keep a dedicated thread each, driving an
+//!   [`ms_live::SourceCore`]: they block on pacing sleeps and
 //!   stable-store appends, which must not stall the shared pool.
 //!
 //! Local edges are direct inbox pushes — colocated operators pay no
@@ -52,25 +52,26 @@ use std::collections::HashMap;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Sender};
 use ms_core::error::{Error, Result};
 use ms_core::ids::OperatorId;
 use ms_core::metrics::{BackpressureGauges, BackpressureMeter, OperatorMeter, OperatorSample};
+use ms_core::operator::Operator;
 use ms_gate::{run_gate, GateMeter, GateOp, GateSample, GateWiring};
-use ms_live::host::run_host;
 use ms_live::{
-    EdgeTx, HostExit, HostWiring, InteriorCore, OutputRoute, Persister, SourceCmd, StableStore,
+    EdgeTx, HostExit, HostWiring, InteriorCore, OutputRoute, Persister, SourceCmd, SourceCore,
+    StableStore,
 };
 use ms_net::ready::Waker;
 use parking_lot::Mutex;
 
 use crate::apps::{build_operator, route_key};
 use crate::chaos::{FaultStore, RetryStore, StoreFaultSpec};
-use crate::evloop::{self, CellTx, EgressBuf, EgressHandle, HostCell, IoCmd};
+use crate::evloop::{self, CellTx, EgressBuf, EgressHandle, HostCell, IoCmd, WorkQueue};
 use crate::message::{recv_msg, send_msg, Assignment, WireMsg};
 use crate::store::FsStore;
 use ms_net::fault::FaultPlan;
@@ -187,7 +188,7 @@ impl Shared {
 /// apply-pool work queue, the I/O thread's command channel, and its
 /// waker.
 struct Engine {
-    work: Sender<Arc<HostCell>>,
+    work: Arc<WorkQueue>,
     io: Sender<IoCmd>,
     waker: Waker,
 }
@@ -357,7 +358,7 @@ impl Run {
         // Infallible phase: build cells (consumers before producers),
         // wire routes, spawn source threads.
         let torn = Arc::new(AtomicBool::new(false));
-        let (exits_tx, exits_rx) = unbounded::<HostExit>();
+        let (exits_tx, exits_rx) = channel::<HostExit>();
 
         // Durable-checkpoint acks close the controller's epoch
         // barrier: the persister reports every write outcome on the
@@ -488,7 +489,7 @@ impl Run {
                 shared.op_meters.lock().1.push((op, op_meter.clone()));
                 let gate_meter = Arc::new(GateMeter::new());
                 shared.gate_meters.lock().1.push((op, gate_meter.clone()));
-                let (cmd_tx, cmd_rx) = unbounded();
+                let (cmd_tx, cmd_rx) = channel();
                 src_cmds.push(cmd_tx);
                 let wiring = GateWiring {
                     op_id: op,
@@ -502,7 +503,6 @@ impl Run {
                     replay: r.replay,
                     meter: gate_meter,
                     telemetry: Some(op_meter),
-                    group_commit: true,
                 };
                 let store = store.clone();
                 let ptx = persister.sender();
@@ -519,10 +519,36 @@ impl Run {
                 continue;
             }
 
-            let meter = Arc::new(BackpressureMeter::new());
-            shared.meters.lock().push(meter.clone());
             let op_meter = Arc::new(OperatorMeter::new());
             shared.op_meters.lock().1.push((op, op_meter.clone()));
+            if is_source {
+                let (cmd_tx, cmd_rx) = channel();
+                src_cmds.push(cmd_tx);
+                let mut src = SourceCore::new(
+                    op,
+                    outputs,
+                    r.restored_seq,
+                    a.restore_epoch,
+                    store.clone(),
+                    persister.sender(),
+                    Some(op_meter),
+                );
+                let etx = exits_tx.clone();
+                src_threads.push(
+                    thread::Builder::new()
+                        .name(format!("ms-src-{}", op.0))
+                        .spawn(move || {
+                            let mut operator = r.operator;
+                            src.resume(operator.as_mut(), r.replay);
+                            let _ = etx.send(run_source(src, operator, cmd_rx));
+                        })
+                        .expect("spawn source thread"),
+                );
+                continue;
+            }
+
+            let meter = Arc::new(BackpressureMeter::new());
+            shared.meters.lock().push(meter.clone());
             // The in-flight replay filter compares per-producer
             // sequence numbers, which only survive a rollback when
             // every upstream producer regenerates them exactly — true
@@ -530,65 +556,35 @@ impl Run {
             // fan-in (or sharded fan-in) producers. See the ms-live
             // host module docs.
             let persist_in_flight = qn.upstream(op).iter().all(|&u| qn.upstream(u).len() <= 1);
-            let (cmd_tx, cmd_rx) = if is_source {
-                let (tx, rx) = unbounded();
-                (Some(tx), Some(rx))
-            } else {
-                (None, None)
-            };
-            let n_in = qn.upstream(op).len();
             let wiring = HostWiring {
                 op_id: op,
                 op: r.operator,
-                // Interior cells never read channels — the inbox is
-                // the stream — but the core sizes its alignment state
-                // from the input count, so hand it placeholders.
-                inputs: (0..n_in).map(|_| unbounded().1).collect(),
                 outputs,
-                cmd: cmd_rx,
                 restored_seq: r.restored_seq,
-                replay: r.replay,
                 resume_seq: r.resume_seq,
                 in_flight: r.in_flight,
-                auto_stop: true,
                 last_durable: a.restore_epoch,
                 persist_in_flight,
                 meter: Some(meter),
                 telemetry: Some(op_meter),
             };
-            if let Some(tx) = cmd_tx {
-                src_cmds.push(tx);
-                let store = store.clone();
-                let ptx = persister.sender();
-                let etx = exits_tx.clone();
-                src_threads.push(
-                    thread::Builder::new()
-                        .name(format!("ms-src-{}", op.0))
-                        .spawn(move || {
-                            let exit = run_host(wiring, store, ptx);
-                            let _ = etx.send(exit);
-                        })
-                        .expect("spawn source thread"),
-                );
-            } else {
-                let core = InteriorCore::new(wiring, persister.sender());
-                let cell = HostCell::new(core, torn.clone(), exits_tx.clone());
-                for &up in qn.upstream(op) {
-                    if !is_mine(up) {
-                        let port = qn.input_port(up, op).expect("edge exists").0;
-                        ingress_routes.insert(
-                            (up.0, op.0),
-                            CellTx {
-                                cell: cell.clone(),
-                                port,
-                                work: eng.work.clone(),
-                            },
-                        );
-                    }
+            let core = InteriorCore::new(wiring, qn.upstream(op).len(), persister.sender());
+            let cell = HostCell::new(core, torn.clone(), exits_tx.clone());
+            for &up in qn.upstream(op) {
+                if !is_mine(up) {
+                    let port = qn.input_port(up, op).expect("edge exists").0;
+                    ingress_routes.insert(
+                        (up.0, op.0),
+                        CellTx {
+                            cell: cell.clone(),
+                            port,
+                            work: eng.work.clone(),
+                        },
+                    );
                 }
-                cell_of.insert(op.0, cell.clone());
-                cells.push(cell);
             }
+            cell_of.insert(op.0, cell.clone());
+            cells.push(cell);
         }
         drop(exits_tx);
         eng.send_io(IoCmd::Routes {
@@ -659,6 +655,30 @@ impl Run {
     }
 }
 
+/// Drives one demo source to completion on its own thread: pending
+/// controller commands first, so a checkpoint cuts on the tick boundary
+/// the loop sits at, then one tick (the generator paces itself inside
+/// `on_timer`). A finite stream closes itself on its first silent tick,
+/// without a controller round-trip; teardown reaches a source through
+/// the generation's torn flag — its next send fails — so `Stop` has
+/// nothing left to do here.
+fn run_source(
+    mut src: SourceCore,
+    mut op: Box<dyn Operator>,
+    cmd: Receiver<SourceCmd>,
+) -> HostExit {
+    loop {
+        while let Ok(c) = cmd.try_recv() {
+            if let SourceCmd::Checkpoint(epoch) = c {
+                src.checkpoint_operator(epoch, op.as_mut());
+            }
+        }
+        if !src.tick(op.as_mut()) {
+            return src.finish(op);
+        }
+    }
+}
+
 fn connect_retry(addr: &str, wait: Duration) -> Result<TcpStream> {
     let deadline = Instant::now() + wait;
     loop {
@@ -707,17 +727,17 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<()> {
     let data_addr = listener.local_addr()?.to_string();
     listener.set_nonblocking(true)?;
     let waker = Waker::new()?;
-    let (io_tx, io_rx) = unbounded();
+    let (io_tx, io_rx) = channel();
     // Chaos runs plant a deterministic fault plan (`MS_FAULT_PLAN`) in
     // the I/O thread; production workers carry `None` and pay nothing.
     let plan = FaultPlan::from_env()
         .map_err(|e| Error::Wire(format!("MS_FAULT_PLAN: {e}")))?
         .map(Arc::new);
     let io = evloop::spawn_io(listener, waker.clone(), io_rx, plan);
-    let (work_tx, work_rx) = unbounded();
-    let pool = evloop::spawn_pool(evloop::pool_width(), work_rx);
+    let work = Arc::<WorkQueue>::default();
+    let pool = evloop::spawn_pool(evloop::pool_width(), &work);
     let eng = Engine {
-        work: work_tx,
+        work,
         io: io_tx,
         waker,
     };
@@ -835,11 +855,11 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<()> {
     let _ = ctrl.shutdown(Shutdown::Both);
     let _ = heartbeat.join();
     // Stop the I/O thread (drops every route, and with it every cell
-    // handle), then drop the engine's work sender: once no sender is
-    // left, the pool threads drain out and exit.
+    // handle), then close the work queue: the pool threads drain what
+    // is left and exit.
     eng.send_io(IoCmd::Stop);
     let _ = io.join();
-    drop(eng);
+    eng.work.close();
     for p in pool {
         let _ = p.join();
     }

@@ -59,6 +59,22 @@ impl Read for OneByteReader<'_> {
     }
 }
 
+/// Golden bytes captured from the encoder before `ms-core::codec`
+/// dropped the `bytes` crate: a mixed-version cluster (and every WAL
+/// record, which shares the tuple layout) depends on this frame, so it
+/// is pinned against that encoder, not against a roundtrip.
+#[test]
+fn framed_tuple_batch_matches_golden_bytes() {
+    const GOLDEN: &str = "380000000111000000000000000101000000000000002001000000\
+        090000000000000000000000000000000100000000000000100500000000000000";
+    let t = Tuple::new(OperatorId(1), 9, SimTime::ZERO, vec![Value::Int(5)]);
+    let msg = WireMsg::TupleBatch(vec![t]);
+    let framed = frame(&msg.encode());
+    let hex: String = framed.iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(hex, GOLDEN);
+    assert_eq!(WireMsg::decode(&framed[4..]).unwrap(), msg);
+}
+
 proptest! {
     /// Frames written to a stream read back exactly, ending in a clean
     /// EOF.
