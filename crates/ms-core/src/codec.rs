@@ -233,6 +233,24 @@ impl SnapshotWriter {
     }
 }
 
+/// Leading bytes of [`SnapshotWriter::put_tuple`]'s encoding that
+/// [`peek_tuple_seq`] needs: tag (1) + producer (4) + seq (8).
+pub const TUPLE_SEQ_PEEK_BYTES: usize = 13;
+
+/// Reads a tuple's sequence number straight out of the front of its
+/// [`SnapshotWriter::put_tuple`] encoding — bytes 5..13 — without
+/// decoding the fields behind it. `None` when `head` is shorter than
+/// [`TUPLE_SEQ_PEEK_BYTES`] or does not start with the tuple tag.
+pub fn peek_tuple_seq(head: &[u8]) -> Option<u64> {
+    let head = head.first_chunk::<TUPLE_SEQ_PEEK_BYTES>()?;
+    if head[0] != Tag::Tuple as u8 {
+        return None;
+    }
+    Some(u64::from_le_bytes(
+        head[5..].try_into().expect("8 seq bytes"),
+    ))
+}
+
 // ---------------- frame layer ----------------
 
 /// Largest frame payload the decoder will accept (64 MiB). A length
@@ -631,6 +649,11 @@ mod tests {
         assert_eq!(r.get_tuple().unwrap(), t);
     }
 
+    const GOLDEN: &str = "200700000008070605040302014433221100000000050000000000000010\
+        feffffffffffffff11000000000000f83f12060000000000000068c3a96c6c6f13020000000000\
+        00001003000000000000001201000000000000007814000010000000000002000000000000000000\
+        803e000000c1";
+
     /// Golden bytes captured from the `bytes`-crate encoder this
     /// module used to sit on: one tuple carrying every [`Value`]
     /// variant. Checkpoints, WAL records and wire frames written by
@@ -638,10 +661,6 @@ mod tests {
     /// that encoder, not against a roundtrip through this one.
     #[test]
     fn tuple_with_every_value_variant_matches_golden_bytes() {
-        const GOLDEN: &str = "200700000008070605040302014433221100000000050000000000000010\
-            feffffffffffffff11000000000000f83f12060000000000000068c3a96c6c6f13020000000000\
-            00001003000000000000001201000000000000007814000010000000000002000000000000000000\
-            803e000000c1";
         let t = Tuple::new(
             OperatorId(7),
             0x0102_0304_0506_0708,
@@ -663,6 +682,24 @@ mod tests {
         let hex: String = encoded.iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(hex, GOLDEN);
         assert_eq!(SnapshotReader::new(&encoded).get_tuple().unwrap(), t);
+    }
+
+    /// The WAL scan reads a tuple's seq at a fixed offset of the pinned
+    /// encoding; this ties that offset to the golden bytes above (tag
+    /// `20`, producer `07000000`, then the seq little-endian).
+    #[test]
+    fn peek_tuple_seq_reads_the_golden_seq_bytes() {
+        let golden: Vec<u8> = (0..GOLDEN.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&GOLDEN[i..i + 2], 16).unwrap())
+            .collect();
+        let seq = Some(0x0102_0304_0506_0708);
+        assert_eq!(peek_tuple_seq(&golden), seq);
+        assert_eq!(peek_tuple_seq(&golden[..TUPLE_SEQ_PEEK_BYTES]), seq);
+        assert_eq!(peek_tuple_seq(&golden[..TUPLE_SEQ_PEEK_BYTES - 1]), None);
+        let mut not_a_tuple = golden;
+        not_a_tuple[0] = Tag::U64 as u8;
+        assert_eq!(peek_tuple_seq(&not_a_tuple), None);
     }
 
     #[test]

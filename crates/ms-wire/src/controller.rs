@@ -648,27 +648,31 @@ pub fn run_controller(cfg: ControllerConfig) -> Result<ClusterReport> {
             }
             Event::Tick => {
                 let now = Instant::now();
-                if deployed {
-                    // Failure detection: heartbeat silence on any
-                    // operator-hosting worker.
-                    let failed: Vec<String> = workers
-                        .iter()
-                        .filter(|w| w.alive && now.duration_since(w.last_beat) > cfg.hb_timeout)
-                        .map(|w| w.name.clone())
-                        .collect();
-                    let lost_ops = workers
+                // Failure detection: heartbeat silence, checked whether
+                // or not a generation is deployed — a worker that dies
+                // while a redeploy waits for spares must leave the
+                // bench before `deploy` hands it operators. Only a loss
+                // under a deployed generation is a recovery.
+                let failed: Vec<String> = workers
+                    .iter()
+                    .filter(|w| w.alive && now.duration_since(w.last_beat) > cfg.hb_timeout)
+                    .map(|w| w.name.clone())
+                    .collect();
+                let lost_ops = deployed
+                    && workers
                         .iter()
                         .any(|w| failed.contains(&w.name) && w.has_ops);
-                    for w in workers.iter_mut() {
-                        if failed.contains(&w.name) {
-                            println!(
-                                "ms-controller: worker {} failed (heartbeat timeout)",
-                                w.name
-                            );
-                            w.alive = false;
-                            let _ = w.writer.shutdown(Shutdown::Both);
-                        }
+                for w in workers.iter_mut() {
+                    if failed.contains(&w.name) {
+                        println!(
+                            "ms-controller: worker {} failed (heartbeat timeout)",
+                            w.name
+                        );
+                        w.alive = false;
+                        let _ = w.writer.shutdown(Shutdown::Both);
                     }
+                }
+                if deployed {
                     let stalled_barrier = !lost_ops
                         && outstanding.is_some()
                         && cfg

@@ -71,14 +71,15 @@
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::io::{self, BufReader, Read, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use ms_core::codec::{
-    frame, frame_tuples, FrameDecoder, SnapshotReader, SnapshotWriter, FRAME_HEADER_BYTES,
-    MAX_FILE_FRAME_BYTES, MAX_FRAME_BYTES,
+    frame, frame_tuples, peek_tuple_seq, SnapshotReader, SnapshotWriter, FRAME_HEADER_BYTES,
+    MAX_FILE_FRAME_BYTES, MAX_FRAME_BYTES, TUPLE_SEQ_PEEK_BYTES,
 };
 use ms_core::delta::{self, StateDelta};
 use ms_core::error::{Error, Result};
@@ -199,11 +200,9 @@ impl FsStore {
                 payload.len()
             )));
         }
-        let tmp = self.root.join("ckpt").join(format!(".tmp_{name}"));
         // Temp-write + rename is idempotent, so a transient failure
         // here is safely retryable from scratch.
-        fs::write(&tmp, frame(&payload))
-            .and_then(|()| fs::rename(&tmp, path))
+        write_atomic(path, &frame(&payload))
             .map_err(|e| Error::storage_io(&format!("checkpoint {name} not persisted"), &e))
     }
 
@@ -271,8 +270,7 @@ impl FsStore {
 
     /// The replay boundary a source marked for `epoch`, if any.
     fn mark_for(&self, source: OperatorId, epoch: EpochId) -> Option<u64> {
-        read_frames(&self.marks_path(source))
-            .iter()
+        frames(&fs::read(self.marks_path(source)).unwrap_or_default())
             .filter_map(|p| {
                 let mut r = SnapshotReader::new(p);
                 Some((r.get_u64().ok()?, r.get_u64().ok()?))
@@ -281,10 +279,10 @@ impl FsStore {
             .map(|(_, s)| s)
     }
 
-    /// Rewrites a capped log keeping only records the newest complete
-    /// checkpoint can still replay; returns whether anything shrank.
-    /// Called with the log mutex held — the swapped file and the
-    /// writer handle change together.
+    /// Rewrites a capped log keeping only the byte range the newest
+    /// complete checkpoint can still replay; returns whether anything
+    /// shrank. Called with the log mutex held — the swapped file and
+    /// the writer handle change together.
     fn trim_log(&self, source: OperatorId, lw: &mut LogWriter) -> Result<bool> {
         let Some(from_seq) = self
             .latest_complete()
@@ -293,43 +291,28 @@ impl FsStore {
             return Ok(false);
         };
         let path = self.log_path(source);
-        let frames = read_frames(&path);
-        let kept: Vec<&Vec<u8>> = frames
-            .iter()
-            .filter(|p| {
-                SnapshotReader::new(p)
-                    .get_tuple()
-                    .is_ok_and(|t| t.seq >= from_seq)
-            })
-            .collect();
-        if kept.len() == frames.len() {
+        let trim_err =
+            |e: io::Error| Error::Storage(format!("cannot trim capped log {path:?}: {e}"));
+        let scan = scan_log(&path, from_seq).map_err(trim_err)?;
+        if scan.suffix_offset == 0 {
             return Ok(false);
         }
-        let mut buf = Vec::new();
-        for p in &kept {
-            buf.extend_from_slice(&frame(p));
-        }
-        let tmp = self.root.join("log").join(format!(
-            ".tmp_{}",
-            path.file_name().expect("log name").to_string_lossy()
-        ));
-        fs::write(&tmp, &buf)
-            .and_then(|()| fs::rename(&tmp, &path))
-            .map_err(|e| Error::Storage(format!("cannot trim capped log {path:?}: {e}")))?;
+        let kept = read_range(&path, scan.suffix_offset, scan.clean_len).map_err(trim_err)?;
+        write_atomic(&path, &kept).map_err(trim_err)?;
         lw.file = OpenOptions::new()
             .append(true)
             .open(&path)
             .map_err(|e| Error::Storage(format!("cannot reopen trimmed log {path:?}: {e}")))?;
-        lw.bytes = buf.len() as u64;
+        lw.bytes = kept.len() as u64;
         Ok(true)
     }
 
     /// Ensures the writer for `source`'s preservation log exists,
-    /// running the cold-open recovery scan — read the whole log once,
-    /// find the clean prefix, trim a torn tail, remember the highest
-    /// durable sequence — exactly when the writer is first created.
-    /// Every later append (including a retry after a transient write
-    /// error) finds the cached writer and never re-reads the file.
+    /// running the cold-open recovery scan — walk the frame headers
+    /// once, find the clean prefix, trim a torn tail, remember the
+    /// highest durable sequence — exactly when the writer is first
+    /// created. Every later append (including a retry after a transient
+    /// write error) finds the cached writer and never re-reads the file.
     /// Called with the log mutex held.
     fn ensure_writer<'a>(
         &self,
@@ -338,34 +321,24 @@ impl FsStore {
     ) -> Result<&'a mut LogWriter> {
         if let std::collections::hash_map::Entry::Vacant(slot) = logs.entry(source) {
             let path = self.log_path(source);
-            // Scan what an earlier incarnation already made durable.
-            let bytes = fs::read(&path).unwrap_or_default();
-            let clean = clean_prefix_len(&bytes);
-            let mut dec = FrameDecoder::new();
-            dec.feed(&bytes[..clean]);
-            let mut last_seq = None;
-            while let Ok(Some(p)) = dec.next_frame() {
-                if let Ok(t) = SnapshotReader::new(&p).get_tuple() {
-                    last_seq = Some(t.seq);
-                }
-            }
             let file = OpenOptions::new()
                 .create(true)
                 .append(true)
                 .open(&path)
                 .map_err(|e| Error::Storage(format!("cannot open source log {path:?}: {e}")))?;
-            if clean < bytes.len() {
-                // Drop the record the crash cut short, so re-appended
-                // frames land on a clean boundary. Failure here leaves
-                // a log whose tail would corrupt every later append —
-                // the source must stop, not stream over it.
-                file.set_len(clean as u64)
-                    .map_err(|e| Error::Storage(format!("cannot trim torn log {path:?}: {e}")))?;
-            }
+            // Scan what an earlier incarnation already made durable.
+            let scan = scan_log(&path, u64::MAX)
+                .map_err(|e| Error::Storage(format!("cannot scan source log {path:?}: {e}")))?;
+            // Drop the record a crash cut short (a no-op on a clean
+            // log), so re-appended frames land on a frame boundary.
+            // Failure here leaves a log whose tail would corrupt every
+            // later append — the source must stop, not stream over it.
+            file.set_len(scan.clean_len)
+                .map_err(|e| Error::Storage(format!("cannot trim torn log {path:?}: {e}")))?;
             slot.insert(LogWriter {
                 file,
-                last_seq,
-                bytes: clean as u64,
+                last_seq: scan.last_seq,
+                bytes: scan.clean_len,
             });
         }
         Ok(logs.get_mut(&source).expect("writer just ensured"))
@@ -384,35 +357,77 @@ fn parse_ckpt_epoch(name: &str) -> Option<u64> {
     epoch.parse().ok()
 }
 
-/// Byte length of the longest prefix made of complete frames.
-fn clean_prefix_len(bytes: &[u8]) -> usize {
-    let mut pos = 0;
-    while bytes.len() - pos >= FRAME_HEADER_BYTES {
-        let header: [u8; FRAME_HEADER_BYTES] = bytes[pos..pos + FRAME_HEADER_BYTES]
-            .try_into()
-            .expect("header slice");
-        let len = u32::from_le_bytes(header) as usize;
-        if len > MAX_FRAME_BYTES || bytes.len() - pos - FRAME_HEADER_BYTES < len {
-            break;
-        }
-        pos += FRAME_HEADER_BYTES + len;
-    }
-    pos
+/// Writes `bytes` to a dot-prefixed sibling of `path` and renames it
+/// into place: the file exists complete or not at all.
+fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let name = path.file_name().expect("store file name");
+    let tmp = path.with_file_name(format!(".tmp_{}", name.to_string_lossy()));
+    fs::write(&tmp, bytes).and_then(|()| fs::rename(&tmp, path))
 }
 
-/// Reads every complete frame of a framed file; a torn tail (the one
-/// record a SIGKILL may have cut short) is silently dropped.
-fn read_frames(path: &Path) -> Vec<Vec<u8>> {
-    let Ok(bytes) = fs::read(path) else {
-        return Vec::new();
-    };
-    let mut dec = FrameDecoder::new();
-    dec.feed(&bytes);
-    let mut out = Vec::new();
-    while let Ok(Some(payload)) = dec.next_frame() {
-        out.push(payload);
+/// The payloads of the complete frames at the front of `bytes`.
+fn frames(mut bytes: &[u8]) -> impl Iterator<Item = &[u8]> {
+    std::iter::from_fn(move || {
+        let (header, rest) = bytes.split_first_chunk::<FRAME_HEADER_BYTES>()?;
+        let (payload, tail) = rest.split_at_checked(u32::from_le_bytes(*header) as usize)?;
+        bytes = tail;
+        Some(payload)
+    })
+}
+
+/// What one pass over a preservation log's frame headers found.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LogScan {
+    /// Bytes of complete frames at the front of the file; anything
+    /// past them is the one record a SIGKILL cut short.
+    pub clean_len: u64,
+    /// Frames in that clean prefix.
+    pub frames: usize,
+    /// Sequence number of its last tuple.
+    pub last_seq: Option<u64>,
+    /// Where its tuples with `seq >= from_seq` start (`clean_len` when
+    /// there are none): sequence numbers strictly increase along a log
+    /// (the append dedup guard), so they are exactly its tail.
+    pub suffix_offset: u64,
+}
+
+/// Streams over the log at `path` without decoding or buffering it:
+/// reads each frame's length prefix, peeks the tuple's sequence number
+/// at its fixed payload offset, seeks past the rest.
+pub fn scan_log(path: &Path, from_seq: u64) -> io::Result<LogScan> {
+    let file = File::open(path)?;
+    let file_len = file.metadata()?.len();
+    let mut scan = LogScan::default();
+    let mut r = BufReader::with_capacity(1 << 18, file);
+    let mut header = [0u8; FRAME_HEADER_BYTES];
+    let mut peek = [0u8; TUPLE_SEQ_PEEK_BYTES];
+    while file_len - scan.clean_len >= FRAME_HEADER_BYTES as u64 {
+        r.read_exact(&mut header)?;
+        let len = u32::from_le_bytes(header) as usize;
+        let end = scan.clean_len + (FRAME_HEADER_BYTES + len) as u64;
+        if len > MAX_FRAME_BYTES || end > file_len {
+            break;
+        }
+        let peek = &mut peek[..len.min(TUPLE_SEQ_PEEK_BYTES)];
+        r.read_exact(peek)?;
+        r.seek_relative((len - peek.len()) as i64)?;
+        scan.clean_len = end;
+        scan.frames += 1;
+        if let Some(seq) = peek_tuple_seq(peek) {
+            scan.last_seq = Some(seq);
+            if seq < from_seq {
+                scan.suffix_offset = end;
+            }
+        }
     }
-    out
+    Ok(scan)
+}
+
+/// Reads bytes `from..to` of the file at `path`.
+fn read_range(path: &Path, from: u64, to: u64) -> io::Result<Vec<u8>> {
+    let mut out = vec![0; (to - from) as usize];
+    File::open(path)?.read_exact_at(&mut out, from)?;
+    Ok(out)
 }
 
 /// Reads the single frame of a checkpoint file. Checkpoint files use
@@ -420,9 +435,8 @@ fn read_frames(path: &Path) -> Vec<Vec<u8>> {
 /// 64 MiB wire cap that guards TCP reads.
 fn read_ckpt_frame(path: &Path) -> Option<Vec<u8>> {
     let bytes = fs::read(path).ok()?;
-    let mut dec = FrameDecoder::with_limit(MAX_FILE_FRAME_BYTES);
-    dec.feed(&bytes);
-    dec.next_frame().ok().flatten()
+    let payload = frames(&bytes).next()?;
+    (payload.len() <= MAX_FILE_FRAME_BYTES).then(|| payload.to_vec())
 }
 
 impl StableStore for FsStore {
@@ -681,10 +695,13 @@ impl StableStore for FsStore {
 
     fn replay_from(&self, source: OperatorId, epoch: EpochId) -> Vec<Tuple> {
         let from_seq = self.mark_for(source, epoch).unwrap_or(0);
-        read_frames(&self.log_path(source))
-            .iter()
+        let path = self.log_path(source);
+        // Only the suffix past the epoch's mark is read and decoded.
+        let suffix = scan_log(&path, from_seq)
+            .and_then(|scan| read_range(&path, scan.suffix_offset, scan.clean_len))
+            .unwrap_or_default();
+        frames(&suffix)
             .filter_map(|p| SnapshotReader::new(p).get_tuple().ok())
-            .filter(|t| t.seq >= from_seq)
             .collect()
     }
 
@@ -694,7 +711,7 @@ impl StableStore for FsStore {
         };
         entries
             .flatten()
-            .map(|e| read_frames(&e.path()).len())
+            .map(|e| scan_log(&e.path(), u64::MAX).map_or(0, |scan| scan.frames))
             .sum()
     }
 }

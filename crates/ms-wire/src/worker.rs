@@ -39,6 +39,15 @@
 //!   unwinding hosts), tells the I/O thread to drop the generation's
 //!   sockets and routes, and schedules every pooled cell once more so
 //!   its final state is flushed.
+//! * Every wait of a deploy is *generation-scoped*. The control
+//!   connection is read by its own thread, which counts each message
+//!   that ends the current generation (`Assign`, `Rollback`,
+//!   `Shutdown`, a dead connection) the moment it arrives; a deploy
+//!   still restoring state or retrying a connect to a peer that died
+//!   before the controller noticed sees the count move and is
+//!   abandoned on the spot, so the worker is ready for the next
+//!   `Assign` one heartbeat timeout after the failure, not
+//!   [`CONNECT_WAIT`] later.
 //! * The persister acks every durable individual checkpoint to the
 //!   controller (`CkptDone`) — the controller's epoch barrier — and
 //!   surfaces storage failures as `WorkerError` instead of aborting
@@ -51,7 +60,7 @@
 use std::collections::HashMap;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -77,6 +86,9 @@ use crate::store::FsStore;
 use ms_net::fault::FaultPlan;
 
 const FILE_POLL: Duration = Duration::from_millis(20);
+const CONNECT_POLL: Duration = Duration::from_millis(25);
+/// Upper bound on a connect that nothing supersedes: the controller at
+/// start-up, and a deploy's data-plane peers.
 const CONNECT_WAIT: Duration = Duration::from_secs(10);
 /// How long a capped source log pauses its source waiting for a
 /// checkpoint to free space before failing the generation.
@@ -200,6 +212,21 @@ impl Engine {
     }
 }
 
+/// A deploy's view of the control stream: `ticket` is the value
+/// `superseded` had when the deploy's own `Assign` was read, and the
+/// control reader bumps the counter for every later message that ends
+/// a generation. Once the two differ the deploy is stale.
+struct Scope<'a> {
+    superseded: &'a AtomicU64,
+    ticket: u64,
+}
+
+impl Scope<'_> {
+    fn live(&self) -> bool {
+        self.superseded.load(Ordering::SeqCst) == self.ticket
+    }
+}
+
 /// One deployed generation on this worker.
 struct Run {
     generation: u64,
@@ -242,13 +269,18 @@ impl Run {
         self.cells.clear();
     }
 
+    /// Builds, restores and wires `a`'s local operators. `Ok(None)`
+    /// means the controller superseded the generation while this was
+    /// still restoring or connecting, and the deploy was abandoned
+    /// with nothing spawned.
     fn start(
         a: Assignment,
         cfg: &WorkerConfig,
         shared: &Arc<Shared>,
         ctrl_w: &Arc<Mutex<TcpStream>>,
         eng: &Engine,
-    ) -> Result<Run> {
+        scope: &Scope,
+    ) -> Result<Option<Run>> {
         let qn = a.network()?;
         let mut fs_store = FsStore::open(&cfg.store_dir, qn.len())?;
         if let Some(cap) = cfg.log_cap_bytes {
@@ -269,7 +301,8 @@ impl Run {
         let is_mine = |op: OperatorId| a.worker_of(op) == Some(cfg.name.as_str());
 
         // Fallible phase first: build + restore every local operator,
-        // connect every outbound edge. Nothing is spawned yet.
+        // connect every outbound edge. Nothing is spawned yet, so a
+        // superseded deploy can simply return between any two steps.
         struct Restored {
             operator: Box<dyn ms_core::operator::Operator>,
             restored_seq: u64,
@@ -280,6 +313,9 @@ impl Run {
         let is_gate = |op: OperatorId| a.gates.iter().any(|g| g.op == op);
         let mut restored: HashMap<u32, Restored> = HashMap::new();
         for &op in &my_ops {
+            if !scope.live() {
+                return Ok(None);
+            }
             // A gateway op hosts no demo operator; the placeholder
             // GateOp carries the restored dedup snapshot (its generic
             // `restore` below just stores the bytes) into the gate's
@@ -305,6 +341,9 @@ impl Run {
                         ))
                     })?;
                     operator.restore(&ck.snapshot)?;
+                    if !scope.live() {
+                        return Ok(None);
+                    }
                     let replay = if is_source {
                         store.replay_from(op, epoch)
                     } else {
@@ -328,9 +367,11 @@ impl Run {
             );
         }
         // Outbound connections, blocking while the hello goes out,
-        // then switched nonblocking for the I/O thread. Every peer's
+        // then switched nonblocking for the I/O thread. A live peer's
         // listener is up before the controller assigns (it binds
-        // before registering), so these connects resolve immediately.
+        // before registering), so its connect resolves immediately; a
+        // peer that died after its last heartbeat refuses until the
+        // controller notices and supersedes this generation.
         let mut remote: HashMap<(u32, u32), TcpStream> = HashMap::new();
         for &op in &my_ops {
             for &down in qn.downstream(op) {
@@ -340,7 +381,9 @@ impl Run {
                 let addr = a
                     .addr_of(down)
                     .ok_or_else(|| Error::Wire(format!("{down} missing from placement")))?;
-                let mut s = connect_retry(addr, CONNECT_WAIT)?;
+                let Some(mut s) = connect_retry(addr, CONNECT_WAIT, || scope.live())? else {
+                    return Ok(None);
+                };
                 s.set_nodelay(true)?;
                 send_msg(
                     &mut s,
@@ -644,14 +687,47 @@ impl Run {
             })
             .expect("spawn joiner thread");
 
-        Ok(Run {
+        Ok(Some(Run {
             generation,
             src_cmds,
             src_threads,
             cells,
             joiner: Some(joiner),
             torn,
-        })
+        }))
+    }
+
+    /// Starts `a`, or leaves the worker idle and clean: a failed or
+    /// abandoned start spawned nothing, but peers may already have
+    /// parked `StreamHello`s for the generation with the I/O thread —
+    /// those go now, not at some later generation's teardown. A failed
+    /// deploy (corrupt checkpoint, unreachable store or peer) fails
+    /// the generation, not the daemon: it is reported and the worker
+    /// awaits the next assignment. An abandoned one reports nothing —
+    /// the controller already moved on.
+    fn deploy(
+        a: Assignment,
+        cfg: &WorkerConfig,
+        shared: &Arc<Shared>,
+        ctrl_w: &Arc<Mutex<TcpStream>>,
+        eng: &Engine,
+        scope: &Scope,
+    ) -> Option<Run> {
+        let generation = a.generation;
+        let failure = match Run::start(a, cfg, shared, ctrl_w, eng, scope) {
+            Ok(Some(run)) => return Some(run),
+            Ok(None) => None,
+            Err(e) => Some(e),
+        };
+        eng.send_io(IoCmd::Tear { generation });
+        if let Some(e) = failure {
+            let msg = WireMsg::WorkerError {
+                generation,
+                detail: e.to_string(),
+            };
+            let _ = send_msg(&mut *ctrl_w.lock(), &msg);
+        }
+        None
     }
 }
 
@@ -679,17 +755,24 @@ fn run_source(
     }
 }
 
-fn connect_retry(addr: &str, wait: Duration) -> Result<TcpStream> {
+/// Connects to `addr`, retrying refusals for up to `wait` while
+/// `wanted()` holds; `Ok(None)` once it no longer does.
+fn connect_retry(
+    addr: &str,
+    wait: Duration,
+    wanted: impl Fn() -> bool,
+) -> Result<Option<TcpStream>> {
     let deadline = Instant::now() + wait;
-    loop {
+    while wanted() {
         match TcpStream::connect(addr) {
-            Ok(s) => return Ok(s),
+            Ok(s) => return Ok(Some(s)),
             Err(e) if Instant::now() > deadline => {
                 return Err(Error::Wire(format!("connect {addr}: {e}")));
             }
-            Err(_) => thread::sleep(Duration::from_millis(25)),
+            Err(_) => thread::sleep(CONNECT_POLL),
         }
     }
+    Ok(None)
 }
 
 fn resolve_controller(addr: &ControllerAddr, wait: Duration) -> Result<String> {
@@ -743,7 +826,9 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<()> {
     };
 
     // Control plane.
-    let mut ctrl = connect_retry(&ctrl_addr, CONNECT_WAIT)?;
+    let connect =
+        || connect_retry(&ctrl_addr, CONNECT_WAIT, || true).map(|s| s.expect("always wanted"));
+    let mut ctrl = connect()?;
     ctrl.set_nodelay(true)?;
     send_msg(
         &mut ctrl,
@@ -758,7 +843,7 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<()> {
     // controller is busy, and a liveness signal queued behind it would
     // read as a dead worker. A socket of their own means heartbeat
     // cadence only ever reflects this process being alive.
-    let mut hb = connect_retry(&ctrl_addr, CONNECT_WAIT)?;
+    let mut hb = connect()?;
     hb.set_nodelay(true)?;
     send_msg(
         &mut hb,
@@ -803,29 +888,41 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<()> {
         }
     });
 
+    // The control connection gets a reader thread of its own, so a
+    // message that ends the current generation is *counted* the moment
+    // it arrives — while the loop below may still be inside that
+    // generation's `Run::start` — and handled in order afterwards.
+    let superseded = Arc::new(AtomicU64::new(0));
+    let (ctl_tx, ctl_rx) = channel();
+    let reader_superseded = superseded.clone();
+    let reader = thread::Builder::new()
+        .name("ms-control".into())
+        .spawn(move || loop {
+            let msg = recv_msg(&mut ctrl);
+            let last = !matches!(msg, Ok(Some(_)));
+            let ticket = match msg {
+                Ok(Some(WireMsg::Checkpoint(_))) => reader_superseded.load(Ordering::SeqCst),
+                _ => reader_superseded.fetch_add(1, Ordering::SeqCst) + 1,
+            };
+            if ctl_tx.send((ticket, msg)).is_err() || last {
+                return;
+            }
+        })
+        .expect("spawn control reader thread");
+
     let mut run: Option<Run> = None;
     let mut outcome = Ok(());
-    loop {
-        match recv_msg(&mut ctrl) {
+    for (ticket, msg) in ctl_rx {
+        match msg {
             Ok(Some(WireMsg::Assign(a))) => {
                 if let Some(r) = run.take() {
                     r.teardown(&eng);
                 }
-                let generation = a.generation;
-                match Run::start(a, &cfg, &shared, &ctrl_w, &eng) {
-                    Ok(r) => run = Some(r),
-                    Err(e) => {
-                        // A failed deploy (corrupt checkpoint,
-                        // unreachable store) fails this generation,
-                        // not the daemon: report it and await the
-                        // controller's next assignment.
-                        let msg = WireMsg::WorkerError {
-                            generation,
-                            detail: e.to_string(),
-                        };
-                        let _ = send_msg(&mut *ctrl_w.lock(), &msg);
-                    }
-                }
+                let scope = Scope {
+                    superseded: &superseded,
+                    ticket,
+                };
+                run = Run::deploy(a, &cfg, &shared, &ctrl_w, &eng, &scope);
             }
             Ok(Some(WireMsg::Checkpoint(epoch))) => {
                 if let Some(r) = &run {
@@ -852,7 +949,9 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<()> {
         r.teardown(&eng);
     }
     shared.stop.store(true, Ordering::SeqCst);
-    let _ = ctrl.shutdown(Shutdown::Both);
+    // Closing the socket is also what ends the reader's blocking read.
+    let _ = ctrl_w.lock().shutdown(Shutdown::Both);
+    let _ = reader.join();
     let _ = heartbeat.join();
     // Stop the I/O thread (drops every route, and with it every cell
     // handle), then close the work queue: the pool threads drain what
@@ -864,4 +963,163 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<()> {
         let _ = p.join();
     }
     outcome
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::message::OpPlacement;
+    use ms_core::ids::EpochId;
+
+    /// An address nothing listens on: bound, then closed.
+    fn dead_addr() -> String {
+        let l = TcpListener::bind("127.0.0.1:0").unwrap();
+        l.local_addr().unwrap().to_string()
+    }
+
+    /// Everything `Run::deploy` needs, with both far ends in hand: the
+    /// I/O thread's command queue and the controller's side of the
+    /// control socket.
+    struct Rig {
+        cfg: WorkerConfig,
+        shared: Arc<Shared>,
+        eng: Engine,
+        io_rx: Receiver<IoCmd>,
+        ctrl_w: Arc<Mutex<TcpStream>>,
+        controller_side: TcpStream,
+        superseded: Arc<AtomicU64>,
+    }
+
+    fn rig(tag: &str) -> Rig {
+        let store_dir =
+            std::env::temp_dir().join(format!("ms_worker_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&store_dir);
+        let (io, io_rx) = channel();
+        let l = TcpListener::bind("127.0.0.1:0").unwrap();
+        let ctrl = TcpStream::connect(l.local_addr().unwrap()).unwrap();
+        let (controller_side, _) = l.accept().unwrap();
+        controller_side
+            .set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        Rig {
+            cfg: WorkerConfig {
+                name: "me".into(),
+                controller: ControllerAddr::Addr(String::new()),
+                store_dir,
+                heartbeat_interval: Duration::from_millis(50),
+                log_cap_bytes: None,
+            },
+            shared: Arc::new(Shared::new()),
+            eng: Engine {
+                work: Arc::default(),
+                io,
+                waker: Waker::new().unwrap(),
+            },
+            io_rx,
+            ctrl_w: Arc::new(Mutex::new(ctrl)),
+            controller_side,
+            superseded: Arc::new(AtomicU64::new(0)),
+        }
+    }
+
+    impl Rig {
+        fn deploy(&self, a: Assignment) -> Option<Run> {
+            let scope = Scope {
+                superseded: &self.superseded,
+                ticket: 0,
+            };
+            Run::deploy(a, &self.cfg, &self.shared, &self.ctrl_w, &self.eng, &scope)
+        }
+
+        /// The control socket stays silent until its read times out.
+        fn controller_hears_nothing(&self) -> bool {
+            recv_msg(&mut &self.controller_side).is_err()
+        }
+
+        /// The generation the I/O thread was told to tear, if any.
+        fn torn(&self) -> Option<u64> {
+            match self.io_rx.try_recv() {
+                Ok(IoCmd::Tear { generation }) => Some(generation),
+                _ => None,
+            }
+        }
+    }
+
+    /// chain2 with the source here and the sink on a peer whose data
+    /// port refuses: the worker that died after its last heartbeat.
+    fn onto_dead_peer(generation: u64, restore_epoch: Option<EpochId>) -> Assignment {
+        let place = |op, worker: &str, data_addr| OpPlacement {
+            op: OperatorId(op),
+            worker: worker.into(),
+            data_addr,
+        };
+        Assignment {
+            generation,
+            restore_epoch,
+            n_ops: 2,
+            edges: vec![(OperatorId(0), OperatorId(1))],
+            placement: vec![
+                place(0, "me", "127.0.0.1:1".into()),
+                place(1, "peer", dead_addr()),
+            ],
+            source_limit: 10,
+            source_delay_us: 0,
+            keyed_state: 0,
+            sawtooth_window: 0,
+            groups: vec![vec![OperatorId(0)], vec![OperatorId(1)]],
+            gates: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn connect_never_superseded_is_bounded_by_its_wait() {
+        let wait = Duration::from_millis(150);
+        let t0 = Instant::now();
+        assert!(connect_retry(&dead_addr(), wait, || true).is_err());
+        let took = t0.elapsed();
+        assert!(
+            took >= wait && took < wait + Duration::from_millis(200),
+            "{took:?}"
+        );
+    }
+
+    #[test]
+    fn deploy_onto_a_dead_peer_is_abandoned_on_supersession() {
+        let b = rig("abandon");
+        let superseded = b.superseded.clone();
+        // What the control reader does when the controller's Rollback
+        // arrives, some time into the connect retries.
+        let bump = thread::spawn(move || {
+            thread::sleep(Duration::from_millis(300));
+            let at = Instant::now();
+            superseded.fetch_add(1, Ordering::SeqCst);
+            at
+        });
+        let run = b.deploy(onto_dead_peer(7, None));
+        let returned = Instant::now();
+        let bumped = bump.join().unwrap();
+        assert!(run.is_none());
+        assert!(returned >= bumped, "gave up before it was superseded");
+        let lag = returned - bumped;
+        assert!(lag < Duration::from_millis(200), "abandoned {lag:?} late");
+        // The generation's parked hellos go with it, and the controller
+        // — which already moved on — hears nothing.
+        assert_eq!(b.torn(), Some(7));
+        assert!(b.controller_hears_nothing());
+        let _ = std::fs::remove_dir_all(&b.cfg.store_dir);
+    }
+
+    #[test]
+    fn failed_deploy_tears_its_generation_and_reports_once() {
+        let b = rig("failed");
+        // Restores an epoch the store never saw: fails before any connect.
+        assert!(b.deploy(onto_dead_peer(3, Some(EpochId(5)))).is_none());
+        assert_eq!(b.torn(), Some(3));
+        match recv_msg(&mut &b.controller_side) {
+            Ok(Some(WireMsg::WorkerError { generation: 3, .. })) => {}
+            other => panic!("want WorkerError for generation 3, got {other:?}"),
+        }
+        assert!(b.controller_hears_nothing());
+        let _ = std::fs::remove_dir_all(&b.cfg.store_dir);
+    }
 }

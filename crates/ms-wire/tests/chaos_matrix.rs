@@ -1,4 +1,4 @@
-//! The correlated-failure chaos matrix: six scenarios, each a real
+//! The correlated-failure chaos matrix: eight scenarios, each a real
 //! multi-process cluster with a deterministic fault injected, each
 //! held to one gold bar — the sink's final state is **byte-identical**
 //! to an unfailed run, and the run ledger stays epoch-contiguous
@@ -7,13 +7,15 @@
 //! | scenario | fault | detector exercised |
 //! |---|---|---|
 //! | double worker kill | SIGKILL both workers in the same instant | heartbeat timeout, correlated |
+//! | staggered double kill | SIGKILL `wa`, then `wb` 200 ms later: the redeploy lands on a dead-but-undetected worker | generation-scoped deploy waits |
+//! | loss while waiting for spares | SIGKILL `wa`, then `wb` inside the `respawn_wait` window, spares late | heartbeat check with nothing deployed |
 //! | kill during checkpoint | SIGKILL while an application checkpoint is mid-flight (slow-disk persister widens the window) | heartbeat timeout + tmp/rename idempotence |
 //! | controller + worker | SIGKILL controller and a worker together, restart on the same store | controller resume (ledger + epoch watermark) |
 //! | severed edge | `MS_FAULT_PLAN` kills one edge's frames, generation-scoped | barrier-stall rollback, partition heals on redeploy |
 //! | flaky slow disk | `MS_FAULT_STORE` latency + every-Nth transient write failures | `RetryStore` absorption — zero rollbacks |
 //! | gate-host kill | SIGKILL the gateway worker under live producers, one producer already `Fin`ed and gone | fin WAL marker replay + batch dedup |
 //!
-//! The five chain-shaped scenarios share one reference run (same
+//! The seven chain-shaped scenarios share one reference run (same
 //! graph, same limit — byte-comparable by construction); the gateway
 //! scenario drives its own.
 
@@ -67,6 +69,28 @@ fn wait_checkpoints_mid_stream(dir: &std::path::Path, n: u64) {
     );
 }
 
+/// How long a measured recovery (failure detected → first barrier
+/// close of the restored generation, the ledger's `"reason":"recovery"`
+/// row) may take. Detection, restore and one checkpoint period add up
+/// to about a second here; a deploy that sat out its 10 s connect wait
+/// against a dead peer's data port lands far past this.
+const RECOVERY_BOUND_US: u64 = 5_000_000;
+
+/// Asserts the run measured at least one recovery and none ran long.
+fn assert_recoveries_bounded(store: &std::path::Path) {
+    let rows: Vec<u64> = ms_wire::read_decisions(&store.join(ms_wire::LEDGER_FILE))
+        .expect("run ledger must parse")
+        .iter()
+        .filter(|d| d.reason == "recovery")
+        .map(|d| d.recovery_us)
+        .collect();
+    assert!(!rows.is_empty(), "no measured recovery in the ledger");
+    assert!(
+        rows.iter().all(|&us| us < RECOVERY_BOUND_US),
+        "a recovery waited out a dead peer: {rows:?} us"
+    );
+}
+
 /// Scenario 1 — correlated worker loss: both workers of the cluster
 /// SIGKILLed in the same instant (the rack-level failure the paper's
 /// commodity-DC argument leads with), two spares take the bench.
@@ -95,6 +119,95 @@ fn double_worker_sigkill_recovers_to_identical_answer() {
     // One rollback if both deaths land in the same detection tick; a
     // second if a straggler redeploy caught a half-dead bench.
     assert!(recoveries(&rec) >= 1, "no recovery recorded: {rec}");
+    assert_eq!(sinks, refs, "recovered sink differs from unfailed run");
+    check_ledger(&dir.join("store"), CHAIN_OPS, 2, None);
+    // Whichever way the two deaths split across detection ticks.
+    assert_recoveries_bounded(&dir.join("store"));
+
+    drop(cluster);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Scenario 1b — staggered correlated loss (msbench's `burst_mid`):
+/// one worker dies, the other 200 ms later. The controller detects the
+/// first death and redeploys onto a bench that still lists the second
+/// worker, whose heartbeats only just stopped; connects to its data
+/// port are refused until it is detected too and the generation is
+/// rolled back. The spares must drop that deploy at the rollback, not
+/// retry the connect for the rest of `CONNECT_WAIT` with the next
+/// `Assign` unread. Placement is round-robin over sorted names, so the
+/// spares are named to sort *before* the doomed `wd`: that puts a
+/// downstream operator on `wd` and a live spare upstream of it.
+#[test]
+fn staggered_double_kill_abandons_the_deploy_onto_the_dead_worker() {
+    let refs = reference_sinks();
+    let dir = fresh_dir("stagger");
+    let mut cluster = Cluster(Vec::new());
+    let ctl = cluster.push(controller(&dir, &CtrlOpts::default()).spawn().unwrap());
+    let first = cluster.push(worker(&dir, "wc", &[]).spawn().unwrap());
+    let second = cluster.push(worker(&dir, "wd", &[]).spawn().unwrap());
+
+    wait_checkpoints_mid_stream(&dir, 2);
+    cluster.0[first].kill().unwrap();
+    let _ = cluster.0[first].wait();
+    cluster.push(worker(&dir, "wa", &[]).spawn().unwrap());
+    thread::sleep(Duration::from_millis(200));
+    cluster.0[second].kill().unwrap();
+    let _ = cluster.0[second].wait();
+    cluster.push(worker(&dir, "wb", &[]).spawn().unwrap());
+
+    let status = wait_exit(&mut cluster.0[ctl], Duration::from_secs(80));
+    assert!(status.success(), "recovery controller failed: {status:?}");
+    let (rec, sinks) = parse_result(&dir.join("result"));
+    assert_eq!(
+        recoveries(&rec),
+        2,
+        "the scenario needs the redeploy between the two detections: {rec}"
+    );
+    assert_eq!(sinks, refs, "recovered sink differs from unfailed run");
+    check_ledger(&dir.join("store"), CHAIN_OPS, 2, None);
+    assert_recoveries_bounded(&dir.join("store"));
+
+    drop(cluster);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Scenario 1c — a worker lost while nothing is deployed: `wa` dies and
+/// no spare shows up, so the controller rolls back and holds the
+/// redeploy open (`respawn_wait`, 3 s); `wb` dies inside that window
+/// and the spares register only after its heartbeats have timed out.
+/// The controller must have struck `wb` off the bench by then — one
+/// failure, one recovery — not deploy onto it and need a second
+/// rollback to find out.
+#[test]
+fn worker_lost_while_waiting_for_spares_is_not_handed_operators() {
+    let refs = reference_sinks();
+    let dir = fresh_dir("respawnloss");
+    let mut cluster = Cluster(Vec::new());
+    let ctl = cluster.push(controller(&dir, &CtrlOpts::default()).spawn().unwrap());
+    let wa = cluster.push(worker(&dir, "wa", &[]).spawn().unwrap());
+    let wb = cluster.push(worker(&dir, "wb", &[]).spawn().unwrap());
+
+    wait_checkpoints_mid_stream(&dir, 2);
+    cluster.0[wa].kill().unwrap();
+    let _ = cluster.0[wa].wait();
+    // Past wa's detection (500 ms), well inside the 3 s window.
+    thread::sleep(Duration::from_millis(1000));
+    cluster.0[wb].kill().unwrap();
+    let _ = cluster.0[wb].wait();
+    // Past wb's heartbeat timeout, still inside the window.
+    thread::sleep(Duration::from_millis(1000));
+    cluster.push(worker(&dir, "wc", &[]).spawn().unwrap());
+    cluster.push(worker(&dir, "wd", &[]).spawn().unwrap());
+
+    let status = wait_exit(&mut cluster.0[ctl], Duration::from_secs(80));
+    assert!(status.success(), "recovery controller failed: {status:?}");
+    let (rec, sinks) = parse_result(&dir.join("result"));
+    assert_eq!(
+        recoveries(&rec),
+        1,
+        "the dead worker was deployed onto and cost a second rollback"
+    );
     assert_eq!(sinks, refs, "recovered sink differs from unfailed run");
     check_ledger(&dir.join("store"), CHAIN_OPS, 2, None);
 

@@ -1,16 +1,20 @@
 //! Property tests for the group-commit preservation log: a batched
 //! append must be indistinguishable on disk from the same tuples
 //! appended one at a time — same file bytes, same replay — and the
-//! torn-tail scan must hold when the tear lands mid-batch.
+//! torn-tail scan must hold when the tear lands mid-batch. And the
+//! streaming header scan that recovery runs on must agree with the
+//! whole-log reader it replaced while decoding only the replayed suffix.
 
 use std::fs;
 use std::path::PathBuf;
 
+use ms_core::codec::{FrameDecoder, SnapshotReader, FRAME_HEADER_BYTES};
 use ms_core::ids::{EpochId, OperatorId};
 use ms_core::time::SimTime;
 use ms_core::tuple::Tuple;
 use ms_core::value::Value;
 use ms_live::StableStore;
+use ms_wire::store::scan_log;
 use ms_wire::FsStore;
 use proptest::prelude::*;
 
@@ -43,7 +47,62 @@ fn log_bytes(root: &std::path::Path) -> Vec<u8> {
     fs::read(root.join("log").join("op0.log")).unwrap_or_default()
 }
 
+/// Decodes every complete frame of `bytes` — the whole-log reader
+/// `FsStore` used before the streaming scan, kept here as the
+/// reference.
+fn decode_all(bytes: &[u8]) -> Vec<Tuple> {
+    let mut dec = FrameDecoder::new();
+    dec.feed(bytes);
+    let mut out = Vec::new();
+    while let Ok(Some(p)) = dec.next_frame() {
+        out.push(SnapshotReader::new(&p).get_tuple().unwrap());
+    }
+    out
+}
+
 proptest! {
+    /// For any log, replay boundary and torn tail, `scan_log` finds the
+    /// clean prefix, frame count and last sequence the whole-log reader
+    /// finds, and decoding just `suffix_offset..clean_len` yields
+    /// exactly the tuples that reader's `seq >= from_seq` filter keeps —
+    /// so a log of N tuples marked at N-k costs k decodes, not N.
+    #[test]
+    fn scan_and_suffix_decode_equal_whole_log_read_and_filter(
+        run in arb_run(),
+        from_seq in 0u64..80,
+        cut in 0usize..40,
+        case in 0u64..1,
+    ) {
+        let op = OperatorId(0);
+        let d = tmpdir("scan", case);
+        let s = FsStore::open(&d, 1).unwrap();
+        s.append_log_batch(op, &run).unwrap();
+        s.mark_epoch(op, EpochId(1), from_seq).unwrap();
+        let path = d.join("log").join("op0.log");
+        let full = fs::read(&path).unwrap();
+        let torn = &full[..full.len() - cut.min(full.len())];
+        fs::write(&path, torn).unwrap();
+
+        let all = decode_all(torn);
+        let clean_len: usize = all
+            .iter()
+            .map(|t| FRAME_HEADER_BYTES + ms_core::codec::SnapshotWriter::encoded_tuple_bytes(t))
+            .sum();
+        let expect: Vec<Tuple> = all.iter().filter(|t| t.seq >= from_seq).cloned().collect();
+
+        let scan = scan_log(&path, from_seq).unwrap();
+        prop_assert_eq!(scan.clean_len, clean_len as u64);
+        prop_assert_eq!(scan.frames, all.len());
+        prop_assert_eq!(scan.last_seq, all.last().map(|t| t.seq));
+        // Every decode the replay pays for: the suffix's frames, no more.
+        let suffix = decode_all(&torn[scan.suffix_offset as usize..clean_len]);
+        prop_assert_eq!(suffix.len(), expect.len());
+        prop_assert_eq!(&suffix, &expect);
+        prop_assert_eq!(FsStore::open(&d, 1).unwrap().replay_from(op, EpochId(1)), expect);
+        prop_assert_eq!(s.preserved_tuples(), all.len());
+        let _ = fs::remove_dir_all(&d);
+    }
+
     /// A run appended as arbitrary batches produces byte-identical log
     /// files — and therefore identical replay — to the same run
     /// appended one tuple at a time.
