@@ -1,8 +1,9 @@
 //! Criterion microbenchmarks over the system's hot paths: snapshot
 //! codec, state-size estimation, the DES kernel, the network and
-//! storage cost models, preservation buffers, the k-means kernel, the
-//! wire transport (loopback TCP vs in-process channels), and one
-//! end-to-end engine ablation (sync vs async snapshotting).
+//! storage cost models, preservation buffers, the k-means kernel,
+//! meter and checkpoint-capture overhead on the tuple path, and one
+//! engine ablation (sync vs async snapshotting). The live data path
+//! (gate, WAL, wire, event loop) is msbench's, under `bench/`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use ms_apps::kmeans::kmeans;
@@ -247,104 +248,6 @@ fn bench_engine_ablation(c: &mut Criterion) {
     g.finish();
 }
 
-/// What moving a tuple between HAUs costs once the boundary is a real
-/// socket: tuples/sec through framed `WireMsg::Data` over loopback TCP
-/// versus an in-process bounded channel (`std::sync::mpsc`), at 1KB and
-/// 100KB logical payloads. The receiver acks once per batch so every
-/// measurement covers full delivery, not just enqueue. The
-/// `tcp_buffered_*` variants wrap the stream in the same `BufWriter`
-/// (batch-boundary flush) the worker egress pump uses — the before /
-/// after of coalescing small frame writes into one syscall per batch.
-fn bench_wire_throughput(c: &mut Criterion) {
-    use std::io::{BufWriter, Write};
-    use std::net::{TcpListener, TcpStream};
-
-    use ms_wire::{recv_msg, send_msg, WireMsg};
-
-    const BATCH: u64 = 64;
-
-    let mut g = c.benchmark_group("wire_throughput");
-    g.sample_size(10);
-    g.throughput(Throughput::Elements(BATCH));
-    for (label, bytes) in [("1KB", 1usize << 10), ("100KB", 100 << 10)] {
-        let t = Tuple::new(
-            OperatorId(1),
-            0,
-            SimTime::from_micros(0),
-            vec![Value::Str("x".repeat(bytes))],
-        );
-
-        let (tx, rx) = std::sync::mpsc::sync_channel::<Tuple>(64);
-        let (ack_tx, ack_rx) = std::sync::mpsc::sync_channel::<()>(1);
-        let drain = std::thread::spawn(move || 'outer: loop {
-            for _ in 0..BATCH {
-                if rx.recv().is_err() {
-                    break 'outer;
-                }
-            }
-            if ack_tx.send(()).is_err() {
-                break;
-            }
-        });
-        g.bench_function(&format!("channel_{label}"), |b| {
-            b.iter(|| {
-                for _ in 0..BATCH {
-                    tx.send(t.clone()).unwrap();
-                }
-                ack_rx.recv().unwrap();
-            })
-        });
-        drop(tx);
-        drain.join().unwrap();
-
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let (ack_tx, ack_rx) = std::sync::mpsc::sync_channel::<()>(1);
-        let reader = std::thread::spawn(move || {
-            let (mut conn, _) = listener.accept().unwrap();
-            'outer: loop {
-                for _ in 0..BATCH {
-                    match recv_msg(&mut conn) {
-                        Ok(Some(WireMsg::Data(_))) => {}
-                        _ => break 'outer,
-                    }
-                }
-                if ack_tx.send(()).is_err() {
-                    break;
-                }
-            }
-        });
-        // Raw stream, one write per frame — what the worker's egress
-        // pump did before buffering.
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream.set_nodelay(true).unwrap();
-        g.bench_function(&format!("tcp_loopback_{label}"), |b| {
-            b.iter(|| {
-                for _ in 0..BATCH {
-                    send_msg(&mut stream, &WireMsg::Data(t.clone())).unwrap();
-                }
-                ack_rx.recv().unwrap();
-            })
-        });
-
-        // Buffered stream, flushed once per batch — what the egress
-        // pump does now.
-        let mut buffered = BufWriter::with_capacity(64 * 1024, stream);
-        g.bench_function(&format!("tcp_buffered_{label}"), |b| {
-            b.iter(|| {
-                for _ in 0..BATCH {
-                    send_msg(&mut buffered, &WireMsg::Data(t.clone())).unwrap();
-                }
-                buffered.flush().unwrap();
-                ack_rx.recv().unwrap();
-            })
-        });
-        drop(buffered);
-        reader.join().unwrap();
-    }
-    g.finish();
-}
-
 /// Telemetry overhead on the tuple hot path. Models `ms-live`'s host
 /// loop — tuple allocation, a bounded-channel hop, then apply and
 /// route — with the exact meter calls the host makes when telemetry
@@ -536,7 +439,7 @@ fn bench_ckpt_stall(c: &mut Criterion) {
         fn latest_complete(&self) -> Option<EpochId> {
             None
         }
-        fn append_log(&self, _source: OperatorId, _t: Tuple) -> Result<()> {
+        fn append_log_batch(&self, _source: OperatorId, _batch: &[Tuple]) -> Result<()> {
             Ok(())
         }
         fn mark_epoch(&self, _source: OperatorId, _epoch: EpochId, _next_seq: u64) -> Result<()> {
@@ -637,226 +540,6 @@ fn bench_ckpt_stall(c: &mut Criterion) {
     g.finish();
 }
 
-/// Resident thread count of this process (`/proc/self/status` on
-/// linux; 0 elsewhere, where the comparison is skipped).
-fn resident_threads() -> usize {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("Threads:"))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|n| n.parse().ok())
-        })
-        .unwrap_or(0)
-}
-
-#[cfg(unix)]
-fn stream_fd(s: &std::net::TcpStream) -> ms_net::ready::PollTarget {
-    use std::os::unix::io::AsRawFd;
-    s.as_raw_fd()
-}
-
-#[cfg(not(unix))]
-fn stream_fd(_s: &std::net::TcpStream) -> ms_net::ready::PollTarget {
-    -1
-}
-
-/// The worker-architecture question at paper scale: how does ingress
-/// cost grow with edge count? `thread_per_edge` is the old worker —
-/// one blocking reader thread per inbound socket. `event_loop` is the
-/// new one — a single thread polling readiness over every socket
-/// (`ms_net::ready::poll`) and draining whichever are readable. Both
-/// receive the same total frame volume spread over 8 / 64 / 256
-/// loopback edges; the one-shot lines report resident thread counts,
-/// which is the difference that matters at 55-HAU scale: O(edges)
-/// versus O(1) ingress threads.
-fn bench_edge_scaling(c: &mut Criterion) {
-    use std::io::{Read, Write};
-    use std::net::{TcpListener, TcpStream};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-
-    use ms_core::codec::{frame, FrameDecoder};
-    use ms_net::ready::{poll, Interest};
-
-    /// Frames delivered per iteration, across all edges.
-    const FRAMES: usize = 1024;
-    const PAYLOAD: usize = 256;
-
-    /// `count` connected loopback socket pairs: `(write half, read half)`.
-    fn edges(count: usize) -> (Vec<TcpStream>, Vec<TcpStream>) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut writers = Vec::with_capacity(count);
-        let mut readers = Vec::with_capacity(count);
-        for _ in 0..count {
-            let w = TcpStream::connect(addr).unwrap();
-            w.set_nodelay(true).unwrap();
-            writers.push(w);
-            readers.push(listener.accept().unwrap().0);
-        }
-        (writers, readers)
-    }
-
-    let payload = frame(&vec![0xabu8; PAYLOAD]);
-    let mut g = c.benchmark_group("edge_scaling");
-    g.sample_size(10);
-    g.throughput(Throughput::Elements(FRAMES as u64));
-
-    for edge_count in [8usize, 64, 256] {
-        // --- Thread-per-edge: one blocking reader thread per socket. ---
-        let (writers, readers) = edges(edge_count);
-        let quota = FRAMES / edge_count;
-        let (ack_tx, ack_rx) = std::sync::mpsc::sync_channel::<()>(edge_count);
-        let before = resident_threads();
-        let handles: Vec<_> = readers
-            .into_iter()
-            .map(|mut stream| {
-                let ack = ack_tx.clone();
-                std::thread::spawn(move || {
-                    let mut buf = vec![0u8; 16 * 1024];
-                    let mut dec = FrameDecoder::new();
-                    let mut got = 0usize;
-                    loop {
-                        match stream.read(&mut buf) {
-                            Ok(0) | Err(_) => return,
-                            Ok(n) => {
-                                dec.feed(&buf[..n]);
-                                while let Ok(Some(_)) = dec.next_frame() {
-                                    got += 1;
-                                    if got == quota {
-                                        got = 0;
-                                        if ack.send(()).is_err() {
-                                            return;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        drop(ack_tx);
-        println!(
-            "edge_scaling/{edge_count}: thread_per_edge resident threads \
-             {before} -> {} (+{edge_count} readers)",
-            resident_threads()
-        );
-        g.bench_function(&format!("thread_per_edge_{edge_count}"), |b| {
-            b.iter(|| {
-                for i in 0..FRAMES {
-                    (&writers[i % edge_count]).write_all(&payload).unwrap();
-                }
-                for _ in 0..edge_count {
-                    ack_rx.recv().unwrap();
-                }
-            })
-        });
-        drop(writers); // EOF unparks and exits every reader
-        for h in handles {
-            h.join().unwrap();
-        }
-
-        // --- Event loop: one thread polling readiness over all edges. ---
-        let (writers, readers) = edges(edge_count);
-        for r in &readers {
-            r.set_nonblocking(true).unwrap();
-        }
-        let (ack_tx, ack_rx) = std::sync::mpsc::sync_channel::<()>(1);
-        let stop = Arc::new(AtomicBool::new(false));
-        let reader_stop = stop.clone();
-        let before = resident_threads();
-        let handle = std::thread::spawn(move || {
-            let mut decs: Vec<FrameDecoder> =
-                (0..readers.len()).map(|_| FrameDecoder::new()).collect();
-            let mut open = vec![true; readers.len()];
-            let mut buf = vec![0u8; 16 * 1024];
-            let mut got = 0usize;
-            while !reader_stop.load(Ordering::Acquire) {
-                let entries: Vec<_> = readers
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| open[i])
-                    .map(|(i, s)| (stream_fd(s), i, Interest::READ))
-                    .collect();
-                if entries.is_empty() {
-                    return;
-                }
-                let Ok(ready) = poll(&entries, 100) else {
-                    return;
-                };
-                for ev in ready {
-                    let i = ev.token;
-                    loop {
-                        match (&readers[i]).read(&mut buf) {
-                            Ok(0) => {
-                                open[i] = false;
-                                break;
-                            }
-                            Ok(n) => {
-                                decs[i].feed(&buf[..n]);
-                                // Ack per delivered payload volume, not
-                                // frame count: the batched cell moves
-                                // the same bytes in 1/BATCH the frames.
-                                while let Ok(Some(p)) = decs[i].next_frame() {
-                                    got += p.len();
-                                    if got >= FRAMES * PAYLOAD {
-                                        got -= FRAMES * PAYLOAD;
-                                        if ack_tx.send(()).is_err() {
-                                            return;
-                                        }
-                                    }
-                                }
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                            Err(_) => {
-                                open[i] = false;
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-        });
-        println!(
-            "edge_scaling/{edge_count}: event_loop resident threads \
-             {before} -> {} (+1 poller)",
-            resident_threads()
-        );
-        g.bench_function(&format!("event_loop_{edge_count}"), |b| {
-            b.iter(|| {
-                for i in 0..FRAMES {
-                    (&writers[i % edge_count]).write_all(&payload).unwrap();
-                }
-                ack_rx.recv().unwrap();
-            })
-        });
-        // --- Same event loop, batched frames: identical payload
-        // volume, but each frame carries BATCH tuples' worth of bytes
-        // (the TupleBatch wire shape), so a skewed edge moves 1/BATCH
-        // the frames through decoder and syscalls.
-        const BATCH: usize = 32;
-        let batched_payload = frame(&vec![0xabu8; PAYLOAD * BATCH]);
-        let batched_frames = FRAMES / BATCH;
-        g.bench_function(&format!("event_loop_batched_{edge_count}"), |b| {
-            b.iter(|| {
-                for i in 0..batched_frames {
-                    (&writers[i % edge_count])
-                        .write_all(&batched_payload)
-                        .unwrap();
-                }
-                ack_rx.recv().unwrap();
-            })
-        });
-        stop.store(true, Ordering::Release);
-        drop(writers);
-        handle.join().unwrap();
-    }
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_codec,
@@ -868,9 +551,7 @@ criterion_group!(
     bench_tuple_clone,
     bench_snapshot_presize,
     bench_engine_ablation,
-    bench_wire_throughput,
     bench_meter_overhead,
-    bench_ckpt_stall,
-    bench_edge_scaling
+    bench_ckpt_stall
 );
 criterion_main!(benches);

@@ -28,8 +28,8 @@ use crate::codec::{SnapshotReader, SnapshotWriter};
 use crate::error::{Error, Result};
 
 /// Logical admission cost charged per event: one key plus one value,
-/// both 8 bytes. Admission budgets and `ingest_swarm` reduction ratios
-/// are measured in these units.
+/// both 8 bytes. Admission budgets and pre-aggregation fold ratios are
+/// measured in these units.
 pub const EVENT_BYTES: u64 = 16;
 
 const TAG_HELLO: u64 = 1;

@@ -656,7 +656,6 @@ mod tests {
         let mut got_tuples = Vec::new();
         loop {
             match recv_host(&g.rx) {
-                HostMsg::Data(t) => got_tuples.push(t),
                 HostMsg::DataBatch(b) => got_tuples.extend(b.iter().cloned()),
                 HostMsg::Token(e) => {
                     assert_eq!(e, EpochId(1));
@@ -818,7 +817,6 @@ mod tests {
         let mut got = Vec::new();
         while got.len() < data_tuples.len() {
             match recv_host(&rx) {
-                HostMsg::Data(t) => got.push(t),
                 HostMsg::DataBatch(b) => got.extend(b.iter().cloned()),
                 other => panic!("expected replayed data, got {other:?}"),
             }
@@ -876,7 +874,6 @@ mod tests {
         let mut got = Vec::new();
         while got.len() < walled.len() {
             match recv_host(&rx) {
-                HostMsg::Data(t) => got.push(t),
                 HostMsg::DataBatch(b) => got.extend(b.iter().cloned()),
                 other => panic!("expected replayed data, got {other:?}"),
             }

@@ -22,6 +22,20 @@
 //! both cores deterministically on one thread. Either way the protocol
 //! logic is this module's, unduplicated.
 //!
+//! # Three messages, and where data leaves an interior
+//!
+//! A stream carries [`HostMsg::DataBatch`], [`HostMsg::Token`] and
+//! [`HostMsg::Eos`], nothing else: a run of tuples — one or a thousand
+//! — is the only unit of data on every edge. A source routes a run as
+//! soon as it is preserved. An interior stamps what its operator emits
+//! at apply time (sequence numbers never depend on batching) but holds
+//! it until the message in hand is done, then gives each route its
+//! share as one [`OutputRoute::data_batch`]: a host fed batches emits
+//! batches. That flush is private — no driver calls or observes it —
+//! and also runs after the restored in-flight tuples, in `finish`, and
+//! before every capture, so a token or EOS never overtakes data emitted
+//! before it and a cut's `next_seq` is one past the last tuple sent.
+//!
 //! # The alignment window (MS-src+ap)
 //!
 //! Interior hosts cut their checkpoint with a *non-blocking* alignment
@@ -70,6 +84,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+use ms_core::codec::SnapshotWriter;
 use ms_core::error::{Error, Result};
 use ms_core::ids::{EpochId, OperatorId, PortId};
 use ms_core::metrics::{BackpressureMeter, OperatorMeter};
@@ -83,14 +98,11 @@ use crate::storage::{CkptState, CkptWrite, StableStore};
 /// What travels on a live stream between two hosts.
 #[derive(Debug)]
 pub enum HostMsg {
-    /// A data tuple.
-    Data(Tuple),
-    /// A run of data tuples delivered as one unit. Semantically
-    /// identical to sending each tuple as [`HostMsg::Data`] in order —
-    /// every tuple keeps its own `seq`, so replay and dedup are
-    /// unchanged — but the batch crosses channels, inboxes, and the
-    /// wire as a single message/frame. Shared so a fan-out edge can
-    /// hand the same batch to several consumers without copying.
+    /// A run of data tuples delivered as one unit — the only data
+    /// message. A batch is exactly its tuples in order: every tuple
+    /// keeps its own `seq`, so replay and dedup work per tuple, but the
+    /// run crosses channels, inboxes, and the wire as a single
+    /// message/frame.
     DataBatch(Arc<[Tuple]>),
     /// A checkpoint token for the given epoch.
     Token(EpochId),
@@ -102,7 +114,6 @@ impl HostMsg {
     /// Data tuples this message carries (tokens and EOS carry none).
     pub fn tuple_count(&self) -> usize {
         match self {
-            HostMsg::Data(_) => 1,
             HostMsg::DataBatch(batch) => batch.len(),
             HostMsg::Token(_) | HostMsg::Eos => 0,
         }
@@ -282,6 +293,15 @@ impl EdgeTx for Box<dyn EdgeTx> {
     }
 }
 
+/// Most encoded tuple bytes ([`SnapshotWriter::encoded_tuple_bytes`])
+/// one [`HostMsg::DataBatch`] carries: far above any steady-state batch
+/// (tens of KiB), far below the 64 MiB
+/// [`MAX_FRAME_BYTES`](ms_core::codec::MAX_FRAME_BYTES) past which the
+/// peer's decoder reads a frame length as corruption and drops the
+/// connection without an `Eos` — what the uncut recovery replay of a
+/// long checkpoint period would hit.
+const MAX_BATCH_BYTES: usize = 1 << 20;
+
 /// Where one *logical* out-edge delivers: either a single physical
 /// edge, or the full shard group of a key-partitioned consumer. Data
 /// tuples go to exactly one target (the key's shard); tokens and EOS
@@ -311,47 +331,36 @@ impl OutputRoute {
         }
     }
 
-    /// Delivers a data tuple to the key's shard (or the only target).
-    /// `false` = that consumer is gone.
-    pub fn data(&self, t: Tuple) -> bool {
-        let idx = match &self.key {
-            Some(key) if self.targets.len() > 1 => shard_of(key(&t), self.targets.len()),
-            _ => 0,
-        };
-        self.targets[idx].send(HostMsg::Data(t))
-    }
-
-    /// Delivers a run of data tuples as [`HostMsg::DataBatch`]es —
-    /// one message per *shard*, not per tuple. An unsharded route gets
-    /// the whole run in one message; a sharded route partitions the
-    /// run by key first (relative order within each shard preserved)
-    /// and sends each shard its own batch. Returns `false` if any
-    /// receiving shard is gone.
-    pub fn data_batch(&self, tuples: &[Tuple]) -> bool {
-        if tuples.is_empty() {
-            return true;
-        }
-        match &self.key {
-            Some(key) if self.targets.len() > 1 => {
-                let mut shards: Vec<Vec<Tuple>> = Vec::new();
-                shards.resize_with(self.targets.len(), Vec::new);
-                for t in tuples {
-                    shards[shard_of(key(t), self.targets.len())].push(t.clone());
-                }
-                let mut ok = true;
-                for (idx, shard) in shards.into_iter().enumerate() {
-                    if shard.is_empty() {
-                        continue;
-                    }
-                    ok &= self.targets[idx].send(HostMsg::DataBatch(shard.into()));
-                }
-                ok
+    /// Delivers a run of data tuples as [`HostMsg::DataBatch`]es: each
+    /// tuple goes to its key's shard (or the only target), order within
+    /// a shard preserved, and a shard's run leaves as consecutive
+    /// batches of at most `MAX_BATCH_BYTES` encoded bytes — one batch
+    /// in the common case; a single larger tuple travels alone.
+    /// Returns `false` if any receiving shard is gone.
+    pub fn data_batch(&self, tuples: impl IntoIterator<Item = Tuple>) -> bool {
+        let shards = self.targets.len();
+        let mut runs = vec![(Vec::new(), 0usize); shards];
+        let mut ok = true;
+        for t in tuples {
+            let idx = match &self.key {
+                Some(key) if shards > 1 => shard_of(key(&t), shards),
+                _ => 0,
+            };
+            let bytes = SnapshotWriter::encoded_tuple_bytes(&t);
+            let (run, run_bytes) = &mut runs[idx];
+            if !run.is_empty() && *run_bytes + bytes > MAX_BATCH_BYTES {
+                ok &= self.targets[idx].send(HostMsg::DataBatch(std::mem::take(run).into()));
+                *run_bytes = 0;
             }
-            _ => {
-                let batch: Arc<[Tuple]> = tuples.iter().cloned().collect();
-                self.targets[0].send(HostMsg::DataBatch(batch))
+            run.push(t);
+            *run_bytes += bytes;
+        }
+        for (tx, (run, _)) in self.targets.iter().zip(runs) {
+            if !run.is_empty() {
+                ok &= tx.send(HostMsg::DataBatch(run.into()));
             }
         }
+        ok
     }
 
     /// Broadcasts a checkpoint token to every shard instance.
@@ -499,13 +508,15 @@ fn stamp(
     })
 }
 
-/// Meters a run of stamped emissions and routes each to its port.
-/// `false`: a consumer is gone.
+/// Meters a run of stamped emissions and hands each output route the
+/// tuples bound for its port as one [`OutputRoute::data_batch`] — how
+/// data leaves either core. `false`: a consumer is gone.
 fn route_stamped(
     outputs: &[OutputRoute],
     telemetry: &Option<Arc<OperatorMeter>>,
     stamped: impl Iterator<Item = (PortId, Tuple)>,
 ) -> bool {
+    let mut runs = vec![Vec::new(); outputs.len()];
     // Emission metering is batched: one pair of relaxed adds per call,
     // not per tuple.
     let mut emitted = 0u64;
@@ -515,10 +526,8 @@ fn route_stamped(
             emitted += 1;
             emitted_bytes += t.payload_bytes();
         }
-        if let Some(route) = outputs.get(port.index()) {
-            if !route.data(t) {
-                return false;
-            }
+        if let Some(run) = runs.get_mut(port.index()) {
+            run.push(t);
         }
     }
     if let Some(m) = telemetry {
@@ -526,7 +535,10 @@ fn route_stamped(
             m.add_tuples_out(emitted, emitted_bytes);
         }
     }
-    true
+    outputs
+        .iter()
+        .zip(runs)
+        .all(|(route, run)| route.data_batch(run))
 }
 
 /// The interior/sink half of the host protocol as a plain state
@@ -551,6 +563,8 @@ pub struct InteriorCore {
     /// Applied-tuple counter driving the periodic state-gauge sample
     /// in [`InteriorCore::apply`].
     applied: u64,
+    /// Stamped emissions of the message in hand, not yet routed.
+    pending: Vec<(PortId, Tuple)>,
     done: bool,
 }
 
@@ -591,14 +605,13 @@ impl InteriorCore {
             meter: w.meter,
             telemetry: w.telemetry,
             applied: 0,
+            pending: Vec::new(),
             done: false,
         };
         for (port, t) in std::mem::take(&mut w.in_flight) {
-            if !core.apply(port, t) {
-                core.done = true;
-                break;
-            }
+            core.apply(port, t);
         }
+        core.flush();
         core
     }
 
@@ -632,32 +645,24 @@ impl InteriorCore {
             return false;
         }
         match msg {
-            HostMsg::Data(t) => {
-                // Replay filter: below the threshold means the restored
-                // cut already accounted for this tuple.
-                if t.seq < self.cut_seq[input] {
-                    return true;
-                }
-                // Inside an alignment window for this input? Buffer
-                // into the *youngest* window whose token this input has
-                // delivered — the tuple arrived after that token.
-                if let Some(win) = self.windows.iter_mut().rev().find(|win| win.tokens[input]) {
-                    win.buffered.push((input as u32, t));
-                    return true;
-                }
-                self.cut_seq[input] = t.seq + 1;
-                if !self.apply(input as u32, t) {
-                    self.done = true;
-                }
-            }
             HostMsg::DataBatch(batch) => {
-                // A batch is exactly its tuples in order: each one runs
-                // the full Data path (replay filter, window buffering,
-                // apply) so alignment and recovery semantics cannot
-                // drift from the per-tuple wire.
+                // Inside an alignment window for this input? The batch
+                // arrived after that token: buffer into the *youngest*
+                // window whose token this input has delivered. No token
+                // is handled mid-message, so one lookup serves the run.
+                let win = self.windows.iter().rposition(|win| win.tokens[input]);
                 for t in batch.iter() {
-                    if !self.on_msg(input, HostMsg::Data(t.clone())) {
-                        break;
+                    // Replay filter: below the threshold means the
+                    // restored cut already accounted for this tuple.
+                    if t.seq < self.cut_seq[input] {
+                        continue;
+                    }
+                    match win {
+                        Some(at) => self.windows[at].buffered.push((input as u32, t.clone())),
+                        None => {
+                            self.cut_seq[input] = t.seq + 1;
+                            self.apply(input as u32, t.clone());
+                        }
                     }
                 }
             }
@@ -691,12 +696,15 @@ impl InteriorCore {
                 }
             }
         }
+        self.flush();
         !self.done
     }
 
-    /// Consumes the host: broadcasts EOS downstream and returns the
-    /// exit record with the operator's final state.
+    /// Consumes the host: broadcasts EOS downstream — behind anything
+    /// still pending — and returns the exit record with the operator's
+    /// final state.
     pub fn finish(mut self) -> HostExit {
+        self.flush();
         self.done = true;
         for route in &self.outputs {
             route.eos();
@@ -708,7 +716,20 @@ impl InteriorCore {
         }
     }
 
-    fn apply(&mut self, port: u32, t: Tuple) -> bool {
+    /// Hands every output route the emissions pending since the last
+    /// flush, one batch per route. Private on purpose: a driver
+    /// delivers messages and never learns when data leaves.
+    fn flush(&mut self) {
+        if !self.pending.is_empty()
+            && !route_stamped(&self.outputs, &self.telemetry, self.pending.drain(..))
+        {
+            self.done = true;
+        }
+    }
+
+    /// Runs the operator on one tuple; what it emits is stamped now
+    /// and leaves at the next [`InteriorCore::flush`].
+    fn apply(&mut self, port: u32, t: Tuple) {
         if let Some(m) = &self.telemetry {
             m.add_tuples_in(1);
             self.applied += 1;
@@ -723,11 +744,8 @@ impl InteriorCore {
             seed: t.seq ^ 0xA5A5_A5A5,
         };
         self.op.on_tuple(PortId(port), t, &mut ctx);
-        route_stamped(
-            &self.outputs,
-            &self.telemetry,
-            stamp(self.op_id, &mut self.next_seq, ctx.emissions),
-        )
+        self.pending
+            .extend(stamp(self.op_id, &mut self.next_seq, ctx.emissions));
     }
 
     /// Cuts every leading window whose tokens (or EOS) are complete.
@@ -735,6 +753,13 @@ impl InteriorCore {
         while let Some(front) = self.windows.front() {
             if !(0..self.n_in).all(|i| front.tokens[i] || self.eos[i]) {
                 break;
+            }
+            // Everything applied so far leaves before the cut: the
+            // capture's `next_seq` is one past the last tuple sent, and
+            // on every route the data precedes the token.
+            self.flush();
+            if self.done {
+                return;
             }
             let win = self.windows.pop_front().expect("front window");
             let align_us = win.opened.elapsed().as_micros() as u64;
@@ -780,10 +805,7 @@ impl InteriorCore {
                     let s = &mut self.cut_seq[i as usize];
                     *s = (*s).max(t.seq + 1);
                 }
-                if !self.apply(i, t) {
-                    self.done = true;
-                    return;
-                }
+                self.apply(i, t);
             }
         }
     }
@@ -846,7 +868,7 @@ impl SourceCore {
     }
 
     /// Recovery catch-up: resends the preserved log suffix downstream —
-    /// one batch per route, skipping records that are not `routable`
+    /// one run per route, skipping records that are not `routable`
     /// (WAL-only markers) — and continues numbering past all of it.
     /// Replay goes through the routes, so a sharded consumer sees each
     /// tuple on the shard the original delivery used.
@@ -856,7 +878,7 @@ impl SourceCore {
         }
         preserved.retain(routable);
         for route in &self.outputs {
-            route.data_batch(&preserved);
+            route.data_batch(preserved.iter().cloned());
         }
     }
 
@@ -891,7 +913,7 @@ impl SourceCore {
     }
 
     /// Ticks a generating operator once: stamps what it emits,
-    /// preserves the run, then routes each tuple to its port. `false`
+    /// preserves the run, then hands each route its share. `false`
     /// means stop ticking — the operator stayed silent (the convention
     /// for an exhausted source), a consumer is gone, or the host failed.
     pub fn tick(&mut self, op: &mut dyn Operator) -> bool {
@@ -922,7 +944,7 @@ impl SourceCore {
         }
         for run in deliver.into_iter().map(|range| &wal[range]) {
             for route in &self.outputs {
-                route.data_batch(run);
+                route.data_batch(run.iter().cloned());
             }
             if let Some(m) = self.telemetry.as_ref().filter(|_| !run.is_empty()) {
                 m.add_tuples_out(run.len() as u64, run.iter().map(Tuple::payload_bytes).sum());
@@ -999,8 +1021,10 @@ mod tests {
     use std::sync::mpsc::Receiver;
     use std::sync::Mutex;
 
-    use crate::protocol::CountSource;
-    use crate::storage::LiveHauCheckpoint;
+    use ms_core::value::Value;
+
+    use crate::protocol::{CountSource, Doubler};
+    use crate::storage::{LiveHauCheckpoint, LiveStorage};
 
     /// A recording store, and the ordered log it shares with the
     /// recording edges. Every note first moves whatever sits in the
@@ -1018,7 +1042,11 @@ mod tests {
         fn log(&self) -> std::sync::MutexGuard<'_, Vec<String>> {
             let mut log = self.log.lock().unwrap();
             let queued = self.persist_rx.lock().unwrap();
-            log.extend(queued.try_iter().map(|i| format!("enqueue {}", i.epoch.0)));
+            log.extend(
+                queued
+                    .try_iter()
+                    .map(|i| format!("enqueue {} next_seq {}", i.epoch.0, i.next_seq)),
+            );
             log
         }
 
@@ -1045,9 +1073,6 @@ mod tests {
         }
         fn latest_complete(&self) -> Option<EpochId> {
             None
-        }
-        fn append_log(&self, source: OperatorId, t: Tuple) -> Result<()> {
-            self.append_log_batch(source, &[t])
         }
         fn append_log_batch(&self, _: OperatorId, batch: &[Tuple]) -> Result<()> {
             self.note(format!("append {}", batch.len()))
@@ -1076,14 +1101,19 @@ mod tests {
         }
     }
 
-    /// A two-route source over a recording store.
-    fn source(fail: &'static str) -> (SourceCore, Arc<Rec>) {
+    fn recorder(fail: &'static str) -> (Arc<Rec>, Sender<PersistItem>) {
         let (persist, persist_rx) = channel();
         let rec = Arc::new(Rec {
             log: Mutex::new(Vec::new()),
             persist_rx: Mutex::new(persist_rx),
             fail,
         });
+        (rec, persist)
+    }
+
+    /// A two-route source over a recording store.
+    fn source(fail: &'static str) -> (SourceCore, Arc<Rec>) {
+        let (rec, persist) = recorder(fail);
         let outputs = (0..2)
             .map(|route| OutputRoute::single(RecEdge(rec.clone(), route)))
             .collect();
@@ -1112,7 +1142,12 @@ mod tests {
         assert!(src.checkpoint_operator(EpochId(1), &mut op));
         assert_eq!(
             rec.take(),
-            ["mark 1", "enqueue 1", "token 1 on 0", "token 1 on 1"]
+            [
+                "mark 1",
+                "enqueue 1 next_seq 2",
+                "token 1 on 0",
+                "token 1 on 1"
+            ]
         );
         assert!(src.finish(Box::new(op)).error.is_none());
         assert_eq!(rec.take(), ["eos on 0", "eos on 1"]);
@@ -1139,5 +1174,116 @@ mod tests {
         assert!(rec.take().is_empty());
         let exit = src.finish(Box::new(CountSource::new(0)));
         assert!(matches!(exit.error, Some(Error::Storage(_))));
+    }
+
+    fn int(seq: u64) -> Tuple {
+        Tuple::new(OperatorId(0), seq, SimTime::ZERO, vec![Value::Int(1)])
+    }
+
+    fn ints(seqs: Range<u64>) -> HostMsg {
+        HostMsg::DataBatch(seqs.map(int).collect())
+    }
+
+    /// A two-input doubler with one recorded route, restored with
+    /// `in_flight` inside its cut.
+    fn fan_in_doubler(in_flight: Vec<(u32, Tuple)>) -> (InteriorCore, Arc<Rec>) {
+        let (rec, persist) = recorder("");
+        let wiring = HostWiring {
+            op_id: OperatorId(1),
+            op: Box::new(Doubler::default()),
+            outputs: vec![OutputRoute::single(RecEdge(rec.clone(), 0))],
+            restored_seq: 0,
+            resume_seq: Vec::new(),
+            in_flight,
+            last_durable: None,
+            persist_in_flight: true,
+            meter: None,
+            telemetry: None,
+        };
+        (InteriorCore::new(wiring, 2, persist), rec)
+    }
+
+    #[test]
+    fn emissions_of_one_message_leave_as_one_batch_and_never_behind_a_token_or_eos() {
+        let (mut core, rec) = fan_in_doubler((0..2).map(|seq| (0, int(seq))).collect());
+        // The restored in-flight tuples ran, and what they emitted
+        // left, before any input was read.
+        assert_eq!(rec.take(), ["data x2 on 0"]);
+        assert!(core.on_msg(1, ints(0..3)));
+        assert_eq!(rec.take(), ["data x3 on 0"]);
+        // Input 0 runs two epochs ahead and ends; its data waits in the
+        // two alignment windows.
+        for msg in [
+            HostMsg::Token(EpochId(1)),
+            ints(2..4),
+            HostMsg::Token(EpochId(2)),
+            ints(4..7),
+            HostMsg::Eos,
+        ] {
+            assert!(core.on_msg(0, msg));
+        }
+        assert!(rec.take().is_empty());
+        // Input 1 ending completes both windows inside one message.
+        // What window 1's re-applied buffer emitted is on the route
+        // before cut 2 is taken — so cut 2's `next_seq` is one past the
+        // last tuple sent (2 + 3 + 2) — and before token 2; window 2's
+        // is out before the host reports done, so EOS follows it.
+        assert!(!core.on_msg(1, HostMsg::Eos));
+        assert!(core.finish().error.is_none());
+        assert_eq!(
+            rec.take(),
+            [
+                "enqueue 1 next_seq 5",
+                "token 1 on 0",
+                "data x2 on 0",
+                "enqueue 2 next_seq 7",
+                "token 2 on 0",
+                "data x3 on 0",
+                "eos on 0",
+            ]
+        );
+    }
+
+    #[test]
+    fn a_replay_over_the_batch_cap_reaches_each_shard_as_several_batches_in_order() {
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..2).map(|_| channel::<HostMsg>()).unzip();
+        let txs = txs.into_iter().map(|tx| Box::new(tx) as Box<dyn EdgeTx>);
+        let route = OutputRoute::sharded(txs.collect(), Arc::new(|t: &Tuple| t.seq));
+        let (persist, _persist_rx) = channel();
+        let store = Arc::new(LiveStorage::new(1));
+        let mut src = SourceCore::new(OperatorId(0), vec![route], 0, None, store, persist, None);
+        // 48 tuples of ~100 KiB — each shard's share is about twice the
+        // cap — and one that exceeds the cap by itself.
+        let blob = |seq: u64, len: usize| {
+            let fields = vec![Value::Str("x".repeat(len))];
+            Tuple::new(OperatorId(0), seq, SimTime::ZERO, fields)
+        };
+        let mut preserved: Vec<Tuple> = (0..48).map(|seq| blob(seq, 100 << 10)).collect();
+        preserved[7] = blob(7, MAX_BATCH_BYTES + 1);
+        src.replay(preserved.clone(), |_| true);
+        for (shard, rx) in rxs.iter().enumerate() {
+            let batches: Vec<Arc<[Tuple]>> = rx
+                .try_iter()
+                .map(|msg| match msg {
+                    HostMsg::DataBatch(batch) => batch,
+                    other => panic!("replay sent {other:?}"),
+                })
+                .collect();
+            assert!(batches.len() > 1, "shard {shard} got one message");
+            for batch in &batches {
+                // Under the cap, or the one over-sized tuple by itself.
+                let bytes: usize = batch.iter().map(SnapshotWriter::encoded_tuple_bytes).sum();
+                assert!(
+                    bytes <= MAX_BATCH_BYTES || batch.len() == 1,
+                    "{bytes}-byte batch"
+                );
+            }
+            let got: Vec<u64> = batches
+                .iter()
+                .flat_map(|b| b.iter().map(|t| t.seq))
+                .collect();
+            let want = (0..48u64).filter(|&seq| shard_of(seq, 2) == shard);
+            assert_eq!(got, want.collect::<Vec<_>>(), "shard {shard} order");
+        }
     }
 }

@@ -146,27 +146,15 @@ pub trait StableStore: Send + Sync {
     /// The most recent complete application checkpoint.
     fn latest_complete(&self) -> Option<EpochId>;
 
-    /// Source preservation: appends an emitted tuple (called *before*
-    /// the tuple is sent downstream). An `Err` means the tuple is not
-    /// durable and must not be sent.
-    fn append_log(&self, source: OperatorId, t: Tuple) -> Result<()>;
-
-    /// Group commit: appends a whole batch of emitted tuples in one
-    /// storage round — implementations amortize lock acquisition,
-    /// encoding, and the write syscall across the batch. The durable
-    /// bytes must be identical to appending each tuple individually
-    /// (same log bytes, same replay), and `Err` means *none* of the
-    /// batch may be treated as durable: the caller must not send or
-    /// ack any tuple in it. The default just loops [`append_log`],
-    /// which trivially satisfies the byte-identity contract.
-    ///
-    /// [`append_log`]: StableStore::append_log
-    fn append_log_batch(&self, source: OperatorId, batch: &[Tuple]) -> Result<()> {
-        for t in batch {
-            self.append_log(source, t.clone())?;
-        }
-        Ok(())
-    }
+    /// Source preservation: appends a run of emitted tuples in one
+    /// storage round (called *before* any of them is sent downstream) —
+    /// implementations amortize lock acquisition, encoding, and the
+    /// write syscall across the run. The durable bytes depend only on
+    /// the tuples, never on how they were grouped into calls (same log
+    /// bytes, same replay), and `Err` means *none* of the run may be
+    /// treated as durable: the caller must not send or ack any tuple
+    /// in it.
+    fn append_log_batch(&self, source: OperatorId, batch: &[Tuple]) -> Result<()>;
 
     /// Records a source's stream boundary for an epoch: the first
     /// sequence number *after* the checkpoint.
@@ -413,11 +401,6 @@ impl StableStore for LiveStorage {
         self.inner.lock().complete.iter().max().copied()
     }
 
-    fn append_log(&self, source: OperatorId, t: Tuple) -> Result<()> {
-        self.inner.lock().logs.entry(source).or_default().push(t);
-        Ok(())
-    }
-
     fn append_log_batch(&self, source: OperatorId, batch: &[Tuple]) -> Result<()> {
         self.inner
             .lock()
@@ -488,7 +471,7 @@ mod tests {
     fn log_replay_respects_marks() {
         let s = LiveStorage::new(1);
         for seq in 0..10 {
-            s.append_log(OperatorId(0), tup(seq)).unwrap();
+            s.append_log_batch(OperatorId(0), &[tup(seq)]).unwrap();
         }
         s.mark_epoch(OperatorId(0), EpochId(1), 6).unwrap();
         let replay = s.replay_from(OperatorId(0), EpochId(1));

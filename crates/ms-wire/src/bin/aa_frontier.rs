@@ -9,8 +9,7 @@
 //! measured failure-detection → caught-up recovery time, and how many
 //! barriers the classifier landed on aggregate state minima.
 //!
-//! Prints a markdown table plus the `"aa_frontier"` JSON block for
-//! `BENCH_sweep.json` (same paste convention as `wal_append`).
+//! Prints the markdown table recorded in EXPERIMENTS.md.
 //!
 //! Usage: `aa_frontier` (next to `ms-controller` / `ms-worker`, i.e.
 //! run via `cargo run --release -p ms-wire --bin aa_frontier`).
@@ -79,7 +78,6 @@ struct Measured {
     barrier_p99_ms: f64,
     recovery_ms: f64,
     local_minima: usize,
-    wall_secs: f64,
 }
 
 /// Kills every still-running child on drop so a failed cell never
@@ -169,7 +167,6 @@ fn run_cell(cell: &Cell, scratch: &Path) -> Measured {
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).expect("cell dir");
 
-    let t0 = Instant::now();
     let mut cluster = Cluster(Vec::new());
     cluster
         .0
@@ -207,7 +204,6 @@ fn run_cell(cell: &Cell, scratch: &Path) -> Measured {
         assert!(Instant::now() < exit_by, "{}: controller hung", cell.label);
         std::thread::sleep(Duration::from_millis(25));
     }
-    let wall_secs = t0.elapsed().as_secs_f64();
     drop(cluster);
 
     // Everything below comes off the run ledger.
@@ -240,7 +236,6 @@ fn run_cell(cell: &Cell, scratch: &Path) -> Measured {
         barrier_p99_ms,
         recovery_ms,
         local_minima,
-        wall_secs,
     }
 }
 
@@ -254,7 +249,6 @@ fn main() {
     );
     println!("| cell | ckpts | ckpt bytes | barrier p99 ms | recovery ms | minima |");
     println!("|---|---|---|---|---|---|");
-    let mut results = Vec::new();
     for cell in CELLS {
         let m = run_cell(cell, &scratch);
         println!(
@@ -266,37 +260,6 @@ fn main() {
             m.recovery_ms,
             m.local_minima
         );
-        results.push(m);
     }
     let _ = fs::remove_dir_all(&scratch);
-
-    // The snapshot recorded under BENCH_sweep.json's "aa_frontier" key
-    // (same convention as "wal_append": paste the block below).
-    println!("\n\"aa_frontier\": {{");
-    println!(
-        " \"note\": \"sawtooth chain3 ({LIMIT} tuples @ {DELAY_US} us, collapse every \
-         {SAWTOOTH_WINDOW} tuples) with a mid-stream SIGKILL; fixed checkpoint periods vs the \
-         live telemetry plane (aware initiation + adaptive cadence) at three recovery budgets; \
-         metrics from the run ledger; recorded snapshot\","
-    );
-    println!(" \"cells\": [");
-    for (i, (cell, m)) in CELLS.iter().zip(&results).enumerate() {
-        println!(
-            "  {{ \"cell\": \"{}\", \"ckpt_ms\": {}, \"aware\": {}, \"budget_ms\": {}, \
-             \"checkpoints\": {}, \"ckpt_bytes\": {}, \"barrier_p99_ms\": {:.1}, \
-             \"recovery_ms\": {:.1}, \"local_minima\": {}, \"wall_secs\": {:.3} }}{}",
-            cell.label,
-            cell.ckpt_ms,
-            cell.aware,
-            cell.budget_ms,
-            m.checkpoints,
-            m.ckpt_bytes,
-            m.barrier_p99_ms,
-            m.recovery_ms,
-            m.local_minima,
-            m.wall_secs,
-            if i + 1 == CELLS.len() { "" } else { "," }
-        );
-    }
-    println!(" ]\n}}");
 }

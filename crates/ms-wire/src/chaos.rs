@@ -140,11 +140,6 @@ impl<S: StableStore> StableStore for FaultStore<S> {
         self.inner.latest_complete()
     }
 
-    fn append_log(&self, source: OperatorId, t: Tuple) -> Result<()> {
-        self.gate("append_log", 0)?;
-        self.inner.append_log(source, t)
-    }
-
     fn append_log_batch(&self, source: OperatorId, batch: &[Tuple]) -> Result<()> {
         // One gate per batch: a group commit is one write to the disk,
         // so it ticks the deterministic fault clock once — and a
@@ -241,12 +236,6 @@ impl<S: StableStore> StableStore for RetryStore<S> {
         self.inner.latest_complete()
     }
 
-    fn append_log(&self, source: OperatorId, t: Tuple) -> Result<()> {
-        self.with_retry("preservation append", || {
-            self.inner.append_log(source, t.clone())
-        })
-    }
-
     fn append_log_batch(&self, source: OperatorId, batch: &[Tuple]) -> Result<()> {
         // The borrowed slice retries for free — no per-attempt clone.
         self.with_retry("preservation batch append", || {
@@ -327,7 +316,7 @@ mod tests {
             },
         ));
         for seq in 0..20 {
-            store.append_log(OperatorId(0), tup(seq)).unwrap();
+            store.append_log_batch(OperatorId(0), &[tup(seq)]).unwrap();
         }
         assert_eq!(store.preserved_tuples(), 20);
         assert!(store.retries() > 0, "the fault layer never fired");
@@ -371,7 +360,9 @@ mod tests {
                 fail_every: 1, // every attempt fails
             },
         ));
-        let err = store.append_log(OperatorId(0), tup(0)).unwrap_err();
+        let err = store
+            .append_log_batch(OperatorId(0), &[tup(0)])
+            .unwrap_err();
         assert!(
             matches!(err, Error::Storage(_)),
             "exhausted retries must surface as a hard error, got {err:?}"
@@ -407,7 +398,7 @@ mod tests {
         );
         let t0 = Instant::now();
         for seq in 0..5 {
-            store.append_log(OperatorId(0), tup(seq)).unwrap();
+            store.append_log_batch(OperatorId(0), &[tup(seq)]).unwrap();
         }
         assert!(
             t0.elapsed() >= Duration::from_millis(10),

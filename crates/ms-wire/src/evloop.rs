@@ -64,7 +64,7 @@ use ms_net::ready::{poll, Interest, PollTarget, Waker};
 use ms_net::vectored;
 use parking_lot::Mutex;
 
-use crate::message::WireMsg;
+use crate::message::{encode_tuple_batch, WireMsg};
 
 /// Poll timeout. On unix the [`Waker`] interrupts the poll, so this
 /// only bounds how stale the non-unix sleep stub can get.
@@ -105,10 +105,10 @@ impl EgressBuf {
         })
     }
 
-    fn push(&self, msg: &WireMsg) {
+    fn push(&self, payload: &[u8]) {
         let mut g = self.inner.lock();
         if !g.broken {
-            g.frames.push_back(frame(&msg.encode()));
+            g.frames.push_back(frame(payload));
         }
     }
 
@@ -168,16 +168,14 @@ impl EdgeTx for EgressHandle {
         if self.torn.load(Ordering::SeqCst) {
             return false;
         }
-        let wire = match msg {
-            HostMsg::Data(t) => WireMsg::Data(t),
-            // A batch crosses the wire as one TupleBatch frame: one
-            // frame header, one decode, one inbox push on the far
-            // side, however skewed the edge.
-            HostMsg::DataBatch(b) => WireMsg::TupleBatch(b.iter().cloned().collect()),
-            HostMsg::Token(e) => WireMsg::Token(e),
-            HostMsg::Eos => WireMsg::Eos,
+        let payload = match msg {
+            // One TupleBatch frame per batch — one header, one decode,
+            // one inbox push on the far side — encoded in place.
+            HostMsg::DataBatch(b) => encode_tuple_batch(&b),
+            HostMsg::Token(e) => WireMsg::Token(e).encode(),
+            HostMsg::Eos => WireMsg::Eos.encode(),
         };
-        self.buf.push(&wire);
+        self.buf.push(&payload);
         self.waker.wake();
         true
     }
@@ -775,7 +773,6 @@ fn drain_frames(
             }
         }
         let msg = match WireMsg::decode(&frame) {
-            Ok(WireMsg::Data(t)) => HostMsg::Data(t),
             // Batch-decode: the whole run becomes one shared slice and
             // one inbox push — the apply pool schedules one HostCell
             // visit for the batch instead of one per tuple. The fault
@@ -913,12 +910,13 @@ mod tests {
             work: work.clone(),
         };
         for v in 0..100i64 {
-            assert!(tx.send(HostMsg::Data(Tuple::new(
+            let t = Tuple::new(
                 OperatorId(0),
                 v as u64,
                 ms_core::time::SimTime::ZERO,
                 vec![Value::Int(v)],
-            ))));
+            );
+            assert!(tx.send(HostMsg::DataBatch([t].into())));
         }
         tx.send(HostMsg::Token(EpochId(1)));
         tx.send(HostMsg::Eos);
@@ -955,7 +953,7 @@ mod tests {
         };
         // Four inbox messages carrying 1 + 3 + 0 + 2 tuples; no pool
         // runs, so one direct step drains exactly this inbox.
-        tx.send(HostMsg::Data(tup(0)));
+        tx.send(HostMsg::DataBatch([tup(0)].into()));
         tx.send(HostMsg::DataBatch((1..4).map(tup).collect()));
         tx.send(HostMsg::Token(EpochId(1)));
         tx.send(HostMsg::DataBatch((4..6).map(tup).collect()));
@@ -1010,12 +1008,12 @@ mod tests {
         for v in 0..10i64 {
             send_msg(
                 &mut peer,
-                &WireMsg::Data(Tuple::new(
+                &WireMsg::TupleBatch(vec![Tuple::new(
                     OperatorId(0),
                     v as u64,
                     ms_core::time::SimTime::ZERO,
                     vec![Value::Int(v)],
-                )),
+                )]),
             )
             .unwrap();
         }
@@ -1101,12 +1099,12 @@ mod tests {
         .unwrap();
         send_msg(
             &mut peer,
-            &WireMsg::Data(Tuple::new(
+            &WireMsg::TupleBatch(vec![Tuple::new(
                 OperatorId(0),
                 0,
                 ms_core::time::SimTime::ZERO,
                 vec![Value::Int(7)],
-            )),
+            )]),
         )
         .unwrap();
         drop(peer); // crash, not Eos

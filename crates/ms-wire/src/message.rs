@@ -7,9 +7,10 @@
 //! conversations of the MS-src protocol (§III):
 //!
 //! * **data plane** (worker ↔ worker, one TCP stream per graph edge):
-//!   [`WireMsg::StreamHello`] identifies the edge, then
-//!   [`WireMsg::Data`] tuples and [`WireMsg::Token`] checkpoint tokens
-//!   ride the stream in order, closed by an explicit [`WireMsg::Eos`].
+//!   [`WireMsg::StreamHello`] identifies the edge, then exactly three
+//!   messages ride it in order — [`WireMsg::TupleBatch`] (the only
+//!   carrier of tuples), [`WireMsg::Token`] and the closing
+//!   [`WireMsg::Eos`], mirroring `ms_live::HostMsg` variant for variant.
 //!   A socket that dies *without* an `Eos` is a failure, never an
 //!   end-of-stream — the distinction is what lets a consumer hold its
 //!   input open across a peer crash until the controller rolls back.
@@ -189,13 +190,11 @@ pub enum WireMsg {
         /// Consuming operator.
         to: OperatorId,
     },
-    /// Data plane: one tuple.
-    Data(Tuple),
-    /// Data plane: a run of tuples in one frame. Exactly equivalent to
-    /// the same tuples as consecutive [`WireMsg::Data`] frames — every
-    /// tuple keeps its own `seq`, so replay cuts and dedup are
-    /// unchanged — but a skewed edge pays one frame header, one
-    /// decode dispatch, and one inbox push for the whole run.
+    /// Data plane: a run of tuples in one frame — the only message
+    /// that carries tuples. Every tuple keeps its own `seq`, so replay
+    /// cuts and dedup work per tuple, while the edge pays one frame
+    /// header, one decode dispatch, and one inbox push for the whole
+    /// run.
     TupleBatch(Vec<Tuple>),
     /// Data plane: a checkpoint token trickling down the dataflow.
     Token(EpochId),
@@ -269,7 +268,7 @@ const TAG_CHECKPOINT: u64 = 5;
 const TAG_ROLLBACK: u64 = 6;
 const TAG_SHUTDOWN: u64 = 7;
 const TAG_STREAM_HELLO: u64 = 8;
-const TAG_DATA: u64 = 9;
+// Tag 9 carried the single-tuple data frame; retired, never reused.
 const TAG_TOKEN: u64 = 10;
 const TAG_EOS: u64 = 11;
 const TAG_CKPT_DONE: u64 = 12;
@@ -355,15 +354,7 @@ impl WireMsg {
                     .put_u64(from.0 as u64)
                     .put_u64(to.0 as u64);
             }
-            WireMsg::Data(t) => {
-                w.put_u64(TAG_DATA).put_tuple(t);
-            }
-            WireMsg::TupleBatch(tuples) => {
-                w.put_u64(TAG_TUPLE_BATCH);
-                w.put_seq(tuples.iter(), |w, t| {
-                    w.put_tuple(t);
-                });
-            }
+            WireMsg::TupleBatch(tuples) => return encode_tuple_batch(tuples),
             WireMsg::Token(e) => {
                 w.put_u64(TAG_TOKEN).put_u64(e.0);
             }
@@ -505,7 +496,6 @@ impl WireMsg {
                 from: get_op(&mut r)?,
                 to: get_op(&mut r)?,
             },
-            TAG_DATA => WireMsg::Data(r.get_tuple()?),
             TAG_TUPLE_BATCH => WireMsg::TupleBatch(r.get_seq(|r| r.get_tuple())?),
             TAG_TOKEN => WireMsg::Token(EpochId(r.get_u64()?)),
             TAG_EOS => WireMsg::Eos,
@@ -575,6 +565,17 @@ impl WireMsg {
         }
         Ok(msg)
     }
+}
+
+/// The frame payload of [`WireMsg::TupleBatch`] over borrowed tuples —
+/// what a data edge sends, with no owned copy of the run.
+pub(crate) fn encode_tuple_batch(tuples: &[Tuple]) -> Vec<u8> {
+    let mut w = SnapshotWriter::new();
+    w.put_u64(TAG_TUPLE_BATCH);
+    w.put_seq(tuples.iter(), |w, t| {
+        w.put_tuple(t);
+    });
+    w.finish()
 }
 
 fn get_op(r: &mut SnapshotReader<'_>) -> Result<OperatorId> {
@@ -732,12 +733,6 @@ mod tests {
                 from: OperatorId(0),
                 to: OperatorId(1),
             },
-            WireMsg::Data(Tuple::new(
-                OperatorId(1),
-                42,
-                SimTime::from_micros(9),
-                vec![Value::Int(5), Value::Str("payload".into())],
-            )),
             WireMsg::TupleBatch(vec![]),
             WireMsg::TupleBatch(
                 (0..3)
@@ -841,6 +836,12 @@ mod tests {
     fn unknown_tag_and_trailing_bytes_error() {
         let mut w = SnapshotWriter::new();
         w.put_u64(999);
+        assert!(WireMsg::decode(&w.finish()).is_err());
+        // Tag 9, once the single-tuple data frame, is retired: a peer
+        // still speaking it is a protocol error, not a silent reroute.
+        let t = Tuple::new(OperatorId(1), 42, SimTime::ZERO, vec![Value::Int(5)]);
+        let mut w = SnapshotWriter::new();
+        w.put_u64(9).put_tuple(&t);
         assert!(WireMsg::decode(&w.finish()).is_err());
         let mut extra = WireMsg::Rollback.encode();
         extra.extend_from_slice(&WireMsg::Eos.encode());

@@ -16,11 +16,11 @@
 //!   Reads fold the chain: [`StableStore::get_checkpoint`] always
 //!   returns the complete state, byte-identical to a full snapshot.
 //! * `log/op{N}.log` — source-preservation logs: one frame per tuple,
-//!   appended *before* the tuple is sent (§III-A). A group-committed
-//!   batch ([`StableStore::append_log_batch`]) concatenates its
-//!   tuples' frames into one pre-sized buffer and hands the kernel a
-//!   single `write_all` — byte-identical to appending each tuple
-//!   alone, just one lock/encode/syscall for the lot. Bytes handed to
+//!   appended *before* the tuple is sent (§III-A). An append
+//!   ([`StableStore::append_log_batch`]) concatenates its tuples'
+//!   frames into one pre-sized buffer and hands the kernel a single
+//!   `write_all` — the bytes do not depend on how a run was split
+//!   into appends, just one lock/encode/syscall per call. Bytes handed to
 //!   the kernel survive the process, so a SIGKILL can tear at most
 //!   the final record; readers stop at the first incomplete frame.
 //! * `marks/op{N}.marks` — per-source `(epoch, next_seq)` stream
@@ -132,9 +132,10 @@ impl FsStore {
         })
     }
 
-    /// Preservation-log `write(2)` calls this handle has issued. A
-    /// group-committed batch costs exactly one, which is what the
-    /// `wal_append` bench asserts.
+    /// Preservation-log `write(2)` calls this handle has issued. An
+    /// append costs exactly one however many tuples it carries, which
+    /// `wal_props` asserts and msbench reports as
+    /// `store.wal_writes_per_batch`.
     pub fn log_write_syscalls(&self) -> u64 {
         self.log_writes.load(Ordering::Relaxed)
     }
@@ -588,10 +589,6 @@ impl StableStore for FsStore {
             .find(|&e| self.epoch_is_complete(e))
     }
 
-    fn append_log(&self, source: OperatorId, t: Tuple) -> Result<()> {
-        self.append_log_batch(source, std::slice::from_ref(&t))
-    }
-
     fn append_log_batch(&self, source: OperatorId, batch: &[Tuple]) -> Result<()> {
         if batch.is_empty() {
             return Ok(());
@@ -805,7 +802,7 @@ mod tests {
         {
             let s = FsStore::open(&dir, 1).unwrap();
             for seq in 0..10 {
-                s.append_log(OperatorId(0), tup(seq)).unwrap();
+                s.append_log_batch(OperatorId(0), &[tup(seq)]).unwrap();
             }
             s.mark_epoch(OperatorId(0), EpochId(1), 6).unwrap();
         }
@@ -813,7 +810,7 @@ mod tests {
         // ten appends are duplicates and must be skipped.
         let s = FsStore::open(&dir, 1).unwrap();
         for seq in 0..12 {
-            s.append_log(OperatorId(0), tup(seq)).unwrap();
+            s.append_log_batch(OperatorId(0), &[tup(seq)]).unwrap();
         }
         assert_eq!(s.preserved_tuples(), 12);
         let replay = s.replay_from(OperatorId(0), EpochId(1));
@@ -830,7 +827,7 @@ mod tests {
         {
             let s = FsStore::open(&dir, 1).unwrap();
             for seq in 0..5 {
-                s.append_log(OperatorId(0), tup(seq)).unwrap();
+                s.append_log_batch(OperatorId(0), &[tup(seq)]).unwrap();
             }
         }
         // Simulate a SIGKILL mid-append: cut the last record short.
@@ -843,7 +840,7 @@ mod tests {
         // The next incarnation re-appends the torn tuple: seq 4 is
         // above the highest *complete* record, so it must not be
         // dropped by the dedup guard.
-        s.append_log(OperatorId(0), tup(4)).unwrap();
+        s.append_log_batch(OperatorId(0), &[tup(4)]).unwrap();
         assert_eq!(s.replay_from(OperatorId(0), EpochId(0)).len(), 5);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1087,7 +1084,7 @@ mod tests {
             .with_log_cap(256, Duration::from_millis(50));
         let mut err = None;
         for seq in 0..64 {
-            if let Err(e) = s.append_log(OperatorId(0), tup(seq)) {
+            if let Err(e) = s.append_log_batch(OperatorId(0), &[tup(seq)]) {
                 err = Some(e);
                 break;
             }
@@ -1106,7 +1103,7 @@ mod tests {
             .unwrap()
             .with_log_cap(512, Duration::from_millis(50));
         let mut seq = 0;
-        while s.append_log(OperatorId(0), tup(seq)).is_ok() && seq < 64 {
+        while s.append_log_batch(OperatorId(0), &[tup(seq)]).is_ok() && seq < 64 {
             seq += 1;
             if fs::metadata(dir.join("log").join("op0.log")).unwrap().len() > 384 {
                 break;
@@ -1121,7 +1118,8 @@ mod tests {
         // Appends resume: the over-cap append trims and succeeds
         // without waiting out the patience window.
         for extra in 0..8 {
-            s.append_log(OperatorId(0), tup(seq + extra)).unwrap();
+            s.append_log_batch(OperatorId(0), &[tup(seq + extra)])
+                .unwrap();
         }
         let replay = s.replay_from(OperatorId(0), EpochId(1));
         assert_eq!(replay.len(), 8, "trim kept exactly the replayable tail");

@@ -149,13 +149,6 @@ proptest! {
         prop_assert!(seen <= payloads.len());
     }
 
-    /// Data tuples survive the full message codec bit-exactly.
-    #[test]
-    fn wire_data_roundtrip(t in arb_tuple()) {
-        let msg = WireMsg::Data(t);
-        prop_assert_eq!(WireMsg::decode(&msg.encode()).unwrap(), msg);
-    }
-
     /// Tuple batches survive the full message codec bit-exactly —
     /// any batch size including empty, every tuple's own `seq` and
     /// fields intact and in order.

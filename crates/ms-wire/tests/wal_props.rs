@@ -1,7 +1,8 @@
-//! Property tests for the group-commit preservation log: a batched
-//! append must be indistinguishable on disk from the same tuples
-//! appended one at a time — same file bytes, same replay — and the
-//! torn-tail scan must hold when the tear lands mid-batch. And the
+//! Property tests for the group-commit preservation log: the log must
+//! not depend on how a run was grouped into appends — N one-tuple
+//! appends and one N-tuple append give the same file bytes and the same
+//! replay — and the torn-tail scan must hold when the tear lands
+//! mid-batch. And the
 //! streaming header scan that recovery runs on must agree with the
 //! whole-log reader it replaced while decoding only the replayed suffix.
 
@@ -137,7 +138,7 @@ proptest! {
         }
         // Store B: one append per tuple.
         for t in &run {
-            b.append_log(op, t.clone()).unwrap();
+            b.append_log_batch(op, std::slice::from_ref(t)).unwrap();
         }
 
         prop_assert_eq!(log_bytes(&da), log_bytes(&db));
@@ -207,7 +208,7 @@ proptest! {
             SimTime::ZERO,
             vec![Value::Int(-1)],
         );
-        s.append_log(op, next.clone()).unwrap();
+        s.append_log_batch(op, std::slice::from_ref(&next)).unwrap();
         let after = s.replay_from(op, EpochId(0));
         let mut expect: Vec<Tuple> = run[..replayed.len()].to_vec();
         expect.push(next);
