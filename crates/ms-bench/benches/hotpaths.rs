@@ -251,16 +251,30 @@ fn bench_engine_ablation(c: &mut Criterion) {
 /// Telemetry overhead on the tuple hot path. Models `ms-live`'s host
 /// loop — tuple allocation, a bounded-channel hop, then apply and
 /// route — with the exact meter calls the host makes when telemetry
-/// is wired (`add_tuples_in` per applied tuple, `add_tuples_out` per
-/// emit): three relaxed atomic adds per tuple. Prints a one-shot
-/// throughput ratio alongside the criterion timings; the acceptance
-/// bound is meters-on within 2% of meters-off.
+/// is wired: `add_tuples_in` per applied tuple, `add_tuples_out` per
+/// emit, and every `STATE_GAUGE_SAMPLE_EVERY` applied tuples
+/// `set_state_bytes(state_size())` of an operator holding a keyed
+/// [`DeltaTable`] the size of msbench `bigstate_paced`'s — 65,536
+/// entries of `KeyedStat` records — so a `state_size()` that walks its
+/// state shows here. Prints a one-shot throughput ratio alongside the
+/// criterion timings; the acceptance bound is meters-on within 2% of
+/// meters-off.
 fn bench_meter_overhead(c: &mut Criterion) {
+    use ms_core::delta::DeltaTable;
+    use ms_live::STATE_GAUGE_SAMPLE_EVERY;
     use std::time::Instant;
 
     const N: u64 = 100_000;
+    /// `ms_wire::apps::KeyedStat`'s record: an 8-byte counter plus its
+    /// 256-byte `FEATURE_BYTES` feature vector.
+    const RECORD_BYTES: usize = 8 + 256;
 
-    fn run(meter: Option<&OperatorMeter>, n: u64) -> u64 {
+    let mut table = DeltaTable::new();
+    for k in 0..65_536u64 {
+        table.insert(k, vec![k as u8; RECORD_BYTES]);
+    }
+
+    fn run(meter: Option<&OperatorMeter>, state: &DeltaTable, n: u64) -> u64 {
         // An upstream thread allocates tuples and pushes them through
         // the same bounded channel the live wiring uses; the consumer
         // side is the host thread's apply+route with the meter calls.
@@ -278,10 +292,14 @@ fn bench_meter_overhead(c: &mut Criterion) {
                 }
             }
         });
-        let mut acc = 0u64;
+        let (mut acc, mut applied) = (0u64, 0u64);
         while let Ok(t) = rx.recv() {
             if let Some(m) = meter {
                 m.add_tuples_in(1);
+                applied += 1;
+                if applied % STATE_GAUGE_SAMPLE_EVERY == 0 {
+                    m.set_state_bytes(state.value_bytes());
+                }
             }
             acc = acc.wrapping_add(t.seq);
             let bytes = t.payload_bytes();
@@ -295,12 +313,12 @@ fn bench_meter_overhead(c: &mut Criterion) {
 
     let meter = OperatorMeter::new();
     // One-shot ratio over a long run, reported once per bench run.
-    std::hint::black_box(run(None, N)); // warmup
+    std::hint::black_box(run(None, &table, N)); // warmup
     let t0 = Instant::now();
-    std::hint::black_box(run(None, 10 * N));
+    std::hint::black_box(run(None, &table, 10 * N));
     let off = t0.elapsed();
     let t0 = Instant::now();
-    std::hint::black_box(run(Some(&meter), 10 * N));
+    std::hint::black_box(run(Some(&meter), &table, 10 * N));
     let on = t0.elapsed();
     eprintln!(
         "telemetry_overhead: {} tuples meters-off={off:?} meters-on={on:?} ratio={:.4}",
@@ -310,8 +328,10 @@ fn bench_meter_overhead(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("telemetry_overhead");
     g.throughput(Throughput::Elements(N));
-    g.bench_function("meters_off_100k", |b| b.iter(|| run(None, N)));
-    g.bench_function("meters_on_100k", |b| b.iter(|| run(Some(&meter), N)));
+    g.bench_function("meters_off_100k", |b| b.iter(|| run(None, &table, N)));
+    g.bench_function("meters_on_100k", |b| {
+        b.iter(|| run(Some(&meter), &table, N))
+    });
     g.finish();
 }
 

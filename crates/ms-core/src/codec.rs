@@ -137,9 +137,18 @@ impl SnapshotWriter {
 
     /// Writes a raw byte slice.
     pub fn put_bytes(&mut self, v: &[u8]) -> &mut Self {
-        self.buf.push(Tag::Bytes as u8);
-        self.put_len(v.len());
+        self.put_bytes_header(v.len());
         self.buf.extend_from_slice(v);
+        self
+    }
+
+    /// Writes the tag and length of a `len`-byte string whose bytes
+    /// the caller writes elsewhere — straight from its own buffer into
+    /// a file, say: `put_bytes_header(v.len())` followed by `v` is
+    /// exactly `put_bytes(v)`.
+    pub fn put_bytes_header(&mut self, len: usize) -> &mut Self {
+        self.buf.push(Tag::Bytes as u8);
+        self.put_len(len);
         self
     }
 
@@ -530,9 +539,22 @@ impl<'a> SnapshotReader<'a> {
 
     /// Reads a raw byte vector.
     pub fn get_bytes(&mut self) -> Result<Vec<u8>> {
+        Ok(self.get_bytes_ref()?.to_vec())
+    }
+
+    /// Reads a raw byte string in place: the slice borrows the buffer.
+    pub fn get_bytes_ref(&mut self) -> Result<&'a [u8]> {
         self.expect_tag(Tag::Bytes)?;
         let len = self.get_len(1)?;
-        Ok(self.take(len, "bytes")?.to_vec())
+        self.take(len, "bytes")
+    }
+
+    /// Reads a byte string's tag and length but not its bytes, which
+    /// need not be in this buffer — for a reader holding only the
+    /// header of a larger record (see [`SnapshotWriter::put_bytes_header`]).
+    pub fn get_bytes_len(&mut self) -> Result<u64> {
+        self.expect_tag(Tag::Bytes)?;
+        Ok(u64::from_le_bytes(self.take_le("bytes length")?))
     }
 
     /// Reads a [`Value`].
@@ -700,6 +722,24 @@ mod tests {
         let mut not_a_tuple = golden;
         not_a_tuple[0] = Tag::U64 as u8;
         assert_eq!(peek_tuple_seq(&not_a_tuple), None);
+    }
+
+    #[test]
+    fn bytes_header_split_is_put_bytes() {
+        let v = [7u8, 8, 9];
+        let mut whole = SnapshotWriter::new();
+        whole.put_bytes(&v);
+        let whole = whole.finish();
+        let mut head = SnapshotWriter::new();
+        head.put_bytes_header(v.len());
+        let mut split = head.finish();
+        split.extend_from_slice(&v);
+        assert_eq!(split, whole);
+        assert_eq!(SnapshotReader::new(&whole).get_bytes_ref().unwrap(), &v);
+        // The length reads from the header alone, bytes absent.
+        assert_eq!(SnapshotReader::new(&whole[..9]).get_bytes_len().unwrap(), 3);
+        assert!(SnapshotReader::new(&whole[..8]).get_bytes_len().is_err());
+        assert!(SnapshotReader::new(&whole[..11]).get_bytes_ref().is_err());
     }
 
     #[test]

@@ -26,7 +26,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::codec::{SnapshotReader, SnapshotWriter};
-use crate::error::Result;
+use crate::error::{Error, Result};
 
 /// The changes one epoch made to a canonical state table, relative to
 /// the previous capture (the delta's *base*).
@@ -67,15 +67,41 @@ impl StateDelta {
 
     /// Reads a delta payload written by [`StateDelta::encode_into`].
     pub fn decode_from(r: &mut SnapshotReader<'_>) -> Result<StateDelta> {
-        let logical_bytes = r.get_u64()?;
-        let changed = r.get_seq(|r| Ok((r.get_u64()?, r.get_bytes()?)))?;
-        let removed = r.get_seq(|r| r.get_u64())?;
+        let (logical_bytes, changed, removed) = decode_with(r, <[u8]>::to_vec)?;
         Ok(StateDelta {
             changed,
             removed,
             logical_bytes,
         })
     }
+
+    /// Steps over one delta payload and returns what
+    /// [`StateDelta::encoded_bytes`] of its decoded form would be,
+    /// without copying a value out — what a store needs from the older
+    /// links of a chain to price it.
+    pub fn encoded_bytes_from(r: &mut SnapshotReader<'_>) -> Result<usize> {
+        let (_, changed, removed) = decode_with(r, <[u8]>::len)?;
+        Ok(
+            9 + encoded_table_bytes(changed.into_iter().map(|(_, len)| len))
+                + 9
+                + 9 * removed.len(),
+        )
+    }
+}
+
+/// The one reader of [`StateDelta::encode_into`]'s layout:
+/// `(logical_bytes, changed, removed)`, each changed value mapped by
+/// `value` from its bytes borrowed in place.
+type DecodedDelta<V> = (u64, Vec<(u64, V)>, Vec<u64>);
+
+fn decode_with<'a, V>(
+    r: &mut SnapshotReader<'a>,
+    value: impl Fn(&'a [u8]) -> V,
+) -> Result<DecodedDelta<V>> {
+    let logical_bytes = r.get_u64()?;
+    let changed = r.get_seq(|r| Ok((r.get_u64()?, value(r.get_bytes_ref()?))))?;
+    let removed = r.get_seq(|r| r.get_u64())?;
+    Ok((logical_bytes, changed, removed))
 }
 
 /// Encoded size of one table entry: a tagged `u64` key (9 bytes) plus
@@ -110,7 +136,8 @@ pub fn decode_table(buf: &[u8]) -> Result<BTreeMap<u64, Vec<u8>>> {
     Ok(entries.into_iter().collect())
 }
 
-/// Applies one delta to a decoded table in place.
+/// Applies one delta to a decoded table in place: its changed entries,
+/// then its removals.
 pub fn apply_delta(table: &mut BTreeMap<u64, Vec<u8>>, delta: &StateDelta) {
     for (k, v) in &delta.changed {
         table.insert(*k, v.clone());
@@ -120,16 +147,59 @@ pub fn apply_delta(table: &mut BTreeMap<u64, Vec<u8>>, delta: &StateDelta) {
     }
 }
 
-/// Folds a delta chain onto a full-snapshot base: decodes `base`,
-/// applies every delta oldest-first, and re-encodes canonically. The
-/// result is byte-identical to the full snapshot the operator would
-/// have produced at the last delta's epoch.
+/// Folds a delta chain onto a full-snapshot base. The result is
+/// byte-identical to decoding `base`, applying every delta oldest-first
+/// with [`apply_delta`] and re-encoding with [`encode_table`] — the full
+/// snapshot the operator would have produced at the last delta's epoch
+/// — but costs one merge pass: the chain collapses to its net change
+/// per key (newest write wins; removing an absent key is a no-op), and
+/// that sorted run merges with the base's sorted entries, borrowed in
+/// place, into one exactly pre-sized writer. No value is copied until
+/// the output is written.
+///
+/// `base` must be canonical — keys strictly ascending, as
+/// [`encode_table`] writes them; anything else errors, like truncated
+/// or mistagged bytes.
 pub fn fold(base: &[u8], deltas: &[StateDelta]) -> Result<Vec<u8>> {
-    let mut table = decode_table(base)?;
+    let mut patch: BTreeMap<u64, Option<&[u8]>> = BTreeMap::new();
     for d in deltas {
-        apply_delta(&mut table, d);
+        for (k, v) in &d.changed {
+            patch.insert(*k, Some(v));
+        }
+        for k in &d.removed {
+            patch.insert(*k, None);
+        }
     }
-    Ok(encode_table(&table))
+    let mut r = SnapshotReader::new(base);
+    let n = r.get_u64()?;
+    // Every base entry takes at least 18 bytes, so a hostile count
+    // cannot size this.
+    let mut merged: Vec<(u64, &[u8])> = Vec::with_capacity(base.len() / 18 + patch.len());
+    let mut patch = patch.into_iter().peekable();
+    let mut prev: Option<u64> = None;
+    for _ in 0..n {
+        let (k, v) = (r.get_u64()?, r.get_bytes_ref()?);
+        if let Some(p) = prev.filter(|&p| p >= k) {
+            return Err(Error::Codec(format!(
+                "non-canonical table: key {k} after {p}"
+            )));
+        }
+        prev = Some(k);
+        while let Some((pk, pv)) = patch.next_if(|&(pk, _)| pk < k) {
+            merged.extend(pv.map(|pv| (pk, pv)));
+        }
+        match patch.next_if(|&(pk, _)| pk == k) {
+            Some((_, pv)) => merged.extend(pv.map(|pv| (k, pv))),
+            None => merged.push((k, v)),
+        }
+    }
+    merged.extend(patch.filter_map(|(k, pv)| Some((k, pv?))));
+    let mut w =
+        SnapshotWriter::with_capacity(encoded_table_bytes(merged.iter().map(|(_, v)| v.len())));
+    w.put_seq(merged.into_iter(), |w, (k, v)| {
+        w.put_u64(k).put_bytes(v);
+    });
+    Ok(w.finish())
 }
 
 /// A dirty-tracking canonical state table — the building block for
@@ -141,6 +211,9 @@ pub struct DeltaTable {
     entries: BTreeMap<u64, Vec<u8>>,
     dirty: BTreeSet<u64>,
     removed: BTreeSet<u64>,
+    /// Sum of the live entries' value lengths, kept current by every
+    /// mutation so the size queries never walk the table.
+    value_bytes: u64,
 }
 
 impl PartialEq for DeltaTable {
@@ -160,8 +233,10 @@ impl DeltaTable {
     /// Rebuilds a table from canonical snapshot bytes. The result is
     /// clean: the snapshot is by definition the last durable capture.
     pub fn restore(buf: &[u8]) -> Result<DeltaTable> {
+        let entries = decode_table(buf)?;
         Ok(DeltaTable {
-            entries: decode_table(buf)?,
+            value_bytes: entries.values().map(|v| v.len() as u64).sum(),
+            entries,
             dirty: BTreeSet::new(),
             removed: BTreeSet::new(),
         })
@@ -176,12 +251,18 @@ impl DeltaTable {
     pub fn insert(&mut self, key: u64, value: Vec<u8>) {
         self.removed.remove(&key);
         self.dirty.insert(key);
-        self.entries.insert(key, value);
+        self.value_bytes += value.len() as u64;
+        if let Some(old) = self.entries.insert(key, value) {
+            self.value_bytes -= old.len() as u64;
+        }
     }
 
     /// Removes a key, recording the removal for the next delta.
     pub fn remove(&mut self, key: u64) -> Option<Vec<u8>> {
         let prev = self.entries.remove(&key);
+        if let Some(old) = &prev {
+            self.value_bytes -= old.len() as u64;
+        }
         self.dirty.remove(&key);
         // Recorded even if the key was never present here: removing an
         // absent key is a no-op when the chain is folded.
@@ -209,14 +290,18 @@ impl DeltaTable {
         self.entries.iter().map(|(k, v)| (*k, v.as_slice()))
     }
 
-    /// Sum of value lengths (a cheap logical-size building block).
+    /// Sum of value lengths, O(1): a maintained counter, so an
+    /// operator's `state_size()` can return it however large the table
+    /// (the host samples that gauge every few applied tuples).
     pub fn value_bytes(&self) -> u64 {
-        self.entries.values().map(|v| v.len() as u64).sum()
+        self.value_bytes
     }
 
-    /// Exact size of [`DeltaTable::snapshot`]'s output.
+    /// Exact size of [`DeltaTable::snapshot`]'s output, O(1) —
+    /// [`encoded_table_bytes`] of the values, from the entry count and
+    /// the maintained value-byte sum.
     pub fn encoded_bytes(&self) -> usize {
-        encoded_table_bytes(self.entries.values().map(Vec::len))
+        9 + self.entries.len() * encoded_entry_bytes(0) + self.value_bytes as usize
     }
 
     /// Serializes the full table canonically (see [`encode_table`]).
@@ -357,5 +442,40 @@ mod tests {
     fn hostile_table_bytes_error_not_panic() {
         assert!(decode_table(&[0xFF; 16]).is_err());
         assert!(DeltaTable::restore(b"junk").is_err());
+    }
+
+    #[test]
+    fn fold_rejects_a_base_encode_table_cannot_have_written() {
+        let mut w = SnapshotWriter::new();
+        w.put_seq([(2u64, val(2, 3)), (1, val(1, 3))].iter(), |w, (k, v)| {
+            w.put_u64(*k).put_bytes(v);
+        });
+        let unsorted = w.finish();
+        assert!(fold(&unsorted, &[]).is_err());
+        let mut w = SnapshotWriter::new();
+        w.put_seq([(1u64, val(1, 3)), (1, val(2, 3))].iter(), |w, (k, v)| {
+            w.put_u64(*k).put_bytes(v);
+        });
+        assert!(fold(&w.finish(), &[]).is_err(), "duplicate key");
+    }
+
+    #[test]
+    fn delta_size_reads_without_decoding_values() {
+        let d = StateDelta {
+            changed: vec![(2, val(2, 7)), (4, val(4, 0))],
+            removed: vec![3, 8, 9],
+            logical_bytes: 1,
+        };
+        let mut w = SnapshotWriter::new();
+        d.encode_into(&mut w);
+        w.put_u64(77); // whatever follows is left unread
+        let bytes = w.finish();
+        let mut r = SnapshotReader::new(&bytes);
+        assert_eq!(
+            StateDelta::encoded_bytes_from(&mut r).unwrap(),
+            d.encoded_bytes()
+        );
+        assert_eq!(r.get_u64().unwrap(), 77);
+        assert!(StateDelta::encoded_bytes_from(&mut SnapshotReader::new(&bytes[..20])).is_err());
     }
 }

@@ -170,7 +170,13 @@ pub trait Operator: Send {
     }
 
     /// Estimated logical state size in bytes (the precompiler-generated
-    /// `state_size()` of §III-C1). Polled frequently; must be cheap.
+    /// `state_size()` of §III-C1).
+    ///
+    /// Must be O(1) — a maintained counter or a fixed-size sample,
+    /// never a walk of the state: the live host samples it every 32
+    /// applied tuples and at every checkpoint cut, so its cost is paid
+    /// on the tuple path, and a walk of a large state there costs more
+    /// than the tuples themselves.
     fn state_size(&self) -> u64;
 
     /// Serializes the operator's full state.

@@ -3,10 +3,105 @@
 //! every epoch — the contract that makes recovery from a chain
 //! indistinguishable from recovery from a full snapshot — and the
 //! delta wire encoding must roundtrip exactly at its pre-sized length.
+//! The one-pass [`fold`] must equal the decode → apply → encode fold it
+//! replaced, kept here as the oracle, and a table's O(1) size counters
+//! must equal a walk of its entries whatever it went through.
 
 use ms_core::codec::{SnapshotReader, SnapshotWriter};
-use ms_core::delta::{fold, DeltaTable, StateDelta};
+use ms_core::delta::{apply_delta, decode_table, encode_table, fold, DeltaTable, StateDelta};
+use ms_core::error::Result;
 use proptest::prelude::*;
+
+/// The reference fold: decode the base into an owned map, apply every
+/// delta oldest-first, re-encode.
+fn oracle_fold(base: &[u8], deltas: &[StateDelta]) -> Result<Vec<u8>> {
+    let mut table = decode_table(base)?;
+    for d in deltas {
+        apply_delta(&mut table, d);
+    }
+    Ok(encode_table(&table))
+}
+
+/// Deltas as any encoder could write them, not only as
+/// `DeltaTable::take_delta` does: unsorted, with repeated keys, a key
+/// both changed and removed, removals of absent keys, empty deltas.
+fn arb_raw_deltas() -> impl Strategy<Value = Vec<StateDelta>> {
+    proptest::collection::vec(
+        (
+            arb_entries(),
+            proptest::collection::vec(0u64..48, 0..12),
+            any::<u64>(),
+        )
+            .prop_map(|(changed, removed, logical_bytes)| StateDelta {
+                changed,
+                removed,
+                logical_bytes,
+            }),
+        0..6,
+    )
+}
+
+/// A table's life as `(step, key, value)`: step 0–2 inserts (so
+/// overwrites, often with a new length, are common), 3–4 removes
+/// (present or absent), 5 takes a delta, 6 marks clean, 7 restores the
+/// table from its own snapshot.
+fn arb_steps() -> impl Strategy<Value = Vec<(u8, u64, Vec<u8>)>> {
+    proptest::collection::vec(
+        (
+            0u8..8,
+            0u64..24,
+            proptest::collection::vec(any::<u8>(), 0..24),
+        ),
+        0..64,
+    )
+}
+
+fn table_of(entries: Vec<(u64, Vec<u8>)>) -> DeltaTable {
+    let mut t = DeltaTable::new();
+    for (k, v) in entries {
+        t.insert(k, v);
+    }
+    t
+}
+
+#[test]
+fn fold_matches_oracle_on_the_edge_cases() {
+    let empty = DeltaTable::new().snapshot();
+    let noop = StateDelta {
+        logical_bytes: 5,
+        ..StateDelta::default()
+    };
+    let full = table_of((0..6).map(|k| (k, vec![k as u8; k as usize])).collect()).snapshot();
+    let remove_then_reinsert = [
+        StateDelta {
+            removed: vec![2, 9],
+            ..StateDelta::default()
+        },
+        StateDelta {
+            changed: vec![(2, vec![0xEE; 3])],
+            ..StateDelta::default()
+        },
+    ];
+    let written_then_removed = [StateDelta {
+        changed: vec![(7, vec![1]), (3, vec![2])],
+        removed: vec![7],
+        logical_bytes: 0,
+    }];
+    for base in [&empty, &full] {
+        for chain in [
+            &[][..],
+            &[noop.clone()][..],
+            &[noop.clone(), noop.clone()][..],
+            &remove_then_reinsert[..],
+            &written_then_removed[..],
+        ] {
+            assert_eq!(
+                fold(base, chain).unwrap(),
+                oracle_fold(base, chain).unwrap()
+            );
+        }
+    }
+}
 
 fn arb_entries() -> impl Strategy<Value = Vec<(u64, Vec<u8>)>> {
     proptest::collection::vec(
@@ -79,5 +174,65 @@ proptest! {
         prop_assert_eq!(bytes.len(), d.encoded_bytes());
         let back = StateDelta::decode_from(&mut SnapshotReader::new(&bytes)).unwrap();
         prop_assert_eq!(back, d);
+    }
+
+    /// `value_bytes()` is Σ entry lengths and `encoded_bytes()` is the
+    /// snapshot's length after every step of any mutation history —
+    /// both are maintained counters, never a walk.
+    #[test]
+    fn size_counters_equal_a_walk_after_any_history(steps in arb_steps()) {
+        let mut t = DeltaTable::new();
+        for (step, k, v) in steps {
+            match step {
+                0..=2 => t.insert(k, v),
+                3 | 4 => {
+                    t.remove(k);
+                }
+                5 => {
+                    t.take_delta(t.value_bytes());
+                }
+                6 => t.mark_clean(),
+                _ => t = DeltaTable::restore(&t.snapshot()).unwrap(),
+            }
+            let walked: u64 = t.iter().map(|(_, v)| v.len() as u64).sum();
+            prop_assert_eq!(t.value_bytes(), walked);
+            prop_assert_eq!(t.encoded_bytes(), t.snapshot().len());
+        }
+    }
+
+    /// The one-pass fold equals the oracle on random bases and raw
+    /// delta chains, empty ones included.
+    #[test]
+    fn fold_equals_the_decode_apply_encode_oracle(
+        init in arb_entries(),
+        deltas in arb_raw_deltas(),
+    ) {
+        let base = table_of(init).snapshot();
+        prop_assert_eq!(fold(&base, &deltas).unwrap(), oracle_fold(&base, &deltas).unwrap());
+    }
+
+    /// Truncated base bytes give `Err`; mutated or random ones never
+    /// panic, give `Err` wherever the oracle does, and otherwise either
+    /// the oracle's bytes or `Err` (a base whose keys are out of order
+    /// decodes under the oracle but is not one `encode_table` wrote).
+    #[test]
+    fn fold_of_truncated_or_hostile_base_errs_never_panics(
+        init in arb_entries(),
+        deltas in arb_raw_deltas(),
+        at in any::<usize>(),
+        byte in any::<u8>(),
+        junk in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let base = table_of(init).snapshot();
+        let truncated = &base[..at % base.len()];
+        prop_assert!(fold(truncated, &deltas).is_err());
+        prop_assert!(oracle_fold(truncated, &deltas).is_err());
+        let mut mutated = base.clone();
+        mutated[at % base.len()] = byte;
+        for hostile in [&mutated, &junk] {
+            let (got, want) = (fold(hostile, &deltas).ok(), oracle_fold(hostile, &deltas).ok());
+            prop_assert!(want.is_some() || got.is_none());
+            prop_assert!(got.is_none() || got == want);
+        }
     }
 }

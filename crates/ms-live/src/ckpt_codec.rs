@@ -29,6 +29,23 @@ use ms_core::tuple::Tuple;
 
 use crate::storage::{CkptState, CkptWrite};
 
+/// Bytes of a full payload in front of its snapshot data: `next_seq`,
+/// `logical_bytes`, and the data's tag and length.
+pub const FULL_HEAD_BYTES: usize = 27;
+
+/// Bytes of a delta payload's header: `next_seq` and the base epoch.
+pub const DELTA_HEAD_BYTES: usize = 18;
+
+/// Exact encoded size of the cut suffix.
+fn cut_bytes(in_flight: &[(u32, Tuple)], resume_seq: &[u64]) -> usize {
+    9 + in_flight
+        .iter()
+        .map(|(_, t)| 9 + SnapshotWriter::encoded_tuple_bytes(t))
+        .sum::<usize>()
+        + 9
+        + 9 * resume_seq.len()
+}
+
 /// Appends the shared `(in_flight, resume_seq)` cut suffix.
 fn put_cut(w: &mut SnapshotWriter, in_flight: &[(u32, Tuple)], resume_seq: &[u64]) {
     w.put_seq(in_flight.iter(), |w, (port, t)| {
@@ -54,19 +71,21 @@ fn get_cut(r: &mut SnapshotReader<'_>) -> Result<Cut> {
     Ok((in_flight, resume_seq))
 }
 
-/// Serializes a checkpoint write into the shared payload format.
+/// Serializes a checkpoint write into the shared payload format, into
+/// one buffer allocated at its exact size.
 pub fn encode_ckpt(ckpt: &CkptWrite) -> Vec<u8> {
     match &ckpt.state {
         CkptState::Full(snapshot) => {
-            let mut w = SnapshotWriter::new();
-            w.put_u64(ckpt.next_seq)
-                .put_u64(snapshot.logical_bytes)
-                .put_bytes(&snapshot.data);
-            put_cut(&mut w, &ckpt.in_flight, &ckpt.resume_seq);
-            w.finish()
+            let [head, cut] =
+                encode_full_parts(ckpt.next_seq, snapshot, &ckpt.in_flight, &ckpt.resume_seq);
+            [head.as_slice(), &snapshot.data, &cut].concat()
         }
         CkptState::Delta { base, delta } => {
-            let mut w = SnapshotWriter::with_capacity(18 + delta.encoded_bytes());
+            let mut w = SnapshotWriter::with_capacity(
+                DELTA_HEAD_BYTES
+                    + delta.encoded_bytes()
+                    + cut_bytes(&ckpt.in_flight, &ckpt.resume_seq),
+            );
             w.put_u64(ckpt.next_seq).put_u64(base.0);
             delta.encode_into(&mut w);
             put_cut(&mut w, &ckpt.in_flight, &ckpt.resume_seq);
@@ -75,22 +94,81 @@ pub fn encode_ckpt(ckpt: &CkptWrite) -> Vec<u8> {
     }
 }
 
-/// Decodes a full-snapshot payload written by [`encode_ckpt`].
-pub fn decode_full(payload: &[u8]) -> Result<CkptWrite> {
+/// A full payload as the two buffers around its snapshot data:
+/// `head ++ snapshot.data ++ cut` is exactly [`encode_ckpt`]'s bytes,
+/// so a store can write a large snapshot from where it lies instead of
+/// copying it into one payload buffer first.
+pub fn encode_full_parts(
+    next_seq: u64,
+    snapshot: &OperatorSnapshot,
+    in_flight: &[(u32, Tuple)],
+    resume_seq: &[u64],
+) -> [Vec<u8>; 2] {
+    let mut head = SnapshotWriter::with_capacity(FULL_HEAD_BYTES);
+    head.put_u64(next_seq)
+        .put_u64(snapshot.logical_bytes)
+        .put_bytes_header(snapshot.data.len());
+    let mut cut = SnapshotWriter::with_capacity(cut_bytes(in_flight, resume_seq));
+    put_cut(&mut cut, in_flight, resume_seq);
+    [head.finish(), cut.finish()]
+}
+
+/// A full payload decoded in place: `data` borrows the payload, so a
+/// store folds or copies a large snapshot straight from its file
+/// buffer.
+#[derive(Debug)]
+pub struct FullView<'a> {
+    /// Next emission sequence at the boundary.
+    pub next_seq: u64,
+    /// The operator's logical state size at capture time.
+    pub logical_bytes: u64,
+    /// The serialized operator state.
+    pub data: &'a [u8],
+    /// Tuples inside the alignment window at cut time.
+    pub in_flight: Vec<(u32, Tuple)>,
+    /// Per-input replay thresholds at the cut.
+    pub resume_seq: Vec<u64>,
+}
+
+/// Decodes a full-snapshot payload written by [`encode_ckpt`] without
+/// copying its snapshot data.
+pub fn decode_full_view(payload: &[u8]) -> Result<FullView<'_>> {
     let mut r = SnapshotReader::new(payload);
     let next_seq = r.get_u64()?;
     let logical_bytes = r.get_u64()?;
-    let data = r.get_bytes()?;
+    let data = r.get_bytes_ref()?;
     let (in_flight, resume_seq) = get_cut(&mut r)?;
-    Ok(CkptWrite {
-        state: CkptState::Full(OperatorSnapshot {
-            data,
-            logical_bytes,
-        }),
+    Ok(FullView {
         next_seq,
+        logical_bytes,
+        data,
         in_flight,
         resume_seq,
     })
+}
+
+/// Decodes a full-snapshot payload written by [`encode_ckpt`].
+pub fn decode_full(payload: &[u8]) -> Result<CkptWrite> {
+    let v = decode_full_view(payload)?;
+    Ok(CkptWrite {
+        state: CkptState::Full(OperatorSnapshot {
+            data: v.data.to_vec(),
+            logical_bytes: v.logical_bytes,
+        }),
+        next_seq: v.next_seq,
+        in_flight: v.in_flight,
+        resume_seq: v.resume_seq,
+    })
+}
+
+/// Reads a full payload's snapshot data length from its first
+/// [`FULL_HEAD_BYTES`] bytes — payload bytes 19..27, behind the tag at
+/// 18 — so a store can price a chain's base without reading its body.
+pub fn decode_full_data_len(head: &[u8]) -> Result<u64> {
+    let mut r = SnapshotReader::new(head);
+    r.get_u64()?;
+    r.get_u64()?;
+    r.get_bytes_len()
 }
 
 /// Decodes a delta payload written by [`encode_ckpt`].
@@ -108,12 +186,26 @@ pub fn decode_delta(payload: &[u8]) -> Result<CkptWrite> {
     })
 }
 
-/// Reads only a delta payload's header — `(next_seq, base epoch)` —
-/// so chain validation never decodes value bytes.
+/// Reads only a delta payload's header — `(next_seq, base epoch)`,
+/// its first [`DELTA_HEAD_BYTES`] bytes — so chain validation never
+/// decodes value bytes.
 pub fn decode_delta_base(payload: &[u8]) -> Result<(u64, EpochId)> {
     let mut r = SnapshotReader::new(payload);
     let next_seq = r.get_u64()?;
     Ok((next_seq, EpochId(r.get_u64()?)))
+}
+
+/// Validates a whole delta payload like [`decode_delta`] but copies no
+/// value out: returns its base epoch and its delta's
+/// [`StateDelta::encoded_bytes`] — what an older chain link contributes
+/// to a store's rebase decision.
+pub fn decode_delta_link(payload: &[u8]) -> Result<(EpochId, u64)> {
+    let mut r = SnapshotReader::new(payload);
+    r.get_u64()?;
+    let base = EpochId(r.get_u64()?);
+    let bytes = StateDelta::encoded_bytes_from(&mut r)?;
+    get_cut(&mut r)?;
+    Ok((base, bytes as u64))
 }
 
 /// Round-trips a write through the shared format, proving it is
@@ -224,6 +316,61 @@ mod tests {
         let hex: String = payload.iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(hex, GOLDEN);
         assert_eq!(decode_delta(&payload).unwrap().in_flight, w.in_flight);
+    }
+
+    /// The pieces a store writes separately are the payload, byte for
+    /// byte; the headers it reads alone say what a full decode says;
+    /// and both encodings are allocated once at their exact size.
+    #[test]
+    fn parts_and_headers_agree_with_the_whole_payload() {
+        let snapshot = OperatorSnapshot {
+            data: vec![4, 5, 6, 7],
+            logical_bytes: 31,
+        };
+        let full = CkptWrite {
+            state: CkptState::Full(snapshot.clone()),
+            next_seq: 8,
+            in_flight: vec![(1, tup(2))],
+            resume_seq: vec![3, 4],
+        };
+        let payload = encode_ckpt(&full);
+        assert_eq!(payload.capacity(), payload.len());
+        let [head, cut] = encode_full_parts(8, &snapshot, &full.in_flight, &full.resume_seq);
+        assert_eq!(head.len(), FULL_HEAD_BYTES);
+        assert_eq!([head.as_slice(), &snapshot.data, &cut].concat(), payload);
+        assert_eq!(
+            decode_full_data_len(&payload[..FULL_HEAD_BYTES]).unwrap(),
+            4
+        );
+        assert!(decode_full_data_len(&payload[..FULL_HEAD_BYTES - 1]).is_err());
+        let view = decode_full_view(&payload).unwrap();
+        assert_eq!(view.data, snapshot.data.as_slice());
+        assert_eq!((view.next_seq, view.logical_bytes), (8, 31));
+
+        let mut t = DeltaTable::new();
+        t.insert(9, vec![0xAB; 8]);
+        t.remove(4);
+        let delta = t.take_delta(55);
+        let write = CkptWrite {
+            state: CkptState::Delta {
+                base: EpochId(12),
+                delta: delta.clone(),
+            },
+            next_seq: 40,
+            in_flight: vec![(0, tup(5))],
+            resume_seq: vec![3],
+        };
+        let payload = encode_ckpt(&write);
+        assert_eq!(payload.capacity(), payload.len());
+        assert_eq!(
+            decode_delta_base(&payload[..DELTA_HEAD_BYTES]).unwrap(),
+            (40, EpochId(12))
+        );
+        assert_eq!(
+            decode_delta_link(&payload).unwrap(),
+            (EpochId(12), delta.encoded_bytes() as u64)
+        );
+        assert!(decode_delta_link(&payload[..payload.len() - 1]).is_err());
     }
 
     #[test]

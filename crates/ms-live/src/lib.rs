@@ -24,7 +24,7 @@ pub mod storage;
 
 pub use host::{
     DurableHook, EdgeTx, HostExit, HostMsg, HostWiring, InteriorCore, OutputRoute, PersistItem,
-    Persister, RouteKeyFn, SourceCmd, SourceCore,
+    Persister, RouteKeyFn, SourceCmd, SourceCore, STATE_GAUGE_SAMPLE_EVERY,
 };
 pub use protocol::{CountSource, Doubler, Summer};
 pub use storage::{

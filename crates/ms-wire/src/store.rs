@@ -189,42 +189,96 @@ impl FsStore {
         self.root.join("marks").join(format!("op{}.marks", op.0))
     }
 
-    /// Atomically writes one checkpoint frame (temp file + rename).
-    /// Checkpoint files carry full operator state, so they use the
-    /// file cap, not the wire cap — and an over-cap payload must fail
-    /// *here*, loudly, never land on disk unreadable.
-    fn write_ckpt_file(&self, path: &Path, payload: Vec<u8>) -> Result<()> {
+    /// Atomically writes one checkpoint frame (temp file + rename)
+    /// whose payload is `parts` back to back, each written from where
+    /// it lies. Checkpoint files carry full operator state, so they use
+    /// the file cap, not the wire cap — and an over-cap payload must
+    /// fail *here*, loudly, never land on disk unreadable.
+    fn write_ckpt_file(&self, path: &Path, parts: &[&[u8]]) -> Result<()> {
         let name = path.file_name().expect("ckpt file name").to_string_lossy();
-        if payload.len() > MAX_FILE_FRAME_BYTES {
+        let len: usize = parts.iter().map(|p| p.len()).sum();
+        if len > MAX_FILE_FRAME_BYTES {
             return Err(Error::Storage(format!(
-                "checkpoint {name} is {} bytes, over the {MAX_FILE_FRAME_BYTES}-byte file cap",
-                payload.len()
+                "checkpoint {name} is {len} bytes, over the {MAX_FILE_FRAME_BYTES}-byte file cap"
             )));
         }
+        let header = (len as u32).to_le_bytes();
+        let framed = [&[header.as_slice()], parts].concat();
         // Temp-write + rename is idempotent, so a transient failure
         // here is safely retryable from scratch.
-        write_atomic(path, &frame(&payload))
+        write_atomic(path, &framed)
             .map_err(|e| Error::storage_io(&format!("checkpoint {name} not persisted"), &e))
     }
 
-    /// Decodes the checkpoint stored for `(epoch, op)` — the full file
-    /// if present, else the delta file. The file extension disambiguates
-    /// the two payload layouts of the shared codec.
-    fn read_ckpt(&self, epoch: EpochId, op: OperatorId) -> Option<CkptWrite> {
-        if let Some(payload) = read_ckpt_frame(&self.full_path(epoch, op)) {
-            return ckpt_codec::decode_full(&payload).ok();
-        }
-        let payload = read_ckpt_frame(&self.delta_path(epoch, op))?;
-        ckpt_codec::decode_delta(&payload).ok()
+    /// Writes a full checkpoint file, the snapshot data straight from
+    /// its buffer.
+    fn write_full(
+        &self,
+        epoch: EpochId,
+        op: OperatorId,
+        snapshot: &OperatorSnapshot,
+        next_seq: u64,
+        in_flight: &[(u32, Tuple)],
+        resume_seq: &[u64],
+    ) -> Result<()> {
+        let [head, cut] = ckpt_codec::encode_full_parts(next_seq, snapshot, in_flight, resume_seq);
+        self.write_ckpt_file(&self.full_path(epoch, op), &[&head, &snapshot.data, &cut])
     }
 
     /// Reads only a delta file's base pointer (chain validation reads
-    /// small delta files, never multi-megabyte fulls).
+    /// the header of each link, never its body).
     fn delta_base(&self, epoch: EpochId, op: OperatorId) -> Option<EpochId> {
-        let payload = read_ckpt_frame(&self.delta_path(epoch, op))?;
-        ckpt_codec::decode_delta_base(&payload)
+        let head = read_ckpt_head(&self.delta_path(epoch, op), ckpt_codec::DELTA_HEAD_BYTES)?;
+        ckpt_codec::decode_delta_base(&head)
             .ok()
             .map(|(_next_seq, base)| base)
+    }
+
+    /// Walks the chain from `top` down to its full base: each delta
+    /// link is read and sized in place, the base only by its header.
+    /// `Err` names where the chain breaks.
+    fn chain_under(&self, top: EpochId, op: OperatorId) -> std::result::Result<Chain, String> {
+        let mut links = Vec::new();
+        let mut delta_bytes = 0;
+        let mut at = top;
+        loop {
+            let broken = || format!("chain broken at {at}");
+            if let Some(head) = read_ckpt_head(&self.full_path(at, op), ckpt_codec::FULL_HEAD_BYTES)
+            {
+                let base_bytes = ckpt_codec::decode_full_data_len(&head).map_err(|_| broken())?;
+                return Ok(Chain {
+                    links,
+                    delta_bytes,
+                    base: at,
+                    base_bytes,
+                });
+            }
+            let payload = read_ckpt_frame(&self.delta_path(at, op)).ok_or_else(broken)?;
+            let (base, bytes) = ckpt_codec::decode_delta_link(&payload).map_err(|_| broken())?;
+            if base >= at {
+                return Err(format!("corrupt base pointer at {at}"));
+            }
+            delta_bytes += bytes;
+            links.push(payload);
+            at = base;
+        }
+    }
+
+    /// Folds `chain` — and `newest`, a delta on top of it — onto its
+    /// base, read whole once and folded in place.
+    fn fold_chain(&self, chain: &Chain, op: OperatorId, newest: StateDelta) -> Result<Vec<u8>> {
+        let base = read_ckpt_frame(&self.full_path(chain.base, op))
+            .ok_or_else(|| Error::Storage("base file unreadable".into()))?;
+        let base = ckpt_codec::decode_full_view(&base)?;
+        let mut deltas = Vec::with_capacity(chain.links.len() + 1);
+        for link in chain.links.iter().rev() {
+            let CkptState::Delta { delta, .. } = ckpt_codec::decode_delta(link)?.state else {
+                unreachable!("decode_delta yields a delta");
+            };
+            deltas.push(delta);
+        }
+        deltas.push(newest);
+        delta::fold(base.data, &deltas)
     }
 
     /// The epoch of the full snapshot `(epoch, op)`'s chain bottoms out
@@ -299,7 +353,7 @@ impl FsStore {
             return Ok(false);
         }
         let kept = read_range(&path, scan.suffix_offset, scan.clean_len).map_err(trim_err)?;
-        write_atomic(&path, &kept).map_err(trim_err)?;
+        write_atomic(&path, &[&kept]).map_err(trim_err)?;
         lw.file = OpenOptions::new()
             .append(true)
             .open(&path)
@@ -358,12 +412,28 @@ fn parse_ckpt_epoch(name: &str) -> Option<u64> {
     epoch.parse().ok()
 }
 
-/// Writes `bytes` to a dot-prefixed sibling of `path` and renames it
-/// into place: the file exists complete or not at all.
-fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+/// Writes `parts`, back to back, to a dot-prefixed sibling of `path`
+/// and renames it into place: the file exists complete or not at all.
+fn write_atomic(path: &Path, parts: &[&[u8]]) -> io::Result<()> {
     let name = path.file_name().expect("store file name");
     let tmp = path.with_file_name(format!(".tmp_{}", name.to_string_lossy()));
-    fs::write(&tmp, bytes).and_then(|()| fs::rename(&tmp, path))
+    let mut file = File::create(&tmp)?;
+    for part in parts {
+        file.write_all(part)?;
+    }
+    drop(file);
+    fs::rename(&tmp, path)
+}
+
+/// The delta chain under a checkpoint, as much as a write needs to
+/// decide on a rebase: its delta links' payloads (newest first) with
+/// their summed [`StateDelta::encoded_bytes`], and the full base's
+/// epoch and data length, read from the base's header.
+struct Chain {
+    links: Vec<Vec<u8>>,
+    delta_bytes: u64,
+    base: EpochId,
+    base_bytes: u64,
 }
 
 /// The payloads of the complete frames at the front of `bytes`.
@@ -431,13 +501,38 @@ fn read_range(path: &Path, from: u64, to: u64) -> io::Result<Vec<u8>> {
     Ok(out)
 }
 
-/// Reads the single frame of a checkpoint file. Checkpoint files use
-/// the loose file cap — a full snapshot legitimately outgrows the
-/// 64 MiB wire cap that guards TCP reads.
+/// Opens a checkpoint file positioned at its payload and returns the
+/// payload's length — or `None` for a missing file, one shorter than
+/// its frame, or a frame over the file cap. Checkpoint files use the
+/// loose file cap — a full snapshot legitimately outgrows the 64 MiB
+/// wire cap that guards TCP reads. Bytes past the frame are ignored.
+fn open_ckpt_frame(path: &Path) -> Option<(File, usize)> {
+    let mut file = File::open(path).ok()?;
+    let file_len = file.metadata().ok()?.len();
+    let mut header = [0u8; FRAME_HEADER_BYTES];
+    file.read_exact(&mut header).ok()?;
+    let len = u32::from_le_bytes(header) as usize;
+    (len <= MAX_FILE_FRAME_BYTES && (FRAME_HEADER_BYTES + len) as u64 <= file_len)
+        .then_some((file, len))
+}
+
+/// Reads the single frame of a checkpoint file into a buffer of its
+/// own size.
 fn read_ckpt_frame(path: &Path) -> Option<Vec<u8>> {
-    let bytes = fs::read(path).ok()?;
-    let payload = frames(&bytes).next()?;
-    (payload.len() <= MAX_FILE_FRAME_BYTES).then(|| payload.to_vec())
+    let (mut file, len) = open_ckpt_frame(path)?;
+    let mut payload = vec![0; len];
+    file.read_exact(&mut payload).ok()?;
+    Some(payload)
+}
+
+/// Reads the first `n` payload bytes of a checkpoint file (all of them
+/// when the payload is shorter) — a header, without the body behind
+/// it. `None` exactly when [`read_ckpt_frame`] would find nothing.
+fn read_ckpt_head(path: &Path, n: usize) -> Option<Vec<u8>> {
+    let (mut file, len) = open_ckpt_frame(path)?;
+    let mut head = vec![0; n.min(len)];
+    file.read_exact(&mut head).ok()?;
+    Some(head)
 }
 
 impl StableStore for FsStore {
@@ -449,63 +544,34 @@ impl StableStore for FsStore {
             resume_seq,
         } = ckpt;
         match state {
-            state @ CkptState::Full(_) => {
-                let write = CkptWrite {
-                    state,
-                    next_seq,
-                    in_flight,
-                    resume_seq,
-                };
-                self.write_ckpt_file(&self.full_path(epoch, op), ckpt_codec::encode_ckpt(&write))?;
+            CkptState::Full(snapshot) => {
+                self.write_full(epoch, op, &snapshot, next_seq, &in_flight, &resume_seq)?;
             }
             CkptState::Delta { base, delta } => {
-                // Walk the chain the incoming delta would extend.
-                let mut older: Vec<StateDelta> = Vec::new();
-                let mut cum = delta.encoded_bytes() as u64;
-                let mut at = base;
-                let base_snapshot = loop {
-                    match self.read_ckpt(at, op).map(|c| c.state) {
-                        None => {
-                            return Err(Error::Storage(format!(
-                                "delta checkpoint {epoch}/{op}: chain broken at {at}"
-                            )))
-                        }
-                        Some(CkptState::Full(snapshot)) => break snapshot,
-                        Some(CkptState::Delta { base: b, delta: d }) => {
-                            if b >= at {
-                                return Err(Error::Storage(format!(
-                                    "delta checkpoint {epoch}/{op}: corrupt base pointer at {at}"
-                                )));
-                            }
-                            cum += d.encoded_bytes() as u64;
-                            older.push(d);
-                            at = b;
-                        }
-                    }
-                };
+                // Price the chain the incoming delta would extend
+                // without reading the base's body: only a rebase needs
+                // it.
+                let chain = self.chain_under(base, op).map_err(|why| {
+                    Error::Storage(format!("delta checkpoint {epoch}/{op}: {why}"))
+                })?;
                 if self.policy.should_rebase(
-                    older.len() as u32 + 1,
-                    cum,
-                    base_snapshot.data.len() as u64,
+                    chain.links.len() as u32 + 1,
+                    chain.delta_bytes + delta.encoded_bytes() as u64,
+                    chain.base_bytes,
                 ) {
                     // Fold the whole chain into a fresh full snapshot.
-                    let logical = delta.logical_bytes;
-                    older.reverse();
-                    older.push(delta);
-                    let data = delta::fold(&base_snapshot.data, &older)?;
-                    let write = CkptWrite {
-                        state: CkptState::Full(OperatorSnapshot {
-                            data,
-                            logical_bytes: logical,
-                        }),
-                        next_seq,
-                        in_flight,
-                        resume_seq,
+                    let logical_bytes = delta.logical_bytes;
+                    let data = self.fold_chain(&chain, op, delta).map_err(|e| {
+                        Error::Storage(format!(
+                            "delta checkpoint {epoch}/{op}: rebase onto {} failed: {e}",
+                            chain.base
+                        ))
+                    })?;
+                    let snapshot = OperatorSnapshot {
+                        data,
+                        logical_bytes,
                     };
-                    self.write_ckpt_file(
-                        &self.full_path(epoch, op),
-                        ckpt_codec::encode_ckpt(&write),
-                    )?;
+                    self.write_full(epoch, op, &snapshot, next_seq, &in_flight, &resume_seq)?;
                 } else {
                     let write = CkptWrite {
                         state: CkptState::Delta { base, delta },
@@ -515,7 +581,7 @@ impl StableStore for FsStore {
                     };
                     self.write_ckpt_file(
                         &self.delta_path(epoch, op),
-                        ckpt_codec::encode_ckpt(&write),
+                        &[&ckpt_codec::encode_ckpt(&write)],
                     )?;
                 }
             }
@@ -528,48 +594,42 @@ impl StableStore for FsStore {
     }
 
     fn get_checkpoint(&self, epoch: EpochId, op: OperatorId) -> Option<LiveHauCheckpoint> {
+        // The file extension disambiguates the two payload layouts of
+        // the shared codec.
+        if let Some(payload) = read_ckpt_frame(&self.full_path(epoch, op)) {
+            let full = ckpt_codec::decode_full_view(&payload).ok()?;
+            return Some(LiveHauCheckpoint {
+                snapshot: OperatorSnapshot {
+                    data: full.data.to_vec(),
+                    logical_bytes: full.logical_bytes,
+                },
+                next_seq: full.next_seq,
+                in_flight: full.in_flight,
+                resume_seq: full.resume_seq,
+            });
+        }
+        let payload = read_ckpt_frame(&self.delta_path(epoch, op))?;
         let CkptWrite {
-            state,
+            state: CkptState::Delta { base, delta },
             next_seq,
             in_flight,
             resume_seq,
-        } = self.read_ckpt(epoch, op)?;
-        match state {
-            CkptState::Full(snapshot) => Some(LiveHauCheckpoint {
-                snapshot,
-                next_seq,
-                in_flight,
-                resume_seq,
-            }),
-            CkptState::Delta { base, delta } => {
-                let logical = delta.logical_bytes;
-                let mut deltas = vec![delta];
-                let mut at = base;
-                let base_data = loop {
-                    match self.read_ckpt(at, op)?.state {
-                        CkptState::Full(snapshot) => break snapshot.data,
-                        CkptState::Delta { base: b, delta: d } => {
-                            if b >= at {
-                                return None;
-                            }
-                            deltas.push(d);
-                            at = b;
-                        }
-                    }
-                };
-                deltas.reverse();
-                let data = delta::fold(&base_data, &deltas).ok()?;
-                Some(LiveHauCheckpoint {
-                    snapshot: OperatorSnapshot {
-                        data,
-                        logical_bytes: logical,
-                    },
-                    next_seq,
-                    in_flight,
-                    resume_seq,
-                })
-            }
-        }
+        } = ckpt_codec::decode_delta(&payload).ok()?
+        else {
+            unreachable!("decode_delta yields a delta");
+        };
+        let chain = self.chain_under(base, op).ok()?;
+        let logical_bytes = delta.logical_bytes;
+        let data = self.fold_chain(&chain, op, delta).ok()?;
+        Some(LiveHauCheckpoint {
+            snapshot: OperatorSnapshot {
+                data,
+                logical_bytes,
+            },
+            next_seq,
+            in_flight,
+            resume_seq,
+        })
     }
 
     fn latest_complete(&self) -> Option<EpochId> {
@@ -1073,6 +1133,158 @@ mod tests {
         assert_eq!(got.snapshot.data.len(), big.data.len());
         assert_eq!(got.snapshot.data, big.data);
         assert_eq!(s.latest_complete(), Some(EpochId(1)));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn delta_put_reads_the_base_header_and_only_a_rebase_its_body() {
+        let dir = tmpdir("garbagebase");
+        let op = OperatorId(0);
+        let s = FsStore::open(&dir, 1).unwrap().with_policy(RebasePolicy {
+            max_chain: 2,
+            max_delta_pct: 1_000_000,
+        });
+        let mut t = DeltaTable::new();
+        for k in 0..64u64 {
+            t.insert(k, vec![k as u8; 16]);
+        }
+        s.put_checkpoint(EpochId(1), op, CkptWrite::full(snap(t.snapshot()), 0))
+            .unwrap();
+        t.mark_clean();
+        // Garbage over everything behind the base payload's fixed
+        // header — its table and its cut — at the same length.
+        let base = dir.join("ckpt").join("e1_op0.ckpt");
+        let mut bytes = fs::read(&base).unwrap();
+        bytes[FRAME_HEADER_BYTES + ckpt_codec::FULL_HEAD_BYTES..].fill(0xFF);
+        fs::write(&base, &bytes).unwrap();
+        t.insert(3, vec![0xAA; 16]);
+        assert!(s
+            .put_checkpoint(EpochId(2), op, delta_write(EpochId(1), t.take_delta(0), 1))
+            .unwrap());
+        assert!(dir.join("ckpt").join("e2_op0.delta").exists());
+        // The next delta would be the chain's second: a rebase, which
+        // must read the body — and fail loudly rather than write.
+        t.insert(4, vec![0xBB; 16]);
+        let err = s.put_checkpoint(EpochId(3), op, delta_write(EpochId(2), t.take_delta(0), 2));
+        assert!(matches!(err, Err(Error::Storage(_))), "{err:?}");
+        assert!(!dir.join("ckpt").join("e3_op0.ckpt").exists());
+        assert!(!dir.join("ckpt").join("e3_op0.delta").exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn rebase_decisions_and_file_bytes_match_live_storage_over_24_epochs() {
+        use ms_live::LiveStorage;
+        let op = OperatorId(0);
+        let tight = RebasePolicy {
+            max_chain: 3,
+            max_delta_pct: 20,
+        };
+        for (tag, policy) in [("default", RebasePolicy::default()), ("tight", tight)] {
+            let dir = tmpdir(&format!("script_{tag}"));
+            let fs_store = FsStore::open(&dir, 1).unwrap().with_policy(policy);
+            let live = LiveStorage::with_policy(1, policy);
+            let mut t = DeltaTable::new();
+            for k in 0..256u64 {
+                t.insert(k, vec![k as u8; 32]);
+            }
+            let first = CkptWrite::full(snap(t.snapshot()), 0);
+            fs_store
+                .put_checkpoint(EpochId(1), op, first.clone())
+                .unwrap();
+            live.put_checkpoint(EpochId(1), op, first).unwrap();
+            t.mark_clean();
+            let mut rebased_at = Vec::new();
+            for e in 2..=24u64 {
+                // Mostly small deltas, now and then one large enough
+                // to cross the byte bound, values of varied length,
+                // one removal (present or absent) per epoch.
+                let dirty = [2u64, 5, 1, 40, 3, 9, 0, 70][e as usize % 8];
+                for i in 0..dirty {
+                    let len = 16 + (i % 5) as usize * 8;
+                    t.insert((e * 37 + i * 11) % 300, vec![e as u8; len]);
+                }
+                t.remove(e * 13 % 300);
+                let w = CkptWrite {
+                    state: CkptState::Delta {
+                        base: EpochId(e - 1),
+                        delta: t.take_delta(t.value_bytes()),
+                    },
+                    next_seq: e,
+                    in_flight: vec![(0, tup(e))],
+                    resume_seq: vec![e],
+                };
+                fs_store.put_checkpoint(EpochId(e), op, w.clone()).unwrap();
+                live.put_checkpoint(EpochId(e), op, w.clone()).unwrap();
+                let full = dir.join("ckpt").join(format!("e{e}_op0.ckpt"));
+                let delta = dir.join("ckpt").join(format!("e{e}_op0.delta"));
+                let rebased = full.exists();
+                assert_ne!(rebased, delta.exists(), "{tag} e{e}: exactly one file");
+                assert_eq!(
+                    live.chain_len(EpochId(e), op) == Some(0),
+                    rebased,
+                    "{tag} e{e}: LiveStorage decided otherwise"
+                );
+                // The file is the shared encoder's bytes for that
+                // decision.
+                let expect = if rebased {
+                    let logical_bytes = w.state.logical_bytes();
+                    ckpt_codec::encode_ckpt(&CkptWrite {
+                        state: CkptState::Full(OperatorSnapshot {
+                            data: t.snapshot(),
+                            logical_bytes,
+                        }),
+                        ..w
+                    })
+                } else {
+                    ckpt_codec::encode_ckpt(&w)
+                };
+                let on_disk = read_ckpt_frame(if rebased { &full } else { &delta });
+                assert_eq!(on_disk.unwrap(), expect, "{tag} e{e}");
+                let got = fs_store.get_checkpoint(EpochId(e), op).unwrap();
+                assert_eq!(got.snapshot.data, t.snapshot(), "{tag} e{e}");
+                if rebased {
+                    rebased_at.push(e);
+                }
+            }
+            assert!(
+                !rebased_at.is_empty() && rebased_at.len() < 12,
+                "{tag}: the script should exercise both decisions, rebased at {rebased_at:?}"
+            );
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn delta_torn_inside_its_header_is_missing() {
+        let dir = tmpdir("tornhead");
+        let op = OperatorId(0);
+        let s = FsStore::open(&dir, 1).unwrap();
+        let mut t = DeltaTable::new();
+        for k in 0..8u64 {
+            t.insert(k, vec![k as u8; 16]);
+        }
+        s.put_checkpoint(EpochId(1), op, CkptWrite::full(snap(t.snapshot()), 0))
+            .unwrap();
+        t.mark_clean();
+        t.insert(1, vec![0xAA; 16]);
+        s.put_checkpoint(EpochId(2), op, delta_write(EpochId(1), t.take_delta(0), 2))
+            .unwrap();
+        assert_eq!(s.latest_complete(), Some(EpochId(2)));
+        let path = dir.join("ckpt").join("e2_op0.delta");
+        let bytes = fs::read(&path).unwrap();
+        // Torn inside the frame header, at the last byte of the
+        // payload's `(next_seq, base)` header, and just past it: a
+        // header-only read still finds the file shorter than its frame.
+        let head_end = FRAME_HEADER_BYTES + ckpt_codec::DELTA_HEAD_BYTES;
+        for torn in [2, head_end - 1, head_end + 1] {
+            fs::write(&path, &bytes[..torn]).unwrap();
+            assert_eq!(s.latest_complete(), Some(EpochId(1)), "torn at {torn}");
+            assert!(s.get_checkpoint(EpochId(2), op).is_none());
+            t.insert(2, vec![0xBB; 16]);
+            let on_torn = delta_write(EpochId(2), t.take_delta(0), 3);
+            assert!(s.put_checkpoint(EpochId(3), op, on_torn).is_err());
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
