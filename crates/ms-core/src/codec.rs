@@ -271,8 +271,9 @@ pub const MAX_FRAME_BYTES: usize = 64 << 20;
 /// files are trusted local artifacts written atomically by this very
 /// process family — unlike a TCP peer's bytes — and a full snapshot's
 /// size scales with operator state, so they get a far looser bound
-/// than the wire. Readers of checkpoint files must use
-/// [`FrameDecoder::with_limit`] with this cap.
+/// than the wire. The store's checkpoint reader checks a file's length
+/// prefix against this cap and against the file's actual length before
+/// it allocates the payload.
 pub const MAX_FILE_FRAME_BYTES: usize = 1 << 30;
 
 /// Bytes of framing overhead per frame (the length prefix).
@@ -334,6 +335,7 @@ pub fn write_frame(w: &mut impl std::io::Write, payload: &[u8]) -> Result<()> {
 /// end-of-stream (EOF exactly at a frame boundary); EOF in the middle
 /// of a frame is a torn frame and errors.
 pub fn read_frame(r: &mut impl std::io::Read) -> Result<Option<Vec<u8>>> {
+    use std::io::Read;
     let mut header = [0u8; FRAME_HEADER_BYTES];
     let mut got = 0;
     while got < header.len() {
@@ -351,14 +353,16 @@ pub fn read_frame(r: &mut impl std::io::Read) -> Result<Option<Vec<u8>>> {
     }
     let len = u32::from_le_bytes(header) as usize;
     check_frame_len(len)?;
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            Error::Wire(format!("torn frame: EOF inside {len}-byte payload"))
-        } else {
-            e.into()
-        }
-    })?;
+    // The buffer grows with the bytes that arrive, not with what the
+    // header claims: a peer that sends a length prefix and hangs up
+    // must not make the reader allocate (and zero) up to the cap.
+    let mut payload = Vec::with_capacity(len.min(64 << 10));
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(Error::Wire(format!(
+            "torn frame: EOF inside {len}-byte payload"
+        )));
+    }
     Ok(Some(payload))
 }
 
@@ -368,40 +372,18 @@ pub fn read_frame(r: &mut impl std::io::Read) -> Result<Option<Vec<u8>>> {
 /// [`FrameDecoder::next_frame`]; partial frames stay buffered until
 /// their remaining bytes arrive, so torn reads — down to one byte at a
 /// time — reassemble losslessly.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
     /// Read cursor into `buf`; consumed bytes are compacted away once
     /// they outnumber the live remainder.
     pos: usize,
-    /// Largest payload this decoder accepts before declaring the
-    /// stream corrupt.
-    limit: usize,
-}
-
-impl Default for FrameDecoder {
-    fn default() -> FrameDecoder {
-        FrameDecoder {
-            buf: Vec::new(),
-            pos: 0,
-            limit: MAX_FRAME_BYTES,
-        }
-    }
 }
 
 impl FrameDecoder {
     /// Creates an empty decoder with the wire cap ([`MAX_FRAME_BYTES`]).
     pub fn new() -> FrameDecoder {
         FrameDecoder::default()
-    }
-
-    /// Creates an empty decoder accepting payloads up to `limit` bytes
-    /// (e.g. [`MAX_FILE_FRAME_BYTES`] for checkpoint files).
-    pub fn with_limit(limit: usize) -> FrameDecoder {
-        FrameDecoder {
-            limit,
-            ..FrameDecoder::default()
-        }
     }
 
     /// Appends raw bytes from the stream.
@@ -426,12 +408,7 @@ impl FrameDecoder {
             .try_into()
             .expect("header slice");
         let len = u32::from_le_bytes(header) as usize;
-        if len > self.limit {
-            return Err(Error::Wire(format!(
-                "frame length {len} exceeds decoder limit {}",
-                self.limit
-            )));
-        }
+        check_frame_len(len)?;
         if avail < FRAME_HEADER_BYTES + len {
             return Ok(None);
         }
@@ -848,21 +825,6 @@ mod tests {
         let mut dec = FrameDecoder::new();
         dec.feed(&hostile);
         assert!(matches!(dec.next_frame(), Err(Error::Wire(_))));
-    }
-
-    #[test]
-    fn decoder_limit_is_configurable() {
-        // A checkpoint-file reader raises the cap; payloads between
-        // the wire and file caps decode with the loose limit and fail
-        // with the default one.
-        let payload = vec![3u8; 16];
-        let framed = frame(&payload);
-        let mut loose = FrameDecoder::with_limit(16);
-        loose.feed(&framed);
-        assert_eq!(loose.next_frame().unwrap(), Some(payload));
-        let mut tight = FrameDecoder::with_limit(15);
-        tight.feed(&framed);
-        assert!(matches!(tight.next_frame(), Err(Error::Wire(_))));
     }
 
     #[test]

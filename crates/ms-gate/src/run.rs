@@ -531,7 +531,7 @@ mod tests {
     use ms_core::gate::EVENT_BYTES;
     use ms_core::ids::EpochId;
     use ms_core::value::Value;
-    use ms_live::{HostMsg, LiveStorage, Persister};
+    use ms_live::{FsStore, HostMsg, Persister};
     use std::sync::mpsc::channel;
     use std::time::Duration;
 
@@ -573,7 +573,7 @@ mod tests {
         addr: String,
         cmd_tx: Sender<SourceCmd>,
         rx: Receiver<HostMsg>,
-        store: Arc<LiveStorage>,
+        store: Arc<FsStore>,
         handle: std::thread::JoinHandle<HostExit>,
         _dir: PathBuf,
     }
@@ -582,7 +582,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ms_gate_run_{tag}_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        let store = Arc::new(LiveStorage::new(1));
+        let store = Arc::new(FsStore::open(dir.join("store"), 1).unwrap());
         let persister = Persister::spawn(store.clone());
         let persist = persister.sender();
         let (cmd_tx, cmd_rx) = channel();
@@ -777,7 +777,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ms_gate_finrep_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        let store = Arc::new(LiveStorage::new(1));
+        let store = Arc::new(FsStore::open(dir.join("store"), 1).unwrap());
         let persister = Persister::spawn(store.clone());
         let persist = persister.sender();
         let (cmd_tx, cmd_rx) = channel();
@@ -839,7 +839,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ms_gate_replay_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        let store = Arc::new(LiveStorage::new(1));
+        let store = Arc::new(FsStore::open(dir.join("store"), 1).unwrap());
         let persister = Persister::spawn(store.clone());
         let persist = persister.sender();
         let (cmd_tx, cmd_rx) = channel();

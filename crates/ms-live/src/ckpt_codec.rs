@@ -1,12 +1,8 @@
-//! The checkpoint payload byte format shared by every store.
+//! The checkpoint payload byte format.
 //!
-//! A [`CkptWrite`] serializes to exactly one payload layout, whichever
-//! store persists it: `ms-wire`'s `FsStore` frames these bytes into
-//! `ckpt/e{epoch}_op{N}.ckpt` / `.delta` files, and the in-memory
-//! [`LiveStorage`](crate::LiveStorage) round-trips every accepted
-//! write through the same codec — so an in-memory deployment can never
-//! hold a checkpoint the filesystem store could not persist, and folds
-//! across the two stores are byte-identical by construction.
+//! A [`CkptWrite`] serializes to exactly one payload layout, which
+//! [`FsStore`](crate::FsStore) frames into `ckpt/e{epoch}_op{N}.ckpt` /
+//! `.delta` files.
 //!
 //! Layout (all fields tagged by the snapshot codec):
 //!
@@ -147,20 +143,6 @@ pub fn decode_full_view(payload: &[u8]) -> Result<FullView<'_>> {
     })
 }
 
-/// Decodes a full-snapshot payload written by [`encode_ckpt`].
-pub fn decode_full(payload: &[u8]) -> Result<CkptWrite> {
-    let v = decode_full_view(payload)?;
-    Ok(CkptWrite {
-        state: CkptState::Full(OperatorSnapshot {
-            data: v.data.to_vec(),
-            logical_bytes: v.logical_bytes,
-        }),
-        next_seq: v.next_seq,
-        in_flight: v.in_flight,
-        resume_seq: v.resume_seq,
-    })
-}
-
 /// Reads a full payload's snapshot data length from its first
 /// [`FULL_HEAD_BYTES`] bytes — payload bytes 19..27, behind the tag at
 /// 18 — so a store can price a chain's base without reading its body.
@@ -208,17 +190,6 @@ pub fn decode_delta_link(payload: &[u8]) -> Result<(EpochId, u64)> {
     Ok((base, bytes as u64))
 }
 
-/// Round-trips a write through the shared format, proving it is
-/// representable (and normalizing it to exactly what a filesystem
-/// store would re-read).
-pub fn roundtrip(ckpt: CkptWrite) -> Result<CkptWrite> {
-    let payload = encode_ckpt(&ckpt);
-    match ckpt.state {
-        CkptState::Full(_) => decode_full(&payload),
-        CkptState::Delta { .. } => decode_delta(&payload),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,12 +218,10 @@ mod tests {
             in_flight: vec![(0, tup(4)), (2, tup(6))],
             resume_seq: vec![5, 0, 7],
         };
-        let back = decode_full(&encode_ckpt(&w)).unwrap();
-        let CkptState::Full(s) = &back.state else {
-            panic!("full expected");
-        };
-        assert_eq!(s.data, vec![1, 2, 3]);
-        assert_eq!(s.logical_bytes, 999);
+        let payload = encode_ckpt(&w);
+        let back = decode_full_view(&payload).unwrap();
+        assert_eq!(back.data, [1, 2, 3]);
+        assert_eq!(back.logical_bytes, 999);
         assert_eq!(back.next_seq, 17);
         assert_eq!(back.resume_seq, vec![5, 0, 7]);
         assert_eq!(back.in_flight.len(), 2);
@@ -377,9 +346,9 @@ mod tests {
     fn trailing_or_torn_bytes_error() {
         let w = CkptWrite::full(OperatorSnapshot::empty(), 1);
         let mut payload = encode_ckpt(&w);
-        assert!(decode_full(&payload[..payload.len() - 1]).is_err());
+        assert!(decode_full_view(&payload[..payload.len() - 1]).is_err());
         payload.push(0);
-        assert!(decode_full(&payload).is_err());
+        assert!(decode_full_view(&payload).is_err());
         assert!(decode_delta(&payload).is_err());
     }
 }

@@ -1027,7 +1027,7 @@ mod tests {
     use ms_core::value::Value;
 
     use crate::protocol::{CountSource, Doubler};
-    use crate::storage::{LiveHauCheckpoint, LiveStorage};
+    use crate::storage::LiveHauCheckpoint;
 
     /// A recording store, and the ordered log it shares with the
     /// recording edges. Every note first moves whatever sits in the
@@ -1252,9 +1252,8 @@ mod tests {
         let (txs, rxs): (Vec<_>, Vec<_>) = (0..2).map(|_| channel::<HostMsg>()).unzip();
         let txs = txs.into_iter().map(|tx| Box::new(tx) as Box<dyn EdgeTx>);
         let route = OutputRoute::sharded(txs.collect(), Arc::new(|t: &Tuple| t.seq));
-        let (persist, _persist_rx) = channel();
-        let store = Arc::new(LiveStorage::new(1));
-        let mut src = SourceCore::new(OperatorId(0), vec![route], 0, None, store, persist, None);
+        let (rec, persist) = recorder("");
+        let mut src = SourceCore::new(OperatorId(0), vec![route], 0, None, rec, persist, None);
         // 48 tuples of ~100 KiB — each shard's share is about twice the
         // cap — and one that exceeds the cap by itself.
         let blob = |seq: u64, len: usize| {

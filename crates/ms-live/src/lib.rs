@@ -5,13 +5,15 @@
 //! replay on recovery) and [`InteriorCore`] (token alignment, cut,
 //! forward) — plus what they persist through: the [`Persister`] that
 //! serializes and writes captures off the hot path, the
-//! [`StableStore`] contract with its in-memory [`LiveStorage`], and the
-//! checkpoint payload codec shared with `ms-wire`'s filesystem store.
+//! [`StableStore`] contract, the checkpoint payload codec, and
+//! [`FsStore`], the filesystem store every process of a cluster shares.
 //!
-//! The hosts own no threads, sockets or clocks. `ms-wire` drives them
-//! from its poll(2) event loop and apply pool across OS processes,
-//! `ms-gate` feeds a source core from producer connections, and this
-//! crate's tests pump them deterministically on one thread.
+//! The hosts own no threads, sockets or clocks; their only I/O goes
+//! through the store they are handed. `ms-wire` drives them from its
+//! poll(2) event loop and apply pool across OS processes, `ms-gate`
+//! feeds a source core from producer connections, and this crate's
+//! tests pump them deterministically on one thread over an `FsStore`
+//! in a temp directory.
 //!
 //! Scope: one operator per HAU; acyclic graphs.
 
@@ -21,12 +23,12 @@ pub mod ckpt_codec;
 pub mod host;
 pub mod protocol;
 pub mod storage;
+pub mod store;
 
 pub use host::{
     DurableHook, EdgeTx, HostExit, HostMsg, HostWiring, InteriorCore, OutputRoute, PersistItem,
     Persister, RouteKeyFn, SourceCmd, SourceCore, STATE_GAUGE_SAMPLE_EVERY,
 };
 pub use protocol::{CountSource, Doubler, Summer};
-pub use storage::{
-    CkptState, CkptWrite, LiveHauCheckpoint, LiveStorage, RebasePolicy, StableStore,
-};
+pub use storage::{CkptState, CkptWrite, LiveHauCheckpoint, RebasePolicy, StableStore};
+pub use store::FsStore;

@@ -4,7 +4,7 @@
 //! the crate's tests, `ms-wire`'s demo shapes and the benches build
 //! pipelines from. The tests below deploy them over
 //! [`SourceCore`](crate::SourceCore) / [`InteriorCore`](crate::InteriorCore)
-//! and [`LiveStorage`](crate::LiveStorage) with a deterministic
+//! and [`FsStore`](crate::FsStore) with a deterministic
 //! single-threaded pump — every edge a queue, every persist inline —
 //! so checkpoint cuts, alignment windows and recovery are asserted on
 //! exact interleavings rather than on what a scheduler happened to do.
@@ -158,7 +158,9 @@ mod tests {
     use crate::host::{
         HostExit, HostMsg, HostWiring, InteriorCore, OutputRoute, PersistItem, SourceCore,
     };
-    use crate::storage::{LiveStorage, StableStore};
+    use crate::storage::StableStore;
+    use crate::store::tests::tmpdir;
+    use crate::store::FsStore;
 
     type Factory<'a> = &'a dyn Fn(OperatorId) -> Box<dyn Operator>;
 
@@ -168,7 +170,7 @@ mod tests {
     /// persists every queued checkpoint inline, so a test decides the
     /// interleaving by the order it ticks, tokens and settles.
     struct Pump {
-        storage: Arc<LiveStorage>,
+        storage: Arc<FsStore>,
         sources: BTreeMap<OperatorId, (SourceCore, Box<dyn Operator>)>,
         /// Interior hosts, topological order, with their input queues.
         interiors: Vec<(Option<InteriorCore>, Vec<Receiver<HostMsg>>)>,
@@ -184,7 +186,7 @@ mod tests {
         /// tuples before generating — the recovery path.
         fn launch(
             qn: &QueryNetwork,
-            storage: Arc<LiveStorage>,
+            storage: Arc<FsStore>,
             factory: Factory<'_>,
             restore: Option<EpochId>,
         ) -> Result<Pump> {
@@ -290,7 +292,7 @@ mod tests {
                 }
             }
             for item in self.persist_rx.try_iter() {
-                item.persist(&*self.storage).expect("in-memory persist");
+                item.persist(&*self.storage).expect("persist");
             }
         }
 
@@ -350,13 +352,15 @@ mod tests {
     #[test]
     fn pump_runs_pipeline_to_completion() {
         let (qn, ids) = chain();
-        let storage = Arc::new(LiveStorage::new(qn.len()));
+        let dir = tmpdir("pump_run");
+        let storage = Arc::new(FsStore::open(&dir, qn.len()).unwrap());
         let pump = Pump::launch(&qn, storage, &build(ids, 200), None).unwrap();
         let ops = pump.finish().unwrap();
         assert_eq!(ops.len(), 3);
         let (sum, count) = sink_sum(&ops, ids[2]);
         assert_eq!(count, 200);
         assert_eq!(sum, 2 * (0..200).sum::<i64>());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -364,7 +368,8 @@ mod tests {
         const N: u64 = 1000;
         let (qn, ids) = chain();
         let [s, _, k] = ids;
-        let storage = Arc::new(LiveStorage::new(qn.len()));
+        let dir = tmpdir("pump_recover");
+        let storage = Arc::new(FsStore::open(&dir, qn.len()).unwrap());
         let mut pump = Pump::launch(&qn, storage.clone(), &build(ids, N), None).unwrap();
         // Let some tuples flow, checkpoint mid-stream, keep flowing.
         pump.tick(s, 400);
@@ -383,12 +388,14 @@ mod tests {
         let (sum, count) = sink_sum(&ops, k);
         assert_eq!(count, N, "no tuple missed or duplicated");
         assert_eq!(sum, ref_sum);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn pump_telemetry_reports_flow_and_checkpoint_phases() {
         let (qn, ids) = chain();
-        let storage = Arc::new(LiveStorage::new(qn.len()));
+        let dir = tmpdir("pump_telemetry");
+        let storage = Arc::new(FsStore::open(&dir, qn.len()).unwrap());
         let mut pump = Pump::launch(&qn, storage, &build(ids, 500), None).unwrap();
         pump.tick(ids[0], 100);
         let epoch = pump.checkpoint();
@@ -413,12 +420,14 @@ mod tests {
         }
         // Sources never align.
         assert_eq!(src.align_wait_us, 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn pump_multiple_checkpoints_produce_multiple_epochs() {
         let (qn, ids) = chain();
-        let storage = Arc::new(LiveStorage::new(qn.len()));
+        let dir = tmpdir("pump_epochs");
+        let storage = Arc::new(FsStore::open(&dir, qn.len()).unwrap());
         let mut pump = Pump::launch(&qn, storage.clone(), &build(ids, 300), None).unwrap();
         pump.tick(ids[0], 100);
         let e1 = pump.checkpoint();
@@ -427,6 +436,7 @@ mod tests {
         assert!(e2 > e1);
         pump.finish().unwrap();
         assert_eq!(storage.latest_complete(), Some(e2));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -437,7 +447,8 @@ mod tests {
         let [s1, s2, k] = ["s1", "s2", "sink"].map(|name| qn.add_operator(name));
         qn.connect(s1, k).unwrap();
         qn.connect(s2, k).unwrap();
-        let storage = Arc::new(LiveStorage::new(qn.len()));
+        let dir = tmpdir("pump_fan_in");
+        let storage = Arc::new(FsStore::open(&dir, qn.len()).unwrap());
         let factory = move |op: OperatorId| -> Box<dyn Operator> {
             if op == k {
                 Box::new(Summer::default())
@@ -479,6 +490,7 @@ mod tests {
         let pump = Pump::launch(&qn, storage, &factory, Some(epoch)).unwrap();
         let ops = pump.finish().unwrap();
         assert_eq!(sink_sum(&ops, k), (2 * (0..100).sum::<i64>(), 200));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// One thing a route carried, batches flattened.
@@ -500,7 +512,8 @@ mod tests {
     /// two-route [`Doubler`], persisting every cut inline.
     fn drive_fan_in(msgs: Vec<(usize, HostMsg)>) -> Trace {
         let op_id = OperatorId(2);
-        let storage = LiveStorage::new(1);
+        let dir = tmpdir("fan_in_cuts");
+        let storage = FsStore::open(&dir, 1).unwrap();
         let (persist, persist_rx) = channel();
         let (txs, rxs): (Vec<_>, Vec<_>) = (0..2).map(|_| channel::<HostMsg>()).unzip();
         let wiring = HostWiring {
@@ -522,12 +535,13 @@ mod tests {
             core.on_msg(input, msg);
             for item in persist_rx.try_iter() {
                 let epoch = item.epoch;
-                item.persist(&storage).expect("in-memory persist");
+                item.persist(&storage).expect("persist");
                 let ck = storage.get_checkpoint(epoch, op_id).expect("just written");
                 let (state, in_flight) = (ck.snapshot.data, ck.in_flight);
                 cuts.push((epoch, state, ck.next_seq, in_flight, ck.resume_seq));
             }
         }
+        let _ = std::fs::remove_dir_all(&dir);
         assert!(core.is_done());
         let state = core.finish().op.snapshot().data;
         let flatten = |rx: Receiver<HostMsg>| {

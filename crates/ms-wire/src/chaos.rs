@@ -1,7 +1,8 @@
 //! Chaos decorators for stable storage — and the retry layer that
 //! makes transient faults survivable.
 //!
-//! Two [`StableStore`] wrappers compose around [`FsStore`](crate::FsStore):
+//! Two [`StableStore`] wrappers compose around `ms-live`'s
+//! [`FsStore`](ms_live::FsStore):
 //!
 //! * [`FaultStore`] *injects* disk misbehaviour on the write paths —
 //!   per-operation latency (a saturated device) and every-Nth
@@ -263,7 +264,8 @@ mod tests {
     use super::*;
     use ms_core::time::SimTime;
     use ms_core::value::Value;
-    use ms_live::LiveStorage;
+    use ms_live::FsStore;
+    use std::path::PathBuf;
     use std::time::Instant;
 
     fn tup(seq: u64) -> Tuple {
@@ -273,6 +275,13 @@ mod tests {
             SimTime::ZERO,
             vec![Value::Int(seq as i64)],
         )
+    }
+
+    /// An [`FsStore`] on a fresh directory named for the test.
+    fn disk(tag: &str) -> (FsStore, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("ms_chaos_unit_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        (FsStore::open(&dir, 1).unwrap(), dir)
     }
 
     #[test]
@@ -307,8 +316,9 @@ mod tests {
         // retry, and every tuple must land in the inner store exactly
         // once (fault-before-delegate means a failed attempt appended
         // nothing).
+        let (inner, dir) = disk("retry_append");
         let store = RetryStore::new(FaultStore::new(
-            LiveStorage::new(1),
+            inner,
             StoreFaultSpec {
                 slow_us: 0,
                 slow_ckpt_us: 0,
@@ -320,12 +330,14 @@ mod tests {
         }
         assert_eq!(store.preserved_tuples(), 20);
         assert!(store.retries() > 0, "the fault layer never fired");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn batch_append_ticks_the_fault_clock_once_and_retries_whole() {
+        let (inner, dir) = disk("batch_clock");
         let store = RetryStore::new(FaultStore::new(
-            LiveStorage::new(1),
+            inner,
             StoreFaultSpec {
                 slow_us: 0,
                 slow_ckpt_us: 0,
@@ -340,6 +352,7 @@ mod tests {
         store.append_log_batch(OperatorId(0), &second).unwrap();
         assert_eq!(store.preserved_tuples(), 16);
         assert_eq!(store.retries(), 1, "one fault-clock tick per batch");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -352,8 +365,9 @@ mod tests {
 
     #[test]
     fn persistent_failure_escalates_to_hard_storage_error() {
+        let (inner, dir) = disk("persistent");
         let store = RetryStore::new(FaultStore::new(
-            LiveStorage::new(1),
+            inner,
             StoreFaultSpec {
                 slow_us: 0,
                 slow_ckpt_us: 0,
@@ -368,12 +382,14 @@ mod tests {
             "exhausted retries must surface as a hard error, got {err:?}"
         );
         assert_eq!(store.preserved_tuples(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn mark_epoch_and_checkpoint_paths_are_gated_too() {
+        let (inner, dir) = disk("mark_gated");
         let store = RetryStore::new(FaultStore::new(
-            LiveStorage::new(1),
+            inner,
             StoreFaultSpec {
                 slow_us: 0,
                 slow_ckpt_us: 0,
@@ -384,12 +400,14 @@ mod tests {
             store.mark_epoch(OperatorId(0), EpochId(e), e * 10).unwrap();
         }
         assert!(store.retries() > 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn slow_store_injects_latency_but_succeeds() {
+        let (inner, dir) = disk("slow");
         let store = FaultStore::new(
-            LiveStorage::new(1),
+            inner,
             StoreFaultSpec {
                 slow_us: 2_000,
                 slow_ckpt_us: 0,
@@ -405,5 +423,6 @@ mod tests {
             "5 appends at 2ms each should take >= 10ms"
         );
         assert_eq!(store.preserved_tuples(), 5);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

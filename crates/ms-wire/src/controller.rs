@@ -40,13 +40,12 @@ use ms_core::ids::{EpochId, OperatorId};
 use ms_core::metrics::{BackpressureGauges, OperatorSample};
 use ms_core::shard::{expand, ShardPlan};
 use ms_gate::GateSample;
-use ms_live::StableStore;
+use ms_live::{FsStore, StableStore};
 
 use crate::apps::demo_network;
 use crate::cadence::{CheckpointCause, EpochSignals, PlaneConfig, TelemetryPlane};
 use crate::ledger::{read_ledger, DecisionRecord, LedgerRecord, LedgerWriter, LEDGER_FILE};
 use crate::message::{recv_msg, send_msg, Assignment, GateSpec, OpPlacement, WireMsg};
-use crate::store::FsStore;
 
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
 const TICK: Duration = Duration::from_millis(25);

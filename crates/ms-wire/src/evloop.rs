@@ -812,8 +812,7 @@ mod tests {
     use ms_core::operator::{Operator, OperatorContext, OperatorSnapshot};
     use ms_core::tuple::Tuple;
     use ms_core::value::Value;
-    use ms_live::{HostWiring, Persister};
-    use ms_live::{LiveStorage, StableStore};
+    use ms_live::{HostWiring, PersistItem};
     use std::sync::mpsc::channel;
     use std::time::Duration;
 
@@ -861,13 +860,12 @@ mod tests {
         exit_rx: Receiver<HostExit>,
         work: Arc<WorkQueue>,
         meter: Arc<BackpressureMeter>,
-        _persister: Persister,
     }
 
     fn sink_cell(torn: &Arc<AtomicBool>, n_in: usize) -> SinkRig {
-        let storage: Arc<dyn StableStore> = Arc::new(LiveStorage::new(4));
-        let persister = Persister::spawn(storage);
-        let ptx = persister.sender();
+        // No persister: these tests never read a checkpoint back, so
+        // the cell's captures are dropped unwritten.
+        let (ptx, _) = channel::<PersistItem>();
         let meter = Arc::new(BackpressureMeter::new());
         let wiring = HostWiring {
             op_id: OperatorId(1),
@@ -889,7 +887,6 @@ mod tests {
             exit_rx,
             work: Arc::default(),
             meter,
-            _persister: persister,
         }
     }
 
@@ -900,7 +897,6 @@ mod tests {
             cell,
             exit_rx,
             work,
-            _persister,
             ..
         } = sink_cell(&torn, 1);
         let pool = spawn_pool(2, &work);
@@ -968,7 +964,6 @@ mod tests {
             cell,
             exit_rx,
             work,
-            _persister,
             ..
         } = sink_cell(&torn, 1);
         let pool = spawn_pool(2, &work);
@@ -1025,7 +1020,6 @@ mod tests {
             cell,
             exit_rx,
             work,
-            _persister,
             ..
         } = sink_cell(&torn, 1);
         let pool = spawn_pool(2, &work);
@@ -1071,7 +1065,6 @@ mod tests {
             cell,
             exit_rx,
             work,
-            _persister,
             ..
         } = sink_cell(&torn, 1);
         let pool = spawn_pool(2, &work);

@@ -3,17 +3,17 @@
 //!
 //! Everything below `ms-wire` models or abstracts: the simulator
 //! (`ms-runtime`) replays the protocol in virtual time, and `ms-live`
-//! holds it as operator-host state machines that own no I/O. This crate
-//! is the distribution layer — those `ms-live` hosts, wired across
-//! *process* boundaries by length-prefixed binary frames over
-//! `TcpStream`, with a controller daemon and worker daemons forming a
-//! miniature cluster on localhost (or any reachable network).
+//! holds it as operator-host state machines whose only I/O is their
+//! stable store ([`FsStore`], a SIGKILL-durable directory every process
+//! shares). This crate is the distribution layer — those `ms-live`
+//! hosts, wired across *process* boundaries by length-prefixed binary
+//! frames over `TcpStream`, with a controller daemon and worker daemons
+//! forming a miniature cluster on localhost (or any reachable network).
 //!
 //! | module | role |
 //! |---|---|
 //! | [`message`] | the wire alphabet ([`WireMsg`]) + frame codec |
-//! | [`store`] | [`FsStore`], a SIGKILL-durable [`ms_live::StableStore`] on a shared directory |
-//! | [`chaos`] | store decorators: injected disk faults ([`FaultStore`]) + transient-failure retry ([`RetryStore`]) |
+//! | [`chaos`] | decorators around [`FsStore`]: injected disk faults ([`FaultStore`]) + transient-failure retry ([`RetryStore`]) |
 //! | [`apps`] | demo operators (throttled source, doubler, keyed stats, summer) and graph shapes |
 //! | [`worker`] | the `ms-worker` daemon: operator hosts on the event-loop core |
 //! | `evloop` | the worker's engine: one poll-driven I/O thread + a fixed apply pool |
@@ -52,7 +52,6 @@ pub mod controller;
 mod evloop;
 pub mod ledger;
 pub mod message;
-pub mod store;
 pub mod worker;
 
 pub use apps::{build_operator, demo_network, route_key, ThrottledCountSource};
@@ -64,5 +63,5 @@ pub use ledger::{
     LedgerFollower, LedgerRecord, LedgerWriter, LEDGER_FILE,
 };
 pub use message::{recv_msg, send_msg, Assignment, GateSpec, OpPlacement, WireMsg};
-pub use store::FsStore;
+pub use ms_live::FsStore;
 pub use worker::{run_worker, ControllerAddr, WorkerConfig};

@@ -72,8 +72,8 @@ use ms_core::metrics::{BackpressureGauges, BackpressureMeter, OperatorMeter, Ope
 use ms_core::operator::Operator;
 use ms_gate::{run_gate, GateMeter, GateOp, GateSample, GateWiring};
 use ms_live::{
-    EdgeTx, HostExit, HostWiring, InteriorCore, OutputRoute, Persister, SourceCmd, SourceCore,
-    StableStore,
+    EdgeTx, FsStore, HostExit, HostWiring, InteriorCore, OutputRoute, Persister, SourceCmd,
+    SourceCore, StableStore,
 };
 use ms_net::ready::Waker;
 use parking_lot::Mutex;
@@ -82,7 +82,6 @@ use crate::apps::{build_operator, route_key};
 use crate::chaos::{FaultStore, RetryStore, StoreFaultSpec};
 use crate::evloop::{self, CellTx, EgressBuf, EgressHandle, HostCell, IoCmd, WorkQueue};
 use crate::message::{recv_msg, send_msg, Assignment, WireMsg};
-use crate::store::FsStore;
 use ms_net::fault::FaultPlan;
 
 const FILE_POLL: Duration = Duration::from_millis(20);

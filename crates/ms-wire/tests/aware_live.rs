@@ -102,30 +102,6 @@ fn wait_exit(child: &mut Child, budget: Duration) -> std::process::ExitStatus {
     }
 }
 
-/// Highest *complete* application checkpoint epoch in the store.
-fn max_complete_epoch(store: &Path) -> u64 {
-    let mut per_epoch = std::collections::HashMap::new();
-    let Ok(entries) = fs::read_dir(store.join("ckpt")) else {
-        return 0;
-    };
-    for e in entries.flatten() {
-        let name = e.file_name().to_string_lossy().into_owned();
-        if let Some(epoch) = name
-            .strip_prefix('e')
-            .and_then(|r| r.split_once("_op"))
-            .and_then(|(e, _)| e.parse::<u64>().ok())
-        {
-            *per_epoch.entry(epoch).or_insert(0usize) += 1;
-        }
-    }
-    per_epoch
-        .iter()
-        .filter(|(_, &n)| n >= 3)
-        .map(|(&e, _)| e)
-        .max()
-        .unwrap_or(0)
-}
-
 /// `(recoveries line, sink lines)` from a result file.
 fn parse_result(path: &Path) -> (String, Vec<String>) {
     let text = fs::read_to_string(path).unwrap();
@@ -197,14 +173,18 @@ fn aware_cluster_checkpoints_at_minima_and_survives_sigkill() {
     // op1 (the sawtooth table) → wb.
     let victim = cluster.push(worker(&dir, "wb").spawn().unwrap());
 
-    // Let the stream run until at least two application checkpoints
-    // are complete — past the profiling phase, so the rollback rewinds
-    // an aware-timed epoch.
+    // Let the stream run until the ledger holds the first barrier
+    // initiated at a local minimum — past the profiling phase, so the
+    // rollback rewinds an aware-timed epoch whatever phase of the
+    // sawtooth the post-recovery samples land on.
+    let ledger = dir.join("store").join(LEDGER_FILE);
+    let at_minimum =
+        || read_decisions(&ledger).is_ok_and(|ds| ds.iter().any(|d| d.reason == "local_minimum"));
     let deadline = Instant::now() + Duration::from_secs(30);
-    while max_complete_epoch(&dir.join("store")) < 2 {
+    while !at_minimum() {
         assert!(
             Instant::now() < deadline,
-            "no complete checkpoint appeared in time"
+            "no barrier initiated at a local minimum in time"
         );
         std::thread::sleep(Duration::from_millis(20));
     }

@@ -14,8 +14,8 @@ use ms_core::ids::{EpochId, OperatorId};
 use ms_core::time::SimTime;
 use ms_core::tuple::Tuple;
 use ms_core::value::Value;
+use ms_live::store::scan_log;
 use ms_live::StableStore;
-use ms_wire::store::scan_log;
 use ms_wire::FsStore;
 use proptest::prelude::*;
 
