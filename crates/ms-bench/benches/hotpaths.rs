@@ -459,8 +459,8 @@ fn bench_ckpt_stall(c: &mut Criterion) {
         fn latest_complete(&self) -> Option<EpochId> {
             None
         }
-        fn append_log_batch(&self, _source: OperatorId, _batch: &[Tuple]) -> Result<()> {
-            Ok(())
+        fn append_log_batch(&self, _source: OperatorId, _batch: &[Tuple]) -> Result<u64> {
+            Ok(0)
         }
         fn mark_epoch(&self, _source: OperatorId, _epoch: EpochId, _next_seq: u64) -> Result<()> {
             Ok(())

@@ -15,11 +15,20 @@
 //! length prefix restores *message* boundaries on top of that byte
 //! stream, and a bounded [`MAX_FRAME_BYTES`] keeps a corrupt or
 //! hostile length from forcing a giant allocation.
+//!
+//! A run of tuples travels and is logged as *batch records*
+//! ([`SnapshotWriter::put_batch`], [`frame_batch`]): one header per run
+//! of one producer, then each tuple as deltas and varints against the
+//! one before it. The preservation log is a sequence of framed records;
+//! a wire `TupleBatch` carries records back to back. Checkpoints keep
+//! the per-tuple [`SnapshotWriter::put_tuple`] layout.
+
+use std::borrow::Borrow;
 
 use crate::error::{Error, Result};
 use crate::ids::OperatorId;
 use crate::time::SimTime;
-use crate::tuple::Tuple;
+use crate::tuple::{Fields, Tuple};
 use crate::value::Value;
 
 /// Type tags guarding each encoded item.
@@ -37,6 +46,11 @@ enum Tag {
     ValueList = 19,
     ValueBlob = 20,
     Tuple = 32,
+    /// A batch-record field: an `Int` as a zigzag varint.
+    RecordInt = 33,
+    /// A batch-record field: the same scalar as the previous tuple's
+    /// field at this index.
+    RecordSame = 34,
 }
 
 impl Tag {
@@ -53,6 +67,8 @@ impl Tag {
             19 => Tag::ValueList,
             20 => Tag::ValueBlob,
             32 => Tag::Tuple,
+            33 => Tag::RecordInt,
+            34 => Tag::RecordSame,
             other => return Err(Error::Codec(format!("unknown tag byte {other}"))),
         })
     }
@@ -242,24 +258,6 @@ impl SnapshotWriter {
     }
 }
 
-/// Leading bytes of [`SnapshotWriter::put_tuple`]'s encoding that
-/// [`peek_tuple_seq`] needs: tag (1) + producer (4) + seq (8).
-pub const TUPLE_SEQ_PEEK_BYTES: usize = 13;
-
-/// Reads a tuple's sequence number straight out of the front of its
-/// [`SnapshotWriter::put_tuple`] encoding — bytes 5..13 — without
-/// decoding the fields behind it. `None` when `head` is shorter than
-/// [`TUPLE_SEQ_PEEK_BYTES`] or does not start with the tuple tag.
-pub fn peek_tuple_seq(head: &[u8]) -> Option<u64> {
-    let head = head.first_chunk::<TUPLE_SEQ_PEEK_BYTES>()?;
-    if head[0] != Tag::Tuple as u8 {
-        return None;
-    }
-    Some(u64::from_le_bytes(
-        head[5..].try_into().expect("8 seq bytes"),
-    ))
-}
-
 // ---------------- frame layer ----------------
 
 /// Largest frame payload the decoder will accept (64 MiB). A length
@@ -294,32 +292,6 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(payload);
     out
-}
-
-/// Encodes a run of tuples as concatenated length-prefixed frames —
-/// one frame per tuple, each payload exactly
-/// [`SnapshotWriter::put_tuple`]'s encoding — into a single pre-sized
-/// buffer. The result is byte-identical to framing each tuple
-/// individually, which is what lets the preservation log group-commit
-/// a whole batch with one buffer and one write while keeping its
-/// on-disk format (and torn-tail detection) unchanged.
-pub fn frame_tuples<'a, I>(tuples: I) -> Vec<u8>
-where
-    I: IntoIterator<Item = &'a Tuple>,
-    I::IntoIter: Clone,
-{
-    let iter = tuples.into_iter();
-    let total: usize = iter
-        .clone()
-        .map(|t| FRAME_HEADER_BYTES + SnapshotWriter::encoded_tuple_bytes(t))
-        .sum();
-    let mut w = SnapshotWriter::with_capacity(total);
-    for t in iter {
-        w.buf
-            .extend_from_slice(&(SnapshotWriter::encoded_tuple_bytes(t) as u32).to_le_bytes());
-        w.put_tuple(t);
-    }
-    w.finish()
 }
 
 /// Writes one frame to a byte sink (socket, file). The payload must
@@ -537,6 +509,11 @@ impl<'a> SnapshotReader<'a> {
     /// Reads a [`Value`].
     pub fn get_value(&mut self) -> Result<Value> {
         let tag = Tag::from_u8(self.take(1, "value tag")?[0])?;
+        self.get_value_body(tag)
+    }
+
+    /// Reads the [`Value`] whose tag was already read.
+    fn get_value_body(&mut self, tag: Tag) -> Result<Value> {
         Ok(match tag {
             Tag::ValueInt => Value::Int(i64::from_le_bytes(self.take_le("int value")?)),
             Tag::ValueFloat => Value::Float(f64::from_le_bytes(self.take_le("float value")?)),
@@ -593,6 +570,408 @@ impl<'a> SnapshotReader<'a> {
             out.push(read(self)?);
         }
         Ok(out)
+    }
+}
+
+// ---------------- batch records ----------------
+
+/// First byte of every batch record: the layout version. It is no
+/// [`Tag`] byte, so a per-tuple encoding handed to the record decoder
+/// — a log written before records existed — is refused, never
+/// misread. A layout change takes a new version byte, and decoders
+/// reject every byte they do not know.
+pub const BATCH_V1: u8 = 0xB1;
+
+/// Most bytes a record header takes: the version, a producer id (a
+/// `u32` varint, at most 5 bytes) and four `u64` varints (at most 10
+/// each). A reader that wants only the header reads this much.
+pub const BATCH_HEADER_MAX_BYTES: usize = 1 + 5 + 4 * 10;
+
+/// Fewest bytes one tuple takes in a record — a seq delta, a time
+/// delta and a field count of one byte each — so a record's remaining
+/// bytes bound the tuple count its header may claim.
+const MIN_RECORD_TUPLE_BYTES: usize = 3;
+
+/// Decoders reserve at most this many tuples or fields ahead of the
+/// bytes that fill them.
+const MAX_RESERVE: usize = 1 << 16;
+
+/// The header of one batch record: whose tuples it holds, how many,
+/// and where their seq and time deltas start.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BatchHeader {
+    /// The producer every tuple of the record shares.
+    pub producer: OperatorId,
+    /// Tuples in the record, never 0.
+    pub count: u64,
+    /// The first tuple's seq.
+    pub first_seq: u64,
+    /// The last tuple's seq: all a log scan needs of a record.
+    pub last_seq: u64,
+    /// The first tuple's source time.
+    pub base_time: SimTime,
+}
+
+impl BatchHeader {
+    /// Reads a record header from the front of `head`, which may hold
+    /// the whole record or end anywhere after the header.
+    pub fn decode(head: &[u8]) -> Result<BatchHeader> {
+        SnapshotReader::new(head).get_batch_header()
+    }
+
+    /// Encoded bytes of this header.
+    pub fn encoded_len(&self) -> usize {
+        1 + varint_len(self.producer.0 as u64)
+            + varint_len(self.count)
+            + varint_len(self.first_seq)
+            + varint_len(self.last_seq)
+            + varint_len(self.base_time.as_micros())
+    }
+
+    /// The header of a record of `run`: non-empty, one producer.
+    fn of<T: Borrow<Tuple>>(run: &[T]) -> BatchHeader {
+        let (first, last) = (run[0].borrow(), run[run.len() - 1].borrow());
+        BatchHeader {
+            producer: first.producer,
+            count: run.len() as u64,
+            first_seq: first.seq,
+            last_seq: last.seq,
+            base_time: first.source_time,
+        }
+    }
+}
+
+fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+fn unzigzag(u: u64) -> i64 {
+    (u >> 1) as i64 ^ -((u & 1) as i64)
+}
+
+/// Bytes of `v` as a LEB128 varint.
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// What a record's tuple is encoded against: the tuple before it or,
+/// for the first, the header's first seq − 1 and base time, and no
+/// fields.
+#[derive(Clone, Copy)]
+struct Prev<'a> {
+    seq: u64,
+    time: u64,
+    fields: &'a [Value],
+}
+
+impl<'a> Prev<'a> {
+    fn start(h: &BatchHeader) -> Prev<'a> {
+        Prev {
+            seq: h.first_seq.wrapping_sub(1),
+            time: h.base_time.as_micros(),
+            fields: &[],
+        }
+    }
+
+    fn of(t: &'a Tuple) -> Prev<'a> {
+        Prev {
+            seq: t.seq,
+            time: t.source_time.as_micros(),
+            fields: &t.fields,
+        }
+    }
+
+    /// `t`'s seq as a zigzag delta from this seq + 1 (one byte for
+    /// consecutive seqs) and its time as a zigzag delta from this time.
+    fn deltas(&self, t: &Tuple) -> [u64; 2] {
+        [
+            zigzag(t.seq.wrapping_sub(self.seq).wrapping_sub(1) as i64),
+            zigzag(t.source_time.as_micros().wrapping_sub(self.time) as i64),
+        ]
+    }
+}
+
+/// Whether `v` can be written as [`Tag::RecordSame`] after `prev`: the
+/// same fixed-width scalar, bit for bit. Only scalars repeat, so a
+/// decoded record holds at most a constant factor of its own bytes.
+fn repeats(prev: Option<&Value>, v: &Value) -> bool {
+    match (prev, v) {
+        (Some(Value::Int(a)), Value::Int(b)) => a == b,
+        (Some(Value::Float(a)), Value::Float(b)) => a.to_bits() == b.to_bits(),
+        _ => false,
+    }
+}
+
+/// Exact bytes [`SnapshotWriter::put_record`] writes for `t` after `prev`.
+fn record_tuple_bytes(prev: Prev<'_>, t: &Tuple) -> usize {
+    let fields: usize = t
+        .fields
+        .iter()
+        .enumerate()
+        .map(|(i, v)| match v {
+            _ if repeats(prev.fields.get(i), v) => 1,
+            Value::Int(x) => 1 + varint_len(zigzag(*x)),
+            _ => SnapshotWriter::encoded_value_bytes(v),
+        })
+        .sum();
+    let [seq, time] = prev.deltas(t);
+    varint_len(seq) + varint_len(time) + varint_len(t.fields.len() as u64) + fields
+}
+
+impl SnapshotWriter {
+    /// Appends an untagged LEB128 varint.
+    fn put_varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
+    /// Writes `tuples` as batch records back to back, one per run of a
+    /// common producer (nothing for an empty slice).
+    pub fn put_batch<T: Borrow<Tuple>>(&mut self, tuples: &[T]) -> &mut Self {
+        for run in tuples.chunk_by(|a, b| a.borrow().producer == b.borrow().producer) {
+            self.put_record(run);
+        }
+        self
+    }
+
+    /// Writes one record of `run`: non-empty, one producer.
+    fn put_record<T: Borrow<Tuple>>(&mut self, run: &[T]) {
+        let h = BatchHeader::of(run);
+        self.buf.push(BATCH_V1);
+        for v in [
+            h.producer.0 as u64,
+            h.count,
+            h.first_seq,
+            h.last_seq,
+            h.base_time.as_micros(),
+        ] {
+            self.put_varint(v);
+        }
+        let mut prev = Prev::start(&h);
+        for t in run {
+            let t = t.borrow();
+            for v in prev.deltas(t) {
+                self.put_varint(v);
+            }
+            self.put_varint(t.fields.len() as u64);
+            for (i, v) in t.fields.iter().enumerate() {
+                match v {
+                    _ if repeats(prev.fields.get(i), v) => self.buf.push(Tag::RecordSame as u8),
+                    Value::Int(x) => {
+                        self.buf.push(Tag::RecordInt as u8);
+                        self.put_varint(zigzag(*x));
+                    }
+                    _ => {
+                        self.put_value(v);
+                    }
+                }
+            }
+            prev = Prev::of(t);
+        }
+    }
+
+    /// Writes `run` as one frame holding one record.
+    fn put_framed_record<T: Borrow<Tuple>>(&mut self, run: &[T]) {
+        let at = self.buf.len();
+        self.buf.extend_from_slice(&[0; FRAME_HEADER_BYTES]);
+        self.put_record(run);
+        let len = (self.buf.len() - at - FRAME_HEADER_BYTES) as u32;
+        self.buf[at..at + FRAME_HEADER_BYTES].copy_from_slice(&len.to_le_bytes());
+    }
+}
+
+/// Encodes `tuples` as preservation-log records, each one frame around
+/// one batch record. A record ends where the producer changes or where
+/// the next tuple would take it past `max_record_bytes` encoded (a
+/// larger tuple gets a record to itself), so a long run lands as
+/// several records.
+pub fn frame_batch<T: Borrow<Tuple>>(tuples: &[T], max_record_bytes: usize) -> Vec<u8> {
+    let mut w = SnapshotWriter::new();
+    for run in tuples.chunk_by(|a, b| a.borrow().producer == b.borrow().producer) {
+        let at = w.len();
+        w.put_framed_record(run);
+        if w.len() - at - FRAME_HEADER_BYTES <= max_record_bytes {
+            continue;
+        }
+        // Over the cap, which a run almost never is: size it exactly
+        // and write it again in pieces.
+        w.buf.truncate(at);
+        let (mut start, mut size) = (0, BatchSizer::default());
+        for (i, t) in run.iter().enumerate() {
+            if !size.push_within(t.borrow(), max_record_bytes) {
+                w.put_framed_record(&run[start..i]);
+                (start, size) = (i, BatchSizer::default());
+                size.push(t.borrow());
+            }
+        }
+        w.put_framed_record(&run[start..]);
+    }
+    w.finish()
+}
+
+/// The exact [`SnapshotWriter::put_batch`] size of a batch as it grows
+/// one tuple at a time, without encoding it: what cuts a run into
+/// batches of at most so many encoded bytes.
+#[derive(Clone, Debug, Default)]
+pub struct BatchSizer {
+    /// Bytes of the records before the open one.
+    closed: usize,
+    /// The open record's header, its tuples' bytes and its last tuple.
+    open: Option<(BatchHeader, usize, Tuple)>,
+}
+
+impl BatchSizer {
+    /// Encoded bytes of everything pushed so far.
+    pub fn bytes(&self) -> usize {
+        self.closed
+            + self
+                .open
+                .as_ref()
+                .map_or(0, |(h, body, _)| h.encoded_len() + body)
+    }
+
+    /// Adds `t`.
+    pub fn push(&mut self, t: &Tuple) {
+        self.push_within(t, usize::MAX);
+    }
+
+    /// Adds `t` unless the batch already holds a tuple and `t` would
+    /// take it past `cap` encoded bytes; `false` leaves it unchanged.
+    /// An empty batch takes any tuple, however large.
+    pub fn push_within(&mut self, t: &Tuple, cap: usize) -> bool {
+        let (closed, header, body) = match &self.open {
+            Some((h, body, last)) if h.producer == t.producer => (
+                self.closed,
+                BatchHeader {
+                    count: h.count + 1,
+                    last_seq: t.seq,
+                    ..*h
+                },
+                body + record_tuple_bytes(Prev::of(last), t),
+            ),
+            _ => {
+                let h = BatchHeader::of(std::slice::from_ref(t));
+                (self.bytes(), h, record_tuple_bytes(Prev::start(&h), t))
+            }
+        };
+        if self.open.is_some() && closed + header.encoded_len() + body > cap {
+            return false;
+        }
+        self.closed = closed;
+        self.open = Some((header, body, t.clone()));
+        true
+    }
+}
+
+impl SnapshotReader<'_> {
+    /// Reads an untagged LEB128 varint.
+    fn get_varint(&mut self, what: &str) -> Result<u64> {
+        let mut v = 0;
+        for shift in (0..64).step_by(7) {
+            let b = self.take(1, what)?[0];
+            if shift == 63 && b > 1 {
+                break;
+            }
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err(Error::Codec(format!("{what}: varint overflows 64 bits")))
+    }
+
+    fn get_batch_header(&mut self) -> Result<BatchHeader> {
+        let version = self.take(1, "record version")?[0];
+        if version != BATCH_V1 {
+            return Err(Error::Codec(format!(
+                "unknown batch record version {version:#04x}"
+            )));
+        }
+        let producer = self.get_varint("record producer")?;
+        let producer = u32::try_from(producer)
+            .map(OperatorId)
+            .map_err(|_| Error::Codec(format!("record producer {producer} out of range")))?;
+        let h = BatchHeader {
+            producer,
+            count: self.get_varint("record count")?,
+            first_seq: self.get_varint("record first seq")?,
+            last_seq: self.get_varint("record last seq")?,
+            base_time: SimTime::from_micros(self.get_varint("record base time")?),
+        };
+        if h.count == 0 {
+            return Err(Error::Codec("empty batch record".into()));
+        }
+        Ok(h)
+    }
+
+    /// Reads batch records up to the end of the buffer — one log
+    /// record, or a wire batch of any number — into their tuples.
+    /// Anything but whole, well-formed records is an error.
+    pub fn get_batch(&mut self) -> Result<Vec<Tuple>> {
+        let mut out = Vec::new();
+        while !self.is_exhausted() {
+            self.get_record(&mut out)?;
+        }
+        Ok(out)
+    }
+
+    fn get_record(&mut self, out: &mut Vec<Tuple>) -> Result<()> {
+        let h = self.get_batch_header()?;
+        // A count the remaining bytes cannot hold errors here instead
+        // of sizing a loop or an allocation.
+        if h.count > (self.buf.len() / MIN_RECORD_TUPLE_BYTES) as u64 {
+            return Err(Error::Codec(format!(
+                "record count {} exceeds remaining {}",
+                h.count,
+                self.buf.len()
+            )));
+        }
+        out.reserve((h.count as usize).min(MAX_RESERVE));
+        let mut seq = h.first_seq.wrapping_sub(1);
+        let mut time = h.base_time.as_micros();
+        let mut prev = Fields::empty();
+        for _ in 0..h.count {
+            seq = seq
+                .wrapping_add(1)
+                .wrapping_add(unzigzag(self.get_varint("seq delta")?) as u64);
+            time = time.wrapping_add(unzigzag(self.get_varint("time delta")?) as u64);
+            let n = self.get_varint("field count")?;
+            if n > self.buf.len() as u64 {
+                return Err(Error::Codec(format!(
+                    "field count {n} exceeds remaining {}",
+                    self.buf.len()
+                )));
+            }
+            let mut fields = Vec::with_capacity((n as usize).min(MAX_RESERVE));
+            for i in 0..n as usize {
+                let tag = Tag::from_u8(self.take(1, "field tag")?[0])?;
+                fields.push(match tag {
+                    Tag::RecordInt => Value::Int(unzigzag(self.get_varint("int field")?)),
+                    Tag::RecordSame => match prev.get(i) {
+                        Some(v @ (Value::Int(_) | Value::Float(_))) => v.clone(),
+                        _ => return Err(Error::Codec(format!("field {i} repeats no scalar"))),
+                    },
+                    tag => self.get_value_body(tag)?,
+                });
+            }
+            prev = fields.into();
+            out.push(Tuple {
+                producer: h.producer,
+                seq,
+                source_time: SimTime::from_micros(time),
+                fields: prev.clone(),
+            });
+        }
+        let run = &out[out.len() - h.count as usize..];
+        if run[0].seq != h.first_seq || seq != h.last_seq {
+            return Err(Error::Codec(
+                "batch record header disagrees with its tuples".into(),
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -655,9 +1034,10 @@ mod tests {
 
     /// Golden bytes captured from the `bytes`-crate encoder this
     /// module used to sit on: one tuple carrying every [`Value`]
-    /// variant. Checkpoints, WAL records and wire frames written by
-    /// older builds must keep decoding, so the layout is pinned against
-    /// that encoder, not against a roundtrip through this one.
+    /// variant. Checkpoints written by older builds must keep decoding
+    /// (and a batch record carries a non-`Int` field in these bytes),
+    /// so the layout is pinned against that encoder, not against a
+    /// roundtrip through this one.
     #[test]
     fn tuple_with_every_value_variant_matches_golden_bytes() {
         let t = Tuple::new(
@@ -681,24 +1061,6 @@ mod tests {
         let hex: String = encoded.iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(hex, GOLDEN);
         assert_eq!(SnapshotReader::new(&encoded).get_tuple().unwrap(), t);
-    }
-
-    /// The WAL scan reads a tuple's seq at a fixed offset of the pinned
-    /// encoding; this ties that offset to the golden bytes above (tag
-    /// `20`, producer `07000000`, then the seq little-endian).
-    #[test]
-    fn peek_tuple_seq_reads_the_golden_seq_bytes() {
-        let golden: Vec<u8> = (0..GOLDEN.len())
-            .step_by(2)
-            .map(|i| u8::from_str_radix(&GOLDEN[i..i + 2], 16).unwrap())
-            .collect();
-        let seq = Some(0x0102_0304_0506_0708);
-        assert_eq!(peek_tuple_seq(&golden), seq);
-        assert_eq!(peek_tuple_seq(&golden[..TUPLE_SEQ_PEEK_BYTES]), seq);
-        assert_eq!(peek_tuple_seq(&golden[..TUPLE_SEQ_PEEK_BYTES - 1]), None);
-        let mut not_a_tuple = golden;
-        not_a_tuple[0] = Tag::U64 as u8;
-        assert_eq!(peek_tuple_seq(&not_a_tuple), None);
     }
 
     #[test]
@@ -827,35 +1189,156 @@ mod tests {
         assert!(matches!(dec.next_frame(), Err(Error::Wire(_))));
     }
 
-    #[test]
-    fn frame_tuples_is_byte_identical_to_individual_frames() {
-        let tuples: Vec<Tuple> = (0..4)
-            .map(|seq| {
+    /// A gate-shaped run: five `Int` fields — a value under 2¹⁵, a key
+    /// under 2¹⁴, then producer, batch id and last flag, constant but
+    /// for the flag — consecutive seqs, time zero.
+    fn gate_run(first_seq: u64, n: u64) -> Vec<Tuple> {
+        (0..n)
+            .map(|i| {
+                let (value, key) = (20_000 + i as i64, 10_000 + 3 * i as i64);
+                let fields = [value, key, 7, 42, (i + 1 == n) as i64];
                 Tuple::new(
-                    OperatorId(2),
-                    seq,
-                    SimTime::from_micros(seq * 3),
-                    vec![Value::Int(seq as i64), Value::Str(format!("p{seq}"))],
+                    OperatorId(0),
+                    first_seq + i,
+                    SimTime::ZERO,
+                    fields.map(Value::Int).to_vec(),
+                )
+            })
+            .collect()
+    }
+
+    fn record(tuples: &[Tuple]) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        w.put_batch(tuples);
+        w.finish()
+    }
+
+    /// The batch record layout, pinned byte for byte: the header
+    /// (version, producer, count, first seq, last seq, base time), then
+    /// per tuple a seq delta, a time delta, a field count and the
+    /// fields — varint `Int`s, a repeat tag for every batch-constant
+    /// column after the first tuple, `put_value` bytes for the rest.
+    #[test]
+    fn batch_record_matches_golden_bytes() {
+        let mut run = gate_run(300, 2);
+        run.push(Tuple::new(
+            OperatorId(0),
+            305,
+            SimTime::from_micros(9),
+            vec![Value::Str("é".into())],
+        ));
+        let bytes = record(&run);
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        let golden = [
+            // Version, producer 0, 3 tuples, seqs 300 to 305, time 0.
+            "b1 00 03 ac02 b102 00",
+            // Seq 300: deltas 0 and 0, 5 fields, all varint `Int`s.
+            "00 00 05 21c0b802 21a09c01 210e 2154 2100",
+            // Seq 301: fields 2 and 3 repeat; the last flag does not.
+            "00 00 05 21c2b802 21a69c01 22 22 2102",
+            // Seq 305 (delta 3) at 9 µs: one `Str` in `put_value` bytes.
+            "06 12 01 12 0200000000000000 c3a9",
+        ];
+        assert_eq!(hex, golden.concat().replace(' ', ""));
+        assert_eq!(SnapshotReader::new(&bytes).get_batch().unwrap(), run);
+        let h = BatchHeader::decode(&bytes).unwrap();
+        assert_eq!((h.count, h.first_seq, h.last_seq), (3, 300, 305));
+        assert_eq!(h.encoded_len(), 8);
+    }
+
+    /// The constant columns of a gate batch cost one byte each, so a
+    /// tuple of two 3-byte varint `Int`s and three constants is 14
+    /// bytes where the per-tuple frame took 78.
+    #[test]
+    fn gate_batch_costs_fourteen_bytes_a_tuple() {
+        let run = gate_run(1 << 20, 256);
+        let framed = frame_batch(&run, MAX_FRAME_BYTES);
+        let h = BatchHeader::decode(&framed[FRAME_HEADER_BYTES..]).unwrap();
+        let per_tuple = (framed.len() - FRAME_HEADER_BYTES - h.encoded_len()) as f64 / 256.0;
+        assert!((14.0..=14.02).contains(&per_tuple), "{per_tuple} B/tuple");
+    }
+
+    #[test]
+    fn batches_of_mixed_producers_and_values_roundtrip() {
+        let values = [
+            Value::Int(i64::MIN),
+            Value::Float(-0.0),
+            Value::Str("s".into()),
+            Value::List(vec![Value::Int(1), Value::Float(0.5)]),
+            Value::blob(1 << 30),
+        ];
+        let tuples: Vec<Tuple> = (0..12u64)
+            .map(|i| {
+                Tuple::new(
+                    OperatorId((i / 5) as u32),
+                    (u64::MAX - 40).wrapping_add(i * i),
+                    SimTime::from_micros(u64::MAX - i * 1000),
+                    values[..(i as usize % 6)].to_vec(),
                 )
             })
             .collect();
-        let mut individual = Vec::new();
-        for t in &tuples {
-            let mut w = SnapshotWriter::new();
-            w.put_tuple(t);
-            individual.extend_from_slice(&frame(&w.finish()));
+        for cut in 0..=tuples.len() {
+            let bytes = record(&tuples[..cut]);
+            let back = SnapshotReader::new(&bytes).get_batch().unwrap();
+            assert_eq!(back, &tuples[..cut]);
+            // -0.0 == 0.0, so check the repeat kept the sign bit.
+            let bits = |ts: &[Tuple]| -> Vec<u64> {
+                ts.iter()
+                    .filter_map(|t| t.field(1).and_then(Value::as_float))
+                    .map(f64::to_bits)
+                    .collect()
+            };
+            assert_eq!(bits(&back), bits(&tuples[..cut]));
+            let mut size = BatchSizer::default();
+            tuples[..cut].iter().for_each(|t| size.push(t));
+            assert_eq!(size.bytes(), bytes.len(), "sizer exact at {cut}");
         }
-        let batched = frame_tuples(tuples.iter());
-        assert_eq!(batched, individual);
-        // And the batch decodes back through the plain frame decoder.
+    }
+
+    #[test]
+    fn frame_batch_cuts_records_at_the_cap_and_at_producer_changes() {
+        let mut run = gate_run(0, 40);
+        run.extend(gate_run(40, 10).into_iter().map(|t| Tuple {
+            producer: OperatorId(1),
+            ..t
+        }));
+        let cap = 200;
+        let framed = frame_batch(&run, cap);
         let mut dec = FrameDecoder::new();
-        dec.feed(&batched);
-        for t in &tuples {
-            let p = dec.next_frame().unwrap().unwrap();
-            assert_eq!(&SnapshotReader::new(&p).get_tuple().unwrap(), t);
+        dec.feed(&framed);
+        let mut back = Vec::new();
+        let mut records = 0;
+        while let Some(p) = dec.next_frame().unwrap() {
+            let ts = SnapshotReader::new(&p).get_batch().unwrap();
+            assert!(p.len() <= cap || ts.len() == 1, "{}-byte record", p.len());
+            assert!(ts.iter().all(|t| t.producer == ts[0].producer));
+            back.extend(ts);
+            records += 1;
         }
-        assert_eq!(dec.buffered(), 0);
-        assert!(frame_tuples(std::iter::empty()).is_empty());
+        assert_eq!(back, run);
+        assert!(records > 4, "{records} records");
+        assert!(frame_batch::<Tuple>(&[], cap).is_empty());
+    }
+
+    #[test]
+    fn record_decoder_rejects_what_it_cannot_trust() {
+        let bytes = record(&gate_run(5, 3));
+        for cut in 0..bytes.len() {
+            assert!(SnapshotReader::new(&bytes[..cut]).get_batch().is_err() || cut == 0);
+        }
+        // A per-tuple encoding (the log layout before records) is not a
+        // record: its first byte is no version the decoder knows.
+        let mut w = SnapshotWriter::new();
+        w.put_tuple(&gate_run(5, 1)[0]);
+        assert!(SnapshotReader::new(&w.finish()).get_batch().is_err());
+        // A header whose seqs disagree with its tuples.
+        let mut lie = bytes.clone();
+        lie[4] += 1; // last seq
+        assert!(SnapshotReader::new(&lie).get_batch().is_err());
+        // A repeat tag in a record's first tuple has nothing to repeat.
+        let mut first = bytes;
+        first[9] = Tag::RecordSame as u8;
+        assert!(SnapshotReader::new(&first).get_batch().is_err());
     }
 
     #[test]

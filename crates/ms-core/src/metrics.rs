@@ -130,8 +130,9 @@ impl OperatorMeter {
         self.tuples_in.store(v + n, Ordering::Relaxed);
     }
 
-    /// Counts `n` emitted tuples carrying `bytes` of payload.
-    /// Host-thread only, like [`add_tuples_in`].
+    /// Counts `n` emitted tuples that left on the output routes as
+    /// `bytes` encoded batch-record bytes. Host-thread only, like
+    /// [`add_tuples_in`].
     ///
     /// [`add_tuples_in`]: OperatorMeter::add_tuples_in
     pub fn add_tuples_out(&self, n: u64, bytes: u64) {
@@ -203,7 +204,8 @@ pub struct OperatorSample {
     pub tuples_in: u64,
     /// Tuples emitted since launch.
     pub tuples_out: u64,
-    /// Payload bytes emitted since launch.
+    /// Encoded batch-record bytes handed to the output routes since
+    /// launch — what the edges carry, before the per-message frame.
     pub bytes_out: u64,
     /// Logical state size at the last snapshot.
     pub state_bytes: u64,

@@ -46,13 +46,17 @@ impl GateMeter {
         GateMeter::default()
     }
 
-    /// Records one accepted batch: its raw event count, the tuples it
-    /// emitted, and the WAL bytes it appended.
-    pub fn record_accept(&self, events: u64, tuples: u64, wal_bytes: u64) {
+    /// Records one accepted batch: its raw event count and the tuples
+    /// it emitted.
+    pub fn record_accept(&self, events: u64, tuples: u64) {
         self.accepted_batches.fetch_add(1, Ordering::Relaxed);
         self.accepted_events.fetch_add(events, Ordering::Relaxed);
         self.emitted_tuples.fetch_add(tuples, Ordering::Relaxed);
-        self.wal_bytes.fetch_add(wal_bytes, Ordering::Relaxed);
+    }
+
+    /// Records the bytes one group append wrote to the preservation log.
+    pub fn record_wal_bytes(&self, bytes: u64) {
+        self.wal_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Records one admission-shed batch.
@@ -87,8 +91,10 @@ mod tests {
     #[test]
     fn sample_reflects_recorded_activity() {
         let m = GateMeter::new();
-        m.record_accept(16, 4, 512);
-        m.record_accept(16, 3, 400);
+        m.record_accept(16, 4);
+        m.record_accept(16, 3);
+        m.record_wal_bytes(512);
+        m.record_wal_bytes(400);
         m.record_shed();
         m.record_ack_us(100);
         m.record_ack_us(200);

@@ -39,7 +39,7 @@ use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::Instant;
 
-use ms_core::codec::{frame, FrameDecoder, SnapshotWriter, FRAME_HEADER_BYTES};
+use ms_core::codec::{frame, FrameDecoder};
 use ms_core::error::Result;
 use ms_core::gate::{GateConfig, GateMsg};
 use ms_core::ids::{OperatorId, PortId};
@@ -328,7 +328,8 @@ fn process_frames(
 
 /// Commits one poll turn: a single group append covering every batch
 /// and Fin marker admitted this turn, then — and only then — routing
-/// (both inside [`SourceCore::send`]), metering, and ack queueing.
+/// (both inside [`SourceCore::send`]), metering (the WAL bytes are the
+/// ones the append wrote), and ack queueing.
 /// `false` means stable storage failed — fatal for the whole gate, with
 /// nothing from the group acked.
 fn commit_turn(
@@ -337,16 +338,13 @@ fn commit_turn(
     src: &mut SourceCore,
     meter: &GateMeter,
 ) -> bool {
-    if !src.send(&turn.wal, turn.accepts.iter().map(|acc| acc.range.clone())) {
+    let Some(wal_bytes) = src.send(&turn.wal, turn.accepts.iter().map(|acc| acc.range.clone()))
+    else {
         return false;
-    }
+    };
+    meter.record_wal_bytes(wal_bytes);
     for acc in turn.accepts.drain(..) {
-        let tuples = &turn.wal[acc.range];
-        let wal_bytes: usize = tuples
-            .iter()
-            .map(|t| SnapshotWriter::encoded_tuple_bytes(t) + FRAME_HEADER_BYTES)
-            .sum();
-        meter.record_accept(acc.events, tuples.len() as u64, wal_bytes as u64);
+        meter.record_accept(acc.events, acc.range.len() as u64);
         if let Some(c) = conns.get_mut(acc.conn) {
             c.queue(&GateMsg::Accepted { batch: acc.batch });
         }
@@ -574,8 +572,9 @@ mod tests {
         cmd_tx: Sender<SourceCmd>,
         rx: Receiver<HostMsg>,
         store: Arc<FsStore>,
+        meter: Arc<GateMeter>,
         handle: std::thread::JoinHandle<HostExit>,
-        _dir: PathBuf,
+        dir: PathBuf,
     }
 
     fn start_gate(tag: &str, cfg: GateConfig) -> Gate {
@@ -588,6 +587,7 @@ mod tests {
         let (cmd_tx, cmd_rx) = channel();
         let (tx, rx) = channel::<HostMsg>();
         let addr_file = dir.join("gate.addr");
+        let meter = Arc::new(GateMeter::new());
         let wiring = GateWiring {
             op_id: OperatorId(0),
             cfg,
@@ -598,7 +598,7 @@ mod tests {
             restored: None,
             restored_seq: 0,
             replay: Vec::new(),
-            meter: Arc::new(GateMeter::new()),
+            meter: meter.clone(),
             telemetry: None,
         };
         let store2 = store.clone();
@@ -613,9 +613,53 @@ mod tests {
             cmd_tx,
             rx,
             store,
+            meter,
             handle,
-            _dir: dir,
+            dir,
         }
+    }
+
+    #[test]
+    fn metered_wal_bytes_are_the_bytes_the_log_grew_by() {
+        let g = start_gate(
+            "walbytes",
+            GateConfig {
+                preagg: false,
+                expected_producers: 2,
+                ..GateConfig::default()
+            },
+        );
+        let log = g.dir.join("store").join("log").join("op0.log");
+        let mut a = TcpStream::connect(&g.addr).unwrap();
+        let mut da = FrameDecoder::new();
+        send(&mut a, &GateMsg::Hello { producer: 1 });
+        // One acked batch per turn, of varied sizes and values, then
+        // both Fins: every append is metered, Fin markers included.
+        for batch in 1..=6u64 {
+            let events = (0..batch * 37)
+                .map(|i| (i * 7, (i * batch) as i64 - 90))
+                .collect();
+            send(&mut a, &GateMsg::Batch { batch, events });
+            assert_eq!(recv(&mut a, &mut da), GateMsg::Accepted { batch });
+            let grown = fs::metadata(&log).unwrap().len();
+            assert_eq!(g.meter.sample().wal_bytes, grown, "after batch {batch}");
+        }
+        send(&mut a, &GateMsg::Fin { producer: 1 });
+        assert_eq!(recv(&mut a, &mut da), GateMsg::FinOk);
+        let mut b = TcpStream::connect(&g.addr).unwrap();
+        let mut db = FrameDecoder::new();
+        send(&mut b, &GateMsg::Fin { producer: 2 });
+        assert_eq!(recv(&mut b, &mut db), GateMsg::FinOk);
+        assert!(g.handle.join().unwrap().error.is_none());
+        assert_eq!(
+            g.store.preserved_tuples(),
+            (1..=6).map(|b| b * 37).sum::<u64>() as usize + 2
+        );
+        assert_eq!(
+            g.meter.sample().wal_bytes,
+            fs::metadata(&log).unwrap().len()
+        );
+        let _ = fs::remove_dir_all(&g.dir);
     }
 
     #[test]

@@ -84,7 +84,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use ms_core::codec::SnapshotWriter;
+use ms_core::codec::BatchSizer;
 use ms_core::error::{Error, Result};
 use ms_core::ids::{EpochId, OperatorId, PortId};
 use ms_core::metrics::{BackpressureMeter, OperatorMeter};
@@ -293,8 +293,8 @@ impl EdgeTx for Box<dyn EdgeTx> {
     }
 }
 
-/// Most encoded tuple bytes ([`SnapshotWriter::encoded_tuple_bytes`])
-/// one [`HostMsg::DataBatch`] carries: far above any steady-state batch
+/// Most encoded bytes — the exact batch-record size a [`BatchSizer`]
+/// counts — one [`HostMsg::DataBatch`] carries: far above any steady-state batch
 /// (tens of KiB), far below the 64 MiB
 /// [`MAX_FRAME_BYTES`](ms_core::codec::MAX_FRAME_BYTES) past which the
 /// peer's decoder reads a frame length as corruption and drops the
@@ -336,31 +336,34 @@ impl OutputRoute {
     /// a shard preserved, and a shard's run leaves as consecutive
     /// batches of at most `MAX_BATCH_BYTES` encoded bytes — one batch
     /// in the common case; a single larger tuple travels alone.
-    /// Returns `false` if any receiving shard is gone.
-    pub fn data_batch(&self, tuples: impl IntoIterator<Item = Tuple>) -> bool {
+    /// Returns the encoded bytes of every batch sent, or `None` if any
+    /// receiving shard is gone.
+    pub fn data_batch(&self, tuples: impl IntoIterator<Item = Tuple>) -> Option<u64> {
         let shards = self.targets.len();
-        let mut runs = vec![(Vec::new(), 0usize); shards];
+        let mut runs = vec![(Vec::new(), BatchSizer::default()); shards];
         let mut ok = true;
+        let mut bytes = 0;
         for t in tuples {
             let idx = match &self.key {
                 Some(key) if shards > 1 => shard_of(key(&t), shards),
                 _ => 0,
             };
-            let bytes = SnapshotWriter::encoded_tuple_bytes(&t);
-            let (run, run_bytes) = &mut runs[idx];
-            if !run.is_empty() && *run_bytes + bytes > MAX_BATCH_BYTES {
+            let (run, size) = &mut runs[idx];
+            if !size.push_within(&t, MAX_BATCH_BYTES) {
+                bytes += size.bytes();
                 ok &= self.targets[idx].send(HostMsg::DataBatch(std::mem::take(run).into()));
-                *run_bytes = 0;
+                *size = BatchSizer::default();
+                size.push(&t);
             }
             run.push(t);
-            *run_bytes += bytes;
         }
-        for (tx, (run, _)) in self.targets.iter().zip(runs) {
+        for (tx, (run, size)) in self.targets.iter().zip(runs) {
             if !run.is_empty() {
+                bytes += size.bytes();
                 ok &= tx.send(HostMsg::DataBatch(run.into()));
             }
         }
-        ok
+        ok.then_some(bytes as u64)
     }
 
     /// Broadcasts a checkpoint token to every shard instance.
@@ -517,28 +520,24 @@ fn route_stamped(
     stamped: impl Iterator<Item = (PortId, Tuple)>,
 ) -> bool {
     let mut runs = vec![Vec::new(); outputs.len()];
-    // Emission metering is batched: one pair of relaxed adds per call,
-    // not per tuple.
     let mut emitted = 0u64;
-    let mut emitted_bytes = 0u64;
     for (port, t) in stamped {
-        if telemetry.is_some() {
-            emitted += 1;
-            emitted_bytes += t.payload_bytes();
-        }
+        emitted += 1;
         if let Some(run) = runs.get_mut(port.index()) {
             run.push(t);
         }
     }
-    if let Some(m) = telemetry {
-        if emitted > 0 {
-            m.add_tuples_out(emitted, emitted_bytes);
-        }
-    }
-    outputs
+    let mut sent_bytes = 0;
+    let ok = outputs
         .iter()
         .zip(runs)
-        .all(|(route, run)| route.data_batch(run))
+        .all(|(route, run)| route.data_batch(run).map(|b| sent_bytes += b).is_some());
+    // Emission metering is batched: one pair of relaxed adds per call,
+    // not per tuple.
+    if let Some(m) = telemetry.as_ref().filter(|_| emitted > 0) {
+        m.add_tuples_out(emitted, sent_bytes);
+    }
+    ok
 }
 
 /// The interior/sink half of the host protocol as a plain state
@@ -905,14 +904,16 @@ impl SourceCore {
         }
     }
 
-    /// Source preservation: `wal` is durable when this returns `true`.
-    fn preserve(&mut self, wal: &[Tuple]) -> bool {
+    /// Source preservation: `wal` is durable when this returns the
+    /// bytes the log grew by.
+    fn preserve(&mut self, wal: &[Tuple]) -> Option<u64> {
         if self.error.is_none() && !wal.is_empty() {
-            if let Err(e) = self.store.append_log_batch(self.op_id, wal) {
-                self.fail(e);
+            match self.store.append_log_batch(self.op_id, wal) {
+                Ok(bytes) => return Some(bytes),
+                Err(e) => self.fail(e),
             }
         }
-        self.error.is_none()
+        self.error.is_none().then_some(0)
     }
 
     /// Ticks a generating operator once: stamps what it emits,
@@ -928,7 +929,7 @@ impl SourceCore {
         let (ports, tuples): (Vec<PortId>, Vec<Tuple>) =
             stamp(self.op_id, &mut self.next_seq, ctx.emissions).unzip();
         !tuples.is_empty()
-            && self.preserve(&tuples)
+            && self.preserve(&tuples).is_some()
             && route_stamped(
                 &self.outputs,
                 &self.telemetry,
@@ -939,21 +940,25 @@ impl SourceCore {
     /// Preserves `wal` — tuples the driver stamped itself — as one
     /// group append, and only then delivers each `deliver` range of it
     /// as one batch on every route (a gateway fans out like a source).
-    /// Records outside every range are WAL-only. `false`: nothing is
-    /// durable and nothing was sent.
-    pub fn send(&mut self, wal: &[Tuple], deliver: impl IntoIterator<Item = Range<usize>>) -> bool {
-        if !self.preserve(wal) {
-            return false;
-        }
+    /// Records outside every range are WAL-only. Returns the bytes the
+    /// log grew by; `None`: nothing is durable and nothing was sent.
+    pub fn send(
+        &mut self,
+        wal: &[Tuple],
+        deliver: impl IntoIterator<Item = Range<usize>>,
+    ) -> Option<u64> {
+        let wal_bytes = self.preserve(wal)?;
         for run in deliver.into_iter().map(|range| &wal[range]) {
-            for route in &self.outputs {
-                route.data_batch(run.iter().cloned());
-            }
+            let sent_bytes: u64 = self
+                .outputs
+                .iter()
+                .filter_map(|route| route.data_batch(run.iter().cloned()))
+                .sum();
             if let Some(m) = self.telemetry.as_ref().filter(|_| !run.is_empty()) {
-                m.add_tuples_out(run.len() as u64, run.iter().map(Tuple::payload_bytes).sum());
+                m.add_tuples_out(run.len() as u64, sent_bytes);
             }
         }
-        true
+        Some(wal_bytes)
     }
 
     /// The source checkpoint, in the only safe order: the stream
@@ -1077,8 +1082,8 @@ mod tests {
         fn latest_complete(&self) -> Option<EpochId> {
             None
         }
-        fn append_log_batch(&self, _: OperatorId, batch: &[Tuple]) -> Result<()> {
-            self.note(format!("append {}", batch.len()))
+        fn append_log_batch(&self, _: OperatorId, batch: &[Tuple]) -> Result<u64> {
+            self.note(format!("append {}", batch.len())).map(|()| 0)
         }
         fn mark_epoch(&self, _: OperatorId, epoch: EpochId, _: u64) -> Result<()> {
             self.note(format!("mark {}", epoch.0))
@@ -1139,7 +1144,7 @@ mod tests {
         assert_eq!(rec.take(), ["append 2", "data x1 on 0", "data x1 on 1"]);
         // A driver-stamped run: the WAL-only record in the middle is
         // preserved with the rest and delivered nowhere.
-        assert!(src.send(&stamped(2..7), [0..2, 3..5]));
+        assert!(src.send(&stamped(2..7), [0..2, 3..5]).is_some());
         let twice = ["data x2 on 0", "data x2 on 1"];
         assert_eq!(rec.take(), [&["append 5"][..], &twice, &twice].concat());
         assert!(src.checkpoint_operator(EpochId(1), &mut op));
@@ -1172,7 +1177,7 @@ mod tests {
     #[test]
     fn failed_append_routes_nothing() {
         let (mut src, rec) = source("append");
-        assert!(!src.send(&stamped(0..3), Some(0..3)));
+        assert!(src.send(&stamped(0..3), Some(0..3)).is_none());
         assert!(!src.tick(&mut CountSource::new(10)));
         assert!(rec.take().is_empty());
         let exit = src.finish(Box::new(CountSource::new(0)));
@@ -1273,11 +1278,14 @@ mod tests {
                 .collect();
             assert!(batches.len() > 1, "shard {shard} got one message");
             for batch in &batches {
-                // Under the cap, or the one over-sized tuple by itself.
-                let bytes: usize = batch.iter().map(SnapshotWriter::encoded_tuple_bytes).sum();
+                // Under the cap encoded, or the one over-sized tuple by
+                // itself.
+                let mut size = BatchSizer::default();
+                batch.iter().for_each(|t| size.push(t));
                 assert!(
-                    bytes <= MAX_BATCH_BYTES || batch.len() == 1,
-                    "{bytes}-byte batch"
+                    size.bytes() <= MAX_BATCH_BYTES || batch.len() == 1,
+                    "{}-byte batch",
+                    size.bytes()
                 );
             }
             let got: Vec<u64> = batches

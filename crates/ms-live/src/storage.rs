@@ -144,12 +144,12 @@ pub trait StableStore: Send + Sync {
     /// Source preservation: appends a run of emitted tuples in one
     /// storage round (called *before* any of them is sent downstream) —
     /// implementations amortize lock acquisition, encoding, and the
-    /// write syscall across the run. The durable bytes depend only on
-    /// the tuples, never on how they were grouped into calls (same log
-    /// bytes, same replay), and `Err` means *none* of the run may be
-    /// treated as durable: the caller must not send or ack any tuple
-    /// in it.
-    fn append_log_batch(&self, source: OperatorId, batch: &[Tuple]) -> Result<()>;
+    /// write syscall across the run. The replay depends only on the
+    /// tuples, never on how they were grouped into calls. `Ok` carries
+    /// the bytes the log grew by (0 when every tuple was already
+    /// durable); `Err` means *none* of the run may be treated as
+    /// durable: the caller must not send or ack any tuple in it.
+    fn append_log_batch(&self, source: OperatorId, batch: &[Tuple]) -> Result<u64>;
 
     /// Records a source's stream boundary for an epoch: the first
     /// sequence number *after* the checkpoint.

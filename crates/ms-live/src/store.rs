@@ -11,14 +11,18 @@
 //!   place, so a checkpoint file either exists complete or not at all.
 //!   Reads fold the chain: [`StableStore::get_checkpoint`] always
 //!   returns the complete state, byte-identical to a full snapshot.
-//! * `log/op{N}.log` — source-preservation logs: one frame per tuple,
-//!   appended *before* the tuple is sent (§III-A). An append
-//!   ([`StableStore::append_log_batch`]) concatenates its tuples'
-//!   frames into one pre-sized buffer and hands the kernel a single
-//!   `write_all` — the bytes do not depend on how a run was split
-//!   into appends, just one lock/encode/syscall per call. Bytes handed to
-//!   the kernel survive the process, so a SIGKILL can tear at most
-//!   the final record; readers stop at the first incomplete frame.
+//! * `log/op{N}.log` — source-preservation logs, written *before* the
+//!   tuples they hold are sent (§III-A): a sequence of frames, each
+//!   holding one batch record ([`ms_core::codec::frame_batch`]) of the
+//!   tuples one append ([`StableStore::append_log_batch`]) made fresh
+//!   — a header, then every tuple as seq and time deltas and varint
+//!   fields, a batch-constant column one byte. An append is one
+//!   lock, one encode and one `write_all`; a run past
+//!   [`MAX_FRAME_BYTES`] lands as several records. The bytes therefore
+//!   depend on how a run was split into appends; the replay does not.
+//!   Bytes handed to the kernel survive the process, so a SIGKILL can
+//!   tear at most the final record, which readers drop whole: acks
+//!   follow appends, so none of its tuples was acked.
 //! * `marks/op{N}.marks` — per-source `(epoch, next_seq)` stream
 //!   boundaries, appended the same way.
 //!
@@ -74,8 +78,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use ms_core::codec::{
-    frame, frame_tuples, peek_tuple_seq, SnapshotReader, SnapshotWriter, FRAME_HEADER_BYTES,
-    MAX_FILE_FRAME_BYTES, MAX_FRAME_BYTES, TUPLE_SEQ_PEEK_BYTES,
+    frame, frame_batch, BatchHeader, SnapshotReader, SnapshotWriter, BATCH_HEADER_MAX_BYTES,
+    FRAME_HEADER_BYTES, MAX_FILE_FRAME_BYTES, MAX_FRAME_BYTES,
 };
 use ms_core::delta::{self, StateDelta};
 use ms_core::error::{Error, Result};
@@ -332,7 +336,7 @@ impl FsStore {
             .map(|(_, s)| s)
     }
 
-    /// Rewrites a capped log keeping only the byte range the newest
+    /// Rewrites a capped log keeping only the records the newest
     /// complete checkpoint can still replay; returns whether anything
     /// shrank. Called with the log mutex held — the swapped file and
     /// the writer handle change together.
@@ -361,8 +365,8 @@ impl FsStore {
     }
 
     /// Ensures the writer for `source`'s preservation log exists,
-    /// running the cold-open recovery scan — walk the frame headers
-    /// once, find the clean prefix, trim a torn tail, remember the
+    /// running the cold-open recovery scan — walk the record headers
+    /// once, find the clean prefix, trim a torn record, remember the
     /// highest durable sequence — exactly when the writer is first
     /// created. Every later append (including a retry after a transient
     /// write error) finds the cached writer and never re-reads the file.
@@ -383,7 +387,7 @@ impl FsStore {
             let scan = scan_log(&path, u64::MAX)
                 .map_err(|e| Error::Storage(format!("cannot scan source log {path:?}: {e}")))?;
             // Drop the record a crash cut short (a no-op on a clean
-            // log), so re-appended frames land on a frame boundary.
+            // log), so appends resume on a record boundary.
             // Failure here leaves a log whose tail would corrupt every
             // later append — the source must stop, not stream over it.
             file.set_len(scan.clean_len)
@@ -444,49 +448,66 @@ fn frames(mut bytes: &[u8]) -> impl Iterator<Item = &[u8]> {
     })
 }
 
-/// What one pass over a preservation log's frame headers found.
+/// What one pass over a preservation log's record headers found.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LogScan {
-    /// Bytes of complete frames at the front of the file; anything
+    /// Bytes of complete records at the front of the file; anything
     /// past them is the one record a SIGKILL cut short.
     pub clean_len: u64,
-    /// Frames in that clean prefix.
-    pub frames: usize,
+    /// Records in that clean prefix.
+    pub records: usize,
+    /// Tuples those records hold.
+    pub tuples: usize,
     /// Sequence number of its last tuple.
     pub last_seq: Option<u64>,
-    /// Where its tuples with `seq >= from_seq` start (`clean_len` when
-    /// there are none): sequence numbers strictly increase along a log
-    /// (the append dedup guard), so they are exactly its tail.
+    /// Where the first record whose last tuple has `seq >= from_seq`
+    /// starts (`clean_len` when there is none): sequence numbers
+    /// strictly increase along a log (the append dedup guard), so every
+    /// tuple at or past `from_seq` lies in the records from here on —
+    /// and the first of them may also hold earlier ones.
     pub suffix_offset: u64,
 }
 
 /// Streams over the log at `path` without decoding or buffering it:
-/// reads each frame's length prefix, peeks the tuple's sequence number
-/// at its fixed payload offset, seeks past the rest.
+/// reads each record's frame length and header, seeks past its tuples.
+/// A complete record whose header does not parse — a log in another
+/// layout, or corruption — is an [`io::ErrorKind::InvalidData`] error,
+/// never a misread.
 pub fn scan_log(path: &Path, from_seq: u64) -> io::Result<LogScan> {
     let file = File::open(path)?;
     let file_len = file.metadata()?.len();
     let mut scan = LogScan::default();
     let mut r = BufReader::with_capacity(1 << 18, file);
-    let mut header = [0u8; FRAME_HEADER_BYTES];
-    let mut peek = [0u8; TUPLE_SEQ_PEEK_BYTES];
+    let mut len_bytes = [0u8; FRAME_HEADER_BYTES];
+    let mut head = [0u8; BATCH_HEADER_MAX_BYTES];
     while file_len - scan.clean_len >= FRAME_HEADER_BYTES as u64 {
-        r.read_exact(&mut header)?;
-        let len = u32::from_le_bytes(header) as usize;
+        r.read_exact(&mut len_bytes)?;
+        let len = u32::from_le_bytes(len_bytes) as usize;
         let end = scan.clean_len + (FRAME_HEADER_BYTES + len) as u64;
         if len > MAX_FRAME_BYTES || end > file_len {
             break;
         }
-        let peek = &mut peek[..len.min(TUPLE_SEQ_PEEK_BYTES)];
-        r.read_exact(peek)?;
-        r.seek_relative((len - peek.len()) as i64)?;
+        let head = &mut head[..len.min(BATCH_HEADER_MAX_BYTES)];
+        r.read_exact(head)?;
+        r.seek_relative((len - head.len()) as i64)?;
+        let corrupt = |why: String| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("log record at byte {}: {why}", scan.clean_len),
+            )
+        };
+        let h = BatchHeader::decode(head).map_err(|e| corrupt(e.to_string()))?;
+        // Every tuple takes at least one byte: a count past the
+        // record's length is no record this store wrote.
+        if h.count > len as u64 {
+            return Err(corrupt(format!("{} tuples in {len} bytes", h.count)));
+        }
         scan.clean_len = end;
-        scan.frames += 1;
-        if let Some(seq) = peek_tuple_seq(peek) {
-            scan.last_seq = Some(seq);
-            if seq < from_seq {
-                scan.suffix_offset = end;
-            }
+        scan.records += 1;
+        scan.tuples += h.count as usize;
+        scan.last_seq = Some(h.last_seq);
+        if h.last_seq < from_seq {
+            scan.suffix_offset = end;
         }
     }
     Ok(scan)
@@ -647,9 +668,9 @@ impl StableStore for FsStore {
             .find(|&e| self.epoch_is_complete(e))
     }
 
-    fn append_log_batch(&self, source: OperatorId, batch: &[Tuple]) -> Result<()> {
+    fn append_log_batch(&self, source: OperatorId, batch: &[Tuple]) -> Result<u64> {
         if batch.is_empty() {
-            return Ok(());
+            return Ok(0);
         }
         let mut deadline: Option<Instant> = None;
         loop {
@@ -663,13 +684,13 @@ impl StableStore for FsStore {
                     .filter(|t| lw.last_seq.is_none_or(|s| t.seq > s))
                     .collect();
                 let Some(last) = fresh.last() else {
-                    return Ok(()); // whole batch already durable
+                    return Ok(0); // whole batch already durable
                 };
                 let last_seq = last.seq;
-                // One pre-sized buffer of concatenated per-tuple frames
-                // — byte-identical to appending each tuple alone, so
-                // torn-tail detection and replay never see a "batch".
-                let rec = frame_tuples(fresh);
+                // The fresh suffix as one framed record (several past
+                // the frame cap): what a torn tail loses is whole
+                // records, and replay never depends on the split.
+                let rec = frame_batch(&fresh, MAX_FRAME_BYTES);
                 let mut fits = match self.log_cap {
                     Some((cap, _)) => lw.bytes + rec.len() as u64 <= cap,
                     None => true,
@@ -683,8 +704,8 @@ impl StableStore for FsStore {
                 }
                 if fits {
                     // One write_all for the whole batch: the kernel has
-                    // every frame (or, on a crash, at most a torn final
-                    // record) — never an interleaving.
+                    // every record (or, on a crash, at most a torn final
+                    // one) — never an interleaving.
                     if let Err(e) = lw.file.write_all(&rec) {
                         // A failed write may have landed a partial
                         // record; restore the pre-write length so a
@@ -706,7 +727,7 @@ impl StableStore for FsStore {
                     self.log_writes.fetch_add(1, Ordering::Relaxed);
                     lw.bytes += rec.len() as u64;
                     lw.last_seq = Some(last_seq);
-                    return Ok(());
+                    return Ok(rec.len() as u64);
                 }
             } // release the log mutex while pausing
             let patience = self.log_cap.expect("cap hit").1;
@@ -751,12 +772,15 @@ impl StableStore for FsStore {
     fn replay_from(&self, source: OperatorId, epoch: EpochId) -> Vec<Tuple> {
         let from_seq = self.mark_for(source, epoch).unwrap_or(0);
         let path = self.log_path(source);
-        // Only the suffix past the epoch's mark is read and decoded.
+        // Only the records reaching the epoch's mark are read and
+        // decoded; the first of them may begin below it.
         let suffix = scan_log(&path, from_seq)
             .and_then(|scan| read_range(&path, scan.suffix_offset, scan.clean_len))
             .unwrap_or_default();
         frames(&suffix)
-            .filter_map(|p| SnapshotReader::new(p).get_tuple().ok())
+            .filter_map(|p| SnapshotReader::new(p).get_batch().ok())
+            .flatten()
+            .filter(|t| t.seq >= from_seq)
             .collect()
     }
 
@@ -766,7 +790,7 @@ impl StableStore for FsStore {
         };
         entries
             .flatten()
-            .map(|e| scan_log(&e.path(), u64::MAX).map_or(0, |scan| scan.frames))
+            .map(|e| scan_log(&e.path(), u64::MAX).map_or(0, |scan| scan.tuples))
             .sum()
     }
 }
@@ -904,6 +928,80 @@ pub(crate) mod tests {
         // dropped by the dedup guard.
         s.append_log_batch(OperatorId(0), &[tup(4)]).unwrap();
         assert_eq!(s.replay_from(OperatorId(0), EpochId(0)).len(), 5);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The preservation log's bytes, pinned: one frame per append, each
+    /// holding one batch record — version `b1`, producer, count, first
+    /// and last seq, base time, then per tuple a seq delta, a time
+    /// delta, a field count and a varint `Int`.
+    #[test]
+    fn wal_records_match_golden_bytes() {
+        let dir = tmpdir("golden");
+        let s = FsStore::open(&dir, 1).unwrap();
+        let first = s
+            .append_log_batch(OperatorId(0), &[tup(5), tup(6), tup(7)])
+            .unwrap();
+        let second = s.append_log_batch(OperatorId(0), &[tup(8)]).unwrap();
+        let bytes = fs::read(dir.join("log").join("op0.log")).unwrap();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        let golden = [
+            // Frame of 21 bytes; v1, producer 0, 3 tuples, seqs 5 to 7.
+            "15000000 b10003050700",
+            // Per tuple: seq delta 0, time delta 0, 1 field, `Int`.
+            "000001210a 000001210c 000001210e",
+            // The second append: its own frame and record, seq 8.
+            "0b000000 b10001080800 0000012110",
+        ];
+        assert_eq!(hex, golden.concat().replace(' ', ""));
+        assert_eq!(
+            (first, second),
+            (25, 15),
+            "appends report the bytes written"
+        );
+        assert_eq!(
+            s.replay_from(OperatorId(0), EpochId(0)),
+            (5..9).map(tup).collect::<Vec<_>>()
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn preserved_tuples_counts_tuples_not_records() {
+        let dir = tmpdir("counts");
+        let s = FsStore::open(&dir, 1).unwrap();
+        let mut seq = 0;
+        for n in [1u64, 7, 256, 3, 1000, 2] {
+            let run: Vec<Tuple> = (seq..seq + n).map(tup).collect();
+            s.append_log_batch(OperatorId(0), &run).unwrap();
+            seq += n;
+        }
+        assert_eq!(s.preserved_tuples(), seq as usize);
+        let scan = scan_log(&dir.join("log").join("op0.log"), 0).unwrap();
+        assert_eq!((scan.records, scan.tuples), (6, seq as usize));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A log in the per-tuple layout that preceded batch records is
+    /// refused on cold open, never misread as records or trimmed as a
+    /// torn tail.
+    #[test]
+    fn a_log_in_the_old_per_tuple_layout_is_a_storage_error() {
+        let dir = tmpdir("oldlog");
+        let s = FsStore::open(&dir, 1).unwrap();
+        let path = dir.join("log").join("op0.log");
+        let old: Vec<u8> = (0..3)
+            .flat_map(|seq| {
+                let mut w = SnapshotWriter::new();
+                w.put_tuple(&tup(seq));
+                frame(&w.finish())
+            })
+            .collect();
+        fs::write(&path, &old).unwrap();
+        let err = s.append_log_batch(OperatorId(0), &[tup(3)]);
+        assert!(matches!(err, Err(Error::Storage(_))), "{err:?}");
+        assert_eq!(fs::read(&path).unwrap(), old, "nothing trimmed or appended");
+        assert!(s.replay_from(OperatorId(0), EpochId(0)).is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
 

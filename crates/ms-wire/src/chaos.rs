@@ -141,7 +141,7 @@ impl<S: StableStore> StableStore for FaultStore<S> {
         self.inner.latest_complete()
     }
 
-    fn append_log_batch(&self, source: OperatorId, batch: &[Tuple]) -> Result<()> {
+    fn append_log_batch(&self, source: OperatorId, batch: &[Tuple]) -> Result<u64> {
         // One gate per batch: a group commit is one write to the disk,
         // so it ticks the deterministic fault clock once — and a
         // failed attempt leaves the whole batch unwritten
@@ -237,7 +237,7 @@ impl<S: StableStore> StableStore for RetryStore<S> {
         self.inner.latest_complete()
     }
 
-    fn append_log_batch(&self, source: OperatorId, batch: &[Tuple]) -> Result<()> {
+    fn append_log_batch(&self, source: OperatorId, batch: &[Tuple]) -> Result<u64> {
         // The borrowed slice retries for free — no per-attempt clone.
         self.with_retry("preservation batch append", || {
             self.inner.append_log_batch(source, batch)

@@ -61,7 +61,8 @@ pub struct LedgerRecord {
     pub tuples_in: u64,
     /// Tuples the operator has emitted.
     pub tuples_out: u64,
-    /// Payload bytes the operator has emitted.
+    /// Encoded batch-record bytes the operator has emitted on its
+    /// routes.
     pub bytes_out: u64,
     /// Hosting worker's queued-input gauge at the barrier.
     pub queued_tuples: u64,

@@ -191,10 +191,11 @@ pub enum WireMsg {
         to: OperatorId,
     },
     /// Data plane: a run of tuples in one frame — the only message
-    /// that carries tuples. Every tuple keeps its own `seq`, so replay
-    /// cuts and dedup work per tuple, while the edge pays one frame
-    /// header, one decode dispatch, and one inbox push for the whole
-    /// run.
+    /// that carries tuples, as batch records
+    /// ([`SnapshotWriter::put_batch`]), the layout the preservation log
+    /// uses. Every tuple keeps its own `seq`, so replay cuts and dedup
+    /// work per tuple, while the edge pays one frame header, one decode
+    /// dispatch, and one inbox push for the whole run.
     TupleBatch(Vec<Tuple>),
     /// Data plane: a checkpoint token trickling down the dataflow.
     Token(EpochId),
@@ -496,7 +497,7 @@ impl WireMsg {
                 from: get_op(&mut r)?,
                 to: get_op(&mut r)?,
             },
-            TAG_TUPLE_BATCH => WireMsg::TupleBatch(r.get_seq(|r| r.get_tuple())?),
+            TAG_TUPLE_BATCH => WireMsg::TupleBatch(r.get_batch()?),
             TAG_TOKEN => WireMsg::Token(EpochId(r.get_u64()?)),
             TAG_EOS => WireMsg::Eos,
             TAG_CKPT_DONE => WireMsg::CkptDone {
@@ -571,10 +572,7 @@ impl WireMsg {
 /// what a data edge sends, with no owned copy of the run.
 pub(crate) fn encode_tuple_batch(tuples: &[Tuple]) -> Vec<u8> {
     let mut w = SnapshotWriter::new();
-    w.put_u64(TAG_TUPLE_BATCH);
-    w.put_seq(tuples.iter(), |w, t| {
-        w.put_tuple(t);
-    });
+    w.put_u64(TAG_TUPLE_BATCH).put_batch(tuples);
     w.finish()
 }
 

@@ -20,15 +20,23 @@ use std::time::{Duration, Instant};
 use ms_core::codec::SnapshotReader;
 use ms_wire::{read_decisions, read_ledger, LEDGER_FILE};
 
-const LIMIT: u64 = 12000;
+const LIMIT: u64 = 14000;
 const DELAY_US: u64 = 500;
 /// Key space (values cycle through `v % KEYED_STATE`); must exceed the
 /// sawtooth window so every in-window tuple inserts a fresh key and
 /// the table *ramps* instead of saturating.
 const KEYED_STATE: u64 = 4096;
 /// Applied tuples between state collapses: at 500 µs per tuple the
-/// aggregate state dives every ~500 ms, well inside a 1 s period.
-const SAWTOOTH_WINDOW: u64 = 1000;
+/// aggregate state dives every ~565 ms, well inside a 1 s period.
+///
+/// `smax` is the highest of the profiled periods' minima, and each
+/// minimum is the lowest sample after a collapse — so whether a later
+/// collapse's lowest sample comes in under it depends on where the
+/// samples fall in the tooth. A tooth that is a multiple of the sample
+/// period locks every tooth to one phase, and an unlucky lock misses
+/// every period. This tooth is no multiple of the 50 ms sample period:
+/// successive teeth shift the phase by ~15 ms and sweep it.
+const SAWTOOTH_WINDOW: u64 = 1130;
 
 /// Kills every still-running child on drop so a failing assert never
 /// leaks processes.
@@ -60,10 +68,14 @@ fn controller(dir: &Path) -> Command {
         .args(["--delay-us", &DELAY_US.to_string()])
         .args(["--keyed-state", &KEYED_STATE.to_string()])
         .args(["--sawtooth-window", &SAWTOOTH_WINDOW.to_string()])
-        // One-second period, two profiling periods, 100 ms sampling:
-        // the classifier arms ~2 s in, with ~4 s of sawtooth left.
+        // One-second period, three profiling periods, and 50 ms
+        // sampling — the heartbeat cadence the profile is built from,
+        // so a round sees a collapse as finely as the profile did. The
+        // classifier arms ~3 s in, with ~4 s of sawtooth left; the
+        // third profiled period raises `smax` (the highest of three
+        // minima, not two).
         .args(["--ckpt-ms", "1000", "--aware", "1"])
-        .args(["--aware-sample-ms", "100", "--aware-profile-periods", "2"])
+        .args(["--aware-sample-ms", "50", "--aware-profile-periods", "3"])
         .args(["--hb-timeout-ms", "500"])
         .args(["--respawn-wait-ms", "3000", "--deadline-secs", "90"])
         .stdout(Stdio::null())

@@ -59,14 +59,15 @@ impl Read for OneByteReader<'_> {
     }
 }
 
-/// Golden bytes captured from the encoder before `ms-core::codec`
-/// dropped the `bytes` crate: a mixed-version cluster (and every WAL
-/// record, which shares the tuple layout) depends on this frame, so it
-/// is pinned against that encoder, not against a roundtrip.
+/// The data frame, pinned byte for byte: the length prefix, the
+/// message tag, then one batch record — version `b1`, producer 1,
+/// count 1, first and last seq 9, base time 0, and the tuple as seq
+/// delta 0, time delta 0, one field, `Int(5)` as a zigzag varint. The
+/// preservation log holds the same records, so a change here is a
+/// new record version, never a silent edit.
 #[test]
 fn framed_tuple_batch_matches_golden_bytes() {
-    const GOLDEN: &str = "380000000111000000000000000101000000000000002001000000\
-        090000000000000000000000000000000100000000000000100500000000000000";
+    const GOLDEN: &str = "14000000011100000000000000b10101090900000001210a";
     let t = Tuple::new(OperatorId(1), 9, SimTime::ZERO, vec![Value::Int(5)]);
     let msg = WireMsg::TupleBatch(vec![t]);
     let framed = frame(&msg.encode());

@@ -1,10 +1,9 @@
-//! Property tests for the group-commit preservation log: the log must
-//! not depend on how a run was grouped into appends — N one-tuple
-//! appends and one N-tuple append give the same file bytes and the same
-//! replay — and the torn-tail scan must hold when the tear lands
-//! mid-batch. And the
-//! streaming header scan that recovery runs on must agree with the
-//! whole-log reader it replaced while decoding only the replayed suffix.
+//! Property tests for the group-commit preservation log, a sequence of
+//! framed batch records: the replay must not depend on how a run was
+//! grouped into appends, a tear must drop the torn record whole and
+//! let appends resume on its boundary, and the streaming header scan
+//! that recovery runs on must agree with the whole-log reader it
+//! replaced while decoding only the records the replay needs.
 
 use std::fs;
 use std::path::PathBuf;
@@ -44,32 +43,58 @@ fn arb_run() -> impl Strategy<Value = Vec<Tuple>> {
     })
 }
 
+/// The run cut into consecutive appends of the generated sizes
+/// (cycling; the remainder as one final append).
+fn split<'a>(run: &'a [Tuple], sizes: &[usize]) -> Vec<&'a [Tuple]> {
+    let mut parts = Vec::new();
+    let mut i = 0;
+    for w in sizes.iter().cycle() {
+        if i >= run.len() {
+            break;
+        }
+        let end = (i + w).min(run.len());
+        parts.push(&run[i..end]);
+        i = end;
+    }
+    if i < run.len() {
+        parts.push(&run[i..]);
+    }
+    parts
+}
+
+fn arb_sizes() -> impl Strategy<Value = Vec<usize>> {
+    proptest::collection::vec(1usize..6, 0..8)
+}
+
 fn log_bytes(root: &std::path::Path) -> Vec<u8> {
     fs::read(root.join("log").join("op0.log")).unwrap_or_default()
 }
 
-/// Decodes every complete frame of `bytes` — the whole-log reader
-/// `FsStore` used before the streaming scan, kept here as the
-/// reference.
-fn decode_all(bytes: &[u8]) -> Vec<Tuple> {
+/// Every complete record of `bytes`, decoded, with its framed length —
+/// the whole-log reader, kept here as the reference.
+fn decode_all(bytes: &[u8]) -> Vec<(usize, Vec<Tuple>)> {
     let mut dec = FrameDecoder::new();
     dec.feed(bytes);
     let mut out = Vec::new();
     while let Ok(Some(p)) = dec.next_frame() {
-        out.push(SnapshotReader::new(&p).get_tuple().unwrap());
+        let tuples = SnapshotReader::new(&p).get_batch().unwrap();
+        out.push((FRAME_HEADER_BYTES + p.len(), tuples));
     }
     out
 }
 
 proptest! {
     /// For any log, replay boundary and torn tail, `scan_log` finds the
-    /// clean prefix, frame count and last sequence the whole-log reader
-    /// finds, and decoding just `suffix_offset..clean_len` yields
-    /// exactly the tuples that reader's `seq >= from_seq` filter keeps —
-    /// so a log of N tuples marked at N-k costs k decodes, not N.
+    /// clean prefix, record and tuple counts and last sequence the
+    /// whole-log reader finds; its suffix starts at the first record
+    /// that reaches the boundary, so decoding `suffix_offset..clean_len`
+    /// and dropping the tuples below the boundary yields exactly what
+    /// that reader's `seq >= from_seq` filter keeps — a log of N
+    /// records marked inside record N-k costs k+1 decodes, not N.
     #[test]
     fn scan_and_suffix_decode_equal_whole_log_read_and_filter(
         run in arb_run(),
+        sizes in arb_sizes(),
         from_seq in 0u64..80,
         cut in 0usize..40,
         case in 0u64..1,
@@ -77,40 +102,50 @@ proptest! {
         let op = OperatorId(0);
         let d = tmpdir("scan", case);
         let s = FsStore::open(&d, 1).unwrap();
-        s.append_log_batch(op, &run).unwrap();
+        for part in split(&run, &sizes) {
+            s.append_log_batch(op, part).unwrap();
+        }
         s.mark_epoch(op, EpochId(1), from_seq).unwrap();
         let path = d.join("log").join("op0.log");
         let full = fs::read(&path).unwrap();
         let torn = &full[..full.len() - cut.min(full.len())];
         fs::write(&path, torn).unwrap();
 
-        let all = decode_all(torn);
-        let clean_len: usize = all
-            .iter()
-            .map(|t| FRAME_HEADER_BYTES + ms_core::codec::SnapshotWriter::encoded_tuple_bytes(t))
-            .sum();
+        let records = decode_all(torn);
+        let clean_len: usize = records.iter().map(|(len, _)| len).sum();
+        let all: Vec<Tuple> = records.iter().flat_map(|(_, ts)| ts.clone()).collect();
         let expect: Vec<Tuple> = all.iter().filter(|t| t.seq >= from_seq).cloned().collect();
 
         let scan = scan_log(&path, from_seq).unwrap();
         prop_assert_eq!(scan.clean_len, clean_len as u64);
-        prop_assert_eq!(scan.frames, all.len());
+        prop_assert_eq!(scan.records, records.len());
+        prop_assert_eq!(scan.tuples, all.len());
         prop_assert_eq!(scan.last_seq, all.last().map(|t| t.seq));
-        // Every decode the replay pays for: the suffix's frames, no more.
+        // The records the replay pays for: every one reaching the
+        // boundary, none wholly below it.
         let suffix = decode_all(&torn[scan.suffix_offset as usize..clean_len]);
-        prop_assert_eq!(suffix.len(), expect.len());
-        prop_assert_eq!(&suffix, &expect);
+        let skipped = records.len() - suffix.len();
+        prop_assert!(records[..skipped].iter().all(|(_, ts)| ts.last().unwrap().seq < from_seq));
+        prop_assert!(suffix.iter().all(|(_, ts)| ts.last().unwrap().seq >= from_seq));
+        let kept: Vec<Tuple> = suffix
+            .into_iter()
+            .flat_map(|(_, ts)| ts)
+            .filter(|t| t.seq >= from_seq)
+            .collect();
+        prop_assert_eq!(&kept, &expect);
         prop_assert_eq!(FsStore::open(&d, 1).unwrap().replay_from(op, EpochId(1)), expect);
         prop_assert_eq!(s.preserved_tuples(), all.len());
         let _ = fs::remove_dir_all(&d);
     }
 
-    /// A run appended as arbitrary batches produces byte-identical log
-    /// files — and therefore identical replay — to the same run
-    /// appended one tuple at a time.
+    /// A run appended as arbitrary batches replays exactly as the same
+    /// run appended one tuple at a time — though the bytes differ: each
+    /// append is one record — and each append is one write syscall
+    /// that reports the bytes the log grew by.
     #[test]
-    fn batched_append_is_byte_identical_to_singles(
+    fn replay_is_identical_however_the_run_was_split_into_appends(
         run in arb_run(),
-        splits in proptest::collection::vec(1usize..6, 0..8),
+        sizes in arb_sizes(),
         case in 0u64..1,
     ) {
         let op = OperatorId(0);
@@ -119,35 +154,22 @@ proptest! {
         let a = FsStore::open(&da, 1).unwrap();
         let b = FsStore::open(&db, 1).unwrap();
 
-        // Store A: the run in arbitrary batch sizes (cycling over the
-        // generated splits; remainder as one final batch).
-        let mut i = 0;
-        let mut batches = 0u64;
-        for w in splits.iter().cycle() {
-            if i >= run.len() {
-                break;
-            }
-            let end = (i + w).min(run.len());
-            a.append_log_batch(op, &run[i..end]).unwrap();
-            batches += 1;
-            i = end;
+        let parts = split(&run, &sizes);
+        let mut grown = 0;
+        for part in &parts {
+            grown += a.append_log_batch(op, part).unwrap();
         }
-        if i < run.len() {
-            a.append_log_batch(op, &run[i..]).unwrap();
-            batches += 1;
-        }
-        // Store B: one append per tuple.
         for t in &run {
             b.append_log_batch(op, std::slice::from_ref(t)).unwrap();
         }
 
-        prop_assert_eq!(log_bytes(&da), log_bytes(&db));
-        prop_assert_eq!(
-            a.replay_from(op, EpochId(0)),
-            b.replay_from(op, EpochId(0))
-        );
+        prop_assert_eq!(a.replay_from(op, EpochId(0)), run.clone());
+        prop_assert_eq!(b.replay_from(op, EpochId(0)), run.clone());
+        prop_assert_eq!(grown, log_bytes(&da).len() as u64);
+        prop_assert_eq!(a.preserved_tuples(), run.len());
+        prop_assert_eq!(b.preserved_tuples(), run.len());
         // Group commit: one write syscall per admitted batch.
-        prop_assert_eq!(a.log_write_syscalls(), batches);
+        prop_assert_eq!(a.log_write_syscalls(), parts.len() as u64);
         prop_assert_eq!(b.log_write_syscalls(), run.len() as u64);
 
         let _ = fs::remove_dir_all(&da);
@@ -166,41 +188,45 @@ proptest! {
         let before = log_bytes(&d);
         let writes = s.log_write_syscalls();
         // Full-batch retry and partial-suffix retry both no-op.
-        s.append_log_batch(op, &run).unwrap();
-        s.append_log_batch(op, &run[run.len() / 2..]).unwrap();
+        prop_assert_eq!(s.append_log_batch(op, &run).unwrap(), 0);
+        prop_assert_eq!(s.append_log_batch(op, &run[run.len() / 2..]).unwrap(), 0);
         prop_assert_eq!(log_bytes(&d), before);
         prop_assert_eq!(s.log_write_syscalls(), writes);
         let _ = fs::remove_dir_all(&d);
     }
 
-    /// A tear landing mid-batch truncates to the last complete frame:
-    /// replay returns exactly the clean prefix, and the next append
-    /// (on a cold handle, as after a crash) resumes cleanly behind it.
+    /// A tear anywhere inside the last record drops that record whole:
+    /// replay returns exactly the earlier records' tuples, and the next
+    /// append (on a cold handle, as after a crash) lands on the torn
+    /// record's boundary, behind bytes left as they were.
     #[test]
     fn torn_tail_mid_batch_is_detected(
         run in arb_run(),
-        cut in 1usize..16,
+        sizes in arb_sizes(),
+        cut in 1usize..400,
         case in 0u64..1,
     ) {
         let op = OperatorId(0);
         let d = tmpdir("torn", case);
+        let parts = split(&run, &sizes);
+        let mut boundary = 0;
         {
             let s = FsStore::open(&d, 1).unwrap();
-            s.append_log_batch(op, &run).unwrap();
+            for part in &parts[..parts.len() - 1] {
+                boundary += s.append_log_batch(op, part).unwrap() as usize;
+            }
+            s.append_log_batch(op, parts[parts.len() - 1]).unwrap();
         }
         let path = d.join("log").join("op0.log");
         let full = fs::read(&path).unwrap();
-        // Tear somewhere inside the batch's bytes (never a whole-file
-        // cut to zero — that's just an empty log).
-        let keep = full.len().saturating_sub(cut.min(full.len() - 1)).max(1);
+        // Tear somewhere inside the last record, from its last byte
+        // back to its first.
+        let keep = full.len() - 1 - cut % (full.len() - boundary);
         fs::write(&path, &full[..keep]).unwrap();
 
-        // A fresh handle (the crash-recovery shape) must see only the
-        // clean prefix and resume appends directly behind it.
         let s = FsStore::open(&d, 1).unwrap();
-        let replayed = s.replay_from(op, EpochId(0));
-        prop_assert!(replayed.len() < run.len(), "tear must drop the torn frame");
-        prop_assert_eq!(replayed.as_slice(), &run[..replayed.len()]);
+        let durable = run.len() - parts[parts.len() - 1].len();
+        prop_assert_eq!(s.replay_from(op, EpochId(0)), run[..durable].to_vec());
 
         let next = Tuple::new(
             OperatorId(0),
@@ -209,10 +235,10 @@ proptest! {
             vec![Value::Int(-1)],
         );
         s.append_log_batch(op, std::slice::from_ref(&next)).unwrap();
-        let after = s.replay_from(op, EpochId(0));
-        let mut expect: Vec<Tuple> = run[..replayed.len()].to_vec();
+        let mut expect = run[..durable].to_vec();
         expect.push(next);
-        prop_assert_eq!(after, expect);
+        prop_assert_eq!(s.replay_from(op, EpochId(0)), expect);
+        prop_assert_eq!(&fs::read(&path).unwrap()[..boundary], &full[..boundary]);
         let _ = fs::remove_dir_all(&d);
     }
 }
