@@ -40,18 +40,6 @@
 //! the completing epoch's files (and their bases) are durable, and a
 //! process dying mid-GC leaves extra files, never missing ones.
 //!
-//! # Source-log byte cap
-//!
-//! An optional cap bounds each preservation log. An append that would
-//! exceed it first tries to *trim*: records below the newest complete
-//! checkpoint's replay boundary can never be replayed again and are
-//! dropped (the log is rewritten and atomically swapped). If trimming
-//! cannot free room, the append blocks — pausing the source, which is
-//! exactly hop-by-hop backpressure — until a checkpoint frees space or
-//! a patience deadline passes, at which point it fails the storage
-//! contract (`Err`) and the host stops streaming rather than write
-//! past the cap.
-//!
 //! Restart idempotence: a source restarted from scratch (no complete
 //! checkpoint) deterministically regenerates tuples it already logged.
 //! The log writer remembers the highest sequence on disk and skips
@@ -75,7 +63,6 @@ use std::io::{self, BufReader, Read, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
 
 use ms_core::codec::{
     frame, frame_batch, BatchHeader, SnapshotReader, SnapshotWriter, BATCH_HEADER_MAX_BYTES,
@@ -95,7 +82,8 @@ struct LogWriter {
     file: File,
     /// Highest sequence already durable in this log (dedup guard).
     last_seq: Option<u64>,
-    /// Bytes currently in the log file (byte-cap accounting).
+    /// Bytes currently in the log file: the length a failed write
+    /// restores.
     bytes: u64,
 }
 
@@ -106,8 +94,6 @@ pub struct FsStore {
     root: PathBuf,
     expected: usize,
     policy: RebasePolicy,
-    /// `(cap bytes, patience)` — see the module docs.
-    log_cap: Option<(u64, Duration)>,
     logs: Mutex<HashMap<OperatorId, LogWriter>>,
     /// Preservation-log `write(2)` calls issued (group-commit
     /// instrumentation: tuples-per-syscall = appended tuples / this).
@@ -128,7 +114,6 @@ impl FsStore {
             root,
             expected,
             policy: RebasePolicy::default(),
-            log_cap: None,
             logs: Mutex::new(HashMap::new()),
             log_writes: AtomicU64::new(0),
         })
@@ -145,15 +130,6 @@ impl FsStore {
     /// Replaces the rebase policy (builder style).
     pub fn with_policy(mut self, policy: RebasePolicy) -> FsStore {
         self.policy = policy;
-        self
-    }
-
-    /// Caps each source-preservation log at `cap` bytes. An append
-    /// over the cap trims what the newest complete checkpoint made
-    /// unreplayable, then blocks (pausing the source) up to `patience`
-    /// for a checkpoint to free space before failing the append.
-    pub fn with_log_cap(mut self, cap: u64, patience: Duration) -> FsStore {
-        self.log_cap = Some((cap, patience));
         self
     }
 
@@ -334,34 +310,6 @@ impl FsStore {
             })
             .find(|&(e, _)| e == epoch.0)
             .map(|(_, s)| s)
-    }
-
-    /// Rewrites a capped log keeping only the records the newest
-    /// complete checkpoint can still replay; returns whether anything
-    /// shrank. Called with the log mutex held — the swapped file and
-    /// the writer handle change together.
-    fn trim_log(&self, source: OperatorId, lw: &mut LogWriter) -> Result<bool> {
-        let Some(from_seq) = self
-            .latest_complete()
-            .and_then(|e| self.mark_for(source, e))
-        else {
-            return Ok(false);
-        };
-        let path = self.log_path(source);
-        let trim_err =
-            |e: io::Error| Error::Storage(format!("cannot trim capped log {path:?}: {e}"));
-        let scan = scan_log(&path, from_seq).map_err(trim_err)?;
-        if scan.suffix_offset == 0 {
-            return Ok(false);
-        }
-        let kept = read_range(&path, scan.suffix_offset, scan.clean_len).map_err(trim_err)?;
-        write_atomic(&path, &[&kept]).map_err(trim_err)?;
-        lw.file = OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .map_err(|e| Error::Storage(format!("cannot reopen trimmed log {path:?}: {e}")))?;
-        lw.bytes = kept.len() as u64;
-        Ok(true)
     }
 
     /// Ensures the writer for `source`'s preservation log exists,
@@ -672,74 +620,41 @@ impl StableStore for FsStore {
         if batch.is_empty() {
             return Ok(0);
         }
-        let mut deadline: Option<Instant> = None;
-        loop {
-            {
-                let mut logs = self.logs.lock();
-                let lw = self.ensure_writer(&mut logs, source)?;
-                // Dedup guard per tuple: a restarted source regenerates
-                // tuples an earlier incarnation already made durable.
-                let fresh: Vec<&Tuple> = batch
-                    .iter()
-                    .filter(|t| lw.last_seq.is_none_or(|s| t.seq > s))
-                    .collect();
-                let Some(last) = fresh.last() else {
-                    return Ok(0); // whole batch already durable
-                };
-                let last_seq = last.seq;
-                // The fresh suffix as one framed record (several past
-                // the frame cap): what a torn tail loses is whole
-                // records, and replay never depends on the split.
-                let rec = frame_batch(&fresh, MAX_FRAME_BYTES);
-                let mut fits = match self.log_cap {
-                    Some((cap, _)) => lw.bytes + rec.len() as u64 <= cap,
-                    None => true,
-                };
-                if !fits {
-                    // Over the cap: drop what the newest complete
-                    // checkpoint made unreplayable and re-check.
-                    self.trim_log(source, lw)?;
-                    let (cap, _) = self.log_cap.expect("cap present when over it");
-                    fits = lw.bytes + rec.len() as u64 <= cap;
-                }
-                if fits {
-                    // One write_all for the whole batch: the kernel has
-                    // every record (or, on a crash, at most a torn final
-                    // one) — never an interleaving.
-                    if let Err(e) = lw.file.write_all(&rec) {
-                        // A failed write may have landed a partial
-                        // record; restore the pre-write length so a
-                        // retry appends onto a clean boundary. Only a
-                        // restored tail may report transient — retrying
-                        // over torn bytes would corrupt the log
-                        // interior.
-                        return Err(if lw.file.set_len(lw.bytes).is_ok() {
-                            Error::storage_io(
-                                &format!("source preservation failed for {source}"),
-                                &e,
-                            )
-                        } else {
-                            Error::Storage(format!(
-                                "source preservation failed for {source}: {e} (tail not restored)"
-                            ))
-                        });
-                    }
-                    self.log_writes.fetch_add(1, Ordering::Relaxed);
-                    lw.bytes += rec.len() as u64;
-                    lw.last_seq = Some(last_seq);
-                    return Ok(rec.len() as u64);
-                }
-            } // release the log mutex while pausing
-            let patience = self.log_cap.expect("cap hit").1;
-            let d = *deadline.get_or_insert_with(|| Instant::now() + patience);
-            if Instant::now() >= d {
-                return Err(Error::Storage(format!(
-                    "source log for {source} at byte cap and no checkpoint freed space \
-                     within {patience:?} (backpressure timeout)"
-                )));
-            }
-            std::thread::sleep(Duration::from_millis(5));
+        let mut logs = self.logs.lock();
+        let lw = self.ensure_writer(&mut logs, source)?;
+        // Dedup guard per tuple: a restarted source regenerates tuples
+        // an earlier incarnation already made durable.
+        let fresh: Vec<&Tuple> = batch
+            .iter()
+            .filter(|t| lw.last_seq.is_none_or(|s| t.seq > s))
+            .collect();
+        let Some(last) = fresh.last() else {
+            return Ok(0); // whole batch already durable
+        };
+        let last_seq = last.seq;
+        // The fresh suffix as one framed record (several past the frame
+        // cap): what a torn tail loses is whole records, and replay
+        // never depends on the split. One write_all for the whole batch:
+        // the kernel has every record (or, on a crash, at most a torn
+        // final one) — never an interleaving.
+        let rec = frame_batch(&fresh, MAX_FRAME_BYTES);
+        if let Err(e) = lw.file.write_all(&rec) {
+            // A failed write may have landed a partial record; restore
+            // the pre-write length so a retry appends onto a clean
+            // boundary. Only a restored tail may report transient —
+            // retrying over torn bytes would corrupt the log interior.
+            return Err(if lw.file.set_len(lw.bytes).is_ok() {
+                Error::storage_io(&format!("source preservation failed for {source}"), &e)
+            } else {
+                Error::Storage(format!(
+                    "source preservation failed for {source}: {e} (tail not restored)"
+                ))
+            });
         }
+        self.log_writes.fetch_add(1, Ordering::Relaxed);
+        lw.bytes += rec.len() as u64;
+        lw.last_seq = Some(last_seq);
+        Ok(rec.len() as u64)
     }
 
     fn mark_epoch(&self, source: OperatorId, epoch: EpochId, next_seq: u64) -> Result<()> {
@@ -1383,57 +1298,6 @@ pub(crate) mod tests {
             let on_torn = delta_write(EpochId(2), t.take_delta(0), 3);
             assert!(s.put_checkpoint(EpochId(3), op, on_torn).is_err());
         }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn log_cap_pauses_then_fails_without_checkpoints() {
-        let dir = tmpdir("capfail");
-        let s = FsStore::open(&dir, 1)
-            .unwrap()
-            .with_log_cap(256, Duration::from_millis(50));
-        let mut err = None;
-        for seq in 0..64 {
-            if let Err(e) = s.append_log_batch(OperatorId(0), &[tup(seq)]) {
-                err = Some(e);
-                break;
-            }
-        }
-        let err = err.expect("cap must eventually fail the append");
-        assert!(matches!(err, Error::Storage(_)));
-        // The cap was honoured: the log never grew past it.
-        assert!(fs::metadata(dir.join("log").join("op0.log")).unwrap().len() <= 256);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn log_cap_frees_space_after_complete_checkpoint() {
-        let dir = tmpdir("captrim");
-        let s = FsStore::open(&dir, 1)
-            .unwrap()
-            .with_log_cap(512, Duration::from_millis(50));
-        let mut seq = 0;
-        while s.append_log_batch(OperatorId(0), &[tup(seq)]).is_ok() && seq < 64 {
-            seq += 1;
-            if fs::metadata(dir.join("log").join("op0.log")).unwrap().len() > 384 {
-                break;
-            }
-        }
-        // A complete checkpoint whose replay boundary covers the log so
-        // far makes every record trimmable.
-        s.mark_epoch(OperatorId(0), EpochId(1), seq).unwrap();
-        assert!(s
-            .put_checkpoint(EpochId(1), OperatorId(0), ck(seq))
-            .unwrap());
-        // Appends resume: the over-cap append trims and succeeds
-        // without waiting out the patience window.
-        for extra in 0..8 {
-            s.append_log_batch(OperatorId(0), &[tup(seq + extra)])
-                .unwrap();
-        }
-        let replay = s.replay_from(OperatorId(0), EpochId(1));
-        assert_eq!(replay.len(), 8, "trim kept exactly the replayable tail");
-        assert_eq!(replay[0].seq, seq);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -8,8 +8,7 @@ use ms_wire::args::{exit_usage, Args};
 use ms_wire::{run_worker, ControllerAddr, WorkerConfig};
 
 const USAGE: &str = "--name NAME --store DIR \
-         (--controller ADDR | --controller-file FILE) [--hb-ms N] \
-         [--log-cap-bytes N]";
+         (--controller ADDR | --controller-file FILE) [--hb-ms N]";
 
 fn config(argv: impl IntoIterator<Item = String>) -> Result<WorkerConfig, String> {
     let args = Args::parse(USAGE, argv)?;
@@ -21,15 +20,11 @@ fn config(argv: impl IntoIterator<Item = String>) -> Result<WorkerConfig, String
         (None, Some(path)) => ControllerAddr::File(PathBuf::from(path)),
         _ => return Err("give exactly one of --controller and --controller-file".into()),
     };
-    let log_cap = args
-        .get("--log-cap-bytes")
-        .map(|_| args.num("--log-cap-bytes", 0));
     Ok(WorkerConfig {
         name: name.into(),
         controller,
         store_dir: PathBuf::from(store_dir),
         heartbeat_interval: Duration::from_millis(args.num("--hb-ms", 50)?),
-        log_cap_bytes: log_cap.transpose()?,
     })
 }
 
@@ -52,7 +47,7 @@ mod tests {
     fn the_bench_command_line_parses_and_typos_or_two_controllers_do_not() {
         let parse = |argv: &str| config(argv.split_whitespace().map(String::from));
         let cfg = parse("--name wa --store /s --controller-file /a").unwrap();
-        assert_eq!((cfg.name.as_str(), cfg.log_cap_bytes), ("wa", None));
+        assert_eq!(cfg.name, "wa");
         assert_eq!(cfg.heartbeat_interval, Duration::from_millis(50));
         assert!(parse("--name wa --store /s").is_err(), "no controller");
         assert!(parse("--name wa --store /s --controller h:1 --controller-file /a").is_err());

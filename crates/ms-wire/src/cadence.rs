@@ -20,10 +20,13 @@
 //! [`DecisionRecord`](crate::ledger::DecisionRecord), so `ms_ledger
 //! --follow` shows the plane thinking in real time.
 //!
-//! Wall-clock never leaks into the decision logic: the plane stamps
-//! samples onto a [`SimTime`] axis anchored at its own construction,
-//! which keeps the live path byte-for-byte the same classifier the
-//! simulator (and the trace-replay tests) exercise.
+//! Wall-clock never leaks into the decision logic: the plane reads no
+//! clock, it is handed the instant of every call and stamps samples
+//! onto a [`SimTime`] axis anchored at its construction, which keeps
+//! the live path byte-for-byte the same classifier the simulator (and
+//! the trace-replay tests) exercise. Without `--aware` and a budget
+//! the plane is just the fixed timer, so the controller has one
+//! initiation path whatever its flags.
 
 use std::time::{Duration, Instant};
 
@@ -117,9 +120,9 @@ pub struct TelemetryPlane {
 }
 
 impl TelemetryPlane {
-    /// Builds the plane; call once per controller process, before the
-    /// first deployment.
-    pub fn new(cfg: &PlaneConfig) -> TelemetryPlane {
+    /// Builds the plane at `now`; call once per controller process,
+    /// before the first deployment.
+    pub fn new(cfg: &PlaneConfig, now: Instant) -> TelemetryPlane {
         let profiler = cfg.aware.then(|| {
             LiveProfiler::new(LiveAwareConfig {
                 period: SimDuration::from_micros(cfg.period.as_micros() as u64),
@@ -129,7 +132,7 @@ impl TelemetryPlane {
             })
         });
         TelemetryPlane {
-            started: Instant::now(),
+            started: now,
             profiler,
             budget: cfg.recovery_budget,
             period: cfg.period,
@@ -152,15 +155,15 @@ impl TelemetryPlane {
             .is_some_and(|p| p.phase() == LivePhase::Executing)
     }
 
-    fn now(&self) -> SimTime {
-        SimTime::from_micros(self.started.elapsed().as_micros() as u64)
+    fn sim_time(&self, now: Instant) -> SimTime {
+        SimTime::from_micros(now.saturating_duration_since(self.started).as_micros() as u64)
     }
 
-    /// Feeds one heartbeat state-size gauge into the profiler.
-    /// Stale/duplicate deliveries are dropped by the profiler itself.
-    pub fn ingest(&mut self, op: OperatorId, state_bytes: u64) {
-        let now = self.now();
-        self.ingest_at(now, op, state_bytes);
+    /// Feeds one heartbeat state-size gauge, received at `now`, into
+    /// the profiler. Stale/duplicate deliveries are dropped by the
+    /// profiler itself.
+    pub fn ingest(&mut self, now: Instant, op: OperatorId, state_bytes: u64) {
+        self.ingest_at(self.sim_time(now), op, state_bytes);
     }
 
     fn ingest_at(&mut self, now: SimTime, op: OperatorId, state_bytes: u64) {
@@ -169,13 +172,12 @@ impl TelemetryPlane {
         }
     }
 
-    /// Asks the plane whether to initiate a barrier now. `since_last`
-    /// is wall time since the previous initiation. At most one cause
-    /// per call; the controller only calls this with no barrier
-    /// outstanding.
-    pub fn poll(&mut self, since_last: Duration) -> Option<CheckpointCause> {
-        let now = self.now();
-        self.poll_at(now, since_last)
+    /// Asks the plane whether to initiate a barrier at `now`.
+    /// `since_last` is wall time since the previous initiation. At most
+    /// one cause per call; the controller only calls this with no
+    /// barrier outstanding.
+    pub fn poll(&mut self, now: Instant, since_last: Duration) -> Option<CheckpointCause> {
+        self.poll_at(self.sim_time(now), since_last)
     }
 
     fn poll_at(&mut self, now: SimTime, since_last: Duration) -> Option<CheckpointCause> {
@@ -195,8 +197,22 @@ impl TelemetryPlane {
         }
     }
 
-    /// Builds the ledger decision row for a barrier the plane (or the
-    /// legacy timer while the plane is active) just initiated.
+    /// A ledger decision row stamped with the budget and the period in
+    /// force (unchanged); the caller fills in what it measured.
+    pub fn decision(&self, generation: u64, epoch: u64, reason: &str) -> DecisionRecord {
+        DecisionRecord {
+            generation,
+            epoch,
+            reason: reason.to_string(),
+            budget_us: self.budget.map_or(0, |b| b.as_micros() as u64),
+            period_us_before: self.period.as_micros() as u64,
+            period_us_after: self.period.as_micros() as u64,
+            ..DecisionRecord::default()
+        }
+    }
+
+    /// Builds the ledger decision row for a barrier the plane just
+    /// initiated, `timer` included.
     pub fn initiation_record(
         &self,
         generation: u64,
@@ -204,20 +220,11 @@ impl TelemetryPlane {
         cause: CheckpointCause,
     ) -> DecisionRecord {
         DecisionRecord {
-            generation,
-            epoch,
-            reason: cause.as_str().to_string(),
             state_bytes: self
                 .profiler
                 .as_ref()
                 .map_or(0, LiveProfiler::total_state_bytes),
-            ckpt_bytes: 0,
-            barrier_us: 0,
-            est_recovery_us: 0,
-            budget_us: self.budget.map_or(0, |b| b.as_micros() as u64),
-            period_us_before: self.period.as_micros() as u64,
-            period_us_after: self.period.as_micros() as u64,
-            recovery_us: 0,
+            ..self.decision(generation, epoch, cause.as_str())
         }
     }
 
@@ -290,13 +297,16 @@ mod tests {
     use super::*;
 
     fn plane(aware: bool, budget_ms: u64) -> TelemetryPlane {
-        TelemetryPlane::new(&PlaneConfig {
-            aware,
-            sample_interval: Duration::from_millis(100),
-            profile_periods: 2,
-            period: Duration::from_millis(1000),
-            recovery_budget: (budget_ms > 0).then(|| Duration::from_millis(budget_ms)),
-        })
+        TelemetryPlane::new(
+            &PlaneConfig {
+                aware,
+                sample_interval: Duration::from_millis(100),
+                profile_periods: 2,
+                period: Duration::from_millis(1000),
+                recovery_budget: (budget_ms > 0).then(|| Duration::from_millis(budget_ms)),
+            },
+            Instant::now(),
+        )
     }
 
     fn signals(state: u64, ckpt: u64, persist_us: u64) -> EpochSignals {
@@ -313,9 +323,10 @@ mod tests {
     #[test]
     fn timer_only_plane_paces_at_fixed_period() {
         let mut p = plane(false, 0);
-        assert_eq!(p.poll(Duration::from_millis(999)), None);
+        let now = p.started;
+        assert_eq!(p.poll(now, Duration::from_millis(999)), None);
         assert_eq!(
-            p.poll(Duration::from_millis(1000)),
+            p.poll(now, Duration::from_millis(1000)),
             Some(CheckpointCause::Timer)
         );
         assert_eq!(p.period(), Duration::from_millis(1000));

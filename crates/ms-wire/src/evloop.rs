@@ -792,13 +792,14 @@ fn drain_frames(
     }
 }
 
+/// The descriptor [`ms_net::ready::poll`] watches for a socket.
 #[cfg(unix)]
-fn raw_fd<T: std::os::unix::io::AsRawFd>(t: &T) -> PollTarget {
+pub(crate) fn raw_fd<T: std::os::unix::io::AsRawFd>(t: &T) -> PollTarget {
     t.as_raw_fd()
 }
 
 #[cfg(not(unix))]
-fn raw_fd<T>(_t: &T) -> PollTarget {
+pub(crate) fn raw_fd<T>(_t: &T) -> PollTarget {
     -1
 }
 

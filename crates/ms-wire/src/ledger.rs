@@ -2,9 +2,10 @@
 //! operator), written next to the generation's checkpoint directory.
 //!
 //! The ledger is the cluster's durable telemetry trail — the offline
-//! counterpart of [`WireMsg::Telemetry`]. Every time an epoch's
-//! barrier closes (the last `CkptDone` arrives), the controller cuts
-//! one [`LedgerRecord`] per operator from the freshest meter samples:
+//! counterpart of the samples [`WireMsg::Heartbeat`] and
+//! [`WireMsg::CkptDone`] carry. Every time an epoch's barrier closes
+//! (the last `CkptDone` arrives), the controller cuts one
+//! [`LedgerRecord`] per operator from the freshest meter samples:
 //! state size (the paper's Fig. 5 trace, and the series the ROADMAP's
 //! `+aa` profiler will consume), checkpoint bytes with delta-vs-full
 //! kind, the three-phase checkpoint breakdown (align-wait / serialize
@@ -18,7 +19,8 @@
 //! programmatic consumers; the `ms_ledger` bin wraps them for the
 //! command line.
 //!
-//! [`WireMsg::Telemetry`]: crate::WireMsg::Telemetry
+//! [`WireMsg::Heartbeat`]: crate::WireMsg::Heartbeat
+//! [`WireMsg::CkptDone`]: crate::WireMsg::CkptDone
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};

@@ -16,9 +16,11 @@
 //!   input open across a peer crash until the controller rolls back.
 //! * **control plane, worker → controller**: [`WireMsg::Register`],
 //!   [`WireMsg::Heartbeat`] (on a dedicated heartbeat connection,
-//!   opened with [`WireMsg::HeartbeatHello`]), [`WireMsg::CkptDone`]
-//!   durable-checkpoint acks (the controller's epoch barrier),
-//!   [`WireMsg::WorkerError`], [`WireMsg::SinkDone`].
+//!   opened with [`WireMsg::HeartbeatHello`]; one frame per beat with
+//!   the gauges and every local meter sample), [`WireMsg::CkptDone`]
+//!   durable-checkpoint acks (the controller's epoch barrier, each
+//!   with its operator's sample), [`WireMsg::WorkerError`],
+//!   [`WireMsg::SinkDone`].
 //! * **control plane, controller → worker**: [`WireMsg::Assign`],
 //!   [`WireMsg::Checkpoint`], [`WireMsg::Rollback`],
 //!   [`WireMsg::Shutdown`].
@@ -153,13 +155,22 @@ pub enum WireMsg {
         /// The worker's data-plane listen address.
         data_addr: String,
     },
-    /// Worker → controller: liveness signal, sent on a fixed cadence.
-    /// Carries the worker's aggregate backpressure gauges — input-queue
-    /// depth and alignment-window occupancy summed over its hosts — so
-    /// the controller can observe a congesting worker before it stalls.
+    /// Worker → controller: liveness signal, sent on a fixed cadence
+    /// on the heartbeat connection — the whole of a beat in one frame.
+    /// Carries the worker's aggregate backpressure gauges (input-queue
+    /// depth and alignment-window occupancy summed over its hosts, so
+    /// the controller sees a congesting worker before it stalls) and a
+    /// meter sample of every local operator and ingestion gate.
     Heartbeat {
+        /// Generation the samples belong to (the controller ignores
+        /// the samples of any other; the beat itself always counts).
+        generation: u64,
         /// Summed [`BackpressureGauges`] across the worker's hosts.
         gauges: BackpressureGauges,
+        /// One meter reading per local operator.
+        ops: Vec<(OperatorId, OperatorSample)>,
+        /// One gateway meter reading per locally hosted gate.
+        gates: Vec<(OperatorId, GateSample)>,
     },
     /// Worker → controller: a sink operator of `generation` drained its
     /// stream; `snapshot` is its final serialized state.
@@ -207,7 +218,10 @@ pub enum WireMsg {
     /// broadcasts the next [`WireMsg::Checkpoint`] once every HAU of
     /// the generation has acked the previous epoch — the barrier that
     /// keeps the timer-driven ticker from ever having two epochs'
-    /// tokens racing through the graph.
+    /// tokens racing through the graph. The ack carries the HAU's
+    /// meter sample taken after the write, so when the last ack of an
+    /// epoch arrives the controller holds every operator's checkpoint
+    /// phases for that epoch and can cut its ledger records.
     CkptDone {
         /// Generation the checkpoint belongs to (stale acks ignored).
         generation: u64,
@@ -215,6 +229,9 @@ pub enum WireMsg {
         epoch: EpochId,
         /// The HAU whose checkpoint is durable.
         op: OperatorId,
+        /// The HAU's meter sample after the write (`None` when the
+        /// worker holds no meter for it).
+        sample: Option<OperatorSample>,
     },
     /// Worker → controller: first message on a *heartbeat* connection.
     /// Heartbeats ride their own socket so a stalled report write (the
@@ -234,31 +251,6 @@ pub enum WireMsg {
         /// Human-readable failure description (logged controller-side).
         detail: String,
     },
-    /// Worker → controller: per-operator meter samples for the local
-    /// HAUs. Sent on two cadences: the heartbeat thread folds every
-    /// local operator's sample in on each beat, and the durable hook
-    /// sends a single-operator sample immediately *before* each
-    /// [`WireMsg::CkptDone`] on the same control connection — so when
-    /// an epoch's barrier closes, the controller is guaranteed to hold
-    /// a fresh checkpoint sample for every acked operator and can cut
-    /// the run-ledger records for that epoch.
-    Telemetry {
-        /// Generation the samples belong to (stale ones ignored).
-        generation: u64,
-        /// One meter reading per sampled local operator.
-        samples: Vec<(OperatorId, OperatorSample)>,
-    },
-    /// Worker → controller: gateway meter samples for locally hosted
-    /// ingestion gates, folded into each heartbeat alongside
-    /// [`WireMsg::Telemetry`]. The controller keeps the freshest
-    /// sample per gate and cuts it into the run ledger at each epoch
-    /// barrier.
-    GateTelemetry {
-        /// Generation the samples belong to (stale ones ignored).
-        generation: u64,
-        /// One gateway meter reading per locally hosted gate.
-        samples: Vec<(OperatorId, GateSample)>,
-    },
 }
 
 const TAG_REGISTER: u64 = 1;
@@ -275,8 +267,9 @@ const TAG_EOS: u64 = 11;
 const TAG_CKPT_DONE: u64 = 12;
 const TAG_HEARTBEAT_HELLO: u64 = 13;
 const TAG_WORKER_ERROR: u64 = 14;
-const TAG_TELEMETRY: u64 = 15;
-const TAG_GATE_TELEMETRY: u64 = 16;
+// Tags 15 and 16 carried per-operator and gateway samples as
+// messages of their own; they ride `Heartbeat` and `CkptDone` now.
+// Retired, never reused.
 const TAG_TUPLE_BATCH: u64 = 17;
 
 impl WireMsg {
@@ -287,11 +280,31 @@ impl WireMsg {
             WireMsg::Register { name, data_addr } => {
                 w.put_u64(TAG_REGISTER).put_str(name).put_str(data_addr);
             }
-            WireMsg::Heartbeat { gauges } => {
+            WireMsg::Heartbeat {
+                generation,
+                gauges,
+                ops,
+                gates,
+            } => {
                 w.put_u64(TAG_HEARTBEAT)
+                    .put_u64(*generation)
                     .put_u64(gauges.queued_tuples)
                     .put_u64(gauges.open_windows)
                     .put_u64(gauges.window_tuples);
+                w.put_seq(ops.iter(), |w, (op, s)| {
+                    w.put_u64(op.0 as u64);
+                    put_sample(w, s);
+                });
+                w.put_seq(gates.iter(), |w, (op, s)| {
+                    w.put_u64(op.0 as u64)
+                        .put_u64(s.accepted_batches)
+                        .put_u64(s.shed_batches)
+                        .put_u64(s.accepted_events)
+                        .put_u64(s.emitted_tuples)
+                        .put_u64(s.wal_bytes)
+                        .put_u64(s.ack_p50_us)
+                        .put_u64(s.ack_p99_us);
+                });
             }
             WireMsg::SinkDone {
                 generation,
@@ -366,11 +379,18 @@ impl WireMsg {
                 generation,
                 epoch,
                 op,
+                sample,
             } => {
                 w.put_u64(TAG_CKPT_DONE)
                     .put_u64(*generation)
                     .put_u64(epoch.0)
                     .put_u64(op.0 as u64);
+                match sample {
+                    Some(s) => put_sample(w.put_u64(1), s),
+                    None => {
+                        w.put_u64(0);
+                    }
+                }
             }
             WireMsg::HeartbeatHello { name } => {
                 w.put_u64(TAG_HEARTBEAT_HELLO).put_str(name);
@@ -379,43 +399,6 @@ impl WireMsg {
                 w.put_u64(TAG_WORKER_ERROR)
                     .put_u64(*generation)
                     .put_str(detail);
-            }
-            WireMsg::Telemetry {
-                generation,
-                samples,
-            } => {
-                w.put_u64(TAG_TELEMETRY).put_u64(*generation);
-                w.put_seq(samples.iter(), |w, (op, s)| {
-                    w.put_u64(op.0 as u64)
-                        .put_u64(s.tuples_in)
-                        .put_u64(s.tuples_out)
-                        .put_u64(s.bytes_out)
-                        .put_u64(s.state_bytes)
-                        .put_u64(s.ckpt_epoch)
-                        .put_u64(s.ckpt_bytes)
-                        .put_u64(s.ckpt_is_delta as u64)
-                        .put_u64(s.full_bytes_total)
-                        .put_u64(s.delta_bytes_total)
-                        .put_u64(s.align_wait_us)
-                        .put_u64(s.serialize_us)
-                        .put_u64(s.persist_us);
-                });
-            }
-            WireMsg::GateTelemetry {
-                generation,
-                samples,
-            } => {
-                w.put_u64(TAG_GATE_TELEMETRY).put_u64(*generation);
-                w.put_seq(samples.iter(), |w, (op, s)| {
-                    w.put_u64(op.0 as u64)
-                        .put_u64(s.accepted_batches)
-                        .put_u64(s.shed_batches)
-                        .put_u64(s.accepted_events)
-                        .put_u64(s.emitted_tuples)
-                        .put_u64(s.wal_bytes)
-                        .put_u64(s.ack_p50_us)
-                        .put_u64(s.ack_p99_us);
-                });
             }
         }
         w.finish()
@@ -431,11 +414,27 @@ impl WireMsg {
                 data_addr: r.get_str()?,
             },
             TAG_HEARTBEAT => WireMsg::Heartbeat {
+                generation: r.get_u64()?,
                 gauges: BackpressureGauges {
                     queued_tuples: r.get_u64()?,
                     open_windows: r.get_u64()?,
                     window_tuples: r.get_u64()?,
                 },
+                ops: r.get_seq(|r| Ok((get_op(r)?, get_sample(r)?)))?,
+                gates: r.get_seq(|r| {
+                    Ok((
+                        get_op(r)?,
+                        GateSample {
+                            accepted_batches: r.get_u64()?,
+                            shed_batches: r.get_u64()?,
+                            accepted_events: r.get_u64()?,
+                            emitted_tuples: r.get_u64()?,
+                            wal_bytes: r.get_u64()?,
+                            ack_p50_us: r.get_u64()?,
+                            ack_p99_us: r.get_u64()?,
+                        },
+                    ))
+                })?,
             },
             TAG_SINK_DONE => WireMsg::SinkDone {
                 generation: r.get_u64()?,
@@ -504,59 +503,17 @@ impl WireMsg {
                 generation: r.get_u64()?,
                 epoch: EpochId(r.get_u64()?),
                 op: get_op(&mut r)?,
+                sample: match r.get_u64()? {
+                    0 => None,
+                    1 => Some(get_sample(&mut r)?),
+                    n => return Err(Error::Wire(format!("CkptDone sample flag {n}"))),
+                },
             },
             TAG_HEARTBEAT_HELLO => WireMsg::HeartbeatHello { name: r.get_str()? },
             TAG_WORKER_ERROR => WireMsg::WorkerError {
                 generation: r.get_u64()?,
                 detail: r.get_str()?,
             },
-            TAG_TELEMETRY => {
-                let generation = r.get_u64()?;
-                let samples = r.get_seq(|r| {
-                    Ok((
-                        get_op(r)?,
-                        OperatorSample {
-                            tuples_in: r.get_u64()?,
-                            tuples_out: r.get_u64()?,
-                            bytes_out: r.get_u64()?,
-                            state_bytes: r.get_u64()?,
-                            ckpt_epoch: r.get_u64()?,
-                            ckpt_bytes: r.get_u64()?,
-                            ckpt_is_delta: r.get_u64()? != 0,
-                            full_bytes_total: r.get_u64()?,
-                            delta_bytes_total: r.get_u64()?,
-                            align_wait_us: r.get_u64()?,
-                            serialize_us: r.get_u64()?,
-                            persist_us: r.get_u64()?,
-                        },
-                    ))
-                })?;
-                WireMsg::Telemetry {
-                    generation,
-                    samples,
-                }
-            }
-            TAG_GATE_TELEMETRY => {
-                let generation = r.get_u64()?;
-                let samples = r.get_seq(|r| {
-                    Ok((
-                        get_op(r)?,
-                        GateSample {
-                            accepted_batches: r.get_u64()?,
-                            shed_batches: r.get_u64()?,
-                            accepted_events: r.get_u64()?,
-                            emitted_tuples: r.get_u64()?,
-                            wal_bytes: r.get_u64()?,
-                            ack_p50_us: r.get_u64()?,
-                            ack_p99_us: r.get_u64()?,
-                        },
-                    ))
-                })?;
-                WireMsg::GateTelemetry {
-                    generation,
-                    samples,
-                }
-            }
             other => {
                 return Err(Error::Wire(format!("unknown wire message tag {other}")));
             }
@@ -574,6 +531,38 @@ pub(crate) fn encode_tuple_batch(tuples: &[Tuple]) -> Vec<u8> {
     let mut w = SnapshotWriter::new();
     w.put_u64(TAG_TUPLE_BATCH).put_batch(tuples);
     w.finish()
+}
+
+fn put_sample(w: &mut SnapshotWriter, s: &OperatorSample) {
+    w.put_u64(s.tuples_in)
+        .put_u64(s.tuples_out)
+        .put_u64(s.bytes_out)
+        .put_u64(s.state_bytes)
+        .put_u64(s.ckpt_epoch)
+        .put_u64(s.ckpt_bytes)
+        .put_u64(s.ckpt_is_delta as u64)
+        .put_u64(s.full_bytes_total)
+        .put_u64(s.delta_bytes_total)
+        .put_u64(s.align_wait_us)
+        .put_u64(s.serialize_us)
+        .put_u64(s.persist_us);
+}
+
+fn get_sample(r: &mut SnapshotReader<'_>) -> Result<OperatorSample> {
+    Ok(OperatorSample {
+        tuples_in: r.get_u64()?,
+        tuples_out: r.get_u64()?,
+        bytes_out: r.get_u64()?,
+        state_bytes: r.get_u64()?,
+        ckpt_epoch: r.get_u64()?,
+        ckpt_bytes: r.get_u64()?,
+        ckpt_is_delta: r.get_u64()? != 0,
+        full_bytes_total: r.get_u64()?,
+        delta_bytes_total: r.get_u64()?,
+        align_wait_us: r.get_u64()?,
+        serialize_us: r.get_u64()?,
+        persist_us: r.get_u64()?,
+    })
 }
 
 fn get_op(r: &mut SnapshotReader<'_>) -> Result<OperatorId> {
@@ -700,6 +689,23 @@ mod tests {
         }
     }
 
+    fn busy_sample() -> OperatorSample {
+        OperatorSample {
+            tuples_in: 0,
+            tuples_out: 900,
+            bytes_out: 7200,
+            state_bytes: 16,
+            ckpt_epoch: 4,
+            ckpt_bytes: 16,
+            ckpt_is_delta: true,
+            full_bytes_total: 64,
+            delta_bytes_total: 0,
+            align_wait_us: 0,
+            serialize_us: 3,
+            persist_us: 120,
+        }
+    }
+
     fn all_messages() -> Vec<WireMsg> {
         vec![
             WireMsg::Register {
@@ -707,11 +713,37 @@ mod tests {
                 data_addr: "127.0.0.1:4000".into(),
             },
             WireMsg::Heartbeat {
+                generation: 5,
                 gauges: BackpressureGauges {
                     queued_tuples: 17,
                     open_windows: 2,
                     window_tuples: 140,
                 },
+                ops: vec![
+                    (OperatorId(0), busy_sample()),
+                    (OperatorId(2), OperatorSample::default()),
+                ],
+                gates: vec![
+                    (
+                        OperatorId(0),
+                        GateSample {
+                            accepted_batches: 40,
+                            shed_batches: 3,
+                            accepted_events: 640,
+                            emitted_tuples: 200,
+                            wal_bytes: 12800,
+                            ack_p50_us: 90,
+                            ack_p99_us: 410,
+                        },
+                    ),
+                    (OperatorId(4), GateSample::default()),
+                ],
+            },
+            WireMsg::Heartbeat {
+                generation: 0,
+                gauges: BackpressureGauges::default(),
+                ops: Vec::new(),
+                gates: Vec::new(),
             },
             WireMsg::SinkDone {
                 generation: 2,
@@ -750,60 +782,18 @@ mod tests {
                 generation: 2,
                 epoch: EpochId(5),
                 op: OperatorId(3),
+                sample: Some(busy_sample()),
+            },
+            WireMsg::CkptDone {
+                generation: 2,
+                epoch: EpochId(5),
+                op: OperatorId(4),
+                sample: None,
             },
             WireMsg::HeartbeatHello { name: "wb".into() },
             WireMsg::WorkerError {
                 generation: 4,
                 detail: "storage error: disk full".into(),
-            },
-            WireMsg::Telemetry {
-                generation: 5,
-                samples: vec![
-                    (
-                        OperatorId(0),
-                        OperatorSample {
-                            tuples_in: 0,
-                            tuples_out: 900,
-                            bytes_out: 7200,
-                            state_bytes: 16,
-                            ckpt_epoch: 4,
-                            ckpt_bytes: 16,
-                            ckpt_is_delta: false,
-                            full_bytes_total: 64,
-                            delta_bytes_total: 0,
-                            align_wait_us: 0,
-                            serialize_us: 3,
-                            persist_us: 120,
-                        },
-                    ),
-                    (OperatorId(2), OperatorSample::default()),
-                ],
-            },
-            WireMsg::Telemetry {
-                generation: 6,
-                samples: Vec::new(),
-            },
-            WireMsg::GateTelemetry {
-                generation: 6,
-                samples: vec![
-                    (
-                        OperatorId(0),
-                        GateSample {
-                            accepted_batches: 40,
-                            shed_batches: 3,
-                            accepted_events: 640,
-                            emitted_tuples: 200,
-                            wal_bytes: 12800,
-                            ack_p50_us: 90,
-                            ack_p99_us: 410,
-                        },
-                    ),
-                    (OperatorId(4), GateSample::default()),
-                ],
-            },
-            WireMsg::GateTelemetry {
-                generation: 7,
-                samples: Vec::new(),
             },
         ]
     }
@@ -840,6 +830,21 @@ mod tests {
         let t = Tuple::new(OperatorId(1), 42, SimTime::ZERO, vec![Value::Int(5)]);
         let mut w = SnapshotWriter::new();
         w.put_u64(9).put_tuple(&t);
+        assert!(WireMsg::decode(&w.finish()).is_err());
+        // So are tags 15 and 16, once samples sent as messages of their
+        // own: a generation and an empty sample list no longer decode.
+        for tag in [15, 16] {
+            let mut w = SnapshotWriter::new();
+            w.put_u64(tag).put_u64(5).put_u64(0);
+            assert!(WireMsg::decode(&w.finish()).is_err(), "tag {tag}");
+        }
+        // An ack's sample flag is 0 or 1, nothing else.
+        let mut w = SnapshotWriter::new();
+        w.put_u64(TAG_CKPT_DONE)
+            .put_u64(2)
+            .put_u64(5)
+            .put_u64(3)
+            .put_u64(2);
         assert!(WireMsg::decode(&w.finish()).is_err());
         let mut extra = WireMsg::Rollback.encode();
         extra.extend_from_slice(&WireMsg::Eos.encode());

@@ -51,11 +51,15 @@
 //! * The persister acks every durable individual checkpoint to the
 //!   controller (`CkptDone`) — the controller's epoch barrier — and
 //!   surfaces storage failures as `WorkerError` instead of aborting
-//!   the process.
+//!   the process. Each ack carries its operator's meter sample taken
+//!   after the write, so the controller never needs a second message
+//!   to cut that epoch's ledger row.
 //! * Heartbeats ride a dedicated TCP connection (`HeartbeatHello`
 //!   handshake), so a stalled report write on the shared control
 //!   socket can never delay liveness signals into a spurious failure
-//!   detection.
+//!   detection. A beat is one `Heartbeat` frame: the generation, the
+//!   hosts' summed backpressure gauges, and a sample of every local
+//!   operator and ingestion gate meter.
 
 use std::collections::HashMap;
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -70,7 +74,7 @@ use ms_core::error::{Error, Result};
 use ms_core::ids::OperatorId;
 use ms_core::metrics::{BackpressureGauges, BackpressureMeter, OperatorMeter, OperatorSample};
 use ms_core::operator::Operator;
-use ms_gate::{run_gate, GateMeter, GateOp, GateSample, GateWiring};
+use ms_gate::{run_gate, GateMeter, GateOp, GateWiring};
 use ms_live::{
     EdgeTx, FsStore, HostExit, HostWiring, InteriorCore, OutputRoute, Persister, SourceCmd,
     SourceCore, StableStore,
@@ -89,9 +93,6 @@ const CONNECT_POLL: Duration = Duration::from_millis(25);
 /// Upper bound on a connect that nothing supersedes: the controller at
 /// start-up, and a deploy's data-plane peers.
 const CONNECT_WAIT: Duration = Duration::from_secs(10);
-/// How long a capped source log pauses its source waiting for a
-/// checkpoint to free space before failing the generation.
-const LOG_CAP_PATIENCE: Duration = Duration::from_secs(10);
 
 /// How a worker finds its controller.
 #[derive(Clone, Debug)]
@@ -115,34 +116,26 @@ pub struct WorkerConfig {
     pub store_dir: PathBuf,
     /// Heartbeat cadence.
     pub heartbeat_interval: Duration,
-    /// Byte cap per source-preservation log. `None` means unbounded;
-    /// `Some(cap)` pauses a source whose log is full (backpressure)
-    /// until a complete checkpoint frees space, failing the generation
-    /// after [`LOG_CAP_PATIENCE`].
-    pub log_cap_bytes: Option<u64>,
 }
 
-/// A generation's operator meters: the generation tag plus each local
-/// operator's shared [`OperatorMeter`].
-type GenerationMeters = (u64, Vec<(OperatorId, Arc<OperatorMeter>)>);
-
-/// A generation's gateway meters, tagged the same way.
-type GenerationGateMeters = (u64, Vec<(OperatorId, Arc<GateMeter>)>);
+/// The current generation's meters, tagged with that generation so
+/// samplers never attribute a torn-down run's counters to the new one.
+#[derive(Default)]
+struct Meters {
+    generation: u64,
+    /// Per-host backpressure meters, summed into each heartbeat.
+    hosts: Vec<Arc<BackpressureMeter>>,
+    /// Per-operator telemetry meters.
+    ops: Vec<(OperatorId, Arc<OperatorMeter>)>,
+    /// Gateway meters of locally hosted ingestion gates.
+    gates: Vec<(OperatorId, Arc<GateMeter>)>,
+}
 
 /// Cross-thread worker state.
 struct Shared {
-    /// Per-host backpressure meters of the current generation; the
-    /// heartbeat thread sums them into each liveness message.
-    meters: Mutex<Vec<Arc<BackpressureMeter>>>,
-    /// Per-operator telemetry meters of the current generation, tagged
-    /// with that generation so samplers never attribute a torn-down
-    /// run's counters to the new one. The heartbeat thread folds them
-    /// into [`WireMsg::Telemetry`] on each beat; the durable hook
-    /// samples a single operator before each `CkptDone`.
-    op_meters: Mutex<GenerationMeters>,
-    /// Gateway meters of locally hosted ingestion gates, folded into
-    /// [`WireMsg::GateTelemetry`] on each heartbeat.
-    gate_meters: Mutex<GenerationGateMeters>,
+    /// Sampled by the heartbeat thread on each beat and by the durable
+    /// hook for each `CkptDone`.
+    meters: Mutex<Meters>,
     /// Whole-process stop flag.
     stop: AtomicBool,
 }
@@ -150,48 +143,38 @@ struct Shared {
 impl Shared {
     fn new() -> Shared {
         Shared {
-            meters: Mutex::new(Vec::new()),
-            op_meters: Mutex::new((0, Vec::new())),
-            gate_meters: Mutex::new((0, Vec::new())),
+            meters: Mutex::new(Meters::default()),
             stop: AtomicBool::new(false),
         }
     }
 
-    /// Aggregate gauges across the current generation's hosts.
-    fn sample_gauges(&self) -> BackpressureGauges {
-        self.meters
-            .lock()
-            .iter()
-            .fold(BackpressureGauges::default(), |acc, m| {
-                acc.merge(&m.sample())
-            })
-    }
-
-    /// Samples every local operator meter of the current generation.
-    fn sample_telemetry(&self) -> (u64, Vec<(OperatorId, OperatorSample)>) {
-        let guard = self.op_meters.lock();
-        let samples = guard.1.iter().map(|(op, m)| (*op, m.sample())).collect();
-        (guard.0, samples)
-    }
-
-    /// Samples every local gateway meter of the current generation.
-    fn sample_gate_telemetry(&self) -> (u64, Vec<(OperatorId, GateSample)>) {
-        let guard = self.gate_meters.lock();
-        let samples = guard.1.iter().map(|(op, m)| (*op, m.sample())).collect();
-        (guard.0, samples)
+    /// One beat: the hosts' summed gauges and every operator and gate
+    /// sample of the current generation, in one message.
+    fn heartbeat(&self) -> WireMsg {
+        let m = self.meters.lock();
+        WireMsg::Heartbeat {
+            generation: m.generation,
+            gauges: m
+                .hosts
+                .iter()
+                .fold(BackpressureGauges::default(), |acc, h| {
+                    acc.merge(&h.sample())
+                }),
+            ops: m.ops.iter().map(|(op, o)| (*op, o.sample())).collect(),
+            gates: m.gates.iter().map(|(op, g)| (*op, g.sample())).collect(),
+        }
     }
 
     /// One operator's sample, if it belongs to `generation`.
     fn sample_op(&self, generation: u64, op: OperatorId) -> Option<OperatorSample> {
-        let guard = self.op_meters.lock();
-        if guard.0 != generation {
+        let m = self.meters.lock();
+        if m.generation != generation {
             return None;
         }
-        guard
-            .1
+        m.ops
             .iter()
             .find(|(id, _)| *id == op)
-            .map(|(_, m)| m.sample())
+            .map(|(_, o)| o.sample())
     }
 }
 
@@ -281,10 +264,7 @@ impl Run {
         scope: &Scope,
     ) -> Result<Option<Run>> {
         let qn = a.network()?;
-        let mut fs_store = FsStore::open(&cfg.store_dir, qn.len())?;
-        if let Some(cap) = cfg.log_cap_bytes {
-            fs_store = fs_store.with_log_cap(cap, LOG_CAP_PATIENCE);
-        }
+        let fs_store = FsStore::open(&cfg.store_dir, qn.len())?;
         // Every store sits behind the transient-retry decorator; chaos
         // runs (`MS_FAULT_STORE`) slide a fault injector between the
         // two so the retry loop is exercised against a misbehaving
@@ -414,26 +394,16 @@ impl Run {
                 return;
             }
             let msg = match outcome {
-                Ok(_) => {
-                    // A fresh sample rides the control connection ahead
-                    // of the ack. Per-connection FIFO means the
-                    // controller always holds this operator's epoch-e
-                    // checkpoint telemetry when the ack that closes the
-                    // epoch-e barrier is processed — which is what lets
-                    // it cut complete ledger records at barrier close.
-                    if let Some(sample) = ack_shared.sample_op(generation, op) {
-                        let tel = WireMsg::Telemetry {
-                            generation,
-                            samples: vec![(op, sample)],
-                        };
-                        let _ = send_msg(&mut *ack_w.lock(), &tel);
-                    }
-                    WireMsg::CkptDone {
-                        generation,
-                        epoch,
-                        op,
-                    }
-                }
+                // The ack carries the operator's sample taken after the
+                // write, so the ack that closes the epoch-e barrier
+                // brings its operator's epoch-e checkpoint phases — what
+                // lets the controller cut complete ledger records then.
+                Ok(_) => WireMsg::CkptDone {
+                    generation,
+                    epoch,
+                    op,
+                    sample: ack_shared.sample_op(generation, op),
+                },
                 Err(e) => WireMsg::WorkerError {
                     generation,
                     detail: e.to_string(),
@@ -445,9 +415,10 @@ impl Run {
 
         // Fresh generation, fresh gauges — the torn-down run's meters
         // would otherwise keep reporting their last values forever.
-        shared.meters.lock().clear();
-        *shared.op_meters.lock() = (generation, Vec::new());
-        *shared.gate_meters.lock() = (generation, Vec::new());
+        *shared.meters.lock() = Meters {
+            generation,
+            ..Meters::default()
+        };
 
         // Shard plan lookup: physical op → logical group index. The
         // plan's ordering guarantee (a producer's downstream is
@@ -528,9 +499,11 @@ impl Run {
             // ingestion event loop instead of a demo source.
             if let Some(gate) = a.gates.iter().find(|g| g.op == op) {
                 let op_meter = Arc::new(OperatorMeter::new());
-                shared.op_meters.lock().1.push((op, op_meter.clone()));
                 let gate_meter = Arc::new(GateMeter::new());
-                shared.gate_meters.lock().1.push((op, gate_meter.clone()));
+                let mut meters = shared.meters.lock();
+                meters.ops.push((op, op_meter.clone()));
+                meters.gates.push((op, gate_meter.clone()));
+                drop(meters);
                 let (cmd_tx, cmd_rx) = channel();
                 src_cmds.push(cmd_tx);
                 let wiring = GateWiring {
@@ -562,7 +535,7 @@ impl Run {
             }
 
             let op_meter = Arc::new(OperatorMeter::new());
-            shared.op_meters.lock().1.push((op, op_meter.clone()));
+            shared.meters.lock().ops.push((op, op_meter.clone()));
             if is_source {
                 let (cmd_tx, cmd_rx) = channel();
                 src_cmds.push(cmd_tx);
@@ -590,7 +563,7 @@ impl Run {
             }
 
             let meter = Arc::new(BackpressureMeter::new());
-            shared.meters.lock().push(meter.clone());
+            shared.meters.lock().hosts.push(meter.clone());
             // The in-flight replay filter compares per-producer
             // sequence numbers, which only survive a rollback when
             // every upstream producer regenerates them exactly — true
@@ -855,34 +828,8 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<()> {
     let heartbeat = thread::spawn(move || {
         while !hb_shared.stop.load(Ordering::SeqCst) {
             thread::sleep(hb_interval);
-            let beat = WireMsg::Heartbeat {
-                gauges: hb_shared.sample_gauges(),
-            };
-            if send_msg(&mut hb, &beat).is_err() {
+            if send_msg(&mut hb, &hb_shared.heartbeat()).is_err() {
                 return;
-            }
-            // Telemetry piggybacks on the heartbeat cadence: one
-            // message per beat with every local operator's sample, on
-            // the same dedicated socket.
-            let (generation, samples) = hb_shared.sample_telemetry();
-            if !samples.is_empty() {
-                let tel = WireMsg::Telemetry {
-                    generation,
-                    samples,
-                };
-                if send_msg(&mut hb, &tel).is_err() {
-                    return;
-                }
-            }
-            let (generation, samples) = hb_shared.sample_gate_telemetry();
-            if !samples.is_empty() {
-                let tel = WireMsg::GateTelemetry {
-                    generation,
-                    samples,
-                };
-                if send_msg(&mut hb, &tel).is_err() {
-                    return;
-                }
             }
         }
     });
@@ -1006,7 +953,6 @@ mod tests {
                 controller: ControllerAddr::Addr(String::new()),
                 store_dir,
                 heartbeat_interval: Duration::from_millis(50),
-                log_cap_bytes: None,
             },
             shared: Arc::new(Shared::new()),
             eng: Engine {

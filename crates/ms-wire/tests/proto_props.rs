@@ -7,10 +7,11 @@ use std::io::Read;
 
 use ms_core::codec::{frame, read_frame, write_frame, FrameDecoder};
 use ms_core::ids::{EpochId, OperatorId};
-use ms_core::metrics::OperatorSample;
+use ms_core::metrics::{BackpressureGauges, OperatorSample};
 use ms_core::time::SimTime;
 use ms_core::tuple::Tuple;
 use ms_core::value::Value;
+use ms_gate::GateSample;
 use ms_wire::WireMsg;
 use proptest::prelude::*;
 
@@ -56,6 +57,30 @@ impl Read for OneByteReader<'_> {
         buf[0] = self.bytes[self.pos];
         self.pos += 1;
         Ok(1)
+    }
+}
+
+/// Spreads one generated `u64` across distinct per-field values
+/// (near-MAX ones included).
+fn spread(seed: u64, i: u64) -> u64 {
+    seed.wrapping_mul(i.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1)
+}
+
+fn spread_sample(seed: u64, delta: bool) -> OperatorSample {
+    let v = |i: u64| spread(seed, i);
+    OperatorSample {
+        tuples_in: v(1),
+        tuples_out: v(2),
+        bytes_out: v(3),
+        state_bytes: v(4),
+        ckpt_epoch: v(5),
+        ckpt_bytes: v(6),
+        ckpt_is_delta: delta,
+        full_bytes_total: v(7),
+        delta_bytes_total: v(8),
+        align_wait_us: v(9),
+        serialize_us: v(10),
+        persist_us: v(11),
     }
 }
 
@@ -205,50 +230,64 @@ proptest! {
         prop_assert_eq!(WireMsg::decode(&hello.encode()).unwrap(), hello);
     }
 
-    /// Checkpoint-durability acks roundtrip for any generation, epoch
-    /// and operator — the controller's epoch barrier depends on these
-    /// arriving intact.
+    /// Checkpoint-durability acks roundtrip for any generation, epoch,
+    /// operator and sample, or none — the controller's epoch barrier
+    /// and its ledger rows depend on these arriving intact.
     #[test]
-    fn wire_ckpt_done_roundtrip(generation in any::<u64>(), e in any::<u64>(), op in 0u32..1024) {
+    fn wire_ckpt_done_roundtrip(
+        generation in any::<u64>(),
+        e in any::<u64>(),
+        op in 0u32..1024,
+        (has_sample, seed, delta) in (any::<bool>(), any::<u64>(), any::<bool>()),
+    ) {
         let msg = WireMsg::CkptDone {
             generation,
             epoch: EpochId(e),
             op: OperatorId(op),
+            sample: has_sample.then(|| spread_sample(seed, delta)),
         };
         prop_assert_eq!(WireMsg::decode(&msg.encode()).unwrap(), msg);
     }
 
-    /// Telemetry batches roundtrip for any sample values — all twelve
-    /// counters, the delta flag, and any batch size including empty.
+    /// Heartbeats roundtrip for any sample values — all twelve counters
+    /// and the delta flag of every operator sample, any gauge values,
+    /// and any number of samples including none.
     #[test]
     fn wire_telemetry_roundtrip(
         generation in any::<u64>(),
+        gauges in (any::<u64>(), any::<u64>(), any::<u64>()),
         raw in proptest::collection::vec((0u32..1024, any::<u64>(), any::<bool>()), 0..6),
     ) {
-        let samples = raw
-            .into_iter()
-            .map(|(op, seed, delta)| {
-                // Spread one generated u64 across all counters so every
-                // field exercises distinct values (incl. near-MAX ones).
-                let v = |i: u64| seed.wrapping_mul(i.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
-                let s = OperatorSample {
-                    tuples_in: v(1),
-                    tuples_out: v(2),
-                    bytes_out: v(3),
-                    state_bytes: v(4),
-                    ckpt_epoch: v(5),
-                    ckpt_bytes: v(6),
-                    ckpt_is_delta: delta,
-                    full_bytes_total: v(7),
-                    delta_bytes_total: v(8),
-                    align_wait_us: v(9),
-                    serialize_us: v(10),
-                    persist_us: v(11),
+        let ops = raw
+            .iter()
+            .map(|&(op, seed, delta)| (OperatorId(op), spread_sample(seed, delta)))
+            .collect();
+        let gates = raw
+            .iter()
+            .map(|&(op, seed, _)| {
+                let v = |i: u64| spread(seed, i);
+                let s = GateSample {
+                    accepted_batches: v(1),
+                    shed_batches: v(2),
+                    accepted_events: v(3),
+                    emitted_tuples: v(4),
+                    wal_bytes: v(5),
+                    ack_p50_us: v(6),
+                    ack_p99_us: v(7),
                 };
                 (OperatorId(op), s)
             })
             .collect();
-        let msg = WireMsg::Telemetry { generation, samples };
+        let msg = WireMsg::Heartbeat {
+            generation,
+            gauges: BackpressureGauges {
+                queued_tuples: gauges.0,
+                open_windows: gauges.1,
+                window_tuples: gauges.2,
+            },
+            ops,
+            gates,
+        };
         prop_assert_eq!(WireMsg::decode(&msg.encode()).unwrap(), msg);
     }
 

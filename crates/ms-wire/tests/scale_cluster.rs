@@ -10,7 +10,8 @@
 //! answer, the ledger must carry all 55 HAUs every epoch, keyed state
 //! must spread across each stage's shards, and — the event-loop
 //! worker's whole point — every worker process must host its ~7 HAUs
-//! and ~100 peer edges with O(cores) threads, not O(edges).
+//! and ~100 peer edges with O(cores) threads, not O(edges), while the
+//! controller serves every worker connection from one thread.
 //!
 //! Failure run: SIGKILL one worker once two complete application
 //! checkpoints exist, hand its HAUs to a spare, and require the
@@ -40,6 +41,9 @@ const DELAY_US: u64 = 120;
 /// joiner + persister + ≤1 local source thread, with headroom. A
 /// thread-per-edge worker at this scale runs 50–100 threads.
 const MAX_WORKER_THREADS: usize = 16;
+/// The controller polls the listener and both connections of every
+/// worker on its main thread, however many workers register.
+const CONTROLLER_THREADS: usize = 1;
 
 struct Cluster(Vec<Child>);
 
@@ -239,6 +243,11 @@ fn fifty_five_haus_on_eight_processes_survive_sigkill() {
         std::thread::sleep(Duration::from_millis(20));
     }
     if cfg!(target_os = "linux") {
+        assert_eq!(
+            thread_count(cluster.0[ctl].id()),
+            CONTROLLER_THREADS,
+            "controller threads with all {WORKERS} workers registered"
+        );
         for (i, c) in cluster.0.iter().enumerate().skip(1) {
             let threads = thread_count(c.id());
             assert!(threads > 0, "worker {} thread count unreadable", i - 1);
@@ -295,7 +304,20 @@ fn fifty_five_haus_on_eight_processes_survive_sigkill() {
     let _ = cluster.0[victim].wait();
     cluster.push(worker(&dir, "w8").spawn().unwrap());
 
-    let status = wait_exit(&mut cluster.0[ctl], Duration::from_secs(100));
+    // Through detection, rollback, the spare's registration (all nine
+    // workers) and the redeploy, the controller never grows a thread:
+    // every reading while it runs is the one (0 once it has exited).
+    let deadline = Instant::now() + Duration::from_secs(100);
+    while cluster.0[ctl].try_wait().unwrap().is_none() {
+        let threads = thread_count(cluster.0[ctl].id());
+        assert!(
+            threads <= CONTROLLER_THREADS,
+            "controller runs {threads} threads during recovery"
+        );
+        assert!(Instant::now() < deadline, "recovery controller hung");
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    let status = wait_exit(&mut cluster.0[ctl], Duration::from_secs(1));
     assert!(status.success(), "recovery controller failed: {status:?}");
     let (recoveries, sinks) = parse_result(&dir.join("result"));
     assert_eq!(recoveries, "recoveries=1");

@@ -157,7 +157,6 @@ fn worker_main(name: &str, dir: &str) {
         controller: ControllerAddr::File(dir.join("addr")),
         store_dir: dir.join("store"),
         heartbeat_interval: Duration::from_millis(50),
-        log_cap_bytes: None,
     };
     if let Err(e) = run_worker(cfg) {
         eprintln!("worker {name}: {e}");
