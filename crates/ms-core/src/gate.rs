@@ -142,15 +142,6 @@ impl GateMsg {
         }
         Ok(msg)
     }
-
-    /// Logical admission cost of this message's events (zero for
-    /// non-batch messages).
-    pub fn admission_bytes(&self) -> u64 {
-        match self {
-            GateMsg::Batch { events, .. } => events.len() as u64 * EVENT_BYTES,
-            _ => 0,
-        }
-    }
 }
 
 /// Gateway configuration, carried in a deployment's `GateSpec`.
@@ -160,11 +151,6 @@ pub struct GateConfig {
     /// (0 = unbounded). A batch whose events would push the window
     /// past the budget is shed with [`GateMsg::Busy`].
     pub budget_bytes: u64,
-    /// Admission budget per epoch window in batches (0 = unbounded).
-    pub budget_batches: u64,
-    /// Fold events per key inside each batch before they reach an
-    /// engine edge (one emitted tuple per distinct key per batch).
-    pub preagg: bool,
     /// Producers expected to [`GateMsg::Fin`] before the gateway
     /// closes its stream (0 = controller-driven stop only).
     pub expected_producers: u32,
@@ -176,8 +162,6 @@ impl Default for GateConfig {
     fn default() -> GateConfig {
         GateConfig {
             budget_bytes: 0,
-            budget_batches: 0,
-            preagg: true,
             expected_producers: 0,
             retry_after_ms: 50,
         }
@@ -243,15 +227,5 @@ mod tests {
         bytes.extend_from_slice(&[0; 4]);
         assert!(GateMsg::decode(&bytes).is_err());
         assert!(GateMsg::decode(&[]).is_err());
-    }
-
-    #[test]
-    fn admission_bytes_charges_events_only() {
-        let b = GateMsg::Batch {
-            batch: 1,
-            events: vec![(1, 2), (3, 4)],
-        };
-        assert_eq!(b.admission_bytes(), 2 * EVENT_BYTES);
-        assert_eq!(GateMsg::FinOk.admission_bytes(), 0);
     }
 }

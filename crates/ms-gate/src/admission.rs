@@ -24,7 +24,7 @@ use ms_core::value::Value;
 /// self-describing, so recovery can rebuild the duplicate-suppression
 /// table from replayed WAL records alone.
 pub mod field {
-    /// The event value (or the per-key folded sum under pre-agg).
+    /// The batch's events of this key, summed (pre-aggregation).
     pub const VALUE: usize = 0;
     /// The event key.
     pub const KEY: usize = 1;
@@ -77,8 +77,6 @@ pub struct GateCore {
     /// Admission-window usage in [`EVENT_BYTES`] units, reset at every
     /// checkpoint.
     window_bytes: u64,
-    /// Admission-window usage in batches, reset at every checkpoint.
-    window_batches: u64,
 }
 
 impl GateCore {
@@ -90,7 +88,6 @@ impl GateCore {
             dedup: BTreeMap::new(),
             finished: BTreeSet::new(),
             window_bytes: 0,
-            window_batches: 0,
         }
     }
 
@@ -108,31 +105,23 @@ impl GateCore {
             return Admission::Duplicate;
         }
         let cost = events.len() as u64 * EVENT_BYTES;
-        let over_bytes = self.cfg.budget_bytes > 0
-            && self.window_bytes.saturating_add(cost) > self.cfg.budget_bytes;
-        let over_batches = self.cfg.budget_batches > 0
-            && self.window_batches.saturating_add(1) > self.cfg.budget_batches;
-        if over_bytes || over_batches {
+        if self.cfg.budget_bytes > 0
+            && self.window_bytes.saturating_add(cost) > self.cfg.budget_bytes
+        {
             return Admission::Shed;
         }
         self.window_bytes += cost;
-        self.window_batches += 1;
         self.dedup.insert(producer, batch);
-        let folded: Vec<(u64, i64)> = if self.cfg.preagg {
-            // One tuple per distinct key per batch, ascending key
-            // order — deterministic in the batch alone, so a retried
-            // batch regenerates byte-identical tuples.
-            let mut by_key: BTreeMap<u64, i64> = BTreeMap::new();
-            for &(k, v) in events {
-                let slot = by_key.entry(k).or_insert(0);
-                // Wrapping: the fold must never panic on hostile
-                // producer input, and wrapping is still deterministic.
-                *slot = slot.wrapping_add(v);
-            }
-            by_key.into_iter().collect()
-        } else {
-            events.to_vec()
-        };
+        // Pre-aggregation: one tuple per distinct key per batch,
+        // ascending key order — deterministic in the batch alone, so a
+        // retried batch regenerates byte-identical tuples.
+        let mut folded: BTreeMap<u64, i64> = BTreeMap::new();
+        for &(k, v) in events {
+            let slot = folded.entry(k).or_insert(0);
+            // Wrapping: the fold must never panic on hostile producer
+            // input, and wrapping is still deterministic.
+            *slot = slot.wrapping_add(v);
+        }
         let n = folded.len();
         let tuples = folded
             .into_iter()
@@ -203,7 +192,6 @@ impl GateCore {
     /// Opens a fresh admission window (called at each checkpoint cut).
     pub fn reset_window(&mut self) {
         self.window_bytes = 0;
-        self.window_batches = 0;
     }
 
     /// The configured `Busy` retry hint.
@@ -321,29 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn without_preagg_one_tuple_per_event_in_order() {
-        let mut c = core(GateConfig {
-            preagg: false,
-            ..GateConfig::default()
-        });
-        let mut seq = 5;
-        let Admission::Accept(tuples) = c.admit(&mut seq, 2, 1, &[(7, 10), (7, 5)]) else {
-            panic!("accept expected");
-        };
-        assert_eq!(tuples.len(), 2);
-        assert_eq!(tuples[0].seq, 5);
-        assert_eq!(tuples[1].seq, 6);
-        assert_eq!(
-            tuples[0].field(field::VALUE).and_then(Value::as_int),
-            Some(10)
-        );
-        assert_eq!(
-            tuples[1].field(field::VALUE).and_then(Value::as_int),
-            Some(5)
-        );
-    }
-
-    #[test]
     fn duplicate_batches_admit_nothing() {
         let mut c = core(GateConfig::default());
         let mut seq = 0;
@@ -372,7 +337,6 @@ mod tests {
     fn budget_sheds_and_checkpoint_reopens_window() {
         let mut c = core(GateConfig {
             budget_bytes: 2 * EVENT_BYTES,
-            budget_batches: 10,
             ..GateConfig::default()
         });
         let mut seq = 0;
@@ -396,23 +360,6 @@ mod tests {
         let big: Vec<(u64, i64)> = (0..3).map(|k| (k, 1)).collect();
         c.reset_window();
         assert!(matches!(c.admit(&mut seq, 1, 3, &big), Admission::Shed));
-    }
-
-    #[test]
-    fn batch_budget_sheds_too() {
-        let mut c = core(GateConfig {
-            budget_batches: 1,
-            ..GateConfig::default()
-        });
-        let mut seq = 0;
-        assert!(matches!(
-            c.admit(&mut seq, 1, 1, &[(0, 1)]),
-            Admission::Accept(_)
-        ));
-        assert!(matches!(
-            c.admit(&mut seq, 1, 2, &[(0, 1)]),
-            Admission::Shed
-        ));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   fold into one tuple before they ever touch the log or an engine
 //!   edge, shrinking both WAL and edge volume on skewed workloads.
 //! - **Admission-level load shedding.** A bounded per-checkpoint
-//!   budget (bytes and/or batches) sheds overload at the socket with
+//!   budget in event bytes sheds overload at the socket with
 //!   an explicit `Busy { retry_after_ms }` ack instead of letting
 //!   queues grow without bound; shed batches are provably absent
 //!   downstream because they never reach the log.

@@ -3,9 +3,9 @@
 //! controller (which folds them into the run ledger).
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use ms_core::metrics::LatencyHistogram;
-use parking_lot::Mutex;
 
 /// Cumulative gateway counters (process-lifetime, like
 /// [`ms_core::metrics::OperatorMeter`]): the consumer diffs or keeps
@@ -66,12 +66,12 @@ impl GateMeter {
 
     /// Records one batch's admission-to-ack latency.
     pub fn record_ack_us(&self, us: u64) {
-        self.ack_us.lock().record(us);
+        self.ack_us.lock().expect("ack histogram lock").record(us);
     }
 
     /// A point-in-time sample.
     pub fn sample(&self) -> GateSample {
-        let h = self.ack_us.lock();
+        let h = self.ack_us.lock().expect("ack histogram lock");
         GateSample {
             accepted_batches: self.accepted_batches.load(Ordering::Relaxed),
             shed_batches: self.shed_batches.load(Ordering::Relaxed),

@@ -624,7 +624,6 @@ mod tests {
         let g = start_gate(
             "walbytes",
             GateConfig {
-                preagg: false,
                 expected_producers: 2,
                 ..GateConfig::default()
             },
@@ -740,7 +739,6 @@ mod tests {
                 budget_bytes: EVENT_BYTES, // one event per window
                 expected_producers: 1,
                 retry_after_ms: 7,
-                ..GateConfig::default()
             },
         );
         let mut a = TcpStream::connect(&g.addr).unwrap();

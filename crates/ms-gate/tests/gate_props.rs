@@ -129,9 +129,8 @@ proptest! {
         producer in any::<u64>(),
         batches in proptest::collection::vec(arb_events(), 1..5),
         retries in 1usize..4,
-        preagg in any::<bool>(),
     ) {
-        let cfg = GateConfig { preagg, ..GateConfig::default() };
+        let cfg = GateConfig::default();
         let mut core = GateCore::new(OperatorId(0), cfg);
         let mut next_seq = 0u64;
         let mut emitted = Vec::new();
@@ -162,9 +161,8 @@ proptest! {
     fn replay_rebuild_preserves_dedup(
         producer in any::<u64>(),
         batches in proptest::collection::vec(arb_events(), 1..5),
-        preagg in any::<bool>(),
     ) {
-        let cfg = GateConfig { preagg, ..GateConfig::default() };
+        let cfg = GateConfig::default();
         let mut pre = GateCore::new(OperatorId(0), cfg);
         let mut next_seq = 0u64;
         let mut walled = Vec::new();

@@ -63,6 +63,7 @@ use std::io::{self, BufReader, Read, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use ms_core::codec::{
     frame, frame_batch, BatchHeader, SnapshotReader, SnapshotWriter, BATCH_HEADER_MAX_BYTES,
@@ -73,7 +74,6 @@ use ms_core::error::{Error, Result};
 use ms_core::ids::{EpochId, OperatorId};
 use ms_core::operator::OperatorSnapshot;
 use ms_core::tuple::Tuple;
-use parking_lot::Mutex;
 
 use crate::ckpt_codec;
 use crate::storage::{CkptState, CkptWrite, LiveHauCheckpoint, RebasePolicy, StableStore};
@@ -620,7 +620,7 @@ impl StableStore for FsStore {
         if batch.is_empty() {
             return Ok(0);
         }
-        let mut logs = self.logs.lock();
+        let mut logs = self.logs.lock().expect("log writers lock");
         let lw = self.ensure_writer(&mut logs, source)?;
         // Dedup guard per tuple: a restarted source regenerates tuples
         // an earlier incarnation already made durable.

@@ -17,7 +17,7 @@ const USAGE: &str = "--store DIR [--listen ADDR] [--addr-file FILE] \
          [--aware 0|1] [--aware-sample-ms N] [--aware-profile-periods N] \
          [--recovery-budget-ms N] \
          [--result-file FILE] [--gate-producers N] [--gate-budget-bytes N] \
-         [--gate-budget-batches N] [--gate-preagg 0|1] [--gate-retry-ms N]";
+         [--gate-retry-ms N]";
 
 fn config(argv: impl IntoIterator<Item = String>) -> Result<ControllerConfig, String> {
     let args = Args::parse(USAGE, argv)?;
@@ -49,8 +49,6 @@ fn config(argv: impl IntoIterator<Item = String>) -> Result<ControllerConfig, St
             0 => None,
             n => Some(GateConfig {
                 budget_bytes: num("--gate-budget-bytes", 0)?,
-                budget_batches: num("--gate-budget-batches", 0)?,
-                preagg: num("--gate-preagg", 1)? != 0,
                 expected_producers: n as u32,
                 retry_after_ms: num("--gate-retry-ms", 50)?,
             }),

@@ -2,13 +2,12 @@
 //! localhost walkthrough.
 
 use std::path::PathBuf;
-use std::time::Duration;
 
 use ms_wire::args::{exit_usage, Args};
 use ms_wire::{run_worker, ControllerAddr, WorkerConfig};
 
 const USAGE: &str = "--name NAME --store DIR \
-         (--controller ADDR | --controller-file FILE) [--hb-ms N]";
+         (--controller ADDR | --controller-file FILE)";
 
 fn config(argv: impl IntoIterator<Item = String>) -> Result<WorkerConfig, String> {
     let args = Args::parse(USAGE, argv)?;
@@ -24,7 +23,6 @@ fn config(argv: impl IntoIterator<Item = String>) -> Result<WorkerConfig, String
         name: name.into(),
         controller,
         store_dir: PathBuf::from(store_dir),
-        heartbeat_interval: Duration::from_millis(args.num("--hb-ms", 50)?),
     })
 }
 
@@ -48,10 +46,10 @@ mod tests {
         let parse = |argv: &str| config(argv.split_whitespace().map(String::from));
         let cfg = parse("--name wa --store /s --controller-file /a").unwrap();
         assert_eq!(cfg.name, "wa");
-        assert_eq!(cfg.heartbeat_interval, Duration::from_millis(50));
         assert!(parse("--name wa --store /s").is_err(), "no controller");
         assert!(parse("--name wa --store /s --controller h:1 --controller-file /a").is_err());
-        let err = parse("--name wa --store /s --controller h:1 --hb 10").unwrap_err();
-        assert!(err.contains("--hb"), "{err}");
+        // The heartbeat cadence is a constant; its old flag is unknown.
+        let err = parse("--name wa --store /s --controller h:1 --hb-ms 50").unwrap_err();
+        assert!(err.contains("--hb-ms"), "{err}");
     }
 }

@@ -54,7 +54,7 @@ use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Condvar};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 
 use ms_core::codec::{frame, FrameDecoder};
@@ -62,7 +62,6 @@ use ms_live::{EdgeTx, HostExit, HostMsg, InteriorCore};
 use ms_net::fault::{FaultDecision, FaultPlan};
 use ms_net::ready::{poll, Interest, PollTarget, Waker};
 use ms_net::vectored;
-use parking_lot::Mutex;
 
 use crate::message::{encode_tuple_batch, WireMsg};
 
@@ -106,19 +105,19 @@ impl EgressBuf {
     }
 
     fn push(&self, payload: &[u8]) {
-        let mut g = self.inner.lock();
+        let mut g = self.inner.lock().expect("egress lock");
         if !g.broken {
             g.frames.push_back(frame(payload));
         }
     }
 
     fn is_empty(&self) -> bool {
-        let g = self.inner.lock();
+        let g = self.inner.lock().expect("egress lock");
         g.broken || g.frames.is_empty()
     }
 
     fn mark_broken(&self) {
-        let mut g = self.inner.lock();
+        let mut g = self.inner.lock().expect("egress lock");
         g.broken = true;
         g.frames = VecDeque::new();
         g.head = 0;
@@ -128,7 +127,7 @@ impl EgressBuf {
     /// write per pass. `Ok(false)` means the socket would block with
     /// frames still queued; errors flip the buffer to drain mode.
     fn write_to(&self, s: &mut TcpStream) -> io::Result<bool> {
-        let mut g = self.inner.lock();
+        let mut g = self.inner.lock().expect("egress lock");
         let r = loop {
             if g.frames.is_empty() {
                 break Ok(true);
@@ -230,11 +229,11 @@ impl HostCell {
     fn step(self: &Arc<Self>) {
         loop {
             let batch: Vec<(u32, HostMsg)> = {
-                let mut q = self.inbox.lock();
+                let mut q = self.inbox.lock().expect("inbox lock");
                 q.drain(..).collect()
             };
             {
-                let mut guard = self.core.lock();
+                let mut guard = self.core.lock().expect("host core lock");
                 if let Some(core) = guard.as_mut() {
                     // The gauge counts tuples, not inbox messages: one
                     // DataBatch is up to hundreds of tuples.
@@ -255,8 +254,9 @@ impl HostCell {
             // set (and we catch its message here) or re-queues the
             // cell itself. Either way nothing is stranded.
             self.scheduled.store(false, Ordering::Release);
-            let rerun = !self.inbox.lock().is_empty()
-                || (self.torn.load(Ordering::SeqCst) && self.core.lock().is_some());
+            let rerun = !self.inbox.lock().expect("inbox lock").is_empty()
+                || (self.torn.load(Ordering::SeqCst)
+                    && self.core.lock().expect("host core lock").is_some());
             if rerun && !self.scheduled.swap(true, Ordering::AcqRel) {
                 continue;
             }
@@ -280,7 +280,11 @@ impl EdgeTx for CellTx {
         if self.cell.gone.load(Ordering::SeqCst) || self.cell.torn.load(Ordering::SeqCst) {
             return false;
         }
-        self.cell.inbox.lock().push_back((self.port, msg));
+        self.cell
+            .inbox
+            .lock()
+            .expect("inbox lock")
+            .push_back((self.port, msg));
         self.cell.schedule(&self.work);
         true
     }
@@ -294,7 +298,7 @@ impl EdgeTx for CellTx {
 #[derive(Default)]
 pub(crate) struct WorkQueue {
     /// Scheduled cells, and whether the queue is closed.
-    state: std::sync::Mutex<(VecDeque<Arc<HostCell>>, bool)>,
+    state: Mutex<(VecDeque<Arc<HostCell>>, bool)>,
     ready: Condvar,
 }
 

@@ -343,8 +343,6 @@ impl WireMsg {
                 w.put_seq(a.gates.iter(), |w, g| {
                     w.put_u64(g.op.0 as u64)
                         .put_u64(g.cfg.budget_bytes)
-                        .put_u64(g.cfg.budget_batches)
-                        .put_u64(g.cfg.preagg as u64)
                         .put_u64(g.cfg.expected_producers as u64)
                         .put_u64(g.cfg.retry_after_ms);
                 });
@@ -465,8 +463,6 @@ impl WireMsg {
                         op: get_op(r)?,
                         cfg: GateConfig {
                             budget_bytes: r.get_u64()?,
-                            budget_batches: r.get_u64()?,
-                            preagg: r.get_u64()? != 0,
                             expected_producers: u32::try_from(r.get_u64()?).map_err(|_| {
                                 Error::Wire("expected_producers out of range".into())
                             })?,
@@ -632,8 +628,6 @@ mod tests {
                 op: OperatorId(0),
                 cfg: GateConfig {
                     budget_bytes: 65536,
-                    budget_batches: 128,
-                    preagg: true,
                     expected_producers: 4,
                     retry_after_ms: 25,
                 },

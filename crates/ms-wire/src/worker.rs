@@ -66,7 +66,7 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -80,7 +80,6 @@ use ms_live::{
     SourceCore, StableStore,
 };
 use ms_net::ready::Waker;
-use parking_lot::Mutex;
 
 use crate::apps::{build_operator, route_key};
 use crate::chaos::{FaultStore, RetryStore, StoreFaultSpec};
@@ -93,6 +92,10 @@ const CONNECT_POLL: Duration = Duration::from_millis(25);
 /// Upper bound on a connect that nothing supersedes: the controller at
 /// start-up, and a deploy's data-plane peers.
 const CONNECT_WAIT: Duration = Duration::from_secs(10);
+/// Heartbeat cadence. Every `--hb-timeout-ms` in use (500–1000) spans
+/// at least ten beats, and the application-aware profiler learns state
+/// sizes from the beats at this cadence.
+const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(50);
 
 /// How a worker finds its controller.
 #[derive(Clone, Debug)]
@@ -114,8 +117,6 @@ pub struct WorkerConfig {
     /// Shared stable-store directory (same filesystem as the other
     /// processes of the cluster).
     pub store_dir: PathBuf,
-    /// Heartbeat cadence.
-    pub heartbeat_interval: Duration,
 }
 
 /// The current generation's meters, tagged with that generation so
@@ -151,7 +152,7 @@ impl Shared {
     /// One beat: the hosts' summed gauges and every operator and gate
     /// sample of the current generation, in one message.
     fn heartbeat(&self) -> WireMsg {
-        let m = self.meters.lock();
+        let m = self.meters.lock().expect("meters lock");
         WireMsg::Heartbeat {
             generation: m.generation,
             gauges: m
@@ -167,7 +168,7 @@ impl Shared {
 
     /// One operator's sample, if it belongs to `generation`.
     fn sample_op(&self, generation: u64, op: OperatorId) -> Option<OperatorSample> {
-        let m = self.meters.lock();
+        let m = self.meters.lock().expect("meters lock");
         if m.generation != generation {
             return None;
         }
@@ -409,13 +410,13 @@ impl Run {
                     detail: e.to_string(),
                 },
             };
-            let _ = send_msg(&mut *ack_w.lock(), &msg);
+            let _ = send_msg(&mut *ack_w.lock().expect("control socket lock"), &msg);
         });
         let persister = Persister::spawn_with(store.clone(), Some(hook));
 
         // Fresh generation, fresh gauges — the torn-down run's meters
         // would otherwise keep reporting their last values forever.
-        *shared.meters.lock() = Meters {
+        *shared.meters.lock().expect("meters lock") = Meters {
             generation,
             ..Meters::default()
         };
@@ -500,7 +501,7 @@ impl Run {
             if let Some(gate) = a.gates.iter().find(|g| g.op == op) {
                 let op_meter = Arc::new(OperatorMeter::new());
                 let gate_meter = Arc::new(GateMeter::new());
-                let mut meters = shared.meters.lock();
+                let mut meters = shared.meters.lock().expect("meters lock");
                 meters.ops.push((op, op_meter.clone()));
                 meters.gates.push((op, gate_meter.clone()));
                 drop(meters);
@@ -535,7 +536,12 @@ impl Run {
             }
 
             let op_meter = Arc::new(OperatorMeter::new());
-            shared.meters.lock().ops.push((op, op_meter.clone()));
+            shared
+                .meters
+                .lock()
+                .expect("meters lock")
+                .ops
+                .push((op, op_meter.clone()));
             if is_source {
                 let (cmd_tx, cmd_rx) = channel();
                 src_cmds.push(cmd_tx);
@@ -563,7 +569,12 @@ impl Run {
             }
 
             let meter = Arc::new(BackpressureMeter::new());
-            shared.meters.lock().hosts.push(meter.clone());
+            shared
+                .meters
+                .lock()
+                .expect("meters lock")
+                .hosts
+                .push(meter.clone());
             // The in-flight replay filter compares per-producer
             // sequence numbers, which only survive a rollback when
             // every upstream producer regenerates them exactly — true
@@ -645,14 +656,16 @@ impl Run {
                                 generation,
                                 detail: format!("{}: {e}", exit.op_id),
                             };
-                            let _ = send_msg(&mut *ctrl_w.lock(), &msg);
+                            let _ =
+                                send_msg(&mut *ctrl_w.lock().expect("control socket lock"), &msg);
                         } else if sinks.contains(&exit.op_id) {
                             let msg = WireMsg::SinkDone {
                                 generation,
                                 op: exit.op_id,
                                 snapshot: exit.op.snapshot().data,
                             };
-                            let _ = send_msg(&mut *ctrl_w.lock(), &msg);
+                            let _ =
+                                send_msg(&mut *ctrl_w.lock().expect("control socket lock"), &msg);
                         }
                     }
                 }
@@ -697,7 +710,7 @@ impl Run {
                 generation,
                 detail: e.to_string(),
             };
-            let _ = send_msg(&mut *ctrl_w.lock(), &msg);
+            let _ = send_msg(&mut *ctrl_w.lock().expect("control socket lock"), &msg);
         }
         None
     }
@@ -824,10 +837,9 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<()> {
         },
     )?;
     let hb_shared = shared.clone();
-    let hb_interval = cfg.heartbeat_interval;
     let heartbeat = thread::spawn(move || {
         while !hb_shared.stop.load(Ordering::SeqCst) {
-            thread::sleep(hb_interval);
+            thread::sleep(HEARTBEAT_INTERVAL);
             if send_msg(&mut hb, &hb_shared.heartbeat()).is_err() {
                 return;
             }
@@ -896,7 +908,10 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<()> {
     }
     shared.stop.store(true, Ordering::SeqCst);
     // Closing the socket is also what ends the reader's blocking read.
-    let _ = ctrl_w.lock().shutdown(Shutdown::Both);
+    let _ = ctrl_w
+        .lock()
+        .expect("control socket lock")
+        .shutdown(Shutdown::Both);
     let _ = reader.join();
     let _ = heartbeat.join();
     // Stop the I/O thread (drops every route, and with it every cell
@@ -952,7 +967,6 @@ mod tests {
                 name: "me".into(),
                 controller: ControllerAddr::Addr(String::new()),
                 store_dir,
-                heartbeat_interval: Duration::from_millis(50),
             },
             shared: Arc::new(Shared::new()),
             eng: Engine {

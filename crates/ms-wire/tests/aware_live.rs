@@ -12,16 +12,17 @@
 //! and crashes to near zero on a fixed cadence — the canonical
 //! Fig. 10 shape, produced by real tuples instead of a trace.
 
-use std::fs;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+mod cluster;
 
-use ms_core::codec::SnapshotReader;
-use ms_wire::{read_decisions, read_ledger, LEDGER_FILE};
+use std::fmt::Display;
+use std::fs;
+use std::path::Path;
+use std::time::Duration;
+
+use cluster::*;
+use ms_wire::{read_decisions, LEDGER_FILE};
 
 const LIMIT: u64 = 14000;
-const DELAY_US: u64 = 500;
 /// Key space (values cycle through `v % KEYED_STATE`); must exceed the
 /// sawtooth window so every in-window tuple inserts a fresh key and
 /// the table *ramps* instead of saturating.
@@ -38,100 +39,26 @@ const KEYED_STATE: u64 = 4096;
 /// successive teeth shift the phase by ~15 ms and sweep it.
 const SAWTOOTH_WINDOW: u64 = 1130;
 
-/// Kills every still-running child on drop so a failing assert never
-/// leaks processes.
-struct Cluster(Vec<Child>);
-
-impl Cluster {
-    fn push(&mut self, c: Child) -> usize {
-        self.0.push(c);
-        self.0.len() - 1
-    }
-}
-
-impl Drop for Cluster {
-    fn drop(&mut self) {
-        for c in &mut self.0 {
-            let _ = c.kill();
-            let _ = c.wait();
-        }
-    }
-}
-
-fn controller(dir: &Path) -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_ms-controller"));
-    cmd.args(["--store".as_ref(), dir.join("store").as_os_str()])
-        .args(["--addr-file".as_ref(), dir.join("addr").as_os_str()])
-        .args(["--result-file".as_ref(), dir.join("result").as_os_str()])
-        .args(["--workers", "2", "--shape", "chain3"])
-        .args(["--limit", &LIMIT.to_string()])
-        .args(["--delay-us", &DELAY_US.to_string()])
-        .args(["--keyed-state", &KEYED_STATE.to_string()])
-        .args(["--sawtooth-window", &SAWTOOTH_WINDOW.to_string()])
-        // One-second period, three profiling periods, and 50 ms
-        // sampling — the heartbeat cadence the profile is built from,
-        // so a round sees a collapse as finely as the profile did. The
-        // classifier arms ~3 s in, with ~4 s of sawtooth left; the
-        // third profiled period raises `smax` (the highest of three
-        // minima, not two).
-        .args(["--ckpt-ms", "1000", "--aware", "1"])
-        .args(["--aware-sample-ms", "50", "--aware-profile-periods", "3"])
-        .args(["--hb-timeout-ms", "500"])
-        .args(["--respawn-wait-ms", "3000", "--deadline-secs", "90"])
-        .stdout(Stdio::null())
-        .stderr(Stdio::inherit());
-    cmd
-}
-
-fn worker(dir: &Path, name: &str) -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_ms-worker"));
-    cmd.args(["--name", name])
-        .args(["--store".as_ref(), dir.join("store").as_os_str()])
-        .args(["--controller-file".as_ref(), dir.join("addr").as_os_str()])
-        .stdout(Stdio::null())
-        .stderr(Stdio::inherit());
-    cmd
-}
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ms_wire_{tag}_{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn wait_exit(child: &mut Child, budget: Duration) -> std::process::ExitStatus {
-    let deadline = Instant::now() + budget;
-    loop {
-        if let Some(status) = child.try_wait().unwrap() {
-            return status;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "process did not exit within {budget:?}"
-        );
-        std::thread::sleep(Duration::from_millis(25));
-    }
-}
-
-/// `(recoveries line, sink lines)` from a result file.
-fn parse_result(path: &Path) -> (String, Vec<String>) {
-    let text = fs::read_to_string(path).unwrap();
-    let mut lines = text.lines();
-    let recoveries = lines.next().unwrap().to_string();
-    (recoveries, lines.map(str::to_string).collect())
-}
-
-/// Decodes a `sink op{N} {hex}` line into the Summer's `(sum, count)`.
-fn decode_sink(line: &str) -> (i64, u64) {
-    let hex = line.rsplit(' ').next().unwrap();
-    let bytes: Vec<u8> = (0..hex.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
-        .collect();
-    let mut r = SnapshotReader::new(&bytes);
-    (r.get_i64().unwrap(), r.get_u64().unwrap())
-}
+const FLAGS: &[(&str, &dyn Display)] = &[
+    ("--workers", &2),
+    ("--shape", &"chain3"),
+    ("--limit", &LIMIT),
+    ("--delay-us", &500),
+    ("--keyed-state", &KEYED_STATE),
+    ("--sawtooth-window", &SAWTOOTH_WINDOW),
+    // One-second period, three profiling periods, and 50 ms sampling —
+    // the heartbeat cadence the profile is built from, so a round sees
+    // a collapse as finely as the profile did. The classifier arms
+    // ~3 s in, with ~4 s of sawtooth left; the third profiled period
+    // raises `smax` (the highest of three minima, not two).
+    ("--ckpt-ms", &1000),
+    ("--aware", &1),
+    ("--aware-sample-ms", &50),
+    ("--aware-profile-periods", &3),
+    ("--hb-timeout-ms", &500),
+    ("--respawn-wait-ms", &3000),
+    ("--deadline-secs", &90),
+];
 
 /// Asserts the decision trail shows the plane working: timer-paced
 /// initiations while profiling, then at least one barrier initiated
@@ -154,60 +81,45 @@ fn check_decisions(store: &Path, run: &str) {
     for d in &decisions {
         assert!(d.period_us_before > 0, "{run}: decision without a period");
     }
-    // Decision rows share the file with epoch rows without corrupting
-    // them for the batch reader.
-    let epochs = read_ledger(&store.join(LEDGER_FILE)).expect("epoch rows must still parse");
-    assert!(!epochs.is_empty(), "{run}: epoch rows vanished");
 }
 
 #[test]
 fn aware_cluster_checkpoints_at_minima_and_survives_sigkill() {
     // --- Reference run: no failure. ---
     let ref_dir = fresh_dir("aware_ref");
-    let mut cluster = Cluster(Vec::new());
-    let ctl = cluster.push(controller(&ref_dir).spawn().unwrap());
-    cluster.push(worker(&ref_dir, "wa").spawn().unwrap());
-    cluster.push(worker(&ref_dir, "wb").spawn().unwrap());
-    let status = wait_exit(&mut cluster.0[ctl], Duration::from_secs(80));
-    assert!(status.success(), "reference controller failed: {status:?}");
-    let (recoveries, ref_sinks) = parse_result(&ref_dir.join("result"));
-    assert_eq!(recoveries, "recoveries=0");
-    assert_eq!(ref_sinks.len(), 1);
+    let ref_sinks = clean_run(&ref_dir, FLAGS);
     check_decisions(&ref_dir.join("store"), "reference");
-    drop(cluster);
+    // Decision rows share the file with epoch rows without corrupting
+    // them for the batch reader.
+    check_ledger(&ref_dir.join("store"), CHAIN_OPS, 1, None);
 
     // --- Failure run: SIGKILL the sawtooth worker mid-stream. ---
     let dir = fresh_dir("aware_kill");
+    let store = dir.join("store");
     let mut cluster = Cluster(Vec::new());
-    let ctl = cluster.push(controller(&dir).spawn().unwrap());
-    cluster.push(worker(&dir, "wa").spawn().unwrap());
+    let ctl = cluster.spawn(controller(&dir, FLAGS));
+    cluster.spawn(worker(&dir, "wa", &[]));
     // Placement is round-robin over sorted names: op0,op2 → wa and
     // op1 (the sawtooth table) → wb.
-    let victim = cluster.push(worker(&dir, "wb").spawn().unwrap());
+    let victim = cluster.spawn(worker(&dir, "wb", &[]));
 
     // Let the stream run until the ledger holds the first barrier
     // initiated at a local minimum — past the profiling phase, so the
     // rollback rewinds an aware-timed epoch whatever phase of the
     // sawtooth the post-recovery samples land on.
-    let ledger = dir.join("store").join(LEDGER_FILE);
-    let at_minimum =
-        || read_decisions(&ledger).is_ok_and(|ds| ds.iter().any(|d| d.reason == "local_minimum"));
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while !at_minimum() {
-        assert!(
-            Instant::now() < deadline,
-            "no barrier initiated at a local minimum in time"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    let ledger = store.join(LEDGER_FILE);
+    wait_until(
+        "barrier initiated at a local minimum",
+        Duration::from_secs(30),
+        || read_decisions(&ledger).is_ok_and(|ds| ds.iter().any(|d| d.reason == "local_minimum")),
+    );
     assert!(
         !dir.join("result").exists(),
         "stream finished before the kill; raise --limit"
     );
-    cluster.0[victim].kill().unwrap(); // SIGKILL on unix
-    let _ = cluster.0[victim].wait();
+    cluster.kill(victim);
     // Spare worker takes the bench.
-    cluster.push(worker(&dir, "wc").spawn().unwrap());
+    cluster.spawn(worker(&dir, "wc", &[]));
 
     let status = wait_exit(&mut cluster.0[ctl], Duration::from_secs(80));
     assert!(status.success(), "recovery controller failed: {status:?}");
@@ -227,9 +139,10 @@ fn aware_cluster_checkpoints_at_minima_and_survives_sigkill() {
     let expected: i64 = 2 * (0..LIMIT as i64).sum::<i64>();
     assert_eq!(sum, expected);
 
-    check_decisions(&dir.join("store"), "failure");
+    check_decisions(&store, "failure");
+    check_ledger(&store, CHAIN_OPS, 2, None);
     // The measured recovery landed in the decision trail.
-    let decisions = read_decisions(&dir.join("store").join(LEDGER_FILE)).unwrap();
+    let decisions = read_decisions(&ledger).unwrap();
     let rec: Vec<_> = decisions
         .iter()
         .filter(|d| d.reason == "recovery")

@@ -17,17 +17,38 @@
 //!
 //! The seven chain-shaped scenarios share one reference run (same
 //! graph, same limit — byte-comparable by construction); the gateway
-//! scenario drives its own.
+//! scenario drives its own. Process plumbing, the checkpoint census,
+//! the ledger audit and the gateway producer are the `cluster` module
+//! every multi-process test shares; faults are injected by SIGKILL and
+//! the `MS_FAULT_PLAN` / `MS_FAULT_STORE` env vars.
 
-mod chaos_support;
+mod cluster;
 
+use std::fmt::Display;
 use std::fs;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread;
 use std::time::Duration;
 
-use chaos_support::*;
+use cluster::*;
+
+/// Tuples each demo source emits.
+const LIMIT: u64 = 4000;
+
+/// The chain3 cluster every scenario runs. Everything is pinned here
+/// so the chain scenarios stay byte-comparable to one reference run;
+/// a scenario appends only a detector or gateway flag.
+const FLAGS: &[(&str, &dyn Display)] = &[
+    ("--workers", &2),
+    ("--shape", &"chain3"),
+    ("--limit", &LIMIT),
+    ("--delay-us", &300),
+    ("--ckpt-ms", &120),
+    ("--hb-timeout-ms", &500),
+    ("--respawn-wait-ms", &3000),
+    ("--deadline-secs", &90),
+];
 
 /// The unfailed chain3 run every chain scenario diffs against: run
 /// once per test binary, shared across scenarios (they use identical
@@ -37,19 +58,12 @@ static REFERENCE: OnceLock<Vec<String>> = OnceLock::new();
 fn reference_sinks() -> &'static [String] {
     REFERENCE.get_or_init(|| {
         let dir = fresh_dir("ref");
-        let mut cluster = Cluster(Vec::new());
-        let ctl = cluster.push(controller(&dir, &CtrlOpts::default()).spawn().unwrap());
-        cluster.push(worker(&dir, "wa", &[]).spawn().unwrap());
-        cluster.push(worker(&dir, "wb", &[]).spawn().unwrap());
-        let status = wait_exit(&mut cluster.0[ctl], Duration::from_secs(80));
-        assert!(status.success(), "reference controller failed: {status:?}");
-        let (rec, sinks) = parse_result(&dir.join("result"));
-        assert_eq!(recoveries(&rec), 0);
-        assert_eq!(sinks.len(), 1);
+        let sinks = clean_run(&dir, FLAGS);
+        // The Doubler doubles every source value on its way to the
+        // Summer sink.
         let (sum, count) = decode_sink(&sinks[0]);
-        assert_eq!((sum, count), chain_expected());
+        assert_eq!((sum, count), (2 * (0..LIMIT as i64).sum::<i64>(), LIMIT));
         check_ledger(&dir.join("store"), CHAIN_OPS, 1, None);
-        drop(cluster);
         let _ = fs::remove_dir_all(&dir);
         sinks
     })
@@ -99,9 +113,9 @@ fn double_worker_sigkill_recovers_to_identical_answer() {
     let refs = reference_sinks();
     let dir = fresh_dir("dblkill");
     let mut cluster = Cluster(Vec::new());
-    let ctl = cluster.push(controller(&dir, &CtrlOpts::default()).spawn().unwrap());
-    let wa = cluster.push(worker(&dir, "wa", &[]).spawn().unwrap());
-    let wb = cluster.push(worker(&dir, "wb", &[]).spawn().unwrap());
+    let ctl = cluster.spawn(controller(&dir, FLAGS));
+    let wa = cluster.spawn(worker(&dir, "wa", &[]));
+    let wb = cluster.spawn(worker(&dir, "wb", &[]));
 
     wait_checkpoints_mid_stream(&dir, 2);
     for victim in [wa, wb] {
@@ -110,8 +124,8 @@ fn double_worker_sigkill_recovers_to_identical_answer() {
     for victim in [wa, wb] {
         let _ = cluster.0[victim].wait();
     }
-    cluster.push(worker(&dir, "wc", &[]).spawn().unwrap());
-    cluster.push(worker(&dir, "wd", &[]).spawn().unwrap());
+    cluster.spawn(worker(&dir, "wc", &[]));
+    cluster.spawn(worker(&dir, "wd", &[]));
 
     let status = wait_exit(&mut cluster.0[ctl], Duration::from_secs(80));
     assert!(status.success(), "recovery controller failed: {status:?}");
@@ -143,18 +157,16 @@ fn staggered_double_kill_abandons_the_deploy_onto_the_dead_worker() {
     let refs = reference_sinks();
     let dir = fresh_dir("stagger");
     let mut cluster = Cluster(Vec::new());
-    let ctl = cluster.push(controller(&dir, &CtrlOpts::default()).spawn().unwrap());
-    let first = cluster.push(worker(&dir, "wc", &[]).spawn().unwrap());
-    let second = cluster.push(worker(&dir, "wd", &[]).spawn().unwrap());
+    let ctl = cluster.spawn(controller(&dir, FLAGS));
+    let first = cluster.spawn(worker(&dir, "wc", &[]));
+    let second = cluster.spawn(worker(&dir, "wd", &[]));
 
     wait_checkpoints_mid_stream(&dir, 2);
-    cluster.0[first].kill().unwrap();
-    let _ = cluster.0[first].wait();
-    cluster.push(worker(&dir, "wa", &[]).spawn().unwrap());
+    cluster.kill(first);
+    cluster.spawn(worker(&dir, "wa", &[]));
     thread::sleep(Duration::from_millis(200));
-    cluster.0[second].kill().unwrap();
-    let _ = cluster.0[second].wait();
-    cluster.push(worker(&dir, "wb", &[]).spawn().unwrap());
+    cluster.kill(second);
+    cluster.spawn(worker(&dir, "wb", &[]));
 
     let status = wait_exit(&mut cluster.0[ctl], Duration::from_secs(80));
     assert!(status.success(), "recovery controller failed: {status:?}");
@@ -184,21 +196,19 @@ fn worker_lost_while_waiting_for_spares_is_not_handed_operators() {
     let refs = reference_sinks();
     let dir = fresh_dir("respawnloss");
     let mut cluster = Cluster(Vec::new());
-    let ctl = cluster.push(controller(&dir, &CtrlOpts::default()).spawn().unwrap());
-    let wa = cluster.push(worker(&dir, "wa", &[]).spawn().unwrap());
-    let wb = cluster.push(worker(&dir, "wb", &[]).spawn().unwrap());
+    let ctl = cluster.spawn(controller(&dir, FLAGS));
+    let wa = cluster.spawn(worker(&dir, "wa", &[]));
+    let wb = cluster.spawn(worker(&dir, "wb", &[]));
 
     wait_checkpoints_mid_stream(&dir, 2);
-    cluster.0[wa].kill().unwrap();
-    let _ = cluster.0[wa].wait();
+    cluster.kill(wa);
     // Past wa's detection (500 ms), well inside the 3 s window.
     thread::sleep(Duration::from_millis(1000));
-    cluster.0[wb].kill().unwrap();
-    let _ = cluster.0[wb].wait();
+    cluster.kill(wb);
     // Past wb's heartbeat timeout, still inside the window.
     thread::sleep(Duration::from_millis(1000));
-    cluster.push(worker(&dir, "wc", &[]).spawn().unwrap());
-    cluster.push(worker(&dir, "wd", &[]).spawn().unwrap());
+    cluster.spawn(worker(&dir, "wc", &[]));
+    cluster.spawn(worker(&dir, "wd", &[]));
 
     let status = wait_exit(&mut cluster.0[ctl], Duration::from_secs(80));
     assert!(status.success(), "recovery controller failed: {status:?}");
@@ -227,9 +237,9 @@ fn sigkill_during_active_checkpoint_recovers() {
     let dir = fresh_dir("midckpt");
     let slow = [("MS_FAULT_STORE", "slow_ckpt_us=40000")];
     let mut cluster = Cluster(Vec::new());
-    let ctl = cluster.push(controller(&dir, &CtrlOpts::default()).spawn().unwrap());
-    cluster.push(worker(&dir, "wa", &slow).spawn().unwrap());
-    let victim = cluster.push(worker(&dir, "wb", &slow).spawn().unwrap());
+    let ctl = cluster.spawn(controller(&dir, FLAGS));
+    cluster.spawn(worker(&dir, "wa", &slow));
+    let victim = cluster.spawn(worker(&dir, "wb", &slow));
 
     wait_checkpoints_mid_stream(&dir, 2);
     let store = dir.join("store");
@@ -237,9 +247,8 @@ fn sigkill_during_active_checkpoint_recovers() {
         partial_epoch(&store, CHAIN_OPS).is_some()
     });
     let torn = partial_epoch(&store, CHAIN_OPS);
-    cluster.0[victim].kill().unwrap();
-    let _ = cluster.0[victim].wait();
-    cluster.push(worker(&dir, "wc", &slow).spawn().unwrap());
+    cluster.kill(victim);
+    cluster.spawn(worker(&dir, "wc", &slow));
 
     let status = wait_exit(&mut cluster.0[ctl], Duration::from_secs(80));
     assert!(status.success(), "recovery controller failed: {status:?}");
@@ -268,9 +277,9 @@ fn controller_and_worker_double_fault_resumes_on_same_store() {
     let refs = reference_sinks();
     let dir = fresh_dir("dblfault");
     let mut cluster = Cluster(Vec::new());
-    let ctl1 = cluster.push(controller(&dir, &CtrlOpts::default()).spawn().unwrap());
-    let wa = cluster.push(worker(&dir, "wa", &[]).spawn().unwrap());
-    let wb = cluster.push(worker(&dir, "wb", &[]).spawn().unwrap());
+    let ctl1 = cluster.spawn(controller(&dir, FLAGS));
+    let wa = cluster.spawn(worker(&dir, "wa", &[]));
+    let wb = cluster.spawn(worker(&dir, "wb", &[]));
 
     wait_checkpoints_mid_stream(&dir, 2);
     cluster.0[ctl1].kill().unwrap();
@@ -284,9 +293,9 @@ fn controller_and_worker_double_fault_resumes_on_same_store() {
     // go first: a worker that read it before the new controller
     // publishes would chase a dead port.
     fs::remove_file(dir.join("addr")).unwrap();
-    let ctl2 = cluster.push(controller(&dir, &CtrlOpts::default()).spawn().unwrap());
-    cluster.push(worker(&dir, "wc", &[]).spawn().unwrap());
-    cluster.push(worker(&dir, "wd", &[]).spawn().unwrap());
+    let ctl2 = cluster.spawn(controller(&dir, FLAGS));
+    cluster.spawn(worker(&dir, "wc", &[]));
+    cluster.spawn(worker(&dir, "wd", &[]));
 
     let status = wait_exit(&mut cluster.0[ctl2], Duration::from_secs(80));
     assert!(status.success(), "resumed controller failed: {status:?}");
@@ -314,14 +323,11 @@ fn severed_edge_partition_heals_after_generation_bump() {
     let refs = reference_sinks();
     let dir = fresh_dir("partition");
     let plan = [("MS_FAULT_PLAN", "seed=11;sever:1->2:after=40,gen<=1")];
-    let opts = CtrlOpts {
-        barrier_stall_ms: 1500,
-        ..CtrlOpts::default()
-    };
+    let flags = [FLAGS, &[("--barrier-stall-ms", &1500)]].concat();
     let mut cluster = Cluster(Vec::new());
-    let ctl = cluster.push(controller(&dir, &opts).spawn().unwrap());
-    cluster.push(worker(&dir, "wa", &plan).spawn().unwrap());
-    cluster.push(worker(&dir, "wb", &plan).spawn().unwrap());
+    let ctl = cluster.spawn(controller(&dir, &flags));
+    cluster.spawn(worker(&dir, "wa", &plan));
+    cluster.spawn(worker(&dir, "wb", &plan));
 
     let status = wait_exit(&mut cluster.0[ctl], Duration::from_secs(80));
     assert!(
@@ -360,9 +366,9 @@ fn flaky_slow_disk_is_absorbed_without_recovery() {
         "slow_us=200;slow_ckpt_us=3000;fail_every=7",
     )];
     let mut cluster = Cluster(Vec::new());
-    let ctl = cluster.push(controller(&dir, &CtrlOpts::default()).spawn().unwrap());
-    cluster.push(worker(&dir, "wa", &flaky).spawn().unwrap());
-    cluster.push(worker(&dir, "wb", &flaky).spawn().unwrap());
+    let ctl = cluster.spawn(controller(&dir, FLAGS));
+    cluster.spawn(worker(&dir, "wa", &flaky));
+    cluster.spawn(worker(&dir, "wb", &flaky));
 
     let status = wait_exit(&mut cluster.0[ctl], Duration::from_secs(80));
     assert!(status.success(), "flaky-disk controller failed: {status:?}");
@@ -392,16 +398,16 @@ const LATE_BATCHES: u64 = 60;
 /// marker appended before the ack.
 fn run_gate_cluster(tag: &str, kill_gate_host: bool) -> (u64, Vec<String>) {
     let dir = fresh_dir(tag);
-    let opts = CtrlOpts {
-        gate_producers: GATE_PRODUCERS,
-        ..CtrlOpts::default()
-    };
+    let gate: &[(&str, &dyn Display)] = &[
+        ("--gate-producers", &GATE_PRODUCERS),
+        ("--gate-retry-ms", &25),
+    ];
     let mut cluster = Cluster(Vec::new());
-    let ctl = cluster.push(controller(&dir, &opts).spawn().unwrap());
-    cluster.push(worker(&dir, "wa", &[]).spawn().unwrap());
+    let ctl = cluster.spawn(controller(&dir, &[FLAGS, gate].concat()));
+    cluster.spawn(worker(&dir, "wa", &[]));
     // Gate placement reverses the round-robin: the gateway (op0) lands
     // on wb, away from the sink on wa.
-    let victim = cluster.push(worker(&dir, "wb", &[]).spawn().unwrap());
+    let victim = cluster.spawn(worker(&dir, "wb", &[]));
 
     let addr_file = dir.join("store").join("gate_op0.addr");
     let fin_gate = Arc::new(AtomicBool::new(false));
@@ -435,9 +441,8 @@ fn run_gate_cluster(tag: &str, kill_gate_host: bool) -> (u64, Vec<String>) {
             !dir.join("result").exists(),
             "stream finished before the kill; raise LATE_BATCHES"
         );
-        cluster.0[victim].kill().unwrap();
-        let _ = cluster.0[victim].wait();
-        cluster.push(worker(&dir, "wc", &[]).spawn().unwrap());
+        cluster.kill(victim);
+        cluster.spawn(worker(&dir, "wc", &[]));
     }
 
     let status = wait_exit(&mut cluster.0[ctl], Duration::from_secs(110));

@@ -1,21 +1,24 @@
-//! Shared harness for the correlated-failure chaos matrix
-//! (`chaos_matrix.rs`): process-cluster plumbing, fault-injection env
-//! wiring, store/ledger auditing, and a minimal gateway producer.
+//! The one cluster harness of the multi-process tests: spawn and kill
+//! the `ms-controller` / `ms-worker` binaries on a throwaway store,
+//! count the checkpoint files, audit the run ledger, read the result
+//! file, and drive the gateway as a producer.
 //!
-//! Every scenario runs real OS processes (the `ms-controller` and
-//! `ms-worker` binaries) against a throwaway store directory, injects
-//! faults via SIGKILL and the `MS_FAULT_PLAN` / `MS_FAULT_STORE` env
-//! vars, and holds the run to the same gold bar as `kill_recover`:
-//! the sink's final state must be byte-identical to an unfailed run,
-//! and the run ledger must stay epoch-contiguous inside every
-//! generation.
+//! Each contract the scenarios hold a run to is written here once:
+//! the sink of a failed run is byte-identical to an unfailed one (the
+//! tests compare [`parse_result`]'s sink lines), and [`check_ledger`]
+//! holds every run's ledger to per-generation epoch contiguity and to
+//! coverage up to the newest complete checkpoint.
+// Each test binary compiles its own copy of this module and uses a
+// different subset of it.
+#![allow(dead_code)]
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::fmt::Display;
 use std::fs;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -25,21 +28,24 @@ use ms_core::codec::{frame, FrameDecoder, SnapshotReader};
 use ms_core::gate::GateMsg;
 use ms_wire::{read_ledger, LedgerRecord, LEDGER_FILE};
 
-/// Tuples each demo source emits. Shared by every chain-shaped
-/// scenario so all of them can diff against one reference run.
-pub const LIMIT: u64 = 4000;
-pub const DELAY_US: u64 = 300;
-/// Operators in the `chain3` demo graph.
+/// Operators in the `chain3` demo graph (source, interior, sink).
 pub const CHAIN_OPS: usize = 3;
 
-/// Kills every still-running child on drop so a failing assert never
-/// leaks processes.
+/// The test's processes. Kills every still-running child on drop so a
+/// failing assert never leaks processes.
 pub struct Cluster(pub Vec<Child>);
 
 impl Cluster {
-    pub fn push(&mut self, c: Child) -> usize {
-        self.0.push(c);
+    /// Spawns `cmd`; returns its index in the cluster.
+    pub fn spawn(&mut self, mut cmd: Command) -> usize {
+        self.0.push(cmd.spawn().unwrap());
         self.0.len() - 1
+    }
+
+    /// SIGKILLs child `i` (std's `Child::kill` on unix) and reaps it.
+    pub fn kill(&mut self, i: usize) {
+        self.0[i].kill().unwrap();
+        let _ = self.0[i].wait();
     }
 }
 
@@ -52,73 +58,48 @@ impl Drop for Cluster {
     }
 }
 
-/// Per-scenario controller knobs; everything not listed here is pinned
-/// so the chain scenarios stay byte-comparable to one reference run.
-#[derive(Clone)]
-pub struct CtrlOpts {
-    pub ckpt_ms: u64,
-    /// 0 = stall detection off.
-    pub barrier_stall_ms: u64,
-    /// 0 = demo sources; >0 = gateway mode expecting this many
-    /// producers.
-    pub gate_producers: u64,
-}
-
-impl Default for CtrlOpts {
-    fn default() -> CtrlOpts {
-        CtrlOpts {
-            ckpt_ms: 120,
-            barrier_stall_ms: 0,
-            gate_producers: 0,
-        }
-    }
-}
-
-pub fn controller(dir: &Path, opts: &CtrlOpts) -> Command {
+/// An `ms-controller` on `dir`'s store, address file and result file,
+/// run with the test's own `--flag value` pairs.
+pub fn controller(dir: &Path, flags: &[(&str, &dyn Display)]) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_ms-controller"));
-    cmd.args(["--store".as_ref(), dir.join("store").as_os_str()])
-        .args(["--addr-file".as_ref(), dir.join("addr").as_os_str()])
-        .args(["--result-file".as_ref(), dir.join("result").as_os_str()])
-        .args(["--workers", "2", "--shape", "chain3"])
-        .args(["--limit", &LIMIT.to_string()])
-        .args(["--delay-us", &DELAY_US.to_string()])
-        .args(["--ckpt-ms", &opts.ckpt_ms.to_string()])
-        .args(["--hb-timeout-ms", "500"])
-        .args(["--respawn-wait-ms", "3000", "--deadline-secs", "90"]);
-    if opts.barrier_stall_ms > 0 {
-        cmd.args(["--barrier-stall-ms", &opts.barrier_stall_ms.to_string()]);
-    }
-    if opts.gate_producers > 0 {
-        cmd.args(["--gate-producers", &opts.gate_producers.to_string()])
-            .args(["--gate-retry-ms", "25"]);
+    cmd.arg("--store")
+        .arg(dir.join("store"))
+        .arg("--addr-file")
+        .arg(dir.join("addr"))
+        .arg("--result-file")
+        .arg(dir.join("result"));
+    for (flag, value) in flags {
+        cmd.arg(flag).arg(value.to_string());
     }
     cmd.stdout(Stdio::null()).stderr(Stdio::inherit());
     cmd
 }
 
-/// A worker process; `envs` carries the fault-injection variables
-/// (`MS_FAULT_PLAN`, `MS_FAULT_STORE`) for chaos scenarios.
+/// An `ms-worker` named `name` on `dir`'s store; `envs` carries the
+/// fault-injection variables (`MS_FAULT_PLAN`, `MS_FAULT_STORE`).
 pub fn worker(dir: &Path, name: &str, envs: &[(&str, &str)]) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_ms-worker"));
     cmd.args(["--name", name])
-        .args(["--store".as_ref(), dir.join("store").as_os_str()])
-        .args(["--controller-file".as_ref(), dir.join("addr").as_os_str()])
+        .arg("--store")
+        .arg(dir.join("store"))
+        .arg("--controller-file")
+        .arg(dir.join("addr"))
+        .envs(envs.iter().copied())
         .stdout(Stdio::null())
         .stderr(Stdio::inherit());
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
     cmd
 }
 
+/// A fresh, empty directory for one run under the system temp dir.
 pub fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ms_chaos_{tag}_{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("ms_wire_{tag}_{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();
     dir
 }
 
-pub fn wait_exit(child: &mut Child, budget: Duration) -> std::process::ExitStatus {
+/// Waits for `child` to exit, asserting it does within `budget`.
+pub fn wait_exit(child: &mut Child, budget: Duration) -> ExitStatus {
     let deadline = Instant::now() + budget;
     loop {
         if let Some(status) = child.try_wait().unwrap() {
@@ -141,15 +122,37 @@ pub fn wait_until(what: &str, budget: Duration, mut cond: impl FnMut() -> bool) 
     }
 }
 
-/// Checkpoint files per epoch in the store (`e{E}_op{N}.*` under
-/// `ckpt/`). One file per operator per epoch, full or delta.
-fn ckpt_files_per_epoch(store: &Path) -> HashMap<u64, usize> {
-    let mut per_epoch = HashMap::new();
+/// The unfailed run: a controller with `flags` and workers `wa` and
+/// `wb` stream to completion under `dir`. Returns the sink lines.
+pub fn clean_run(dir: &Path, flags: &[(&str, &dyn Display)]) -> Vec<String> {
+    let mut cluster = Cluster(Vec::new());
+    let ctl = cluster.spawn(controller(dir, flags));
+    cluster.spawn(worker(dir, "wa", &[]));
+    cluster.spawn(worker(dir, "wb", &[]));
+    let status = wait_exit(&mut cluster.0[ctl], Duration::from_secs(80));
+    assert!(status.success(), "reference controller failed: {status:?}");
+    let (rec, sinks) = parse_result(&dir.join("result"));
+    assert_eq!(rec, "recoveries=0");
+    assert_eq!(sinks.len(), 1);
+    sinks
+}
+
+// --- Checkpoint-file census. `FsStore` writes one `e{E}_op{N}.ckpt`
+// --- or `.delta` file per operator per epoch under `ckpt/`.
+
+fn ckpt_files(store: &Path) -> Vec<String> {
     let Ok(entries) = fs::read_dir(store.join("ckpt")) else {
-        return per_epoch;
+        return Vec::new();
     };
-    for e in entries.flatten() {
-        let name = e.file_name().to_string_lossy().into_owned();
+    entries
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect()
+}
+
+fn files_per_epoch(store: &Path) -> HashMap<u64, usize> {
+    let mut per_epoch = HashMap::new();
+    for name in ckpt_files(store) {
         if let Some(epoch) = name
             .strip_prefix('e')
             .and_then(|r| r.split_once("_op"))
@@ -161,14 +164,16 @@ fn ckpt_files_per_epoch(store: &Path) -> HashMap<u64, usize> {
     per_epoch
 }
 
-/// Highest *complete* application checkpoint epoch (all `n_ops`
-/// operators renamed their file into place). The store GCs obsolete
-/// epochs, so this takes the max rather than counting retained ones.
+/// Highest *complete* application checkpoint epoch: all `n_ops`
+/// operators renamed their file into place. Epochs count up from 1,
+/// so `n` means `n` checkpoints have completed. The store GCs epochs
+/// made obsolete by newer complete ones, so this takes the max rather
+/// than counting retained ones.
 pub fn max_complete_epoch(store: &Path, n_ops: usize) -> u64 {
-    ckpt_files_per_epoch(store)
-        .iter()
-        .filter(|(_, &n)| n >= n_ops)
-        .map(|(&e, _)| e)
+    files_per_epoch(store)
+        .into_iter()
+        .filter(|&(_, n)| n >= n_ops)
+        .map(|(e, _)| e)
         .max()
         .unwrap_or(0)
 }
@@ -179,12 +184,22 @@ pub fn max_complete_epoch(store: &Path, n_ops: usize) -> u64 {
 /// obsolete epoch also passes through partial states.)
 pub fn partial_epoch(store: &Path, n_ops: usize) -> Option<u64> {
     let complete = max_complete_epoch(store, n_ops);
-    ckpt_files_per_epoch(store)
-        .iter()
-        .filter(|&(&e, &n)| e > complete && n >= 1 && n < n_ops)
-        .map(|(&e, _)| e)
+    files_per_epoch(store)
+        .into_iter()
+        .filter(|&(e, n)| e > complete && n < n_ops)
+        .map(|(e, _)| e)
         .max()
 }
+
+/// Delta checkpoint files currently on disk.
+pub fn delta_files(store: &Path) -> usize {
+    ckpt_files(store)
+        .iter()
+        .filter(|n| n.ends_with(".delta"))
+        .count()
+}
+
+// --- Run ledger and result file.
 
 /// Full audit of the run ledger: every row parses, every ledger epoch
 /// covers all `n_ops` operators, each generation's epochs are
@@ -200,8 +215,6 @@ pub fn check_ledger(
     min_generations: usize,
     gate_op: Option<u32>,
 ) -> Vec<LedgerRecord> {
-    use std::collections::{BTreeMap, BTreeSet};
-
     let records = read_ledger(&store.join(LEDGER_FILE)).expect("run ledger must parse");
     assert!(!records.is_empty(), "run ledger is empty");
     let mut by_epoch: BTreeMap<u64, BTreeSet<u32>> = BTreeMap::new();
@@ -233,8 +246,8 @@ pub fn check_ledger(
         );
     }
     for (gen, epochs) in &by_gen {
-        let lo = *epochs.iter().next().unwrap();
-        let hi = *epochs.iter().last().unwrap();
+        let lo = *epochs.first().unwrap();
+        let hi = *epochs.last().unwrap();
         assert_eq!(
             epochs.len() as u64,
             hi - lo + 1,
@@ -281,27 +294,24 @@ pub fn decode_sink(line: &str) -> (i64, u64) {
     (r.get_i64().unwrap(), r.get_u64().unwrap())
 }
 
-/// The chain3 demo answer: the Doubler doubles every source value on
-/// its way to the Summer sink.
-pub fn chain_expected() -> (i64, u64) {
-    (2 * (0..LIMIT as i64).sum::<i64>(), LIMIT)
-}
-
-// --- Gateway producer machinery (scenario: gate-host kill under live
-// --- producers). A trimmed-down version of the `gate_recover`
-// --- producer: stop-and-wait batches, reconnect through outages,
-// --- retry everything un-acked.
+// --- Gateway producer: stop-and-wait batches, reconnect through
+// --- outages, retry everything un-acked.
 
 pub const EVENTS_PER_BATCH: u64 = 16;
+/// Keys a batch's events cycle over, so pre-aggregation folds every
+/// batch to exactly `KEYS` tuples.
 pub const KEYS: u64 = 8;
-const PRODUCER_DEADLINE: Duration = Duration::from_secs(120);
+pub const PRODUCER_DEADLINE: Duration = Duration::from_secs(120);
 
 /// The deterministic event value of producer `p`, batch `b`, slot `j`.
 pub fn value(p: u64, b: u64, j: u64) -> i64 {
     (p * 100_000 + b * 100 + j) as i64
 }
 
-struct GateConn {
+/// One producer-side connection: framed stop-and-wait over TCP with a
+/// read timeout, so a killed gateway surfaces as a dead exchange
+/// instead of a hang.
+pub struct GateConn {
     sock: TcpStream,
     dec: FrameDecoder,
 }
@@ -332,7 +342,7 @@ impl GateConn {
 /// Connects (or reconnects) to the gateway, re-reading the published
 /// address on every attempt — after a recovery the replacement gate
 /// binds a fresh port and rewrites the file.
-fn connect_gate(addr_file: &Path, producer: u64, deadline: Instant) -> GateConn {
+pub fn connect_gate(addr_file: &Path, producer: u64, deadline: Instant) -> GateConn {
     loop {
         assert!(
             Instant::now() < deadline,
@@ -360,8 +370,10 @@ fn connect_gate(addr_file: &Path, producer: u64, deadline: Instant) -> GateConn 
 
 /// One stop-and-wait exchange, resending across reconnects until the
 /// gateway answers. Resends are safe: the gateway dedups on batch id
-/// and re-acks `Fin`s without re-appending their WAL marker.
-fn exchange(
+/// (a batch whose ack was lost to the crash is re-acked without being
+/// re-admitted) and re-acks `Fin`s without re-appending their WAL
+/// marker.
+pub fn exchange(
     conn: &mut GateConn,
     addr_file: &Path,
     producer: u64,
@@ -384,13 +396,15 @@ fn exchange(
     }
 }
 
-/// A well-behaved producer: `batches` strictly increasing batches, each
-/// retried until `Accepted`, then `Fin` retried until `FinOk`. With a
-/// `fin_gate`, the `Fin` is held until the flag flips — the scenario
-/// uses this to land a `FinOk` just before a SIGKILL, so the fin's
-/// only durable trace is its preservation-log marker. The producer
-/// exits on `FinOk` and never returns: if the recovered gate forgot
-/// the fin, the run hangs to the controller deadline.
+/// A well-behaved producer: `batches` strictly increasing batches of
+/// [`EVENTS_PER_BATCH`] events over [`KEYS`] keys, each retried until
+/// `Accepted` and followed by `pace`, then `Fin` retried until
+/// `FinOk`. With a `fin_gate`, the `Fin` is held until the flag flips
+/// — a scenario uses this to land a `FinOk` just before a SIGKILL, so
+/// the fin's only durable trace is its preservation-log marker. On
+/// `FinOk` the producer counts itself into `finished` and is gone for
+/// good: if the recovered gate forgot the fin, the run hangs to the
+/// controller deadline.
 pub fn run_producer(
     addr_file: PathBuf,
     producer: u64,

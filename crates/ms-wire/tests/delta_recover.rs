@@ -1,7 +1,7 @@
 //! End-to-end recovery of a real 3-process cluster whose interior
 //! operator checkpoints *incrementally* (base + delta chain).
 //!
-//! The chain3 graph runs with `--keyed-state 64`, so the middle
+//! The chain3 graph runs with `--keyed-state 512`, so the middle
 //! operator is the keyed-statistics table: its first checkpoint is a
 //! full base and every later epoch persists only the keys touched
 //! since the previous capture (`e{e}_op{N}.delta` files). Reference
@@ -11,15 +11,15 @@
 //! folds a base + delta chain, not just a full snapshot. The sink's
 //! final state must be byte-identical to the reference run.
 
-use std::fs;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+mod cluster;
 
-use ms_core::codec::SnapshotReader;
+use std::fmt::Display;
+use std::fs;
+use std::time::Duration;
+
+use cluster::*;
 
 const LIMIT: u64 = 4000;
-const DELAY_US: u64 = 300;
 /// Keyed-table size. Must be large next to the ~400 tuples a 120 ms
 /// epoch carries: the key stride touches ~50 distinct keys per epoch,
 /// and with 512 keys that is ~10% of the base — small enough that the
@@ -27,171 +27,50 @@ const DELAY_US: u64 = 300;
 /// to a full file under its 50%-of-base policy.
 const KEYED_STATE: u64 = 512;
 
-/// Kills every still-running child on drop so a failing assert never
-/// leaks processes.
-struct Cluster(Vec<Child>);
-
-impl Cluster {
-    fn push(&mut self, c: Child) -> usize {
-        self.0.push(c);
-        self.0.len() - 1
-    }
-}
-
-impl Drop for Cluster {
-    fn drop(&mut self) {
-        for c in &mut self.0 {
-            let _ = c.kill();
-            let _ = c.wait();
-        }
-    }
-}
-
-fn controller(dir: &Path) -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_ms-controller"));
-    cmd.args(["--store".as_ref(), dir.join("store").as_os_str()])
-        .args(["--addr-file".as_ref(), dir.join("addr").as_os_str()])
-        .args(["--result-file".as_ref(), dir.join("result").as_os_str()])
-        .args(["--workers", "2", "--shape", "chain3"])
-        .args(["--limit", &LIMIT.to_string()])
-        .args(["--delay-us", &DELAY_US.to_string()])
-        .args(["--keyed-state", &KEYED_STATE.to_string()])
-        .args(["--ckpt-ms", "120", "--hb-timeout-ms", "500"])
-        .args(["--respawn-wait-ms", "3000", "--deadline-secs", "90"])
-        .stdout(Stdio::null())
-        .stderr(Stdio::inherit());
-    cmd
-}
-
-fn worker(dir: &Path, name: &str) -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_ms-worker"));
-    cmd.args(["--name", name])
-        .args(["--store".as_ref(), dir.join("store").as_os_str()])
-        .args(["--controller-file".as_ref(), dir.join("addr").as_os_str()])
-        .stdout(Stdio::null())
-        .stderr(Stdio::inherit());
-    cmd
-}
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ms_wire_{tag}_{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn wait_exit(child: &mut Child, budget: Duration) -> std::process::ExitStatus {
-    let deadline = Instant::now() + budget;
-    loop {
-        if let Some(status) = child.try_wait().unwrap() {
-            return status;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "process did not exit within {budget:?}"
-        );
-        std::thread::sleep(Duration::from_millis(25));
-    }
-}
-
-/// Highest *complete* application checkpoint epoch in the store (all
-/// three operators' files renamed into place), plus the number of
-/// delta frames currently on disk.
-fn ckpt_progress(store: &Path) -> (u64, usize) {
-    let mut per_epoch = std::collections::HashMap::new();
-    let mut deltas = 0usize;
-    let Ok(entries) = fs::read_dir(store.join("ckpt")) else {
-        return (0, 0);
-    };
-    for e in entries.flatten() {
-        let name = e.file_name().to_string_lossy().into_owned();
-        if name.ends_with(".delta") {
-            deltas += 1;
-        }
-        if let Some(epoch) = name
-            .strip_prefix('e')
-            .and_then(|r| r.split_once("_op"))
-            .and_then(|(e, _)| e.parse::<u64>().ok())
-        {
-            *per_epoch.entry(epoch).or_insert(0usize) += 1;
-        }
-    }
-    let max = per_epoch
-        .iter()
-        .filter(|(_, &n)| n >= 3)
-        .map(|(&e, _)| e)
-        .max()
-        .unwrap_or(0);
-    (max, deltas)
-}
-
-/// `(recoveries line, sink lines)` from a result file.
-fn parse_result(path: &Path) -> (String, Vec<String>) {
-    let text = fs::read_to_string(path).unwrap();
-    let mut lines = text.lines();
-    let recoveries = lines.next().unwrap().to_string();
-    (recoveries, lines.map(str::to_string).collect())
-}
-
-/// Decodes a `sink op{N} {hex}` line into the Summer's `(sum, count)`.
-fn decode_sink(line: &str) -> (i64, u64) {
-    let hex = line.rsplit(' ').next().unwrap();
-    let bytes: Vec<u8> = (0..hex.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
-        .collect();
-    let mut r = SnapshotReader::new(&bytes);
-    (r.get_i64().unwrap(), r.get_u64().unwrap())
-}
+const FLAGS: &[(&str, &dyn Display)] = &[
+    ("--workers", &2),
+    ("--shape", &"chain3"),
+    ("--limit", &LIMIT),
+    ("--delay-us", &300),
+    ("--keyed-state", &KEYED_STATE),
+    ("--ckpt-ms", &120),
+    ("--hb-timeout-ms", &500),
+    ("--respawn-wait-ms", &3000),
+    ("--deadline-secs", &90),
+];
 
 #[test]
 fn sigkill_mid_delta_chain_recovers_to_identical_answer() {
     // --- Reference run: no failure. ---
     let ref_dir = fresh_dir("delta_ref");
-    let mut cluster = Cluster(Vec::new());
-    let ctl = cluster.push(controller(&ref_dir).spawn().unwrap());
-    cluster.push(worker(&ref_dir, "wa").spawn().unwrap());
-    cluster.push(worker(&ref_dir, "wb").spawn().unwrap());
-    let status = wait_exit(&mut cluster.0[ctl], Duration::from_secs(80));
-    assert!(status.success(), "reference controller failed: {status:?}");
-    let (recoveries, ref_sinks) = parse_result(&ref_dir.join("result"));
-    assert_eq!(recoveries, "recoveries=0");
-    assert_eq!(ref_sinks.len(), 1);
-    drop(cluster);
+    let ref_sinks = clean_run(&ref_dir, FLAGS);
+    check_ledger(&ref_dir.join("store"), CHAIN_OPS, 1, None);
 
     // --- Failure run: SIGKILL the keyed-operator worker mid-chain. ---
     let dir = fresh_dir("delta_kill");
+    let store = dir.join("store");
     let mut cluster = Cluster(Vec::new());
-    let ctl = cluster.push(controller(&dir).spawn().unwrap());
-    cluster.push(worker(&dir, "wa").spawn().unwrap());
+    let ctl = cluster.spawn(controller(&dir, FLAGS));
+    cluster.spawn(worker(&dir, "wa", &[]));
     // Placement is round-robin over sorted names: op0,op2 → wa and
     // op1 (the keyed table writing the delta chain) → wb.
-    let victim = cluster.push(worker(&dir, "wb").spawn().unwrap());
+    let victim = cluster.spawn(worker(&dir, "wb", &[]));
 
     // Kill only once the store holds at least two complete application
     // checkpoints and at least one delta frame: the recovery then has
     // to fold a genuine base + delta chain.
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let (max_epoch, deltas) = ckpt_progress(&dir.join("store"));
-        if max_epoch >= 2 && deltas >= 1 {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "no complete checkpoint + delta chain appeared in time \
-             (epoch {max_epoch}, {deltas} delta frames)"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    wait_until(
+        "complete checkpoint + delta chain",
+        Duration::from_secs(60),
+        || max_complete_epoch(&store, CHAIN_OPS) >= 2 && delta_files(&store) >= 1,
+    );
     assert!(
         !dir.join("result").exists(),
         "stream finished before the kill; raise --limit"
     );
-    cluster.0[victim].kill().unwrap(); // SIGKILL on unix
-    let _ = cluster.0[victim].wait();
+    cluster.kill(victim);
     // Spare worker takes the bench.
-    cluster.push(worker(&dir, "wc").spawn().unwrap());
+    cluster.spawn(worker(&dir, "wc", &[]));
 
     let status = wait_exit(&mut cluster.0[ctl], Duration::from_secs(80));
     assert!(status.success(), "recovery controller failed: {status:?}");
@@ -209,6 +88,7 @@ fn sigkill_mid_delta_chain_recovers_to_identical_answer() {
     // closed-form answer matches the stateless chain.
     let expected: i64 = 2 * (0..LIMIT as i64).sum::<i64>();
     assert_eq!(sum, expected);
+    check_ledger(&store, CHAIN_OPS, 2, None);
 
     let _ = fs::remove_dir_all(&ref_dir);
     let _ = fs::remove_dir_all(&dir);

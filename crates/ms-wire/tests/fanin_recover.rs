@@ -15,177 +15,63 @@
 //! preserved source logs. The sink's final state must be
 //! byte-identical to the reference run.
 
-use std::fs;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+mod cluster;
 
-use ms_core::codec::SnapshotReader;
+use std::fmt::Display;
+use std::fs;
+use std::time::Duration;
+
+use cluster::*;
 use ms_wire::apps::expected_fanin_sum;
 
 const LIMIT: u64 = 4000;
-const DELAY_US: u64 = 300;
+/// Two sources, two doublers, one sink.
+const FANIN_OPS: usize = 5;
 
-/// Kills every still-running child on drop so a failing assert never
-/// leaks processes.
-struct Cluster(Vec<Child>);
-
-impl Cluster {
-    fn push(&mut self, c: Child) -> usize {
-        self.0.push(c);
-        self.0.len() - 1
-    }
-}
-
-impl Drop for Cluster {
-    fn drop(&mut self) {
-        for c in &mut self.0 {
-            let _ = c.kill();
-            let _ = c.wait();
-        }
-    }
-}
-
-fn controller(dir: &Path) -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_ms-controller"));
-    cmd.args(["--store".as_ref(), dir.join("store").as_os_str()])
-        .args(["--addr-file".as_ref(), dir.join("addr").as_os_str()])
-        .args(["--result-file".as_ref(), dir.join("result").as_os_str()])
-        .args(["--workers", "2", "--shape", "fanin"])
-        .args(["--limit", &LIMIT.to_string()])
-        .args(["--delay-us", &DELAY_US.to_string()])
-        .args(["--ckpt-ms", "120", "--hb-timeout-ms", "500"])
-        .args(["--respawn-wait-ms", "3000", "--deadline-secs", "90"])
-        .stdout(Stdio::null())
-        .stderr(Stdio::inherit());
-    cmd
-}
-
-fn worker(dir: &Path, name: &str) -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_ms-worker"));
-    cmd.args(["--name", name])
-        .args(["--store".as_ref(), dir.join("store").as_os_str()])
-        .args(["--controller-file".as_ref(), dir.join("addr").as_os_str()])
-        .stdout(Stdio::null())
-        .stderr(Stdio::inherit());
-    cmd
-}
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ms_wire_{tag}_{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn wait_exit(child: &mut Child, budget: Duration) -> std::process::ExitStatus {
-    let deadline = Instant::now() + budget;
-    loop {
-        if let Some(status) = child.try_wait().unwrap() {
-            return status;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "process did not exit within {budget:?}"
-        );
-        std::thread::sleep(Duration::from_millis(25));
-    }
-}
-
-/// Highest *complete* application checkpoint epoch in the store: an
-/// epoch is complete when all five operators have renamed their
-/// checkpoint file into place. Epochs count up from 1, so a return of
-/// `n` means `n` checkpoints have completed — the store GCs epochs
-/// made obsolete by newer complete ones, so counting retained epochs
-/// would understate progress.
-fn max_complete_epoch(store: &Path) -> u64 {
-    let mut per_epoch = std::collections::HashMap::new();
-    let Ok(entries) = fs::read_dir(store.join("ckpt")) else {
-        return 0;
-    };
-    for e in entries.flatten() {
-        let name = e.file_name().to_string_lossy().into_owned();
-        if let Some(epoch) = name
-            .strip_prefix('e')
-            .and_then(|r| r.split_once("_op"))
-            .and_then(|(e, _)| e.parse::<u64>().ok())
-        {
-            *per_epoch.entry(epoch).or_insert(0usize) += 1;
-        }
-    }
-    per_epoch
-        .iter()
-        .filter(|(_, &n)| n >= 5)
-        .map(|(&e, _)| e)
-        .max()
-        .unwrap_or(0)
-}
-
-/// `(recoveries line, sink lines)` from a result file.
-fn parse_result(path: &Path) -> (String, Vec<String>) {
-    let text = fs::read_to_string(path).unwrap();
-    let mut lines = text.lines();
-    let recoveries = lines.next().unwrap().to_string();
-    (recoveries, lines.map(str::to_string).collect())
-}
-
-/// Decodes a `sink op{N} {hex}` line into the Summer's `(sum, count)`.
-fn decode_sink(line: &str) -> (i64, u64) {
-    let hex = line.rsplit(' ').next().unwrap();
-    let bytes: Vec<u8> = (0..hex.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
-        .collect();
-    let mut r = SnapshotReader::new(&bytes);
-    (r.get_i64().unwrap(), r.get_u64().unwrap())
-}
+const FLAGS: &[(&str, &dyn Display)] = &[
+    ("--workers", &2),
+    ("--shape", &"fanin"),
+    ("--limit", &LIMIT),
+    ("--delay-us", &300),
+    ("--ckpt-ms", &120),
+    ("--hb-timeout-ms", &500),
+    ("--respawn-wait-ms", &3000),
+    ("--deadline-secs", &90),
+];
 
 #[test]
 fn fanin_sigkill_slow_branch_recovers_to_identical_answer() {
     // --- Reference run: no failure. ---
     let ref_dir = fresh_dir("fanin_ref");
-    let mut cluster = Cluster(Vec::new());
-    let ctl = cluster.push(controller(&ref_dir).spawn().unwrap());
-    cluster.push(worker(&ref_dir, "wa").spawn().unwrap());
-    cluster.push(worker(&ref_dir, "wb").spawn().unwrap());
-    let status = wait_exit(&mut cluster.0[ctl], Duration::from_secs(80));
-    assert!(status.success(), "reference controller failed: {status:?}");
-    let (recoveries, ref_sinks) = parse_result(&ref_dir.join("result"));
-    assert_eq!(recoveries, "recoveries=0");
-    assert_eq!(ref_sinks.len(), 1);
-    drop(cluster);
+    let ref_sinks = clean_run(&ref_dir, FLAGS);
+    check_ledger(&ref_dir.join("store"), FANIN_OPS, 1, None);
 
     // --- Failure run: SIGKILL the slow-branch worker mid-stream. ---
     let dir = fresh_dir("fanin_kill");
+    let store = dir.join("store");
     let mut cluster = Cluster(Vec::new());
-    let ctl = cluster.push(controller(&dir).spawn().unwrap());
+    let ctl = cluster.spawn(controller(&dir, FLAGS));
     // Placement is round-robin over sorted names: op0 (fast source),
     // op2 (fast doubler) and op4 (sink) → wa; op1 (slow source) and
     // op3 (slow doubler) → wb. Killing wb severs the slow branch while
     // the surviving sink holds fast-branch tuples in its alignment
     // window.
-    cluster.push(worker(&dir, "wa").spawn().unwrap());
-    let victim = cluster.push(worker(&dir, "wb").spawn().unwrap());
+    cluster.spawn(worker(&dir, "wa", &[]));
+    let victim = cluster.spawn(worker(&dir, "wb", &[]));
 
     // Let the stream run until at least two application checkpoints
     // are complete — the recovery then genuinely rolls back a cut
     // that includes buffered in-flight tuples at the sink.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while max_complete_epoch(&dir.join("store")) < 2 {
-        assert!(
-            Instant::now() < deadline,
-            "no complete checkpoint appeared in time"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    wait_until("complete checkpoint", Duration::from_secs(30), || {
+        max_complete_epoch(&store, FANIN_OPS) >= 2
+    });
     assert!(
         !dir.join("result").exists(),
         "stream finished before the kill; raise --limit"
     );
-    cluster.0[victim].kill().unwrap(); // SIGKILL on unix
-    let _ = cluster.0[victim].wait();
+    cluster.kill(victim);
     // Spare worker takes the bench.
-    cluster.push(worker(&dir, "wc").spawn().unwrap());
+    cluster.spawn(worker(&dir, "wc", &[]));
 
     let status = wait_exit(&mut cluster.0[ctl], Duration::from_secs(80));
     assert!(status.success(), "recovery controller failed: {status:?}");
@@ -201,6 +87,7 @@ fn fanin_sigkill_slow_branch_recovers_to_identical_answer() {
         "exactly-once violated: lost or duplicated tuples"
     );
     assert_eq!(sum, expected_fanin_sum(LIMIT));
+    check_ledger(&store, FANIN_OPS, 2, None);
 
     let _ = fs::remove_dir_all(&ref_dir);
     let _ = fs::remove_dir_all(&dir);

@@ -12,28 +12,24 @@
 //! state must be byte-identical to the reference run: every acked
 //! batch exactly once, the shed batch provably absent.
 
+mod cluster;
+
+use std::fmt::Display;
 use std::fs;
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use ms_core::codec::{frame, FrameDecoder, SnapshotReader};
+use cluster::*;
 use ms_core::gate::GateMsg;
-use ms_wire::{read_ledger, LEDGER_FILE};
 
 const PRODUCERS: u64 = 4;
 const BATCHES: u64 = 80;
-const EVENTS_PER_BATCH: u64 = 16;
-const KEYS: u64 = 8;
 /// Inter-batch pacing: keeps the stream alive long enough for the
 /// mid-stream kill to land before the producers finish.
 const PACE: Duration = Duration::from_millis(25);
-const PRODUCER_DEADLINE: Duration = Duration::from_secs(120);
 
 /// Admission budget per checkpoint window. Normal traffic stays far
 /// below it; the oversize batch alone exceeds it.
@@ -46,251 +42,17 @@ const OVERSIZE_EVENTS: u64 = 8192;
 /// blow the exact-sum assertion.
 const OVERSIZE_VALUE: i64 = 1_000_003;
 
-/// The deterministic event value of producer `p`, batch `b`, slot `j`.
-fn value(p: u64, b: u64, j: u64) -> i64 {
-    (p * 100_000 + b * 100 + j) as i64
-}
-
-/// One batch's events: 16 slots cycling over 8 keys, so pre-aggregation
-/// folds every batch to exactly [`KEYS`] tuples.
-fn batch_events(p: u64, b: u64) -> Vec<(u64, i64)> {
-    (0..EVENTS_PER_BATCH)
-        .map(|j| (j % KEYS, value(p, b, j)))
-        .collect()
-}
-
-/// Kills every still-running child on drop so a failing assert never
-/// leaks processes.
-struct Cluster(Vec<Child>);
-
-impl Cluster {
-    fn push(&mut self, c: Child) -> usize {
-        self.0.push(c);
-        self.0.len() - 1
-    }
-}
-
-impl Drop for Cluster {
-    fn drop(&mut self) {
-        for c in &mut self.0 {
-            let _ = c.kill();
-            let _ = c.wait();
-        }
-    }
-}
-
-fn controller(dir: &Path) -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_ms-controller"));
-    cmd.args(["--store".as_ref(), dir.join("store").as_os_str()])
-        .args(["--addr-file".as_ref(), dir.join("addr").as_os_str()])
-        .args(["--result-file".as_ref(), dir.join("result").as_os_str()])
-        .args(["--workers", "2", "--shape", "chain3"])
-        .args(["--gate-producers", "5"]) // 4 normal + 1 oversize
-        .args(["--gate-budget-bytes", &BUDGET_BYTES.to_string()])
-        .args(["--gate-retry-ms", "25"])
-        .args(["--ckpt-ms", "120", "--hb-timeout-ms", "500"])
-        .args(["--respawn-wait-ms", "3000", "--deadline-secs", "90"])
-        .stdout(Stdio::null())
-        .stderr(Stdio::inherit());
-    cmd
-}
-
-fn worker(dir: &Path, name: &str) -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_ms-worker"));
-    cmd.args(["--name", name])
-        .args(["--store".as_ref(), dir.join("store").as_os_str()])
-        .args(["--controller-file".as_ref(), dir.join("addr").as_os_str()])
-        .stdout(Stdio::null())
-        .stderr(Stdio::inherit());
-    cmd
-}
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ms_wire_{tag}_{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn wait_exit(child: &mut Child, budget: Duration) -> std::process::ExitStatus {
-    let deadline = Instant::now() + budget;
-    loop {
-        if let Some(status) = child.try_wait().unwrap() {
-            return status;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "process did not exit within {budget:?}"
-        );
-        thread::sleep(Duration::from_millis(25));
-    }
-}
-
-/// Highest *complete* application checkpoint epoch in the store (all
-/// three chain operators — the gateway included — renamed their file
-/// into place).
-fn max_complete_epoch(store: &Path) -> u64 {
-    let mut per_epoch = std::collections::HashMap::new();
-    let Ok(entries) = fs::read_dir(store.join("ckpt")) else {
-        return 0;
-    };
-    for e in entries.flatten() {
-        let name = e.file_name().to_string_lossy().into_owned();
-        if let Some(epoch) = name
-            .strip_prefix('e')
-            .and_then(|r| r.split_once("_op"))
-            .and_then(|(e, _)| e.parse::<u64>().ok())
-        {
-            *per_epoch.entry(epoch).or_insert(0usize) += 1;
-        }
-    }
-    per_epoch
-        .iter()
-        .filter(|(_, &n)| n >= 3)
-        .map(|(&e, _)| e)
-        .max()
-        .unwrap_or(0)
-}
-
-/// `(recoveries line, sink lines)` from a result file.
-fn parse_result(path: &Path) -> (String, Vec<String>) {
-    let text = fs::read_to_string(path).unwrap();
-    let mut lines = text.lines();
-    let recoveries = lines.next().unwrap().to_string();
-    (recoveries, lines.map(str::to_string).collect())
-}
-
-/// Decodes a `sink op{N} {hex}` line into the Summer's `(sum, count)`.
-fn decode_sink(line: &str) -> (i64, u64) {
-    let hex = line.rsplit(' ').next().unwrap();
-    let bytes: Vec<u8> = (0..hex.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
-        .collect();
-    let mut r = SnapshotReader::new(&bytes);
-    (r.get_i64().unwrap(), r.get_u64().unwrap())
-}
-
-/// One producer-side connection: framed stop-and-wait over TCP with a
-/// read timeout, so a killed gateway surfaces as a dead exchange
-/// instead of a hang.
-struct GateConn {
-    sock: TcpStream,
-    dec: FrameDecoder,
-}
-
-impl GateConn {
-    fn send(&mut self, msg: &GateMsg) -> std::io::Result<()> {
-        self.sock.write_all(&frame(&msg.encode()))
-    }
-
-    /// One reply, or `None` when the connection is dead (reset, EOF,
-    /// or silent past the read timeout) — the caller reconnects.
-    fn recv(&mut self) -> Option<GateMsg> {
-        loop {
-            match self.dec.next_frame() {
-                Ok(Some(p)) => return GateMsg::decode(&p).ok(),
-                Ok(None) => {}
-                Err(_) => return None,
-            }
-            let mut buf = [0u8; 4096];
-            match self.sock.read(&mut buf) {
-                Ok(0) | Err(_) => return None,
-                Ok(n) => self.dec.feed(&buf[..n]),
-            }
-        }
-    }
-}
-
-/// Connects (or reconnects) to the gateway, re-reading the published
-/// address on every attempt — after a recovery the replacement gate
-/// binds a fresh port and rewrites the file.
-fn connect_gate(addr_file: &Path, producer: u64, deadline: Instant) -> GateConn {
-    loop {
-        assert!(
-            Instant::now() < deadline,
-            "producer {producer} could not reach the gateway in time"
-        );
-        if let Ok(addr) = fs::read_to_string(addr_file) {
-            let addr = addr.trim();
-            if !addr.is_empty() {
-                if let Ok(sock) = TcpStream::connect(addr) {
-                    sock.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
-                    let _ = sock.set_nodelay(true);
-                    let mut conn = GateConn {
-                        sock,
-                        dec: FrameDecoder::new(),
-                    };
-                    if conn.send(&GateMsg::Hello { producer }).is_ok() {
-                        return conn;
-                    }
-                }
-            }
-        }
-        thread::sleep(Duration::from_millis(50));
-    }
-}
-
-/// One stop-and-wait exchange, resending across reconnects until the
-/// gateway answers. Resends are safe by construction: the gateway
-/// dedups on batch id, so a batch whose ack was lost to the crash is
-/// re-acked without being re-admitted.
-fn exchange(
-    conn: &mut GateConn,
-    addr_file: &Path,
-    producer: u64,
-    deadline: Instant,
-    msg: &GateMsg,
-) -> GateMsg {
-    loop {
-        assert!(
-            Instant::now() < deadline,
-            "producer {producer} got no answer in time"
-        );
-        if conn.send(msg).is_err() {
-            *conn = connect_gate(addr_file, producer, deadline);
-            continue;
-        }
-        match conn.recv() {
-            Some(reply) => return reply,
-            None => *conn = connect_gate(addr_file, producer, deadline),
-        }
-    }
-}
-
-/// A well-behaved producer: `BATCHES` strictly increasing batches,
-/// each retried until `Accepted`, then `Fin` retried until `FinOk`.
-fn run_producer(addr_file: PathBuf, producer: u64, finished: Arc<AtomicUsize>) {
-    let deadline = Instant::now() + PRODUCER_DEADLINE;
-    let mut conn = connect_gate(&addr_file, producer, deadline);
-    for b in 1..=BATCHES {
-        let msg = GateMsg::Batch {
-            batch: b,
-            events: batch_events(producer, b),
-        };
-        loop {
-            match exchange(&mut conn, &addr_file, producer, deadline, &msg) {
-                GateMsg::Accepted { batch } if batch == b => break,
-                GateMsg::Busy { retry_after_ms, .. } => {
-                    thread::sleep(Duration::from_millis(retry_after_ms.clamp(1, 100)));
-                }
-                other => panic!("producer {producer} batch {b}: unexpected reply {other:?}"),
-            }
-        }
-        thread::sleep(PACE);
-    }
-    match exchange(
-        &mut conn,
-        &addr_file,
-        producer,
-        deadline,
-        &GateMsg::Fin { producer },
-    ) {
-        GateMsg::FinOk => {}
-        other => panic!("producer {producer} fin: unexpected reply {other:?}"),
-    }
-    finished.fetch_add(1, Ordering::SeqCst);
-}
+const FLAGS: &[(&str, &dyn Display)] = &[
+    ("--workers", &2),
+    ("--shape", &"chain3"),
+    ("--gate-producers", &(PRODUCERS + 1)), // 4 normal + 1 oversize
+    ("--gate-budget-bytes", &BUDGET_BYTES),
+    ("--gate-retry-ms", &25),
+    ("--ckpt-ms", &120),
+    ("--hb-timeout-ms", &500),
+    ("--respawn-wait-ms", &3000),
+    ("--deadline-secs", &90),
+];
 
 /// The hostile producer: one batch that always exceeds the admission
 /// budget, offered over and over (across the kill too) — it must be
@@ -342,21 +104,24 @@ fn run_oversize(addr_file: PathBuf, finished: Arc<AtomicUsize>) {
 /// application checkpoints are complete and spawns a spare.
 fn run_gate_cluster(tag: &str, kill_gate_host: bool) -> (String, Vec<String>) {
     let dir = fresh_dir(tag);
+    let store = dir.join("store");
     let mut cluster = Cluster(Vec::new());
-    let ctl = cluster.push(controller(&dir).spawn().unwrap());
-    cluster.push(worker(&dir, "wa").spawn().unwrap());
+    let ctl = cluster.spawn(controller(&dir, FLAGS));
+    cluster.spawn(worker(&dir, "wa", &[]));
     // Gate placement reverses the round-robin: with two workers the
     // gateway (op0) lands on wb, away from the sink on wa — killing wb
     // kills the gate's host without destroying the sink.
-    let victim = cluster.push(worker(&dir, "wb").spawn().unwrap());
+    let victim = cluster.spawn(worker(&dir, "wb", &[]));
 
-    let addr_file = dir.join("store").join("gate_op0.addr");
+    let addr_file = store.join("gate_op0.addr");
     let finished = Arc::new(AtomicUsize::new(0));
     let mut producers = Vec::new();
     for p in 1..=PRODUCERS {
         let af = addr_file.clone();
         let fin = finished.clone();
-        producers.push(thread::spawn(move || run_producer(af, p, fin)));
+        producers.push(thread::spawn(move || {
+            run_producer(af, p, BATCHES, PACE, None, fin)
+        }));
     }
     {
         let af = addr_file.clone();
@@ -365,21 +130,15 @@ fn run_gate_cluster(tag: &str, kill_gate_host: bool) -> (String, Vec<String>) {
     }
 
     if kill_gate_host {
-        let deadline = Instant::now() + Duration::from_secs(40);
-        while max_complete_epoch(&dir.join("store")) < 2 {
-            assert!(
-                Instant::now() < deadline,
-                "no complete checkpoint appeared in time"
-            );
-            thread::sleep(Duration::from_millis(20));
-        }
+        wait_until("complete checkpoint", Duration::from_secs(40), || {
+            max_complete_epoch(&store, CHAIN_OPS) >= 2
+        });
         assert!(
             !dir.join("result").exists(),
             "stream finished before the kill; raise BATCHES"
         );
-        cluster.0[victim].kill().unwrap(); // SIGKILL on unix
-        let _ = cluster.0[victim].wait();
-        cluster.push(worker(&dir, "wc").spawn().unwrap());
+        cluster.kill(victim);
+        cluster.spawn(worker(&dir, "wc", &[]));
     }
 
     let status = wait_exit(&mut cluster.0[ctl], Duration::from_secs(110));
@@ -390,7 +149,8 @@ fn run_gate_cluster(tag: &str, kill_gate_host: bool) -> (String, Vec<String>) {
 
     // The run ledger carries the gateway's telemetry on the gate op's
     // rows — admissions, sheds — and zeros everywhere else.
-    let records = read_ledger(&dir.join("store").join(LEDGER_FILE)).expect("run ledger must parse");
+    let generations = if kill_gate_host { 2 } else { 1 };
+    let records = check_ledger(&store, CHAIN_OPS, generations, Some(0));
     let gate_max = |f: fn(&ms_wire::LedgerRecord) -> u64| {
         records
             .iter()

@@ -19,15 +19,17 @@
 
 #![cfg(unix)]
 
+mod cluster;
+
 use std::collections::BTreeMap;
+use std::fmt::Display;
 use std::fs;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
-use ms_core::codec::SnapshotReader;
+use cluster::*;
 use ms_wire::apps::expected_fleet_sum;
-use ms_wire::{by_shard_summary, read_ledger, LedgerRecord, LEDGER_FILE};
+use ms_wire::by_shard_summary;
 
 const WORKERS: usize = 8;
 const SOURCES: u64 = 6;
@@ -36,7 +38,6 @@ const SHARDS: u64 = 8;
 /// 6 sources + 6 stages × 8 shards + 1 sink.
 const HAUS: usize = 55;
 const LIMIT: u64 = 2500;
-const DELAY_US: u64 = 120;
 /// The worker thread budget: main + heartbeat + I/O + ≤4 appliers +
 /// joiner + persister + ≤1 local source thread, with headroom. A
 /// thread-per-edge worker at this scale runs 50–100 threads.
@@ -44,98 +45,6 @@ const MAX_WORKER_THREADS: usize = 16;
 /// The controller polls the listener and both connections of every
 /// worker on its main thread, however many workers register.
 const CONTROLLER_THREADS: usize = 1;
-
-struct Cluster(Vec<Child>);
-
-impl Cluster {
-    fn push(&mut self, c: Child) -> usize {
-        self.0.push(c);
-        self.0.len() - 1
-    }
-}
-
-impl Drop for Cluster {
-    fn drop(&mut self) {
-        for c in &mut self.0 {
-            let _ = c.kill();
-            let _ = c.wait();
-        }
-    }
-}
-
-fn controller(dir: &Path) -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_ms-controller"));
-    cmd.args(["--store".as_ref(), dir.join("store").as_os_str()])
-        .args(["--addr-file".as_ref(), dir.join("addr").as_os_str()])
-        .args(["--result-file".as_ref(), dir.join("result").as_os_str()])
-        .args(["--workers", &WORKERS.to_string()])
-        .args(["--shape", &format!("fleet{SOURCES}x{STAGES}")])
-        .args(["--shards", &SHARDS.to_string()])
-        .args(["--keyed-state", "512"])
-        .args(["--limit", &LIMIT.to_string()])
-        .args(["--delay-us", &DELAY_US.to_string()])
-        .args(["--ckpt-ms", "150", "--hb-timeout-ms", "800"])
-        .args(["--respawn-wait-ms", "3000", "--deadline-secs", "110"])
-        .stdout(Stdio::null())
-        .stderr(Stdio::inherit());
-    cmd
-}
-
-fn worker(dir: &Path, name: &str) -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_ms-worker"));
-    cmd.args(["--name", name])
-        .args(["--store".as_ref(), dir.join("store").as_os_str()])
-        .args(["--controller-file".as_ref(), dir.join("addr").as_os_str()])
-        .stdout(Stdio::null())
-        .stderr(Stdio::inherit());
-    cmd
-}
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ms_wire_{tag}_{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn wait_exit(child: &mut Child, budget: Duration) -> std::process::ExitStatus {
-    let deadline = Instant::now() + budget;
-    loop {
-        if let Some(status) = child.try_wait().unwrap() {
-            return status;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "process did not exit within {budget:?}"
-        );
-        std::thread::sleep(Duration::from_millis(25));
-    }
-}
-
-/// Highest epoch for which all [`HAUS`] operators have a checkpoint
-/// file in place (delta or full).
-fn max_complete_epoch(store: &Path) -> u64 {
-    let mut per_epoch = std::collections::HashMap::new();
-    let Ok(entries) = fs::read_dir(store.join("ckpt")) else {
-        return 0;
-    };
-    for e in entries.flatten() {
-        let name = e.file_name().to_string_lossy().into_owned();
-        if let Some(epoch) = name
-            .strip_prefix('e')
-            .and_then(|r| r.split_once("_op"))
-            .and_then(|(e, _)| e.parse::<u64>().ok())
-        {
-            *per_epoch.entry(epoch).or_insert(0usize) += 1;
-        }
-    }
-    per_epoch
-        .iter()
-        .filter(|(_, &n)| n >= HAUS)
-        .map(|(&e, _)| e)
-        .max()
-        .unwrap_or(0)
-}
 
 /// `Threads:` line from `/proc/<pid>/status` — the resident thread
 /// count of a live process (linux-only; elsewhere report 0 and skip
@@ -152,43 +61,12 @@ fn thread_count(pid: u32) -> usize {
         .unwrap_or(0)
 }
 
-fn parse_result(path: &Path) -> (String, Vec<String>) {
-    let text = fs::read_to_string(path).unwrap();
-    let mut lines = text.lines();
-    let recoveries = lines.next().unwrap().to_string();
-    (recoveries, lines.map(str::to_string).collect())
-}
-
-fn decode_sink(line: &str) -> (i64, u64) {
-    let hex = line.rsplit(' ').next().unwrap();
-    let bytes: Vec<u8> = (0..hex.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
-        .collect();
-    let mut r = SnapshotReader::new(&bytes);
-    (r.get_i64().unwrap(), r.get_u64().unwrap())
-}
-
-/// Ledger audit at fleet scale: every epoch present in the trail
-/// covers all 55 HAUs, and at the newest such epoch each sharded
-/// logical stage shows keyed state on *every* shard with bounded
-/// max/min skew.
-fn check_fleet_ledger(store: &Path) -> Vec<LedgerRecord> {
-    let records = read_ledger(&store.join(LEDGER_FILE)).expect("run ledger must parse");
-    assert!(!records.is_empty(), "run ledger is empty");
-    let mut by_epoch: BTreeMap<u64, std::collections::BTreeSet<u32>> = BTreeMap::new();
-    for r in &records {
-        by_epoch.entry(r.epoch).or_default().insert(r.op);
-    }
-    for (epoch, ops) in &by_epoch {
-        assert_eq!(
-            ops.len(),
-            HAUS,
-            "epoch {epoch} covers {} HAUs, want all {HAUS}",
-            ops.len()
-        );
-    }
-    let last_epoch = *by_epoch.keys().last().unwrap();
+/// Ledger audit at fleet scale: the shared audit over all 55 HAUs,
+/// then at the newest epoch each sharded logical stage shows keyed
+/// state on *every* shard with bounded max/min skew.
+fn check_fleet_ledger(store: &Path, min_generations: usize) {
+    let records = check_ledger(store, HAUS, min_generations, None);
+    let last_epoch = records.iter().map(|r| r.epoch).max().unwrap();
     // Per logical operator at the newest epoch: state bytes per shard.
     let mut shards_of: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
     for r in records.iter().filter(|r| r.epoch == last_epoch) {
@@ -219,29 +97,39 @@ fn check_fleet_ledger(store: &Path) -> Vec<LedgerRecord> {
     // The --by-shard rendering digests the same records.
     let view = by_shard_summary(&records);
     assert!(view.contains("shard"), "by-shard view empty:\n{view}");
-    records
 }
 
 #[test]
 fn fifty_five_haus_on_eight_processes_survive_sigkill() {
+    let shape = format!("fleet{SOURCES}x{STAGES}");
+    let flags: &[(&str, &dyn Display)] = &[
+        ("--workers", &WORKERS),
+        ("--shape", &shape),
+        ("--shards", &SHARDS),
+        ("--keyed-state", &512),
+        ("--limit", &LIMIT),
+        ("--delay-us", &120),
+        ("--ckpt-ms", &150),
+        ("--hb-timeout-ms", &800),
+        ("--respawn-wait-ms", &3000),
+        ("--deadline-secs", &110),
+    ];
+
     // --- Reference run: 55 HAUs, 8 processes, no failure. ---
     let ref_dir = fresh_dir("scale_ref");
     let mut cluster = Cluster(Vec::new());
-    let ctl = cluster.push(controller(&ref_dir).spawn().unwrap());
+    let ctl = cluster.spawn(controller(&ref_dir, flags));
     for i in 0..WORKERS {
-        cluster.push(worker(&ref_dir, &format!("w{i}")).spawn().unwrap());
+        cluster.spawn(worker(&ref_dir, &format!("w{i}"), &[]));
     }
 
     // Once a complete application checkpoint exists, every worker is
     // deployed and streaming: sample resident thread counts mid-run.
-    let deadline = Instant::now() + Duration::from_secs(45);
-    while max_complete_epoch(&ref_dir.join("store")) < 1 {
-        assert!(
-            Instant::now() < deadline,
-            "no complete 55-HAU checkpoint appeared in time"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    wait_until(
+        "complete 55-HAU checkpoint",
+        Duration::from_secs(45),
+        || max_complete_epoch(&ref_dir.join("store"), HAUS) >= 1,
+    );
     if cfg!(target_os = "linux") {
         assert_eq!(
             thread_count(cluster.0[ctl].id()),
@@ -270,16 +158,16 @@ fn fifty_five_haus_on_eight_processes_survive_sigkill() {
     let (want_sum, want_count) = expected_fleet_sum(SOURCES, STAGES, LIMIT);
     assert_eq!(count, want_count, "lost or duplicated tuples");
     assert_eq!(sum, want_sum);
-    check_fleet_ledger(&ref_dir.join("store"));
+    check_fleet_ledger(&ref_dir.join("store"), 1);
     drop(cluster);
 
     // --- Failure run: SIGKILL one worker mid-stream. ---
     let dir = fresh_dir("scale_kill");
     let mut cluster = Cluster(Vec::new());
-    let ctl = cluster.push(controller(&dir).spawn().unwrap());
+    let ctl = cluster.spawn(controller(&dir, flags));
     let mut victim = 0;
     for i in 0..WORKERS {
-        let idx = cluster.push(worker(&dir, &format!("w{i}")).spawn().unwrap());
+        let idx = cluster.spawn(worker(&dir, &format!("w{i}"), &[]));
         if i == 3 {
             // w3 hosts shards of several keyed stages (round-robin
             // over 55 physical ids) — killing it severs dozens of
@@ -288,21 +176,17 @@ fn fifty_five_haus_on_eight_processes_survive_sigkill() {
         }
     }
 
-    let deadline = Instant::now() + Duration::from_secs(45);
-    while max_complete_epoch(&dir.join("store")) < 2 {
-        assert!(
-            Instant::now() < deadline,
-            "no complete 55-HAU checkpoint appeared in time"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    wait_until(
+        "complete 55-HAU checkpoint",
+        Duration::from_secs(45),
+        || max_complete_epoch(&dir.join("store"), HAUS) >= 2,
+    );
     assert!(
         !dir.join("result").exists(),
         "stream finished before the kill; raise --limit"
     );
-    cluster.0[victim].kill().unwrap(); // SIGKILL on unix
-    let _ = cluster.0[victim].wait();
-    cluster.push(worker(&dir, "w8").spawn().unwrap());
+    cluster.kill(victim);
+    cluster.spawn(worker(&dir, "w8", &[]));
 
     // Through detection, rollback, the spare's registration (all nine
     // workers) and the redeploy, the controller never grows a thread:
@@ -325,7 +209,7 @@ fn fifty_five_haus_on_eight_processes_survive_sigkill() {
     // The recovered 55-HAU answer is byte-identical to the unfailed
     // run: same sink state, same closed form.
     assert_eq!(sinks, ref_sinks);
-    check_fleet_ledger(&dir.join("store"));
+    check_fleet_ledger(&dir.join("store"), 2);
 
     let _ = fs::remove_dir_all(&ref_dir);
     let _ = fs::remove_dir_all(&dir);

@@ -156,7 +156,6 @@ fn worker_main(name: &str, dir: &str) {
         name: name.into(),
         controller: ControllerAddr::File(dir.join("addr")),
         store_dir: dir.join("store"),
-        heartbeat_interval: Duration::from_millis(50),
     };
     if let Err(e) = run_worker(cfg) {
         eprintln!("worker {name}: {e}");
