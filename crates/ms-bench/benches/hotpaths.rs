@@ -16,10 +16,10 @@ use ms_core::state::estimate;
 use ms_core::time::{SimDuration, SimTime};
 use ms_core::tuple::Tuple;
 use ms_core::value::Value;
-use ms_net::{NetConfig, Network};
 use ms_runtime::{Engine, EngineConfig};
+use ms_sim::net::{NetConfig, Network};
+use ms_sim::storage::{BwDevice, InputPreservationBuffer};
 use ms_sim::{DetRng, EventQueue};
-use ms_storage::{BwDevice, InputPreservationBuffer};
 
 fn tuple_with_blob(seq: u64, bytes: u64) -> Tuple {
     Tuple::new(

@@ -7,10 +7,10 @@
 //! ICR, checkpoint at the first local minimum of each period).
 
 use ms_bench::BenchArgs;
+use ms_core::aware::{profile, AwareAction, AwareConfig, AwareController};
 use ms_core::ids::HauId;
 use ms_core::metrics::TimeSeries;
 use ms_core::time::{SimDuration, SimTime};
-use ms_runtime::aware::{profile, AwareAction, AwareConfig, AwareController};
 
 fn series(points: &[(u64, f64)]) -> TimeSeries {
     let mut ts = TimeSeries::new();

@@ -7,7 +7,7 @@
 use ms_bench::paper::TABLE1;
 use ms_bench::runner::run_parallel;
 use ms_bench::BenchArgs;
-use ms_cluster::{Cluster, ClusterConfig, FailureModel};
+use ms_sim::cluster::{Cluster, ClusterConfig, FailureModel};
 use ms_sim::DetRng;
 
 fn main() {

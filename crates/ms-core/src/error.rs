@@ -23,8 +23,8 @@ pub enum Error {
     /// A real-transport failure: connection refused or reset, broken
     /// pipe, torn/oversized frame, unexpected EOF mid-message. This is
     /// the live-cluster counterpart of the simulator's
-    /// `ms_net::SendOutcome::Unreachable` — fail-stop, observable by
-    /// the sender, never a silent loss.
+    /// `ms_sim::net::SendOutcome::Unreachable` — fail-stop, observable
+    /// by the sender, never a silent loss.
     Wire(String),
     /// Stable storage failed (preservation append, epoch mark, or
     /// checkpoint write/trim). Surfaced to the controller so the run

@@ -34,6 +34,7 @@ use std::fs;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::ops::Range;
+use std::os::unix::io::AsRawFd;
 use std::path::PathBuf;
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::Arc;
@@ -56,15 +57,6 @@ use crate::meter::GateMeter;
 /// no socket is active.
 const POLL_MS: i32 = 20;
 const READ_CHUNK: usize = 64 * 1024;
-
-#[cfg(unix)]
-fn fd(sock: &impl std::os::unix::io::AsRawFd) -> PollTarget {
-    sock.as_raw_fd()
-}
-#[cfg(not(unix))]
-fn fd<T>(_sock: &T) -> PollTarget {
-    0
-}
 
 /// Everything [`run_gate`] needs to host one gateway HAU.
 pub struct GateWiring {
@@ -446,14 +438,14 @@ pub fn run_gate(
         }
 
         let mut entries: Vec<(PollTarget, usize, Interest)> = Vec::with_capacity(conns.len() + 1);
-        entries.push((fd(&listener), 0, Interest::READ));
+        entries.push((listener.as_raw_fd(), 0, Interest::READ));
         for (i, c) in conns.iter().enumerate() {
             let want = if c.out.is_empty() {
                 Interest::READ
             } else {
                 Interest::BOTH
             };
-            entries.push((fd(&c.sock), i + 1, want));
+            entries.push((c.sock.as_raw_fd(), i + 1, want));
         }
         let ready = match poll(&entries, POLL_MS) {
             Ok(r) => r,

@@ -5,7 +5,7 @@
 //! persister thread, standing in for the forked COW child), source
 //! logs are appended *before* tuples are sent (source preservation),
 //! and application-checkpoint completeness is tracked exactly as in
-//! `ms-storage`. [`FsStore`](crate::FsStore) implements it on a
+//! `ms_sim::storage`. [`FsStore`](crate::FsStore) implements it on a
 //! directory shared by every process of a cluster.
 //!
 //! # Incremental checkpoints

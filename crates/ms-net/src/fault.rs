@@ -1,6 +1,6 @@
 //! Deterministic fault injection for the real transport.
 //!
-//! The simulator in this crate models failures analytically; the live
+//! The simulator (`ms_sim::net`) models failures analytically; the live
 //! TCP transport (`ms-wire`) needs the same failures *injected* into a
 //! running cluster, repeatably. A [`FaultPlan`] is a seeded, declarative
 //! set of per-edge rules — delay, drop, sever — consulted by the

@@ -1,338 +1,17 @@
-//! Simulated cluster network.
+//! Real network I/O for the cluster daemons.
 //!
-//! Meteor Shower "assumes that TCP/IP protocol is used for the network
-//! communication. Network packets are delivered in-order and will not
-//! be lost silently" (§III). This crate models exactly that contract on
-//! virtual time:
+//! * [`ready`] — level-triggered `poll(2)` readiness and a self-pipe
+//!   waker, the one blocking point of every event loop;
+//! * [`vectored`] — `writev(2)` of queued frames, tolerant of partial
+//!   writes;
+//! * [`fault`] — seeded, deterministic fault plans the chaos tests
+//!   inject into the transport.
 //!
-//! * every node has a full-duplex NIC of configurable bandwidth
-//!   (1 Gbps in the paper's EC2 setup) — egress transfers serialize
-//!   FIFO per sender;
-//! * every message pays a propagation latency;
-//! * delivery on a directed channel `(from, to)` is in-order;
-//! * failures are fail-stop: a send to/from a down or partitioned node
-//!   returns [`SendOutcome::Unreachable`] — the message vanishes and
-//!   the sender can observe the broken connection, never a silent loss
-//!   of an otherwise healthy channel.
-//!
-//! The crate is a *cost model*: it computes delivery instants; the
-//! runtime owns payloads and schedules its own delivery events. That
-//! keeps the substrate reusable by any event alphabet.
+//! The simulator's network cost model lives in `ms_sim::net`; nothing
+//! here depends on it.
 
 #![warn(missing_docs)]
 
 pub mod fault;
 pub mod ready;
 pub mod vectored;
-
-use std::collections::HashMap;
-
-use ms_core::ids::NodeId;
-use ms_core::time::{transfer_time, SimDuration, SimTime};
-
-/// Network configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct NetConfig {
-    /// One-way propagation + protocol latency per message.
-    pub latency: SimDuration,
-    /// Per-node NIC bandwidth, bytes/second, each direction.
-    /// 1 Gbps Ethernet ≈ 125 MB/s.
-    pub node_bandwidth: u64,
-}
-
-impl Default for NetConfig {
-    fn default() -> Self {
-        NetConfig {
-            // Intra-data-center RTT ~ 500 µs; one way 250 µs.
-            latency: SimDuration::from_micros(250),
-            node_bandwidth: 125_000_000,
-        }
-    }
-}
-
-/// Result of asking the network to carry a message.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SendOutcome {
-    /// The message will arrive at the destination at this instant.
-    Delivered(SimTime),
-    /// Source or destination is down/partitioned; nothing is delivered
-    /// and the sender may treat the connection as broken (fail-stop).
-    ///
-    /// This is the cost-model twin of what the real transport
-    /// (`ms-wire`) observes against a dead peer: `connection refused` /
-    /// `broken pipe` on the sending side (surfaced as
-    /// `ms_core::error::Error::Wire`) and a bare socket close or torn
-    /// frame on the receiving side. In both worlds a failed channel is
-    /// *visible* to the endpoints — never a silent loss on an
-    /// otherwise healthy link.
-    Unreachable,
-}
-
-impl SendOutcome {
-    /// The delivery time, if delivered.
-    pub fn time(self) -> Option<SimTime> {
-        match self {
-            SendOutcome::Delivered(t) => Some(t),
-            SendOutcome::Unreachable => None,
-        }
-    }
-}
-
-/// The simulated network.
-#[derive(Clone, Debug)]
-pub struct Network {
-    cfg: NetConfig,
-    /// Egress NIC busy-until per node (FIFO serialization).
-    egress_busy: Vec<SimTime>,
-    /// Last delivery time per directed channel, enforcing in-order
-    /// delivery even when later sends are smaller/faster.
-    channel_last: HashMap<(NodeId, NodeId), SimTime>,
-    /// Node liveness (updated by the cluster layer).
-    up: Vec<bool>,
-    /// Explicitly partitioned node pairs (symmetric), on top of
-    /// liveness. Models rack/switch failures that cut connectivity
-    /// while hosts stay alive.
-    partitioned: HashMap<(NodeId, NodeId), ()>,
-    /// Cumulative bytes accepted for transmission (for reporting).
-    bytes_sent: u64,
-    /// Cumulative messages accepted.
-    messages_sent: u64,
-}
-
-impl Network {
-    /// Creates a network over `n` nodes, all up.
-    pub fn new(cfg: NetConfig, n: usize) -> Network {
-        Network {
-            cfg,
-            egress_busy: vec![SimTime::ZERO; n],
-            channel_last: HashMap::new(),
-            up: vec![true; n],
-            partitioned: HashMap::new(),
-            bytes_sent: 0,
-            messages_sent: 0,
-        }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &NetConfig {
-        &self.cfg
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.up.len()
-    }
-
-    /// True if the network has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.up.is_empty()
-    }
-
-    fn key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
-        if a.0 <= b.0 {
-            (a, b)
-        } else {
-            (b, a)
-        }
-    }
-
-    /// Marks a node down (fail-stop) or back up.
-    pub fn set_node_up(&mut self, node: NodeId, up: bool) {
-        self.up[node.index()] = up;
-        if up {
-            // A restarted node has an idle NIC and fresh channels.
-            self.egress_busy[node.index()] = SimTime::ZERO;
-            self.channel_last
-                .retain(|&(a, b), _| a != node && b != node);
-        }
-    }
-
-    /// True if the node is up.
-    pub fn node_up(&self, node: NodeId) -> bool {
-        self.up[node.index()]
-    }
-
-    /// Cuts connectivity between two (alive) nodes.
-    pub fn partition(&mut self, a: NodeId, b: NodeId) {
-        self.partitioned.insert(Self::key(a, b), ());
-    }
-
-    /// Restores connectivity between two nodes.
-    pub fn heal(&mut self, a: NodeId, b: NodeId) {
-        self.partitioned.remove(&Self::key(a, b));
-    }
-
-    /// True if `a` can currently reach `b`.
-    pub fn reachable(&self, a: NodeId, b: NodeId) -> bool {
-        self.up[a.index()] && self.up[b.index()] && !self.partitioned.contains_key(&Self::key(a, b))
-    }
-
-    /// Asks the network to carry `bytes` from `from` to `to`, with the
-    /// send initiated at `now`. Messages on the same node co-located
-    /// (`from == to`) bypass the NIC and arrive instantly (intra-node
-    /// data pass within an SPE).
-    pub fn send(&mut self, now: SimTime, from: NodeId, to: NodeId, bytes: u64) -> SendOutcome {
-        if !self.reachable(from, to) {
-            return SendOutcome::Unreachable;
-        }
-        if from == to {
-            return SendOutcome::Delivered(now);
-        }
-        let start = now.max(self.egress_busy[from.index()]);
-        let xfer = transfer_time(bytes, self.cfg.node_bandwidth);
-        let done_sending = start + xfer;
-        self.egress_busy[from.index()] = done_sending;
-        let mut arrival = done_sending + self.cfg.latency;
-        // In-order delivery per directed channel.
-        let last = self.channel_last.entry((from, to)).or_insert(SimTime::ZERO);
-        arrival = arrival.max(*last);
-        *last = arrival;
-        self.bytes_sent += bytes;
-        self.messages_sent += 1;
-        SendOutcome::Delivered(arrival)
-    }
-
-    /// Bulk-transfer estimate between two nodes *without* reserving NIC
-    /// time — used for read-path planning (e.g. recovery fetches) where
-    /// the storage device, not the NIC, is modelled as the bottleneck
-    /// queue.
-    pub fn transfer_estimate(&self, bytes: u64) -> SimDuration {
-        transfer_time(bytes, self.cfg.node_bandwidth) + self.cfg.latency
-    }
-
-    /// Total bytes accepted for transmission.
-    pub fn bytes_sent(&self) -> u64 {
-        self.bytes_sent
-    }
-
-    /// Total messages accepted for transmission.
-    pub fn messages_sent(&self) -> u64 {
-        self.messages_sent
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn net() -> Network {
-        Network::new(
-            NetConfig {
-                latency: SimDuration::from_micros(100),
-                node_bandwidth: 1_000_000, // 1 MB/s for easy numbers
-            },
-            4,
-        )
-    }
-
-    #[test]
-    fn delivery_includes_serialization_and_latency() {
-        let mut n = net();
-        // 1 MB at 1 MB/s = 1 s, plus 100 µs latency.
-        let out = n.send(SimTime::ZERO, NodeId(0), NodeId(1), 1_000_000);
-        assert_eq!(out, SendOutcome::Delivered(SimTime::from_micros(1_000_100)));
-    }
-
-    #[test]
-    fn egress_serializes_fifo() {
-        let mut n = net();
-        let a = n
-            .send(SimTime::ZERO, NodeId(0), NodeId(1), 1_000_000)
-            .time()
-            .unwrap();
-        // Second message (to a different destination) waits for the NIC.
-        let b = n
-            .send(SimTime::ZERO, NodeId(0), NodeId(2), 1_000_000)
-            .time()
-            .unwrap();
-        assert_eq!(b.as_micros() - a.as_micros(), 1_000_000);
-    }
-
-    #[test]
-    fn per_channel_in_order() {
-        let mut n = net();
-        let big = n
-            .send(SimTime::ZERO, NodeId(0), NodeId(1), 2_000_000)
-            .time()
-            .unwrap();
-        let small = n
-            .send(SimTime::ZERO, NodeId(0), NodeId(1), 10)
-            .time()
-            .unwrap();
-        assert!(small >= big, "later send must not overtake");
-    }
-
-    #[test]
-    fn local_delivery_is_instant() {
-        let mut n = net();
-        assert_eq!(
-            n.send(SimTime::from_secs(5), NodeId(2), NodeId(2), 1 << 30),
-            SendOutcome::Delivered(SimTime::from_secs(5))
-        );
-    }
-
-    #[test]
-    fn down_nodes_are_unreachable() {
-        let mut n = net();
-        n.set_node_up(NodeId(1), false);
-        assert_eq!(
-            n.send(SimTime::ZERO, NodeId(0), NodeId(1), 10),
-            SendOutcome::Unreachable
-        );
-        assert_eq!(
-            n.send(SimTime::ZERO, NodeId(1), NodeId(0), 10),
-            SendOutcome::Unreachable
-        );
-        n.set_node_up(NodeId(1), true);
-        assert!(n
-            .send(SimTime::ZERO, NodeId(0), NodeId(1), 10)
-            .time()
-            .is_some());
-    }
-
-    #[test]
-    fn partitions_cut_both_directions_and_heal() {
-        let mut n = net();
-        n.partition(NodeId(0), NodeId(3));
-        assert!(!n.reachable(NodeId(0), NodeId(3)));
-        assert!(!n.reachable(NodeId(3), NodeId(0)));
-        assert!(n.reachable(NodeId(0), NodeId(1)));
-        n.heal(NodeId(3), NodeId(0));
-        assert!(n.reachable(NodeId(0), NodeId(3)));
-    }
-
-    #[test]
-    fn restart_resets_channel_ordering_state() {
-        let mut n = net();
-        // Build up channel history, then bounce the node.
-        n.send(SimTime::ZERO, NodeId(0), NodeId(1), 5_000_000);
-        n.set_node_up(NodeId(1), false);
-        n.set_node_up(NodeId(1), true);
-        // A fresh post-restart send is not held behind the pre-failure
-        // delivery horizon of the old channel.
-        let t = n
-            .send(SimTime::from_secs(1), NodeId(0), NodeId(1), 10)
-            .time()
-            .unwrap();
-        assert!(
-            t < SimTime::from_secs(6),
-            "fresh channel after restart: {t:?}"
-        );
-    }
-
-    #[test]
-    fn transfer_estimate_includes_latency() {
-        let n = net();
-        let d = n.transfer_estimate(1_000_000);
-        assert_eq!(d, SimDuration::from_secs(1) + SimDuration::from_micros(100));
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let mut n = net();
-        n.send(SimTime::ZERO, NodeId(0), NodeId(1), 100);
-        n.send(SimTime::ZERO, NodeId(0), NodeId(1), 200);
-        assert_eq!(n.bytes_sent(), 300);
-        assert_eq!(n.messages_sent(), 2);
-    }
-}

@@ -13,13 +13,12 @@
 //!   deliver commands or flush egress. Wakes are coalesced: any number
 //!   of `wake()` calls between two poll iterations cost at most one
 //!   pipe write.
-//!
-//! On non-unix targets the layer degrades to a short-sleep
-//! report-all-ready stub so the crate still builds; the cluster
-//! binaries and tests that depend on real readiness are unix-only
-//! anyway (SIGKILL recovery is).
 
-use std::io;
+use std::io::{self, Read, Write};
+use std::os::unix::io::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// What a caller wants to know about one descriptor.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -62,223 +61,129 @@ pub struct ReadyEvent {
     pub hangup: bool,
 }
 
-#[cfg(unix)]
-mod sys {
-    use super::{Interest, ReadyEvent};
-    use std::io;
-    use std::os::unix::io::RawFd;
-
-    // POSIX-fixed layout; see poll(2).
-    #[repr(C)]
-    struct PollFd {
-        fd: i32,
-        events: i16,
-        revents: i16,
-    }
-
-    const POLLIN: i16 = 0x001;
-    const POLLOUT: i16 = 0x004;
-    const POLLERR: i16 = 0x008;
-    const POLLHUP: i16 = 0x010;
-
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
-    }
-
-    /// Level-triggered readiness over `(fd, token, interest)` entries.
-    /// Blocks up to `timeout_ms` (negative = forever) and returns the
-    /// ready subset. `EINTR` retries transparently.
-    pub fn poll_fds(
-        entries: &[(RawFd, usize, Interest)],
-        timeout_ms: i32,
-    ) -> io::Result<Vec<ReadyEvent>> {
-        let mut fds: Vec<PollFd> = entries
-            .iter()
-            .map(|&(fd, _, want)| PollFd {
-                fd,
-                events: if want.readable { POLLIN } else { 0 }
-                    | if want.writable { POLLOUT } else { 0 },
-                revents: 0,
-            })
-            .collect();
-        loop {
-            let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
-            if n < 0 {
-                let e = io::Error::last_os_error();
-                if e.kind() == io::ErrorKind::Interrupted {
-                    continue;
-                }
-                return Err(e);
-            }
-            let mut out = Vec::with_capacity(n as usize);
-            for (pfd, &(_, token, _)) in fds.iter().zip(entries) {
-                let r = pfd.revents;
-                if r != 0 {
-                    out.push(ReadyEvent {
-                        token,
-                        readable: r & (POLLIN | POLLHUP | POLLERR) != 0,
-                        writable: r & POLLOUT != 0,
-                        hangup: r & (POLLHUP | POLLERR) != 0,
-                    });
-                }
-            }
-            return Ok(out);
-        }
-    }
+// POSIX-fixed layout; see poll(2).
+#[repr(C)]
+struct PollFd {
+    fd: i32,
+    events: i16,
+    revents: i16,
 }
 
-#[cfg(not(unix))]
-mod sys {
-    use super::{Interest, ReadyEvent};
-    use std::io;
+const POLLIN: i16 = 0x001;
+const POLLOUT: i16 = 0x004;
+const POLLERR: i16 = 0x008;
+const POLLHUP: i16 = 0x010;
 
-    /// Portability stub: sleep out the timeout and report every entry
-    /// ready, so callers degrade to bounded busy-polling.
-    pub fn poll_fds(
-        entries: &[(i32, usize, Interest)],
-        timeout_ms: i32,
-    ) -> io::Result<Vec<ReadyEvent>> {
-        if timeout_ms > 0 {
-            std::thread::sleep(std::time::Duration::from_millis(timeout_ms.min(20) as u64));
-        }
-        Ok(entries
-            .iter()
-            .map(|&(_, token, want)| ReadyEvent {
-                token,
-                readable: want.readable,
-                writable: want.writable,
-                hangup: false,
-            })
-            .collect())
-    }
+extern "C" {
+    #[link_name = "poll"]
+    fn sys_poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
 }
 
-/// The raw descriptor type accepted by [`poll`] (`RawFd` on unix).
-#[cfg(unix)]
-pub type PollTarget = std::os::unix::io::RawFd;
-/// The raw descriptor type accepted by [`poll`] (stub on non-unix).
-#[cfg(not(unix))]
-pub type PollTarget = i32;
+/// The raw descriptor type accepted by [`poll`].
+pub type PollTarget = RawFd;
 
 /// Blocks until at least one entry is ready or the timeout elapses
 /// (`timeout_ms < 0` blocks forever), returning the ready subset.
 /// Level-triggered: a descriptor that stays readable is reported again
-/// on the next call. The entry slice is rebuilt per call, which at the
-/// worker's scale (a few hundred descriptors) costs microseconds.
+/// on the next call. `EINTR` retries transparently. The entry slice is
+/// rebuilt per call, which at the worker's scale (a few hundred
+/// descriptors) costs microseconds.
 pub fn poll(
     entries: &[(PollTarget, usize, Interest)],
     timeout_ms: i32,
 ) -> io::Result<Vec<ReadyEvent>> {
-    sys::poll_fds(entries, timeout_ms)
-}
-
-#[cfg(unix)]
-mod waker_impl {
-    use std::io::{self, Read, Write};
-    use std::os::unix::io::{AsRawFd, RawFd};
-    use std::os::unix::net::UnixStream;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-
-    /// A self-pipe that interrupts a blocking [`super::poll`].
-    ///
-    /// The I/O thread registers [`Waker::fd`] with read interest; any
-    /// thread calls [`Waker::wake`]. Wakes coalesce through `pending`:
-    /// between one `drain` and the next, at most one byte crosses the
-    /// pipe no matter how many producers call `wake`, so the pipe can
-    /// never fill and `wake` never blocks.
-    #[derive(Clone)]
-    pub struct Waker {
-        read: Arc<UnixStream>,
-        write: Arc<UnixStream>,
-        pending: Arc<AtomicBool>,
-    }
-
-    impl Waker {
-        /// Creates the pipe pair (both ends nonblocking).
-        pub fn new() -> io::Result<Waker> {
-            let (read, write) = UnixStream::pair()?;
-            read.set_nonblocking(true)?;
-            write.set_nonblocking(true)?;
-            Ok(Waker {
-                read: Arc::new(read),
-                write: Arc::new(write),
-                pending: Arc::new(AtomicBool::new(false)),
-            })
+    let mut fds: Vec<PollFd> = entries
+        .iter()
+        .map(|&(fd, _, want)| PollFd {
+            fd,
+            events: if want.readable { POLLIN } else { 0 }
+                | if want.writable { POLLOUT } else { 0 },
+            revents: 0,
+        })
+        .collect();
+    loop {
+        // SAFETY: `fds` is an exclusively borrowed buffer of exactly
+        // `fds.len()` `pollfd` records (POSIX layout) that outlives the
+        // call; poll(2) writes only their `revents` fields.
+        let n = unsafe { sys_poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
+        if n < 0 {
+            let e = io::Error::last_os_error();
+            if e.kind() == io::ErrorKind::Interrupted {
+                continue;
+            }
+            return Err(e);
         }
-
-        /// The descriptor the I/O thread registers with read interest.
-        pub fn fd(&self) -> RawFd {
-            self.read.as_raw_fd()
-        }
-
-        /// Interrupts the poller (no-op if a wake is already pending).
-        pub fn wake(&self) {
-            if !self.pending.swap(true, Ordering::AcqRel) {
-                let _ = (&*self.write).write(&[1]);
+        let mut out = Vec::with_capacity(n as usize);
+        for (pfd, &(_, token, _)) in fds.iter().zip(entries) {
+            let r = pfd.revents;
+            if r != 0 {
+                out.push(ReadyEvent {
+                    token,
+                    readable: r & (POLLIN | POLLHUP | POLLERR) != 0,
+                    writable: r & POLLOUT != 0,
+                    hangup: r & (POLLHUP | POLLERR) != 0,
+                });
             }
         }
-
-        /// Drains the pipe and re-arms. The I/O thread calls this on
-        /// readiness of [`Waker::fd`] *before* reading the command
-        /// queue: a producer that enqueues after the drain sets
-        /// `pending` afresh and lands a new byte, so its command is
-        /// seen next iteration at the latest.
-        pub fn drain(&self) {
-            let mut buf = [0u8; 64];
-            while matches!((&*self.read).read(&mut buf), Ok(n) if n > 0) {}
-            self.pending.store(false, Ordering::Release);
-        }
+        return Ok(out);
     }
 }
 
-#[cfg(not(unix))]
-mod waker_impl {
-    use std::io;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
+/// A self-pipe that interrupts a blocking [`poll`].
+///
+/// The I/O thread registers [`Waker::fd`] with read interest; any
+/// thread calls [`Waker::wake`]. Wakes coalesce through `pending`:
+/// between one `drain` and the next, at most one byte crosses the
+/// pipe no matter how many producers call `wake`, so the pipe can
+/// never fill and `wake` never blocks.
+#[derive(Clone)]
+pub struct Waker {
+    read: Arc<UnixStream>,
+    write: Arc<UnixStream>,
+    pending: Arc<AtomicBool>,
+}
 
-    /// Stub waker for non-unix targets: no pipe, so a poller relying
-    /// on the stub [`super::poll`]'s bounded timeout picks wakes up on
-    /// its next iteration.
-    #[derive(Clone)]
-    pub struct Waker {
-        pending: Arc<AtomicBool>,
+impl Waker {
+    /// Creates the pipe pair (both ends nonblocking).
+    pub fn new() -> io::Result<Waker> {
+        let (read, write) = UnixStream::pair()?;
+        read.set_nonblocking(true)?;
+        write.set_nonblocking(true)?;
+        Ok(Waker {
+            read: Arc::new(read),
+            write: Arc::new(write),
+            pending: Arc::new(AtomicBool::new(false)),
+        })
     }
 
-    impl Waker {
-        /// Creates the stub.
-        pub fn new() -> io::Result<Waker> {
-            Ok(Waker {
-                pending: Arc::new(AtomicBool::new(false)),
-            })
-        }
+    /// The descriptor the I/O thread registers with read interest.
+    pub fn fd(&self) -> RawFd {
+        self.read.as_raw_fd()
+    }
 
-        /// A dummy descriptor (never ready under the stub poll).
-        pub fn fd(&self) -> super::PollTarget {
-            -1
+    /// Interrupts the poller (no-op if a wake is already pending).
+    pub fn wake(&self) {
+        if !self.pending.swap(true, Ordering::AcqRel) {
+            let _ = (&*self.write).write(&[1]);
         }
+    }
 
-        /// Records the wake.
-        pub fn wake(&self) {
-            self.pending.store(true, Ordering::Release);
-        }
-
-        /// Clears the wake.
-        pub fn drain(&self) {
-            self.pending.store(false, Ordering::Release);
-        }
+    /// Drains the pipe and re-arms. The I/O thread calls this on
+    /// readiness of [`Waker::fd`] *before* reading the command
+    /// queue: a producer that enqueues after the drain sets
+    /// `pending` afresh and lands a new byte, so its command is
+    /// seen next iteration at the latest.
+    pub fn drain(&self) {
+        let mut buf = [0u8; 64];
+        while matches!((&*self.read).read(&mut buf), Ok(n) if n > 0) {}
+        self.pending.store(false, Ordering::Release);
     }
 }
 
-pub use waker_impl::Waker;
-
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
     use std::net::{TcpListener, TcpStream};
-    use std::os::unix::io::AsRawFd;
 
     #[test]
     fn poll_reports_readable_socket() {

@@ -1,12 +1,11 @@
 //! Engine configuration.
 
+use ms_core::aware::AwareConfig;
 use ms_core::config::{CheckpointConfig, SchemeKind};
 use ms_core::ids::NodeId;
 use ms_core::time::{SimDuration, SimTime};
-use ms_net::NetConfig;
-use ms_storage::StorageConfig;
-
-use crate::aware::AwareConfig;
+use ms_sim::net::NetConfig;
+use ms_sim::storage::StorageConfig;
 
 /// Which nodes a planned failure takes down.
 #[derive(Clone, Debug)]

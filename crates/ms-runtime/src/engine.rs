@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use ms_cluster::{Cluster, ClusterConfig, Placement};
+use ms_core::aware::{profile, AwareAction, AwareController};
 use ms_core::codec::{SnapshotReader, SnapshotWriter};
 use ms_core::config::SchemeKind;
 use ms_core::graph::{HauAssignment, HauGraph, QueryNetwork};
@@ -18,12 +18,14 @@ use ms_core::metrics::{Breakdown, RunMetrics, TimeSeries};
 use ms_core::time::{SimDuration, SimTime};
 use ms_core::token::{Token, TokenKind};
 use ms_core::tuple::{StreamItem, Tuple};
-use ms_net::Network;
+use ms_sim::cluster::{Cluster, ClusterConfig, Placement};
+use ms_sim::net::{Network, SendOutcome};
+use ms_sim::storage::{
+    BwDevice, CheckpointStore, HauCheckpoint, InputPreservationBuffer, SourceLog, SpillAction,
+};
 use ms_sim::{DetRng, EventQueue, World};
-use ms_storage::{BwDevice, CheckpointStore, HauCheckpoint, SourceLog, SpillAction};
 
 use crate::app::AppSpec;
-use crate::aware::{profile, AwareAction, AwareController};
 use crate::config::{EngineConfig, FailTarget};
 use crate::event::Event;
 use crate::hau::{EmitCtx, HauRt, InputChan};
@@ -120,7 +122,7 @@ impl<A: AppSpec> Engine<A> {
                 out_retain: vec![Vec::new(); n_out],
                 retaining: false,
                 preserve: (0..n_out)
-                    .map(|_| ms_storage::InputPreservationBuffer::with_default_cap())
+                    .map(|_| InputPreservationBuffer::with_default_cap())
                     .collect(),
                 next_seq: HashMap::new(),
                 ck: Default::default(),
@@ -362,7 +364,7 @@ impl<A: AppSpec> Engine<A> {
         let bytes = item.wire_bytes();
         let (nf, nt) = (self.node_of(from), self.node_of(to));
         match self.net.send(at, nf, nt, bytes) {
-            ms_net::SendOutcome::Delivered(t) => {
+            SendOutcome::Delivered(t) => {
                 q.schedule(
                     t,
                     Event::Deliver {
@@ -373,7 +375,7 @@ impl<A: AppSpec> Engine<A> {
                     },
                 );
             }
-            ms_net::SendOutcome::Unreachable => {
+            SendOutcome::Unreachable => {
                 // Fail-stop: the message vanishes; the controller's
                 // detection loop handles the rest.
             }

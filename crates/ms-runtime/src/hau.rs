@@ -6,8 +6,8 @@ use ms_core::ids::{EpochId, HauId, OperatorId, PortId};
 use ms_core::operator::{Operator, OperatorContext};
 use ms_core::time::SimTime;
 use ms_core::tuple::{Fields, StreamItem, Tuple};
+use ms_sim::storage::InputPreservationBuffer;
 use ms_sim::DetRng;
-use ms_storage::InputPreservationBuffer;
 
 /// One input channel of an HAU (from one upstream neighbour).
 #[derive(Debug, Default)]

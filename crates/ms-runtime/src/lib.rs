@@ -1,9 +1,9 @@
 //! The Meteor Shower DSPS engine and fault-tolerance schemes.
 //!
-//! This crate assembles the substrates (`ms-sim`, `ms-net`,
-//! `ms-storage`, `ms-cluster`) into a full simulated Distributed
-//! Stream Processing System and implements the four schemes the paper
-//! evaluates:
+//! This crate assembles the substrate (`ms-sim`: the event kernel and
+//! the network, storage and cluster cost models) into a full simulated
+//! Distributed Stream Processing System and implements the four
+//! schemes the paper evaluates:
 //!
 //! * **Baseline** — independent periodic synchronous checkpoints with
 //!   input preservation (the state of the art the paper compares
@@ -46,7 +46,6 @@
 #![warn(missing_docs)]
 
 pub mod app;
-pub mod aware;
 pub mod config;
 pub mod engine;
 pub mod event;
@@ -54,7 +53,6 @@ pub mod hau;
 pub mod report;
 
 pub use app::{AppSpec, SimpleApp};
-pub use aware::{AwareConfig, AwareController};
 pub use config::{EngineConfig, FailTarget, FailurePlan};
 pub use engine::Engine;
 pub use hau::EmitCtx;

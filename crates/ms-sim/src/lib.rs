@@ -1,17 +1,37 @@
-//! Deterministic discrete-event simulation kernel.
+//! The simulation substrate: a deterministic discrete-event kernel
+//! and the cost models of network, storage and cluster that stand in
+//! for the paper's testbed.
 //!
 //! The reproduction replaces the paper's 56-node EC2 deployment with a
-//! discrete-event simulation (see DESIGN.md §2). This crate is the
-//! kernel: a virtual-time [`EventQueue`], a seeded, forkable random
-//! stream ([`rng::DetRng`]), and a tiny driver loop ([`run`]). Every
-//! higher layer (network, storage, cluster, runtime) schedules its
-//! events here, so a whole experiment is a pure function of
-//! `(configuration, seed)` — run it twice, get identical results.
+//! discrete-event simulation (see DESIGN.md §2):
+//!
+//! * the kernel — a virtual-time [`EventQueue`], a seeded, forkable
+//!   random stream ([`rng::DetRng`]), and a tiny dispatch loop ([`run`]);
+//! * [`net`] — NICs, latency and in-order, fail-stop channels;
+//! * [`storage`] — shared storage and local disks, the checkpoint
+//!   store and the tuple-preservation buffers;
+//! * [`cluster`] — nodes, racks, HAU placement and Table I's failure
+//!   model.
+//!
+//! The runtime schedules every event here, so a whole experiment is a
+//! pure function of `(configuration, seed)` — run it twice, get
+//! identical results.
 
 #![warn(missing_docs)]
 
+pub mod cluster;
+pub mod net;
 pub mod queue;
 pub mod rng;
+pub mod storage;
+
+// Building blocks of `storage` and `cluster`, reachable only through
+// those two modules' re-exports.
+mod checkpoint;
+mod device;
+mod failure;
+mod placement;
+mod preserve;
 
 pub use queue::EventQueue;
 pub use rng::DetRng;

@@ -80,11 +80,6 @@ impl DetRng {
         lo + self.f64() * (hi - lo)
     }
 
-    /// Bernoulli draw with probability `p`.
-    pub fn chance(&mut self, p: f64) -> bool {
-        self.f64() < p
-    }
-
     /// Exponential variate with the given mean (inter-arrival times of
     /// Poisson processes; used by the failure injector and workload
     /// generators).

@@ -39,10 +39,10 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::os::unix::io::AsRawFd;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use ms_cluster::{place_gates, spread_shards};
 use ms_core::codec::FrameDecoder;
 use ms_core::error::{Error, Result};
 use ms_core::gate::GateConfig;
@@ -56,9 +56,9 @@ use ms_net::ready::{poll, Interest};
 
 use crate::apps::demo_network;
 use crate::cadence::{EpochSignals, PlaneConfig, TelemetryPlane};
-use crate::evloop::raw_fd;
 use crate::ledger::{read_ledger, DecisionRecord, LedgerRecord, LedgerWriter, LEDGER_FILE};
 use crate::message::{send_msg, Assignment, GateSpec, OpPlacement, WireMsg};
+use crate::placement::{place_gates, spread_shards};
 
 const TICK: Duration = Duration::from_millis(25);
 /// Bytes one readiness event reads off a worker connection.
@@ -854,12 +854,12 @@ pub fn run_controller(cfg: ControllerConfig) -> Result<ClusterReport> {
             ctl.tick(now);
             next_tick = now + TICK;
         }
-        let mut watch = vec![(raw_fd(&listener), 0, Interest::READ)];
+        let mut watch = vec![(listener.as_raw_fd(), 0, Interest::READ)];
         watch.extend(
             conns
                 .iter()
                 .enumerate()
-                .map(|(i, c)| (raw_fd(&c.stream), i + 1, Interest::READ)),
+                .map(|(i, c)| (c.stream.as_raw_fd(), i + 1, Interest::READ)),
         );
         // poll(2) counts whole milliseconds. Rounding the rest up on
         // every wake would stretch each tick by half a millisecond on

@@ -52,6 +52,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream};
+use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
@@ -610,7 +611,7 @@ impl Io {
             slots.push(slot);
         };
         add(self.waker.fd(), Slot::Waker, Interest::READ);
-        add(raw_fd(&self.listener), Slot::Listener, Interest::READ);
+        add(self.listener.as_raw_fd(), Slot::Listener, Interest::READ);
         for (i, c) in self.ingress.iter().enumerate() {
             // Pending streams keep no read interest: the bytes wait in
             // the socket (and eventually the peer's send buffer) until
@@ -619,11 +620,11 @@ impl Io {
                 IngressState::Pending { .. } => Interest::default(),
                 _ => Interest::READ,
             };
-            add(raw_fd(&c.stream), Slot::Ingress(i), want);
+            add(c.stream.as_raw_fd(), Slot::Ingress(i), want);
         }
         for (j, c) in self.egress.iter().enumerate() {
             if !c.buf.is_empty() {
-                add(raw_fd(&c.stream), Slot::Egress(j), Interest::WRITE);
+                add(c.stream.as_raw_fd(), Slot::Egress(j), Interest::WRITE);
             }
         }
         (targets, slots)
@@ -796,18 +797,7 @@ fn drain_frames(
     }
 }
 
-/// The descriptor [`ms_net::ready::poll`] watches for a socket.
-#[cfg(unix)]
-pub(crate) fn raw_fd<T: std::os::unix::io::AsRawFd>(t: &T) -> PollTarget {
-    t.as_raw_fd()
-}
-
-#[cfg(not(unix))]
-pub(crate) fn raw_fd<T>(_t: &T) -> PollTarget {
-    -1
-}
-
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::message::send_msg;

@@ -52,6 +52,7 @@ pub mod controller;
 mod evloop;
 pub mod ledger;
 pub mod message;
+mod placement;
 pub mod worker;
 
 pub use apps::{build_operator, demo_network, route_key, ThrottledCountSource};

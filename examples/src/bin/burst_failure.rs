@@ -7,11 +7,11 @@
 //! Run with `cargo run --release -p ms-examples --bin burst_failure`.
 
 use ms_apps::Tmi;
-use ms_cluster::{Cluster, ClusterConfig, FailureModel};
 use ms_core::config::{CheckpointConfig, SchemeKind};
 use ms_core::ids::NodeId;
 use ms_core::time::{SimDuration, SimTime};
 use ms_runtime::{Engine, EngineConfig, FailTarget, FailurePlan};
+use ms_sim::cluster::{Cluster, ClusterConfig, FailureModel};
 use ms_sim::DetRng;
 
 fn main() {

@@ -7,8 +7,8 @@ use ms_core::state::{estimate, StateSize};
 use ms_core::time::{SimDuration, SimTime};
 use ms_core::tuple::Tuple;
 use ms_core::value::Value;
+use ms_sim::storage::{BwDevice, InputPreservationBuffer, SourceLog};
 use ms_sim::{DetRng, EventQueue};
-use ms_storage::{BwDevice, InputPreservationBuffer, SourceLog};
 use proptest::prelude::*;
 
 fn arb_value() -> impl Strategy<Value = Value> {
