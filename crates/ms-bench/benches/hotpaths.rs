@@ -521,7 +521,6 @@ fn bench_ckpt_stall(c: &mut Criterion) {
             snapshot: op.snapshot_deferred(),
             base: None,
             next_seq: seq,
-            in_flight: Vec::new(),
             resume_seq: Vec::new(),
             align_us: 0,
             meter: None,

@@ -32,11 +32,11 @@
 //! it until the message in hand is done, then gives each route its
 //! share as one [`OutputRoute::data_batch`]: a host fed batches emits
 //! batches. That flush is private — no driver calls or observes it —
-//! and also runs after the restored in-flight tuples, in `finish`, and
-//! before every capture, so a token or EOS never overtakes data emitted
-//! before it and a cut's `next_seq` is one past the last tuple sent.
+//! and also runs in `finish` and before every capture, so a token or
+//! EOS never overtakes data emitted before it and a cut's `next_seq` is
+//! one past the last tuple sent.
 //!
-//! # The alignment window (MS-src+ap)
+//! # The alignment window (MS-src+ap) and the one cut rule
 //!
 //! Interior hosts cut their checkpoint with a *non-blocking* alignment
 //! window. Once an input has delivered its token for epoch `e`,
@@ -44,38 +44,30 @@
 //! until tokens for `e` have arrived on every live input. At that
 //! point the host:
 //!
-//! 1. captures its state with [`Operator::snapshot_deferred`] — an
+//! 1. records per-input replay thresholds — one past the last tuple
+//!    it applied from each input, the window's tuples not counted,
+//! 2. captures its state with [`Operator::snapshot_deferred`] — an
 //!    O(handles) capture; serialization happens on the persister
 //!    thread (the live stand-in for the forked COW child of §III-B),
-//! 2. persists the buffered tuples as the **in-flight portion** of the
-//!    checkpoint, together with per-input replay thresholds,
 //! 3. forwards the token and only then applies the buffered tuples.
 //!
 //! Alignment state is kept per epoch (a deque of windows), so a fast
 //! input may deliver the token for `e+1` while `e` is still aligning
-//! without corrupting either cut. Recovery applies the persisted
-//! in-flight tuples before reading any channel, and drops replayed
-//! tuples below the recorded thresholds — each tuple is applied
-//! exactly once even though upstream replay regenerates the captured
-//! channel state.
+//! without corrupting either cut.
 //!
-//! # Sharded producers and `persist_in_flight`
-//!
-//! The in-flight replay filter compares *sequence numbers*, which are
-//! per-producer emission counters. That is sound exactly when a
-//! producer regenerates the same tuples with the same sequence numbers
-//! after a rollback — true for sources and for single-input interiors
-//! (their input order is the edge order, which TCP and the channels
-//! preserve), but **not** for fan-in producers, whose interleaving
-//! across inputs is timing-dependent. A host whose upstream includes a
-//! fan-in producer therefore runs with
-//! [`HostWiring::persist_in_flight`] off: the cut records its replay
-//! thresholds *before* folding the buffered tuples in and persists an
-//! empty in-flight set, so the buffered tuples are simply regenerated
-//! and re-delivered after a rollback — sequence-agnostic, at the cost
-//! of a slightly larger replay. Deployments wired entirely from
-//! deterministic producers (every pre-existing shape) keep the flag on
-//! and their checkpoint bytes are unchanged.
+//! A cut persists no in-flight tuples. §III-B has to save the tuples
+//! between incoming and outgoing tokens because its 1-hop tokens jump
+//! ahead of queued data. Here a token travels *behind* the data on a
+//! FIFO edge, so every tuple a window buffers was sent after its
+//! producer's own cut, and the producer sends it again after the
+//! global rollback. A restored host starts from its state, its
+//! `next_seq` and its thresholds, and nothing else; a replayed tuple
+//! below its input's threshold is already in the restored state and is
+//! dropped. The thresholds are recorded before the window is applied,
+//! so none exceeds its producer's restored `next_seq`: the rule never
+//! depends on a producer regenerating the *same* sequence numbers,
+//! which a fan-in producer, whose interleaving across inputs is
+//! timing-dependent, does not.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -146,8 +138,6 @@ pub struct PersistItem {
     pub base: Option<EpochId>,
     /// Next emission sequence at the boundary.
     pub next_seq: u64,
-    /// The in-flight portion of the cut (input port, tuple).
-    pub in_flight: Vec<(u32, Tuple)>,
     /// Per-input replay thresholds at the cut.
     pub resume_seq: Vec<u64>,
     /// Token-alignment wait for this cut (window opened → cut), µs.
@@ -188,7 +178,7 @@ impl PersistItem {
             CkptWrite {
                 state,
                 next_seq: self.next_seq,
-                in_flight: self.in_flight,
+                in_flight: Vec::new(),
                 resume_seq: self.resume_seq,
             },
         )?;
@@ -394,25 +384,15 @@ pub struct HostWiring {
     /// First emission sequence (restored from a checkpoint, else 0).
     pub restored_seq: u64,
     /// Restored per-input replay thresholds: a tuple arriving on input
-    /// `i` with `seq < resume_seq[i]` was already accounted for by the
-    /// restored cut (applied or captured in-flight) and is dropped.
-    /// Empty means no filtering (fresh start).
+    /// `i` with `seq < resume_seq[i]` was applied before the restored
+    /// cut and is dropped. Empty means no filtering (fresh start).
     pub resume_seq: Vec<u64>,
-    /// The restored cut's in-flight tuples, applied before any stream
-    /// input is read.
-    pub in_flight: Vec<(u32, Tuple)>,
     /// Epoch of the checkpoint this host was restored from, if any.
     /// Seeds incremental capture: a delta-capable operator's first
     /// delta after recovery chains on the restored epoch (whose
     /// snapshot is exactly the state `restore` loaded). `None` on a
     /// fresh start — the first capture is always full.
     pub last_durable: Option<EpochId>,
-    /// Whether a cut persists its buffered tuples as the checkpoint's
-    /// in-flight portion (see the module docs). On — the historical
-    /// behavior — requires every upstream producer to regenerate
-    /// identical sequence numbers after a rollback; a host downstream
-    /// of a fan-in producer must run with it off.
-    pub persist_in_flight: bool,
     /// Backpressure gauges this host keeps current while it runs —
     /// input-queue depth and alignment-window occupancy. `None`
     /// disables metering (tests, benches).
@@ -489,8 +469,7 @@ struct Window {
     /// Which inputs have delivered this epoch's token.
     tokens: Vec<bool>,
     /// Tuples that arrived on a tokened input while this epoch was the
-    /// youngest window covering that input — the in-flight portion of
-    /// the cut.
+    /// youngest window covering that input: post-cut, applied after it.
     buffered: Vec<(u32, Tuple)>,
     /// When the first token opened this window — the cut's align-wait
     /// (the paper's "token collection" checkpoint phase) is measured
@@ -556,7 +535,6 @@ pub struct InteriorCore {
     windows: VecDeque<Window>,
     last_captured: Option<EpochId>,
     persist: Sender<PersistItem>,
-    persist_in_flight: bool,
     meter: Option<Arc<BackpressureMeter>>,
     telemetry: Option<Arc<OperatorMeter>>,
     /// Applied-tuple counter driving the periodic state-gauge sample
@@ -580,19 +558,15 @@ pub struct InteriorCore {
 pub const STATE_GAUGE_SAMPLE_EVERY: u64 = 32;
 
 impl InteriorCore {
-    /// Builds the state machine for a host with `n_in` input ports and
-    /// applies the restored cut's in-flight tuples — they were already
-    /// inside this HAU at the cut, so they run before any stream
-    /// input. May finish the host immediately (restored replay into a
-    /// gone consumer); check [`InteriorCore::is_done`].
-    pub fn new(mut w: HostWiring, n_in: usize, persist: Sender<PersistItem>) -> InteriorCore {
+    /// Builds the state machine for a host with `n_in` input ports.
+    pub fn new(w: HostWiring, n_in: usize, persist: Sender<PersistItem>) -> InteriorCore {
         debug_assert!(n_in > 0, "an interior host has at least one input");
         let cut_seq = if w.resume_seq.len() == n_in {
-            w.resume_seq.clone()
+            w.resume_seq
         } else {
             vec![0; n_in]
         };
-        let mut core = InteriorCore {
+        InteriorCore {
             op_id: w.op_id,
             op: w.op,
             outputs: w.outputs,
@@ -603,18 +577,12 @@ impl InteriorCore {
             windows: VecDeque::new(),
             last_captured: w.last_durable,
             persist,
-            persist_in_flight: w.persist_in_flight,
             meter: w.meter,
             telemetry: w.telemetry,
             applied: 0,
             pending: Vec::new(),
             done: false,
-        };
-        for (port, t) in std::mem::take(&mut w.in_flight) {
-            core.apply(port, t);
         }
-        core.flush();
-        core
     }
 
     /// Whether the host has finished (all inputs at EOS, a consumer
@@ -765,22 +733,6 @@ impl InteriorCore {
             }
             let win = self.windows.pop_front().expect("front window");
             let align_us = win.opened.elapsed().as_micros() as u64;
-            let (in_flight, resume_seq) = if self.persist_in_flight {
-                // Fold the in-flight portion into the replay thresholds
-                // *before* recording them: the captured tuples count as
-                // accounted-for by this cut.
-                for (i, t) in &win.buffered {
-                    let s = &mut self.cut_seq[*i as usize];
-                    *s = (*s).max(t.seq + 1);
-                }
-                (win.buffered.clone(), self.cut_seq.clone())
-            } else {
-                // Sequence-agnostic cut (fan-in producers upstream):
-                // thresholds recorded pre-fold, no in-flight persisted
-                // — a rollback regenerates the buffered tuples and they
-                // pass the threshold afresh.
-                (Vec::new(), self.cut_seq.clone())
-            };
             if let Some(m) = &self.telemetry {
                 m.set_state_bytes(self.op.state_size());
             }
@@ -792,8 +744,9 @@ impl InteriorCore {
                 snapshot,
                 base,
                 next_seq: self.next_seq,
-                in_flight,
-                resume_seq,
+                // Recorded before the window is applied: its tuples are
+                // post-cut and pass these thresholds when re-sent.
+                resume_seq: self.cut_seq.clone(),
                 align_us,
                 meter: self.telemetry.clone(),
             });
@@ -803,10 +756,8 @@ impl InteriorCore {
             // The buffered tuples were only deferred for the cut:
             // apply them now, ahead of anything still in the streams.
             for (i, t) in win.buffered {
-                if !self.persist_in_flight {
-                    let s = &mut self.cut_seq[i as usize];
-                    *s = (*s).max(t.seq + 1);
-                }
+                let s = &mut self.cut_seq[i as usize];
+                *s = (*s).max(t.seq + 1);
                 self.apply(i, t);
             }
         }
@@ -991,7 +942,6 @@ impl SourceCore {
             snapshot: capture,
             base,
             next_seq: self.next_seq,
-            in_flight: Vec::new(),
             resume_seq: Vec::new(),
             align_us: 0,
             meter: self.telemetry.clone(),
@@ -1028,6 +978,7 @@ mod tests {
     use super::*;
     use std::sync::mpsc::Receiver;
     use std::sync::Mutex;
+    use std::time::Duration;
 
     use ms_core::value::Value;
 
@@ -1137,7 +1088,7 @@ mod tests {
     #[test]
     fn source_preserves_before_routing_and_marks_before_enqueue_before_token() {
         let (mut src, rec) = source("");
-        let mut op = CountSource::new(10);
+        let mut op = CountSource::new(10, Duration::ZERO);
         // One tick of a two-port source: both emissions are durable in
         // one append before either leaves.
         assert!(src.tick(&mut op));
@@ -1164,7 +1115,7 @@ mod tests {
     #[test]
     fn failed_mark_enqueues_nothing_sends_no_token_and_surfaces_at_exit() {
         let (mut src, rec) = source("mark");
-        let mut op = CountSource::new(10);
+        let mut op = CountSource::new(10, Duration::ZERO);
         assert!(src.tick(&mut op));
         rec.take();
         assert!(!src.checkpoint_operator(EpochId(1), &mut op));
@@ -1178,9 +1129,9 @@ mod tests {
     fn failed_append_routes_nothing() {
         let (mut src, rec) = source("append");
         assert!(src.send(&stamped(0..3), Some(0..3)).is_none());
-        assert!(!src.tick(&mut CountSource::new(10)));
+        assert!(!src.tick(&mut CountSource::new(10, Duration::ZERO)));
         assert!(rec.take().is_empty());
-        let exit = src.finish(Box::new(CountSource::new(0)));
+        let exit = src.finish(Box::new(CountSource::new(0, Duration::ZERO)));
         assert!(matches!(exit.error, Some(Error::Storage(_))));
     }
 
@@ -1192,9 +1143,8 @@ mod tests {
         HostMsg::DataBatch(seqs.map(int).collect())
     }
 
-    /// A two-input doubler with one recorded route, restored with
-    /// `in_flight` inside its cut.
-    fn fan_in_doubler(in_flight: Vec<(u32, Tuple)>) -> (InteriorCore, Arc<Rec>) {
+    /// A fresh two-input doubler with one recorded route.
+    fn fan_in_doubler() -> (InteriorCore, Arc<Rec>) {
         let (rec, persist) = recorder("");
         let wiring = HostWiring {
             op_id: OperatorId(1),
@@ -1202,9 +1152,7 @@ mod tests {
             outputs: vec![OutputRoute::single(RecEdge(rec.clone(), 0))],
             restored_seq: 0,
             resume_seq: Vec::new(),
-            in_flight,
             last_durable: None,
-            persist_in_flight: true,
             meter: None,
             telemetry: None,
         };
@@ -1213,9 +1161,8 @@ mod tests {
 
     #[test]
     fn emissions_of_one_message_leave_as_one_batch_and_never_behind_a_token_or_eos() {
-        let (mut core, rec) = fan_in_doubler((0..2).map(|seq| (0, int(seq))).collect());
-        // The restored in-flight tuples ran, and what they emitted
-        // left, before any input was read.
+        let (mut core, rec) = fan_in_doubler();
+        assert!(core.on_msg(0, ints(0..2)));
         assert_eq!(rec.take(), ["data x2 on 0"]);
         assert!(core.on_msg(1, ints(0..3)));
         assert_eq!(rec.take(), ["data x3 on 0"]);

@@ -9,21 +9,32 @@
 //! so checkpoint cuts, alignment windows and recovery are asserted on
 //! exact interleavings rather than on what a scheduler happened to do.
 
+use std::time::Duration;
+
 use ms_core::ids::PortId;
 use ms_core::operator::{Operator, OperatorContext, OperatorSnapshot};
 use ms_core::tuple::Tuple;
 use ms_core::value::Value;
 
-/// A source that emits the integers `0..limit`, one per tick.
+/// A source that emits the integers `0..limit`, one per tick, sleeping
+/// `delay` before each emission so a finite stream can span seconds of
+/// wall-clock time. Deterministic: a restarted instance regenerates the
+/// identical sequence, which is what lets the preservation log dedup a
+/// from-scratch restart.
 pub struct CountSource {
     limit: u64,
     emitted: u64,
+    delay: Duration,
 }
 
 impl CountSource {
-    /// Creates a source emitting `limit` tuples.
-    pub fn new(limit: u64) -> CountSource {
-        CountSource { limit, emitted: 0 }
+    /// Creates a source emitting `limit` tuples, `delay` apart.
+    pub fn new(limit: u64, delay: Duration) -> CountSource {
+        CountSource {
+            limit,
+            emitted: 0,
+            delay,
+        }
     }
 }
 
@@ -36,6 +47,9 @@ impl Operator for CountSource {
 
     fn on_timer(&mut self, ctx: &mut dyn OperatorContext) {
         if self.emitted < self.limit {
+            if !self.delay.is_zero() {
+                std::thread::sleep(self.delay);
+            }
             ctx.emit_all(vec![Value::Int(self.emitted as i64)]);
             self.emitted += 1;
         }
@@ -47,6 +61,7 @@ impl Operator for CountSource {
 
     fn snapshot(&self) -> OperatorSnapshot {
         let mut w = ms_core::codec::SnapshotWriter::new();
+        // The delay is deployment config, not operator state.
         w.put_u64(self.limit).put_u64(self.emitted);
         OperatorSnapshot {
             data: w.finish(),
@@ -237,19 +252,13 @@ mod tests {
                     }
                     pump.sources.insert(id, (src, op));
                 } else {
-                    let (resume_seq, in_flight) =
-                        ck.map_or_else(Default::default, |ck| (ck.resume_seq, ck.in_flight));
                     let wiring = HostWiring {
                         op_id: id,
                         op,
                         outputs: outputs.collect(),
                         restored_seq,
-                        resume_seq,
-                        in_flight,
+                        resume_seq: ck.map_or_else(Vec::new, |ck| ck.resume_seq),
                         last_durable: restore,
-                        // FIFO queues on one thread: every producer
-                        // regenerates identical sequences on rollback.
-                        persist_in_flight: true,
                         meter: None,
                         telemetry: Some(tel),
                     };
@@ -334,7 +343,7 @@ mod tests {
     fn build([s, d, _]: [OperatorId; 3], limit: u64) -> impl Fn(OperatorId) -> Box<dyn Operator> {
         move |op| -> Box<dyn Operator> {
             if op == s {
-                Box::new(CountSource::new(limit))
+                Box::new(CountSource::new(limit, Duration::ZERO))
             } else if op == d {
                 Box::new(Doubler::default())
             } else {
@@ -453,14 +462,15 @@ mod tests {
             if op == k {
                 Box::new(Summer::default())
             } else {
-                Box::new(CountSource::new(100))
+                Box::new(CountSource::new(100, Duration::ZERO))
             }
         };
         let mut pump = Pump::launch(&qn, storage.clone(), &factory, None).unwrap();
         pump.tick(s1, 30);
         pump.tick(s2, 30);
         // s1's token reaches the sink ahead of s2's, and s1 keeps
-        // sending: those ten tuples sit in the alignment window.
+        // sending: those ten post-cut tuples sit in the alignment
+        // window.
         let epoch = EpochId::INITIAL.next();
         pump.token(s1, epoch);
         pump.tick(s1, 10);
@@ -475,8 +485,12 @@ mod tests {
         pump.settle();
         assert_eq!(storage.latest_complete(), Some(epoch));
         let cut = storage.get_checkpoint(epoch, k).unwrap();
-        assert_eq!(cut.in_flight.len(), 10, "the window is the cut's in-flight");
-        assert_eq!(cut.resume_seq, vec![40, 30]);
+        assert!(cut.in_flight.is_empty(), "a cut persists no window");
+        assert_eq!(
+            cut.resume_seq,
+            vec![30, 30],
+            "thresholds exclude the window"
+        );
         assert_eq!(
             pump.meters[&k].sample().tuples_in,
             70,
@@ -493,6 +507,70 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    #[test]
+    fn pump_restore_from_a_two_level_fan_in_cut_is_exactly_once() {
+        // s1, s2 -> doubler -> sink: the doubler is a fan-in producer,
+        // so its order of emission after a rollback need not repeat the
+        // original run's, and the sink's cut must not depend on it.
+        let mut qn = QueryNetwork::new();
+        let [s1, s2, d, k] = ["s1", "s2", "double", "sink"].map(|name| qn.add_operator(name));
+        for (from, to) in [(s1, d), (s2, d), (d, k)] {
+            qn.connect(from, to).unwrap();
+        }
+        let factory = move |op: OperatorId| -> Box<dyn Operator> {
+            if op == d {
+                Box::new(Doubler::default())
+            } else if op == k {
+                Box::new(Summer::default())
+            } else {
+                Box::new(CountSource::new(100, Duration::ZERO))
+            }
+        };
+        // Cut while the doubler's window holds s1's post-token ticks,
+        // then run on; `crash` stops there without draining the graph.
+        let run = |name: &str, crash: bool| {
+            let dir = tmpdir(name);
+            let storage = Arc::new(FsStore::open(&dir, qn.len()).unwrap());
+            let mut pump = Pump::launch(&qn, storage.clone(), &factory, None).unwrap();
+            pump.tick(s1, 20);
+            pump.tick(s2, 25);
+            let epoch = EpochId::INITIAL.next();
+            pump.token(s1, epoch);
+            pump.tick(s1, 15);
+            pump.settle();
+            assert_eq!(pump.meters[&d].sample().tuples_in, 45, "window buffered");
+            pump.token(s2, epoch);
+            pump.tick(s2, 10);
+            pump.settle();
+            assert_eq!(storage.latest_complete(), Some(epoch));
+            let cut = storage.get_checkpoint(epoch, d).unwrap();
+            assert!(cut.in_flight.is_empty());
+            assert_eq!(
+                cut.resume_seq,
+                vec![20, 25],
+                "thresholds exclude the window"
+            );
+            pump.tick(s1, 30);
+            pump.settle();
+            if crash {
+                drop(pump);
+                pump = Pump::launch(&qn, storage, &factory, Some(epoch)).unwrap();
+            }
+            let ops = pump.finish().unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+            ops[&k].snapshot().data
+        };
+        let unfailed = run("fan_in_2level_ref", false);
+        assert_eq!(run("fan_in_2level_crash", true), unfailed);
+        let mut want = ms_core::codec::SnapshotWriter::new();
+        want.put_i64(4 * (0..100).sum::<i64>()).put_u64(200);
+        assert_eq!(
+            unfailed,
+            want.finish(),
+            "every tuple doubled once, summed once"
+        );
+    }
+
     /// One thing a route carried, batches flattened.
     #[derive(Debug, PartialEq)]
     enum Sent {
@@ -502,10 +580,10 @@ mod tests {
     }
 
     /// Everything observable about one interior host's run: each cut as
-    /// the store returns it (epoch, state bytes, `next_seq`, in-flight,
+    /// the store returns it (epoch, state bytes, `next_seq`,
     /// `resume_seq`), what each route carried, and the final operator
     /// state.
-    type Cut = (EpochId, Vec<u8>, u64, Vec<(u32, Tuple)>, Vec<u64>);
+    type Cut = (EpochId, Vec<u8>, u64, Vec<u64>);
     type Trace = (Vec<Cut>, Vec<Vec<Sent>>, Vec<u8>);
 
     /// Feeds `msgs` (then EOS on both inputs) to a two-input,
@@ -522,9 +600,7 @@ mod tests {
             outputs: txs.into_iter().map(OutputRoute::single).collect(),
             restored_seq: 0,
             resume_seq: Vec::new(),
-            in_flight: Vec::new(),
             last_durable: None,
-            persist_in_flight: true,
             meter: None,
             telemetry: None,
         };
@@ -537,8 +613,7 @@ mod tests {
                 let epoch = item.epoch;
                 item.persist(&storage).expect("persist");
                 let ck = storage.get_checkpoint(epoch, op_id).expect("just written");
-                let (state, in_flight) = (ck.snapshot.data, ck.in_flight);
-                cuts.push((epoch, state, ck.next_seq, in_flight, ck.resume_seq));
+                cuts.push((epoch, ck.snapshot.data, ck.next_seq, ck.resume_seq));
             }
         }
         let _ = std::fs::remove_dir_all(&dir);

@@ -4,7 +4,7 @@
 //!   waker, the one blocking point of every event loop;
 //! * [`vectored`] — `writev(2)` of queued frames, tolerant of partial
 //!   writes;
-//! * [`fault`] — seeded, deterministic fault plans the chaos tests
+//! * [`fault`] — deterministic edge-sever plans the chaos tests
 //!   inject into the transport.
 //!
 //! The simulator's network cost model lives in `ms_sim::net`; nothing

@@ -1,28 +1,20 @@
 //! Property tests pinning [`ms_net::fault::FaultPlan`] determinism:
-//! for a fixed seed and spec, the full decision sequence is a pure
-//! function of `(generation, edge, frame index)` — independent of plan
-//! instance, call interleaving across edges, and counter state.
+//! for a fixed spec, the full decision sequence is a pure function of
+//! `(generation, edge, frame index)` — independent of plan instance,
+//! call interleaving across edges, and counter state.
 
-use ms_net::fault::{FaultDecision, FaultPlan};
+use ms_net::fault::FaultPlan;
 use proptest::prelude::*;
 
 /// An arbitrary-but-valid plan spec from generated parts.
 fn arb_spec() -> impl Strategy<Value = String> {
     let rule = prop_oneof![
         (0u32..4, 0u32..4, 0u64..64).prop_map(|(f, t, a)| format!("sever:{f}->{t}:after={a}")),
-        (0u32..4, 1u64..500, 1u64..8)
-            .prop_map(|(t, us, ev)| format!("delay:*->{t}:us={us},every={ev}")),
-        (0u32..4, 0u32..4, 0u64..101, 0u64..3)
-            .prop_map(|(f, t, p, g)| format!("drop:{f}->{t}:p={p},gen<={g}")),
+        (0u32..4, 0u64..64).prop_map(|(t, a)| format!("sever:*->{t}:after={a}")),
+        (0u32..4, 0u32..4, 0u64..64, 0u64..3)
+            .prop_map(|(f, t, a, g)| format!("sever:{f}->{t}:after={a},gen<={g}")),
     ];
-    (0u64..1000, proptest::collection::vec(rule, 1..5)).prop_map(|(seed, rules)| {
-        let mut s = format!("seed={seed}");
-        for r in rules {
-            s.push(';');
-            s.push_str(&r);
-        }
-        s
-    })
+    proptest::collection::vec(rule, 1..5).prop_map(|rules| rules.join(";"))
 }
 
 proptest! {
@@ -83,22 +75,4 @@ proptest! {
         }
         prop_assert_eq!(a, b);
     }
-}
-
-/// Golden sequence for one fixed seed: if the hash or rule evaluation
-/// ever changes, every recorded chaos scenario silently reruns under a
-/// different fault schedule — this test makes that loud.
-#[test]
-fn fixed_seed_golden_sequence() {
-    let plan = FaultPlan::parse("seed=42;drop:0->1:p=25;delay:1->2:us=50,every=3").unwrap();
-    let seq: Vec<u8> = (0..24)
-        .map(|i| match plan.decide(1, 0, 1, i) {
-            FaultDecision::Deliver => 0,
-            FaultDecision::Drop => 1,
-            _ => unreachable!("drop rule yields only Deliver/Drop"),
-        })
-        .collect();
-    let fired: Vec<u64> = (0..24).filter(|&i| seq[i as usize] == 1).collect();
-    // The exact schedule observed when the hash was introduced.
-    assert_eq!(fired, vec![2, 8, 12, 15], "drop schedule drifted");
 }

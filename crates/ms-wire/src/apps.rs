@@ -1,13 +1,13 @@
-//! Demo application for the TCP cluster: a wall-clock-throttled
-//! counting source plus a structural operator factory.
+//! Demo application for the TCP cluster: a structural operator factory
+//! over `ms-live`'s demo operators plus the keyed-state interiors.
 //!
 //! The cluster binaries need an application whose stream lasts long
 //! enough, in *real* time, that a worker can be SIGKILLed mid-stream.
-//! [`ThrottledCountSource`] is `ms-live`'s `CountSource` with a
-//! per-tuple delay; interior operators double, sinks sum — so the
-//! sink's final `(sum, count)` is a closed-form function of the graph
-//! and the source limit, and any lost or duplicated tuple shows up in
-//! the recovered answer.
+//! Sources are `ms-live`'s [`CountSource`] with a per-tuple delay;
+//! interior operators double, sinks sum — so the sink's final
+//! `(sum, count)` is a closed-form function of the graph and the source
+//! limit, and any lost or duplicated tuple shows up in the recovered
+//! answer.
 //!
 //! [`build_operator`] is structural: an operator with no upstream is a
 //! source, one with no downstream is a sink, everything else doubles.
@@ -24,70 +24,7 @@ use ms_core::ids::{OperatorId, PortId};
 use ms_core::operator::{DeferredSnapshot, Operator, OperatorContext, OperatorSnapshot};
 use ms_core::tuple::Tuple;
 use ms_core::value::Value;
-use ms_live::{Doubler, Summer};
-
-/// A source that emits `0, 1, 2, …` up to a limit, sleeping a fixed
-/// delay before each emission so a finite stream spans seconds of
-/// wall-clock time. Deterministic: a restarted instance regenerates
-/// the identical sequence, which is what lets the preservation log
-/// dedup a from-scratch restart.
-#[derive(Debug)]
-pub struct ThrottledCountSource {
-    limit: u64,
-    emitted: u64,
-    delay: Duration,
-}
-
-impl ThrottledCountSource {
-    /// Creates a source emitting `limit` tuples, `delay` apart.
-    pub fn new(limit: u64, delay: Duration) -> ThrottledCountSource {
-        ThrottledCountSource {
-            limit,
-            emitted: 0,
-            delay,
-        }
-    }
-}
-
-impl Operator for ThrottledCountSource {
-    fn kind(&self) -> &'static str {
-        "ThrottledCountSource"
-    }
-
-    fn on_tuple(&mut self, _p: PortId, _t: Tuple, _ctx: &mut dyn OperatorContext) {}
-
-    fn on_timer(&mut self, ctx: &mut dyn OperatorContext) {
-        if self.emitted < self.limit {
-            if !self.delay.is_zero() {
-                std::thread::sleep(self.delay);
-            }
-            ctx.emit_all(vec![Value::Int(self.emitted as i64)]);
-            self.emitted += 1;
-        }
-    }
-
-    fn state_size(&self) -> u64 {
-        16
-    }
-
-    fn snapshot(&self) -> OperatorSnapshot {
-        let mut w = ms_core::codec::SnapshotWriter::new();
-        // The delay is deployment config (it rides the Assignment),
-        // not operator state.
-        w.put_u64(self.limit).put_u64(self.emitted);
-        OperatorSnapshot {
-            data: w.finish(),
-            logical_bytes: 16,
-        }
-    }
-
-    fn restore(&mut self, s: &OperatorSnapshot) -> Result<()> {
-        let mut r = ms_core::codec::SnapshotReader::new(&s.data);
-        self.limit = r.get_u64()?;
-        self.emitted = r.get_u64()?;
-        Ok(())
-    }
-}
+use ms_live::{CountSource, Doubler, Summer};
 
 /// Tuple values per key: consecutive source values map to the same
 /// key, so an epoch's worth of tuples touches a small, contiguous
@@ -389,7 +326,7 @@ pub fn build_operator(
     sawtooth_window: u64,
 ) -> Box<dyn Operator> {
     if qn.upstream(op).is_empty() {
-        Box::new(ThrottledCountSource::new(
+        Box::new(CountSource::new(
             source_limit,
             Duration::from_micros(skewed_delay_us(qn, op, source_delay_us)),
         ))
@@ -510,7 +447,7 @@ mod tests {
         // Interior and sink roles are unchanged by multiple sources.
         assert_eq!(
             build_operator(&qn, OperatorId(0), 10, 100, 0, 0).kind(),
-            "ThrottledCountSource"
+            "CountSource"
         );
         assert_eq!(
             build_operator(&qn, OperatorId(2), 10, 100, 0, 0).kind(),
@@ -535,7 +472,7 @@ mod tests {
         let qn = demo_network("chain3").unwrap();
         assert_eq!(
             build_operator(&qn, OperatorId(0), 10, 0, 0, 0).kind(),
-            "ThrottledCountSource"
+            "CountSource"
         );
         assert_eq!(
             build_operator(&qn, OperatorId(1), 10, 0, 0, 0).kind(),
@@ -701,8 +638,8 @@ mod tests {
     }
 
     #[test]
-    fn throttled_source_snapshot_roundtrip() {
-        let mut src = ThrottledCountSource::new(100, Duration::ZERO);
+    fn count_source_snapshot_roundtrip() {
+        let mut src = CountSource::new(100, Duration::ZERO);
         let mut ctx = Ctx {
             emitted: Vec::new(),
         };
@@ -711,10 +648,13 @@ mod tests {
         }
         assert_eq!(ctx.emitted.len(), 7);
         let snap = src.snapshot();
-        let mut fresh = ThrottledCountSource::new(100, Duration::ZERO);
+        let mut fresh = CountSource::new(0, Duration::from_secs(1));
         fresh.restore(&snap).unwrap();
-        assert_eq!(fresh.emitted, 7);
-        assert_eq!(fresh.limit, 100);
+        // The delay is config, not state: the bytes are `(limit, emitted)`.
+        assert_eq!(fresh.snapshot().data, snap.data);
+        let mut w = ms_core::codec::SnapshotWriter::new();
+        w.put_u64(100).put_u64(7);
+        assert_eq!(snap.data, w.finish());
     }
 
     #[test]

@@ -60,14 +60,16 @@ use std::thread::{self, JoinHandle};
 
 use ms_core::codec::{frame, FrameDecoder};
 use ms_live::{EdgeTx, HostExit, HostMsg, InteriorCore};
-use ms_net::fault::{FaultDecision, FaultPlan};
+use ms_net::fault::FaultPlan;
 use ms_net::ready::{poll, Interest, PollTarget, Waker};
 use ms_net::vectored;
 
 use crate::message::{encode_tuple_batch, WireMsg};
 
-/// Poll timeout. On unix the [`Waker`] interrupts the poll, so this
-/// only bounds how stale the non-unix sleep stub can get.
+/// Poll timeout. The [`Waker`] interrupts the poll for every queued
+/// command and egress frame, so no work waits on this: it only bounds
+/// how long an idle I/O thread goes between looks at its command queue,
+/// the backstop should a wake ever be lost.
 const POLL_TIMEOUT_MS: i32 = 250;
 /// Per-read scratch size for ingress sockets.
 const READ_CHUNK: usize = 16 * 1024;
@@ -744,10 +746,8 @@ impl Io {
 /// failure, the consumer is gone, or an injected fault severed the
 /// edge).
 ///
-/// With a fault `plan`, every frame consults the per-edge decision
-/// first. A `Delay` sleeps on the I/O thread before delivery — crude,
-/// but exactly what a slow link does to everything multiplexed behind
-/// it. `Drop` and `Sever` both kill the connection *without* an Eos,
+/// With a fault `plan`, every frame consults the per-edge rules first.
+/// A severed edge kills the connection *without* an Eos,
 /// indistinguishable from a switch failure: under the fail-stop model
 /// a frame may never be skipped on a connection that lives on.
 fn drain_frames(
@@ -770,12 +770,8 @@ fn drain_frames(
             Ok(None) => return true,
             Err(_) => return false,
         };
-        if let Some(plan) = plan {
-            match plan.on_frame(generation, from, to) {
-                FaultDecision::Deliver => {}
-                FaultDecision::Delay(d) => thread::sleep(d),
-                FaultDecision::Drop | FaultDecision::Sever => return false,
-            }
+        if plan.is_some_and(|plan| plan.on_frame(generation, from, to)) {
+            return false;
         }
         let msg = match WireMsg::decode(&frame) {
             // Batch-decode: the whole run becomes one shared slice and
@@ -868,9 +864,7 @@ mod tests {
             outputs: Vec::new(),
             restored_seq: 0,
             resume_seq: Vec::new(),
-            in_flight: Vec::new(),
             last_durable: None,
-            persist_in_flight: true,
             meter: Some(meter.clone()),
             telemetry: None,
         };

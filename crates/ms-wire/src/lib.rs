@@ -55,7 +55,7 @@ pub mod message;
 mod placement;
 pub mod worker;
 
-pub use apps::{build_operator, demo_network, route_key, ThrottledCountSource};
+pub use apps::{build_operator, demo_network, route_key};
 pub use cadence::{CheckpointCause, EpochSignals, PlaneConfig, TelemetryPlane};
 pub use chaos::{FaultStore, RetryStore, StoreFaultSpec};
 pub use controller::{run_controller, ClusterReport, ControllerConfig};

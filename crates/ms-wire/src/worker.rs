@@ -288,7 +288,6 @@ impl Run {
             restored_seq: u64,
             replay: Vec<ms_core::tuple::Tuple>,
             resume_seq: Vec<u64>,
-            in_flight: Vec<(u32, ms_core::tuple::Tuple)>,
         }
         let is_gate = |op: OperatorId| a.gates.iter().any(|g| g.op == op);
         let mut restored: HashMap<u32, Restored> = HashMap::new();
@@ -313,7 +312,7 @@ impl Run {
                 )
             };
             let is_source = qn.upstream(op).is_empty();
-            let (restored_seq, replay, resume_seq, in_flight) = match a.restore_epoch {
+            let (restored_seq, replay, resume_seq) = match a.restore_epoch {
                 Some(epoch) => {
                     let ck = store.get_checkpoint(epoch, op).ok_or_else(|| {
                         Error::Wire(format!(
@@ -329,11 +328,11 @@ impl Run {
                     } else {
                         Vec::new()
                     };
-                    (ck.next_seq, replay, ck.resume_seq, ck.in_flight)
+                    (ck.next_seq, replay, ck.resume_seq)
                 }
                 // Fresh start: sources regenerate deterministically;
                 // the store's dedup guard keeps the log duplicate-free.
-                None => (0, Vec::new(), Vec::new(), Vec::new()),
+                None => (0, Vec::new(), Vec::new()),
             };
             restored.insert(
                 op.0,
@@ -342,7 +341,6 @@ impl Run {
                     restored_seq,
                     replay,
                     resume_seq,
-                    in_flight,
                 },
             );
         }
@@ -575,22 +573,13 @@ impl Run {
                 .expect("meters lock")
                 .hosts
                 .push(meter.clone());
-            // The in-flight replay filter compares per-producer
-            // sequence numbers, which only survive a rollback when
-            // every upstream producer regenerates them exactly — true
-            // for sources and single-input interiors, false for
-            // fan-in (or sharded fan-in) producers. See the ms-live
-            // host module docs.
-            let persist_in_flight = qn.upstream(op).iter().all(|&u| qn.upstream(u).len() <= 1);
             let wiring = HostWiring {
                 op_id: op,
                 op: r.operator,
                 outputs,
                 restored_seq: r.restored_seq,
                 resume_seq: r.resume_seq,
-                in_flight: r.in_flight,
                 last_durable: a.restore_epoch,
-                persist_in_flight,
                 meter: Some(meter),
                 telemetry: Some(op_meter),
             };
@@ -617,13 +606,6 @@ impl Run {
             generation,
             map: ingress_routes,
         });
-        // A restored core can be done at birth (its in-flight replay
-        // hit a gone consumer); one initial visit flushes that. For
-        // live cells the visit is a cheap no-op.
-        for cell in &cells {
-            cell.schedule(&eng.work);
-        }
-
         // The joiner waits the hosts out, makes queued checkpoints
         // durable, then reports finished sinks — unless the generation
         // was torn down, in which case partial sink state is garbage.

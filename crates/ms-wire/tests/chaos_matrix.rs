@@ -322,7 +322,7 @@ fn controller_and_worker_double_fault_resumes_on_same_store() {
 fn severed_edge_partition_heals_after_generation_bump() {
     let refs = reference_sinks();
     let dir = fresh_dir("partition");
-    let plan = [("MS_FAULT_PLAN", "seed=11;sever:1->2:after=40,gen<=1")];
+    let plan = [("MS_FAULT_PLAN", "sever:1->2:after=40,gen<=1")];
     let flags = [FLAGS, &[("--barrier-stall-ms", &1500)]].concat();
     let mut cluster = Cluster(Vec::new());
     let ctl = cluster.spawn(controller(&dir, &flags));

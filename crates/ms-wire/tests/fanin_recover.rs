@@ -11,9 +11,10 @@
 //! checkpoints exist. The controller must roll back all five
 //! operators (including the surviving sink, whose buffered alignment
 //! state is discarded with the generation), restore the latest
-//! complete cut — buffered in-flight tuples included — and replay the
-//! preserved source logs. The sink's final state must be
-//! byte-identical to the reference run.
+//! complete cut — whose sink thresholds exclude the tuples its window
+//! held, so the doublers send them again — and replay the preserved
+//! source logs. The sink's final state must be byte-identical to the
+//! reference run.
 
 mod cluster;
 
@@ -61,7 +62,7 @@ fn fanin_sigkill_slow_branch_recovers_to_identical_answer() {
 
     // Let the stream run until at least two application checkpoints
     // are complete — the recovery then genuinely rolls back a cut
-    // that includes buffered in-flight tuples at the sink.
+    // taken while the sink's alignment window held tuples.
     wait_until("complete checkpoint", Duration::from_secs(30), || {
         max_complete_epoch(&store, FANIN_OPS) >= 2
     });
