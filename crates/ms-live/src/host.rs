@@ -15,7 +15,7 @@
 //!   forward the token.
 //!
 //! Whatever owns the streams drives them: `ms-wire` runs every
-//! interior core from a small fixed apply pool fed by an event loop and
+//! interior core on the poll(2) I/O thread that reads its sockets and
 //! gives each source a thread (demo generators tick an
 //! [`Operator`](ms_core::operator::Operator); `ms-gate` feeds its
 //! source core from producer sockets), and the crate's own tests pump
@@ -263,7 +263,7 @@ impl Drop for Persister {
 pub type RouteKeyFn = Arc<dyn Fn(&Tuple) -> u64 + Send + Sync>;
 
 /// One transmit edge a host can push a [`HostMsg`] down: an in-process
-/// channel, or (in `ms-wire`) an apply-pool inbox or a buffered egress
+/// channel, or (in `ms-wire`) a cell inbox or a buffered egress
 /// socket. Returns `false` when the consumer is gone for good — the
 /// host stops emitting.
 pub trait EdgeTx: Send {
@@ -521,8 +521,8 @@ fn route_stamped(
 
 /// The interior/sink half of the host protocol as a plain state
 /// machine: feed it messages with [`InteriorCore::on_msg`] from
-/// whatever execution engine owns the streams — `ms-wire`'s apply
-/// pool, or a single-threaded test pump — and it runs token alignment,
+/// whatever execution engine owns the streams — `ms-wire`'s I/O
+/// thread, or a single-threaded test pump — and it runs token alignment,
 /// cuts checkpoints, and routes downstream.
 pub struct InteriorCore {
     op_id: OperatorId,

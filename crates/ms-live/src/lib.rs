@@ -10,7 +10,7 @@
 //!
 //! The hosts own no threads, sockets or clocks; their only I/O goes
 //! through the store they are handed. `ms-wire` drives them from its
-//! poll(2) event loop and apply pool across OS processes, `ms-gate`
+//! poll(2) I/O thread across OS processes, `ms-gate`
 //! feeds a source core from producer connections, and this crate's
 //! tests pump them deterministically on one thread over an `FsStore`
 //! in a temp directory.

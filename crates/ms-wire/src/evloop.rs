@@ -1,28 +1,32 @@
-//! The worker's event-loop core: one I/O thread multiplexing every
-//! peer socket, a small fixed apply pool running operator callbacks.
+//! The worker's data plane: one I/O thread that multiplexes every peer
+//! socket and runs every interior and sink HAU, as an HAU of the paper
+//! is one processing thread.
 //!
 //! The first TCP worker spent threads freely — one egress pump per
 //! cross edge, one detached ingress thread per inbound connection, one
 //! host thread per operator — which is O(edges + operators) threads
 //! per process and collapses once a worker hosts its share of a
-//! 55-HAU sharded topology. This module replaces all of that with a
-//! thread count that is O(cores):
+//! 55-HAU sharded topology. Here one thread ([`spawn_io`]) does it all:
 //!
-//! * **One I/O thread** ([`spawn_io`]) owns the data-plane listener
-//!   and every data socket, nonblocking, driven by
-//!   [`ms_net::ready::poll`]. Inbound frames are batch-decoded and
-//!   delivered to the consuming operator's inbox (a
+//! * It owns the data-plane listener and every data socket,
+//!   nonblocking, driven by [`ms_net::ready::poll`]. Inbound frames are
+//!   batch-decoded into the consuming cell's inbox (a
 //!   [`WireMsg::TupleBatch`] frame lands as one inbox push for the
-//!   whole run); outbound frames queue in per-connection
-//!   [`EgressBuf`]s and drain with vectored writes — many frames per
-//!   syscall — when the socket reports writable. Idle means *blocked
-//!   in poll*, not sleeping in a loop — no socket traffic, no CPU.
-//! * **A fixed apply pool** ([`spawn_pool`], 2–4 threads) runs the
-//!   protocol state machine ([`InteriorCore`]) of every interior/sink
-//!   HAU. A [`HostCell`] is scheduled onto the pool only while its
-//!   inbox is non-empty, with a `scheduled` flag guaranteeing at most
-//!   one pool thread ever touches a cell at a time — the core itself
-//!   needs no further synchronization.
+//!   whole run).
+//! * It owns every [`HostCell`] — the protocol state machine
+//!   ([`InteriorCore`]) of one interior/sink HAU plus its inbox — of
+//!   every generation; no core is shared with another thread.
+//! * Each turn reads the ready sockets, visits the cells in
+//!   topological order (producers first, so a colocated chain drains in
+//!   one pass), then writes every non-empty [`EgressBuf`] with vectored
+//!   writes — many frames per syscall. It blocks in poll only when no
+//!   inbox holds work: idle means *blocked in poll*, not sleeping in a
+//!   loop.
+//!
+//! Source and gate threads feed the loop from outside: their edge
+//! handles push into an inbox or an egress buffer and write the
+//! [`Waker`]. A cell's handles never do — what a cell emits is picked
+//! up later in the same turn — so the I/O thread never wakes itself.
 //!
 //! Failure semantics carry over from the pump design unchanged:
 //!
@@ -38,38 +42,39 @@
 //!   logs; the controller's rollback rewinds downstream state behind
 //!   them.
 //! * Teardown marks the generation's `torn` flag (every producer's
-//!   next emission returns `false`, unwinding hosts), instructs the
-//!   I/O thread to drop the generation's connections and routes
-//!   ([`IoCmd::Tear`]), and schedules every cell once more so its
-//!   final [`HostExit`] is flushed even if no message ever arrives.
+//!   next emission returns `false`, unwinding hosts) and sends
+//!   [`IoCmd::Tear`], which drops the generation's connections and
+//!   routes and finishes its cells, so each final [`HostExit`] reaches
+//!   the joiner even if no message ever arrives.
 //!
 //! Streams that arrive before their `Assign` (the controller sends
 //! assignments concurrently, so a peer can connect first) sit in a
 //! *pending* state with **no read interest** — TCP backpressure holds
-//! the bytes upstream — until [`IoCmd::Routes`] delivers the route
+//! the bytes upstream — until [`IoCmd::Deploy`] delivers the route
 //! table. This replaces the old 15-second route-wait sleep loop.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read};
+use std::mem;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 
 use ms_core::codec::{frame, FrameDecoder};
 use ms_live::{EdgeTx, HostExit, HostMsg, InteriorCore};
 use ms_net::fault::FaultPlan;
-use ms_net::ready::{poll, Interest, PollTarget, Waker};
+use ms_net::ready::{poll, Interest, PollTarget, ReadyEvent, Waker};
 use ms_net::vectored;
 
 use crate::message::{encode_tuple_batch, WireMsg};
 
 /// Poll timeout. The [`Waker`] interrupts the poll for every queued
-/// command and egress frame, so no work waits on this: it only bounds
-/// how long an idle I/O thread goes between looks at its command queue,
-/// the backstop should a wake ever be lost.
+/// command and every push by a source or gate thread, so no work waits
+/// on this: it only bounds how long an idle I/O thread goes between
+/// looks at its command queue, the backstop should a wake ever be lost.
 const POLL_TIMEOUT_MS: i32 = 250;
 /// Per-read scratch size for ingress sockets.
 const READ_CHUNK: usize = 16 * 1024;
@@ -88,10 +93,10 @@ struct EgressState {
 /// The userspace send queue of one outbound data connection. Hosts
 /// append encoded frames; the I/O thread drains the queue with
 /// vectored writes ([`ms_net::vectored::write_frames`], `writev(2)` on
-/// unix) when the socket is writable — many frames per syscall instead
-/// of one. Unbounded by design: the only unbounded producers are
-/// throttled sources, and the alternative (blocking a pool thread on a
-/// slow socket) stalls unrelated operators.
+/// unix) — many frames per syscall instead of one. Unbounded by
+/// design: the only unbounded producers are throttled sources, and the
+/// alternative (blocking the I/O thread on a slow socket) stalls every
+/// operator of the worker.
 pub(crate) struct EgressBuf {
     inner: Mutex<EgressState>,
 }
@@ -155,14 +160,17 @@ impl EgressBuf {
     }
 }
 
-/// Producer-side [`EdgeTx`] over one outbound connection: encode,
-/// append to the [`EgressBuf`], wake the I/O thread (coalesced).
-/// Returns `false` only when the generation is torn down — a broken
-/// socket drains silently, exactly like the old egress pump.
+/// Producer-side [`EdgeTx`] over one outbound connection: encode and
+/// append to the [`EgressBuf`]. `waker` is set for a producer on a
+/// thread of its own (a source or gate), whose push the I/O thread
+/// must be woken for; a cell's handle carries none, because the I/O
+/// thread writes every non-empty buffer after its cell pass. Returns
+/// `false` only when the generation is torn down — a broken socket
+/// drains silently, exactly like the old egress pump.
 pub(crate) struct EgressHandle {
     pub(crate) buf: Arc<EgressBuf>,
     pub(crate) torn: Arc<AtomicBool>,
-    pub(crate) waker: Waker,
+    pub(crate) waker: Option<Waker>,
 }
 
 impl EdgeTx for EgressHandle {
@@ -178,28 +186,33 @@ impl EdgeTx for EgressHandle {
             HostMsg::Eos => WireMsg::Eos.encode(),
         };
         self.buf.push(&payload);
-        self.waker.wake();
+        if let Some(waker) = &self.waker {
+            waker.wake();
+        }
         true
     }
 }
 
-// ---------------- the apply pool ----------------
+// ---------------- the cells ----------------
 
-/// One interior/sink HAU hosted on the apply pool: the protocol state
-/// machine plus its inbox. `scheduled` makes scheduling idempotent —
-/// a cell is on the pool's queue at most once, so at most one pool
-/// thread runs its core at a time and message order per producer is
-/// preserved (each producer appends to the inbox in emission order).
-pub(crate) struct HostCell {
-    core: Mutex<Option<InteriorCore>>,
-    inbox: Mutex<VecDeque<(u32, HostMsg)>>,
-    scheduled: AtomicBool,
+/// The cross-thread half of a [`HostCell`]: the inbox its producers
+/// append to, in emission order per producer, and the flags a send
+/// checks.
+struct Inbox {
+    queue: Mutex<VecDeque<(u32, HostMsg)>>,
     /// Generation-level teardown flag (shared with every handle of the
-    /// run). A torn cell finishes on its next step.
+    /// run). A torn cell finishes on its next visit.
     torn: Arc<AtomicBool>,
     /// Set once the core has finished: senders get `false` from then
     /// on, mirroring a disconnected channel.
     gone: AtomicBool,
+}
+
+/// One interior/sink HAU, owned by the I/O thread: the protocol state
+/// machine, its inbox, and where its exit record goes.
+pub(crate) struct HostCell {
+    core: InteriorCore,
+    inbox: Arc<Inbox>,
     exits: Sender<HostExit>,
 }
 
@@ -208,157 +221,94 @@ impl HostCell {
         core: InteriorCore,
         torn: Arc<AtomicBool>,
         exits: Sender<HostExit>,
-    ) -> Arc<HostCell> {
-        Arc::new(HostCell {
-            core: Mutex::new(Some(core)),
-            inbox: Mutex::new(VecDeque::new()),
-            scheduled: AtomicBool::new(false),
-            torn,
-            gone: AtomicBool::new(false),
+    ) -> HostCell {
+        HostCell {
+            core,
+            inbox: Arc::new(Inbox {
+                queue: Mutex::new(VecDeque::new()),
+                torn,
+                gone: AtomicBool::new(false),
+            }),
             exits,
-        })
-    }
-
-    /// Puts the cell on the pool queue unless it is already there.
-    pub(crate) fn schedule(self: &Arc<Self>, work: &WorkQueue) {
-        if !self.scheduled.swap(true, Ordering::AcqRel) {
-            work.push(self.clone());
         }
     }
 
-    /// One pool-thread visit: drain the inbox through the core, finish
-    /// the core if it is done (or the generation is torn), and re-run
-    /// if messages raced in behind the drain.
-    fn step(self: &Arc<Self>) {
-        loop {
-            let batch: Vec<(u32, HostMsg)> = {
-                let mut q = self.inbox.lock().expect("inbox lock");
-                q.drain(..).collect()
-            };
-            {
-                let mut guard = self.core.lock().expect("host core lock");
-                if let Some(core) = guard.as_mut() {
-                    // The gauge counts tuples, not inbox messages: one
-                    // DataBatch is up to hundreds of tuples.
-                    let queued: usize = batch.iter().map(|(_, msg)| msg.tuple_count()).sum();
-                    core.publish_backpressure(queued as u64);
-                    for (port, msg) in batch {
-                        core.on_msg(port as usize, msg);
-                    }
-                    if self.torn.load(Ordering::SeqCst) || core.is_done() {
-                        let core = guard.take().expect("core present");
-                        self.gone.store(true, Ordering::SeqCst);
-                        let _ = self.exits.send(core.finish());
-                    }
-                }
+    /// An edge handle into input `port` of this cell; `waker` as for
+    /// [`EgressHandle`].
+    pub(crate) fn tx(&self, port: u32, waker: Option<Waker>) -> CellTx {
+        CellTx {
+            inbox: self.inbox.clone(),
+            port,
+            waker,
+        }
+    }
+
+    /// One visit: drains the inbox through the core. `false` once the
+    /// core is done or its generation torn.
+    fn step(&mut self) -> bool {
+        let queued = mem::take(&mut *self.inbox.queue.lock().expect("inbox lock"));
+        if !queued.is_empty() {
+            // The gauge counts tuples, not inbox messages: one
+            // DataBatch is up to hundreds of tuples.
+            let tuples: usize = queued.iter().map(|(_, msg)| msg.tuple_count()).sum();
+            self.core.publish_backpressure(tuples as u64);
+            for (port, msg) in queued {
+                self.core.on_msg(port as usize, msg);
             }
-            // Clear `scheduled` first, then re-check: a producer that
-            // appended after the drain either sees `scheduled` still
-            // set (and we catch its message here) or re-queues the
-            // cell itself. Either way nothing is stranded.
-            self.scheduled.store(false, Ordering::Release);
-            let rerun = !self.inbox.lock().expect("inbox lock").is_empty()
-                || (self.torn.load(Ordering::SeqCst)
-                    && self.core.lock().expect("host core lock").is_some());
-            if rerun && !self.scheduled.swap(true, Ordering::AcqRel) {
-                continue;
-            }
-            return;
+        }
+        !(self.inbox.torn.load(Ordering::SeqCst) || self.core.is_done())
+    }
+
+    fn has_input(&self) -> bool {
+        !self.inbox.queue.lock().expect("inbox lock").is_empty()
+    }
+
+    /// Finishes the core and hands its exit record to the joiner.
+    fn finish(self) {
+        self.inbox.gone.store(true, Ordering::SeqCst);
+        let _ = self.exits.send(self.core.finish());
+    }
+}
+
+/// Visits every cell once, in list order. Each generation's cells are
+/// listed producers first, so a batch a cell emits to a colocated
+/// consumer is applied later in the same pass. A finished cell leaves
+/// the list, its exit record sent.
+fn run_cells(cells: &mut Vec<(u64, HostCell)>) {
+    for (generation, mut cell) in mem::replace(cells, Vec::with_capacity(cells.len())) {
+        if cell.step() {
+            cells.push((generation, cell));
+        } else {
+            cell.finish();
         }
     }
 }
 
 /// Local-edge (or ingress-route) [`EdgeTx`]: append to the consumer
-/// cell's inbox and schedule it. Port is the consumer's input index
-/// for this edge.
+/// cell's inbox. Port is the consumer's input index for this edge;
+/// `waker` as for [`EgressHandle`].
 #[derive(Clone)]
 pub(crate) struct CellTx {
-    pub(crate) cell: Arc<HostCell>,
-    pub(crate) port: u32,
-    pub(crate) work: Arc<WorkQueue>,
+    inbox: Arc<Inbox>,
+    port: u32,
+    waker: Option<Waker>,
 }
 
 impl EdgeTx for CellTx {
     fn send(&self, msg: HostMsg) -> bool {
-        if self.cell.gone.load(Ordering::SeqCst) || self.cell.torn.load(Ordering::SeqCst) {
+        if self.inbox.gone.load(Ordering::SeqCst) || self.inbox.torn.load(Ordering::SeqCst) {
             return false;
         }
-        self.cell
-            .inbox
+        self.inbox
+            .queue
             .lock()
             .expect("inbox lock")
             .push_back((self.port, msg));
-        self.cell.schedule(&self.work);
+        if let Some(waker) = &self.waker {
+            waker.wake();
+        }
         true
     }
-}
-
-/// The apply pool's work queue: any thread pushes, the pool threads
-/// pop. A queue under a `Condvar` rather than an `mpsc` channel whose
-/// receiver the pool shares behind a lock: handing that lock from one
-/// idle thread to the next costs a second wake-up per cell (msbench
-/// `fanout_unique`: 139 → 303 context switches per kevent).
-#[derive(Default)]
-pub(crate) struct WorkQueue {
-    /// Scheduled cells, and whether the queue is closed.
-    state: Mutex<(VecDeque<Arc<HostCell>>, bool)>,
-    ready: Condvar,
-}
-
-impl WorkQueue {
-    fn push(&self, cell: Arc<HostCell>) {
-        let mut state = self.state.lock().expect("work queue lock");
-        state.0.push_back(cell);
-        self.ready.notify_one();
-    }
-
-    /// Blocks for the next cell; `None` once closed and drained.
-    fn pop(&self) -> Option<Arc<HostCell>> {
-        let mut state = self.state.lock().expect("work queue lock");
-        loop {
-            if let Some(cell) = state.0.pop_front() {
-                return Some(cell);
-            }
-            if state.1 {
-                return None;
-            }
-            state = self.ready.wait(state).expect("work queue lock");
-        }
-    }
-
-    /// Lets the pool threads drain what is queued and exit.
-    pub(crate) fn close(&self) {
-        self.state.lock().expect("work queue lock").1 = true;
-        self.ready.notify_all();
-    }
-}
-
-/// Spawns the apply pool: `n` threads draining one shared work queue
-/// until it is [closed](WorkQueue::close).
-pub(crate) fn spawn_pool(n: usize, work: &Arc<WorkQueue>) -> Vec<JoinHandle<()>> {
-    (0..n)
-        .map(|i| {
-            let work = work.clone();
-            thread::Builder::new()
-                .name(format!("ms-apply-{i}"))
-                .spawn(move || {
-                    while let Some(cell) = work.pop() {
-                        cell.step();
-                    }
-                })
-                .expect("spawn apply pool thread")
-        })
-        .collect()
-}
-
-/// The apply-pool width for this machine: a couple of threads is
-/// enough to keep operator work off the I/O thread without growing
-/// the per-process thread budget past O(cores).
-pub(crate) fn pool_width() -> usize {
-    thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(2)
-        .clamp(2, 4)
 }
 
 // ---------------- the I/O thread ----------------
@@ -376,18 +326,21 @@ pub(crate) enum IoCmd {
         /// The buffer hosts append frames to.
         buf: Arc<EgressBuf>,
     },
-    /// Install a generation's ingress route table: `(from, to)` →
-    /// consumer inbox. Resolves any pending streams that connected
-    /// before the assignment arrived.
-    Routes {
-        /// Generation the routes belong to.
+    /// Adopt a generation's cells and install its ingress route table.
+    /// Resolves any pending streams that connected before the
+    /// assignment arrived.
+    Deploy {
+        /// Generation the cells and routes belong to.
         generation: u64,
+        /// The generation's local cells, producers first.
+        cells: Vec<HostCell>,
         /// `(producer op, consumer op)` → the consumer's edge handle.
-        map: HashMap<(u32, u32), CellTx>,
+        routes: HashMap<(u32, u32), CellTx>,
     },
-    /// Drop every connection and route of generations `<= generation`.
-    /// Streams still awaiting their hello are kept and checked against
-    /// the raised floor when the hello arrives.
+    /// Finish every cell and drop every connection and route of
+    /// generations `<= generation`. Streams still awaiting their hello
+    /// are kept and checked against the raised floor when the hello
+    /// arrives.
     Tear {
         /// Highest generation to tear down.
         generation: u64,
@@ -401,7 +354,7 @@ enum IngressState {
     AwaitHello,
     /// Hello read, but the route table for its generation has not
     /// arrived: no read interest (TCP backpressure) until
-    /// [`IoCmd::Routes`] resolves it.
+    /// [`IoCmd::Deploy`] resolves it.
     Pending { generation: u64, from: u32, to: u32 },
     /// Streaming into a consumer inbox. `from`/`to` identify the edge
     /// for per-edge fault injection.
@@ -432,6 +385,8 @@ struct Io {
     ingress: Vec<IngressConn>,
     egress: Vec<EgressConn>,
     routes: HashMap<(u64, u32, u32), CellTx>,
+    /// Every hosted cell with its generation, producers first.
+    cells: Vec<(u64, HostCell)>,
     /// Generations below this are stale; hellos for them are dropped.
     min_gen: u64,
     /// Deterministic fault injection consulted once per routed ingress
@@ -445,12 +400,13 @@ enum Slot {
     Waker,
     Listener,
     Ingress(usize),
-    Egress(usize),
+    /// A blocked egress socket; the write pass retries it.
+    Egress,
 }
 
 /// Spawns the I/O thread over the (nonblocking) data-plane listener.
-/// `waker` must be the same waker handed to every [`EgressHandle`]
-/// and used when sending on `cmds`.
+/// `waker` must be the same waker handed to every source and gate
+/// thread's edge handles and used when sending on `cmds`.
 pub(crate) fn spawn_io(
     listener: TcpListener,
     waker: Waker,
@@ -467,6 +423,7 @@ pub(crate) fn spawn_io(
                 ingress: Vec::new(),
                 egress: Vec::new(),
                 routes: HashMap::new(),
+                cells: Vec::new(),
                 min_gen: 0,
                 plan,
             };
@@ -476,47 +433,51 @@ pub(crate) fn spawn_io(
 }
 
 impl Io {
+    /// One turn per pass: read the ready sockets, apply commands, visit
+    /// the cells, write the egress buffers.
     fn run(&mut self) {
         loop {
+            let (targets, slots) = self.build_poll_set();
+            // Only a source or gate thread fills an inbox behind the
+            // cell pass; its wake would end the poll anyway.
+            let timeout = if self.cells.iter().any(|(_, c)| c.has_input()) {
+                0
+            } else {
+                POLL_TIMEOUT_MS
+            };
+            if let Ok(ready) = poll(&targets, timeout) {
+                self.read_ready(ready, &slots);
+            }
             if !self.drain_cmds() {
                 return;
             }
-            let (targets, slots) = self.build_poll_set();
-            let ready = match poll(&targets, POLL_TIMEOUT_MS) {
-                Ok(r) => r,
-                Err(_) => continue,
-            };
-            let mut dead_in: Vec<usize> = Vec::new();
-            let mut dead_out: Vec<usize> = Vec::new();
-            for ev in ready {
-                match slots[ev.token] {
-                    Slot::Waker => self.waker.drain(),
-                    Slot::Listener => self.accept_ready(),
-                    Slot::Ingress(i) => {
-                        if ev.readable && !self.ingress_ready(i) {
-                            dead_in.push(i);
-                        }
-                    }
-                    Slot::Egress(j) => {
-                        if ev.writable || ev.hangup {
-                            let c = &mut self.egress[j];
-                            if c.buf.write_to(&mut c.stream).is_err() {
-                                dead_out.push(j);
-                            }
-                        }
+            run_cells(&mut self.cells);
+            // A failed write flips its buffer to drain mode; the
+            // connection goes.
+            self.egress
+                .retain_mut(|c| c.buf.write_to(&mut c.stream).is_ok());
+        }
+    }
+
+    fn read_ready(&mut self, ready: Vec<ReadyEvent>, slots: &[Slot]) {
+        let mut dead: Vec<usize> = Vec::new();
+        for ev in ready {
+            match slots[ev.token] {
+                Slot::Waker => self.waker.drain(),
+                Slot::Listener => self.accept_ready(),
+                Slot::Ingress(i) => {
+                    if ev.readable && !self.ingress_ready(i) {
+                        dead.push(i);
                     }
                 }
+                Slot::Egress => {}
             }
-            // Drop dead connections, highest index first so the
-            // remaining indices stay valid.
-            dead_in.sort_unstable_by(|a, b| b.cmp(a));
-            for i in dead_in {
-                self.ingress.swap_remove(i);
-            }
-            dead_out.sort_unstable_by(|a, b| b.cmp(a));
-            for j in dead_out {
-                self.egress.swap_remove(j);
-            }
+        }
+        // Drop dead connections, highest index first so the remaining
+        // indices stay valid.
+        dead.sort_unstable_by(|a, b| b.cmp(a));
+        for i in dead {
+            self.ingress.swap_remove(i);
         }
     }
 
@@ -539,11 +500,17 @@ impl Io {
                         buf.mark_broken();
                     }
                 }
-                IoCmd::Routes { generation, map } => {
+                IoCmd::Deploy {
+                    generation,
+                    cells,
+                    routes,
+                } => {
+                    self.cells
+                        .extend(cells.into_iter().map(|c| (generation, c)));
                     if generation < self.min_gen {
                         continue;
                     }
-                    for ((from, to), tx) in map {
+                    for ((from, to), tx) in routes {
                         self.routes.insert((generation, from, to), tx);
                     }
                     // Resolve streams that connected ahead of the
@@ -598,6 +565,13 @@ impl Io {
                             true
                         }
                     });
+                    let (torn, live) = mem::take(&mut self.cells)
+                        .into_iter()
+                        .partition(|(g, _)| *g <= generation);
+                    self.cells = live;
+                    for (_, cell) in torn {
+                        cell.finish();
+                    }
                 }
                 IoCmd::Stop => return false,
             }
@@ -624,9 +598,9 @@ impl Io {
             };
             add(c.stream.as_raw_fd(), Slot::Ingress(i), want);
         }
-        for (j, c) in self.egress.iter().enumerate() {
+        for c in &self.egress {
             if !c.buf.is_empty() {
-                add(c.stream.as_raw_fd(), Slot::Egress(j), Interest::WRITE);
+                add(c.stream.as_raw_fd(), Slot::Egress, Interest::WRITE);
             }
         }
         (targets, slots)
@@ -775,8 +749,8 @@ fn drain_frames(
         }
         let msg = match WireMsg::decode(&frame) {
             // Batch-decode: the whole run becomes one shared slice and
-            // one inbox push — the apply pool schedules one HostCell
-            // visit for the batch instead of one per tuple. The fault
+            // one inbox push, which the cell applies in one visit
+            // instead of one per tuple. The fault
             // plan above was consulted once for the frame, i.e. once
             // per batch: injected faults stay frame-granular.
             Ok(WireMsg::TupleBatch(ts)) => HostMsg::DataBatch(ts.into()),
@@ -800,10 +774,10 @@ mod tests {
     use ms_core::ids::OperatorId;
     use ms_core::ids::{EpochId, PortId};
     use ms_core::metrics::BackpressureMeter;
-    use ms_core::operator::{Operator, OperatorContext, OperatorSnapshot};
+    use ms_core::operator::{Operator, OperatorContext, OperatorSnapshot, SnapshotPayload};
     use ms_core::tuple::Tuple;
     use ms_core::value::Value;
-    use ms_live::{HostWiring, PersistItem};
+    use ms_live::{Doubler, HostWiring, OutputRoute, PersistItem};
     use std::sync::mpsc::channel;
     use std::time::Duration;
 
@@ -832,263 +806,276 @@ mod tests {
             }
         }
         fn restore(&mut self, snap: &OperatorSnapshot) -> ms_core::error::Result<()> {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&snap.data);
-            self.0 = i64::from_le_bytes(b);
+            self.0 = sum_of(snap);
             Ok(())
         }
+    }
+
+    fn sum_of(snap: &OperatorSnapshot) -> i64 {
+        let mut b = [0u8; 8];
+        b.copy_from_slice(&snap.data);
+        i64::from_le_bytes(b)
     }
 
     fn recv_within<T>(rx: &Receiver<T>, d: Duration) -> Option<T> {
         rx.recv_timeout(d).ok()
     }
 
-    /// Everything a test needs to drive one summing sink cell: the
-    /// cell itself, its exit channel, and the work queue a pool (or
-    /// the test directly) drains.
-    struct SinkRig {
-        cell: Arc<HostCell>,
+    fn tuple(seq: u64, v: i64) -> Tuple {
+        Tuple::new(
+            OperatorId(0),
+            seq,
+            ms_core::time::SimTime::ZERO,
+            vec![Value::Int(v)],
+        )
+    }
+
+    /// Everything a test needs to drive one single-input cell: the
+    /// cell itself, its exit channel, the checkpoints it captured, and
+    /// its backpressure meter.
+    struct CellRig {
+        cell: HostCell,
         exit_rx: Receiver<HostExit>,
-        work: Arc<WorkQueue>,
+        persisted: Receiver<PersistItem>,
         meter: Arc<BackpressureMeter>,
     }
 
-    fn sink_cell(torn: &Arc<AtomicBool>, n_in: usize) -> SinkRig {
-        // No persister: these tests never read a checkpoint back, so
-        // the cell's captures are dropped unwritten.
-        let (ptx, _) = channel::<PersistItem>();
+    fn cell(
+        op_id: u32,
+        op: Box<dyn Operator>,
+        outputs: Vec<OutputRoute>,
+        torn: &Arc<AtomicBool>,
+    ) -> CellRig {
+        let (ptx, persisted) = channel::<PersistItem>();
         let meter = Arc::new(BackpressureMeter::new());
         let wiring = HostWiring {
-            op_id: OperatorId(1),
-            op: Box::new(Sum::default()),
-            outputs: Vec::new(),
+            op_id: OperatorId(op_id),
+            op,
+            outputs,
             restored_seq: 0,
             resume_seq: Vec::new(),
             last_durable: None,
             meter: Some(meter.clone()),
             telemetry: None,
         };
-        let core = InteriorCore::new(wiring, n_in, ptx);
+        let core = InteriorCore::new(wiring, 1, ptx);
         let (exit_tx, exit_rx) = channel();
-        let cell = HostCell::new(core, torn.clone(), exit_tx);
-        SinkRig {
-            cell,
+        CellRig {
+            cell: HostCell::new(core, torn.clone(), exit_tx),
             exit_rx,
-            work: Arc::default(),
+            persisted,
             meter,
         }
+    }
+
+    fn sink_cell(torn: &Arc<AtomicBool>) -> CellRig {
+        cell(1, Box::<Sum>::default(), Vec::new(), torn)
+    }
+
+    /// Starts an I/O thread on a fresh loopback listener; returns its
+    /// address, command queue, waker and handle.
+    fn io_thread() -> (String, Sender<IoCmd>, Waker, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        listener.set_nonblocking(true).unwrap();
+        let waker = Waker::new().unwrap();
+        let (cmd_tx, cmd_rx) = channel();
+        let io = spawn_io(listener, waker.clone(), cmd_rx, None);
+        (addr, cmd_tx, waker, io)
+    }
+
+    fn command(cmds: &Sender<IoCmd>, waker: &Waker, cmd: IoCmd) {
+        assert!(cmds.send(cmd).is_ok());
+        waker.wake();
+    }
+
+    fn hello(peer: &mut TcpStream, to: u32) {
+        send_msg(
+            peer,
+            &WireMsg::StreamHello {
+                generation: 1,
+                from: OperatorId(0),
+                to: OperatorId(to),
+            },
+        )
+        .unwrap();
     }
 
     #[test]
     fn cell_applies_batches_and_finishes_on_eos() {
         let torn = Arc::new(AtomicBool::new(false));
-        let SinkRig {
-            cell,
-            exit_rx,
-            work,
-            ..
-        } = sink_cell(&torn, 1);
-        let pool = spawn_pool(2, &work);
-        let tx = CellTx {
-            cell: cell.clone(),
-            port: 0,
-            work: work.clone(),
-        };
+        let CellRig { cell, exit_rx, .. } = sink_cell(&torn);
+        let tx = cell.tx(0, None);
         for v in 0..100i64 {
-            let t = Tuple::new(
-                OperatorId(0),
-                v as u64,
-                ms_core::time::SimTime::ZERO,
-                vec![Value::Int(v)],
-            );
-            assert!(tx.send(HostMsg::DataBatch([t].into())));
+            assert!(tx.send(HostMsg::DataBatch([tuple(v as u64, v)].into())));
         }
         tx.send(HostMsg::Token(EpochId(1)));
         tx.send(HostMsg::Eos);
+        let mut cells = vec![(1, cell)];
+        run_cells(&mut cells);
+        assert!(cells.is_empty(), "a cell at Eos leaves the pass");
         let exit = recv_within(&exit_rx, Duration::from_secs(5)).unwrap();
         assert!(exit.error.is_none());
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&exit.op.snapshot().data);
-        assert_eq!(i64::from_le_bytes(b), (0..100).sum::<i64>());
+        assert_eq!(sum_of(&exit.op.snapshot()), (0..100).sum::<i64>());
         // Finished cell refuses further sends.
         assert!(!tx.send(HostMsg::Eos));
-        work.close();
-        drop(tx);
-        for p in pool {
-            p.join().unwrap();
-        }
     }
 
     #[test]
     fn queue_gauge_counts_tuples_not_inbox_messages() {
         let torn = Arc::new(AtomicBool::new(false));
-        let rig = sink_cell(&torn, 1);
-        let tx = CellTx {
-            cell: rig.cell.clone(),
-            port: 0,
-            work: rig.work.clone(),
-        };
-        let tup = |seq: u64| {
-            Tuple::new(
-                OperatorId(0),
-                seq,
-                ms_core::time::SimTime::ZERO,
-                vec![Value::Int(1)],
-            )
-        };
-        // Four inbox messages carrying 1 + 3 + 0 + 2 tuples; no pool
-        // runs, so one direct step drains exactly this inbox.
+        let mut rig = sink_cell(&torn);
+        let tx = rig.cell.tx(0, None);
+        let tup = |seq: u64| tuple(seq, 1);
+        // Four inbox messages carrying 1 + 3 + 0 + 2 tuples; one
+        // direct step drains exactly this inbox.
         tx.send(HostMsg::DataBatch([tup(0)].into()));
         tx.send(HostMsg::DataBatch((1..4).map(tup).collect()));
         tx.send(HostMsg::Token(EpochId(1)));
         tx.send(HostMsg::DataBatch((4..6).map(tup).collect()));
-        rig.cell.step();
+        assert!(rig.cell.step());
         assert_eq!(rig.meter.sample().queued_tuples, 6);
     }
 
     #[test]
     fn torn_cell_flushes_exit_without_traffic() {
+        let (_, cmds, waker, io) = io_thread();
         let torn = Arc::new(AtomicBool::new(false));
-        let SinkRig {
-            cell,
-            exit_rx,
-            work,
-            ..
-        } = sink_cell(&torn, 1);
-        let pool = spawn_pool(2, &work);
+        let CellRig { cell, exit_rx, .. } = sink_cell(&torn);
+        command(
+            &cmds,
+            &waker,
+            IoCmd::Deploy {
+                generation: 1,
+                cells: vec![cell],
+                routes: HashMap::new(),
+            },
+        );
         torn.store(true, Ordering::SeqCst);
-        cell.schedule(&work);
+        command(&cmds, &waker, IoCmd::Tear { generation: 1 });
         let exit = recv_within(&exit_rx, Duration::from_secs(5)).unwrap();
         assert_eq!(exit.op_id, OperatorId(1));
-        work.close();
-        drop(cell);
-        for p in pool {
-            p.join().unwrap();
+        command(&cmds, &waker, IoCmd::Stop);
+        io.join().unwrap();
+    }
+
+    #[test]
+    fn io_thread_runs_a_socket_fed_chain_of_colocated_cells() {
+        // peer --socket--> doubler cell --inbox--> sink cell, both
+        // cells on the one I/O thread.
+        const N: i64 = 300;
+        const BEFORE_TOKEN: i64 = 120;
+        let (addr, cmds, waker, io) = io_thread();
+        let torn = Arc::new(AtomicBool::new(false));
+        let sink = cell(2, Box::<Sum>::default(), Vec::new(), &torn);
+        let doubler = cell(
+            1,
+            Box::<Doubler>::default(),
+            vec![OutputRoute::single(sink.cell.tx(0, None))],
+            &torn,
+        );
+        let mut routes = HashMap::new();
+        routes.insert((0u32, 1u32), doubler.cell.tx(0, None));
+        command(
+            &cmds,
+            &waker,
+            IoCmd::Deploy {
+                generation: 1,
+                cells: vec![doubler.cell, sink.cell],
+                routes,
+            },
+        );
+
+        let mut peer = TcpStream::connect(addr).unwrap();
+        hello(&mut peer, 1);
+        let batch = |vs: std::ops::Range<i64>| {
+            WireMsg::TupleBatch(vs.map(|v| tuple(v as u64, v)).collect())
+        };
+        for lo in (0..BEFORE_TOKEN).step_by(40) {
+            send_msg(&mut peer, &batch(lo..lo + 40)).unwrap();
         }
+        send_msg(&mut peer, &WireMsg::Token(EpochId(1))).unwrap();
+        for lo in (BEFORE_TOKEN..N).step_by(60) {
+            send_msg(&mut peer, &batch(lo..lo + 60)).unwrap();
+        }
+        send_msg(&mut peer, &WireMsg::Eos).unwrap();
+
+        // Σ 2v over 0..N, and the doubler closes the sink with its Eos.
+        let exit = recv_within(&sink.exit_rx, Duration::from_secs(5)).unwrap();
+        assert!(exit.error.is_none());
+        assert_eq!(sum_of(&exit.op.snapshot()), N * (N - 1));
+        assert!(recv_within(&doubler.exit_rx, Duration::from_secs(5)).is_some());
+        // The token reached the sink behind exactly the batches sent
+        // before it: its epoch-1 cut holds Σ 2v over 0..BEFORE_TOKEN.
+        let cut = recv_within(&sink.persisted, Duration::from_secs(5)).unwrap();
+        assert_eq!(cut.epoch, EpochId(1));
+        assert_eq!(cut.resume_seq, vec![BEFORE_TOKEN as u64]);
+        match cut.snapshot.resolve() {
+            SnapshotPayload::Full(s) => {
+                assert_eq!(sum_of(&s), BEFORE_TOKEN * (BEFORE_TOKEN - 1))
+            }
+            SnapshotPayload::Delta(_) => panic!("Sum captures full snapshots"),
+        }
+        command(&cmds, &waker, IoCmd::Stop);
+        io.join().unwrap();
     }
 
     #[test]
     fn io_routes_stream_even_when_hello_races_routes() {
         // Connect and send the hello BEFORE the route table is
         // installed: the stream must park as Pending and resolve on
-        // IoCmd::Routes, with no data lost.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        listener.set_nonblocking(true).unwrap();
-        let waker = Waker::new().unwrap();
-        let (cmd_tx, cmd_rx) = channel();
-        let io = spawn_io(listener, waker.clone(), cmd_rx, None);
-
+        // IoCmd::Deploy, with no data lost.
+        let (addr, cmds, waker, io) = io_thread();
         let mut peer = TcpStream::connect(addr).unwrap();
-        send_msg(
-            &mut peer,
-            &WireMsg::StreamHello {
-                generation: 1,
-                from: OperatorId(0),
-                to: OperatorId(1),
-            },
-        )
-        .unwrap();
+        hello(&mut peer, 1);
         for v in 0..10i64 {
-            send_msg(
-                &mut peer,
-                &WireMsg::TupleBatch(vec![Tuple::new(
-                    OperatorId(0),
-                    v as u64,
-                    ms_core::time::SimTime::ZERO,
-                    vec![Value::Int(v)],
-                )]),
-            )
-            .unwrap();
+            send_msg(&mut peer, &WireMsg::TupleBatch(vec![tuple(v as u64, v)])).unwrap();
         }
         // Give the io thread time to accept and park the stream.
         std::thread::sleep(Duration::from_millis(100));
 
         let torn = Arc::new(AtomicBool::new(false));
-        let SinkRig {
-            cell,
-            exit_rx,
-            work,
-            ..
-        } = sink_cell(&torn, 1);
-        let pool = spawn_pool(2, &work);
-        let mut map = HashMap::new();
-        map.insert(
-            (0u32, 1u32),
-            CellTx {
-                cell: cell.clone(),
-                port: 0,
-                work: work.clone(),
+        let CellRig { cell, exit_rx, .. } = sink_cell(&torn);
+        let mut routes = HashMap::new();
+        routes.insert((0u32, 1u32), cell.tx(0, None));
+        command(
+            &cmds,
+            &waker,
+            IoCmd::Deploy {
+                generation: 1,
+                cells: vec![cell],
+                routes,
             },
         );
-        assert!(cmd_tx.send(IoCmd::Routes { generation: 1, map }).is_ok());
-        waker.wake();
         send_msg(&mut peer, &WireMsg::Eos).unwrap();
 
         let exit = recv_within(&exit_rx, Duration::from_secs(5)).unwrap();
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&exit.op.snapshot().data);
-        assert_eq!(i64::from_le_bytes(b), (0..10).sum::<i64>());
+        assert_eq!(sum_of(&exit.op.snapshot()), (0..10).sum::<i64>());
 
-        assert!(cmd_tx.send(IoCmd::Stop).is_ok());
-        waker.wake();
+        command(&cmds, &waker, IoCmd::Stop);
         io.join().unwrap();
-        work.close();
-        drop(cell);
-        for p in pool {
-            p.join().unwrap();
-        }
     }
 
     #[test]
     fn bare_close_does_not_deliver_eos() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        listener.set_nonblocking(true).unwrap();
-        let waker = Waker::new().unwrap();
-        let (cmd_tx, cmd_rx) = channel();
-        let io = spawn_io(listener, waker.clone(), cmd_rx, None);
-
+        let (addr, cmds, waker, io) = io_thread();
         let torn = Arc::new(AtomicBool::new(false));
-        let SinkRig {
-            cell,
-            exit_rx,
-            work,
-            ..
-        } = sink_cell(&torn, 1);
-        let pool = spawn_pool(2, &work);
-        let mut map = HashMap::new();
-        map.insert(
-            (0u32, 1u32),
-            CellTx {
-                cell: cell.clone(),
-                port: 0,
-                work: work.clone(),
+        let CellRig { cell, exit_rx, .. } = sink_cell(&torn);
+        let mut routes = HashMap::new();
+        routes.insert((0u32, 1u32), cell.tx(0, None));
+        command(
+            &cmds,
+            &waker,
+            IoCmd::Deploy {
+                generation: 1,
+                cells: vec![cell],
+                routes,
             },
         );
-        assert!(cmd_tx.send(IoCmd::Routes { generation: 1, map }).is_ok());
-        waker.wake();
 
         let mut peer = TcpStream::connect(addr).unwrap();
-        send_msg(
-            &mut peer,
-            &WireMsg::StreamHello {
-                generation: 1,
-                from: OperatorId(0),
-                to: OperatorId(1),
-            },
-        )
-        .unwrap();
-        send_msg(
-            &mut peer,
-            &WireMsg::TupleBatch(vec![Tuple::new(
-                OperatorId(0),
-                0,
-                ms_core::time::SimTime::ZERO,
-                vec![Value::Int(7)],
-            )]),
-        )
-        .unwrap();
+        hello(&mut peer, 1);
+        send_msg(&mut peer, &WireMsg::TupleBatch(vec![tuple(0, 7)])).unwrap();
         drop(peer); // crash, not Eos
 
         // The consumer must NOT finish: no Eos was ever sent.
@@ -1096,19 +1083,11 @@ mod tests {
 
         // Teardown still flushes the exit.
         torn.store(true, Ordering::SeqCst);
-        cell.schedule(&work);
+        command(&cmds, &waker, IoCmd::Tear { generation: 1 });
         let exit = recv_within(&exit_rx, Duration::from_secs(5)).unwrap();
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&exit.op.snapshot().data);
-        assert_eq!(i64::from_le_bytes(b), 7);
+        assert_eq!(sum_of(&exit.op.snapshot()), 7);
 
-        assert!(cmd_tx.send(IoCmd::Stop).is_ok());
-        waker.wake();
+        command(&cmds, &waker, IoCmd::Stop);
         io.join().unwrap();
-        work.close();
-        drop(cell);
-        for p in pool {
-            p.join().unwrap();
-        }
     }
 }

@@ -143,14 +143,8 @@ impl LedgerRecord {
             generation: json_u64(s, "generation")?,
             epoch: json_u64(s, "epoch")?,
             op,
-            // Pre-sharding ledgers have no `logical` column; every
-            // operator was its own logical operator then.
-            logical: if s.contains("\"logical\":") {
-                u32::try_from(json_u64(s, "logical")?)
-                    .map_err(|_| Error::Storage("ledger logical id out of range".into()))?
-            } else {
-                op
-            },
+            logical: u32::try_from(json_u64(s, "logical")?)
+                .map_err(|_| Error::Storage("ledger logical id out of range".into()))?,
             state_bytes: json_u64(s, "state_bytes")?,
             ckpt_bytes: json_u64(s, "ckpt_bytes")?,
             delta: json_bool(s, "delta")?,
@@ -163,13 +157,11 @@ impl LedgerRecord {
             queued_tuples: json_u64(s, "queued_tuples")?,
             open_windows: json_u64(s, "open_windows")?,
             window_tuples: json_u64(s, "window_tuples")?,
-            // Pre-gateway ledgers have no gate columns; every operator
-            // was an engine HAU then.
-            gate_accepted: json_u64_or_zero(s, "gate_accepted")?,
-            gate_shed: json_u64_or_zero(s, "gate_shed")?,
-            gate_wal_bytes: json_u64_or_zero(s, "gate_wal_bytes")?,
-            gate_ack_p50_us: json_u64_or_zero(s, "gate_ack_p50_us")?,
-            gate_ack_p99_us: json_u64_or_zero(s, "gate_ack_p99_us")?,
+            gate_accepted: json_u64(s, "gate_accepted")?,
+            gate_shed: json_u64(s, "gate_shed")?,
+            gate_wal_bytes: json_u64(s, "gate_wal_bytes")?,
+            gate_ack_p50_us: json_u64(s, "gate_ack_p50_us")?,
+            gate_ack_p99_us: json_u64(s, "gate_ack_p99_us")?,
             barrier_us: json_u64(s, "barrier_us")?,
         })
     }
@@ -367,14 +359,6 @@ fn json_u64(s: &str, key: &str) -> Result<u64> {
     json_value(s, key)?
         .parse()
         .map_err(|_| Error::Storage(format!("ledger field {key:?} is not an integer")))
-}
-
-fn json_u64_or_zero(s: &str, key: &str) -> Result<u64> {
-    if s.contains(&format!("\"{key}\":")) {
-        json_u64(s, key)
-    } else {
-        Ok(0)
-    }
 }
 
 fn json_bool(s: &str, key: &str) -> Result<bool> {
@@ -880,6 +864,20 @@ mod tests {
             .to_json()
             .replace("\"delta\":false", "\"delta\":7");
         assert!(LedgerRecord::from_json(&bad_type).is_err());
+        // Every schema column is required, the logical and gate ones too.
+        let rec = sample(2, 0);
+        let json = rec.to_json();
+        for (field, value) in [
+            ("logical", rec.logical.into()),
+            ("gate_shed", rec.gate_shed),
+        ] {
+            let column = format!("\"{field}\":{value},");
+            assert!(json.contains(&column), "{json}");
+            assert!(LedgerRecord::from_json(&json.replace(&column, "")).is_err());
+            // A present-but-malformed field is an error too.
+            let bad = json.replace(&column, &format!("\"{field}\":x,"));
+            assert!(LedgerRecord::from_json(&bad).is_err());
+        }
         // Unknown extra fields are tolerated.
         let extended = sample(1, 0)
             .to_json()
@@ -980,47 +978,6 @@ mod tests {
         std::fs::write(&path, format!("{}\n{b}\n", &a[..a.len() - 10])).unwrap();
         assert!(read_ledger(&path).is_err());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn legacy_line_without_logical_parses_as_its_own_logical() {
-        let mut rec = sample(2, 7);
-        rec.logical = 7;
-        let legacy = rec.to_json().replace("\"logical\":7,", "");
-        let parsed = LedgerRecord::from_json(&legacy).unwrap();
-        assert_eq!(parsed, rec);
-        // A present-but-malformed logical field is still an error.
-        let bad = rec.to_json().replace("\"logical\":7", "\"logical\":x");
-        assert!(LedgerRecord::from_json(&bad).is_err());
-    }
-
-    #[test]
-    fn legacy_line_without_gate_columns_parses_as_zeros() {
-        let mut rec = sample(2, 0);
-        let legacy = rec.to_json().replace(
-            &format!(
-                "\"gate_accepted\":{},\"gate_shed\":{},\"gate_wal_bytes\":{},\
-                     \"gate_ack_p50_us\":{},\"gate_ack_p99_us\":{},",
-                rec.gate_accepted,
-                rec.gate_shed,
-                rec.gate_wal_bytes,
-                rec.gate_ack_p50_us,
-                rec.gate_ack_p99_us
-            ),
-            "",
-        );
-        assert!(!legacy.contains("gate_"), "{legacy}");
-        rec.gate_accepted = 0;
-        rec.gate_shed = 0;
-        rec.gate_wal_bytes = 0;
-        rec.gate_ack_p50_us = 0;
-        rec.gate_ack_p99_us = 0;
-        assert_eq!(LedgerRecord::from_json(&legacy).unwrap(), rec);
-        // A present-but-malformed gate field is still an error.
-        let bad = sample(2, 0)
-            .to_json()
-            .replace("\"gate_shed\":2", "\"gate_shed\":x");
-        assert!(LedgerRecord::from_json(&bad).is_err());
     }
 
     fn decision(epoch: u64, reason: &str) -> DecisionRecord {

@@ -16,7 +16,7 @@
 //! | [`chaos`] | decorators around [`FsStore`]: injected disk faults ([`FaultStore`]) + transient-failure retry ([`RetryStore`]) |
 //! | [`apps`] | demo operators (throttled source, doubler, keyed stats, summer) and graph shapes |
 //! | [`worker`] | the `ms-worker` daemon: operator hosts on the event-loop core |
-//! | `evloop` | the worker's engine: one poll-driven I/O thread + a fixed apply pool |
+//! | `evloop` | the worker's data plane: one poll-driven I/O thread that also runs every interior/sink HAU |
 //! | [`controller`] | the `ms-controller` daemon: deploy / pace / detect / recover |
 //! | [`cadence`] | the live telemetry plane: §III-C aware barrier initiation + adaptive checkpoint cadence |
 //! | [`ledger`] | the epoch-keyed run ledger (JSONL telemetry trail) + `ms_ledger` summarizer |

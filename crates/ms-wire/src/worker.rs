@@ -1,19 +1,19 @@
 //! The `ms-worker` daemon: hosts operators over real TCP streams.
 //!
 //! One worker process runs any subset of a generation's operators —
-//! including shard instances of key-partitioned HAUs — on a thread
-//! budget that is O(cores), not O(edges + operators):
+//! including shard instances of key-partitioned HAUs — on a fixed
+//! thread budget plus one per local source, not O(edges + operators):
 //!
 //! * **One I/O thread** (the `evloop` module) owns the data-plane
 //!   listener and every peer socket, nonblocking, multiplexed with
-//!   `poll(2)`. Inbound frames land in per-operator inboxes; outbound
-//!   frames coalesce in per-connection buffers written on socket
-//!   writability.
-//! * **A fixed apply pool** (2–4 threads) runs the protocol state
-//!   machine ([`ms_live::InteriorCore`]) of every interior/sink HAU.
+//!   `poll(2)`, and runs the protocol state machine
+//!   ([`ms_live::InteriorCore`]) of every interior/sink HAU. Inbound
+//!   frames land in per-operator inboxes and are applied in the same
+//!   poll turn; outbound frames coalesce in per-connection buffers
+//!   written after each turn's cell pass.
 //! * **Source HAUs** keep a dedicated thread each, driving an
 //!   [`ms_live::SourceCore`]: they block on pacing sleeps and
-//!   stable-store appends, which must not stall the shared pool.
+//!   stable-store appends, which must not stall the I/O thread.
 //!
 //! Local edges are direct inbox pushes — colocated operators pay no
 //! socket tax, exactly the HAU-grouping benefit of §II-A. A producer
@@ -36,9 +36,9 @@
 //!   downstream state behind them.
 //! * Teardown (`Rollback`, a superseding `Assign`, or `Shutdown`)
 //!   marks the generation torn (producers' next emission fails,
-//!   unwinding hosts), tells the I/O thread to drop the generation's
-//!   sockets and routes, and schedules every pooled cell once more so
-//!   its final state is flushed.
+//!   unwinding hosts) and tells the I/O thread to drop the
+//!   generation's sockets and routes and finish its cells, so their
+//!   final state is flushed.
 //! * Every wait of a deploy is *generation-scoped*. The control
 //!   connection is read by its own thread, which counts each message
 //!   that ends the current generation (`Assign`, `Rollback`,
@@ -83,7 +83,7 @@ use ms_net::ready::Waker;
 
 use crate::apps::{build_operator, route_key};
 use crate::chaos::{FaultStore, RetryStore, StoreFaultSpec};
-use crate::evloop::{self, CellTx, EgressBuf, EgressHandle, HostCell, IoCmd, WorkQueue};
+use crate::evloop::{self, CellTx, EgressBuf, EgressHandle, HostCell, IoCmd};
 use crate::message::{recv_msg, send_msg, Assignment, WireMsg};
 use ms_net::fault::FaultPlan;
 
@@ -180,10 +180,8 @@ impl Shared {
 }
 
 /// The process-wide execution engine every generation runs on: the
-/// apply-pool work queue, the I/O thread's command channel, and its
-/// waker.
+/// I/O thread's command channel and its waker.
 struct Engine {
-    work: Arc<WorkQueue>,
     io: Sender<IoCmd>,
     waker: Waker,
 }
@@ -215,7 +213,6 @@ struct Run {
     generation: u64,
     src_cmds: Vec<Sender<SourceCmd>>,
     src_threads: Vec<JoinHandle<()>>,
-    cells: Vec<Arc<HostCell>>,
     joiner: Option<JoinHandle<()>>,
     torn: Arc<AtomicBool>,
 }
@@ -229,8 +226,8 @@ impl Run {
 
     /// Tears the generation down. Order matters: mark torn (producers
     /// start failing sends, which unwinds hosts) → drop the
-    /// generation's sockets and routes → stop sources → schedule every
-    /// cell so its exit record flushes even with no traffic → join.
+    /// generation's sockets and routes and finish its cells, so each
+    /// exit record flushes even with no traffic → stop sources → join.
     fn teardown(mut self, eng: &Engine) {
         self.torn.store(true, Ordering::SeqCst);
         eng.send_io(IoCmd::Tear {
@@ -240,16 +237,12 @@ impl Run {
             let _ = tx.send(SourceCmd::Stop);
         }
         self.src_cmds.clear();
-        for cell in &self.cells {
-            cell.schedule(&eng.work);
-        }
         for t in self.src_threads.drain(..) {
             let _ = t.join();
         }
         if let Some(j) = self.joiner.take() {
             let _ = j.join();
         }
-        self.cells.clear();
     }
 
     /// Builds, restores and wires `a`'s local operators. `Ok(None)`
@@ -431,8 +424,9 @@ impl Run {
         }
 
         let order = qn.topo_order()?;
-        let mut cell_of: HashMap<u32, Arc<HostCell>> = HashMap::new();
-        let mut cells: Vec<Arc<HostCell>> = Vec::new();
+        // Built consumers first; handed to the I/O thread producers first.
+        let mut cells: Vec<HostCell> = Vec::new();
+        let mut cell_of: HashMap<u32, usize> = HashMap::new();
         let mut src_cmds = Vec::new();
         let mut src_threads = Vec::new();
         let mut ingress_routes: HashMap<(u32, u32), CellTx> = HashMap::new();
@@ -442,6 +436,9 @@ impl Run {
             }
             let r = restored.remove(&op.0).expect("restored once per local op");
             let is_source = qn.upstream(op).is_empty();
+            // A source or gate runs on a thread of its own, so its
+            // pushes must wake the I/O thread; a cell runs on it.
+            let waker = is_source.then(|| eng.waker.clone());
 
             // One OutputRoute per *logical* consumer: group the
             // physical downstream list into its contiguous runs.
@@ -458,16 +455,11 @@ impl Run {
                 let mut txs: Vec<Box<dyn EdgeTx>> = Vec::new();
                 for &down in &downs[i..j] {
                     if is_mine(down) {
-                        let cell = cell_of
+                        let at = cell_of
                             .get(&down.0)
-                            .expect("consumers are built before producers")
-                            .clone();
+                            .expect("consumers are built before producers");
                         let port = qn.input_port(op, down).expect("edge exists").0;
-                        txs.push(Box::new(CellTx {
-                            cell,
-                            port,
-                            work: eng.work.clone(),
-                        }));
+                        txs.push(Box::new(cells[*at].tx(port, waker.clone())));
                     } else {
                         let stream = remote
                             .remove(&(op.0, down.0))
@@ -481,7 +473,7 @@ impl Run {
                         txs.push(Box::new(EgressHandle {
                             buf,
                             torn: torn.clone(),
-                            waker: eng.waker.clone(),
+                            waker: waker.clone(),
                         }));
                     }
                 }
@@ -588,23 +580,18 @@ impl Run {
             for &up in qn.upstream(op) {
                 if !is_mine(up) {
                     let port = qn.input_port(up, op).expect("edge exists").0;
-                    ingress_routes.insert(
-                        (up.0, op.0),
-                        CellTx {
-                            cell: cell.clone(),
-                            port,
-                            work: eng.work.clone(),
-                        },
-                    );
+                    ingress_routes.insert((up.0, op.0), cell.tx(port, None));
                 }
             }
-            cell_of.insert(op.0, cell.clone());
+            cell_of.insert(op.0, cells.len());
             cells.push(cell);
         }
         drop(exits_tx);
-        eng.send_io(IoCmd::Routes {
+        cells.reverse();
+        eng.send_io(IoCmd::Deploy {
             generation,
-            map: ingress_routes,
+            cells,
+            routes: ingress_routes,
         });
         // The joiner waits the hosts out, makes queued checkpoints
         // durable, then reports finished sinks — unless the generation
@@ -658,7 +645,6 @@ impl Run {
             generation,
             src_cmds,
             src_threads,
-            cells,
             joiner: Some(joiner),
             torn,
         }))
@@ -771,8 +757,8 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<()> {
     let ctrl_addr = resolve_controller(&cfg.controller, CONNECT_WAIT)?;
     let shared = Arc::new(Shared::new());
 
-    // The engine: data-plane listener + I/O thread + apply pool,
-    // created once per process and reused across generations.
+    // The engine: data-plane listener + I/O thread, created once per
+    // process and reused across generations.
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let data_addr = listener.local_addr()?.to_string();
     listener.set_nonblocking(true)?;
@@ -784,13 +770,7 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<()> {
         .map_err(|e| Error::Wire(format!("MS_FAULT_PLAN: {e}")))?
         .map(Arc::new);
     let io = evloop::spawn_io(listener, waker.clone(), io_rx, plan);
-    let work = Arc::<WorkQueue>::default();
-    let pool = evloop::spawn_pool(evloop::pool_width(), &work);
-    let eng = Engine {
-        work,
-        io: io_tx,
-        waker,
-    };
+    let eng = Engine { io: io_tx, waker };
 
     // Control plane.
     let connect =
@@ -896,15 +876,8 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<()> {
         .shutdown(Shutdown::Both);
     let _ = reader.join();
     let _ = heartbeat.join();
-    // Stop the I/O thread (drops every route, and with it every cell
-    // handle), then close the work queue: the pool threads drain what
-    // is left and exit.
     eng.send_io(IoCmd::Stop);
     let _ = io.join();
-    eng.work.close();
-    for p in pool {
-        let _ = p.join();
-    }
     outcome
 }
 
@@ -952,7 +925,6 @@ mod tests {
             },
             shared: Arc::new(Shared::new()),
             eng: Engine {
-                work: Arc::default(),
                 io,
                 waker: Waker::new().unwrap(),
             },

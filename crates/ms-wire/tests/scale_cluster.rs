@@ -10,7 +10,7 @@
 //! answer, the ledger must carry all 55 HAUs every epoch, keyed state
 //! must spread across each stage's shards, and — the event-loop
 //! worker's whole point — every worker process must host its ~7 HAUs
-//! and ~100 peer edges with O(cores) threads, not O(edges), while the
+//! and ~100 peer edges with a fixed thread budget, not O(edges), while the
 //! controller serves every worker connection from one thread.
 //!
 //! Failure run: SIGKILL one worker once two complete application
@@ -38,10 +38,11 @@ const SHARDS: u64 = 8;
 /// 6 sources + 6 stages × 8 shards + 1 sink.
 const HAUS: usize = 55;
 const LIMIT: u64 = 2500;
-/// The worker thread budget: main + heartbeat + I/O + ≤4 appliers +
-/// joiner + persister + ≤1 local source thread, with headroom. A
-/// thread-per-edge worker at this scale runs 50–100 threads.
-const MAX_WORKER_THREADS: usize = 16;
+/// The worker thread budget: main + heartbeat + control reader + I/O
+/// (which runs every interior and sink HAU) + joiner + persister + ≤1
+/// local source thread, plus one thread of headroom. A thread-per-edge
+/// worker at this scale runs 50–100 threads.
+const MAX_WORKER_THREADS: usize = 8;
 /// The controller polls the listener and both connections of every
 /// worker on its main thread, however many workers register.
 const CONTROLLER_THREADS: usize = 1;
