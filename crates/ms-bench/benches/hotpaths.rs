@@ -406,7 +406,7 @@ fn bench_ckpt_stall(c: &mut Criterion) {
             serialize(&self.chunks, self.applied)
         }
 
-        fn snapshot_deferred(&self) -> DeferredSnapshot {
+        fn snapshot_deferred(&mut self) -> DeferredSnapshot {
             let chunks = self.chunks.clone();
             let applied = self.applied;
             DeferredSnapshot::Deferred(Box::new(move || serialize(&chunks, applied)))

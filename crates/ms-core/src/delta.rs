@@ -24,6 +24,7 @@
 //! entries ([`encoded_table_bytes`]), so writers allocate once.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::io::{self, BufRead, Read, Take, Write};
 
 use crate::codec::{SnapshotReader, SnapshotWriter};
 use crate::error::{Error, Result};
@@ -147,59 +148,219 @@ pub fn apply_delta(table: &mut BTreeMap<u64, Vec<u8>>, delta: &StateDelta) {
     }
 }
 
-/// Folds a delta chain onto a full-snapshot base. The result is
-/// byte-identical to decoding `base`, applying every delta oldest-first
-/// with [`apply_delta`] and re-encoding with [`encode_table`] — the full
-/// snapshot the operator would have produced at the last delta's epoch
-/// — but costs one merge pass: the chain collapses to its net change
-/// per key (newest write wins; removing an absent key is a no-op), and
-/// that sorted run merges with the base's sorted entries, borrowed in
-/// place, into one exactly pre-sized writer. No value is copied until
-/// the output is written.
-///
-/// `base` must be canonical — keys strictly ascending, as
-/// [`encode_table`] writes them; anything else errors, like truncated
-/// or mistagged bytes.
-pub fn fold(base: &[u8], deltas: &[StateDelta]) -> Result<Vec<u8>> {
-    let mut patch: BTreeMap<u64, Option<&[u8]>> = BTreeMap::new();
-    for d in deltas {
-        for (k, v) in &d.changed {
-            patch.insert(*k, Some(v));
+/// The net change a delta chain makes to a table, key by key, each
+/// value borrowed from where its delta lies: the newest write wins and
+/// a removal is `None` (removing a key absent from the base is a
+/// no-op). [`merge`] applies it to a base.
+#[derive(Debug, Default)]
+pub struct Patch<'a> {
+    keys: BTreeMap<u64, Option<&'a [u8]>>,
+}
+
+impl<'a> Patch<'a> {
+    /// Layers `delta` over every delta already in the patch.
+    pub fn push(&mut self, delta: &'a StateDelta) {
+        let changed = delta.changed.iter().map(|(k, v)| (*k, v.as_slice()));
+        self.layer(changed, &delta.removed);
+    }
+
+    /// Layers a delta payload written by [`StateDelta::encode_into`],
+    /// read in place from `r`: no value is copied.
+    pub fn push_encoded(&mut self, r: &mut SnapshotReader<'a>) -> Result<()> {
+        let (_, changed, removed) = decode_with(r, |v| v)?;
+        self.layer(changed.into_iter(), &removed);
+        Ok(())
+    }
+
+    /// A delta's changed entries, then its removals: the order
+    /// [`apply_delta`] applies them in.
+    fn layer(&mut self, changed: impl Iterator<Item = (u64, &'a [u8])>, removed: &[u64]) {
+        for (k, v) in changed {
+            self.keys.insert(k, Some(v));
         }
-        for k in &d.removed {
-            patch.insert(*k, None);
+        for k in removed {
+            self.keys.insert(*k, None);
         }
     }
-    let mut r = SnapshotReader::new(base);
-    let n = r.get_u64()?;
-    // Every base entry takes at least 18 bytes, so a hostile count
-    // cannot size this.
-    let mut merged: Vec<(u64, &[u8])> = Vec::with_capacity(base.len() / 18 + patch.len());
-    let mut patch = patch.into_iter().peekable();
+
+    /// An upper bound on the bytes the patch adds to a base: each of
+    /// its writes as a new entry.
+    fn added_bytes(&self) -> u64 {
+        let writes = self.keys.values().flatten();
+        writes.map(|v| encoded_entry_bytes(v.len()) as u64).sum()
+    }
+}
+
+/// Bytes of a table's entry-count header: one tagged `u64`.
+pub const TABLE_HEAD_BYTES: usize = 9;
+
+/// A table's entry-count header, as [`encode_table`] writes it.
+pub fn table_head(entries: u64) -> Vec<u8> {
+    let mut w = SnapshotWriter::with_capacity(TABLE_HEAD_BYTES);
+    w.put_u64(entries);
+    w.finish()
+}
+
+/// What [`merge`] wrote: the folded table's entries and their encoded
+/// bytes, which is the table's length less its [`table_head`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Merged {
+    /// Entries written.
+    pub entries: u64,
+    /// Their encoded bytes.
+    pub bytes: u64,
+}
+
+/// Bytes in front of an entry's value: its tagged key, then the
+/// value's tag and length.
+const ENTRY_HEAD_BYTES: usize = 18;
+
+/// The one merge of a canonical base table with a [`Patch`]. It reads
+/// the base from `base`, no further than its limit, and writes the
+/// folded table's entries to `out`, without the [`table_head`], whose
+/// count is known only at the end. The result is byte-identical to
+/// decoding the base, applying the chain oldest-first with
+/// [`apply_delta`] and re-encoding with [`encode_table`].
+///
+/// Memory is the two sides' buffers and nothing else. A base entry
+/// passes from reader to writer in the pieces the reader yields, or is
+/// skipped the same way when the patch overrides it, so no buffer is
+/// sized by the base or by a length read from it. The base must be
+/// canonical, with keys strictly ascending as [`encode_table`] writes
+/// them. Anything else is an [`Error::Codec`], as are truncated or
+/// mistagged bytes and an entry longer than what is left of the limit.
+/// A failed write to `out` is a storage error.
+pub fn merge<R: BufRead>(
+    base: &mut Take<R>,
+    patch: &Patch<'_>,
+    out: &mut impl Write,
+) -> Result<Merged> {
+    let mut out = Counted {
+        out,
+        merged: Merged::default(),
+    };
+    let mut head = [0u8; ENTRY_HEAD_BYTES];
+    read_base(base, &mut head[..TABLE_HEAD_BYTES])?;
+    let n = SnapshotReader::new(&head).get_u64()?;
+    let mut patch = patch.keys.iter().map(|(k, v)| (*k, *v)).peekable();
     let mut prev: Option<u64> = None;
     for _ in 0..n {
-        let (k, v) = (r.get_u64()?, r.get_bytes_ref()?);
+        read_base(base, &mut head)?;
+        let mut r = SnapshotReader::new(&head);
+        let (k, len) = (r.get_u64()?, r.get_bytes_len()?);
         if let Some(p) = prev.filter(|&p| p >= k) {
             return Err(Error::Codec(format!(
                 "non-canonical table: key {k} after {p}"
             )));
         }
         prev = Some(k);
+        if len > base.limit() {
+            return Err(Error::Codec(format!(
+                "table entry {k}: length {len} exceeds remaining {}",
+                base.limit()
+            )));
+        }
         while let Some((pk, pv)) = patch.next_if(|&(pk, _)| pk < k) {
-            merged.extend(pv.map(|pv| (pk, pv)));
+            out.patched(pk, pv)?;
         }
         match patch.next_if(|&(pk, _)| pk == k) {
-            Some((_, pv)) => merged.extend(pv.map(|pv| (k, pv))),
-            None => merged.push((k, v)),
+            Some((_, pv)) => {
+                pass(base, len, |_| Ok(()))?;
+                out.patched(k, pv)?;
+            }
+            None => {
+                out.put(&head)?;
+                pass(base, len, |piece| out.put(piece))?;
+                out.merged.entries += 1;
+            }
         }
     }
-    merged.extend(patch.filter_map(|(k, pv)| Some((k, pv?))));
-    let mut w =
-        SnapshotWriter::with_capacity(encoded_table_bytes(merged.iter().map(|(_, v)| v.len())));
-    w.put_seq(merged.into_iter(), |w, (k, v)| {
-        w.put_u64(k).put_bytes(v);
-    });
-    Ok(w.finish())
+    for (k, pv) in patch {
+        out.patched(k, pv)?;
+    }
+    Ok(out.merged)
+}
+
+/// [`merge`]'s writer, counting what it is handed.
+struct Counted<'w, W> {
+    out: &'w mut W,
+    merged: Merged,
+}
+
+impl<W: Write> Counted<'_, W> {
+    fn put(&mut self, bytes: &[u8]) -> Result<()> {
+        self.out
+            .write_all(bytes)
+            .map_err(|e| Error::storage_io("folded table not written", &e))?;
+        self.merged.bytes += bytes.len() as u64;
+        Ok(())
+    }
+
+    /// Writes a patch's entry for `k`; a removal writes nothing.
+    fn patched(&mut self, k: u64, value: Option<&[u8]>) -> Result<()> {
+        let Some(v) = value else { return Ok(()) };
+        let mut w = SnapshotWriter::with_capacity(ENTRY_HEAD_BYTES);
+        w.put_u64(k).put_bytes_header(v.len());
+        self.put(&w.finish())?;
+        self.put(v)?;
+        self.merged.entries += 1;
+        Ok(())
+    }
+}
+
+/// A base read that ran short is a truncated table.
+fn base_err(e: io::Error) -> Error {
+    if e.kind() == io::ErrorKind::UnexpectedEof {
+        Error::Codec("truncated table".into())
+    } else {
+        Error::storage_io("table base unreadable", &e)
+    }
+}
+
+fn read_base(base: &mut impl Read, buf: &mut [u8]) -> Result<()> {
+    base.read_exact(buf).map_err(base_err)
+}
+
+/// Hands the next `len` bytes of `base` to `to`, in the pieces the
+/// reader yields.
+fn pass(
+    base: &mut impl BufRead,
+    mut len: u64,
+    mut to: impl FnMut(&[u8]) -> Result<()>,
+) -> Result<()> {
+    while len > 0 {
+        let piece = base.fill_buf().map_err(base_err)?;
+        if piece.is_empty() {
+            return Err(Error::Codec("truncated table".into()));
+        }
+        let n = piece.len().min(usize::try_from(len).unwrap_or(usize::MAX));
+        to(&piece[..n])?;
+        base.consume(n);
+        len -= n as u64;
+    }
+    Ok(())
+}
+
+/// [`merge`] into one buffer: the folded table, count header included.
+/// The buffer is sized once, for the base's limit plus every write of
+/// the patch, so it never regrows.
+pub fn fold_from<R: BufRead>(base: &mut Take<R>, patch: &Patch<'_>) -> Result<Vec<u8>> {
+    let mut out = Vec::with_capacity((base.limit() + patch.added_bytes()) as usize);
+    out.resize(TABLE_HEAD_BYTES, 0);
+    let merged = merge(base, patch, &mut out)?;
+    out[..TABLE_HEAD_BYTES].copy_from_slice(&table_head(merged.entries));
+    Ok(out)
+}
+
+/// Folds a delta chain onto a full-snapshot base held in memory: the
+/// full snapshot the operator would have produced at the last delta's
+/// epoch, through [`merge`].
+pub fn fold(base: &[u8], deltas: &[StateDelta]) -> Result<Vec<u8>> {
+    let mut patch = Patch::default();
+    for d in deltas {
+        patch.push(d);
+    }
+    fold_from(&mut Read::take(base, base.len() as u64), &patch)
 }
 
 /// A dirty-tracking canonical state table — the building block for
@@ -324,9 +485,13 @@ impl DeltaTable {
         }
     }
 
-    /// Clears the dirty/removed marks without producing a delta (used
-    /// when a capture falls back to a full snapshot: the snapshot
-    /// already covers everything).
+    /// Clears the dirty/removed marks without producing a delta. A
+    /// delta-capable operator calls this in its full capture
+    /// ([`crate::operator::Operator::snapshot_deferred`]): the full
+    /// snapshot covers every change so far, so the next
+    /// [`DeltaTable::take_delta`] carries only the keys written or
+    /// removed after it. Without it, the first delta after a full
+    /// capture would repeat every key the table was ever given.
     pub fn mark_clean(&mut self) {
         self.dirty.clear();
         self.removed.clear();
@@ -394,6 +559,33 @@ mod tests {
         deltas.push(t.take_delta(0));
         let folded = fold(&base, &deltas).unwrap();
         assert_eq!(folded, t.snapshot());
+    }
+
+    #[test]
+    fn merge_through_a_three_byte_buffer_is_the_fold() {
+        let mut t = DeltaTable::new();
+        for k in 0..20u64 {
+            t.insert(k, val(k, k as usize * 3));
+        }
+        let base = t.snapshot();
+        t.mark_clean();
+        t.insert(3, val(33, 9));
+        t.remove(7);
+        t.insert(99, val(1, 5));
+        let d = t.take_delta(0);
+        let mut patch = Patch::default();
+        patch.push(&d);
+        // Every entry, and most values, straddle the reader's pieces.
+        let piecewise =
+            |limit: usize| io::BufReader::with_capacity(3, base.as_slice()).take(limit as u64);
+        assert_eq!(
+            fold_from(&mut piecewise(base.len()), &patch).unwrap(),
+            t.snapshot()
+        );
+        assert!(
+            fold_from(&mut piecewise(base.len() - 1), &patch).is_err(),
+            "short limit"
+        );
     }
 
     #[test]

@@ -182,13 +182,19 @@ pub trait Operator: Send {
     /// Serializes the operator's full state.
     fn snapshot(&self) -> OperatorSnapshot;
 
-    /// Captures the state for checkpointing, deferring serialization
-    /// off the processing thread when the operator can share its state
-    /// cheaply (e.g. `Arc`-held chunks). The default serializes
-    /// eagerly via [`Operator::snapshot`]; large-state operators
-    /// override this so the host thread resumes processing immediately
-    /// while the persister serializes — the §III-B hot-checkpoint path.
-    fn snapshot_deferred(&self) -> DeferredSnapshot {
+    /// Captures the full state for checkpointing, deferring
+    /// serialization off the processing thread when the operator can
+    /// share its state cheaply (e.g. `Arc`-held chunks). The default
+    /// serializes eagerly via [`Operator::snapshot`]; large-state
+    /// operators override this so the host thread resumes processing
+    /// immediately while the persister serializes — the §III-B
+    /// hot-checkpoint path.
+    ///
+    /// An operator that implements [`Operator::snapshot_delta`] clears
+    /// its dirty tracker here (hence `&mut self`): the full capture
+    /// covers every change so far, and the next delta must carry only
+    /// the changes made after it.
+    fn snapshot_deferred(&mut self) -> DeferredSnapshot {
         DeferredSnapshot::Ready(self.snapshot())
     }
 

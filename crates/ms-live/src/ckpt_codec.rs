@@ -14,10 +14,12 @@
 //! sequence followed by the counted per-input `resume_seq` thresholds.
 //! Whether a payload is full or delta is carried *outside* the bytes
 //! (the file extension, or the [`CkptState`] variant), which is why
-//! the decode side is two entry points.
+//! each kind has its own decoders. A full payload is read in pieces
+//! ([`decode_full_head`], then the data, then [`decode_cut`]), so a
+//! store can stream or read its data without holding the payload.
 
 use ms_core::codec::{SnapshotReader, SnapshotWriter};
-use ms_core::delta::StateDelta;
+use ms_core::delta::{Patch, StateDelta};
 use ms_core::error::{Error, Result};
 use ms_core::ids::EpochId;
 use ms_core::operator::OperatorSnapshot;
@@ -53,7 +55,13 @@ fn put_cut(w: &mut SnapshotWriter, in_flight: &[(u32, Tuple)], resume_seq: &[u64
 }
 
 /// The cut suffix: in-flight `(port, tuple)` pairs plus resume seqs.
-type Cut = (Vec<(u32, Tuple)>, Vec<u64>);
+pub type Cut = (Vec<(u32, Tuple)>, Vec<u64>);
+
+/// Reads the cut suffix behind a full payload's data (the second of
+/// [`encode_full_parts`]) and demands the bytes end there.
+pub fn decode_cut(bytes: &[u8]) -> Result<Cut> {
+    get_cut(&mut SnapshotReader::new(bytes))
+}
 
 /// Reads the cut suffix and demands the payload end there.
 fn get_cut(r: &mut SnapshotReader<'_>) -> Result<Cut> {
@@ -72,8 +80,8 @@ fn get_cut(r: &mut SnapshotReader<'_>) -> Result<Cut> {
 pub fn encode_ckpt(ckpt: &CkptWrite) -> Vec<u8> {
     match &ckpt.state {
         CkptState::Full(snapshot) => {
-            let [head, cut] =
-                encode_full_parts(ckpt.next_seq, snapshot, &ckpt.in_flight, &ckpt.resume_seq);
+            let head = FullHead::of(ckpt.next_seq, snapshot);
+            let [head, cut] = encode_full_parts(&head, &ckpt.in_flight, &ckpt.resume_seq);
             [head.as_slice(), &snapshot.data, &cut].concat()
         }
         CkptState::Delta { base, delta } => {
@@ -90,67 +98,58 @@ pub fn encode_ckpt(ckpt: &CkptWrite) -> Vec<u8> {
     }
 }
 
-/// A full payload as the two buffers around its snapshot data:
-/// `head ++ snapshot.data ++ cut` is exactly [`encode_ckpt`]'s bytes,
-/// so a store can write a large snapshot from where it lies instead of
-/// copying it into one payload buffer first.
-pub fn encode_full_parts(
-    next_seq: u64,
-    snapshot: &OperatorSnapshot,
-    in_flight: &[(u32, Tuple)],
-    resume_seq: &[u64],
-) -> [Vec<u8>; 2] {
-    let mut head = SnapshotWriter::with_capacity(FULL_HEAD_BYTES);
-    head.put_u64(next_seq)
-        .put_u64(snapshot.logical_bytes)
-        .put_bytes_header(snapshot.data.len());
-    let mut cut = SnapshotWriter::with_capacity(cut_bytes(in_flight, resume_seq));
-    put_cut(&mut cut, in_flight, resume_seq);
-    [head.finish(), cut.finish()]
-}
-
-/// A full payload decoded in place: `data` borrows the payload, so a
-/// store folds or copies a large snapshot straight from its file
-/// buffer.
-#[derive(Debug)]
-pub struct FullView<'a> {
+/// The fields of a full payload in front of its snapshot data.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FullHead {
     /// Next emission sequence at the boundary.
     pub next_seq: u64,
     /// The operator's logical state size at capture time.
     pub logical_bytes: u64,
-    /// The serialized operator state.
-    pub data: &'a [u8],
-    /// Tuples inside the alignment window at cut time.
-    pub in_flight: Vec<(u32, Tuple)>,
-    /// Per-input replay thresholds at the cut.
-    pub resume_seq: Vec<u64>,
+    /// Length of the serialized operator state that follows.
+    pub data_len: u64,
 }
 
-/// Decodes a full-snapshot payload written by [`encode_ckpt`] without
-/// copying its snapshot data.
-pub fn decode_full_view(payload: &[u8]) -> Result<FullView<'_>> {
-    let mut r = SnapshotReader::new(payload);
-    let next_seq = r.get_u64()?;
-    let logical_bytes = r.get_u64()?;
-    let data = r.get_bytes_ref()?;
-    let (in_flight, resume_seq) = get_cut(&mut r)?;
-    Ok(FullView {
-        next_seq,
-        logical_bytes,
-        data,
-        in_flight,
-        resume_seq,
-    })
+impl FullHead {
+    /// The head of a payload carrying `snapshot`.
+    pub fn of(next_seq: u64, snapshot: &OperatorSnapshot) -> FullHead {
+        FullHead {
+            next_seq,
+            logical_bytes: snapshot.logical_bytes,
+            data_len: snapshot.data.len() as u64,
+        }
+    }
 }
 
-/// Reads a full payload's snapshot data length from its first
-/// [`FULL_HEAD_BYTES`] bytes — payload bytes 19..27, behind the tag at
-/// 18 — so a store can price a chain's base without reading its body.
-pub fn decode_full_data_len(head: &[u8]) -> Result<u64> {
+/// A full payload as the two buffers around its snapshot data:
+/// `head ++ data ++ cut` is exactly [`encode_ckpt`]'s bytes for a
+/// snapshot of `head.data_len` bytes, so a store can write the data
+/// from where it lies, or stream it, instead of copying it into one
+/// payload buffer first.
+pub fn encode_full_parts(
+    head: &FullHead,
+    in_flight: &[(u32, Tuple)],
+    resume_seq: &[u64],
+) -> [Vec<u8>; 2] {
+    let mut w = SnapshotWriter::with_capacity(FULL_HEAD_BYTES);
+    w.put_u64(head.next_seq)
+        .put_u64(head.logical_bytes)
+        .put_bytes_header(head.data_len as usize);
+    let mut cut = SnapshotWriter::with_capacity(cut_bytes(in_flight, resume_seq));
+    put_cut(&mut cut, in_flight, resume_seq);
+    [w.finish(), cut.finish()]
+}
+
+/// Reads a full payload's first [`FULL_HEAD_BYTES`] bytes, so a store
+/// can price a chain's base, or stream its data, without reading the
+/// data first. The data length is as the bytes claim: the caller
+/// checks it against what follows.
+pub fn decode_full_head(head: &[u8]) -> Result<FullHead> {
     let mut r = SnapshotReader::new(head);
-    r.get_u64()?;
-    r.get_u64()?;
-    r.get_bytes_len()
+    Ok(FullHead {
+        next_seq: r.get_u64()?,
+        logical_bytes: r.get_u64()?,
+        data_len: r.get_bytes_len()?,
+    })
 }
 
 /// Decodes a delta payload written by [`encode_ckpt`].
@@ -190,6 +189,16 @@ pub fn decode_delta_link(payload: &[u8]) -> Result<(EpochId, u64)> {
     Ok((base, bytes as u64))
 }
 
+/// Layers a delta payload's changes over `patch`, every value borrowed
+/// from the payload in place. The cut behind them is not read:
+/// [`decode_delta_link`] validates a whole link.
+pub fn patch_delta<'a>(payload: &'a [u8], patch: &mut Patch<'a>) -> Result<()> {
+    let mut r = SnapshotReader::new(payload);
+    r.get_u64()?;
+    r.get_u64()?;
+    patch.push_encoded(&mut r)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,6 +216,16 @@ mod tests {
         )
     }
 
+    /// A whole full payload read the way a store reads it: the head,
+    /// the data it announces, then the cut.
+    fn split_full(payload: &[u8]) -> Result<(FullHead, &[u8], Cut)> {
+        let head = decode_full_head(payload.get(..FULL_HEAD_BYTES).unwrap_or(payload))?;
+        let (data, cut) = payload[FULL_HEAD_BYTES..]
+            .split_at_checked(head.data_len as usize)
+            .ok_or_else(|| Error::Codec("data past the payload".into()))?;
+        Ok((head, data, decode_cut(cut)?))
+    }
+
     #[test]
     fn full_payload_roundtrips() {
         let w = CkptWrite {
@@ -219,14 +238,14 @@ mod tests {
             resume_seq: vec![5, 0, 7],
         };
         let payload = encode_ckpt(&w);
-        let back = decode_full_view(&payload).unwrap();
-        assert_eq!(back.data, [1, 2, 3]);
-        assert_eq!(back.logical_bytes, 999);
-        assert_eq!(back.next_seq, 17);
-        assert_eq!(back.resume_seq, vec![5, 0, 7]);
-        assert_eq!(back.in_flight.len(), 2);
-        assert_eq!(back.in_flight[1].0, 2);
-        assert_eq!(back.in_flight[1].1, tup(6));
+        let (head, data, (in_flight, resume_seq)) = split_full(&payload).unwrap();
+        assert_eq!(data, [1, 2, 3]);
+        assert_eq!(head.logical_bytes, 999);
+        assert_eq!(head.next_seq, 17);
+        assert_eq!(resume_seq, vec![5, 0, 7]);
+        assert_eq!(in_flight.len(), 2);
+        assert_eq!(in_flight[1].0, 2);
+        assert_eq!(in_flight[1].1, tup(6));
     }
 
     #[test]
@@ -304,17 +323,22 @@ mod tests {
         };
         let payload = encode_ckpt(&full);
         assert_eq!(payload.capacity(), payload.len());
-        let [head, cut] = encode_full_parts(8, &snapshot, &full.in_flight, &full.resume_seq);
+        let full_head = FullHead::of(8, &snapshot);
+        let [head, cut] = encode_full_parts(&full_head, &full.in_flight, &full.resume_seq);
         assert_eq!(head.len(), FULL_HEAD_BYTES);
         assert_eq!([head.as_slice(), &snapshot.data, &cut].concat(), payload);
         assert_eq!(
-            decode_full_data_len(&payload[..FULL_HEAD_BYTES]).unwrap(),
-            4
+            decode_full_head(&payload[..FULL_HEAD_BYTES]).unwrap(),
+            FullHead {
+                next_seq: 8,
+                logical_bytes: 31,
+                data_len: 4
+            }
         );
-        assert!(decode_full_data_len(&payload[..FULL_HEAD_BYTES - 1]).is_err());
-        let view = decode_full_view(&payload).unwrap();
-        assert_eq!(view.data, snapshot.data.as_slice());
-        assert_eq!((view.next_seq, view.logical_bytes), (8, 31));
+        assert!(decode_full_head(&payload[..FULL_HEAD_BYTES - 1]).is_err());
+        let (_, data, (in_flight, _)) = split_full(&payload).unwrap();
+        assert_eq!(data, snapshot.data.as_slice());
+        assert_eq!(in_flight, full.in_flight);
 
         let mut t = DeltaTable::new();
         t.insert(9, vec![0xAB; 8]);
@@ -346,9 +370,9 @@ mod tests {
     fn trailing_or_torn_bytes_error() {
         let w = CkptWrite::full(OperatorSnapshot::empty(), 1);
         let mut payload = encode_ckpt(&w);
-        assert!(decode_full_view(&payload[..payload.len() - 1]).is_err());
+        assert!(split_full(&payload[..payload.len() - 1]).is_err());
         payload.push(0);
-        assert!(decode_full_view(&payload).is_err());
+        assert!(split_full(&payload).is_err());
         assert!(decode_delta(&payload).is_err());
     }
 }

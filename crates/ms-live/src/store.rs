@@ -33,7 +33,10 @@
 //! full snapshot still on disk, so `latest_complete` never names an
 //! epoch recovery could not restore. A [`RebasePolicy`] bounds chain
 //! length and cumulative delta bytes: past either bound the store
-//! folds the chain and writes a fresh `.ckpt` instead of a `.delta`.
+//! folds the chain and writes a fresh `.ckpt` instead of a `.delta`,
+//! streaming the base from its file into the new one. A rebase or a
+//! restore holds the chain's links and fixed buffers, never a copy of
+//! the base.
 //! When an epoch completes, files older than the oldest base its
 //! chains rest on are deleted — they are unreachable from the newest
 //! restorable epoch. Crash-safety of GC: deletion happens only after
@@ -59,7 +62,7 @@
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,13 +72,13 @@ use ms_core::codec::{
     frame, frame_batch, BatchHeader, SnapshotReader, SnapshotWriter, BATCH_HEADER_MAX_BYTES,
     FRAME_HEADER_BYTES, MAX_FILE_FRAME_BYTES, MAX_FRAME_BYTES,
 };
-use ms_core::delta::{self, StateDelta};
+use ms_core::delta::{self, Patch, StateDelta};
 use ms_core::error::{Error, Result};
 use ms_core::ids::{EpochId, OperatorId};
 use ms_core::operator::OperatorSnapshot;
 use ms_core::tuple::Tuple;
 
-use crate::ckpt_codec;
+use crate::ckpt_codec::{self, FullHead};
 use crate::storage::{CkptState, CkptWrite, LiveHauCheckpoint, RebasePolicy, StableStore};
 
 struct LogWriter {
@@ -173,19 +176,14 @@ impl FsStore {
     /// the file cap, not the wire cap — and an over-cap payload must
     /// fail *here*, loudly, never land on disk unreadable.
     fn write_ckpt_file(&self, path: &Path, parts: &[&[u8]]) -> Result<()> {
-        let name = path.file_name().expect("ckpt file name").to_string_lossy();
-        let len: usize = parts.iter().map(|p| p.len()).sum();
-        if len > MAX_FILE_FRAME_BYTES {
-            return Err(Error::Storage(format!(
-                "checkpoint {name} is {len} bytes, over the {MAX_FILE_FRAME_BYTES}-byte file cap"
-            )));
-        }
-        let header = (len as u32).to_le_bytes();
-        let framed = [&[header.as_slice()], parts].concat();
-        // Temp-write + rename is idempotent, so a transient failure
-        // here is safely retryable from scratch.
-        write_atomic(path, &framed)
-            .map_err(|e| Error::storage_io(&format!("checkpoint {name} not persisted"), &e))
+        let len = parts.iter().map(|p| p.len() as u64).sum();
+        let header = frame_header(path, len)?;
+        write_atomic(path, |mut file| {
+            for part in [&[header.as_slice()], parts].concat() {
+                file.write_all(part).map_err(not_persisted(path))?;
+            }
+            Ok(())
+        })
     }
 
     /// Writes a full checkpoint file, the snapshot data straight from
@@ -199,8 +197,61 @@ impl FsStore {
         in_flight: &[(u32, Tuple)],
         resume_seq: &[u64],
     ) -> Result<()> {
-        let [head, cut] = ckpt_codec::encode_full_parts(next_seq, snapshot, in_flight, resume_seq);
+        let head = FullHead::of(next_seq, snapshot);
+        let [head, cut] = ckpt_codec::encode_full_parts(&head, in_flight, resume_seq);
         self.write_ckpt_file(&self.full_path(epoch, op), &[&head, &snapshot.data, &cut])
+    }
+
+    /// Writes `epoch`'s checkpoint as a full file folded from `chain`
+    /// with `newest` on top. The base streams from its file through
+    /// [`delta::merge`] straight into the temp file; the frame, head
+    /// and table lengths in front of the data are written last, once
+    /// the merge has counted them, and before the rename.
+    fn write_rebase(
+        &self,
+        (epoch, op): (EpochId, OperatorId),
+        chain: &Chain,
+        newest: &StateDelta,
+        next_seq: u64,
+        in_flight: &[(u32, Tuple)],
+        resume_seq: &[u64],
+    ) -> Result<()> {
+        let failed = |e: Error| {
+            Error::Storage(format!(
+                "delta checkpoint {epoch}/{op}: rebase onto {} failed: {e}",
+                chain.base
+            ))
+        };
+        let patch = chain.patch(newest).map_err(failed)?;
+        let mut base = open_full(&self.full_path(chain.base, op)).map_err(failed)?;
+        let path = self.full_path(epoch, op);
+        let io = not_persisted(&path);
+        write_atomic(&path, |file| {
+            const PREFIX: usize =
+                FRAME_HEADER_BYTES + ckpt_codec::FULL_HEAD_BYTES + delta::TABLE_HEAD_BYTES;
+            let mut out = BufWriter::with_capacity(base.data.get_ref().capacity(), file);
+            out.write_all(&[0; PREFIX]).map_err(&io)?;
+            let merged = delta::merge(&mut base.data, &patch, &mut out).map_err(|e| match e {
+                Error::Codec(_) => failed(e),
+                e => e,
+            })?;
+            let head = FullHead {
+                next_seq,
+                logical_bytes: newest.logical_bytes,
+                data_len: delta::TABLE_HEAD_BYTES as u64 + merged.bytes,
+            };
+            let [head_bytes, cut] = ckpt_codec::encode_full_parts(&head, in_flight, resume_seq);
+            out.write_all(&cut).map_err(&io)?;
+            out.flush().map_err(&io)?;
+            let len = (head_bytes.len() + cut.len()) as u64 + head.data_len;
+            let prefix = [
+                frame_header(&path, len)?.as_slice(),
+                &head_bytes,
+                &delta::table_head(merged.entries),
+            ]
+            .concat();
+            file.write_all_at(&prefix, 0).map_err(&io)
+        })
     }
 
     /// Reads only a delta file's base pointer (chain validation reads
@@ -223,7 +274,9 @@ impl FsStore {
             let broken = || format!("chain broken at {at}");
             if let Some(head) = read_ckpt_head(&self.full_path(at, op), ckpt_codec::FULL_HEAD_BYTES)
             {
-                let base_bytes = ckpt_codec::decode_full_data_len(&head).map_err(|_| broken())?;
+                let base_bytes = ckpt_codec::decode_full_head(&head)
+                    .map_err(|_| broken())?
+                    .data_len;
                 return Ok(Chain {
                     links,
                     delta_bytes,
@@ -240,23 +293,6 @@ impl FsStore {
             links.push(payload);
             at = base;
         }
-    }
-
-    /// Folds `chain` — and `newest`, a delta on top of it — onto its
-    /// base, read whole once and folded in place.
-    fn fold_chain(&self, chain: &Chain, op: OperatorId, newest: StateDelta) -> Result<Vec<u8>> {
-        let base = read_ckpt_frame(&self.full_path(chain.base, op))
-            .ok_or_else(|| Error::Storage("base file unreadable".into()))?;
-        let base = ckpt_codec::decode_full_view(&base)?;
-        let mut deltas = Vec::with_capacity(chain.links.len() + 1);
-        for link in chain.links.iter().rev() {
-            let CkptState::Delta { delta, .. } = ckpt_codec::decode_delta(link)?.state else {
-                unreachable!("decode_delta yields a delta");
-            };
-            deltas.push(delta);
-        }
-        deltas.push(newest);
-        delta::fold(base.data, &deltas)
     }
 
     /// The epoch of the full snapshot `(epoch, op)`'s chain bottoms out
@@ -362,17 +398,45 @@ fn parse_ckpt_epoch(name: &str) -> Option<u64> {
     epoch.parse().ok()
 }
 
-/// Writes `parts`, back to back, to a dot-prefixed sibling of `path`
-/// and renames it into place: the file exists complete or not at all.
-fn write_atomic(path: &Path, parts: &[&[u8]]) -> io::Result<()> {
-    let name = path.file_name().expect("store file name");
-    let tmp = path.with_file_name(format!(".tmp_{}", name.to_string_lossy()));
-    let mut file = File::create(&tmp)?;
-    for part in parts {
-        file.write_all(part)?;
-    }
+/// Writes a file through `write` under a dot-prefixed sibling name of
+/// `path` and renames it into place: the file exists complete or not
+/// at all. A failed write deletes the temp file. Temp-write + rename is
+/// idempotent, so a transient failure is safely retryable from scratch.
+fn write_atomic(path: &Path, write: impl FnOnce(&File) -> Result<()>) -> Result<()> {
+    let name = path.file_name().expect("store file name").to_string_lossy();
+    let tmp = path.with_file_name(format!(".tmp_{name}"));
+    let file = File::create(&tmp).map_err(not_persisted(path))?;
+    let written = write(&file);
     drop(file);
-    fs::rename(&tmp, path)
+    match written {
+        Ok(()) => fs::rename(&tmp, path).map_err(not_persisted(path)),
+        Err(e) => {
+            let _ = fs::remove_file(&tmp);
+            Err(e)
+        }
+    }
+}
+
+/// How a failed write of the checkpoint file at `path` reports.
+fn not_persisted(path: &Path) -> impl Fn(io::Error) -> Error + '_ {
+    move |e| {
+        let name = path.file_name().expect("ckpt file name").to_string_lossy();
+        Error::storage_io(&format!("checkpoint {name} not persisted"), &e)
+    }
+}
+
+/// The frame header of a `len`-byte checkpoint payload. Checkpoint
+/// files carry full operator state, so they use the file cap, not the
+/// wire cap — and an over-cap payload must fail *here*, loudly, never
+/// land on disk unreadable.
+fn frame_header(path: &Path, len: u64) -> Result<[u8; FRAME_HEADER_BYTES]> {
+    if len > MAX_FILE_FRAME_BYTES as u64 {
+        let name = path.file_name().expect("ckpt file name").to_string_lossy();
+        return Err(Error::Storage(format!(
+            "checkpoint {name} is {len} bytes, over the {MAX_FILE_FRAME_BYTES}-byte file cap"
+        )));
+    }
+    Ok((len as u32).to_le_bytes())
 }
 
 /// The delta chain under a checkpoint, as much as a write needs to
@@ -384,6 +448,84 @@ struct Chain {
     delta_bytes: u64,
     base: EpochId,
     base_bytes: u64,
+}
+
+impl Chain {
+    /// The net change of the chain's links, oldest first, with `newest`
+    /// on top — every value borrowed from where it lies.
+    fn patch<'a>(&'a self, newest: &'a StateDelta) -> Result<Patch<'a>> {
+        let mut patch = Patch::default();
+        for link in self.links.iter().rev() {
+            ckpt_codec::patch_delta(link, &mut patch)?;
+        }
+        patch.push(newest);
+        Ok(patch)
+    }
+}
+
+/// The largest read and write buffer of a streamed base: what a fold
+/// holds of the base at a time, whatever its size. A smaller file gets
+/// a buffer of its own size.
+const STREAM_BUF_BYTES: usize = 1 << 16;
+
+/// A full checkpoint file opened at its snapshot data.
+struct FullFile {
+    head: FullHead,
+    /// The snapshot data, through a buffer of at most
+    /// [`STREAM_BUF_BYTES`] and no further than the data's length.
+    data: io::Take<BufReader<File>>,
+    /// Bytes of the cut suffix behind the data.
+    cut_len: u64,
+}
+
+/// Opens the full checkpoint at `path` and reads its head. The data
+/// length the head claims is checked against the frame, and the frame
+/// against the file, before anything is read or allocated.
+fn open_full(path: &Path) -> Result<FullFile> {
+    let (mut file, len) = open_ckpt_frame(path)
+        .ok_or_else(|| Error::Storage(format!("full checkpoint {path:?} unreadable")))?;
+    let mut head = [0; ckpt_codec::FULL_HEAD_BYTES];
+    let head_len = head.len().min(len);
+    file.read_exact(&mut head[..head_len])
+        .map_err(|e| Error::storage_io("full checkpoint head", &e))?;
+    let head = ckpt_codec::decode_full_head(&head[..head_len])?;
+    let rest = (len - head_len) as u64;
+    if head.data_len > rest {
+        return Err(Error::Codec(format!(
+            "snapshot data of {} bytes in the {rest} bytes behind its head",
+            head.data_len
+        )));
+    }
+    Ok(FullFile {
+        head,
+        data: BufReader::with_capacity(STREAM_BUF_BYTES.min(len), file).take(head.data_len),
+        cut_len: rest - head.data_len,
+    })
+}
+
+/// Reads a whole full checkpoint: the snapshot data into one buffer of
+/// its length, and the cut behind it.
+fn read_full(path: &Path) -> Result<LiveHauCheckpoint> {
+    let FullFile {
+        head,
+        mut data,
+        cut_len,
+    } = open_full(path)?;
+    let unreadable = |e: io::Error| Error::storage_io("full checkpoint", &e);
+    let mut snapshot = vec![0; head.data_len as usize];
+    data.read_exact(&mut snapshot).map_err(unreadable)?;
+    let mut cut = vec![0; cut_len as usize];
+    data.into_inner().read_exact(&mut cut).map_err(unreadable)?;
+    let (in_flight, resume_seq) = ckpt_codec::decode_cut(&cut)?;
+    Ok(LiveHauCheckpoint {
+        snapshot: OperatorSnapshot {
+            data: snapshot,
+            logical_bytes: head.logical_bytes,
+        },
+        next_seq: head.next_seq,
+        in_flight,
+        resume_seq,
+    })
 }
 
 /// The payloads of the complete frames at the front of `bytes`.
@@ -527,18 +669,14 @@ impl StableStore for FsStore {
                     chain.base_bytes,
                 ) {
                     // Fold the whole chain into a fresh full snapshot.
-                    let logical_bytes = delta.logical_bytes;
-                    let data = self.fold_chain(&chain, op, delta).map_err(|e| {
-                        Error::Storage(format!(
-                            "delta checkpoint {epoch}/{op}: rebase onto {} failed: {e}",
-                            chain.base
-                        ))
-                    })?;
-                    let snapshot = OperatorSnapshot {
-                        data,
-                        logical_bytes,
-                    };
-                    self.write_full(epoch, op, &snapshot, next_seq, &in_flight, &resume_seq)?;
+                    self.write_rebase(
+                        (epoch, op),
+                        &chain,
+                        &delta,
+                        next_seq,
+                        &in_flight,
+                        &resume_seq,
+                    )?;
                 } else {
                     let write = CkptWrite {
                         state: CkptState::Delta { base, delta },
@@ -563,17 +701,9 @@ impl StableStore for FsStore {
     fn get_checkpoint(&self, epoch: EpochId, op: OperatorId) -> Option<LiveHauCheckpoint> {
         // The file extension disambiguates the two payload layouts of
         // the shared codec.
-        if let Some(payload) = read_ckpt_frame(&self.full_path(epoch, op)) {
-            let full = ckpt_codec::decode_full_view(&payload).ok()?;
-            return Some(LiveHauCheckpoint {
-                snapshot: OperatorSnapshot {
-                    data: full.data.to_vec(),
-                    logical_bytes: full.logical_bytes,
-                },
-                next_seq: full.next_seq,
-                in_flight: full.in_flight,
-                resume_seq: full.resume_seq,
-            });
+        let full = self.full_path(epoch, op);
+        if open_ckpt_frame(&full).is_some() {
+            return read_full(&full).ok();
         }
         let payload = read_ckpt_frame(&self.delta_path(epoch, op))?;
         let CkptWrite {
@@ -585,13 +715,14 @@ impl StableStore for FsStore {
         else {
             unreachable!("decode_delta yields a delta");
         };
+        // The chain folds into one buffer, the base streamed into it.
         let chain = self.chain_under(base, op).ok()?;
-        let logical_bytes = delta.logical_bytes;
-        let data = self.fold_chain(&chain, op, delta).ok()?;
+        let patch = chain.patch(&delta).ok()?;
+        let mut base = open_full(&self.full_path(chain.base, op)).ok()?;
         Some(LiveHauCheckpoint {
             snapshot: OperatorSnapshot {
-                data,
-                logical_bytes,
+                data: delta::fold_from(&mut base.data, &patch).ok()?,
+                logical_bytes: delta.logical_bytes,
             },
             next_seq,
             in_flight,
@@ -716,6 +847,7 @@ pub(crate) mod tests {
     use ms_core::delta::DeltaTable;
     use ms_core::time::SimTime;
     use ms_core::value::Value;
+    use proptest::prelude::*;
 
     /// A fresh directory for one test's store, unique per process and
     /// call (a property test opens one per case).
@@ -1265,6 +1397,75 @@ pub(crate) mod tests {
                 "{tag}: the script should exercise both decisions, rebased at {rebased_at:?}"
             );
             let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    proptest! {
+        /// On random chains over a random base and over an empty one —
+        /// removals, re-inserts, keys past the base's range — every
+        /// rebased file is the shared encoder's bytes for the in-memory
+        /// fold of its chain, and every epoch restores to the live
+        /// table.
+        #[test]
+        fn rebased_files_are_the_in_memory_fold_of_random_chains(
+            base_keys in 1u64..24,
+            epochs in proptest::collection::vec(
+                proptest::collection::vec((any::<bool>(), 0u64..48, 0usize..40), 0..12),
+                1..10,
+            ),
+            max_chain in 1u32..5,
+            byte_bound in any::<bool>(),
+        ) {
+            let op = OperatorId(0);
+            for n in [0, base_keys] {
+                let dir = tmpdir("random_chain");
+                let max_delta_pct = if byte_bound { 50 } else { 1_000_000 };
+                let policy = RebasePolicy { max_chain, max_delta_pct };
+                let s = FsStore::open(&dir, 1).unwrap().with_policy(policy);
+                let mut t = DeltaTable::new();
+                for k in 0..n {
+                    t.insert(k, vec![k as u8; 16]);
+                }
+                let mut base = t.snapshot();
+                s.put_checkpoint(EpochId(1), op, CkptWrite::full(snap(base.clone()), 0))
+                    .unwrap();
+                t.mark_clean();
+                let mut chain = Vec::new();
+                for (e, ops) in (2u64..).zip(&epochs) {
+                    for &(insert, k, len) in ops {
+                        if insert {
+                            t.insert(k, vec![e as u8; len]);
+                        } else {
+                            t.remove(k);
+                        }
+                    }
+                    let delta = t.take_delta(t.value_bytes());
+                    chain.push(delta.clone());
+                    let w = CkptWrite {
+                        in_flight: vec![(0, tup(e))],
+                        resume_seq: vec![e],
+                        ..delta_write(EpochId(e - 1), delta, e)
+                    };
+                    s.put_checkpoint(EpochId(e), op, w.clone()).unwrap();
+                    let full = dir.join("ckpt").join(format!("e{e}_op0.ckpt"));
+                    if full.exists() {
+                        let data = delta::fold(&base, &chain).unwrap();
+                        let logical_bytes = w.state.logical_bytes();
+                        let expect = ckpt_codec::encode_ckpt(&CkptWrite {
+                            state: CkptState::Full(OperatorSnapshot {
+                                data: data.clone(),
+                                logical_bytes,
+                            }),
+                            ..w
+                        });
+                        prop_assert_eq!(read_ckpt_frame(&full).unwrap(), expect);
+                        (base, chain) = (data, Vec::new());
+                    }
+                    let got = s.get_checkpoint(EpochId(e), op).unwrap();
+                    prop_assert_eq!(got.snapshot.data, t.snapshot());
+                }
+                let _ = fs::remove_dir_all(&dir);
+            }
         }
     }
 

@@ -101,6 +101,11 @@ impl Operator for KeyedStat {
         }
     }
 
+    fn snapshot_deferred(&mut self) -> DeferredSnapshot {
+        self.table.mark_clean();
+        DeferredSnapshot::Ready(self.snapshot())
+    }
+
     fn snapshot_delta(&mut self) -> Option<DeferredSnapshot> {
         let delta = self.table.take_delta(self.table.value_bytes());
         Some(DeferredSnapshot::Delta(Box::new(move || delta)))
@@ -204,6 +209,11 @@ impl Operator for SawtoothStat {
             data: self.table.snapshot(),
             logical_bytes: self.table.value_bytes(),
         }
+    }
+
+    fn snapshot_deferred(&mut self) -> DeferredSnapshot {
+        self.table.mark_clean();
+        DeferredSnapshot::Ready(self.snapshot())
     }
 
     fn snapshot_delta(&mut self) -> Option<DeferredSnapshot> {
@@ -635,6 +645,53 @@ mod tests {
         assert_eq!(folded, op.snapshot().data, "chain folds byte-identically");
         // An epoch touching 40 of 256 keys writes a fraction of the state.
         assert!(deltas[0].encoded_bytes() * 3 < base.len());
+    }
+
+    /// A full capture through the host clears the operator's dirty
+    /// marks: the checkpoint after it is a delta of the keys written
+    /// since that cut, not of every key the table was ever given.
+    #[test]
+    fn host_delta_after_a_full_capture_carries_only_later_writes() {
+        use ms_core::ids::EpochId;
+        use ms_core::operator::SnapshotPayload;
+        use ms_live::{HostMsg, HostWiring, InteriorCore};
+
+        const N: u64 = 200;
+        let (persist, persisted) = std::sync::mpsc::channel();
+        let wiring = HostWiring {
+            op_id: OperatorId(1),
+            op: Box::new(KeyedStat::new(N + 1)),
+            outputs: Vec::new(),
+            restored_seq: 0,
+            resume_seq: Vec::new(),
+            last_durable: None,
+            meter: None,
+            telemetry: None,
+        };
+        let mut core = InteriorCore::new(wiring, 1, persist);
+        // One tuple per key: value `k * KEY_STRIDE` writes key `k`.
+        let writes = |keys: std::ops::Range<u64>| {
+            let batch = keys.map(|k| int_tuple((k * KEY_STRIDE) as i64));
+            HostMsg::DataBatch(batch.collect())
+        };
+        assert!(core.on_msg(0, writes(0..N)));
+        assert!(core.on_msg(0, HostMsg::Token(EpochId(1))));
+        let first = persisted.try_recv().expect("cut 1 captured");
+        assert_eq!(first.base, None, "the first capture is full");
+        let SnapshotPayload::Full(full) = first.snapshot.resolve() else {
+            panic!("a first capture is a full snapshot");
+        };
+        assert_eq!(DeltaTable::restore(&full.data).unwrap().len(), N as usize);
+        assert!(core.on_msg(0, writes(N..N + 1)));
+        assert!(core.on_msg(0, HostMsg::Token(EpochId(2))));
+        let second = persisted.try_recv().expect("cut 2 captured");
+        assert_eq!(second.base, Some(EpochId(1)));
+        let SnapshotPayload::Delta(delta) = second.snapshot.resolve() else {
+            panic!("KeyedStat captures a delta on its previous capture");
+        };
+        let changed: Vec<u64> = delta.changed.iter().map(|(k, _)| *k).collect();
+        assert_eq!(changed, [N], "only the key written after the full cut");
+        assert!(delta.removed.is_empty());
     }
 
     #[test]
