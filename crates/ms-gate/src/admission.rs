@@ -3,8 +3,8 @@
 //! Everything the event loop decides — duplicate suppression, load
 //! shedding, pre-aggregation, tuple stamping, Fin accounting — lives
 //! here with no sockets or threads, so the durability-critical logic
-//! is unit- and property-testable in isolation. The caller (the event
-//! loop in [`crate::run`], or a test) owns the ordering obligation:
+//! is unit- and property-testable in isolation. The caller
+//! ([`crate::Gate`], or a test) owns the ordering obligation:
 //! every tuple of an [`Admission::Accept`] goes to the preservation
 //! log *before* the batch is acked.
 

@@ -4,9 +4,9 @@
 //! engine's front edge and absorbs high-rate producer traffic the way
 //! the paper's input managers do:
 //!
-//! - **One thread, thousands of connections.** Producer sockets are
-//!   multiplexed on `ms-net`'s `poll(2)` wrapper; there is no
-//!   thread-per-connection anywhere in the ingest path.
+//! - **No thread of its own, thousands of connections.** A [`Gate`]'s
+//!   producer sockets join its host's `poll(2)` loop (`ms-net`), so the
+//!   gate, its connections and the worker's other HAUs share a thread.
 //! - **Ack-after-WAL.** A batch is acknowledged only after every tuple
 //!   it produced is framed into the worker's preservation log. An
 //!   acked event therefore survives SIGKILL of the hosting worker and
@@ -32,4 +32,4 @@ pub mod run;
 
 pub use admission::{field, is_fin_marker, Admission, GateCore};
 pub use meter::{GateMeter, GateSample};
-pub use run::{run_gate, GateOp, GateWiring};
+pub use run::{listen, Gate, GateOp, GateWiring};

@@ -1,64 +1,59 @@
-//! [`run_gate`]: the gateway event loop — one thread, any number of
-//! producer connections.
+//! [`Gate`]: one gateway HAU as a state machine the worker's I/O thread
+//! drives — any number of producer connections, no thread of its own.
 //!
-//! The loop multiplexes a nonblocking listener plus every producer
-//! socket on [`ms_net::ready::poll`], exactly like `ms-wire`'s
-//! event-loop worker: no thread-per-connection, O(1) gateway threads
-//! regardless of producer count. Per connection it keeps a
-//! [`FrameDecoder`] for inbound frames and a pending-ack buffer
-//! drained on write readiness, so a slow producer can never stall the
-//! loop.
+//! The gate's listener and producer sockets join its host's one
+//! [`ms_net::ready::poll`] set ([`Gate::poll_entries`], [`Gate::on_ready`]).
+//! Per connection it keeps a [`FrameDecoder`] for inbound frames and a
+//! pending-ack buffer drained on write readiness, so a slow producer
+//! can never stall the host.
 //!
 //! The durability order per accepted batch is the whole contract:
 //! admit → stamp tuples → append to the preservation log (`Err` is
 //! fatal: the gate stops streaming rather than ack unpreserved data)
-//! → route onto engine edges → queue `Accepted`. Under group commit
-//! (the default), the loop *stages* every batch admitted during one
-//! poll turn — across all ready producer connections — and commits
-//! the lot with a single [`StableStore::append_log_batch`]: one lock,
-//! one encode buffer, one `write(2)` for the whole group. Only after
-//! that append returns are the tuples routed and the `Accepted` /
-//! `FinOk` acks queued, so the contract is unchanged: an ack still
-//! implies durability, and a storage error still kills the gate with
-//! nothing from the group acked. A SIGKILL between WAL and ack
-//! re-delivers via the producer's retry, which the rebuilt dedup
-//! table answers with `Accepted` and no re-admission.
+//! → route onto engine edges → queue `Accepted`. [`Gate::on_ready`]
+//! *stages* every batch admitted during one poll turn — across all
+//! ready producer connections — and [`Gate::commit`] commits the lot
+//! with a single [`StableStore::append_log_batch`]: one lock, one
+//! encode buffer, one `write(2)` for the whole group. Only after that
+//! append returns are the tuples routed and the `Accepted` / `FinOk`
+//! acks queued, so an ack still implies durability, and a storage
+//! error still stops the gate with nothing from the group acked. A
+//! SIGKILL between WAL and ack re-delivers via the producer's retry,
+//! which the rebuilt dedup table answers with `Accepted` and no
+//! re-admission.
 //!
-//! The loop is a driver for [`ms_live::SourceCore`], which owns that
+//! The gate is a driver for [`ms_live::SourceCore`], which owns that
 //! preserve-then-route order, recovery replay, and the checkpoint
-//! sequence every source host runs on a [`SourceCmd`]: mark the stream
-//! boundary durably, hand the dedup snapshot to the persister,
-//! broadcast the token. The gate then reopens its admission window.
+//! sequence every source host runs: mark the stream boundary durably,
+//! hand the dedup snapshot to the persister, broadcast the token. The
+//! gate then reopens its admission window.
 
 use std::fs;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::ops::Range;
 use std::os::unix::io::AsRawFd;
-use std::path::PathBuf;
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::path::Path;
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::Instant;
 
 use ms_core::codec::{frame, FrameDecoder};
 use ms_core::error::Result;
 use ms_core::gate::{GateConfig, GateMsg};
-use ms_core::ids::{OperatorId, PortId};
+use ms_core::ids::{EpochId, OperatorId, PortId};
 use ms_core::metrics::OperatorMeter;
 use ms_core::operator::{DeferredSnapshot, Operator, OperatorContext, OperatorSnapshot};
 use ms_core::tuple::Tuple;
-use ms_live::{HostExit, OutputRoute, PersistItem, SourceCmd, SourceCore, StableStore};
-use ms_net::ready::{poll, Interest, PollTarget};
+use ms_live::{HostExit, OutputRoute, PersistItem, SourceCore, StableStore};
+use ms_net::ready::{Interest, PollTarget, ReadyEvent};
 
 use crate::admission::{is_fin_marker, Admission, GateCore};
 use crate::meter::GateMeter;
 
-/// Poll timeout: bounds how stale a [`SourceCmd`] can go unseen while
-/// no socket is active.
-const POLL_MS: i32 = 20;
 const READ_CHUNK: usize = 64 * 1024;
 
-/// Everything [`run_gate`] needs to host one gateway HAU.
+/// Everything [`Gate::new`] needs to host one gateway HAU.
 pub struct GateWiring {
     /// The gateway's operator id (stamped on emitted tuples).
     pub op_id: OperatorId,
@@ -67,15 +62,8 @@ pub struct GateWiring {
     /// One route per logical consumer; every emitted tuple is
     /// delivered to each route (a gateway fans out like a source).
     pub outputs: Vec<OutputRoute>,
-    /// Controller command channel (checkpoint/stop) — a gateway is a
-    /// source host.
-    pub cmd: Receiver<SourceCmd>,
-    /// Listen address (`"127.0.0.1:0"` picks a free port).
-    pub listen: String,
-    /// Where to publish the bound address (temp file + atomic rename),
-    /// so producers discover the gate after every (re)deploy. `None`
-    /// skips publication.
-    pub addr_file: Option<PathBuf>,
+    /// The producer listener, already bound and published ([`listen`]).
+    pub listener: TcpListener,
     /// Restored checkpoint (dedup snapshot + `next_seq`), if any.
     pub restored: Option<OperatorSnapshot>,
     /// First emission sequence (the restored checkpoint's `next_seq`,
@@ -223,137 +211,11 @@ impl Turn {
     }
 }
 
-/// Handles every decoded frame on one connection, staging admitted
-/// work into `turn` for the end-of-turn group commit. Protocol
-/// violations just drop the connection (producers are unreliable by
-/// design); acks queued here (duplicates, sheds) are not flushed
-/// until the turn commits, so no ack can overtake the group's WAL
-/// append.
-fn process_frames(
-    conn_idx: usize,
-    conn: &mut Conn,
-    core: &mut GateCore,
-    next_seq: &mut u64,
-    turn: &mut Turn,
-    meter: &GateMeter,
-    all_fin: &mut bool,
-) {
-    while !conn.gone {
-        let payload = match conn.dec.next_frame() {
-            Ok(Some(p)) => p,
-            Ok(None) => break,
-            Err(_) => {
-                conn.gone = true;
-                break;
-            }
-        };
-        let Ok(msg) = GateMsg::decode(&payload) else {
-            conn.gone = true;
-            break;
-        };
-        match msg {
-            GateMsg::Hello { producer } => conn.producer = Some(producer),
-            GateMsg::Batch { batch, events } => {
-                let Some(producer) = conn.producer else {
-                    conn.gone = true;
-                    break;
-                };
-                let start = Instant::now();
-                match core.admit(next_seq, producer, batch, &events) {
-                    Admission::Accept(tuples) => {
-                        // Stage for the group commit: the tuples are
-                        // owned, so they move straight into the WAL
-                        // batch — no per-tuple clone on this path.
-                        let range = turn.wal.len()..turn.wal.len() + tuples.len();
-                        turn.wal.extend(tuples);
-                        turn.accepts.push(PendingAccept {
-                            conn: conn_idx,
-                            batch,
-                            events: events.len() as u64,
-                            range,
-                            start,
-                        });
-                    }
-                    Admission::Duplicate => {
-                        // The original admission was WAL'd before its
-                        // ack, so a duplicate can re-ack without
-                        // touching storage. The queued bytes still
-                        // only flush after this turn's commit.
-                        conn.queue(&GateMsg::Accepted { batch });
-                        meter.record_ack_us(start.elapsed().as_micros() as u64);
-                    }
-                    Admission::Shed => {
-                        meter.record_shed();
-                        conn.queue(&GateMsg::Busy {
-                            batch,
-                            retry_after_ms: core.retry_after_ms(),
-                        });
-                    }
-                }
-            }
-            GateMsg::Fin { producer } => {
-                conn.producer.get_or_insert(producer);
-                // Ack-after-WAL for Fin too: the marker rides this
-                // turn's group append, and FinOk is only queued after
-                // it returns — so a durable FinOk still implies a
-                // durable marker, a rollback past the last checkpoint
-                // replays it, and the recovered gate counts the
-                // producer as done. Retried Fins re-ack without
-                // re-appending.
-                if !core.is_finished(producer) {
-                    let marker = core.fin_marker(next_seq, producer);
-                    turn.wal.push(marker);
-                }
-                if core.fin(producer) {
-                    *all_fin = true;
-                }
-                turn.fins.push(conn_idx);
-            }
-            // Gateway-to-producer messages arriving at the gateway are
-            // a protocol violation.
-            GateMsg::Accepted { .. } | GateMsg::Busy { .. } | GateMsg::FinOk => {
-                conn.gone = true;
-            }
-        }
-    }
-}
-
-/// Commits one poll turn: a single group append covering every batch
-/// and Fin marker admitted this turn, then — and only then — routing
-/// (both inside [`SourceCore::send`]), metering (the WAL bytes are the
-/// ones the append wrote), and ack queueing.
-/// `false` means stable storage failed — fatal for the whole gate, with
-/// nothing from the group acked.
-fn commit_turn(
-    turn: &mut Turn,
-    conns: &mut [Conn],
-    src: &mut SourceCore,
-    meter: &GateMeter,
-) -> bool {
-    let Some(wal_bytes) = src.send(&turn.wal, turn.accepts.iter().map(|acc| acc.range.clone()))
-    else {
-        return false;
-    };
-    meter.record_wal_bytes(wal_bytes);
-    for acc in turn.accepts.drain(..) {
-        meter.record_accept(acc.events, acc.range.len() as u64);
-        if let Some(c) = conns.get_mut(acc.conn) {
-            c.queue(&GateMsg::Accepted { batch: acc.batch });
-        }
-        meter.record_ack_us(acc.start.elapsed().as_micros() as u64);
-    }
-    for ci in turn.fins.drain(..) {
-        if let Some(c) = conns.get_mut(ci) {
-            c.queue(&GateMsg::FinOk);
-        }
-    }
-    turn.wal.clear();
-    true
-}
-
-/// Binds the producer listener and publishes its address.
-fn listen(listen: &str, addr_file: Option<&PathBuf>) -> Result<TcpListener> {
-    let listener = TcpListener::bind(listen)?;
+/// Binds a nonblocking producer listener and publishes its address
+/// (temp file + atomic rename) so producers discover the gate after
+/// every (re)deploy. `None` skips publication.
+pub fn listen(addr: &str, addr_file: Option<&Path>) -> Result<TcpListener> {
+    let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
     if let Some(path) = addr_file {
         let tmp = path.with_extension("tmp");
@@ -363,167 +225,315 @@ fn listen(listen: &str, addr_file: Option<&PathBuf>) -> Result<TcpListener> {
     Ok(listener)
 }
 
-/// Runs one gateway HAU to completion on the current thread. Exits
-/// when every expected producer has sent `Fin`, on [`SourceCmd::Stop`],
-/// or on a stable-storage failure (reported in the exit record).
-pub fn run_gate(
-    w: GateWiring,
-    store: Arc<dyn StableStore>,
-    persist: Sender<PersistItem>,
-) -> HostExit {
-    let mut core = GateCore::new(w.op_id, w.cfg);
-    let mut src = SourceCore::new(
-        w.op_id,
-        w.outputs,
-        w.restored_seq,
-        None,
-        store,
-        persist,
-        w.telemetry,
-    );
-    let setup = match &w.restored {
-        Some(snapshot) => core.restore(snapshot),
-        None => Ok(()),
-    }
-    .and_then(|()| {
-        // Recovery: fold the preserved tuples' batch ids and Fin
-        // markers back into the admission state, then resend them (they
-        // were durable — and their batches possibly acked — before the
-        // crash). Fin markers are WAL-only: they must not reach
-        // downstream operators, whose tuple counts would diverge from
-        // the unfailed run.
-        core.rebuild_from_replay(&w.replay);
-        src.replay(w.replay, |t| !is_fin_marker(t));
-        listen(&w.listen, w.addr_file.as_ref())
-    });
-    let listener = match setup {
-        Ok(l) => l,
-        Err(e) => {
-            src.fail(e);
-            return src.finish(Box::new(GateOp::new(core.snapshot())));
-        }
-    };
-    // Every expected producer already Fin'd before the crash: their
-    // FinOk acks were durable promises, so the recovered gate closes
-    // the stream instead of waiting forever for Fins that will never
-    // be re-sent (the producers exited on their acks).
-    let mut all_fin = core.all_finished();
+/// One gateway HAU. Its host calls, each turn: [`Gate::poll_entries`]
+/// into the poll set, [`Gate::on_ready`] per ready entry, then
+/// [`Gate::commit`] and [`Gate::flush_acks`]; [`Gate::checkpoint`] on
+/// command; [`Gate::finish`] once [`Gate::is_done`] or at teardown.
+pub struct Gate {
+    core: GateCore,
+    src: SourceCore,
+    listener: TcpListener,
+    conns: Vec<Conn>,
+    turn: Turn,
+    meter: Arc<GateMeter>,
+    all_fin: bool,
+    failed: bool,
+}
 
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut stopping = false;
-    let mut turn = Turn::default();
-    'outer: loop {
-        // Controller commands first: checkpoint marks must cut on the
-        // batch boundary the loop currently sits at.
-        loop {
-            match w.cmd.try_recv() {
-                Ok(SourceCmd::Checkpoint(epoch)) => {
-                    let snap = core.snapshot();
-                    let state_bytes = snap.logical_bytes;
-                    if !src.checkpoint(epoch, DeferredSnapshot::Ready(snap), None, state_bytes) {
-                        break 'outer;
-                    }
-                    core.reset_window();
-                }
-                Ok(SourceCmd::Stop) => stopping = true,
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    stopping = true;
-                    break;
-                }
+impl Gate {
+    /// Restores the admission state, folds the preserved tuples' batch
+    /// ids and Fin markers back into it, and resends them, before any
+    /// producer batch is admitted. A restore error stops the gate.
+    pub fn new(w: GateWiring, store: Arc<dyn StableStore>, persist: Sender<PersistItem>) -> Gate {
+        let mut core = GateCore::new(w.op_id, w.cfg);
+        let mut src = SourceCore::new(
+            w.op_id,
+            w.outputs,
+            w.restored_seq,
+            None,
+            store,
+            persist,
+            w.telemetry,
+        );
+        let restored = w.restored.as_ref().map_or(Ok(()), |s| core.restore(s));
+        let failed = restored.is_err();
+        match restored {
+            // The preserved tuples were durable — and their batches
+            // possibly acked — before the crash. Fin markers are WAL-only:
+            // they must not reach downstream operators, whose tuple counts
+            // would diverge from the unfailed run.
+            Ok(()) => {
+                core.rebuild_from_replay(&w.replay);
+                src.replay(w.replay, |t| !is_fin_marker(t));
             }
+            Err(e) => src.fail(e),
         }
-        if stopping || all_fin {
-            break;
+        // Every expected producer already Fin'd before the crash: their
+        // FinOk acks were durable promises, so the recovered gate closes
+        // the stream instead of waiting forever for Fins that will never
+        // be re-sent (the producers exited on their acks).
+        let all_fin = core.all_finished();
+        Gate {
+            core,
+            src,
+            listener: w.listener,
+            conns: Vec::new(),
+            turn: Turn::default(),
+            meter: w.meter,
+            all_fin,
+            failed,
         }
+    }
 
-        let mut entries: Vec<(PollTarget, usize, Interest)> = Vec::with_capacity(conns.len() + 1);
-        entries.push((listener.as_raw_fd(), 0, Interest::READ));
-        for (i, c) in conns.iter().enumerate() {
+    /// The descriptors to poll this turn, in entry order: the listener
+    /// (entry 0), then one per producer connection — with write
+    /// interest while it owes acks.
+    pub fn poll_entries(&self) -> impl Iterator<Item = (PollTarget, Interest)> + '_ {
+        let conns = self.conns.iter().map(|c| {
             let want = if c.out.is_empty() {
                 Interest::READ
             } else {
                 Interest::BOTH
             };
-            entries.push((c.sock.as_raw_fd(), i + 1, want));
-        }
-        let ready = match poll(&entries, POLL_MS) {
-            Ok(r) => r,
-            Err(e) => {
-                src.fail(e.into());
-                break;
-            }
+            (c.sock.as_raw_fd(), want)
+        });
+        std::iter::once((self.listener.as_raw_fd(), Interest::READ)).chain(conns)
+    }
+
+    /// Handles readiness of poll entry `entry`: accepts every pending
+    /// connection, or flushes acks / reads and stages frames on one.
+    /// Entries stay valid until [`Gate::flush_acks`].
+    pub fn on_ready(&mut self, entry: usize, ev: &ReadyEvent) {
+        let Some(idx) = entry.checked_sub(1) else {
+            self.accept();
+            return;
         };
-        for ev in ready {
-            if ev.token == 0 {
-                // Accept everything pending; each new socket joins the
-                // poll set next iteration.
-                loop {
-                    match listener.accept() {
-                        Ok((sock, _peer)) => {
-                            let _ = sock.set_nodelay(true);
-                            if sock.set_nonblocking(true).is_ok() {
-                                conns.push(Conn::new(sock));
-                            }
+        let Some(conn) = self.conns.get_mut(idx) else {
+            return;
+        };
+        if ev.writable {
+            conn.flush();
+        }
+        if ev.readable {
+            conn.read_available();
+        }
+        self.stage(idx);
+    }
+
+    /// Handles every decoded frame on one connection, staging admitted
+    /// work into `turn` for the turn's group commit. Protocol violations
+    /// just drop the connection (producers are unreliable by design); acks
+    /// queued here (duplicates, sheds) are not flushed until the turn
+    /// commits, so no ack can overtake the group's WAL append.
+    fn stage(&mut self, conn_idx: usize) {
+        let (conn, next_seq) = (&mut self.conns[conn_idx], self.src.next_seq_mut());
+        while !conn.gone {
+            let payload = match conn.dec.next_frame() {
+                Ok(Some(p)) => p,
+                Ok(None) => break,
+                Err(_) => {
+                    conn.gone = true;
+                    break;
+                }
+            };
+            let Ok(msg) = GateMsg::decode(&payload) else {
+                conn.gone = true;
+                break;
+            };
+            match msg {
+                GateMsg::Hello { producer } => conn.producer = Some(producer),
+                GateMsg::Batch { batch, events } => {
+                    let Some(producer) = conn.producer else {
+                        conn.gone = true;
+                        break;
+                    };
+                    let start = Instant::now();
+                    match self.core.admit(next_seq, producer, batch, &events) {
+                        Admission::Accept(tuples) => {
+                            // Stage for the group commit: the tuples are
+                            // owned, so they move straight into the WAL
+                            // batch — no per-tuple clone on this path.
+                            let range = self.turn.wal.len()..self.turn.wal.len() + tuples.len();
+                            self.turn.wal.extend(tuples);
+                            self.turn.accepts.push(PendingAccept {
+                                conn: conn_idx,
+                                batch,
+                                events: events.len() as u64,
+                                range,
+                                start,
+                            });
                         }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                        Err(_) => break,
+                        Admission::Duplicate => {
+                            // The original admission was WAL'd before its
+                            // ack, so a duplicate can re-ack without
+                            // touching storage. The queued bytes still
+                            // only flush after this turn's commit.
+                            conn.queue(&GateMsg::Accepted { batch });
+                            self.meter.record_ack_us(start.elapsed().as_micros() as u64);
+                        }
+                        Admission::Shed => {
+                            self.meter.record_shed();
+                            conn.queue(&GateMsg::Busy {
+                                batch,
+                                retry_after_ms: self.core.retry_after_ms(),
+                            });
+                        }
                     }
                 }
-                continue;
+                GateMsg::Fin { producer } => {
+                    conn.producer.get_or_insert(producer);
+                    // Ack-after-WAL for Fin too: the marker rides this
+                    // turn's group append, and FinOk is only queued after
+                    // it returns — so a durable FinOk still implies a
+                    // durable marker, a rollback past the last checkpoint
+                    // replays it, and the recovered gate counts the
+                    // producer as done. Retried Fins re-ack without
+                    // re-appending.
+                    if !self.core.is_finished(producer) {
+                        let marker = self.core.fin_marker(next_seq, producer);
+                        self.turn.wal.push(marker);
+                    }
+                    if self.core.fin(producer) {
+                        self.all_fin = true;
+                    }
+                    self.turn.fins.push(conn_idx);
+                }
+                // Gateway-to-producer messages arriving at the gateway are
+                // a protocol violation.
+                GateMsg::Accepted { .. } | GateMsg::Busy { .. } | GateMsg::FinOk => {
+                    conn.gone = true;
+                }
             }
-            let conn_idx = ev.token - 1;
-            let Some(conn) = conns.get_mut(conn_idx) else {
-                continue;
-            };
-            if ev.writable {
-                conn.flush();
-            }
-            if ev.readable {
-                conn.read_available();
-            }
-            process_frames(
-                conn_idx,
-                conn,
-                &mut core,
-                src.next_seq_mut(),
-                &mut turn,
-                &w.meter,
-                &mut all_fin,
-            );
         }
-        // Group commit: everything admitted this turn — across every
-        // ready producer — goes durable in one append, and only then
-        // are the acks queued and flushed. Connection indices are
-        // stable here because retain() runs after.
-        if !turn.is_empty() && !commit_turn(&mut turn, &mut conns, &mut src, &w.meter) {
-            break 'outer;
+    }
+
+    fn accept(&mut self) {
+        loop {
+            match self.listener.accept() {
+                Ok((sock, _peer)) => {
+                    let _ = sock.set_nodelay(true);
+                    if sock.set_nonblocking(true).is_ok() {
+                        self.conns.push(Conn::new(sock));
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => return,
+            }
         }
-        for c in &mut conns {
+    }
+
+    /// The group commit: one append covering every batch and Fin
+    /// marker staged this turn, then — and only then — routing (both in
+    /// [`SourceCore::send`]), metering and ack queueing. A storage
+    /// failure stops the gate with nothing from the group acked.
+    pub fn commit(&mut self) {
+        if self.turn.is_empty() {
+            return;
+        }
+        let turn = &mut self.turn;
+        let Some(wal_bytes) = self
+            .src
+            .send(&turn.wal, turn.accepts.iter().map(|acc| acc.range.clone()))
+        else {
+            self.failed = true;
+            return;
+        };
+        self.meter.record_wal_bytes(wal_bytes);
+        for acc in turn.accepts.drain(..) {
+            self.meter.record_accept(acc.events, acc.range.len() as u64);
+            if let Some(c) = self.conns.get_mut(acc.conn) {
+                c.queue(&GateMsg::Accepted { batch: acc.batch });
+            }
+            self.meter
+                .record_ack_us(acc.start.elapsed().as_micros() as u64);
+        }
+        for ci in turn.fins.drain(..) {
+            if let Some(c) = self.conns.get_mut(ci) {
+                c.queue(&GateMsg::FinOk);
+            }
+        }
+        turn.wal.clear();
+    }
+
+    /// Writes every connection's pending acks as far as its socket
+    /// takes them, then drops the connections that went away.
+    pub fn flush_acks(&mut self) {
+        for c in &mut self.conns {
             if !c.out.is_empty() {
                 c.flush();
             }
         }
-        conns.retain(|c| !c.gone);
+        self.conns.retain(|c| !c.gone);
     }
-    // Best-effort delivery of pending acks (FinOk mostly) before the
-    // stream closes.
-    for c in &mut conns {
-        c.flush();
+
+    /// The source checkpoint of the dedup table, then a fresh admission
+    /// window. It commits what this turn staged first, so a cut never
+    /// splits a group commit: every tuple below the mark is in the WAL
+    /// and routed ahead of the token. A failed mark stops the gate.
+    pub fn checkpoint(&mut self, epoch: EpochId) {
+        self.commit();
+        let snap = self.core.snapshot();
+        let state_bytes = snap.logical_bytes;
+        if self
+            .src
+            .checkpoint(epoch, DeferredSnapshot::Ready(snap), None, state_bytes)
+        {
+            self.core.reset_window();
+        } else {
+            self.failed = true;
+        }
     }
-    src.finish(Box::new(GateOp::new(core.snapshot())))
+
+    /// Whether every expected producer sent `Fin` or storage failed;
+    /// asked after [`Gate::commit`], so the last `FinOk`s are queued.
+    pub fn is_done(&self) -> bool {
+        self.all_fin || self.failed
+    }
+
+    /// Best-effort delivery of pending acks, then EOS on every route.
+    pub fn finish(mut self) -> HostExit {
+        for c in &mut self.conns {
+            c.flush();
+        }
+        self.src.finish(Box::new(GateOp::new(self.core.snapshot())))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ms_core::gate::EVENT_BYTES;
-    use ms_core::ids::EpochId;
     use ms_core::value::Value;
     use ms_live::{FsStore, HostMsg, Persister};
-    use std::sync::mpsc::channel;
+    use ms_net::ready::poll;
+    use std::path::PathBuf;
+    use std::sync::mpsc::{channel, Receiver};
     use std::time::Duration;
+
+    /// Hosts a gate the way the worker's I/O thread does, on a thread
+    /// of its own: one poll over the gate's entries, readiness, queued
+    /// checkpoints, the group commit and the ack flush per turn.
+    fn pump(mut gate: Gate, checkpoints: Receiver<EpochId>) -> HostExit {
+        loop {
+            let entries: Vec<_> = gate
+                .poll_entries()
+                .enumerate()
+                .map(|(entry, (fd, want))| (fd, entry, want))
+                .collect();
+            for ev in poll(&entries, 5).unwrap() {
+                gate.on_ready(ev.token, &ev);
+            }
+            while let Ok(epoch) = checkpoints.try_recv() {
+                gate.checkpoint(epoch);
+            }
+            gate.commit();
+            gate.flush_acks();
+            if gate.is_done() {
+                return gate.finish();
+            }
+        }
+    }
 
     fn send(sock: &mut TcpStream, msg: &GateMsg) {
         sock.write_all(&frame(&msg.encode())).unwrap();
@@ -559,9 +569,10 @@ mod tests {
         }
     }
 
-    struct Gate {
+    /// A gate hosted by [`pump`] and everything its tests inspect.
+    struct Hosted {
         addr: String,
-        cmd_tx: Sender<SourceCmd>,
+        cmd_tx: Sender<EpochId>,
         rx: Receiver<HostMsg>,
         store: Arc<FsStore>,
         meter: Arc<GateMeter>,
@@ -569,7 +580,7 @@ mod tests {
         dir: PathBuf,
     }
 
-    fn start_gate(tag: &str, cfg: GateConfig) -> Gate {
+    fn start_gate(tag: &str, cfg: GateConfig) -> Hosted {
         let dir = std::env::temp_dir().join(format!("ms_gate_run_{tag}_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
@@ -584,9 +595,7 @@ mod tests {
             op_id: OperatorId(0),
             cfg,
             outputs: vec![OutputRoute::single(tx)],
-            cmd: cmd_rx,
-            listen: "127.0.0.1:0".into(),
-            addr_file: Some(addr_file.clone()),
+            listener: listen("127.0.0.1:0", Some(&addr_file)).unwrap(),
             restored: None,
             restored_seq: 0,
             replay: Vec::new(),
@@ -595,12 +604,12 @@ mod tests {
         };
         let store2 = store.clone();
         let handle = std::thread::spawn(move || {
-            let exit = run_gate(wiring, store2, persist);
+            let exit = pump(Gate::new(wiring, store2, persist), cmd_rx);
             drop(persister);
             exit
         });
         let addr = wait_addr(&addr_file);
-        Gate {
+        Hosted {
             addr,
             cmd_tx,
             rx,
@@ -687,7 +696,7 @@ mod tests {
         assert_eq!(recv(&mut a, &mut da), GateMsg::Accepted { batch: 1 });
         assert_eq!(g.store.preserved_tuples(), 2, "duplicate admitted nothing");
         // Checkpoint: the token rides the engine edge behind the data.
-        g.cmd_tx.send(SourceCmd::Checkpoint(EpochId(1))).unwrap();
+        g.cmd_tx.send(EpochId(1)).unwrap();
         let mut got_tuples = Vec::new();
         loop {
             match recv_host(&g.rx) {
@@ -836,16 +845,14 @@ mod tests {
                 ..GateConfig::default()
             },
             outputs: vec![OutputRoute::single(tx)],
-            cmd: cmd_rx,
-            listen: "127.0.0.1:0".into(),
-            addr_file: None,
+            listener: listen("127.0.0.1:0", None).unwrap(),
             restored: None,
             restored_seq: 0,
             replay,
             meter: Arc::new(GateMeter::new()),
             telemetry: None,
         };
-        let handle = std::thread::spawn(move || run_gate(wiring, store, persist));
+        let handle = std::thread::spawn(move || pump(Gate::new(wiring, store, persist), cmd_rx));
         // No producer ever connects. The gate must still terminate:
         // replayed data, then Eos — and no marker in between.
         let mut got = Vec::new();
@@ -892,9 +899,7 @@ mod tests {
                 ..GateConfig::default()
             },
             outputs: vec![OutputRoute::single(tx)],
-            cmd: cmd_rx,
-            listen: "127.0.0.1:0".into(),
-            addr_file: Some(addr_file.clone()),
+            listener: listen("127.0.0.1:0", Some(&addr_file)).unwrap(),
             restored: None,
             restored_seq: 0,
             replay: walled.clone(),
@@ -902,7 +907,7 @@ mod tests {
             telemetry: None,
         };
         let store2 = store.clone();
-        let handle = std::thread::spawn(move || run_gate(wiring, store2, persist));
+        let handle = std::thread::spawn(move || pump(Gate::new(wiring, store2, persist), cmd_rx));
         let addr = wait_addr(&addr_file);
         // The replayed tuples arrive downstream before any new data.
         let mut got = Vec::new();

@@ -14,13 +14,13 @@
 //! * [`InteriorCore`] — align tokens on fan-in, cut the checkpoint,
 //!   forward the token.
 //!
-//! Whatever owns the streams drives them: `ms-wire` runs every
-//! interior core on the poll(2) I/O thread that reads its sockets and
-//! gives each source a thread (demo generators tick an
-//! [`Operator`](ms_core::operator::Operator); `ms-gate` feeds its
-//! source core from producer sockets), and the crate's own tests pump
-//! both cores deterministically on one thread. Either way the protocol
-//! logic is this module's, unduplicated.
+//! Whatever owns the streams drives them: `ms-wire` runs every core of
+//! a worker on the poll(2) I/O thread that reads its sockets (demo
+//! generators tick an [`Operator`](ms_core::operator::Operator) on
+//! their deadlines; `ms-gate` feeds its source core from producer
+//! sockets), and the crate's own tests pump both cores
+//! deterministically on one thread. Either way the protocol logic is
+//! this module's, unduplicated.
 //!
 //! # Three messages, and where data leaves an interior
 //!
@@ -110,15 +110,6 @@ impl HostMsg {
             HostMsg::Token(_) | HostMsg::Eos => 0,
         }
     }
-}
-
-/// Controller commands delivered to source hosts.
-#[derive(Debug, Clone, Copy)]
-pub enum SourceCmd {
-    /// Snapshot now, mark the stream boundary, emit a token.
-    Checkpoint(EpochId),
-    /// Finish generating and close the stream (graceful).
-    Stop,
 }
 
 /// One persistence work item: an individual checkpoint on its way to
@@ -771,7 +762,7 @@ impl InteriorCore {
 /// past it. The driver owns whatever produces the data — a generating
 /// [`Operator`] it [`tick`](SourceCore::tick)s, or (`ms-gate`) producer
 /// sockets whose admitted batches it [`send`](SourceCore::send)s — and
-/// the command channel that says when to checkpoint. The first storage
+/// decides when to checkpoint. The first storage
 /// failure stops the host: later calls are refused and
 /// [`SourceCore::finish`] reports it in the [`HostExit`].
 pub struct SourceCore {
@@ -978,7 +969,6 @@ mod tests {
     use super::*;
     use std::sync::mpsc::Receiver;
     use std::sync::Mutex;
-    use std::time::Duration;
 
     use ms_core::value::Value;
 
@@ -1088,7 +1078,7 @@ mod tests {
     #[test]
     fn source_preserves_before_routing_and_marks_before_enqueue_before_token() {
         let (mut src, rec) = source("");
-        let mut op = CountSource::new(10, Duration::ZERO);
+        let mut op = CountSource::new(10);
         // One tick of a two-port source: both emissions are durable in
         // one append before either leaves.
         assert!(src.tick(&mut op));
@@ -1115,7 +1105,7 @@ mod tests {
     #[test]
     fn failed_mark_enqueues_nothing_sends_no_token_and_surfaces_at_exit() {
         let (mut src, rec) = source("mark");
-        let mut op = CountSource::new(10, Duration::ZERO);
+        let mut op = CountSource::new(10);
         assert!(src.tick(&mut op));
         rec.take();
         assert!(!src.checkpoint_operator(EpochId(1), &mut op));
@@ -1129,9 +1119,9 @@ mod tests {
     fn failed_append_routes_nothing() {
         let (mut src, rec) = source("append");
         assert!(src.send(&stamped(0..3), Some(0..3)).is_none());
-        assert!(!src.tick(&mut CountSource::new(10, Duration::ZERO)));
+        assert!(!src.tick(&mut CountSource::new(10)));
         assert!(rec.take().is_empty());
-        let exit = src.finish(Box::new(CountSource::new(0, Duration::ZERO)));
+        let exit = src.finish(Box::new(CountSource::new(0)));
         assert!(matches!(exit.error, Some(Error::Storage(_))));
     }
 

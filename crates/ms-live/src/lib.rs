@@ -27,7 +27,7 @@ pub mod store;
 
 pub use host::{
     DurableHook, EdgeTx, HostExit, HostMsg, HostWiring, InteriorCore, OutputRoute, PersistItem,
-    Persister, RouteKeyFn, SourceCmd, SourceCore, STATE_GAUGE_SAMPLE_EVERY,
+    Persister, RouteKeyFn, SourceCore, STATE_GAUGE_SAMPLE_EVERY,
 };
 pub use protocol::{CountSource, Doubler, Summer};
 pub use storage::{CkptState, CkptWrite, LiveHauCheckpoint, RebasePolicy, StableStore};

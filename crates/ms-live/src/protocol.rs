@@ -9,32 +9,25 @@
 //! so checkpoint cuts, alignment windows and recovery are asserted on
 //! exact interleavings rather than on what a scheduler happened to do.
 
-use std::time::Duration;
-
 use ms_core::ids::PortId;
 use ms_core::operator::{Operator, OperatorContext, OperatorSnapshot};
 use ms_core::tuple::Tuple;
 use ms_core::value::Value;
 
-/// A source that emits the integers `0..limit`, one per tick, sleeping
-/// `delay` before each emission so a finite stream can span seconds of
-/// wall-clock time. Deterministic: a restarted instance regenerates the
-/// identical sequence, which is what lets the preservation log dedup a
-/// from-scratch restart.
+/// A source that emits the integers `0..limit`, one per tick. It never
+/// waits: whatever ticks it sets the pace, so a finite stream can span
+/// seconds of wall-clock time. Deterministic: a restarted instance
+/// regenerates the identical sequence, which is what lets the
+/// preservation log dedup a from-scratch restart.
 pub struct CountSource {
     limit: u64,
     emitted: u64,
-    delay: Duration,
 }
 
 impl CountSource {
-    /// Creates a source emitting `limit` tuples, `delay` apart.
-    pub fn new(limit: u64, delay: Duration) -> CountSource {
-        CountSource {
-            limit,
-            emitted: 0,
-            delay,
-        }
+    /// Creates a source emitting `limit` tuples.
+    pub fn new(limit: u64) -> CountSource {
+        CountSource { limit, emitted: 0 }
     }
 }
 
@@ -47,9 +40,6 @@ impl Operator for CountSource {
 
     fn on_timer(&mut self, ctx: &mut dyn OperatorContext) {
         if self.emitted < self.limit {
-            if !self.delay.is_zero() {
-                std::thread::sleep(self.delay);
-            }
             ctx.emit_all(vec![Value::Int(self.emitted as i64)]);
             self.emitted += 1;
         }
@@ -61,7 +51,6 @@ impl Operator for CountSource {
 
     fn snapshot(&self) -> OperatorSnapshot {
         let mut w = ms_core::codec::SnapshotWriter::new();
-        // The delay is deployment config, not operator state.
         w.put_u64(self.limit).put_u64(self.emitted);
         OperatorSnapshot {
             data: w.finish(),
@@ -343,7 +332,7 @@ mod tests {
     fn build([s, d, _]: [OperatorId; 3], limit: u64) -> impl Fn(OperatorId) -> Box<dyn Operator> {
         move |op| -> Box<dyn Operator> {
             if op == s {
-                Box::new(CountSource::new(limit, Duration::ZERO))
+                Box::new(CountSource::new(limit))
             } else if op == d {
                 Box::new(Doubler::default())
             } else {
@@ -462,7 +451,7 @@ mod tests {
             if op == k {
                 Box::new(Summer::default())
             } else {
-                Box::new(CountSource::new(100, Duration::ZERO))
+                Box::new(CountSource::new(100))
             }
         };
         let mut pump = Pump::launch(&qn, storage.clone(), &factory, None).unwrap();
@@ -523,7 +512,7 @@ mod tests {
             } else if op == k {
                 Box::new(Summer::default())
             } else {
-                Box::new(CountSource::new(100, Duration::ZERO))
+                Box::new(CountSource::new(100))
             }
         };
         // Cut while the doubler's window holds s1's post-token ticks,

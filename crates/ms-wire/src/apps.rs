@@ -3,7 +3,8 @@
 //!
 //! The cluster binaries need an application whose stream lasts long
 //! enough, in *real* time, that a worker can be SIGKILLed mid-stream.
-//! Sources are `ms-live`'s [`CountSource`] with a per-tuple delay;
+//! Sources are `ms-live`'s [`CountSource`], which the worker ticks at a
+//! per-tuple delay ([`skewed_delay_us`]);
 //! interior operators double, sinks sum — so the sink's final
 //! `(sum, count)` is a closed-form function of the graph and the source
 //! limit, and any lost or duplicated tuple shows up in the recovered
@@ -14,8 +15,6 @@
 //! Every worker derives the same operator set from the transmitted
 //! graph alone — no code shipping, mirroring the paper's precompiled
 //! operator binaries (§III-C).
-
-use std::time::Duration;
 
 use ms_core::delta::DeltaTable;
 use ms_core::error::{Error, Result};
@@ -318,10 +317,7 @@ pub fn skewed_delay_us(qn: &QueryNetwork, op: OperatorId, base_us: u64) -> u64 {
 
 /// Structural operator factory: source / interior / sink by topology.
 ///
-/// In graphs with several sources, each source after the first gets a
-/// progressively larger per-tuple delay (see [`skewed_delay_us`]), so
-/// fan-in merges see misaligned inputs. Single-source shapes are
-/// unaffected. A nonzero `keyed_state` swaps the stateless interior
+/// A nonzero `keyed_state` swaps the stateless interior
 /// [`Doubler`] for a [`KeyedStat`] over that many keys — same stream
 /// semantics, delta-checkpointed keyed state. A nonzero
 /// `sawtooth_window` on top of that selects [`SawtoothStat`], whose
@@ -331,15 +327,11 @@ pub fn build_operator(
     qn: &QueryNetwork,
     op: OperatorId,
     source_limit: u64,
-    source_delay_us: u64,
     keyed_state: u64,
     sawtooth_window: u64,
 ) -> Box<dyn Operator> {
     if qn.upstream(op).is_empty() {
-        Box::new(CountSource::new(
-            source_limit,
-            Duration::from_micros(skewed_delay_us(qn, op, source_delay_us)),
-        ))
+        Box::new(CountSource::new(source_limit))
     } else if qn.downstream(op).is_empty() {
         Box::new(Summer::default())
     } else if keyed_state > 0 && sawtooth_window > 0 {
@@ -456,15 +448,15 @@ mod tests {
         assert_eq!(skewed_delay_us(&chain, OperatorId(0), 100), 100);
         // Interior and sink roles are unchanged by multiple sources.
         assert_eq!(
-            build_operator(&qn, OperatorId(0), 10, 100, 0, 0).kind(),
+            build_operator(&qn, OperatorId(0), 10, 0, 0).kind(),
             "CountSource"
         );
         assert_eq!(
-            build_operator(&qn, OperatorId(2), 10, 100, 0, 0).kind(),
+            build_operator(&qn, OperatorId(2), 10, 0, 0).kind(),
             "Doubler"
         );
         assert_eq!(
-            build_operator(&qn, OperatorId(4), 10, 100, 0, 0).kind(),
+            build_operator(&qn, OperatorId(4), 10, 0, 0).kind(),
             "Summer"
         );
     }
@@ -481,38 +473,38 @@ mod tests {
     fn factory_is_structural() {
         let qn = demo_network("chain3").unwrap();
         assert_eq!(
-            build_operator(&qn, OperatorId(0), 10, 0, 0, 0).kind(),
+            build_operator(&qn, OperatorId(0), 10, 0, 0).kind(),
             "CountSource"
         );
         assert_eq!(
-            build_operator(&qn, OperatorId(1), 10, 0, 0, 0).kind(),
+            build_operator(&qn, OperatorId(1), 10, 0, 0).kind(),
             "Doubler"
         );
         assert_eq!(
-            build_operator(&qn, OperatorId(2), 10, 0, 0, 0).kind(),
+            build_operator(&qn, OperatorId(2), 10, 0, 0).kind(),
             "Summer"
         );
         // A keyed-state request swaps only the interior stage.
         assert_eq!(
-            build_operator(&qn, OperatorId(1), 10, 0, 64, 0).kind(),
+            build_operator(&qn, OperatorId(1), 10, 64, 0).kind(),
             "KeyedStat"
         );
         assert_eq!(
-            build_operator(&qn, OperatorId(2), 10, 0, 64, 0).kind(),
+            build_operator(&qn, OperatorId(2), 10, 64, 0).kind(),
             "Summer"
         );
         // A sawtooth window on top swaps in the collapsing variant —
         // interior only, and only with keyed state.
         assert_eq!(
-            build_operator(&qn, OperatorId(1), 10, 0, 64, 500).kind(),
+            build_operator(&qn, OperatorId(1), 10, 64, 500).kind(),
             "SawtoothStat"
         );
         assert_eq!(
-            build_operator(&qn, OperatorId(1), 10, 0, 0, 500).kind(),
+            build_operator(&qn, OperatorId(1), 10, 0, 500).kind(),
             "Doubler"
         );
         assert_eq!(
-            build_operator(&qn, OperatorId(2), 10, 0, 64, 500).kind(),
+            build_operator(&qn, OperatorId(2), 10, 64, 500).kind(),
             "Summer"
         );
     }
@@ -696,7 +688,7 @@ mod tests {
 
     #[test]
     fn count_source_snapshot_roundtrip() {
-        let mut src = CountSource::new(100, Duration::ZERO);
+        let mut src = CountSource::new(100);
         let mut ctx = Ctx {
             emitted: Vec::new(),
         };
@@ -705,9 +697,9 @@ mod tests {
         }
         assert_eq!(ctx.emitted.len(), 7);
         let snap = src.snapshot();
-        let mut fresh = CountSource::new(0, Duration::from_secs(1));
+        let mut fresh = CountSource::new(0);
         fresh.restore(&snap).unwrap();
-        // The delay is config, not state: the bytes are `(limit, emitted)`.
+        // The bytes are `(limit, emitted)`.
         assert_eq!(fresh.snapshot().data, snap.data);
         let mut w = ms_core::codec::SnapshotWriter::new();
         w.put_u64(100).put_u64(7);

@@ -1,41 +1,37 @@
 //! The worker's data plane: one I/O thread that multiplexes every peer
-//! socket and runs every interior and sink HAU, as an HAU of the paper
-//! is one processing thread.
-//!
-//! The first TCP worker spent threads freely — one egress pump per
-//! cross edge, one detached ingress thread per inbound connection, one
-//! host thread per operator — which is O(edges + operators) threads
-//! per process and collapses once a worker hosts its share of a
-//! 55-HAU sharded topology. Here one thread ([`spawn_io`]) does it all:
+//! socket and runs every HAU the worker hosts, as an HAU of the paper
+//! is one processing thread ([`spawn_io`]), not one per edge or
+//! operator:
 //!
 //! * It owns the data-plane listener and every data socket,
 //!   nonblocking, driven by [`ms_net::ready::poll`]. Inbound frames are
 //!   batch-decoded into the consuming cell's inbox (a
 //!   [`WireMsg::TupleBatch`] frame lands as one inbox push for the
 //!   whole run).
-//! * It owns every [`HostCell`] — the protocol state machine
-//!   ([`InteriorCore`]) of one interior/sink HAU plus its inbox — of
-//!   every generation; no core is shared with another thread.
-//! * Each turn reads the ready sockets, visits the cells in
-//!   topological order (producers first, so a colocated chain drains in
-//!   one pass), then writes every non-empty [`EgressBuf`] with vectored
-//!   writes — many frames per syscall. It blocks in poll only when no
-//!   inbox holds work: idle means *blocked in poll*, not sleeping in a
-//!   loop.
+//! * It owns every [`HostCell`] of every generation — an interior or
+//!   sink ([`InteriorCore`] plus its inbox), a demo source
+//!   ([`SourceCore`]) ticked on its deadlines, or an ingestion [`Gate`]
+//!   whose sockets join the poll set; no core is shared with another
+//!   thread.
+//! * Each turn reads the ready sockets, applies commands, visits the
+//!   cells in topological order (sources and gates first, so a gate's
+//!   group commit lands before the interiors run and a colocated chain
+//!   drains in one pass), then writes every non-empty [`EgressBuf`]
+//!   with vectored writes — many frames per syscall. It blocks in poll
+//!   until a socket, a command, a source deadline or cells left waiting
+//!   behind producer input ([`QUIET_MS`]) need it: idle means *blocked
+//!   in poll*, not sleeping in a loop.
 //!
-//! Source and gate threads feed the loop from outside: their edge
-//! handles push into an inbox or an egress buffer and write the
-//! [`Waker`]. A cell's handles never do — what a cell emits is picked
-//! up later in the same turn — so the I/O thread never wakes itself.
+//! Only the worker's commands write the [`Waker`]. The inbox and egress
+//! locks stay because the main thread builds a generation's HAUs (a
+//! recovering source's replay included) before [`IoCmd::Deploy`].
 //!
-//! Failure semantics carry over from the pump design unchanged:
+//! Failure semantics:
 //!
 //! * An inbound socket that dies **without** [`WireMsg::Eos`] is a
 //!   peer failure: the connection is dropped but the consumer's input
 //!   is left open and silent (no Eos is synthesized), so a sink can
-//!   never mistake a crash for completion. The old implementation
-//!   *parked a thread* in a sleep-poll loop to hold the input open;
-//!   here absence of a message costs nothing.
+//!   never mistake a crash for completion.
 //! * An outbound socket that breaks flips its [`EgressBuf`] to
 //!   *drain*: pushes are discarded, the producer keeps running. The
 //!   discarded tuples are preserved in (or derivable from) the source
@@ -44,14 +40,14 @@
 //! * Teardown marks the generation's `torn` flag (every producer's
 //!   next emission returns `false`, unwinding hosts) and sends
 //!   [`IoCmd::Tear`], which drops the generation's connections and
-//!   routes and finishes its cells, so each final [`HostExit`] reaches
-//!   the joiner even if no message ever arrives.
+//!   routes and finishes its sources, gates and cells, so each final
+//!   [`HostExit`] reaches the joiner even if no message ever arrives.
 //!
 //! Streams that arrive before their `Assign` (the controller sends
 //! assignments concurrently, so a peer can connect first) sit in a
 //! *pending* state with **no read interest** — TCP backpressure holds
 //! the bytes upstream — until [`IoCmd::Deploy`] delivers the route
-//! table. This replaces the old 15-second route-wait sleep loop.
+//! table.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read};
@@ -62,20 +58,32 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
+use std::time::{Duration, Instant};
 
 use ms_core::codec::{frame, FrameDecoder};
-use ms_live::{EdgeTx, HostExit, HostMsg, InteriorCore};
+use ms_core::ids::EpochId;
+use ms_core::operator::Operator;
+use ms_gate::Gate;
+use ms_live::{EdgeTx, HostExit, HostMsg, InteriorCore, SourceCore};
 use ms_net::fault::FaultPlan;
 use ms_net::ready::{poll, Interest, PollTarget, ReadyEvent, Waker};
 use ms_net::vectored;
 
 use crate::message::{encode_tuple_batch, WireMsg};
 
-/// Poll timeout. The [`Waker`] interrupts the poll for every queued
-/// command and every push by a source or gate thread, so no work waits
-/// on this: it only bounds how long an idle I/O thread goes between
-/// looks at its command queue, the backstop should a wake ever be lost.
+/// Longest poll timeout. Sockets, the [`Waker`] and source deadlines
+/// end the poll sooner: this only bounds an idle thread's looks at its
+/// command queue, the backstop should a wake ever be lost.
 const POLL_TIMEOUT_MS: i32 = 250;
+/// The most ticks one source runs per turn, so an unpaced or far-behind
+/// source still yields the thread every turn.
+const MAX_TICKS_PER_TURN: u32 = 256;
+/// After a turn that read producer input, the next poll waits this long
+/// for more before the interior cells apply it, so a producer awaiting
+/// its ack is answered at admission speed, not behind the apply.
+const QUIET_MS: i32 = 1;
+/// The longest interior cells wait behind producer input.
+const MAX_APPLY_LAG: Duration = Duration::from_millis(100);
 /// Per-read scratch size for ingress sockets.
 const READ_CHUNK: usize = 16 * 1024;
 
@@ -161,16 +169,12 @@ impl EgressBuf {
 }
 
 /// Producer-side [`EdgeTx`] over one outbound connection: encode and
-/// append to the [`EgressBuf`]. `waker` is set for a producer on a
-/// thread of its own (a source or gate), whose push the I/O thread
-/// must be woken for; a cell's handle carries none, because the I/O
-/// thread writes every non-empty buffer after its cell pass. Returns
-/// `false` only when the generation is torn down — a broken socket
-/// drains silently, exactly like the old egress pump.
+/// append to the [`EgressBuf`], which the I/O thread writes after its
+/// cell pass. Returns `false` only when the generation is torn down —
+/// a broken socket drains silently, exactly like the old egress pump.
 pub(crate) struct EgressHandle {
     pub(crate) buf: Arc<EgressBuf>,
     pub(crate) torn: Arc<AtomicBool>,
-    pub(crate) waker: Option<Waker>,
 }
 
 impl EdgeTx for EgressHandle {
@@ -186,18 +190,14 @@ impl EdgeTx for EgressHandle {
             HostMsg::Eos => WireMsg::Eos.encode(),
         };
         self.buf.push(&payload);
-        if let Some(waker) = &self.waker {
-            waker.wake();
-        }
         true
     }
 }
 
 // ---------------- the cells ----------------
 
-/// The cross-thread half of a [`HostCell`]: the inbox its producers
-/// append to, in emission order per producer, and the flags a send
-/// checks.
+/// The shared half of a [`HostCell`]: the inbox its producers append
+/// to, in emission order per producer, and the flags a send checks.
 struct Inbox {
     queue: Mutex<VecDeque<(u32, HostMsg)>>,
     /// Generation-level teardown flag (shared with every handle of the
@@ -208,22 +208,32 @@ struct Inbox {
     gone: AtomicBool,
 }
 
-/// One interior/sink HAU, owned by the I/O thread: the protocol state
-/// machine, its inbox, and where its exit record goes.
+/// The protocol state machine of one HAU.
+pub(crate) enum Hau {
+    /// An interior or sink, fed through its inbox.
+    Interior(InteriorCore),
+    /// A demo source, ticked when its deadlines pass.
+    Source {
+        core: SourceCore,
+        op: Box<dyn Operator>,
+        pace: Pace,
+    },
+    /// An ingestion gate, whose sockets join the poll set.
+    Gate(Box<Gate>),
+}
+
+/// One HAU, owned by the I/O thread: its state machine, its inbox (fed
+/// only to interiors and sinks), and where its exit record goes.
 pub(crate) struct HostCell {
-    core: InteriorCore,
+    hau: Hau,
     inbox: Arc<Inbox>,
     exits: Sender<HostExit>,
 }
 
 impl HostCell {
-    pub(crate) fn new(
-        core: InteriorCore,
-        torn: Arc<AtomicBool>,
-        exits: Sender<HostExit>,
-    ) -> HostCell {
+    pub(crate) fn new(hau: Hau, torn: Arc<AtomicBool>, exits: Sender<HostExit>) -> HostCell {
         HostCell {
-            core,
+            hau,
             inbox: Arc::new(Inbox {
                 queue: Mutex::new(VecDeque::new()),
                 torn,
@@ -233,50 +243,73 @@ impl HostCell {
         }
     }
 
-    /// An edge handle into input `port` of this cell; `waker` as for
-    /// [`EgressHandle`].
-    pub(crate) fn tx(&self, port: u32, waker: Option<Waker>) -> CellTx {
+    /// An edge handle into input `port` of this cell.
+    pub(crate) fn tx(&self, port: u32) -> CellTx {
         CellTx {
             inbox: self.inbox.clone(),
             port,
-            waker,
         }
     }
 
-    /// One visit: drains the inbox through the core. `false` once the
-    /// core is done or its generation torn.
-    fn step(&mut self) -> bool {
-        let queued = mem::take(&mut *self.inbox.queue.lock().expect("inbox lock"));
-        if !queued.is_empty() {
-            // The gauge counts tuples, not inbox messages: one
-            // DataBatch is up to hundreds of tuples.
-            let tuples: usize = queued.iter().map(|(_, msg)| msg.tuple_count()).sum();
-            self.core.publish_backpressure(tuples as u64);
-            for (port, msg) in queued {
-                self.core.on_msg(port as usize, msg);
+    /// One visit: an interior drains its inbox through its core unless
+    /// `lagging` behind producer input, a gate commits and acks what it
+    /// staged, a source runs the ticks due at `now`. `false` once the
+    /// HAU is done or its generation torn.
+    fn step(&mut self, now: Instant, lagging: bool) -> bool {
+        let live = match &mut self.hau {
+            Hau::Interior(core) if lagging => !core.is_done(),
+            Hau::Interior(core) => {
+                let queued = mem::take(&mut *self.inbox.queue.lock().expect("inbox lock"));
+                if !queued.is_empty() {
+                    // The gauge counts tuples, not inbox messages: one
+                    // DataBatch is up to hundreds of tuples.
+                    let tuples: usize = queued.iter().map(|(_, msg)| msg.tuple_count()).sum();
+                    core.publish_backpressure(tuples as u64);
+                    for (port, msg) in queued {
+                        core.on_msg(port as usize, msg);
+                    }
+                }
+                !core.is_done()
             }
+            Hau::Source { core, op, pace } => (0..pace.due(now)).all(|_| core.tick(op.as_mut())),
+            Hau::Gate(gate) => {
+                gate.commit();
+                gate.flush_acks();
+                !gate.is_done()
+            }
+        };
+        live && !self.inbox.torn.load(Ordering::SeqCst)
+    }
+
+    /// A source's or gate's checkpoint; an interior cuts on tokens.
+    fn checkpoint(&mut self, epoch: EpochId) {
+        match &mut self.hau {
+            Hau::Interior(_) => {}
+            Hau::Source { core, op, .. } => _ = core.checkpoint_operator(epoch, op.as_mut()),
+            Hau::Gate(gate) => gate.checkpoint(epoch),
         }
-        !(self.inbox.torn.load(Ordering::SeqCst) || self.core.is_done())
     }
 
-    fn has_input(&self) -> bool {
-        !self.inbox.queue.lock().expect("inbox lock").is_empty()
-    }
-
-    /// Finishes the core and hands its exit record to the joiner.
+    /// Finishes the HAU (EOS downstream) and hands its exit record to
+    /// the joiner.
     fn finish(self) {
         self.inbox.gone.store(true, Ordering::SeqCst);
-        let _ = self.exits.send(self.core.finish());
+        let exit = match self.hau {
+            Hau::Interior(core) => core.finish(),
+            Hau::Source { core, op, .. } => core.finish(op),
+            Hau::Gate(gate) => gate.finish(),
+        };
+        let _ = self.exits.send(exit);
     }
 }
 
 /// Visits every cell once, in list order. Each generation's cells are
-/// listed producers first, so a batch a cell emits to a colocated
-/// consumer is applied later in the same pass. A finished cell leaves
-/// the list, its exit record sent.
-fn run_cells(cells: &mut Vec<(u64, HostCell)>) {
+/// listed producers first (sources and gates lead), so a batch a cell
+/// emits to a colocated consumer is applied later in the same pass. A
+/// finished cell leaves the list, its exit record sent.
+fn run_cells(cells: &mut Vec<(u64, HostCell)>, now: Instant, lagging: bool) {
     for (generation, mut cell) in mem::replace(cells, Vec::with_capacity(cells.len())) {
-        if cell.step() {
+        if cell.step(now, lagging) {
             cells.push((generation, cell));
         } else {
             cell.finish();
@@ -285,13 +318,11 @@ fn run_cells(cells: &mut Vec<(u64, HostCell)>) {
 }
 
 /// Local-edge (or ingress-route) [`EdgeTx`]: append to the consumer
-/// cell's inbox. Port is the consumer's input index for this edge;
-/// `waker` as for [`EgressHandle`].
+/// cell's inbox. Port is the consumer's input index for this edge.
 #[derive(Clone)]
 pub(crate) struct CellTx {
     inbox: Arc<Inbox>,
     port: u32,
-    waker: Option<Waker>,
 }
 
 impl EdgeTx for CellTx {
@@ -304,11 +335,49 @@ impl EdgeTx for CellTx {
             .lock()
             .expect("inbox lock")
             .push_back((self.port, msg));
-        if let Some(waker) = &self.waker {
-            waker.wake();
-        }
         true
     }
+}
+
+// ---------------- source pacing ----------------
+
+/// A paced source's tick schedule, a function of the instants its
+/// caller passes in. Each deadline advances one period from the
+/// previous one, never from the turn that ran it: a late turn runs
+/// every tick it missed and the rate never drifts.
+pub(crate) struct Pace {
+    period: Duration,
+    next: Instant,
+}
+
+impl Pace {
+    /// The first tick is due one period after `now`.
+    pub(crate) fn new(period: Duration, now: Instant) -> Pace {
+        Pace {
+            period,
+            next: now + period,
+        }
+    }
+
+    /// The ticks due at `now` — every deadline not after it, at most
+    /// [`MAX_TICKS_PER_TURN`] — advancing past each one counted.
+    fn due(&mut self, now: Instant) -> u32 {
+        let mut ticks = 0;
+        while ticks < MAX_TICKS_PER_TURN && self.next <= now {
+            self.next += self.period;
+            ticks += 1;
+        }
+        ticks
+    }
+}
+
+/// The poll timeout for a turn: whole ms to the nearest source deadline,
+/// rounded up (poll(2) waits no less), 0 once one has passed, at most
+/// `cap`.
+fn poll_timeout_ms<'a>(paces: impl IntoIterator<Item = &'a Pace>, now: Instant, cap: i32) -> i32 {
+    let wait = paces.into_iter().map(|p| p.next - p.next.min(now)).min();
+    let us = wait.map_or(u128::MAX, |w| w.as_micros());
+    us.div_ceil(1000).min(cap as u128) as i32
 }
 
 // ---------------- the I/O thread ----------------
@@ -337,10 +406,17 @@ pub(crate) enum IoCmd {
         /// `(producer op, consumer op)` → the consumer's edge handle.
         routes: HashMap<(u32, u32), CellTx>,
     },
-    /// Finish every cell and drop every connection and route of
-    /// generations `<= generation`. Streams still awaiting their hello
-    /// are kept and checked against the raised floor when the hello
-    /// arrives.
+    /// Checkpoint every source and gate of `generation`.
+    Checkpoint {
+        /// Generation the checkpoint belongs to.
+        generation: u64,
+        /// The epoch to cut.
+        epoch: EpochId,
+    },
+    /// Finish every source, gate and cell and drop every connection and
+    /// route of generations `<= generation`. Streams still awaiting
+    /// their hello are kept and checked against the raised floor when
+    /// the hello arrives.
     Tear {
         /// Highest generation to tear down.
         generation: u64,
@@ -402,11 +478,12 @@ enum Slot {
     Ingress(usize),
     /// A blocked egress socket; the write pass retries it.
     Egress,
+    /// Poll entry `.1` of the gate at `cells[.0]`.
+    Gate(usize, usize),
 }
 
 /// Spawns the I/O thread over the (nonblocking) data-plane listener.
-/// `waker` must be the same waker handed to every source and gate
-/// thread's edge handles and used when sending on `cmds`.
+/// `waker` must be the one written after every send on `cmds`.
 pub(crate) fn spawn_io(
     listener: TcpListener,
     waker: Waker,
@@ -436,22 +513,29 @@ impl Io {
     /// One turn per pass: read the ready sockets, apply commands, visit
     /// the cells, write the egress buffers.
     fn run(&mut self) {
+        // Since when the interior cells have waited behind producer input.
+        let mut lag: Option<Instant> = None;
         loop {
             let (targets, slots) = self.build_poll_set();
-            // Only a source or gate thread fills an inbox behind the
-            // cell pass; its wake would end the poll anyway.
-            let timeout = if self.cells.iter().any(|(_, c)| c.has_input()) {
-                0
+            let paces = self.cells.iter().filter_map(|(_, c)| match &c.hau {
+                Hau::Source { pace, .. } => Some(pace),
+                _ => None,
+            });
+            let cap = if lag.is_some() {
+                QUIET_MS
             } else {
                 POLL_TIMEOUT_MS
             };
-            if let Ok(ready) = poll(&targets, timeout) {
-                self.read_ready(ready, &slots);
-            }
+            let timeout = poll_timeout_ms(paces, Instant::now(), cap);
+            let produced = poll(&targets, timeout).is_ok_and(|r| self.read_ready(r, &slots));
             if !self.drain_cmds() {
                 return;
             }
-            run_cells(&mut self.cells);
+            let now = Instant::now();
+            lag = produced
+                .then(|| lag.unwrap_or(now))
+                .filter(|since| now.duration_since(*since) < MAX_APPLY_LAG);
+            run_cells(&mut self.cells, now, lag.is_some());
             // A failed write flips its buffer to drain mode; the
             // connection goes.
             self.egress
@@ -459,8 +543,11 @@ impl Io {
         }
     }
 
-    fn read_ready(&mut self, ready: Vec<ReadyEvent>, slots: &[Slot]) {
+    /// Handles one poll's readiness; `true` if a gate read producer
+    /// input.
+    fn read_ready(&mut self, ready: Vec<ReadyEvent>, slots: &[Slot]) -> bool {
         let mut dead: Vec<usize> = Vec::new();
+        let mut produced = false;
         for ev in ready {
             match slots[ev.token] {
                 Slot::Waker => self.waker.drain(),
@@ -471,6 +558,12 @@ impl Io {
                     }
                 }
                 Slot::Egress => {}
+                Slot::Gate(at, entry) => {
+                    if let Hau::Gate(gate) = &mut self.cells[at].1.hau {
+                        produced |= ev.readable;
+                        gate.on_ready(entry, &ev);
+                    }
+                }
             }
         }
         // Drop dead connections, highest index first so the remaining
@@ -479,6 +572,7 @@ impl Io {
         for i in dead {
             self.ingress.swap_remove(i);
         }
+        produced
     }
 
     /// Applies queued commands; `false` means Stop.
@@ -549,6 +643,11 @@ impl Io {
                         self.ingress.swap_remove(i);
                     }
                 }
+                IoCmd::Checkpoint { generation, epoch } => {
+                    for (_, cell) in self.cells.iter_mut().filter(|(g, _)| *g == generation) {
+                        cell.checkpoint(epoch);
+                    }
+                }
                 IoCmd::Tear { generation } => {
                     self.min_gen = self.min_gen.max(generation + 1);
                     self.routes.retain(|(g, _, _), _| *g > generation);
@@ -601,6 +700,13 @@ impl Io {
         for c in &self.egress {
             if !c.buf.is_empty() {
                 add(c.stream.as_raw_fd(), Slot::Egress, Interest::WRITE);
+            }
+        }
+        for (at, (_, c)) in self.cells.iter().enumerate() {
+            if let Hau::Gate(gate) = &c.hau {
+                for (entry, (fd, want)) in gate.poll_entries().enumerate() {
+                    add(fd, Slot::Gate(at, entry), want);
+                }
             }
         }
         (targets, slots)
@@ -771,15 +877,19 @@ fn drain_frames(
 mod tests {
     use super::*;
     use crate::message::send_msg;
+    use ms_core::gate::{GateConfig, GateMsg};
     use ms_core::ids::OperatorId;
-    use ms_core::ids::{EpochId, PortId};
+    use ms_core::ids::PortId;
     use ms_core::metrics::BackpressureMeter;
-    use ms_core::operator::{Operator, OperatorContext, OperatorSnapshot, SnapshotPayload};
+    use ms_core::operator::{OperatorContext, OperatorSnapshot, SnapshotPayload};
     use ms_core::tuple::Tuple;
     use ms_core::value::Value;
-    use ms_live::{Doubler, HostWiring, OutputRoute, PersistItem};
+    use ms_gate::{GateMeter, GateWiring};
+    use ms_live::{
+        CountSource, Doubler, FsStore, HostWiring, OutputRoute, PersistItem, StableStore,
+    };
+    use std::io::Write;
     use std::sync::mpsc::channel;
-    use std::time::Duration;
 
     /// A sink that sums Int fields (local stand-in for apps::Summer
     /// without the crate cycle).
@@ -861,7 +971,7 @@ mod tests {
         let core = InteriorCore::new(wiring, 1, ptx);
         let (exit_tx, exit_rx) = channel();
         CellRig {
-            cell: HostCell::new(core, torn.clone(), exit_tx),
+            cell: HostCell::new(Hau::Interior(core), torn.clone(), exit_tx),
             exit_rx,
             persisted,
             meter,
@@ -905,14 +1015,14 @@ mod tests {
     fn cell_applies_batches_and_finishes_on_eos() {
         let torn = Arc::new(AtomicBool::new(false));
         let CellRig { cell, exit_rx, .. } = sink_cell(&torn);
-        let tx = cell.tx(0, None);
+        let tx = cell.tx(0);
         for v in 0..100i64 {
             assert!(tx.send(HostMsg::DataBatch([tuple(v as u64, v)].into())));
         }
         tx.send(HostMsg::Token(EpochId(1)));
         tx.send(HostMsg::Eos);
         let mut cells = vec![(1, cell)];
-        run_cells(&mut cells);
+        run_cells(&mut cells, Instant::now(), false);
         assert!(cells.is_empty(), "a cell at Eos leaves the pass");
         let exit = recv_within(&exit_rx, Duration::from_secs(5)).unwrap();
         assert!(exit.error.is_none());
@@ -925,7 +1035,7 @@ mod tests {
     fn queue_gauge_counts_tuples_not_inbox_messages() {
         let torn = Arc::new(AtomicBool::new(false));
         let mut rig = sink_cell(&torn);
-        let tx = rig.cell.tx(0, None);
+        let tx = rig.cell.tx(0);
         let tup = |seq: u64| tuple(seq, 1);
         // Four inbox messages carrying 1 + 3 + 0 + 2 tuples; one
         // direct step drains exactly this inbox.
@@ -933,7 +1043,7 @@ mod tests {
         tx.send(HostMsg::DataBatch((1..4).map(tup).collect()));
         tx.send(HostMsg::Token(EpochId(1)));
         tx.send(HostMsg::DataBatch((4..6).map(tup).collect()));
-        assert!(rig.cell.step());
+        assert!(rig.cell.step(Instant::now(), false));
         assert_eq!(rig.meter.sample().queued_tuples, 6);
     }
 
@@ -971,11 +1081,11 @@ mod tests {
         let doubler = cell(
             1,
             Box::<Doubler>::default(),
-            vec![OutputRoute::single(sink.cell.tx(0, None))],
+            vec![OutputRoute::single(sink.cell.tx(0))],
             &torn,
         );
         let mut routes = HashMap::new();
-        routes.insert((0u32, 1u32), doubler.cell.tx(0, None));
+        routes.insert((0u32, 1u32), doubler.cell.tx(0));
         command(
             &cmds,
             &waker,
@@ -1037,7 +1147,7 @@ mod tests {
         let torn = Arc::new(AtomicBool::new(false));
         let CellRig { cell, exit_rx, .. } = sink_cell(&torn);
         let mut routes = HashMap::new();
-        routes.insert((0u32, 1u32), cell.tx(0, None));
+        routes.insert((0u32, 1u32), cell.tx(0));
         command(
             &cmds,
             &waker,
@@ -1062,7 +1172,7 @@ mod tests {
         let torn = Arc::new(AtomicBool::new(false));
         let CellRig { cell, exit_rx, .. } = sink_cell(&torn);
         let mut routes = HashMap::new();
-        routes.insert((0u32, 1u32), cell.tx(0, None));
+        routes.insert((0u32, 1u32), cell.tx(0));
         command(
             &cmds,
             &waker,
@@ -1089,5 +1199,329 @@ mod tests {
 
         command(&cmds, &waker, IoCmd::Stop);
         io.join().unwrap();
+    }
+
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    #[test]
+    fn a_late_turn_catches_up_without_drift() {
+        let t0 = Instant::now();
+        let mut pace = Pace::new(ms(10), t0);
+        assert_eq!(pace.due(t0 + ms(9)), 0);
+        // Five ms late: the tick runs, and the next deadline is still
+        // t0 + 20, not five ms after the turn that ran it.
+        assert_eq!(pace.due(t0 + ms(15)), 1);
+        assert_eq!(pace.next, t0 + ms(20));
+        assert_eq!(pace.due(t0 + ms(19)), 0);
+        assert_eq!(pace.due(t0 + ms(20)), 1);
+        assert_eq!(pace.next, t0 + ms(30));
+    }
+
+    #[test]
+    fn overdue_ticks_all_run_in_one_turn() {
+        let t0 = Instant::now();
+        let mut pace = Pace::new(ms(10), t0);
+        // Deadlines 10, 20, …, 70 have passed by 75.
+        assert_eq!(pace.due(t0 + ms(75)), 7);
+        assert_eq!(pace.next, t0 + ms(80));
+        assert_eq!(pace.due(t0 + ms(75)), 0);
+        // An unpaced source runs a bounded number per turn, and is due
+        // again at once.
+        let mut flat = Pace::new(Duration::ZERO, t0);
+        assert_eq!(flat.due(t0), MAX_TICKS_PER_TURN);
+        assert_eq!(poll_timeout_ms([&flat], t0, POLL_TIMEOUT_MS), 0);
+    }
+
+    #[test]
+    fn poll_timeout_is_bounded_by_the_nearest_deadline() {
+        let t0 = Instant::now();
+        let (a, b) = (Pace::new(ms(10), t0), Pace::new(ms(3), t0));
+        assert_eq!(poll_timeout_ms([&a, &b], t0, POLL_TIMEOUT_MS), 3);
+        // Rounded up to whole ms: 2.5 ms left waits 3, never 2.
+        assert_eq!(
+            poll_timeout_ms([&a], t0 + Duration::from_micros(7_500), POLL_TIMEOUT_MS),
+            3
+        );
+        assert_eq!(poll_timeout_ms([&a], t0 + ms(11), POLL_TIMEOUT_MS), 0);
+        // No source, or only distant ones: the backstop.
+        assert_eq!(poll_timeout_ms([], t0, POLL_TIMEOUT_MS), POLL_TIMEOUT_MS);
+        let slow = Pace::new(Duration::from_secs(5), t0);
+        assert_eq!(
+            poll_timeout_ms([&slow], t0, POLL_TIMEOUT_MS),
+            POLL_TIMEOUT_MS
+        );
+    }
+
+    fn temp_store(tag: &str) -> (std::path::PathBuf, Arc<FsStore>) {
+        let dir = std::env::temp_dir().join(format!("ms_evloop_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(FsStore::open(dir.join("store"), 1).unwrap());
+        (dir, store)
+    }
+
+    #[test]
+    fn a_socket_fed_batch_is_applied_before_a_slow_sources_next_tick() {
+        let (dir, store) = temp_store("paced");
+        let (addr, cmds, waker, io) = io_thread();
+        let torn = Arc::new(AtomicBool::new(false));
+        let downstream = cell(1, Box::<Sum>::default(), Vec::new(), &torn);
+        let fed = cell(2, Box::<Sum>::default(), Vec::new(), &torn);
+        let (persist, _) = channel();
+        let route = OutputRoute::single(downstream.cell.tx(0));
+        let core = SourceCore::new(
+            OperatorId(0),
+            vec![route],
+            0,
+            None,
+            store.clone(),
+            persist,
+            None,
+        );
+        let (exit_tx, source_exit) = channel();
+        let op = Box::new(CountSource::new(10));
+        let pace = Pace::new(ms(200), Instant::now());
+        let source = HostCell::new(Hau::Source { core, op, pace }, torn.clone(), exit_tx);
+        let mut routes = HashMap::new();
+        routes.insert((0u32, 2u32), fed.cell.tx(0));
+        command(
+            &cmds,
+            &waker,
+            IoCmd::Deploy {
+                generation: 1,
+                cells: vec![source, downstream.cell, fed.cell],
+                routes,
+            },
+        );
+
+        let mut peer = TcpStream::connect(addr).unwrap();
+        hello(&mut peer, 2);
+        send_msg(
+            &mut peer,
+            &WireMsg::TupleBatch(vec![tuple(0, 7), tuple(1, 8)]),
+        )
+        .unwrap();
+        send_msg(&mut peer, &WireMsg::Eos).unwrap();
+        // The socket ends the poll the source's deadline bounds: the
+        // batch is applied and the cell done while the source, due
+        // 200 ms after deploy, has not ticked once.
+        let exit = recv_within(&fed.exit_rx, Duration::from_secs(5)).unwrap();
+        assert_eq!(sum_of(&exit.op.snapshot()), 15);
+        assert_eq!(store.preserved_tuples(), 0, "the source ticked first");
+        // It does tick on its deadline.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while store.preserved_tuples() == 0 {
+            assert!(Instant::now() < deadline, "the paced source never ticked");
+            thread::sleep(ms(10));
+        }
+
+        torn.store(true, Ordering::SeqCst);
+        command(&cmds, &waker, IoCmd::Tear { generation: 1 });
+        assert!(recv_within(&source_exit, Duration::from_secs(5)).is_some());
+        command(&cmds, &waker, IoCmd::Stop);
+        io.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn recv_ack(sock: &mut TcpStream, dec: &mut FrameDecoder) -> GateMsg {
+        loop {
+            if let Some(p) = dec.next_frame().unwrap() {
+                return GateMsg::decode(&p).unwrap();
+            }
+            let mut buf = [0u8; 4096];
+            let n = sock.read(&mut buf).unwrap();
+            assert!(n > 0, "gate closed mid-conversation");
+            dec.feed(&buf[..n]);
+        }
+    }
+
+    fn batch(batch: u64, keys: std::ops::Range<u64>) -> Vec<u8> {
+        let events = keys.map(|k| (k, 1)).collect();
+        frame(&GateMsg::Batch { batch, events }.encode())
+    }
+
+    /// A one-producer gate cell emitting on `output`, its producer
+    /// address and its exit channel.
+    fn gate_cell(
+        store: &Arc<FsStore>,
+        output: impl EdgeTx + 'static,
+        persist: Sender<PersistItem>,
+        torn: &Arc<AtomicBool>,
+    ) -> (HostCell, std::net::SocketAddr, Receiver<HostExit>) {
+        let listener = ms_gate::listen("127.0.0.1:0", None).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let wiring = GateWiring {
+            op_id: OperatorId(0),
+            cfg: GateConfig {
+                expected_producers: 1,
+                ..GateConfig::default()
+            },
+            outputs: vec![OutputRoute::single(output)],
+            listener,
+            restored: None,
+            restored_seq: 0,
+            replay: Vec::new(),
+            meter: Arc::new(GateMeter::new()),
+            telemetry: None,
+        };
+        let (exit_tx, exit_rx) = channel();
+        let gate = Box::new(Gate::new(wiring, store.clone(), persist));
+        (
+            HostCell::new(Hau::Gate(gate), torn.clone(), exit_tx),
+            addr,
+            exit_rx,
+        )
+    }
+
+    #[test]
+    fn a_cut_never_splits_a_group_commit() {
+        let (dir, store) = temp_store("cut");
+        let (edge, edge_rx) = channel::<HostMsg>();
+        let (persist, persisted) = channel::<PersistItem>();
+        let torn = Arc::new(AtomicBool::new(false));
+        let (gate, gate_addr, gate_exit) = gate_cell(&store, edge, persist, &torn);
+        let (_, cmds, waker, io) = io_thread();
+        command(
+            &cmds,
+            &waker,
+            IoCmd::Deploy {
+                generation: 1,
+                cells: vec![gate],
+                routes: HashMap::new(),
+            },
+        );
+
+        let mut producer = TcpStream::connect(gate_addr).unwrap();
+        let mut dec = FrameDecoder::new();
+        producer
+            .write_all(&frame(&GateMsg::Hello { producer: 1 }.encode()))
+            .unwrap();
+        producer.write_all(&batch(1, 0..3)).unwrap();
+        assert_eq!(
+            recv_ack(&mut producer, &mut dec),
+            GateMsg::Accepted { batch: 1 }
+        );
+        // The checkpoint is queued without a wake and four batches
+        // follow in one write: the turn their bytes end stages all four
+        // and then applies the command.
+        assert!(cmds
+            .send(IoCmd::Checkpoint {
+                generation: 1,
+                epoch: EpochId(1),
+            })
+            .is_ok());
+        let staged: Vec<u8> = (2..6).flat_map(|b| batch(b, b * 10..b * 10 + 4)).collect();
+        producer.write_all(&staged).unwrap();
+        for b in 2..6 {
+            assert_eq!(
+                recv_ack(&mut producer, &mut dec),
+                GateMsg::Accepted { batch: b }
+            );
+        }
+        // Every acked batch lies below the mark: its next_seq counts
+        // all 3 + 4 × 4 tuples, and the WAL holds nothing above it.
+        let cut = recv_within(&persisted, Duration::from_secs(5)).unwrap();
+        assert_eq!(cut.epoch, EpochId(1));
+        assert_eq!(cut.next_seq, 19);
+        assert_eq!(store.preserved_tuples(), 19);
+        assert!(store.replay_from(OperatorId(0), EpochId(1)).is_empty());
+        // On the edge the token follows every one of those tuples.
+        let mut before_token = 0;
+        loop {
+            match recv_within(&edge_rx, Duration::from_secs(5)).unwrap() {
+                HostMsg::DataBatch(b) => before_token += b.len(),
+                HostMsg::Token(e) => {
+                    assert_eq!(e, EpochId(1));
+                    break;
+                }
+                HostMsg::Eos => panic!("premature EOS"),
+            }
+        }
+        assert_eq!(before_token, 19);
+
+        producer
+            .write_all(&frame(&GateMsg::Fin { producer: 1 }.encode()))
+            .unwrap();
+        assert_eq!(recv_ack(&mut producer, &mut dec), GateMsg::FinOk);
+        let exit = recv_within(&gate_exit, Duration::from_secs(5)).unwrap();
+        assert!(exit.error.is_none());
+        command(&cmds, &waker, IoCmd::Stop);
+        io.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A sink summing field 0 whose apply takes 50 ms a tuple.
+    #[derive(Default)]
+    struct SlowSum(i64);
+    impl Operator for SlowSum {
+        fn kind(&self) -> &'static str {
+            "TestSlowSum"
+        }
+        fn on_tuple(&mut self, _port: PortId, t: Tuple, _ctx: &mut dyn OperatorContext) {
+            thread::sleep(ms(50));
+            self.0 += t.field(0).and_then(Value::as_int).unwrap_or(0);
+        }
+        fn state_size(&self) -> u64 {
+            8
+        }
+        fn snapshot(&self) -> OperatorSnapshot {
+            Sum(self.0).snapshot()
+        }
+        fn restore(&mut self, snap: &OperatorSnapshot) -> ms_core::error::Result<()> {
+            self.0 = sum_of(snap);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_waiting_producer_is_acked_ahead_of_a_slow_apply() {
+        let (dir, store) = temp_store("admit");
+        let torn = Arc::new(AtomicBool::new(false));
+        let sink = cell(1, Box::<SlowSum>::default(), Vec::new(), &torn);
+        let (persist, _) = channel();
+        let (gate, gate_addr, _) = gate_cell(&store, sink.cell.tx(0), persist, &torn);
+        let (_, cmds, waker, io) = io_thread();
+        command(
+            &cmds,
+            &waker,
+            IoCmd::Deploy {
+                generation: 1,
+                cells: vec![gate, sink.cell],
+                routes: HashMap::new(),
+            },
+        );
+        let mut producer = TcpStream::connect(gate_addr).unwrap();
+        let mut dec = FrameDecoder::new();
+        producer
+            .write_all(&frame(&GateMsg::Hello { producer: 1 }.encode()))
+            .unwrap();
+        // Stop-and-wait, like a producer awaiting each ack: every batch
+        // is admitted while the sink still applies the first, not one
+        // 50 ms apply after the other.
+        let t0 = Instant::now();
+        for b in 1..5 {
+            producer.write_all(&batch(b, b..b + 1)).unwrap();
+            assert_eq!(
+                recv_ack(&mut producer, &mut dec),
+                GateMsg::Accepted { batch: b }
+            );
+        }
+        assert!(
+            t0.elapsed() < ms(100),
+            "acks waited on the apply: {:?}",
+            t0.elapsed()
+        );
+        // And every batch is applied: the Fin closes the gate, its Eos
+        // the sink.
+        producer
+            .write_all(&frame(&GateMsg::Fin { producer: 1 }.encode()))
+            .unwrap();
+        assert_eq!(recv_ack(&mut producer, &mut dec), GateMsg::FinOk);
+        let exit = recv_within(&sink.exit_rx, Duration::from_secs(5)).unwrap();
+        assert_eq!(sum_of(&exit.op.snapshot()), 4);
+        command(&cmds, &waker, IoCmd::Stop);
+        io.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -14,9 +14,9 @@
 //! |---|---|
 //! | [`message`] | the wire alphabet ([`WireMsg`]) + frame codec |
 //! | [`chaos`] | decorators around [`FsStore`]: injected disk faults ([`FaultStore`]) + transient-failure retry ([`RetryStore`]) |
-//! | [`apps`] | demo operators (throttled source, doubler, keyed stats, summer) and graph shapes |
+//! | [`apps`] | demo operators (count source, doubler, keyed stats, summer), graph shapes and source pacing |
 //! | [`worker`] | the `ms-worker` daemon: operator hosts on the event-loop core |
-//! | `evloop` | the worker's data plane: one poll-driven I/O thread that also runs every interior/sink HAU |
+//! | `evloop` | the worker's data plane: one poll-driven I/O thread that runs every HAU the worker hosts — paced sources, ingestion gates, interiors, sinks |
 //! | [`controller`] | the `ms-controller` daemon: deploy / pace / detect / recover |
 //! | [`cadence`] | the live telemetry plane: §III-C aware barrier initiation + adaptive checkpoint cadence |
 //! | [`ledger`] | the epoch-keyed run ledger (JSONL telemetry trail) + `ms_ledger` summarizer |

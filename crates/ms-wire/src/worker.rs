@@ -1,19 +1,18 @@
 //! The `ms-worker` daemon: hosts operators over real TCP streams.
 //!
 //! One worker process runs any subset of a generation's operators —
-//! including shard instances of key-partitioned HAUs — on a fixed
-//! thread budget plus one per local source, not O(edges + operators):
+//! including shard instances of key-partitioned HAUs — on six threads,
+//! not O(edges + operators): main, heartbeat, control reader, I/O, and
+//! per generation a joiner and a persister.
 //!
 //! * **One I/O thread** (the `evloop` module) owns the data-plane
 //!   listener and every peer socket, nonblocking, multiplexed with
-//!   `poll(2)`, and runs the protocol state machine
-//!   ([`ms_live::InteriorCore`]) of every interior/sink HAU. Inbound
-//!   frames land in per-operator inboxes and are applied in the same
-//!   poll turn; outbound frames coalesce in per-connection buffers
-//!   written after each turn's cell pass.
-//! * **Source HAUs** keep a dedicated thread each, driving an
-//!   [`ms_live::SourceCore`]: they block on pacing sleeps and
-//!   stable-store appends, which must not stall the I/O thread.
+//!   `poll(2)`, and runs every HAU: interiors and sinks
+//!   ([`ms_live::InteriorCore`]), demo sources ([`ms_live::SourceCore`]
+//!   ticked on deadlines) and ingestion [`Gate`]s. Inbound frames land
+//!   in per-operator inboxes and are applied in the same poll turn;
+//!   outbound frames coalesce in per-connection buffers written after
+//!   each turn's cell pass.
 //!
 //! Local edges are direct inbox pushes — colocated operators pay no
 //! socket tax, exactly the HAU-grouping benefit of §II-A. A producer
@@ -37,8 +36,8 @@
 //! * Teardown (`Rollback`, a superseding `Assign`, or `Shutdown`)
 //!   marks the generation torn (producers' next emission fails,
 //!   unwinding hosts) and tells the I/O thread to drop the
-//!   generation's sockets and routes and finish its cells, so their
-//!   final state is flushed.
+//!   generation's sockets and routes and finish its sources, gates and
+//!   cells, so their final state is flushed.
 //! * Every wait of a deploy is *generation-scoped*. The control
 //!   connection is read by its own thread, which counts each message
 //!   that ends the current generation (`Assign`, `Rollback`,
@@ -65,7 +64,7 @@ use std::collections::HashMap;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -73,17 +72,16 @@ use std::time::{Duration, Instant};
 use ms_core::error::{Error, Result};
 use ms_core::ids::OperatorId;
 use ms_core::metrics::{BackpressureGauges, BackpressureMeter, OperatorMeter, OperatorSample};
-use ms_core::operator::Operator;
-use ms_gate::{run_gate, GateMeter, GateOp, GateWiring};
+use ms_gate::{Gate, GateMeter, GateOp, GateWiring};
 use ms_live::{
-    EdgeTx, FsStore, HostExit, HostWiring, InteriorCore, OutputRoute, Persister, SourceCmd,
-    SourceCore, StableStore,
+    EdgeTx, FsStore, HostExit, HostWiring, InteriorCore, OutputRoute, Persister, SourceCore,
+    StableStore,
 };
 use ms_net::ready::Waker;
 
-use crate::apps::{build_operator, route_key};
+use crate::apps::{build_operator, route_key, skewed_delay_us};
 use crate::chaos::{FaultStore, RetryStore, StoreFaultSpec};
-use crate::evloop::{self, CellTx, EgressBuf, EgressHandle, HostCell, IoCmd};
+use crate::evloop::{self, CellTx, EgressBuf, EgressHandle, Hau, HostCell, IoCmd, Pace};
 use crate::message::{recv_msg, send_msg, Assignment, WireMsg};
 use ms_net::fault::FaultPlan;
 
@@ -211,38 +209,21 @@ impl Scope<'_> {
 /// One deployed generation on this worker.
 struct Run {
     generation: u64,
-    src_cmds: Vec<Sender<SourceCmd>>,
-    src_threads: Vec<JoinHandle<()>>,
-    joiner: Option<JoinHandle<()>>,
+    joiner: JoinHandle<()>,
     torn: Arc<AtomicBool>,
 }
 
 impl Run {
-    fn checkpoint(&self, epoch: ms_core::ids::EpochId) {
-        for tx in &self.src_cmds {
-            let _ = tx.send(SourceCmd::Checkpoint(epoch));
-        }
-    }
-
     /// Tears the generation down. Order matters: mark torn (producers
-    /// start failing sends, which unwinds hosts) → drop the
-    /// generation's sockets and routes and finish its cells, so each
-    /// exit record flushes even with no traffic → stop sources → join.
-    fn teardown(mut self, eng: &Engine) {
+    /// start failing sends, which unwinds hosts) → drop its sockets and
+    /// routes and finish its HAUs, so each exit record flushes even
+    /// with no traffic → join.
+    fn teardown(self, eng: &Engine) {
         self.torn.store(true, Ordering::SeqCst);
         eng.send_io(IoCmd::Tear {
             generation: self.generation,
         });
-        for tx in &self.src_cmds {
-            let _ = tx.send(SourceCmd::Stop);
-        }
-        self.src_cmds.clear();
-        for t in self.src_threads.drain(..) {
-            let _ = t.join();
-        }
-        if let Some(j) = self.joiner.take() {
-            let _ = j.join();
-        }
+        let _ = self.joiner.join();
     }
 
     /// Builds, restores and wires `a`'s local operators. `Ok(None)`
@@ -295,14 +276,7 @@ impl Run {
             let mut operator: Box<dyn ms_core::operator::Operator> = if is_gate(op) {
                 Box::new(GateOp::new(ms_core::operator::OperatorSnapshot::empty()))
             } else {
-                build_operator(
-                    &qn,
-                    op,
-                    a.source_limit,
-                    a.source_delay_us,
-                    a.keyed_state,
-                    a.sawtooth_window,
-                )
+                build_operator(&qn, op, a.source_limit, a.keyed_state, a.sawtooth_window)
             };
             let is_source = qn.upstream(op).is_empty();
             let (restored_seq, replay, resume_seq) = match a.restore_epoch {
@@ -368,9 +342,16 @@ impl Run {
                 remote.insert((op.0, down.0), s);
             }
         }
+        // Gate listeners last: a bind error fails the deploy, and an
+        // early producer waits in the backlog until the gate is adopted.
+        let mut listeners: HashMap<u32, TcpListener> = HashMap::new();
+        for gate in a.gates.iter().filter(|g| is_mine(g.op)) {
+            let addr_file = cfg.store_dir.join(format!("gate_op{}.addr", gate.op.0));
+            listeners.insert(gate.op.0, ms_gate::listen("127.0.0.1:0", Some(&addr_file))?);
+        }
 
-        // Infallible phase: build cells (consumers before producers),
-        // wire routes, spawn source threads.
+        // Infallible phase: build HAUs (consumers before producers) and
+        // wire routes.
         let torn = Arc::new(AtomicBool::new(false));
         let (exits_tx, exits_rx) = channel::<HostExit>();
 
@@ -427,8 +408,6 @@ impl Run {
         // Built consumers first; handed to the I/O thread producers first.
         let mut cells: Vec<HostCell> = Vec::new();
         let mut cell_of: HashMap<u32, usize> = HashMap::new();
-        let mut src_cmds = Vec::new();
-        let mut src_threads = Vec::new();
         let mut ingress_routes: HashMap<(u32, u32), CellTx> = HashMap::new();
         for &op in order.iter().rev() {
             if !is_mine(op) {
@@ -436,9 +415,6 @@ impl Run {
             }
             let r = restored.remove(&op.0).expect("restored once per local op");
             let is_source = qn.upstream(op).is_empty();
-            // A source or gate runs on a thread of its own, so its
-            // pushes must wake the I/O thread; a cell runs on it.
-            let waker = is_source.then(|| eng.waker.clone());
 
             // One OutputRoute per *logical* consumer: group the
             // physical downstream list into its contiguous runs.
@@ -459,7 +435,7 @@ impl Run {
                             .get(&down.0)
                             .expect("consumers are built before producers");
                         let port = qn.input_port(op, down).expect("edge exists").0;
-                        txs.push(Box::new(cells[*at].tx(port, waker.clone())));
+                        txs.push(Box::new(cells[*at].tx(port)));
                     } else {
                         let stream = remote
                             .remove(&(op.0, down.0))
@@ -473,7 +449,6 @@ impl Run {
                         txs.push(Box::new(EgressHandle {
                             buf,
                             torn: torn.clone(),
-                            waker: waker.clone(),
                         }));
                     }
                 }
@@ -485,9 +460,8 @@ impl Run {
                 i = j;
             }
 
-            // A gateway host: same output wiring and checkpoint
-            // command channel as any source, but the thread runs the
-            // ingestion event loop instead of a demo source.
+            // A gateway host: same output wiring as any source; the
+            // replay goes out here, before the gate can admit a batch.
             if let Some(gate) = a.gates.iter().find(|g| g.op == op) {
                 let op_meter = Arc::new(OperatorMeter::new());
                 let gate_meter = Arc::new(GateMeter::new());
@@ -495,33 +469,20 @@ impl Run {
                 meters.ops.push((op, op_meter.clone()));
                 meters.gates.push((op, gate_meter.clone()));
                 drop(meters);
-                let (cmd_tx, cmd_rx) = channel();
-                src_cmds.push(cmd_tx);
                 let wiring = GateWiring {
                     op_id: op,
                     cfg: gate.cfg,
                     outputs,
-                    cmd: cmd_rx,
-                    listen: "127.0.0.1:0".into(),
-                    addr_file: Some(cfg.store_dir.join(format!("gate_op{}.addr", op.0))),
+                    listener: listeners.remove(&op.0).expect("gate listener bound"),
                     restored: a.restore_epoch.is_some().then(|| r.operator.snapshot()),
                     restored_seq: r.restored_seq,
                     replay: r.replay,
                     meter: gate_meter,
                     telemetry: Some(op_meter),
                 };
-                let store = store.clone();
-                let ptx = persister.sender();
-                let etx = exits_tx.clone();
-                src_threads.push(
-                    thread::Builder::new()
-                        .name(format!("ms-gate-{}", op.0))
-                        .spawn(move || {
-                            let exit = run_gate(wiring, store, ptx);
-                            let _ = etx.send(exit);
-                        })
-                        .expect("spawn gate thread"),
-                );
+                let gate = Gate::new(wiring, store.clone(), persister.sender());
+                let cell = HostCell::new(Hau::Gate(Box::new(gate)), torn.clone(), exits_tx.clone());
+                cells.push(cell);
                 continue;
             }
 
@@ -533,8 +494,6 @@ impl Run {
                 .ops
                 .push((op, op_meter.clone()));
             if is_source {
-                let (cmd_tx, cmd_rx) = channel();
-                src_cmds.push(cmd_tx);
                 let mut src = SourceCore::new(
                     op,
                     outputs,
@@ -544,17 +503,17 @@ impl Run {
                     persister.sender(),
                     Some(op_meter),
                 );
-                let etx = exits_tx.clone();
-                src_threads.push(
-                    thread::Builder::new()
-                        .name(format!("ms-src-{}", op.0))
-                        .spawn(move || {
-                            let mut operator = r.operator;
-                            src.resume(operator.as_mut(), r.replay);
-                            let _ = etx.send(run_source(src, operator, cmd_rx));
-                        })
-                        .expect("spawn source thread"),
-                );
+                let mut operator = r.operator;
+                src.resume(operator.as_mut(), r.replay);
+                // Later sources of a fan-in run slower, so the merge
+                // sees misaligned inputs.
+                let period = Duration::from_micros(skewed_delay_us(&qn, op, a.source_delay_us));
+                let hau = Hau::Source {
+                    core: src,
+                    op: operator,
+                    pace: Pace::new(period, Instant::now()),
+                };
+                cells.push(HostCell::new(hau, torn.clone(), exits_tx.clone()));
                 continue;
             }
 
@@ -576,11 +535,11 @@ impl Run {
                 telemetry: Some(op_meter),
             };
             let core = InteriorCore::new(wiring, qn.upstream(op).len(), persister.sender());
-            let cell = HostCell::new(core, torn.clone(), exits_tx.clone());
+            let cell = HostCell::new(Hau::Interior(core), torn.clone(), exits_tx.clone());
             for &up in qn.upstream(op) {
                 if !is_mine(up) {
                     let port = qn.input_port(up, op).expect("edge exists").0;
-                    ingress_routes.insert((up.0, op.0), cell.tx(port, None));
+                    ingress_routes.insert((up.0, op.0), cell.tx(port));
                 }
             }
             cell_of.insert(op.0, cells.len());
@@ -643,9 +602,7 @@ impl Run {
 
         Ok(Some(Run {
             generation,
-            src_cmds,
-            src_threads,
-            joiner: Some(joiner),
+            joiner,
             torn,
         }))
     }
@@ -681,30 +638,6 @@ impl Run {
             let _ = send_msg(&mut *ctrl_w.lock().expect("control socket lock"), &msg);
         }
         None
-    }
-}
-
-/// Drives one demo source to completion on its own thread: pending
-/// controller commands first, so a checkpoint cuts on the tick boundary
-/// the loop sits at, then one tick (the generator paces itself inside
-/// `on_timer`). A finite stream closes itself on its first silent tick,
-/// without a controller round-trip; teardown reaches a source through
-/// the generation's torn flag — its next send fails — so `Stop` has
-/// nothing left to do here.
-fn run_source(
-    mut src: SourceCore,
-    mut op: Box<dyn Operator>,
-    cmd: Receiver<SourceCmd>,
-) -> HostExit {
-    loop {
-        while let Ok(c) = cmd.try_recv() {
-            if let SourceCmd::Checkpoint(epoch) = c {
-                src.checkpoint_operator(epoch, op.as_mut());
-            }
-        }
-        if !src.tick(op.as_mut()) {
-            return src.finish(op);
-        }
     }
 }
 
@@ -846,7 +779,8 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<()> {
             }
             Ok(Some(WireMsg::Checkpoint(epoch))) => {
                 if let Some(r) = &run {
-                    r.checkpoint(epoch);
+                    let generation = r.generation;
+                    eng.send_io(IoCmd::Checkpoint { generation, epoch });
                 }
             }
             Ok(Some(WireMsg::Rollback)) => {
@@ -886,6 +820,7 @@ mod tests {
     use super::*;
     use crate::message::OpPlacement;
     use ms_core::ids::EpochId;
+    use std::sync::mpsc::Receiver;
 
     /// An address nothing listens on: bound, then closed.
     fn dead_addr() -> String {

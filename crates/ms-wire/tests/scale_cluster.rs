@@ -38,11 +38,12 @@ const SHARDS: u64 = 8;
 /// 6 sources + 6 stages × 8 shards + 1 sink.
 const HAUS: usize = 55;
 const LIMIT: u64 = 2500;
-/// The worker thread budget: main + heartbeat + control reader + I/O
-/// (which runs every interior and sink HAU) + joiner + persister + ≤1
-/// local source thread, plus one thread of headroom. A thread-per-edge
-/// worker at this scale runs 50–100 threads.
-const MAX_WORKER_THREADS: usize = 8;
+/// The worker thread budget: six threads — main, heartbeat, control
+/// reader, I/O (which runs every HAU the worker hosts: sources, gates,
+/// interiors and sinks), joiner and persister — plus one thread of
+/// headroom. A thread-per-edge worker at this scale runs 50–100
+/// threads.
+const MAX_WORKER_THREADS: usize = 7;
 /// The controller polls the listener and both connections of every
 /// worker on its main thread, however many workers register.
 const CONTROLLER_THREADS: usize = 1;
@@ -109,7 +110,12 @@ fn fifty_five_haus_on_eight_processes_survive_sigkill() {
         ("--shards", &SHARDS),
         ("--keyed-state", &512),
         ("--limit", &LIMIT),
-        ("--delay-us", &120),
+        // Sources tick on exact deadlines and a recovered one resends
+        // its preserved suffix at once, so the fastest source lasts
+        // LIMIT × delay = 2.5 s: still streaming when the spare's
+        // generation deploys, which must checkpoint too. (The fan-in
+        // skew makes the slowest source 16× that.)
+        ("--delay-us", &1000),
         ("--ckpt-ms", &150),
         ("--hb-timeout-ms", &800),
         ("--respawn-wait-ms", &3000),
