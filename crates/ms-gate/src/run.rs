@@ -10,7 +10,7 @@
 //! The durability order per accepted batch is the whole contract:
 //! admit → stamp tuples → append to the preservation log (`Err` is
 //! fatal: the gate stops streaming rather than ack unpreserved data)
-//! → route onto engine edges → queue `Accepted`. [`Gate::on_ready`]
+//! → queue onto engine edges → queue `Accepted`. [`Gate::on_ready`]
 //! *stages* every batch admitted during one poll turn — across all
 //! ready producer connections — and [`Gate::commit`] commits the lot
 //! with a single [`StableStore::append_log_batch`]: one lock, one
@@ -45,7 +45,7 @@ use ms_core::ids::{EpochId, OperatorId, PortId};
 use ms_core::metrics::OperatorMeter;
 use ms_core::operator::{DeferredSnapshot, Operator, OperatorContext, OperatorSnapshot};
 use ms_core::tuple::Tuple;
-use ms_live::{HostExit, OutputRoute, PersistItem, SourceCore, StableStore};
+use ms_live::{HostExit, Outbox, OutputRoute, PersistItem, SourceCore, StableStore};
 use ms_net::ready::{Interest, PollTarget, ReadyEvent};
 
 use crate::admission::{is_fin_marker, Admission, GateCore};
@@ -228,7 +228,8 @@ pub fn listen(addr: &str, addr_file: Option<&Path>) -> Result<TcpListener> {
 /// One gateway HAU. Its host calls, each turn: [`Gate::poll_entries`]
 /// into the poll set, [`Gate::on_ready`] per ready entry, then
 /// [`Gate::commit`] and [`Gate::flush_acks`]; [`Gate::checkpoint`] on
-/// command; [`Gate::finish`] once [`Gate::is_done`] or at teardown.
+/// command; [`Gate::finish`] once [`Gate::is_done`] or at teardown. It
+/// moves what the gate emitted with [`Gate::take_outbox`].
 pub struct Gate {
     core: GateCore,
     src: SourceCore,
@@ -491,8 +492,15 @@ impl Gate {
         self.all_fin || self.failed
     }
 
-    /// Best-effort delivery of pending acks, then EOS on every route.
-    pub fn finish(mut self) -> HostExit {
+    /// Everything the gate's source core queued downstream since the
+    /// last take: the recovery replay, committed batches, tokens.
+    pub fn take_outbox(&mut self) -> Outbox {
+        self.src.take_outbox()
+    }
+
+    /// Best-effort delivery of pending acks, then EOS queued on every
+    /// route: the exit record and the last of the outbox.
+    pub fn finish(mut self) -> (HostExit, Outbox) {
         for c in &mut self.conns {
             c.flush();
         }
@@ -513,8 +521,15 @@ mod tests {
 
     /// Hosts a gate the way the worker's I/O thread does, on a thread
     /// of its own: one poll over the gate's entries, readiness, queued
-    /// checkpoints, the group commit and the ack flush per turn.
-    fn pump(mut gate: Gate, checkpoints: Receiver<EpochId>) -> HostExit {
+    /// checkpoints, the group commit and the ack flush per turn, then
+    /// the gate's outbox onto `edge`.
+    fn pump(mut gate: Gate, checkpoints: Receiver<EpochId>, edge: Sender<HostMsg>) -> HostExit {
+        let forward = |outbox: Outbox| {
+            for (_, msg) in outbox {
+                let _ = edge.send(msg);
+            }
+        };
+        forward(gate.take_outbox());
         loop {
             let entries: Vec<_> = gate
                 .poll_entries()
@@ -529,8 +544,11 @@ mod tests {
             }
             gate.commit();
             gate.flush_acks();
+            forward(gate.take_outbox());
             if gate.is_done() {
-                return gate.finish();
+                let (exit, outbox) = gate.finish();
+                forward(outbox);
+                return exit;
             }
         }
     }
@@ -594,7 +612,7 @@ mod tests {
         let wiring = GateWiring {
             op_id: OperatorId(0),
             cfg,
-            outputs: vec![OutputRoute::single(tx)],
+            outputs: vec![OutputRoute::single(0)],
             listener: listen("127.0.0.1:0", Some(&addr_file)).unwrap(),
             restored: None,
             restored_seq: 0,
@@ -604,7 +622,7 @@ mod tests {
         };
         let store2 = store.clone();
         let handle = std::thread::spawn(move || {
-            let exit = pump(Gate::new(wiring, store2, persist), cmd_rx);
+            let exit = pump(Gate::new(wiring, store2, persist), cmd_rx, tx);
             drop(persister);
             exit
         });
@@ -844,7 +862,7 @@ mod tests {
                 expected_producers: 1,
                 ..GateConfig::default()
             },
-            outputs: vec![OutputRoute::single(tx)],
+            outputs: vec![OutputRoute::single(0)],
             listener: listen("127.0.0.1:0", None).unwrap(),
             restored: None,
             restored_seq: 0,
@@ -852,7 +870,8 @@ mod tests {
             meter: Arc::new(GateMeter::new()),
             telemetry: None,
         };
-        let handle = std::thread::spawn(move || pump(Gate::new(wiring, store, persist), cmd_rx));
+        let handle =
+            std::thread::spawn(move || pump(Gate::new(wiring, store, persist), cmd_rx, tx));
         // No producer ever connects. The gate must still terminate:
         // replayed data, then Eos — and no marker in between.
         let mut got = Vec::new();
@@ -898,7 +917,7 @@ mod tests {
                 expected_producers: 1,
                 ..GateConfig::default()
             },
-            outputs: vec![OutputRoute::single(tx)],
+            outputs: vec![OutputRoute::single(0)],
             listener: listen("127.0.0.1:0", Some(&addr_file)).unwrap(),
             restored: None,
             restored_seq: 0,
@@ -907,7 +926,8 @@ mod tests {
             telemetry: None,
         };
         let store2 = store.clone();
-        let handle = std::thread::spawn(move || pump(Gate::new(wiring, store2, persist), cmd_rx));
+        let handle =
+            std::thread::spawn(move || pump(Gate::new(wiring, store2, persist), cmd_rx, tx));
         let addr = wait_addr(&addr_file);
         // The replayed tuples arrive downstream before any new data.
         let mut got = Vec::new();

@@ -3,8 +3,10 @@
 //!
 //! A host is a plain state machine with no I/O of its own. It owns a
 //! set of [`OutputRoute`]s (one per logical consumer, each either a
-//! single edge or a hash-sharded group of edges) and comes in the
-//! paper's two shapes (§III-A/B):
+//! single edge or a hash-sharded group of edges) and an [`Outbox`]:
+//! everything it sends is queued there, addressed to a physical
+//! target, and its driver moves the outbox after each call. It comes
+//! in the paper's two shapes (§III-A/B):
 //!
 //! * [`SourceCore`] — preserve every emitted tuple in the
 //!   [`StableStore`] *before* sending it; on a checkpoint command mark
@@ -29,12 +31,12 @@
 //! — is the only unit of data on every edge. A source routes a run as
 //! soon as it is preserved. An interior stamps what its operator emits
 //! at apply time (sequence numbers never depend on batching) but holds
-//! it until the message in hand is done, then gives each route its
+//! it until the message in hand is done, then queues each route its
 //! share as one [`OutputRoute::data_batch`]: a host fed batches emits
 //! batches. That flush is private — no driver calls or observes it —
 //! and also runs in `finish` and before every capture, so a token or
-//! EOS never overtakes data emitted before it and a cut's `next_seq` is
-//! one past the last tuple sent.
+//! EOS never overtakes data emitted before it in the outbox and a cut's
+//! `next_seq` is one past the last tuple queued.
 //!
 //! # The alignment window (MS-src+ap) and the one cut rule
 //!
@@ -93,7 +95,7 @@ pub enum HostMsg {
     /// A run of data tuples delivered as one unit — the only data
     /// message. A batch is exactly its tuples in order: every tuple
     /// keeps its own `seq`, so replay and dedup work per tuple, but the
-    /// run crosses channels, inboxes, and the wire as a single
+    /// run crosses outboxes, inboxes, and the wire as a single
     /// message/frame.
     DataBatch(Arc<[Tuple]>),
     /// A checkpoint token for the given epoch.
@@ -253,26 +255,13 @@ impl Drop for Persister {
 /// shard.
 pub type RouteKeyFn = Arc<dyn Fn(&Tuple) -> u64 + Send + Sync>;
 
-/// One transmit edge a host can push a [`HostMsg`] down: an in-process
-/// channel, or (in `ms-wire`) a cell inbox or a buffered egress
-/// socket. Returns `false` when the consumer is gone for good — the
-/// host stops emitting.
-pub trait EdgeTx: Send {
-    /// Pushes one message; `false` = consumer gone.
-    fn send(&self, msg: HostMsg) -> bool;
-}
-
-impl EdgeTx for Sender<HostMsg> {
-    fn send(&self, msg: HostMsg) -> bool {
-        Sender::send(self, msg).is_ok()
-    }
-}
-
-impl EdgeTx for Box<dyn EdgeTx> {
-    fn send(&self, msg: HostMsg) -> bool {
-        (**self).send(msg)
-    }
-}
+/// A core's emissions awaiting its driver: `(target, message)` pairs in
+/// emission order. The driver gives every physical target a `u32`
+/// address when it wires the routes, and moves the outbox after each
+/// call ([`InteriorCore::take_outbox`], [`SourceCore::take_outbox`]).
+/// Queueing cannot fail, so no core ever learns whether or when its
+/// consumer reads.
+pub type Outbox = Vec<(u32, HostMsg)>;
 
 /// Most encoded bytes — the exact batch-record size a [`BatchSizer`]
 /// counts — one [`HostMsg::DataBatch`] carries: far above any steady-state batch
@@ -284,27 +273,28 @@ impl EdgeTx for Box<dyn EdgeTx> {
 const MAX_BATCH_BYTES: usize = 1 << 20;
 
 /// Where one *logical* out-edge delivers: either a single physical
-/// edge, or the full shard group of a key-partitioned consumer. Data
-/// tuples go to exactly one target (the key's shard); tokens and EOS
-/// are broadcast to every target, because each shard instance aligns
-/// and checkpoints as a first-class HAU.
+/// target, or the full shard group of a key-partitioned consumer, each
+/// an address in the owning core's [`Outbox`]. Data tuples go to
+/// exactly one target (the key's shard); tokens and EOS are broadcast
+/// to every target, because each shard instance aligns and checkpoints
+/// as a first-class HAU.
 pub struct OutputRoute {
-    targets: Vec<Box<dyn EdgeTx>>,
+    targets: Vec<u32>,
     key: Option<RouteKeyFn>,
 }
 
 impl OutputRoute {
     /// A plain one-edge route (the unsharded wiring).
-    pub fn single(tx: impl EdgeTx + 'static) -> OutputRoute {
+    pub fn single(target: u32) -> OutputRoute {
         OutputRoute {
-            targets: vec![Box::new(tx)],
+            targets: vec![target],
             key: None,
         }
     }
 
     /// A hash-sharded route over a consumer's instance group, shard
     /// order. `key` must be deterministic in the tuple alone.
-    pub fn sharded(targets: Vec<Box<dyn EdgeTx>>, key: RouteKeyFn) -> OutputRoute {
+    pub fn sharded(targets: Vec<u32>, key: RouteKeyFn) -> OutputRoute {
         debug_assert!(!targets.is_empty(), "a route needs at least one target");
         OutputRoute {
             targets,
@@ -312,17 +302,15 @@ impl OutputRoute {
         }
     }
 
-    /// Delivers a run of data tuples as [`HostMsg::DataBatch`]es: each
+    /// Queues a run of data tuples as [`HostMsg::DataBatch`]es: each
     /// tuple goes to its key's shard (or the only target), order within
     /// a shard preserved, and a shard's run leaves as consecutive
     /// batches of at most `MAX_BATCH_BYTES` encoded bytes — one batch
     /// in the common case; a single larger tuple travels alone.
-    /// Returns the encoded bytes of every batch sent, or `None` if any
-    /// receiving shard is gone.
-    pub fn data_batch(&self, tuples: impl IntoIterator<Item = Tuple>) -> Option<u64> {
+    /// Returns the encoded bytes of every batch queued.
+    pub fn data_batch(&self, out: &mut Outbox, tuples: impl IntoIterator<Item = Tuple>) -> u64 {
         let shards = self.targets.len();
         let mut runs = vec![(Vec::new(), BatchSizer::default()); shards];
-        let mut ok = true;
         let mut bytes = 0;
         for t in tuples {
             let idx = match &self.key {
@@ -332,33 +320,32 @@ impl OutputRoute {
             let (run, size) = &mut runs[idx];
             if !size.push_within(&t, MAX_BATCH_BYTES) {
                 bytes += size.bytes();
-                ok &= self.targets[idx].send(HostMsg::DataBatch(std::mem::take(run).into()));
+                out.push((
+                    self.targets[idx],
+                    HostMsg::DataBatch(std::mem::take(run).into()),
+                ));
                 *size = BatchSizer::default();
                 size.push(&t);
             }
             run.push(t);
         }
-        for (tx, (run, size)) in self.targets.iter().zip(runs) {
+        for (&target, (run, size)) in self.targets.iter().zip(runs) {
             if !run.is_empty() {
                 bytes += size.bytes();
-                ok &= tx.send(HostMsg::DataBatch(run.into()));
+                out.push((target, HostMsg::DataBatch(run.into())));
             }
         }
-        ok.then_some(bytes as u64)
+        bytes as u64
     }
 
     /// Broadcasts a checkpoint token to every shard instance.
-    pub fn token(&self, epoch: EpochId) {
-        for tx in &self.targets {
-            let _ = tx.send(HostMsg::Token(epoch));
-        }
+    pub fn token(&self, out: &mut Outbox, epoch: EpochId) {
+        out.extend(self.targets.iter().map(|&t| (t, HostMsg::Token(epoch))));
     }
 
     /// Broadcasts end-of-stream to every shard instance.
-    pub fn eos(&self) {
-        for tx in &self.targets {
-            let _ = tx.send(HostMsg::Eos);
-        }
+    pub fn eos(&self, out: &mut Outbox) {
+        out.extend(self.targets.iter().map(|&t| (t, HostMsg::Eos)));
     }
 }
 
@@ -481,14 +468,15 @@ fn stamp(
     })
 }
 
-/// Meters a run of stamped emissions and hands each output route the
-/// tuples bound for its port as one [`OutputRoute::data_batch`] — how
-/// data leaves either core. `false`: a consumer is gone.
+/// Meters a run of stamped emissions and queues for each output route
+/// the tuples bound for its port as one [`OutputRoute::data_batch`] —
+/// how data leaves either core.
 fn route_stamped(
     outputs: &[OutputRoute],
     telemetry: &Option<Arc<OperatorMeter>>,
+    out: &mut Outbox,
     stamped: impl Iterator<Item = (PortId, Tuple)>,
-) -> bool {
+) {
     let mut runs = vec![Vec::new(); outputs.len()];
     let mut emitted = 0u64;
     for (port, t) in stamped {
@@ -497,24 +485,23 @@ fn route_stamped(
             run.push(t);
         }
     }
-    let mut sent_bytes = 0;
-    let ok = outputs
+    let sent_bytes: u64 = outputs
         .iter()
         .zip(runs)
-        .all(|(route, run)| route.data_batch(run).map(|b| sent_bytes += b).is_some());
+        .map(|(route, run)| route.data_batch(out, run))
+        .sum();
     // Emission metering is batched: one pair of relaxed adds per call,
     // not per tuple.
     if let Some(m) = telemetry.as_ref().filter(|_| emitted > 0) {
         m.add_tuples_out(emitted, sent_bytes);
     }
-    ok
 }
 
 /// The interior/sink half of the host protocol as a plain state
 /// machine: feed it messages with [`InteriorCore::on_msg`] from
 /// whatever execution engine owns the streams — `ms-wire`'s I/O
 /// thread, or a single-threaded test pump — and it runs token alignment,
-/// cuts checkpoints, and routes downstream.
+/// cuts checkpoints, and queues what goes downstream in its [`Outbox`].
 pub struct InteriorCore {
     op_id: OperatorId,
     op: Box<dyn Operator>,
@@ -533,6 +520,8 @@ pub struct InteriorCore {
     applied: u64,
     /// Stamped emissions of the message in hand, not yet routed.
     pending: Vec<(PortId, Tuple)>,
+    /// Routed messages awaiting the driver.
+    outbox: Outbox,
     done: bool,
 }
 
@@ -572,13 +561,13 @@ impl InteriorCore {
             telemetry: w.telemetry,
             applied: 0,
             pending: Vec::new(),
+            outbox: Outbox::new(),
             done: false,
         }
     }
 
-    /// Whether the host has finished (all inputs at EOS, a consumer
-    /// gone, or a storage error). Once done, further messages are
-    /// ignored.
+    /// Whether every input has reached EOS. Once done, further
+    /// messages are ignored.
     pub fn is_done(&self) -> bool {
         self.done
     }
@@ -661,30 +650,35 @@ impl InteriorCore {
         !self.done
     }
 
-    /// Consumes the host: broadcasts EOS downstream — behind anything
-    /// still pending — and returns the exit record with the operator's
-    /// final state.
-    pub fn finish(mut self) -> HostExit {
+    /// Everything queued downstream since the last take, in emission
+    /// order.
+    pub fn take_outbox(&mut self) -> Outbox {
+        std::mem::take(&mut self.outbox)
+    }
+
+    /// Consumes the host: queues EOS downstream — behind anything still
+    /// pending — and returns the exit record with the operator's final
+    /// state, and the last of the outbox.
+    pub fn finish(mut self) -> (HostExit, Outbox) {
         self.flush();
-        self.done = true;
         for route in &self.outputs {
-            route.eos();
+            route.eos(&mut self.outbox);
         }
-        HostExit {
+        let exit = HostExit {
             op_id: self.op_id,
             op: self.op,
             error: None,
-        }
+        };
+        (exit, self.outbox)
     }
 
-    /// Hands every output route the emissions pending since the last
-    /// flush, one batch per route. Private on purpose: a driver
-    /// delivers messages and never learns when data leaves.
+    /// Queues for every output route the emissions pending since the
+    /// last flush, one batch per route. Private on purpose: a driver
+    /// delivers messages and never learns when data is routed.
     fn flush(&mut self) {
-        if !self.pending.is_empty()
-            && !route_stamped(&self.outputs, &self.telemetry, self.pending.drain(..))
-        {
-            self.done = true;
+        if !self.pending.is_empty() {
+            let pending = self.pending.drain(..);
+            route_stamped(&self.outputs, &self.telemetry, &mut self.outbox, pending);
         }
     }
 
@@ -719,9 +713,6 @@ impl InteriorCore {
             // capture's `next_seq` is one past the last tuple sent, and
             // on every route the data precedes the token.
             self.flush();
-            if self.done {
-                return;
-            }
             let win = self.windows.pop_front().expect("front window");
             let align_us = win.opened.elapsed().as_micros() as u64;
             if let Some(m) = &self.telemetry {
@@ -742,7 +733,7 @@ impl InteriorCore {
                 meter: self.telemetry.clone(),
             });
             for route in &self.outputs {
-                route.token(win.epoch);
+                route.token(&mut self.outbox, win.epoch);
             }
             // The buffered tuples were only deferred for the cut:
             // apply them now, ahead of anything still in the streams.
@@ -762,12 +753,13 @@ impl InteriorCore {
 /// past it. The driver owns whatever produces the data — a generating
 /// [`Operator`] it [`tick`](SourceCore::tick)s, or (`ms-gate`) producer
 /// sockets whose admitted batches it [`send`](SourceCore::send)s — and
-/// decides when to checkpoint. The first storage
-/// failure stops the host: later calls are refused and
-/// [`SourceCore::finish`] reports it in the [`HostExit`].
+/// decides when to checkpoint, and moves the [`Outbox`] after each call.
+/// The first storage failure stops the host: later calls are refused
+/// and [`SourceCore::finish`] reports it in the [`HostExit`].
 pub struct SourceCore {
     op_id: OperatorId,
     outputs: Vec<OutputRoute>,
+    outbox: Outbox,
     next_seq: u64,
     last_captured: Option<EpochId>,
     store: Arc<dyn StableStore>,
@@ -791,6 +783,7 @@ impl SourceCore {
         SourceCore {
             op_id,
             outputs,
+            outbox: Outbox::new(),
             next_seq: restored_seq,
             last_captured: last_durable,
             store,
@@ -806,12 +799,18 @@ impl SourceCore {
         &mut self.next_seq
     }
 
+    /// Everything queued downstream since the last take, in emission
+    /// order.
+    pub fn take_outbox(&mut self) -> Outbox {
+        std::mem::take(&mut self.outbox)
+    }
+
     /// Stops the host on `e` (the first error wins).
     pub fn fail(&mut self, e: Error) {
         self.error.get_or_insert(e);
     }
 
-    /// Recovery catch-up: resends the preserved log suffix downstream —
+    /// Recovery catch-up: queues the preserved log suffix downstream —
     /// one run per route, skipping records that are not `routable`
     /// (WAL-only markers) — and continues numbering past all of it.
     /// Replay goes through the routes, so a sharded consumer sees each
@@ -822,7 +821,7 @@ impl SourceCore {
         }
         preserved.retain(routable);
         for route in &self.outputs {
-            route.data_batch(preserved.iter().cloned());
+            route.data_batch(&mut self.outbox, preserved.iter().cloned());
         }
     }
 
@@ -859,9 +858,9 @@ impl SourceCore {
     }
 
     /// Ticks a generating operator once: stamps what it emits,
-    /// preserves the run, then hands each route its share. `false`
+    /// preserves the run, then queues each route its share. `false`
     /// means stop ticking — the operator stayed silent (the convention
-    /// for an exhausted source), a consumer is gone, or the host failed.
+    /// for an exhausted source) or the host failed.
     pub fn tick(&mut self, op: &mut dyn Operator) -> bool {
         if self.error.is_some() {
             return false;
@@ -870,20 +869,19 @@ impl SourceCore {
         op.on_timer(&mut ctx);
         let (ports, tuples): (Vec<PortId>, Vec<Tuple>) =
             stamp(self.op_id, &mut self.next_seq, ctx.emissions).unzip();
-        !tuples.is_empty()
-            && self.preserve(&tuples).is_some()
-            && route_stamped(
-                &self.outputs,
-                &self.telemetry,
-                ports.into_iter().zip(tuples),
-            )
+        if tuples.is_empty() || self.preserve(&tuples).is_none() {
+            return false;
+        }
+        let stamped = ports.into_iter().zip(tuples);
+        route_stamped(&self.outputs, &self.telemetry, &mut self.outbox, stamped);
+        true
     }
 
     /// Preserves `wal` — tuples the driver stamped itself — as one
-    /// group append, and only then delivers each `deliver` range of it
+    /// group append, and only then queues each `deliver` range of it
     /// as one batch on every route (a gateway fans out like a source).
     /// Records outside every range are WAL-only. Returns the bytes the
-    /// log grew by; `None`: nothing is durable and nothing was sent.
+    /// log grew by; `None`: nothing is durable and nothing was queued.
     pub fn send(
         &mut self,
         wal: &[Tuple],
@@ -894,7 +892,7 @@ impl SourceCore {
             let sent_bytes: u64 = self
                 .outputs
                 .iter()
-                .filter_map(|route| route.data_batch(run.iter().cloned()))
+                .map(|route| route.data_batch(&mut self.outbox, run.iter().cloned()))
                 .sum();
             if let Some(m) = self.telemetry.as_ref().filter(|_| !run.is_empty()) {
                 m.add_tuples_out(run.len() as u64, sent_bytes);
@@ -938,7 +936,7 @@ impl SourceCore {
             meter: self.telemetry.clone(),
         });
         for route in &self.outputs {
-            route.token(epoch);
+            route.token(&mut self.outbox, epoch);
         }
         true
     }
@@ -950,17 +948,18 @@ impl SourceCore {
         self.checkpoint(epoch, snapshot, base, op.state_size())
     }
 
-    /// Consumes the host: broadcasts EOS downstream and returns the
-    /// exit record carrying `op`'s final state.
-    pub fn finish(self, op: Box<dyn Operator>) -> HostExit {
+    /// Consumes the host: queues EOS downstream and returns the exit
+    /// record carrying `op`'s final state, and the last of the outbox.
+    pub fn finish(mut self, op: Box<dyn Operator>) -> (HostExit, Outbox) {
         for route in &self.outputs {
-            route.eos();
+            route.eos(&mut self.outbox);
         }
-        HostExit {
+        let exit = HostExit {
             op_id: self.op_id,
             op,
             error: self.error,
-        }
+        };
+        (exit, self.outbox)
     }
 }
 
@@ -976,10 +975,11 @@ mod tests {
     use crate::storage::LiveHauCheckpoint;
 
     /// A recording store, and the ordered log it shares with the
-    /// recording edges. Every note first moves whatever sits in the
-    /// persist queue into the log, so a [`PersistItem`] lands exactly
-    /// between the last call made before it was enqueued and the first
-    /// one made after. Calls whose name starts with `fail` are refused.
+    /// messages drained from a core's outbox. Every note first moves
+    /// whatever sits in the persist queue into the log, so a
+    /// [`PersistItem`] lands exactly between the last note made before
+    /// it was enqueued and the first one made after. Calls whose name
+    /// starts with `fail` are refused.
     struct Rec {
         log: Mutex<Vec<String>>,
         persist_rx: Mutex<Receiver<PersistItem>>,
@@ -1037,16 +1037,17 @@ mod tests {
         }
     }
 
-    struct RecEdge(Arc<Rec>, usize);
-
-    impl EdgeTx for RecEdge {
-        fn send(&self, msg: HostMsg) -> bool {
-            let what = match &msg {
-                HostMsg::Token(epoch) => format!("token {}", epoch.0),
-                HostMsg::Eos => "eos".into(),
-                data => format!("data x{}", data.tuple_count()),
-            };
-            self.0.note(format!("{what} on {}", self.1)).is_ok()
+    impl Rec {
+        /// Notes every message a call queued, in outbox order.
+        fn drain(&self, outbox: Outbox) {
+            for (route, msg) in outbox {
+                let what = match &msg {
+                    HostMsg::Token(epoch) => format!("token {}", epoch.0),
+                    HostMsg::Eos => "eos".into(),
+                    data => format!("data x{}", data.tuple_count()),
+                };
+                self.note(format!("{what} on {route}")).unwrap();
+            }
         }
     }
 
@@ -1063,9 +1064,7 @@ mod tests {
     /// A two-route source over a recording store.
     fn source(fail: &'static str) -> (SourceCore, Arc<Rec>) {
         let (rec, persist) = recorder(fail);
-        let outputs = (0..2)
-            .map(|route| OutputRoute::single(RecEdge(rec.clone(), route)))
-            .collect();
+        let outputs = (0..2).map(OutputRoute::single).collect();
         let src = SourceCore::new(OperatorId(0), outputs, 0, None, rec.clone(), persist, None);
         (src, rec)
     }
@@ -1082,13 +1081,16 @@ mod tests {
         // One tick of a two-port source: both emissions are durable in
         // one append before either leaves.
         assert!(src.tick(&mut op));
+        rec.drain(src.take_outbox());
         assert_eq!(rec.take(), ["append 2", "data x1 on 0", "data x1 on 1"]);
         // A driver-stamped run: the WAL-only record in the middle is
         // preserved with the rest and delivered nowhere.
         assert!(src.send(&stamped(2..7), [0..2, 3..5]).is_some());
+        rec.drain(src.take_outbox());
         let twice = ["data x2 on 0", "data x2 on 1"];
         assert_eq!(rec.take(), [&["append 5"][..], &twice, &twice].concat());
         assert!(src.checkpoint_operator(EpochId(1), &mut op));
+        rec.drain(src.take_outbox());
         assert_eq!(
             rec.take(),
             [
@@ -1098,7 +1100,9 @@ mod tests {
                 "token 1 on 1"
             ]
         );
-        assert!(src.finish(Box::new(op)).error.is_none());
+        let (exit, outbox) = src.finish(Box::new(op));
+        assert!(exit.error.is_none());
+        rec.drain(outbox);
         assert_eq!(rec.take(), ["eos on 0", "eos on 1"]);
     }
 
@@ -1107,11 +1111,13 @@ mod tests {
         let (mut src, rec) = source("mark");
         let mut op = CountSource::new(10);
         assert!(src.tick(&mut op));
+        rec.drain(src.take_outbox());
         rec.take();
         assert!(!src.checkpoint_operator(EpochId(1), &mut op));
         assert!(!src.tick(&mut op), "a failed host stops generating");
+        rec.drain(src.take_outbox());
         assert!(rec.take().is_empty());
-        let exit = src.finish(Box::new(op));
+        let (exit, _) = src.finish(Box::new(op));
         assert!(matches!(exit.error, Some(Error::Storage(_))));
     }
 
@@ -1120,8 +1126,9 @@ mod tests {
         let (mut src, rec) = source("append");
         assert!(src.send(&stamped(0..3), Some(0..3)).is_none());
         assert!(!src.tick(&mut CountSource::new(10)));
+        rec.drain(src.take_outbox());
         assert!(rec.take().is_empty());
-        let exit = src.finish(Box::new(CountSource::new(0)));
+        let (exit, _) = src.finish(Box::new(CountSource::new(0)));
         assert!(matches!(exit.error, Some(Error::Storage(_))));
     }
 
@@ -1139,7 +1146,7 @@ mod tests {
         let wiring = HostWiring {
             op_id: OperatorId(1),
             op: Box::new(Doubler::default()),
-            outputs: vec![OutputRoute::single(RecEdge(rec.clone(), 0))],
+            outputs: vec![OutputRoute::single(0)],
             restored_seq: 0,
             resume_seq: Vec::new(),
             last_durable: None,
@@ -1153,8 +1160,10 @@ mod tests {
     fn emissions_of_one_message_leave_as_one_batch_and_never_behind_a_token_or_eos() {
         let (mut core, rec) = fan_in_doubler();
         assert!(core.on_msg(0, ints(0..2)));
+        rec.drain(core.take_outbox());
         assert_eq!(rec.take(), ["data x2 on 0"]);
         assert!(core.on_msg(1, ints(0..3)));
+        rec.drain(core.take_outbox());
         assert_eq!(rec.take(), ["data x3 on 0"]);
         // Input 0 runs two epochs ahead and ends; its data waits in the
         // two alignment windows.
@@ -1166,22 +1175,28 @@ mod tests {
             HostMsg::Eos,
         ] {
             assert!(core.on_msg(0, msg));
+            rec.drain(core.take_outbox());
         }
         assert!(rec.take().is_empty());
         // Input 1 ending completes both windows inside one message.
-        // What window 1's re-applied buffer emitted is on the route
-        // before cut 2 is taken — so cut 2's `next_seq` is one past the
-        // last tuple sent (2 + 3 + 2) — and before token 2; window 2's
-        // is out before the host reports done, so EOS follows it.
+        // What window 1's re-applied buffer emitted is queued before
+        // cut 2 is taken — so cut 2's `next_seq` is one past the last
+        // tuple queued (2 + 3 + 2) — and before token 2; window 2's is
+        // queued before the host reports done, so EOS follows it.
+        // Nothing leaves during a call: both cuts are enqueued before
+        // the route's messages are drained.
         assert!(!core.on_msg(1, HostMsg::Eos));
-        assert!(core.finish().error.is_none());
+        rec.drain(core.take_outbox());
+        let (exit, outbox) = core.finish();
+        assert!(exit.error.is_none());
+        rec.drain(outbox);
         assert_eq!(
             rec.take(),
             [
                 "enqueue 1 next_seq 5",
+                "enqueue 2 next_seq 7",
                 "token 1 on 0",
                 "data x2 on 0",
-                "enqueue 2 next_seq 7",
                 "token 2 on 0",
                 "data x3 on 0",
                 "eos on 0",
@@ -1191,9 +1206,7 @@ mod tests {
 
     #[test]
     fn a_replay_over_the_batch_cap_reaches_each_shard_as_several_batches_in_order() {
-        let (txs, rxs): (Vec<_>, Vec<_>) = (0..2).map(|_| channel::<HostMsg>()).unzip();
-        let txs = txs.into_iter().map(|tx| Box::new(tx) as Box<dyn EdgeTx>);
-        let route = OutputRoute::sharded(txs.collect(), Arc::new(|t: &Tuple| t.seq));
+        let route = OutputRoute::sharded(vec![0, 1], Arc::new(|t: &Tuple| t.seq));
         let (rec, persist) = recorder("");
         let mut src = SourceCore::new(OperatorId(0), vec![route], 0, None, rec, persist, None);
         // 48 tuples of ~100 KiB — each shard's share is about twice the
@@ -1205,11 +1218,13 @@ mod tests {
         let mut preserved: Vec<Tuple> = (0..48).map(|seq| blob(seq, 100 << 10)).collect();
         preserved[7] = blob(7, MAX_BATCH_BYTES + 1);
         src.replay(preserved.clone(), |_| true);
-        for (shard, rx) in rxs.iter().enumerate() {
-            let batches: Vec<Arc<[Tuple]>> = rx
-                .try_iter()
-                .map(|msg| match msg {
-                    HostMsg::DataBatch(batch) => batch,
+        let outbox = src.take_outbox();
+        for shard in 0..2 {
+            let batches: Vec<Arc<[Tuple]>> = outbox
+                .iter()
+                .filter(|(target, _)| *target == shard as u32)
+                .map(|(_, msg)| match msg {
+                    HostMsg::DataBatch(batch) => batch.clone(),
                     other => panic!("replay sent {other:?}"),
                 })
                 .collect();

@@ -26,7 +26,7 @@ pub mod storage;
 pub mod store;
 
 pub use host::{
-    DurableHook, EdgeTx, HostExit, HostMsg, HostWiring, InteriorCore, OutputRoute, PersistItem,
+    DurableHook, HostExit, HostMsg, HostWiring, InteriorCore, Outbox, OutputRoute, PersistItem,
     Persister, RouteKeyFn, SourceCore, STATE_GAUGE_SAMPLE_EVERY,
 };
 pub use protocol::{CountSource, Doubler, Summer};

@@ -5,7 +5,8 @@
 //! pipelines from. The tests below deploy them over
 //! [`SourceCore`](crate::SourceCore) / [`InteriorCore`](crate::InteriorCore)
 //! and [`FsStore`](crate::FsStore) with a deterministic
-//! single-threaded pump — every edge a queue, every persist inline —
+//! single-threaded pump — every edge an outbox address and a queue,
+//! every persist inline —
 //! so checkpoint cuts, alignment windows and recovery are asserted on
 //! exact interleavings rather than on what a scheduler happened to do.
 
@@ -148,7 +149,7 @@ impl Operator for Doubler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::{BTreeMap, HashMap};
+    use std::collections::{BTreeMap, HashMap, VecDeque};
     use std::sync::mpsc::{channel, Receiver};
     use std::sync::Arc;
 
@@ -160,7 +161,7 @@ mod tests {
     use proptest::prelude::*;
 
     use crate::host::{
-        HostExit, HostMsg, HostWiring, InteriorCore, OutputRoute, PersistItem, SourceCore,
+        HostExit, HostMsg, HostWiring, InteriorCore, Outbox, OutputRoute, PersistItem, SourceCore,
     };
     use crate::storage::StableStore;
     use crate::store::tests::tmpdir;
@@ -168,16 +169,20 @@ mod tests {
 
     type Factory<'a> = &'a dyn Fn(OperatorId) -> Box<dyn Operator>;
 
-    /// One deployment of a query network on the calling thread. Edges
-    /// are unbounded queues; [`Pump::settle`] delivers them in
-    /// topological order (each host's inputs in port order) and then
-    /// persists every queued checkpoint inline, so a test decides the
-    /// interleaving by the order it ticks, tokens and settles.
+    /// One deployment of a query network on the calling thread. Every
+    /// edge is an outbox address with an unbounded queue, which each
+    /// call fills from the called core's outbox; [`Pump::settle`]
+    /// delivers the queues in topological order (each host's inputs in
+    /// port order) and then persists every queued checkpoint inline, so
+    /// a test decides the interleaving by the order it ticks, tokens
+    /// and settles.
     struct Pump {
         storage: Arc<FsStore>,
         sources: BTreeMap<OperatorId, (SourceCore, Box<dyn Operator>)>,
-        /// Interior hosts, topological order, with their input queues.
-        interiors: Vec<(Option<InteriorCore>, Vec<Receiver<HostMsg>>)>,
+        /// Interior hosts, topological order, with their input addresses.
+        interiors: Vec<(Option<InteriorCore>, Vec<u32>)>,
+        /// Every edge's queue, by address.
+        edges: Vec<VecDeque<HostMsg>>,
         persist_rx: Receiver<PersistItem>,
         meters: HashMap<OperatorId, Arc<OperatorMeter>>,
         epoch: EpochId,
@@ -196,17 +201,13 @@ mod tests {
         ) -> Result<Pump> {
             qn.validate()?;
             let store: Arc<dyn StableStore> = storage.clone();
-            let (mut txs, mut rxs) = (HashMap::new(), HashMap::new());
-            for edge in qn.edges() {
-                let (tx, rx) = channel();
-                txs.insert(edge, tx);
-                rxs.insert(edge, rx);
-            }
+            let addr: HashMap<_, u32> = qn.edges().zip(0..).collect();
             let (persist, persist_rx) = channel();
             let mut pump = Pump {
                 storage,
                 sources: BTreeMap::new(),
                 interiors: Vec::new(),
+                edges: (0..addr.len()).map(|_| VecDeque::new()).collect(),
                 persist_rx,
                 meters: HashMap::new(),
                 epoch: restore.unwrap_or(EpochId::INITIAL),
@@ -221,7 +222,7 @@ mod tests {
                     op.restore(&ck.snapshot)?;
                 }
                 let outputs = qn.downstream(id).iter();
-                let outputs = outputs.map(|&d| OutputRoute::single(txs[&(id, d)].clone()));
+                let outputs = outputs.map(|&d| OutputRoute::single(addr[&(id, d)]));
                 let restored_seq = ck.as_ref().map_or(0, |ck| ck.next_seq);
                 let tel = Arc::new(OperatorMeter::new());
                 pump.meters.insert(id, tel.clone());
@@ -238,6 +239,7 @@ mod tests {
                     );
                     if let Some(epoch) = restore {
                         src.resume(op.as_mut(), store.replay_from(id, epoch));
+                        post(&mut pump.edges, src.take_outbox());
                     }
                     pump.sources.insert(id, (src, op));
                 } else {
@@ -252,8 +254,8 @@ mod tests {
                         telemetry: Some(tel),
                     };
                     let core = InteriorCore::new(wiring, inputs.len(), persist.clone());
-                    let rxs = inputs.iter().map(|&&u| rxs.remove(&(u, id)).expect("edge"));
-                    pump.interiors.push((Some(core), rxs.collect()));
+                    let inputs = inputs.iter().map(|&&u| addr[&(u, id)]);
+                    pump.interiors.push((Some(core), inputs.collect()));
                 }
             }
             Ok(pump)
@@ -267,12 +269,14 @@ mod tests {
                     break;
                 }
             }
+            post(&mut self.edges, src.take_outbox());
         }
 
         /// Source `id` checkpoints `epoch` and emits its token.
         fn token(&mut self, id: OperatorId, epoch: EpochId) {
             let (src, op) = self.sources.get_mut(&id).expect("a source");
             assert!(src.checkpoint_operator(epoch, op.as_mut()));
+            post(&mut self.edges, src.take_outbox());
         }
 
         /// Delivers everything queued on every edge, finishes hosts
@@ -280,13 +284,16 @@ mod tests {
         fn settle(&mut self) {
             for (slot, inputs) in &mut self.interiors {
                 let Some(core) = slot else { continue };
-                for (port, rx) in inputs.iter().enumerate() {
-                    for msg in rx.try_iter() {
+                for (port, &at) in inputs.iter().enumerate() {
+                    for msg in std::mem::take(&mut self.edges[at as usize]) {
                         core.on_msg(port, msg);
                     }
                 }
+                post(&mut self.edges, core.take_outbox());
                 if core.is_done() {
-                    self.exits.push(slot.take().expect("core").finish());
+                    let (exit, outbox) = slot.take().expect("core").finish();
+                    post(&mut self.edges, outbox);
+                    self.exits.push(exit);
                 }
             }
             for item in self.persist_rx.try_iter() {
@@ -300,6 +307,7 @@ mod tests {
             self.epoch = self.epoch.next();
             for (src, op) in self.sources.values_mut() {
                 assert!(src.checkpoint_operator(self.epoch, op.as_mut()));
+                post(&mut self.edges, src.take_outbox());
             }
             self.settle();
             self.epoch
@@ -311,13 +319,22 @@ mod tests {
         fn finish(mut self) -> Result<HashMap<OperatorId, Box<dyn Operator>>> {
             for (mut src, mut op) in std::mem::take(&mut self.sources).into_values() {
                 while src.tick(op.as_mut()) {}
-                self.exits.push(src.finish(op));
+                let (exit, outbox) = src.finish(op);
+                post(&mut self.edges, outbox);
+                self.exits.push(exit);
             }
             self.settle();
             let exits = self.exits.into_iter();
             exits
                 .map(|exit| exit.error.map_or(Ok((exit.op_id, exit.op)), Err))
                 .collect()
+        }
+    }
+
+    /// Moves a core's outbox onto the edge queues it addresses.
+    fn post(edges: &mut [VecDeque<HostMsg>], outbox: Outbox) {
+        for (at, msg) in outbox {
+            edges[at as usize].push_back(msg);
         }
     }
 
@@ -582,11 +599,10 @@ mod tests {
         let dir = tmpdir("fan_in_cuts");
         let storage = FsStore::open(&dir, 1).unwrap();
         let (persist, persist_rx) = channel();
-        let (txs, rxs): (Vec<_>, Vec<_>) = (0..2).map(|_| channel::<HostMsg>()).unzip();
         let wiring = HostWiring {
             op_id,
             op: Box::new(Doubler::default()),
-            outputs: txs.into_iter().map(OutputRoute::single).collect(),
+            outputs: (0..2).map(OutputRoute::single).collect(),
             restored_seq: 0,
             resume_seq: Vec::new(),
             last_durable: None,
@@ -595,9 +611,13 @@ mod tests {
         };
         let mut core = InteriorCore::new(wiring, 2, persist);
         let mut cuts = Vec::new();
+        let mut routes: [Vec<HostMsg>; 2] = Default::default();
         let ends = [(0, HostMsg::Eos), (1, HostMsg::Eos)];
         for (input, msg) in msgs.into_iter().chain(ends) {
             core.on_msg(input, msg);
+            for (route, msg) in core.take_outbox() {
+                routes[route as usize].push(msg);
+            }
             for item in persist_rx.try_iter() {
                 let epoch = item.epoch;
                 item.persist(&storage).expect("persist");
@@ -607,10 +627,14 @@ mod tests {
         }
         let _ = std::fs::remove_dir_all(&dir);
         assert!(core.is_done());
-        let state = core.finish().op.snapshot().data;
-        let flatten = |rx: Receiver<HostMsg>| {
+        let (exit, outbox) = core.finish();
+        let state = exit.op.snapshot().data;
+        for (route, msg) in outbox {
+            routes[route as usize].push(msg);
+        }
+        let flatten = |msgs: Vec<HostMsg>| {
             let mut flat = Vec::new();
-            for msg in rx.try_iter() {
+            for msg in msgs {
                 match msg {
                     HostMsg::DataBatch(batch) => {
                         flat.extend(batch.iter().cloned().map(Sent::Tuple))
@@ -621,7 +645,7 @@ mod tests {
             }
             flat
         };
-        (cuts, rxs.into_iter().map(flatten).collect(), state)
+        (cuts, routes.into_iter().map(flatten).collect(), state)
     }
 
     proptest! {

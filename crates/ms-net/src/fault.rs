@@ -30,7 +30,6 @@
 //! `after=N` (required) and an optional `gen<=N`.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 /// One sever rule: the edge pattern it applies to, the frame index it
 /// fires from, and an optional generation ceiling.
@@ -57,14 +56,13 @@ impl FaultRule {
 /// A deterministic fault plan consulted once per ingress frame.
 ///
 /// Internally keeps a per-`(generation, from, to)` frame counter so
-/// `after=` sees a stable index; the counter lives behind a mutex, but
-/// each edge is only ever advanced by the single I/O thread that owns
-/// its socket, so there is no contention in practice.
+/// `after=` sees a stable index. The worker's I/O thread owns the plan
+/// outright, as it owns every socket the plan is consulted for.
 #[derive(Debug)]
 pub struct FaultPlan {
     rules: Vec<FaultRule>,
     /// Frames seen so far per (generation, from, to).
-    counters: Mutex<HashMap<(u64, u32, u32), u64>>,
+    counters: HashMap<(u64, u32, u32), u64>,
 }
 
 impl FaultPlan {
@@ -83,7 +81,7 @@ impl FaultPlan {
         }
         Ok(FaultPlan {
             rules,
-            counters: Mutex::new(HashMap::new()),
+            counters: HashMap::new(),
         })
     }
 
@@ -100,14 +98,10 @@ impl FaultPlan {
     /// Whether the next frame on edge `from -> to` under `generation`
     /// severs the connection. Advances that edge's frame counter as a
     /// side effect.
-    pub fn on_frame(&self, generation: u64, from: u32, to: u32) -> bool {
-        let idx = {
-            let mut counters = self.counters.lock().unwrap();
-            let c = counters.entry((generation, from, to)).or_insert(0);
-            let idx = *c;
-            *c += 1;
-            idx
-        };
+    pub fn on_frame(&mut self, generation: u64, from: u32, to: u32) -> bool {
+        let c = self.counters.entry((generation, from, to)).or_insert(0);
+        let idx = *c;
+        *c += 1;
         self.decide(generation, from, to, idx)
     }
 
@@ -227,14 +221,14 @@ mod tests {
 
     #[test]
     fn sever_fires_at_and_after_threshold() {
-        let p = FaultPlan::parse("sever:1->2:after=3").unwrap();
+        let mut p = FaultPlan::parse("sever:1->2:after=3").unwrap();
         let seq: Vec<_> = (0..5).map(|_| p.on_frame(1, 1, 2)).collect();
         assert_eq!(seq, [false, false, false, true, true]);
     }
 
     #[test]
     fn generation_scope_heals_the_edge() {
-        let p = FaultPlan::parse("sever:1->2:after=0,gen<=1").unwrap();
+        let mut p = FaultPlan::parse("sever:1->2:after=0,gen<=1").unwrap();
         assert!(p.on_frame(1, 1, 2));
         // The post-rollback generation no longer matches: healed.
         assert!(!p.on_frame(2, 1, 2));
@@ -242,7 +236,7 @@ mod tests {
 
     #[test]
     fn wildcard_edges_match_everything_and_counters_are_per_edge() {
-        let p = FaultPlan::parse("sever:*->*:after=2").unwrap();
+        let mut p = FaultPlan::parse("sever:*->*:after=2").unwrap();
         // Each edge has its own frame index, so interleaved traffic on
         // another edge does not bring an edge's sever forward.
         for _ in 0..2 {
@@ -259,7 +253,7 @@ mod tests {
     fn first_matching_rule_wins() {
         // A matching rule that has not fired yet does not shadow a
         // later one: the first rule that fires decides.
-        let p = FaultPlan::parse("sever:1->2:after=5;sever:*->*:after=1").unwrap();
+        let mut p = FaultPlan::parse("sever:1->2:after=5;sever:*->*:after=1").unwrap();
         assert!(!p.on_frame(1, 1, 2));
         assert!(p.on_frame(1, 1, 2), "the wildcard fires at frame 1");
         assert!(!p.on_frame(1, 0, 1));

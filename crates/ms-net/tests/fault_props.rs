@@ -25,8 +25,8 @@ proptest! {
         spec in arb_spec(),
         frames in proptest::collection::vec((1u64..3, 0u32..4, 0u32..4), 0..200),
     ) {
-        let a = FaultPlan::parse(&spec).unwrap();
-        let b = FaultPlan::parse(&spec).unwrap();
+        let mut a = FaultPlan::parse(&spec).unwrap();
+        let mut b = FaultPlan::parse(&spec).unwrap();
         for &(generation, from, to) in &frames {
             prop_assert_eq!(
                 a.on_frame(generation, from, to),
@@ -42,7 +42,7 @@ proptest! {
         spec in arb_spec(),
         frames in proptest::collection::vec((1u64..3, 0u32..4, 0u32..4), 0..200),
     ) {
-        let plan = FaultPlan::parse(&spec).unwrap();
+        let mut plan = FaultPlan::parse(&spec).unwrap();
         let pure = FaultPlan::parse(&spec).unwrap();
         let mut idx = std::collections::HashMap::new();
         for &(generation, from, to) in &frames {
@@ -61,8 +61,8 @@ proptest! {
         noise in proptest::collection::vec((1u64..3, 2u32..4, 2u32..4), 0..100),
         n in 1usize..50,
     ) {
-        let quiet = FaultPlan::parse(&spec).unwrap();
-        let noisy = FaultPlan::parse(&spec).unwrap();
+        let mut quiet = FaultPlan::parse(&spec).unwrap();
+        let mut noisy = FaultPlan::parse(&spec).unwrap();
         let mut noise = noise.into_iter();
         let mut a = Vec::new();
         let mut b = Vec::new();

@@ -8,11 +8,17 @@
 //!   batch-decoded into the consuming cell's inbox (a
 //!   [`WireMsg::TupleBatch`] frame lands as one inbox push for the
 //!   whole run).
-//! * It owns every [`HostCell`] of every generation — an interior or
-//!   sink ([`InteriorCore`] plus its inbox), a demo source
+//! * It owns every [`HostCell`] of every generation ([`Gen`]) — an
+//!   interior or sink ([`InteriorCore`] plus its inbox), a demo source
 //!   ([`SourceCore`]) ticked on its deadlines, or an ingestion [`Gate`]
-//!   whose sockets join the poll set; no core is shared with another
-//!   thread.
+//!   whose sockets join the poll set — and every inbox and egress
+//!   queue; no core, inbox or queue is shared with another thread.
+//! * A core sends by queueing into its own outbox, addressed through
+//!   its generation's target table. One delivery routine
+//!   ([`Gen::deliver`]) moves the outbox after every input message an
+//!   interior applies and every step, checkpoint and finish: a message
+//!   for a colocated consumer goes into that consumer's inbox, one for
+//!   another worker is encoded onto the connection's [`EgressBuf`].
 //! * Each turn reads the ready sockets, applies commands, visits the
 //!   cells in topological order (sources and gates first, so a gate's
 //!   group commit lands before the interiors run and a colocated chain
@@ -22,9 +28,11 @@
 //!   behind producer input ([`QUIET_MS`]) need it: idle means *blocked
 //!   in poll*, not sleeping in a loop.
 //!
-//! Only the worker's commands write the [`Waker`]. The inbox and egress
-//! locks stay because the main thread builds a generation's HAUs (a
-//! recovering source's replay included) before [`IoCmd::Deploy`].
+//! The thread takes input from other threads only through [`IoCmd`]
+//! and the [`Waker`]. The worker's main thread builds a generation — its
+//! cells with a recovering source's replay already in its outbox, its
+//! outbound connections and its routes — as plain owned data that
+//! crosses once, in [`IoCmd::Deploy`].
 //!
 //! Failure semantics:
 //!
@@ -37,11 +45,10 @@
 //!   discarded tuples are preserved in (or derivable from) the source
 //!   logs; the controller's rollback rewinds downstream state behind
 //!   them.
-//! * Teardown marks the generation's `torn` flag (every producer's
-//!   next emission returns `false`, unwinding hosts) and sends
-//!   [`IoCmd::Tear`], which drops the generation's connections and
-//!   routes and finishes its sources, gates and cells, so each final
-//!   [`HostExit`] reaches the joiner even if no message ever arrives.
+//! * [`IoCmd::Tear`] drops the generation's connections and routes and
+//!   finishes its sources, gates and cells, discarding what they would
+//!   still send, so each final [`HostExit`] reaches the joiner even if
+//!   no message ever arrives.
 //!
 //! Streams that arrive before their `Assign` (the controller sends
 //! assignments concurrently, so a peer can connect first) sit in a
@@ -54,9 +61,7 @@ use std::io::{self, Read};
 use std::mem;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -64,7 +69,7 @@ use ms_core::codec::{frame, FrameDecoder};
 use ms_core::ids::EpochId;
 use ms_core::operator::Operator;
 use ms_gate::Gate;
-use ms_live::{EdgeTx, HostExit, HostMsg, InteriorCore, SourceCore};
+use ms_live::{HostExit, HostMsg, InteriorCore, Outbox, SourceCore};
 use ms_net::fault::FaultPlan;
 use ms_net::ready::{poll, Interest, PollTarget, ReadyEvent, Waker};
 use ms_net::vectored;
@@ -89,98 +94,36 @@ const READ_CHUNK: usize = 16 * 1024;
 
 // ---------------- egress ----------------
 
-struct EgressState {
+/// One outbound data connection and its userspace send queue. Delivery
+/// appends encoded frames; the write pass drains the queue with
+/// vectored writes ([`ms_net::vectored::write_frames`], `writev(2)` on
+/// unix) — many frames per syscall instead of one. The queue stays
+/// unbounded until end-to-end credit bounds it (ROADMAP B): a colocated
+/// gate feeds it at producer speed, and the alternative (blocking the
+/// I/O thread on a slow socket) stalls every operator of the worker.
+pub(crate) struct EgressBuf {
+    /// The socket; `None` once it broke: drain mode, pushes are
+    /// discarded (see module docs).
+    stream: Option<TcpStream>,
     /// Encoded frames awaiting the socket, front-to-back.
     frames: VecDeque<Vec<u8>>,
     /// Bytes of the front frame already written by a partial flush.
     head: usize,
-    /// Socket gone: discard pushes (drain mode — see module docs).
-    broken: bool,
-}
-
-/// The userspace send queue of one outbound data connection. Hosts
-/// append encoded frames; the I/O thread drains the queue with
-/// vectored writes ([`ms_net::vectored::write_frames`], `writev(2)` on
-/// unix) — many frames per syscall instead of one. Unbounded by
-/// design: the only unbounded producers are throttled sources, and the
-/// alternative (blocking the I/O thread on a slow socket) stalls every
-/// operator of the worker.
-pub(crate) struct EgressBuf {
-    inner: Mutex<EgressState>,
 }
 
 impl EgressBuf {
-    pub(crate) fn new() -> Arc<EgressBuf> {
-        Arc::new(EgressBuf {
-            inner: Mutex::new(EgressState {
-                frames: VecDeque::new(),
-                head: 0,
-                broken: false,
-            }),
-        })
-    }
-
-    fn push(&self, payload: &[u8]) {
-        let mut g = self.inner.lock().expect("egress lock");
-        if !g.broken {
-            g.frames.push_back(frame(payload));
+    /// A queue over a connected, nonblocking socket whose hello is out.
+    pub(crate) fn new(stream: TcpStream) -> EgressBuf {
+        EgressBuf {
+            stream: Some(stream),
+            frames: VecDeque::new(),
+            head: 0,
         }
     }
 
-    fn is_empty(&self) -> bool {
-        let g = self.inner.lock().expect("egress lock");
-        g.broken || g.frames.is_empty()
-    }
-
-    fn mark_broken(&self) {
-        let mut g = self.inner.lock().expect("egress lock");
-        g.broken = true;
-        g.frames = VecDeque::new();
-        g.head = 0;
-    }
-
-    /// Drains as many queued frames as the socket accepts, a vectored
-    /// write per pass. `Ok(false)` means the socket would block with
-    /// frames still queued; errors flip the buffer to drain mode.
-    fn write_to(&self, s: &mut TcpStream) -> io::Result<bool> {
-        let mut g = self.inner.lock().expect("egress lock");
-        let r = loop {
-            if g.frames.is_empty() {
-                break Ok(true);
-            }
-            match vectored::write_frames(s, g.frames.iter().map(|f| f.as_slice()), g.head) {
-                Ok(0) => break Err(io::Error::from(io::ErrorKind::WriteZero)),
-                Ok(n) => {
-                    let EgressState { frames, head, .. } = &mut *g;
-                    *head = vectored::consume_frames(n, *head, frames);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break Ok(false),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => break Err(e),
-            }
-        };
-        if r.is_err() {
-            g.broken = true;
-            g.frames = VecDeque::new();
-            g.head = 0;
-        }
-        r
-    }
-}
-
-/// Producer-side [`EdgeTx`] over one outbound connection: encode and
-/// append to the [`EgressBuf`], which the I/O thread writes after its
-/// cell pass. Returns `false` only when the generation is torn down —
-/// a broken socket drains silently, exactly like the old egress pump.
-pub(crate) struct EgressHandle {
-    pub(crate) buf: Arc<EgressBuf>,
-    pub(crate) torn: Arc<AtomicBool>,
-}
-
-impl EdgeTx for EgressHandle {
-    fn send(&self, msg: HostMsg) -> bool {
-        if self.torn.load(Ordering::SeqCst) {
-            return false;
+    fn push(&mut self, msg: HostMsg) {
+        if self.stream.is_none() {
+            return;
         }
         let payload = match msg {
             // One TupleBatch frame per batch — one header, one decode,
@@ -189,24 +132,38 @@ impl EdgeTx for EgressHandle {
             HostMsg::Token(e) => WireMsg::Token(e).encode(),
             HostMsg::Eos => WireMsg::Eos.encode(),
         };
-        self.buf.push(&payload);
-        true
+        self.frames.push_back(frame(&payload));
+    }
+
+    /// The socket to poll for writability while frames wait on it.
+    fn blocked_fd(&self) -> Option<PollTarget> {
+        let stream = self.stream.as_ref().filter(|_| !self.frames.is_empty());
+        stream.map(|s| s.as_raw_fd())
+    }
+
+    /// Drains as many queued frames as the socket accepts, a vectored
+    /// write per pass, until it would block. An error drops the socket
+    /// and flips the queue to drain mode.
+    fn write(&mut self) {
+        let Some(s) = &mut self.stream else { return };
+        while !self.frames.is_empty() {
+            match vectored::write_frames(s, self.frames.iter().map(|f| f.as_slice()), self.head) {
+                Ok(0) => break,
+                Ok(n) => self.head = vectored::consume_frames(n, self.head, &mut self.frames),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => break,
+            }
+        }
+        if !self.frames.is_empty() {
+            self.stream = None;
+            self.frames = VecDeque::new();
+            self.head = 0;
+        }
     }
 }
 
 // ---------------- the cells ----------------
-
-/// The shared half of a [`HostCell`]: the inbox its producers append
-/// to, in emission order per producer, and the flags a send checks.
-struct Inbox {
-    queue: Mutex<VecDeque<(u32, HostMsg)>>,
-    /// Generation-level teardown flag (shared with every handle of the
-    /// run). A torn cell finishes on its next visit.
-    torn: Arc<AtomicBool>,
-    /// Set once the core has finished: senders get `false` from then
-    /// on, mirroring a disconnected channel.
-    gone: AtomicBool,
-}
 
 /// The protocol state machine of one HAU.
 pub(crate) enum Hau {
@@ -220,122 +177,197 @@ pub(crate) enum Hau {
     },
     /// An ingestion gate, whose sockets join the poll set.
     Gate(Box<Gate>),
+    /// Finished, its exit record sent. The tombstone keeps the cell's
+    /// index, its address, until the generation is torn down.
+    Done,
 }
 
 /// One HAU, owned by the I/O thread: its state machine, its inbox (fed
 /// only to interiors and sinks), and where its exit record goes.
 pub(crate) struct HostCell {
     hau: Hau,
-    inbox: Arc<Inbox>,
+    /// `(input port, message)`, in arrival order.
+    inbox: VecDeque<(u32, HostMsg)>,
     exits: Sender<HostExit>,
 }
 
 impl HostCell {
-    pub(crate) fn new(hau: Hau, torn: Arc<AtomicBool>, exits: Sender<HostExit>) -> HostCell {
+    pub(crate) fn new(hau: Hau, exits: Sender<HostExit>) -> HostCell {
         HostCell {
             hau,
-            inbox: Arc::new(Inbox {
-                queue: Mutex::new(VecDeque::new()),
-                torn,
-                gone: AtomicBool::new(false),
-            }),
+            inbox: VecDeque::new(),
             exits,
         }
     }
 
-    /// An edge handle into input `port` of this cell.
-    pub(crate) fn tx(&self, port: u32) -> CellTx {
-        CellTx {
-            inbox: self.inbox.clone(),
-            port,
+    /// Queues `msg` on input `port`; a cell that is not a live
+    /// interior discards it.
+    fn push(&mut self, port: u32, msg: HostMsg) {
+        if matches!(self.hau, Hau::Interior(_)) {
+            self.inbox.push_back((port, msg));
         }
     }
 
-    /// One visit: an interior drains its inbox through its core unless
-    /// `lagging` behind producer input, a gate commits and acks what it
-    /// staged, a source runs the ticks due at `now`. `false` once the
-    /// HAU is done or its generation torn.
-    fn step(&mut self, now: Instant, lagging: bool) -> bool {
-        let live = match &mut self.hau {
-            Hau::Interior(core) if lagging => !core.is_done(),
-            Hau::Interior(core) => {
-                let queued = mem::take(&mut *self.inbox.queue.lock().expect("inbox lock"));
-                if !queued.is_empty() {
-                    // The gauge counts tuples, not inbox messages: one
-                    // DataBatch is up to hundreds of tuples.
-                    let tuples: usize = queued.iter().map(|(_, msg)| msg.tuple_count()).sum();
-                    core.publish_backpressure(tuples as u64);
-                    for (port, msg) in queued {
-                        core.on_msg(port as usize, msg);
-                    }
-                }
-                !core.is_done()
+    /// Publishes an interior's backpressure gauges ahead of applying
+    /// its inbox. The gauge counts tuples, not inbox messages: one
+    /// DataBatch is up to hundreds of tuples.
+    fn publish_backpressure(&self) {
+        if let Hau::Interior(core) = &self.hau {
+            if !self.inbox.is_empty() {
+                let tuples: usize = self.inbox.iter().map(|(_, msg)| msg.tuple_count()).sum();
+                core.publish_backpressure(tuples as u64);
             }
+        }
+    }
+
+    /// Applies an interior's oldest input through its core, with what
+    /// that message emitted; `None` once the inbox is empty.
+    fn apply_next(&mut self) -> Option<Outbox> {
+        let Hau::Interior(core) = &mut self.hau else {
+            return None;
+        };
+        let (port, msg) = self.inbox.pop_front()?;
+        core.on_msg(port as usize, msg);
+        Some(core.take_outbox())
+    }
+
+    /// One visit: a gate commits and acks what it staged, a source runs
+    /// the ticks due at `now`; an interior, whose inbox [`run_cells`]
+    /// applies, only reports whether it is done. Returns what the HAU
+    /// queued downstream; a HAU that is done finishes here, so its EOS
+    /// is at the end.
+    fn step(&mut self, now: Instant) -> Outbox {
+        let live = match &mut self.hau {
+            Hau::Interior(core) => !core.is_done(),
             Hau::Source { core, op, pace } => (0..pace.due(now)).all(|_| core.tick(op.as_mut())),
             Hau::Gate(gate) => {
                 gate.commit();
                 gate.flush_acks();
                 !gate.is_done()
             }
+            Hau::Done => return Outbox::new(),
         };
-        live && !self.inbox.torn.load(Ordering::SeqCst)
-    }
-
-    /// A source's or gate's checkpoint; an interior cuts on tokens.
-    fn checkpoint(&mut self, epoch: EpochId) {
-        match &mut self.hau {
-            Hau::Interior(_) => {}
-            Hau::Source { core, op, .. } => _ = core.checkpoint_operator(epoch, op.as_mut()),
-            Hau::Gate(gate) => gate.checkpoint(epoch),
+        if live {
+            self.take_outbox()
+        } else {
+            self.finish()
         }
     }
 
-    /// Finishes the HAU (EOS downstream) and hands its exit record to
-    /// the joiner.
-    fn finish(self) {
-        self.inbox.gone.store(true, Ordering::SeqCst);
-        let exit = match self.hau {
+    /// A source's or gate's checkpoint, with what it queued; an
+    /// interior cuts on tokens.
+    fn checkpoint(&mut self, epoch: EpochId) -> Outbox {
+        match &mut self.hau {
+            Hau::Source { core, op, .. } => _ = core.checkpoint_operator(epoch, op.as_mut()),
+            Hau::Gate(gate) => gate.checkpoint(epoch),
+            Hau::Interior(_) | Hau::Done => {}
+        }
+        self.take_outbox()
+    }
+
+    fn take_outbox(&mut self) -> Outbox {
+        match &mut self.hau {
+            Hau::Interior(core) => core.take_outbox(),
+            Hau::Source { core, .. } => core.take_outbox(),
+            Hau::Gate(gate) => gate.take_outbox(),
+            Hau::Done => Outbox::new(),
+        }
+    }
+
+    /// Finishes the HAU, EOS queued downstream, and hands its exit
+    /// record to the joiner; the cell stays as a tombstone. Returns the
+    /// last of the HAU's outbox.
+    fn finish(&mut self) -> Outbox {
+        let (exit, outbox) = match mem::replace(&mut self.hau, Hau::Done) {
             Hau::Interior(core) => core.finish(),
             Hau::Source { core, op, .. } => core.finish(op),
             Hau::Gate(gate) => gate.finish(),
+            Hau::Done => return Outbox::new(),
         };
+        self.inbox = VecDeque::new();
         let _ = self.exits.send(exit);
+        outbox
     }
 }
 
-/// Visits every cell once, in list order. Each generation's cells are
-/// listed producers first (sources and gates lead), so a batch a cell
-/// emits to a colocated consumer is applied later in the same pass. A
-/// finished cell leaves the list, its exit record sent.
-fn run_cells(cells: &mut Vec<(u64, HostCell)>, now: Instant, lagging: bool) {
-    for (generation, mut cell) in mem::replace(cells, Vec::with_capacity(cells.len())) {
-        if cell.step(now, lagging) {
-            cells.push((generation, cell));
-        } else {
+/// Input `port` of the cell at index `at` of its generation's cell
+/// list.
+#[derive(Clone, Copy)]
+pub(crate) struct CellPort {
+    pub(crate) at: usize,
+    pub(crate) port: u32,
+}
+
+/// What one outbox address of a generation names.
+pub(crate) enum Target {
+    /// A colocated consumer's input.
+    Cell(CellPort),
+    /// An outbound connection to a consumer on another worker.
+    Egress(EgressBuf),
+}
+
+/// One deployed generation, as the worker builds it and the I/O thread
+/// owns it.
+pub(crate) struct Gen {
+    pub(crate) generation: u64,
+    /// The local cells, producers first.
+    pub(crate) cells: Vec<HostCell>,
+    /// What each outbox address names: an address is an index here.
+    pub(crate) targets: Vec<Target>,
+    /// `(producer op, consumer op)` → the consumer's input, for the
+    /// streams other workers open.
+    pub(crate) ingress: HashMap<(u32, u32), CellPort>,
+}
+
+impl Gen {
+    /// The delivery routine: each message goes into a colocated
+    /// consumer's inbox or onto an outbound connection, in outbox
+    /// order.
+    fn deliver(&mut self, outbox: Outbox) {
+        for (addr, msg) in outbox {
+            match &mut self.targets[addr as usize] {
+                Target::Cell(to) => self.cells[to.at].push(to.port, msg),
+                Target::Egress(buf) => buf.push(msg),
+            }
+        }
+    }
+
+    /// Runs `f` on every cell in list order, delivering each cell's
+    /// outbox before the next cell runs.
+    fn visit(&mut self, mut f: impl FnMut(&mut HostCell) -> Outbox) {
+        for at in 0..self.cells.len() {
+            let outbox = f(&mut self.cells[at]);
+            self.deliver(outbox);
+        }
+    }
+
+    /// Finishes every cell, discarding what each would still send, and
+    /// drops the generation's connections.
+    fn tear(mut self) {
+        for cell in &mut self.cells {
             cell.finish();
         }
     }
 }
 
-/// Local-edge (or ingress-route) [`EdgeTx`]: append to the consumer
-/// cell's inbox. Port is the consumer's input index for this edge.
-#[derive(Clone)]
-pub(crate) struct CellTx {
-    inbox: Arc<Inbox>,
-    port: u32,
-}
-
-impl EdgeTx for CellTx {
-    fn send(&self, msg: HostMsg) -> bool {
-        if self.inbox.gone.load(Ordering::SeqCst) || self.inbox.torn.load(Ordering::SeqCst) {
-            return false;
+/// Visits every cell of `gen` once, in list order, delivering what each
+/// emits before the next one runs. Cells are listed producers first
+/// (sources and gates lead), so a batch a cell emits to a colocated
+/// consumer is applied later in the same pass. An interior applies its
+/// inbox unless `lagging` behind producer input, one message at a
+/// time: each message's emissions are delivered (encoded, for a remote
+/// consumer) before the next is applied, so a long inbox never holds a
+/// whole visit's output decoded.
+fn run_cells(gen: &mut Gen, now: Instant, lagging: bool) {
+    for at in 0..gen.cells.len() {
+        if !lagging {
+            gen.cells[at].publish_backpressure();
+            while let Some(outbox) = gen.cells[at].apply_next() {
+                gen.deliver(outbox);
+            }
         }
-        self.inbox
-            .queue
-            .lock()
-            .expect("inbox lock")
-            .push_back((self.port, msg));
-        true
+        let outbox = gen.cells[at].step(now);
+        gen.deliver(outbox);
     }
 }
 
@@ -385,27 +417,12 @@ fn poll_timeout_ms<'a>(paces: impl IntoIterator<Item = &'a Pace>, now: Instant, 
 /// Commands the worker sends the I/O thread (paired with a
 /// [`Waker::wake`] so a blocked poll picks them up immediately).
 pub(crate) enum IoCmd {
-    /// Adopt one outbound data connection (already nonblocking, hello
-    /// already sent) and flush its [`EgressBuf`] as the socket allows.
-    Egress {
-        /// Generation the connection belongs to.
-        generation: u64,
-        /// The connected, nonblocking socket.
-        stream: TcpStream,
-        /// The buffer hosts append frames to.
-        buf: Arc<EgressBuf>,
-    },
-    /// Adopt a generation's cells and install its ingress route table.
-    /// Resolves any pending streams that connected before the
-    /// assignment arrived.
-    Deploy {
-        /// Generation the cells and routes belong to.
-        generation: u64,
-        /// The generation's local cells, producers first.
-        cells: Vec<HostCell>,
-        /// `(producer op, consumer op)` → the consumer's edge handle.
-        routes: HashMap<(u32, u32), CellTx>,
-    },
+    /// Adopt a generation: its cells, its target table with the
+    /// outbound connections in it (nonblocking, hello already sent) and
+    /// its ingress routes. Delivers what the cells queued while they
+    /// were built (a recovering source's replay), then resolves any
+    /// pending streams that connected before the assignment arrived.
+    Deploy(Gen),
     /// Checkpoint every source and gate of `generation`.
     Checkpoint {
         /// Generation the checkpoint belongs to.
@@ -425,6 +442,7 @@ pub(crate) enum IoCmd {
     Stop,
 }
 
+#[derive(Clone, Copy)]
 enum IngressState {
     /// Connected, hello not yet read.
     AwaitHello,
@@ -438,7 +456,7 @@ enum IngressState {
         generation: u64,
         from: u32,
         to: u32,
-        tx: CellTx,
+        dest: CellPort,
     },
 }
 
@@ -448,26 +466,18 @@ struct IngressConn {
     state: IngressState,
 }
 
-struct EgressConn {
-    generation: u64,
-    stream: TcpStream,
-    buf: Arc<EgressBuf>,
-}
-
 struct Io {
     listener: TcpListener,
     waker: Waker,
     cmds: Receiver<IoCmd>,
     ingress: Vec<IngressConn>,
-    egress: Vec<EgressConn>,
-    routes: HashMap<(u64, u32, u32), CellTx>,
-    /// Every hosted cell with its generation, producers first.
-    cells: Vec<(u64, HostCell)>,
+    /// Every deployed generation, oldest first.
+    gens: Vec<Gen>,
     /// Generations below this are stale; hellos for them are dropped.
     min_gen: u64,
     /// Deterministic fault injection consulted once per routed ingress
     /// frame (chaos runs only; `None` in production).
-    plan: Option<Arc<FaultPlan>>,
+    plan: Option<FaultPlan>,
 }
 
 /// What one poll entry refers to this iteration.
@@ -478,8 +488,12 @@ enum Slot {
     Ingress(usize),
     /// A blocked egress socket; the write pass retries it.
     Egress,
-    /// Poll entry `.1` of the gate at `cells[.0]`.
-    Gate(usize, usize),
+    /// Poll entry `entry` of the gate at `gens[gen].cells[at]`.
+    Gate {
+        gen: usize,
+        at: usize,
+        entry: usize,
+    },
 }
 
 /// Spawns the I/O thread over the (nonblocking) data-plane listener.
@@ -488,7 +502,7 @@ pub(crate) fn spawn_io(
     listener: TcpListener,
     waker: Waker,
     cmds: Receiver<IoCmd>,
-    plan: Option<Arc<FaultPlan>>,
+    plan: Option<FaultPlan>,
 ) -> JoinHandle<()> {
     thread::Builder::new()
         .name("ms-io".into())
@@ -498,9 +512,7 @@ pub(crate) fn spawn_io(
                 waker,
                 cmds,
                 ingress: Vec::new(),
-                egress: Vec::new(),
-                routes: HashMap::new(),
-                cells: Vec::new(),
+                gens: Vec::new(),
                 min_gen: 0,
                 plan,
             };
@@ -511,13 +523,14 @@ pub(crate) fn spawn_io(
 
 impl Io {
     /// One turn per pass: read the ready sockets, apply commands, visit
-    /// the cells, write the egress buffers.
+    /// the cells, write the egress queues.
     fn run(&mut self) {
         // Since when the interior cells have waited behind producer input.
         let mut lag: Option<Instant> = None;
         loop {
             let (targets, slots) = self.build_poll_set();
-            let paces = self.cells.iter().filter_map(|(_, c)| match &c.hau {
+            let cells = self.gens.iter().flat_map(|gen| &gen.cells);
+            let paces = cells.filter_map(|c| match &c.hau {
                 Hau::Source { pace, .. } => Some(pace),
                 _ => None,
             });
@@ -535,11 +548,14 @@ impl Io {
             lag = produced
                 .then(|| lag.unwrap_or(now))
                 .filter(|since| now.duration_since(*since) < MAX_APPLY_LAG);
-            run_cells(&mut self.cells, now, lag.is_some());
-            // A failed write flips its buffer to drain mode; the
-            // connection goes.
-            self.egress
-                .retain_mut(|c| c.buf.write_to(&mut c.stream).is_ok());
+            for gen in &mut self.gens {
+                run_cells(gen, now, lag.is_some());
+            }
+            for target in self.gens.iter_mut().flat_map(|gen| &mut gen.targets) {
+                if let Target::Egress(buf) = target {
+                    buf.write();
+                }
+            }
         }
     }
 
@@ -558,8 +574,8 @@ impl Io {
                     }
                 }
                 Slot::Egress => {}
-                Slot::Gate(at, entry) => {
-                    if let Hau::Gate(gate) = &mut self.cells[at].1.hau {
+                Slot::Gate { gen, at, entry } => {
+                    if let Hau::Gate(gate) = &mut self.gens[gen].cells[at].hau {
                         produced |= ev.readable;
                         gate.on_ready(entry, &ev);
                     }
@@ -579,97 +595,60 @@ impl Io {
     fn drain_cmds(&mut self) -> bool {
         while let Ok(cmd) = self.cmds.try_recv() {
             match cmd {
-                IoCmd::Egress {
-                    generation,
-                    stream,
-                    buf,
-                } => {
-                    if generation >= self.min_gen {
-                        self.egress.push(EgressConn {
-                            generation,
-                            stream,
-                            buf,
-                        });
-                    } else {
-                        buf.mark_broken();
-                    }
-                }
-                IoCmd::Deploy {
-                    generation,
-                    cells,
-                    routes,
-                } => {
-                    self.cells
-                        .extend(cells.into_iter().map(|c| (generation, c)));
-                    if generation < self.min_gen {
+                IoCmd::Deploy(mut gen) => {
+                    if gen.generation < self.min_gen {
+                        gen.tear();
                         continue;
                     }
-                    for ((from, to), tx) in routes {
-                        self.routes.insert((generation, from, to), tx);
-                    }
+                    // A recovering source's replay goes out first.
+                    gen.visit(HostCell::take_outbox);
                     // Resolve streams that connected ahead of the
                     // assignment. Frames already buffered (bytes that
                     // rode in with the hello) flow now; the socket
                     // itself is picked up by the next poll, which is
                     // level-triggered.
-                    let mut resolved_dead = Vec::new();
-                    for (i, conn) in self.ingress.iter_mut().enumerate() {
-                        let (pg, from, to) = match conn.state {
-                            IngressState::Pending {
-                                generation: pg,
-                                from,
-                                to,
-                            } if pg == generation => (pg, from, to),
-                            _ => continue,
+                    let plan = &mut self.plan;
+                    self.ingress.retain_mut(|conn| {
+                        let IngressState::Pending {
+                            generation,
+                            from,
+                            to,
+                        } = conn.state
+                        else {
+                            return true;
                         };
-                        if let Some(tx) = self.routes.get(&(pg, from, to)) {
-                            conn.state = IngressState::Routed {
-                                generation: pg,
-                                from,
-                                to,
-                                tx: tx.clone(),
-                            };
-                            if !drain_frames(
-                                &mut conn.decoder,
-                                &mut conn.state,
-                                self.plan.as_deref(),
-                            ) {
-                                resolved_dead.push(i);
-                            }
-                        }
-                    }
-                    resolved_dead.sort_unstable_by(|a, b| b.cmp(a));
-                    for i in resolved_dead {
-                        self.ingress.swap_remove(i);
-                    }
+                        let dest = gen.ingress.get(&(from, to));
+                        let Some(&dest) = dest.filter(|_| generation == gen.generation) else {
+                            return true;
+                        };
+                        conn.state = IngressState::Routed {
+                            generation,
+                            from,
+                            to,
+                            dest,
+                        };
+                        drain_frames(conn, &mut gen, plan.as_mut())
+                    });
+                    self.gens.push(gen);
                 }
                 IoCmd::Checkpoint { generation, epoch } => {
-                    for (_, cell) in self.cells.iter_mut().filter(|(g, _)| *g == generation) {
-                        cell.checkpoint(epoch);
+                    for gen in self.gens.iter_mut().filter(|g| g.generation == generation) {
+                        gen.visit(|cell| cell.checkpoint(epoch));
                     }
                 }
                 IoCmd::Tear { generation } => {
                     self.min_gen = self.min_gen.max(generation + 1);
-                    self.routes.retain(|(g, _, _), _| *g > generation);
-                    self.ingress.retain(|c| match &c.state {
+                    self.ingress.retain(|c| match c.state {
                         IngressState::AwaitHello => true,
                         IngressState::Pending { generation: g, .. }
-                        | IngressState::Routed { generation: g, .. } => *g > generation,
+                        | IngressState::Routed { generation: g, .. } => g > generation,
                     });
-                    self.egress.retain(|c| {
-                        if c.generation <= generation {
-                            c.buf.mark_broken();
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                    let (torn, live) = mem::take(&mut self.cells)
+                    let (torn, live): (Vec<Gen>, Vec<Gen>) = mem::take(&mut self.gens)
                         .into_iter()
-                        .partition(|(g, _)| *g <= generation);
-                    self.cells = live;
-                    for (_, cell) in torn {
-                        cell.finish();
+                        .partition(|gen| gen.generation <= generation);
+                    self.gens = live;
+                    for gen in torn {
+                        gen.tear();
                     }
                 }
                 IoCmd::Stop => return false,
@@ -679,7 +658,7 @@ impl Io {
     }
 
     fn build_poll_set(&self) -> (Vec<(PollTarget, usize, Interest)>, Vec<Slot>) {
-        let mut targets = Vec::with_capacity(2 + self.ingress.len() + self.egress.len());
+        let mut targets = Vec::with_capacity(2 + self.ingress.len());
         let mut slots = Vec::with_capacity(targets.capacity());
         let mut add = |fd: PollTarget, slot: Slot, want: Interest| {
             targets.push((fd, slots.len(), want));
@@ -697,15 +676,19 @@ impl Io {
             };
             add(c.stream.as_raw_fd(), Slot::Ingress(i), want);
         }
-        for c in &self.egress {
-            if !c.buf.is_empty() {
-                add(c.stream.as_raw_fd(), Slot::Egress, Interest::WRITE);
+        for (g, gen) in self.gens.iter().enumerate() {
+            for target in &gen.targets {
+                if let Target::Egress(buf) = target {
+                    if let Some(fd) = buf.blocked_fd() {
+                        add(fd, Slot::Egress, Interest::WRITE);
+                    }
+                }
             }
-        }
-        for (at, (_, c)) in self.cells.iter().enumerate() {
-            if let Hau::Gate(gate) = &c.hau {
-                for (entry, (fd, want)) in gate.poll_entries().enumerate() {
-                    add(fd, Slot::Gate(at, entry), want);
+            for (at, c) in gen.cells.iter().enumerate() {
+                if let Hau::Gate(gate) = &c.hau {
+                    for (entry, (fd, want)) in gate.poll_entries().enumerate() {
+                        add(fd, Slot::Gate { gen: g, at, entry }, want);
+                    }
                 }
             }
         }
@@ -751,7 +734,7 @@ impl Io {
                     // EOF: process what we have, then drop. A stream
                     // that ended without Eos is a peer failure — the
                     // consumer's input stays open and silent.
-                    drain_frames(&mut conn.decoder, &mut conn.state, self.plan.as_deref());
+                    self.drain(i);
                     return false;
                 }
                 Ok(n) => {
@@ -773,84 +756,89 @@ impl Io {
     /// Advances one ingress connection's state machine over its
     /// buffered frames. `false` = drop the connection.
     fn advance(&mut self, i: usize) -> bool {
-        loop {
-            let conn = &mut self.ingress[i];
-            match conn.state {
-                IngressState::AwaitHello => {
-                    let frame = match conn.decoder.next_frame() {
-                        Ok(Some(f)) => f,
-                        Ok(None) => return true,
-                        Err(_) => return false,
-                    };
-                    let (generation, from, to) = match WireMsg::decode(&frame) {
-                        Ok(WireMsg::StreamHello {
-                            generation,
-                            from,
-                            to,
-                        }) => (generation, from.0, to.0),
-                        _ => return false,
-                    };
-                    if generation < self.min_gen {
-                        return false;
-                    }
-                    match self.routes.get(&(generation, from, to)) {
-                        Some(tx) => {
-                            conn.state = IngressState::Routed {
-                                generation,
-                                from,
-                                to,
-                                tx: tx.clone(),
-                            };
-                        }
-                        None => {
-                            conn.state = IngressState::Pending {
-                                generation,
-                                from,
-                                to,
-                            };
-                            return true;
-                        }
-                    }
-                }
-                IngressState::Pending { .. } => return true,
-                IngressState::Routed { .. } => {
-                    return drain_frames(&mut conn.decoder, &mut conn.state, self.plan.as_deref());
-                }
+        let conn = &mut self.ingress[i];
+        if let IngressState::AwaitHello = conn.state {
+            let frame = match conn.decoder.next_frame() {
+                Ok(Some(f)) => f,
+                Ok(None) => return true,
+                Err(_) => return false,
+            };
+            let (generation, from, to) = match WireMsg::decode(&frame) {
+                Ok(WireMsg::StreamHello {
+                    generation,
+                    from,
+                    to,
+                }) => (generation, from.0, to.0),
+                _ => return false,
+            };
+            if generation < self.min_gen {
+                return false;
             }
+            let gen = self.gens.iter().find(|gen| gen.generation == generation);
+            conn.state = match gen.and_then(|gen| gen.ingress.get(&(from, to))) {
+                Some(&dest) => IngressState::Routed {
+                    generation,
+                    from,
+                    to,
+                    dest,
+                },
+                None => IngressState::Pending {
+                    generation,
+                    from,
+                    to,
+                },
+            };
+        }
+        self.drain(i)
+    }
+
+    /// Delivers the buffered frames of ingress connection `i` if it is
+    /// routed; `false` = drop the connection.
+    fn drain(&mut self, i: usize) -> bool {
+        let conn = &mut self.ingress[i];
+        let IngressState::Routed { generation, .. } = conn.state else {
+            return true;
+        };
+        match self
+            .gens
+            .iter_mut()
+            .find(|gen| gen.generation == generation)
+        {
+            Some(gen) => drain_frames(conn, gen, self.plan.as_mut()),
+            None => false,
         }
     }
 }
 
-/// Decodes and delivers every buffered frame of a routed stream.
-/// `false` = the connection should be dropped (Eos delivered, decode
-/// failure, the consumer is gone, or an injected fault severed the
-/// edge).
+/// Decodes every buffered frame of a routed stream into its consumer's
+/// inbox in `gen`. `false` = the connection should be dropped (Eos
+/// delivered, decode failure, or an injected fault severed the edge).
 ///
 /// With a fault `plan`, every frame consults the per-edge rules first.
 /// A severed edge kills the connection *without* an Eos,
 /// indistinguishable from a switch failure: under the fail-stop model
 /// a frame may never be skipped on a connection that lives on.
-fn drain_frames(
-    decoder: &mut FrameDecoder,
-    state: &mut IngressState,
-    plan: Option<&FaultPlan>,
-) -> bool {
-    let (generation, from, to, tx) = match state {
-        IngressState::Routed {
-            generation,
-            from,
-            to,
-            tx,
-        } => (*generation, *from, *to, tx),
-        _ => return true,
+fn drain_frames(conn: &mut IngressConn, gen: &mut Gen, mut plan: Option<&mut FaultPlan>) -> bool {
+    let IngressState::Routed {
+        generation,
+        from,
+        to,
+        dest,
+    } = conn.state
+    else {
+        return true;
     };
+    let cell = &mut gen.cells[dest.at];
     loop {
-        let frame = match decoder.next_frame() {
+        let frame = match conn.decoder.next_frame() {
             Ok(Some(f)) => f,
             Ok(None) => return true,
             Err(_) => return false,
         };
-        if plan.is_some_and(|plan| plan.on_frame(generation, from, to)) {
+        if plan
+            .as_deref_mut()
+            .is_some_and(|plan| plan.on_frame(generation, from, to))
+        {
             return false;
         }
         let msg = match WireMsg::decode(&frame) {
@@ -862,14 +850,12 @@ fn drain_frames(
             Ok(WireMsg::TupleBatch(ts)) => HostMsg::DataBatch(ts.into()),
             Ok(WireMsg::Token(e)) => HostMsg::Token(e),
             Ok(WireMsg::Eos) => {
-                tx.send(HostMsg::Eos);
+                cell.push(dest.port, HostMsg::Eos);
                 return false;
             }
             _ => return false,
         };
-        if !tx.send(msg) {
-            return false;
-        }
+        cell.push(dest.port, msg);
     }
 }
 
@@ -890,6 +876,7 @@ mod tests {
     };
     use std::io::Write;
     use std::sync::mpsc::channel;
+    use std::sync::Arc;
 
     /// A sink that sums Int fields (local stand-in for apps::Summer
     /// without the crate cycle).
@@ -950,12 +937,7 @@ mod tests {
         meter: Arc<BackpressureMeter>,
     }
 
-    fn cell(
-        op_id: u32,
-        op: Box<dyn Operator>,
-        outputs: Vec<OutputRoute>,
-        torn: &Arc<AtomicBool>,
-    ) -> CellRig {
+    fn cell(op_id: u32, op: Box<dyn Operator>, outputs: Vec<OutputRoute>) -> CellRig {
         let (ptx, persisted) = channel::<PersistItem>();
         let meter = Arc::new(BackpressureMeter::new());
         let wiring = HostWiring {
@@ -971,15 +953,35 @@ mod tests {
         let core = InteriorCore::new(wiring, 1, ptx);
         let (exit_tx, exit_rx) = channel();
         CellRig {
-            cell: HostCell::new(Hau::Interior(core), torn.clone(), exit_tx),
+            cell: HostCell::new(Hau::Interior(core), exit_tx),
             exit_rx,
             persisted,
             meter,
         }
     }
 
-    fn sink_cell(torn: &Arc<AtomicBool>) -> CellRig {
-        cell(1, Box::<Sum>::default(), Vec::new(), torn)
+    fn sink_cell() -> CellRig {
+        cell(1, Box::<Sum>::default(), Vec::new())
+    }
+
+    /// Input 0 of the cell at `at`.
+    fn input(at: usize) -> CellPort {
+        CellPort { at, port: 0 }
+    }
+
+    /// Generation 1 over `cells`, with its target table and the
+    /// `(producer, consumer)` streams routed in.
+    fn generation(
+        cells: Vec<HostCell>,
+        targets: Vec<Target>,
+        ingress: impl IntoIterator<Item = ((u32, u32), CellPort)>,
+    ) -> Gen {
+        Gen {
+            generation: 1,
+            cells,
+            targets,
+            ingress: ingress.into_iter().collect(),
+        }
     }
 
     /// Starts an I/O thread on a fresh loopback listener; returns its
@@ -1013,55 +1015,91 @@ mod tests {
 
     #[test]
     fn cell_applies_batches_and_finishes_on_eos() {
-        let torn = Arc::new(AtomicBool::new(false));
-        let CellRig { cell, exit_rx, .. } = sink_cell(&torn);
-        let tx = cell.tx(0);
+        let CellRig {
+            mut cell, exit_rx, ..
+        } = sink_cell();
         for v in 0..100i64 {
-            assert!(tx.send(HostMsg::DataBatch([tuple(v as u64, v)].into())));
+            cell.push(0, HostMsg::DataBatch([tuple(v as u64, v)].into()));
         }
-        tx.send(HostMsg::Token(EpochId(1)));
-        tx.send(HostMsg::Eos);
-        let mut cells = vec![(1, cell)];
-        run_cells(&mut cells, Instant::now(), false);
-        assert!(cells.is_empty(), "a cell at Eos leaves the pass");
+        cell.push(0, HostMsg::Token(EpochId(1)));
+        cell.push(0, HostMsg::Eos);
+        let mut gen = generation(vec![cell], Vec::new(), []);
+        run_cells(&mut gen, Instant::now(), false);
+        assert!(
+            matches!(gen.cells[0].hau, Hau::Done),
+            "a cell at Eos is a tombstone after the pass"
+        );
         let exit = recv_within(&exit_rx, Duration::from_secs(5)).unwrap();
         assert!(exit.error.is_none());
         assert_eq!(sum_of(&exit.op.snapshot()), (0..100).sum::<i64>());
-        // Finished cell refuses further sends.
-        assert!(!tx.send(HostMsg::Eos));
+        // A finished cell discards further input.
+        gen.cells[0].push(0, HostMsg::Eos);
+        assert!(gen.cells[0].inbox.is_empty());
+    }
+
+    #[test]
+    fn one_pass_carries_batches_a_token_and_eos_through_a_colocated_chain() {
+        // doubler --inbox--> doubler --inbox--> sink, fed by hand: one
+        // run_cells call, no I/O thread, no socket.
+        const N: i64 = 300;
+        const BEFORE_TOKEN: i64 = 120;
+        let first = cell(1, Box::<Doubler>::default(), vec![OutputRoute::single(0)]);
+        let second = cell(2, Box::<Doubler>::default(), vec![OutputRoute::single(1)]);
+        let sink = cell(3, Box::<Sum>::default(), Vec::new());
+        let mut head = first.cell;
+        let batch =
+            |vs: std::ops::Range<i64>| HostMsg::DataBatch(vs.map(|v| tuple(v as u64, v)).collect());
+        for lo in (0..BEFORE_TOKEN).step_by(40) {
+            head.push(0, batch(lo..lo + 40));
+        }
+        head.push(0, HostMsg::Token(EpochId(1)));
+        for lo in (BEFORE_TOKEN..N).step_by(60) {
+            head.push(0, batch(lo..lo + 60));
+        }
+        head.push(0, HostMsg::Eos);
+        let targets = vec![Target::Cell(input(1)), Target::Cell(input(2))];
+        let mut gen = generation(vec![head, second.cell, sink.cell], targets, []);
+        run_cells(&mut gen, Instant::now(), false);
+
+        // Every cell finished in that one pass: Σ 4v over 0..N at the
+        // sink, closed by the Eos that followed the data down.
+        assert!(gen.cells.iter().all(|c| matches!(c.hau, Hau::Done)));
+        assert!(first.exit_rx.try_recv().is_ok());
+        assert!(second.exit_rx.try_recv().is_ok());
+        let exit = sink.exit_rx.try_recv().unwrap();
+        assert!(exit.error.is_none());
+        assert_eq!(sum_of(&exit.op.snapshot()), 2 * N * (N - 1));
+        // The token reached the sink behind exactly the tuples sent
+        // before it.
+        let cut = sink.persisted.try_recv().unwrap();
+        assert_eq!(cut.epoch, EpochId(1));
+        assert_eq!(cut.resume_seq, vec![BEFORE_TOKEN as u64]);
     }
 
     #[test]
     fn queue_gauge_counts_tuples_not_inbox_messages() {
-        let torn = Arc::new(AtomicBool::new(false));
-        let mut rig = sink_cell(&torn);
-        let tx = rig.cell.tx(0);
+        let CellRig {
+            mut cell, meter, ..
+        } = sink_cell();
         let tup = |seq: u64| tuple(seq, 1);
         // Four inbox messages carrying 1 + 3 + 0 + 2 tuples; one
-        // direct step drains exactly this inbox.
-        tx.send(HostMsg::DataBatch([tup(0)].into()));
-        tx.send(HostMsg::DataBatch((1..4).map(tup).collect()));
-        tx.send(HostMsg::Token(EpochId(1)));
-        tx.send(HostMsg::DataBatch((4..6).map(tup).collect()));
-        assert!(rig.cell.step(Instant::now(), false));
-        assert_eq!(rig.meter.sample().queued_tuples, 6);
+        // visit drains exactly this inbox.
+        cell.push(0, HostMsg::DataBatch([tup(0)].into()));
+        cell.push(0, HostMsg::DataBatch((1..4).map(tup).collect()));
+        cell.push(0, HostMsg::Token(EpochId(1)));
+        cell.push(0, HostMsg::DataBatch((4..6).map(tup).collect()));
+        let mut gen = generation(vec![cell], Vec::new(), []);
+        run_cells(&mut gen, Instant::now(), false);
+        assert!(matches!(gen.cells[0].hau, Hau::Interior(_)));
+        assert_eq!(meter.sample().queued_tuples, 6);
     }
 
     #[test]
     fn torn_cell_flushes_exit_without_traffic() {
         let (_, cmds, waker, io) = io_thread();
-        let torn = Arc::new(AtomicBool::new(false));
-        let CellRig { cell, exit_rx, .. } = sink_cell(&torn);
-        command(
-            &cmds,
-            &waker,
-            IoCmd::Deploy {
-                generation: 1,
-                cells: vec![cell],
-                routes: HashMap::new(),
-            },
-        );
-        torn.store(true, Ordering::SeqCst);
+        let CellRig { cell, exit_rx, .. } = sink_cell();
+        let gen = generation(vec![cell], Vec::new(), []);
+        command(&cmds, &waker, IoCmd::Deploy(gen));
         command(&cmds, &waker, IoCmd::Tear { generation: 1 });
         let exit = recv_within(&exit_rx, Duration::from_secs(5)).unwrap();
         assert_eq!(exit.op_id, OperatorId(1));
@@ -1076,25 +1114,14 @@ mod tests {
         const N: i64 = 300;
         const BEFORE_TOKEN: i64 = 120;
         let (addr, cmds, waker, io) = io_thread();
-        let torn = Arc::new(AtomicBool::new(false));
-        let sink = cell(2, Box::<Sum>::default(), Vec::new(), &torn);
-        let doubler = cell(
-            1,
-            Box::<Doubler>::default(),
-            vec![OutputRoute::single(sink.cell.tx(0))],
-            &torn,
+        let sink = cell(2, Box::<Sum>::default(), Vec::new());
+        let doubler = cell(1, Box::<Doubler>::default(), vec![OutputRoute::single(0)]);
+        let gen = generation(
+            vec![doubler.cell, sink.cell],
+            vec![Target::Cell(input(1))],
+            [((0, 1), input(0))],
         );
-        let mut routes = HashMap::new();
-        routes.insert((0u32, 1u32), doubler.cell.tx(0));
-        command(
-            &cmds,
-            &waker,
-            IoCmd::Deploy {
-                generation: 1,
-                cells: vec![doubler.cell, sink.cell],
-                routes,
-            },
-        );
+        command(&cmds, &waker, IoCmd::Deploy(gen));
 
         let mut peer = TcpStream::connect(addr).unwrap();
         hello(&mut peer, 1);
@@ -1144,19 +1171,9 @@ mod tests {
         // Give the io thread time to accept and park the stream.
         std::thread::sleep(Duration::from_millis(100));
 
-        let torn = Arc::new(AtomicBool::new(false));
-        let CellRig { cell, exit_rx, .. } = sink_cell(&torn);
-        let mut routes = HashMap::new();
-        routes.insert((0u32, 1u32), cell.tx(0));
-        command(
-            &cmds,
-            &waker,
-            IoCmd::Deploy {
-                generation: 1,
-                cells: vec![cell],
-                routes,
-            },
-        );
+        let CellRig { cell, exit_rx, .. } = sink_cell();
+        let gen = generation(vec![cell], Vec::new(), [((0, 1), input(0))]);
+        command(&cmds, &waker, IoCmd::Deploy(gen));
         send_msg(&mut peer, &WireMsg::Eos).unwrap();
 
         let exit = recv_within(&exit_rx, Duration::from_secs(5)).unwrap();
@@ -1169,19 +1186,9 @@ mod tests {
     #[test]
     fn bare_close_does_not_deliver_eos() {
         let (addr, cmds, waker, io) = io_thread();
-        let torn = Arc::new(AtomicBool::new(false));
-        let CellRig { cell, exit_rx, .. } = sink_cell(&torn);
-        let mut routes = HashMap::new();
-        routes.insert((0u32, 1u32), cell.tx(0));
-        command(
-            &cmds,
-            &waker,
-            IoCmd::Deploy {
-                generation: 1,
-                cells: vec![cell],
-                routes,
-            },
-        );
+        let CellRig { cell, exit_rx, .. } = sink_cell();
+        let gen = generation(vec![cell], Vec::new(), [((0, 1), input(0))]);
+        command(&cmds, &waker, IoCmd::Deploy(gen));
 
         let mut peer = TcpStream::connect(addr).unwrap();
         hello(&mut peer, 1);
@@ -1192,7 +1199,6 @@ mod tests {
         assert!(recv_within(&exit_rx, Duration::from_millis(600)).is_none());
 
         // Teardown still flushes the exit.
-        torn.store(true, Ordering::SeqCst);
         command(&cmds, &waker, IoCmd::Tear { generation: 1 });
         let exit = recv_within(&exit_rx, Duration::from_secs(5)).unwrap();
         assert_eq!(sum_of(&exit.op.snapshot()), 7);
@@ -1265,11 +1271,10 @@ mod tests {
     fn a_socket_fed_batch_is_applied_before_a_slow_sources_next_tick() {
         let (dir, store) = temp_store("paced");
         let (addr, cmds, waker, io) = io_thread();
-        let torn = Arc::new(AtomicBool::new(false));
-        let downstream = cell(1, Box::<Sum>::default(), Vec::new(), &torn);
-        let fed = cell(2, Box::<Sum>::default(), Vec::new(), &torn);
+        let downstream = cell(1, Box::<Sum>::default(), Vec::new());
+        let fed = cell(2, Box::<Sum>::default(), Vec::new());
         let (persist, _) = channel();
-        let route = OutputRoute::single(downstream.cell.tx(0));
+        let route = OutputRoute::single(0);
         let core = SourceCore::new(
             OperatorId(0),
             vec![route],
@@ -1282,18 +1287,13 @@ mod tests {
         let (exit_tx, source_exit) = channel();
         let op = Box::new(CountSource::new(10));
         let pace = Pace::new(ms(200), Instant::now());
-        let source = HostCell::new(Hau::Source { core, op, pace }, torn.clone(), exit_tx);
-        let mut routes = HashMap::new();
-        routes.insert((0u32, 2u32), fed.cell.tx(0));
-        command(
-            &cmds,
-            &waker,
-            IoCmd::Deploy {
-                generation: 1,
-                cells: vec![source, downstream.cell, fed.cell],
-                routes,
-            },
+        let source = HostCell::new(Hau::Source { core, op, pace }, exit_tx);
+        let gen = generation(
+            vec![source, downstream.cell, fed.cell],
+            vec![Target::Cell(input(1))],
+            [((0, 2), input(2))],
         );
+        command(&cmds, &waker, IoCmd::Deploy(gen));
 
         let mut peer = TcpStream::connect(addr).unwrap();
         hello(&mut peer, 2);
@@ -1316,7 +1316,6 @@ mod tests {
             thread::sleep(ms(10));
         }
 
-        torn.store(true, Ordering::SeqCst);
         command(&cmds, &waker, IoCmd::Tear { generation: 1 });
         assert!(recv_within(&source_exit, Duration::from_secs(5)).is_some());
         command(&cmds, &waker, IoCmd::Stop);
@@ -1341,13 +1340,11 @@ mod tests {
         frame(&GateMsg::Batch { batch, events }.encode())
     }
 
-    /// A one-producer gate cell emitting on `output`, its producer
+    /// A one-producer gate cell emitting on address 0, its producer
     /// address and its exit channel.
     fn gate_cell(
         store: &Arc<FsStore>,
-        output: impl EdgeTx + 'static,
         persist: Sender<PersistItem>,
-        torn: &Arc<AtomicBool>,
     ) -> (HostCell, std::net::SocketAddr, Receiver<HostExit>) {
         let listener = ms_gate::listen("127.0.0.1:0", None).unwrap();
         let addr = listener.local_addr().unwrap();
@@ -1357,7 +1354,7 @@ mod tests {
                 expected_producers: 1,
                 ..GateConfig::default()
             },
-            outputs: vec![OutputRoute::single(output)],
+            outputs: vec![OutputRoute::single(0)],
             listener,
             restored: None,
             restored_seq: 0,
@@ -1367,30 +1364,25 @@ mod tests {
         };
         let (exit_tx, exit_rx) = channel();
         let gate = Box::new(Gate::new(wiring, store.clone(), persist));
-        (
-            HostCell::new(Hau::Gate(gate), torn.clone(), exit_tx),
-            addr,
-            exit_rx,
-        )
+        (HostCell::new(Hau::Gate(gate), exit_tx), addr, exit_rx)
     }
 
     #[test]
     fn a_cut_never_splits_a_group_commit() {
         let (dir, store) = temp_store("cut");
-        let (edge, edge_rx) = channel::<HostMsg>();
+        // The gate's edge is an outbound connection this test reads.
+        let edge_listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let edge = TcpStream::connect(edge_listener.local_addr().unwrap()).unwrap();
+        edge.set_nonblocking(true).unwrap();
+        let (mut edge_rx, _) = edge_listener.accept().unwrap();
+        edge_rx
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
         let (persist, persisted) = channel::<PersistItem>();
-        let torn = Arc::new(AtomicBool::new(false));
-        let (gate, gate_addr, gate_exit) = gate_cell(&store, edge, persist, &torn);
+        let (gate, gate_addr, gate_exit) = gate_cell(&store, persist);
         let (_, cmds, waker, io) = io_thread();
-        command(
-            &cmds,
-            &waker,
-            IoCmd::Deploy {
-                generation: 1,
-                cells: vec![gate],
-                routes: HashMap::new(),
-            },
-        );
+        let gen = generation(vec![gate], vec![Target::Egress(EgressBuf::new(edge))], []);
+        command(&cmds, &waker, IoCmd::Deploy(gen));
 
         let mut producer = TcpStream::connect(gate_addr).unwrap();
         let mut dec = FrameDecoder::new();
@@ -1429,13 +1421,13 @@ mod tests {
         // On the edge the token follows every one of those tuples.
         let mut before_token = 0;
         loop {
-            match recv_within(&edge_rx, Duration::from_secs(5)).unwrap() {
-                HostMsg::DataBatch(b) => before_token += b.len(),
-                HostMsg::Token(e) => {
+            match crate::message::recv_msg(&mut edge_rx).unwrap().unwrap() {
+                WireMsg::TupleBatch(b) => before_token += b.len(),
+                WireMsg::Token(e) => {
                     assert_eq!(e, EpochId(1));
                     break;
                 }
-                HostMsg::Eos => panic!("premature EOS"),
+                other => panic!("unexpected {other:?} before the token"),
             }
         }
         assert_eq!(before_token, 19);
@@ -1477,20 +1469,12 @@ mod tests {
     #[test]
     fn a_waiting_producer_is_acked_ahead_of_a_slow_apply() {
         let (dir, store) = temp_store("admit");
-        let torn = Arc::new(AtomicBool::new(false));
-        let sink = cell(1, Box::<SlowSum>::default(), Vec::new(), &torn);
+        let sink = cell(1, Box::<SlowSum>::default(), Vec::new());
         let (persist, _) = channel();
-        let (gate, gate_addr, _) = gate_cell(&store, sink.cell.tx(0), persist, &torn);
+        let (gate, gate_addr, _) = gate_cell(&store, persist);
         let (_, cmds, waker, io) = io_thread();
-        command(
-            &cmds,
-            &waker,
-            IoCmd::Deploy {
-                generation: 1,
-                cells: vec![gate, sink.cell],
-                routes: HashMap::new(),
-            },
-        );
+        let gen = generation(vec![gate, sink.cell], vec![Target::Cell(input(1))], []);
+        command(&cmds, &waker, IoCmd::Deploy(gen));
         let mut producer = TcpStream::connect(gate_addr).unwrap();
         let mut dec = FrameDecoder::new();
         producer

@@ -14,8 +14,11 @@
 //!   outbound frames coalesce in per-connection buffers written after
 //!   each turn's cell pass.
 //!
-//! Local edges are direct inbox pushes — colocated operators pay no
-//! socket tax, exactly the HAU-grouping benefit of §II-A. A producer
+//! The main thread builds each generation — cells, a recovering
+//! source's replay, outbound connections, routes — as plain owned data
+//! and hands it to the I/O thread in one command. Local edges are
+//! direct inbox pushes — colocated operators pay no socket tax, exactly
+//! the HAU-grouping benefit of §II-A. A producer
 //! whose logical consumer is sharded gets one [`OutputRoute`] over
 //! the whole instance group (hash of the routing key picks the
 //! shard); tokens and EOS broadcast to every instance, because each
@@ -34,10 +37,10 @@
 //!   source log or derivable from it, and the rollback rewinds
 //!   downstream state behind them.
 //! * Teardown (`Rollback`, a superseding `Assign`, or `Shutdown`)
-//!   marks the generation torn (producers' next emission fails,
-//!   unwinding hosts) and tells the I/O thread to drop the
-//!   generation's sockets and routes and finish its sources, gates and
-//!   cells, so their final state is flushed.
+//!   tells the I/O thread to drop the generation's sockets and routes
+//!   and finish its sources, gates and cells, so their final state is
+//!   flushed. It also marks the generation torn, so neither its late
+//!   checkpoint acks nor its partial sink state reach the controller.
 //! * Every wait of a deploy is *generation-scoped*. The control
 //!   connection is read by its own thread, which counts each message
 //!   that ends the current generation (`Assign`, `Rollback`,
@@ -74,14 +77,13 @@ use ms_core::ids::OperatorId;
 use ms_core::metrics::{BackpressureGauges, BackpressureMeter, OperatorMeter, OperatorSample};
 use ms_gate::{Gate, GateMeter, GateOp, GateWiring};
 use ms_live::{
-    EdgeTx, FsStore, HostExit, HostWiring, InteriorCore, OutputRoute, Persister, SourceCore,
-    StableStore,
+    FsStore, HostExit, HostWiring, InteriorCore, OutputRoute, Persister, SourceCore, StableStore,
 };
 use ms_net::ready::Waker;
 
 use crate::apps::{build_operator, route_key, skewed_delay_us};
 use crate::chaos::{FaultStore, RetryStore, StoreFaultSpec};
-use crate::evloop::{self, CellTx, EgressBuf, EgressHandle, Hau, HostCell, IoCmd, Pace};
+use crate::evloop::{self, CellPort, EgressBuf, Gen, Hau, HostCell, IoCmd, Pace, Target};
 use crate::message::{recv_msg, send_msg, Assignment, WireMsg};
 use ms_net::fault::FaultPlan;
 
@@ -210,14 +212,16 @@ impl Scope<'_> {
 struct Run {
     generation: u64,
     joiner: JoinHandle<()>,
+    /// Read by the persister's durable hook and the joiner: once set,
+    /// neither reports to the controller.
     torn: Arc<AtomicBool>,
 }
 
 impl Run {
-    /// Tears the generation down. Order matters: mark torn (producers
-    /// start failing sends, which unwinds hosts) → drop its sockets and
-    /// routes and finish its HAUs, so each exit record flushes even
-    /// with no traffic → join.
+    /// Tears the generation down. Order matters: mark torn (the hook
+    /// and the joiner go quiet) → drop its sockets and routes and
+    /// finish its HAUs, so each exit record flushes even with no
+    /// traffic → join.
     fn teardown(self, eng: &Engine) {
         self.torn.store(true, Ordering::SeqCst);
         eng.send_io(IoCmd::Tear {
@@ -350,8 +354,7 @@ impl Run {
             listeners.insert(gate.op.0, ms_gate::listen("127.0.0.1:0", Some(&addr_file))?);
         }
 
-        // Infallible phase: build HAUs (consumers before producers) and
-        // wire routes.
+        // Infallible phase: build HAUs and wire routes.
         let torn = Arc::new(AtomicBool::new(false));
         let (exits_tx, exits_rx) = channel::<HostExit>();
 
@@ -404,15 +407,22 @@ impl Run {
             }
         }
 
-        let order = qn.topo_order()?;
-        // Built consumers first; handed to the I/O thread producers first.
-        let mut cells: Vec<HostCell> = Vec::new();
-        let mut cell_of: HashMap<u32, usize> = HashMap::new();
-        let mut ingress_routes: HashMap<(u32, u32), CellTx> = HashMap::new();
-        for &op in order.iter().rev() {
-            if !is_mine(op) {
-                continue;
-            }
+        // The local cells, producers first: a cell's index in this
+        // order is its address.
+        let order: Vec<OperatorId> = qn
+            .topo_order()?
+            .into_iter()
+            .filter(|&op| is_mine(op))
+            .collect();
+        let cell_of: HashMap<u32, usize> =
+            order.iter().zip(0..).map(|(op, at)| (op.0, at)).collect();
+        let mut gen = Gen {
+            generation,
+            cells: Vec::new(),
+            targets: Vec::new(),
+            ingress: HashMap::new(),
+        };
+        for &op in &order {
             let r = restored.remove(&op.0).expect("restored once per local op");
             let is_source = qn.upstream(op).is_empty();
 
@@ -428,40 +438,31 @@ impl Run {
                 {
                     j += 1;
                 }
-                let mut txs: Vec<Box<dyn EdgeTx>> = Vec::new();
+                let mut addrs: Vec<u32> = Vec::new();
                 for &down in &downs[i..j] {
-                    if is_mine(down) {
-                        let at = cell_of
-                            .get(&down.0)
-                            .expect("consumers are built before producers");
+                    addrs.push(gen.targets.len() as u32);
+                    gen.targets.push(if is_mine(down) {
                         let port = qn.input_port(op, down).expect("edge exists").0;
-                        txs.push(Box::new(cells[*at].tx(port)));
+                        let at = cell_of[&down.0];
+                        Target::Cell(CellPort { at, port })
                     } else {
                         let stream = remote
                             .remove(&(op.0, down.0))
                             .expect("remote edge connected once");
-                        let buf = EgressBuf::new();
-                        eng.send_io(IoCmd::Egress {
-                            generation,
-                            stream,
-                            buf: buf.clone(),
-                        });
-                        txs.push(Box::new(EgressHandle {
-                            buf,
-                            torn: torn.clone(),
-                        }));
-                    }
+                        Target::Egress(EgressBuf::new(stream))
+                    });
                 }
-                outputs.push(if txs.len() > 1 {
-                    OutputRoute::sharded(txs, route_key(a.keyed_state))
+                outputs.push(if addrs.len() > 1 {
+                    OutputRoute::sharded(addrs, route_key(a.keyed_state))
                 } else {
-                    OutputRoute::single(txs.pop().expect("run non-empty"))
+                    OutputRoute::single(addrs[0])
                 });
                 i = j;
             }
 
             // A gateway host: same output wiring as any source; the
-            // replay goes out here, before the gate can admit a batch.
+            // replay is queued here and delivered when the I/O thread
+            // adopts the generation, before the gate can admit a batch.
             if let Some(gate) = a.gates.iter().find(|g| g.op == op) {
                 let op_meter = Arc::new(OperatorMeter::new());
                 let gate_meter = Arc::new(GateMeter::new());
@@ -481,8 +482,8 @@ impl Run {
                     telemetry: Some(op_meter),
                 };
                 let gate = Gate::new(wiring, store.clone(), persister.sender());
-                let cell = HostCell::new(Hau::Gate(Box::new(gate)), torn.clone(), exits_tx.clone());
-                cells.push(cell);
+                let cell = HostCell::new(Hau::Gate(Box::new(gate)), exits_tx.clone());
+                gen.cells.push(cell);
                 continue;
             }
 
@@ -513,7 +514,7 @@ impl Run {
                     op: operator,
                     pace: Pace::new(period, Instant::now()),
                 };
-                cells.push(HostCell::new(hau, torn.clone(), exits_tx.clone()));
+                gen.cells.push(HostCell::new(hau, exits_tx.clone()));
                 continue;
             }
 
@@ -535,23 +536,18 @@ impl Run {
                 telemetry: Some(op_meter),
             };
             let core = InteriorCore::new(wiring, qn.upstream(op).len(), persister.sender());
-            let cell = HostCell::new(Hau::Interior(core), torn.clone(), exits_tx.clone());
             for &up in qn.upstream(op) {
                 if !is_mine(up) {
                     let port = qn.input_port(up, op).expect("edge exists").0;
-                    ingress_routes.insert((up.0, op.0), cell.tx(port));
+                    let at = gen.cells.len();
+                    gen.ingress.insert((up.0, op.0), CellPort { at, port });
                 }
             }
-            cell_of.insert(op.0, cells.len());
-            cells.push(cell);
+            gen.cells
+                .push(HostCell::new(Hau::Interior(core), exits_tx.clone()));
         }
         drop(exits_tx);
-        cells.reverse();
-        eng.send_io(IoCmd::Deploy {
-            generation,
-            cells,
-            routes: ingress_routes,
-        });
+        eng.send_io(IoCmd::Deploy(gen));
         // The joiner waits the hosts out, makes queued checkpoints
         // durable, then reports finished sinks — unless the generation
         // was torn down, in which case partial sink state is garbage.
@@ -699,9 +695,7 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<()> {
     let (io_tx, io_rx) = channel();
     // Chaos runs plant a deterministic fault plan (`MS_FAULT_PLAN`) in
     // the I/O thread; production workers carry `None` and pay nothing.
-    let plan = FaultPlan::from_env()
-        .map_err(|e| Error::Wire(format!("MS_FAULT_PLAN: {e}")))?
-        .map(Arc::new);
+    let plan = FaultPlan::from_env().map_err(|e| Error::Wire(format!("MS_FAULT_PLAN: {e}")))?;
     let io = evloop::spawn_io(listener, waker.clone(), io_rx, plan);
     let eng = Engine { io: io_tx, waker };
 
