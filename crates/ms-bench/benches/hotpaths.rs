@@ -490,7 +490,7 @@ fn bench_ckpt_stall(c: &mut Criterion) {
     let hook_flag = Arc::clone(&in_flight);
     let persister = Persister::spawn_with(
         Arc::new(DevNullStore),
-        Some(Box::new(move |_, _, _| {
+        Some(Box::new(move |_, _, _, _| {
             hook_flag.store(false, Ordering::SeqCst);
         })),
     );

@@ -38,50 +38,10 @@ impl BackpressureGauges {
     }
 }
 
-/// Lock-free gauge set a host thread updates as it runs and a
-/// heartbeat thread samples concurrently. One meter per host; the
-/// worker merges the snapshots (see [`BackpressureGauges::merge`]).
-#[derive(Debug, Default)]
-pub struct BackpressureMeter {
-    queued_tuples: AtomicU64,
-    open_windows: AtomicU64,
-    window_tuples: AtomicU64,
-}
-
-impl BackpressureMeter {
-    /// Creates a zeroed meter.
-    pub fn new() -> BackpressureMeter {
-        BackpressureMeter::default()
-    }
-
-    /// Records the current input-queue depth (tuples unread across the
-    /// host's input channels).
-    pub fn set_queue_depth(&self, tuples: u64) {
-        self.queued_tuples.store(tuples, Ordering::Relaxed);
-    }
-
-    /// Records the alignment-window occupancy: open windows and the
-    /// tuples buffered inside them.
-    pub fn set_window_occupancy(&self, open: u64, buffered: u64) {
-        self.open_windows.store(open, Ordering::Relaxed);
-        self.window_tuples.store(buffered, Ordering::Relaxed);
-    }
-
-    /// A consistent-enough point-in-time reading (each gauge is read
-    /// atomically; the set is advisory, not transactional).
-    pub fn sample(&self) -> BackpressureGauges {
-        BackpressureGauges {
-            queued_tuples: self.queued_tuples.load(Ordering::Relaxed),
-            open_windows: self.open_windows.load(Ordering::Relaxed),
-            window_tuples: self.window_tuples.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// Lock-free per-operator (per-HAU) meter: the host thread and the
 /// persister thread bump it on their hot paths with relaxed atomics,
-/// and a sampler (the worker's heartbeat thread) reads it
-/// concurrently. Collects the quantities the paper's evaluation plots
+/// and a sampler (the worker's heartbeat, and its durable-checkpoint
+/// acks) reads it concurrently. Collects the quantities the paper's evaluation plots
 /// per HAU: tuple flow, the state-size trace (Fig. 5), and the
 /// checkpoint phase breakdown (Fig. 14) with delta-vs-full byte
 /// accounting.
@@ -638,15 +598,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn backpressure_meter_samples_and_merges() {
-        let m = BackpressureMeter::new();
-        assert_eq!(m.sample(), BackpressureGauges::default());
-        m.set_queue_depth(12);
-        m.set_window_occupancy(2, 7);
-        let a = m.sample();
-        assert_eq!(a.queued_tuples, 12);
-        assert_eq!(a.open_windows, 2);
-        assert_eq!(a.window_tuples, 7);
+    fn backpressure_gauges_merge() {
+        let a = BackpressureGauges {
+            queued_tuples: 12,
+            open_windows: 2,
+            window_tuples: 7,
+        };
+        assert_eq!(a.merge(&BackpressureGauges::default()), a);
         let b = BackpressureGauges {
             queued_tuples: 3,
             open_windows: 1,

@@ -1,6 +1,6 @@
 //! Gateway telemetry: lock-light counters the event loop bumps on the
-//! hot path and the worker's heartbeat thread samples for the
-//! controller (which folds them into the run ledger).
+//! hot path and samples into each heartbeat for the controller (which
+//! folds them into the run ledger).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;

@@ -81,7 +81,7 @@ use std::time::Instant;
 use ms_core::codec::BatchSizer;
 use ms_core::error::{Error, Result};
 use ms_core::ids::{EpochId, OperatorId, PortId};
-use ms_core::metrics::{BackpressureMeter, OperatorMeter};
+use ms_core::metrics::{BackpressureGauges, OperatorMeter};
 use ms_core::operator::{DeferredSnapshot, Operator, OperatorContext, SnapshotPayload};
 use ms_core::shard::shard_of;
 use ms_core::time::SimTime;
@@ -190,8 +190,9 @@ impl PersistItem {
 }
 
 /// Called by the persister after each checkpoint write attempt with
-/// the store's verdict: `Ok(complete)` or the storage error.
-pub type DurableHook = Box<dyn Fn(EpochId, OperatorId, &Result<bool>) + Send>;
+/// the item's meter and the store's verdict (`Ok(complete)` or error).
+pub type DurableHook =
+    Box<dyn Fn(EpochId, OperatorId, Option<&OperatorMeter>, &Result<bool>) + Send>;
 
 /// The background persister thread — the live stand-in for the forked
 /// COW child of §III-B. Hosts hand it [`PersistItem`]s over a channel
@@ -217,13 +218,13 @@ impl Persister {
         let (tx, rx) = channel::<PersistItem>();
         let handle = std::thread::spawn(move || {
             while let Ok(item) = rx.recv() {
-                let (epoch, op) = (item.epoch, item.op);
+                let (epoch, op, meter) = (item.epoch, item.op, item.meter.clone());
                 let outcome = item.persist(&*store);
                 if let Err(e) = &outcome {
                     eprintln!("persister: checkpoint {epoch}/{op} not persisted: {e}");
                 }
                 if let Some(hook) = &on_durable {
-                    hook(epoch, op, &outcome);
+                    hook(epoch, op, meter.as_deref(), &outcome);
                 }
             }
         });
@@ -371,10 +372,6 @@ pub struct HostWiring {
     /// snapshot is exactly the state `restore` loaded). `None` on a
     /// fresh start — the first capture is always full.
     pub last_durable: Option<EpochId>,
-    /// Backpressure gauges this host keeps current while it runs —
-    /// input-queue depth and alignment-window occupancy. `None`
-    /// disables metering (tests, benches).
-    pub meter: Option<Arc<BackpressureMeter>>,
     /// Per-operator flow/checkpoint meter (tuples in/out, bytes,
     /// state-size gauge, checkpoint phases). Updated on the hot path
     /// with relaxed atomics; `None` disables telemetry.
@@ -513,7 +510,8 @@ pub struct InteriorCore {
     windows: VecDeque<Window>,
     last_captured: Option<EpochId>,
     persist: Sender<PersistItem>,
-    meter: Option<Arc<BackpressureMeter>>,
+    /// Input-queue depth and alignment-window occupancy, as published.
+    gauges: BackpressureGauges,
     telemetry: Option<Arc<OperatorMeter>>,
     /// Applied-tuple counter driving the periodic state-gauge sample
     /// in [`InteriorCore::apply`].
@@ -557,7 +555,7 @@ impl InteriorCore {
             windows: VecDeque::new(),
             last_captured: w.last_durable,
             persist,
-            meter: w.meter,
+            gauges: BackpressureGauges::default(),
             telemetry: w.telemetry,
             applied: 0,
             pending: Vec::new(),
@@ -574,18 +572,23 @@ impl InteriorCore {
 
     /// Publishes backpressure gauges: the driver supplies the queued
     /// input depth (it owns the queues); window occupancy comes from
-    /// the alignment state here. No-op without a meter.
-    pub fn publish_backpressure(&self, queued_inputs: u64) {
-        if let Some(m) = &self.meter {
-            m.set_queue_depth(queued_inputs);
-            m.set_window_occupancy(
-                self.windows.len() as u64,
-                self.windows
-                    .iter()
-                    .map(|win| win.buffered.len())
-                    .sum::<usize>() as u64,
-            );
-        }
+    /// the alignment state here.
+    pub fn publish_backpressure(&mut self, queued_inputs: u64) {
+        let buffered = self
+            .windows
+            .iter()
+            .map(|win| win.buffered.len())
+            .sum::<usize>();
+        self.gauges = BackpressureGauges {
+            queued_tuples: queued_inputs,
+            open_windows: self.windows.len() as u64,
+            window_tuples: buffered as u64,
+        };
+    }
+
+    /// The backpressure gauges as last published.
+    pub fn backpressure(&self) -> BackpressureGauges {
+        self.gauges
     }
 
     /// Feeds one message from input `input`; returns `false` once the
@@ -1150,10 +1153,32 @@ mod tests {
             restored_seq: 0,
             resume_seq: Vec::new(),
             last_durable: None,
-            meter: None,
             telemetry: None,
         };
         (InteriorCore::new(wiring, 2, persist), rec)
+    }
+
+    #[test]
+    fn published_gauges_count_the_queue_and_the_open_windows() {
+        let (mut core, _) = fan_in_doubler();
+        assert_eq!(core.backpressure(), BackpressureGauges::default());
+        // Input 0 runs two epochs ahead: two windows open, holding the
+        // 2 + 3 tuples that followed its tokens.
+        for msg in [
+            HostMsg::Token(EpochId(1)),
+            ints(0..2),
+            HostMsg::Token(EpochId(2)),
+            ints(2..5),
+        ] {
+            assert!(core.on_msg(0, msg));
+        }
+        core.publish_backpressure(12);
+        let published = BackpressureGauges {
+            queued_tuples: 12,
+            open_windows: 2,
+            window_tuples: 5,
+        };
+        assert_eq!(core.backpressure(), published);
     }
 
     #[test]

@@ -250,7 +250,6 @@ mod tests {
                         restored_seq,
                         resume_seq: ck.map_or_else(Vec::new, |ck| ck.resume_seq),
                         last_durable: restore,
-                        meter: None,
                         telemetry: Some(tel),
                     };
                     let core = InteriorCore::new(wiring, inputs.len(), persist.clone());
@@ -606,7 +605,6 @@ mod tests {
             restored_seq: 0,
             resume_seq: Vec::new(),
             last_durable: None,
-            meter: None,
             telemetry: None,
         };
         let mut core = InteriorCore::new(wiring, 2, persist);

@@ -657,7 +657,6 @@ mod tests {
             restored_seq: 0,
             resume_seq: Vec::new(),
             last_durable: None,
-            meter: None,
             telemetry: None,
         };
         let mut core = InteriorCore::new(wiring, 1, persist);

@@ -24,15 +24,21 @@
 //!   group commit lands before the interiors run and a colocated chain
 //!   drains in one pass), then writes every non-empty [`EgressBuf`]
 //!   with vectored writes — many frames per syscall. It blocks in poll
-//!   until a socket, a command, a source deadline or cells left waiting
-//!   behind producer input ([`QUIET_MS`]) need it: idle means *blocked
-//!   in poll*, not sleeping in a loop.
+//!   until a socket, a command, a deadline (a source's, or the next
+//!   heartbeat's) or cells left waiting behind producer input
+//!   ([`QUIET_MS`]) need it: idle means *blocked in poll*, not sleeping
+//!   in a loop.
+//! * It is the only reader of the control connection ([`Event::Control`]
+//!   to the main thread, in order) and the only writer of the heartbeat
+//!   connection: a beat of the newest generation's meters every
+//!   [`HEARTBEAT_INTERVAL`], replacing one the socket has not taken.
+//!   That deadline is the backstop should a wake ever be lost.
 //!
 //! The thread takes input from other threads only through [`IoCmd`]
-//! and the [`Waker`]. The worker's main thread builds a generation — its
-//! cells with a recovering source's replay already in its outbox, its
-//! outbound connections and its routes — as plain owned data that
-//! crosses once, in [`IoCmd::Deploy`].
+//! and the [`Waker`], and sends them [`Event`]s. The worker's main
+//! thread builds a generation — its cells with a recovering source's
+//! replay in their outboxes, its connections, routes and meters — as
+//! plain owned data that crosses once, in [`IoCmd::Deploy`].
 //!
 //! Failure semantics:
 //!
@@ -47,8 +53,8 @@
 //!   them.
 //! * [`IoCmd::Tear`] drops the generation's connections and routes and
 //!   finishes its sources, gates and cells, discarding what they would
-//!   still send, so each final [`HostExit`] reaches the joiner even if
-//!   no message ever arrives.
+//!   still send, so each final [`HostExit`] reaches the main thread
+//!   ([`Event::Exit`]) even if no message ever arrives.
 //!
 //! Streams that arrive before their `Assign` (the controller sends
 //! assignments concurrently, so a peer can connect first) sit in a
@@ -62,13 +68,16 @@ use std::mem;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::mpsc::{Receiver, Sender};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use ms_core::codec::{frame, FrameDecoder};
-use ms_core::ids::EpochId;
+use ms_core::error::{Error, Result};
+use ms_core::ids::{EpochId, OperatorId};
+use ms_core::metrics::{BackpressureGauges, OperatorMeter, OperatorSample};
 use ms_core::operator::Operator;
-use ms_gate::Gate;
+use ms_gate::{Gate, GateMeter};
 use ms_live::{HostExit, HostMsg, InteriorCore, Outbox, SourceCore};
 use ms_net::fault::FaultPlan;
 use ms_net::ready::{poll, Interest, PollTarget, ReadyEvent, Waker};
@@ -76,10 +85,10 @@ use ms_net::vectored;
 
 use crate::message::{encode_tuple_batch, WireMsg};
 
-/// Longest poll timeout. Sockets, the [`Waker`] and source deadlines
-/// end the poll sooner: this only bounds an idle thread's looks at its
-/// command queue, the backstop should a wake ever be lost.
-const POLL_TIMEOUT_MS: i32 = 250;
+/// Heartbeat cadence. Every `--hb-timeout-ms` in use (500–1000) spans
+/// at least ten beats, and the application-aware profiler learns state
+/// sizes from the beats at this cadence.
+const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(50);
 /// The most ticks one source runs per turn, so an unpaced or far-behind
 /// source still yields the thread every turn.
 const MAX_TICKS_PER_TURN: u32 = 256;
@@ -135,6 +144,18 @@ impl EgressBuf {
         self.frames.push_back(frame(&payload));
     }
 
+    /// Queues `msg` in place of every frame not yet begun, so a
+    /// heartbeat stream whose peer stops reading holds one beat, never a
+    /// backlog. A frame partly written finishes first; `msg` is dropped.
+    fn replace(&mut self, msg: &WireMsg) {
+        if self.head == 0 {
+            self.frames.clear();
+        }
+        if self.frames.is_empty() && self.stream.is_some() {
+            self.frames.push_back(frame(&msg.encode()));
+        }
+    }
+
     /// The socket to poll for writability while frames wait on it.
     fn blocked_fd(&self) -> Option<PollTarget> {
         let stream = self.stream.as_ref().filter(|_| !self.frames.is_empty());
@@ -185,15 +206,17 @@ pub(crate) enum Hau {
 /// One HAU, owned by the I/O thread: its state machine, its inbox (fed
 /// only to interiors and sinks), and where its exit record goes.
 pub(crate) struct HostCell {
+    generation: u64,
     hau: Hau,
     /// `(input port, message)`, in arrival order.
     inbox: VecDeque<(u32, HostMsg)>,
-    exits: Sender<HostExit>,
+    exits: Sender<Event>,
 }
 
 impl HostCell {
-    pub(crate) fn new(hau: Hau, exits: Sender<HostExit>) -> HostCell {
+    pub(crate) fn new(generation: u64, hau: Hau, exits: Sender<Event>) -> HostCell {
         HostCell {
+            generation,
             hau,
             inbox: VecDeque::new(),
             exits,
@@ -211,8 +234,8 @@ impl HostCell {
     /// Publishes an interior's backpressure gauges ahead of applying
     /// its inbox. The gauge counts tuples, not inbox messages: one
     /// DataBatch is up to hundreds of tuples.
-    fn publish_backpressure(&self) {
-        if let Hau::Interior(core) = &self.hau {
+    fn publish_backpressure(&mut self) {
+        if let Hau::Interior(core) = &mut self.hau {
             if !self.inbox.is_empty() {
                 let tuples: usize = self.inbox.iter().map(|(_, msg)| msg.tuple_count()).sum();
                 core.publish_backpressure(tuples as u64);
@@ -274,9 +297,9 @@ impl HostCell {
         }
     }
 
-    /// Finishes the HAU, EOS queued downstream, and hands its exit
-    /// record to the joiner; the cell stays as a tombstone. Returns the
-    /// last of the HAU's outbox.
+    /// Finishes the HAU, EOS queued downstream, and sends its exit
+    /// record as an [`Event::Exit`]; the cell stays as a tombstone.
+    /// Returns the last of the HAU's outbox.
     fn finish(&mut self) -> Outbox {
         let (exit, outbox) = match mem::replace(&mut self.hau, Hau::Done) {
             Hau::Interior(core) => core.finish(),
@@ -285,7 +308,8 @@ impl HostCell {
             Hau::Done => return Outbox::new(),
         };
         self.inbox = VecDeque::new();
-        let _ = self.exits.send(exit);
+        let generation = self.generation;
+        let _ = self.exits.send(Event::Exit { generation, exit });
         outbox
     }
 }
@@ -308,6 +332,7 @@ pub(crate) enum Target {
 
 /// One deployed generation, as the worker builds it and the I/O thread
 /// owns it.
+#[derive(Default)]
 pub(crate) struct Gen {
     pub(crate) generation: u64,
     /// The local cells, producers first.
@@ -317,9 +342,28 @@ pub(crate) struct Gen {
     /// `(producer op, consumer op)` → the consumer's input, for the
     /// streams other workers open.
     pub(crate) ingress: HashMap<(u32, u32), CellPort>,
+    /// Every HAU's telemetry meter, sampled into each heartbeat.
+    pub(crate) ops: Vec<(OperatorId, Arc<OperatorMeter>)>,
+    /// The ingestion gates' meters, sampled into each heartbeat.
+    pub(crate) gates: Vec<(OperatorId, Arc<GateMeter>)>,
 }
 
 impl Gen {
+    /// One beat: the generation, its interiors' summed gauges and every
+    /// operator and gate sample, in one message.
+    fn heartbeat(&self) -> WireMsg {
+        let gauges = self.cells.iter().filter_map(|c| match &c.hau {
+            Hau::Interior(core) => Some(core.backpressure()),
+            _ => None,
+        });
+        WireMsg::Heartbeat {
+            generation: self.generation,
+            gauges: gauges.fold(BackpressureGauges::default(), |acc, g| acc.merge(&g)),
+            ops: self.ops.iter().map(|(op, m)| (*op, m.sample())).collect(),
+            gates: self.gates.iter().map(|(op, g)| (*op, g.sample())).collect(),
+        }
+    }
+
     /// The delivery routine: each message goes into a colocated
     /// consumer's inbox or onto an outbound connection, in outbox
     /// order.
@@ -403,16 +447,34 @@ impl Pace {
     }
 }
 
-/// The poll timeout for a turn: whole ms to the nearest source deadline,
-/// rounded up (poll(2) waits no less), 0 once one has passed, at most
-/// `cap`.
-fn poll_timeout_ms<'a>(paces: impl IntoIterator<Item = &'a Pace>, now: Instant, cap: i32) -> i32 {
+/// The poll timeout for a turn: whole ms to the nearest deadline,
+/// rounded up (poll(2) waits no less), 0 once one has passed.
+fn poll_timeout_ms<'a>(paces: impl IntoIterator<Item = &'a Pace>, now: Instant) -> i32 {
     let wait = paces.into_iter().map(|p| p.next - p.next.min(now)).min();
     let us = wait.map_or(u128::MAX, |w| w.as_micros());
-    us.div_ceil(1000).min(cap as u128) as i32
+    us.div_ceil(1000).min(i32::MAX as u128) as i32
 }
 
 // ---------------- the I/O thread ----------------
+
+/// What the worker's main thread hears, on one channel in arrival order:
+/// control messages and HAU exits from here, the persister's outcomes.
+pub(crate) enum Event {
+    /// One message off the control connection; `Ok(None)` once it
+    /// closed cleanly, `Err` once it failed. Either is the last.
+    Control(Result<Option<WireMsg>>),
+    /// A generation's persister wrote one checkpoint: the store's
+    /// verdict, and the operator's meter sampled after the write.
+    Durable {
+        generation: u64,
+        epoch: EpochId,
+        op: OperatorId,
+        outcome: Result<bool>,
+        sample: Option<OperatorSample>,
+    },
+    /// A HAU of `generation` finished.
+    Exit { generation: u64, exit: HostExit },
+}
 
 /// Commands the worker sends the I/O thread (paired with a
 /// [`Waker::wake`] so a blocked poll picks them up immediately).
@@ -470,6 +532,12 @@ struct Io {
     listener: TcpListener,
     waker: Waker,
     cmds: Receiver<IoCmd>,
+    events: Sender<Event>,
+    /// The control connection's read side; `None` once it closed.
+    control: Option<(TcpStream, FrameDecoder)>,
+    heartbeat: EgressBuf,
+    /// When the next beat is due.
+    beat: Pace,
     ingress: Vec<IngressConn>,
     /// Every deployed generation, oldest first.
     gens: Vec<Gen>,
@@ -485,8 +553,9 @@ struct Io {
 enum Slot {
     Waker,
     Listener,
+    Control,
     Ingress(usize),
-    /// A blocked egress socket; the write pass retries it.
+    /// A blocked egress or heartbeat socket; the write pass retries it.
     Egress,
     /// Poll entry `entry` of the gate at `gens[gen].cells[at]`.
     Gate {
@@ -496,12 +565,20 @@ enum Slot {
     },
 }
 
-/// Spawns the I/O thread over the (nonblocking) data-plane listener.
-/// `waker` must be the one written after every send on `cmds`.
+/// Spawns the I/O thread over the worker's connections, which it owns
+/// for the worker's life: the data-plane `listener` and the
+/// `heartbeat` connection (its hello sent), both nonblocking, and a
+/// handle on the `control` connection, which it only reads — main
+/// writes it with blocking writes. `waker` must be the one written
+/// after every send on `cmds`; control messages and exits go out on
+/// `events`.
 pub(crate) fn spawn_io(
     listener: TcpListener,
+    control: TcpStream,
+    heartbeat: TcpStream,
     waker: Waker,
     cmds: Receiver<IoCmd>,
+    events: Sender<Event>,
     plan: Option<FaultPlan>,
 ) -> JoinHandle<()> {
     thread::Builder::new()
@@ -511,6 +588,10 @@ pub(crate) fn spawn_io(
                 listener,
                 waker,
                 cmds,
+                events,
+                control: Some((control, FrameDecoder::new())),
+                heartbeat: EgressBuf::new(heartbeat),
+                beat: Pace::new(HEARTBEAT_INTERVAL, Instant::now()),
                 ingress: Vec::new(),
                 gens: Vec::new(),
                 min_gen: 0,
@@ -523,7 +604,7 @@ pub(crate) fn spawn_io(
 
 impl Io {
     /// One turn per pass: read the ready sockets, apply commands, visit
-    /// the cells, write the egress queues.
+    /// the cells, beat when due, write the egress and heartbeat queues.
     fn run(&mut self) {
         // Since when the interior cells have waited behind producer input.
         let mut lag: Option<Instant> = None;
@@ -534,12 +615,10 @@ impl Io {
                 Hau::Source { pace, .. } => Some(pace),
                 _ => None,
             });
-            let cap = if lag.is_some() {
-                QUIET_MS
-            } else {
-                POLL_TIMEOUT_MS
-            };
-            let timeout = poll_timeout_ms(paces, Instant::now(), cap);
+            let mut timeout = poll_timeout_ms(paces.chain([&self.beat]), Instant::now());
+            if lag.is_some() {
+                timeout = timeout.min(QUIET_MS);
+            }
             let produced = poll(&targets, timeout).is_ok_and(|r| self.read_ready(r, &slots));
             if !self.drain_cmds() {
                 return;
@@ -551,11 +630,17 @@ impl Io {
             for gen in &mut self.gens {
                 run_cells(gen, now, lag.is_some());
             }
+            if self.beat.due(now) > 0 {
+                let newest = self.gens.last();
+                let beat = newest.map_or_else(|| Gen::default().heartbeat(), Gen::heartbeat);
+                self.heartbeat.replace(&beat);
+            }
             for target in self.gens.iter_mut().flat_map(|gen| &mut gen.targets) {
                 if let Target::Egress(buf) = target {
                     buf.write();
                 }
             }
+            self.heartbeat.write();
         }
     }
 
@@ -568,6 +653,7 @@ impl Io {
             match slots[ev.token] {
                 Slot::Waker => self.waker.drain(),
                 Slot::Listener => self.accept_ready(),
+                Slot::Control => self.control_ready(),
                 Slot::Ingress(i) => {
                     if ev.readable && !self.ingress_ready(i) {
                         dead.push(i);
@@ -666,6 +752,12 @@ impl Io {
         };
         add(self.waker.fd(), Slot::Waker, Interest::READ);
         add(self.listener.as_raw_fd(), Slot::Listener, Interest::READ);
+        if let Some((stream, _)) = &self.control {
+            add(stream.as_raw_fd(), Slot::Control, Interest::READ);
+        }
+        if let Some(fd) = self.heartbeat.blocked_fd() {
+            add(fd, Slot::Egress, Interest::WRITE);
+        }
         for (i, c) in self.ingress.iter().enumerate() {
             // Pending streams keep no read interest: the bytes wait in
             // the socket (and eventually the peer's send buffer) until
@@ -693,6 +785,39 @@ impl Io {
             }
         }
         (targets, slots)
+    }
+
+    /// Reads the control connection once — poll reported it readable,
+    /// so the read does not block — and forwards every whole message,
+    /// then a close or failure, which ends the connection.
+    fn control_ready(&mut self) {
+        let Some((stream, decoder)) = &mut self.control else {
+            return;
+        };
+        let mut scratch = [0u8; READ_CHUNK];
+        let mut last = match stream.read(&mut scratch) {
+            Ok(0) if decoder.buffered() == 0 => Some(Ok(None)),
+            Ok(0) => Some(Err(Error::Wire("torn frame at control EOF".into()))),
+            Ok(n) => {
+                decoder.feed(&scratch[..n]);
+                None
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => None,
+            Err(e) => Some(Err(e.into())),
+        };
+        while let Some(msg) = decoder.next_frame().transpose() {
+            match msg.and_then(|f| WireMsg::decode(&f)) {
+                Ok(msg) => _ = self.events.send(Event::Control(Ok(Some(msg)))),
+                Err(e) => {
+                    last = Some(Err(e));
+                    break;
+                }
+            }
+        }
+        if let Some(last) = last {
+            let _ = self.events.send(Event::Control(last));
+            self.control = None;
+        }
     }
 
     fn accept_ready(&mut self) {
@@ -866,7 +991,6 @@ mod tests {
     use ms_core::gate::{GateConfig, GateMsg};
     use ms_core::ids::OperatorId;
     use ms_core::ids::PortId;
-    use ms_core::metrics::BackpressureMeter;
     use ms_core::operator::{OperatorContext, OperatorSnapshot, SnapshotPayload};
     use ms_core::tuple::Tuple;
     use ms_core::value::Value;
@@ -918,6 +1042,14 @@ mod tests {
         rx.recv_timeout(d).ok()
     }
 
+    /// The exit record a cell sent on `rx`, if one comes within `d`.
+    fn exit_within(rx: &Receiver<Event>, d: Duration) -> Option<HostExit> {
+        match recv_within(rx, d)? {
+            Event::Exit { exit, .. } => Some(exit),
+            _ => panic!("a cell sends only its exit"),
+        }
+    }
+
     fn tuple(seq: u64, v: i64) -> Tuple {
         Tuple::new(
             OperatorId(0),
@@ -928,18 +1060,15 @@ mod tests {
     }
 
     /// Everything a test needs to drive one single-input cell: the
-    /// cell itself, its exit channel, the checkpoints it captured, and
-    /// its backpressure meter.
+    /// cell itself, its exit channel and the checkpoints it captured.
     struct CellRig {
         cell: HostCell,
-        exit_rx: Receiver<HostExit>,
+        exit_rx: Receiver<Event>,
         persisted: Receiver<PersistItem>,
-        meter: Arc<BackpressureMeter>,
     }
 
     fn cell(op_id: u32, op: Box<dyn Operator>, outputs: Vec<OutputRoute>) -> CellRig {
         let (ptx, persisted) = channel::<PersistItem>();
-        let meter = Arc::new(BackpressureMeter::new());
         let wiring = HostWiring {
             op_id: OperatorId(op_id),
             op,
@@ -947,16 +1076,14 @@ mod tests {
             restored_seq: 0,
             resume_seq: Vec::new(),
             last_durable: None,
-            meter: Some(meter.clone()),
             telemetry: None,
         };
         let core = InteriorCore::new(wiring, 1, ptx);
         let (exit_tx, exit_rx) = channel();
         CellRig {
-            cell: HostCell::new(Hau::Interior(core), exit_tx),
+            cell: HostCell::new(1, Hau::Interior(core), exit_tx),
             exit_rx,
             persisted,
-            meter,
         }
     }
 
@@ -981,19 +1108,52 @@ mod tests {
             cells,
             targets,
             ingress: ingress.into_iter().collect(),
+            ..Gen::default()
         }
     }
 
-    /// Starts an I/O thread on a fresh loopback listener; returns its
-    /// address, command queue, waker and handle.
-    fn io_thread() -> (String, Sender<IoCmd>, Waker, JoinHandle<()>) {
+    /// Two ends of one loopback connection.
+    fn pair() -> (TcpStream, TcpStream) {
+        let l = TcpListener::bind("127.0.0.1:0").unwrap();
+        let near = TcpStream::connect(l.local_addr().unwrap()).unwrap();
+        let (far, _) = l.accept().unwrap();
+        (near, far)
+    }
+
+    /// The controller's ends of an I/O thread's control and heartbeat
+    /// connections, and the thread's event channel.
+    struct Peers {
+        _control: TcpStream,
+        heartbeat: TcpStream,
+        _events: Receiver<Event>,
+    }
+
+    /// Starts an I/O thread on a fresh loopback listener, beating into
+    /// `heartbeat`; returns its address, command queue, waker, handle
+    /// and far ends.
+    fn io_thread_beating_into(
+        heartbeat: (TcpStream, TcpStream),
+    ) -> (String, Sender<IoCmd>, Waker, JoinHandle<()>, Peers) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         listener.set_nonblocking(true).unwrap();
+        heartbeat.0.set_nonblocking(true).unwrap();
+        let (control, controller) = pair();
         let waker = Waker::new().unwrap();
         let (cmd_tx, cmd_rx) = channel();
-        let io = spawn_io(listener, waker.clone(), cmd_rx, None);
-        (addr, cmd_tx, waker, io)
+        let (events, events_rx) = channel();
+        let near = heartbeat.0;
+        let io = spawn_io(listener, control, near, waker.clone(), cmd_rx, events, None);
+        let peers = Peers {
+            _control: controller,
+            heartbeat: heartbeat.1,
+            _events: events_rx,
+        };
+        (addr, cmd_tx, waker, io, peers)
+    }
+
+    fn io_thread() -> (String, Sender<IoCmd>, Waker, JoinHandle<()>, Peers) {
+        io_thread_beating_into(pair())
     }
 
     fn command(cmds: &Sender<IoCmd>, waker: &Waker, cmd: IoCmd) {
@@ -1029,7 +1189,7 @@ mod tests {
             matches!(gen.cells[0].hau, Hau::Done),
             "a cell at Eos is a tombstone after the pass"
         );
-        let exit = recv_within(&exit_rx, Duration::from_secs(5)).unwrap();
+        let exit = exit_within(&exit_rx, Duration::from_secs(5)).unwrap();
         assert!(exit.error.is_none());
         assert_eq!(sum_of(&exit.op.snapshot()), (0..100).sum::<i64>());
         // A finished cell discards further input.
@@ -1066,7 +1226,7 @@ mod tests {
         assert!(gen.cells.iter().all(|c| matches!(c.hau, Hau::Done)));
         assert!(first.exit_rx.try_recv().is_ok());
         assert!(second.exit_rx.try_recv().is_ok());
-        let exit = sink.exit_rx.try_recv().unwrap();
+        let exit = exit_within(&sink.exit_rx, Duration::ZERO).unwrap();
         assert!(exit.error.is_none());
         assert_eq!(sum_of(&exit.op.snapshot()), 2 * N * (N - 1));
         // The token reached the sink behind exactly the tuples sent
@@ -1078,9 +1238,7 @@ mod tests {
 
     #[test]
     fn queue_gauge_counts_tuples_not_inbox_messages() {
-        let CellRig {
-            mut cell, meter, ..
-        } = sink_cell();
+        let CellRig { mut cell, .. } = sink_cell();
         let tup = |seq: u64| tuple(seq, 1);
         // Four inbox messages carrying 1 + 3 + 0 + 2 tuples; one
         // visit drains exactly this inbox.
@@ -1091,17 +1249,20 @@ mod tests {
         let mut gen = generation(vec![cell], Vec::new(), []);
         run_cells(&mut gen, Instant::now(), false);
         assert!(matches!(gen.cells[0].hau, Hau::Interior(_)));
-        assert_eq!(meter.sample().queued_tuples, 6);
+        let WireMsg::Heartbeat { gauges, .. } = gen.heartbeat() else {
+            unreachable!("a beat is a Heartbeat");
+        };
+        assert_eq!(gauges.queued_tuples, 6);
     }
 
     #[test]
     fn torn_cell_flushes_exit_without_traffic() {
-        let (_, cmds, waker, io) = io_thread();
+        let (_, cmds, waker, io, _peers) = io_thread();
         let CellRig { cell, exit_rx, .. } = sink_cell();
         let gen = generation(vec![cell], Vec::new(), []);
         command(&cmds, &waker, IoCmd::Deploy(gen));
         command(&cmds, &waker, IoCmd::Tear { generation: 1 });
-        let exit = recv_within(&exit_rx, Duration::from_secs(5)).unwrap();
+        let exit = exit_within(&exit_rx, Duration::from_secs(5)).unwrap();
         assert_eq!(exit.op_id, OperatorId(1));
         command(&cmds, &waker, IoCmd::Stop);
         io.join().unwrap();
@@ -1113,7 +1274,7 @@ mod tests {
         // cells on the one I/O thread.
         const N: i64 = 300;
         const BEFORE_TOKEN: i64 = 120;
-        let (addr, cmds, waker, io) = io_thread();
+        let (addr, cmds, waker, io, _peers) = io_thread();
         let sink = cell(2, Box::<Sum>::default(), Vec::new());
         let doubler = cell(1, Box::<Doubler>::default(), vec![OutputRoute::single(0)]);
         let gen = generation(
@@ -1138,10 +1299,10 @@ mod tests {
         send_msg(&mut peer, &WireMsg::Eos).unwrap();
 
         // Σ 2v over 0..N, and the doubler closes the sink with its Eos.
-        let exit = recv_within(&sink.exit_rx, Duration::from_secs(5)).unwrap();
+        let exit = exit_within(&sink.exit_rx, Duration::from_secs(5)).unwrap();
         assert!(exit.error.is_none());
         assert_eq!(sum_of(&exit.op.snapshot()), N * (N - 1));
-        assert!(recv_within(&doubler.exit_rx, Duration::from_secs(5)).is_some());
+        assert!(exit_within(&doubler.exit_rx, Duration::from_secs(5)).is_some());
         // The token reached the sink behind exactly the batches sent
         // before it: its epoch-1 cut holds Σ 2v over 0..BEFORE_TOKEN.
         let cut = recv_within(&sink.persisted, Duration::from_secs(5)).unwrap();
@@ -1162,7 +1323,7 @@ mod tests {
         // Connect and send the hello BEFORE the route table is
         // installed: the stream must park as Pending and resolve on
         // IoCmd::Deploy, with no data lost.
-        let (addr, cmds, waker, io) = io_thread();
+        let (addr, cmds, waker, io, _peers) = io_thread();
         let mut peer = TcpStream::connect(addr).unwrap();
         hello(&mut peer, 1);
         for v in 0..10i64 {
@@ -1176,7 +1337,7 @@ mod tests {
         command(&cmds, &waker, IoCmd::Deploy(gen));
         send_msg(&mut peer, &WireMsg::Eos).unwrap();
 
-        let exit = recv_within(&exit_rx, Duration::from_secs(5)).unwrap();
+        let exit = exit_within(&exit_rx, Duration::from_secs(5)).unwrap();
         assert_eq!(sum_of(&exit.op.snapshot()), (0..10).sum::<i64>());
 
         command(&cmds, &waker, IoCmd::Stop);
@@ -1185,7 +1346,7 @@ mod tests {
 
     #[test]
     fn bare_close_does_not_deliver_eos() {
-        let (addr, cmds, waker, io) = io_thread();
+        let (addr, cmds, waker, io, _peers) = io_thread();
         let CellRig { cell, exit_rx, .. } = sink_cell();
         let gen = generation(vec![cell], Vec::new(), [((0, 1), input(0))]);
         command(&cmds, &waker, IoCmd::Deploy(gen));
@@ -1196,11 +1357,11 @@ mod tests {
         drop(peer); // crash, not Eos
 
         // The consumer must NOT finish: no Eos was ever sent.
-        assert!(recv_within(&exit_rx, Duration::from_millis(600)).is_none());
+        assert!(exit_within(&exit_rx, Duration::from_millis(600)).is_none());
 
         // Teardown still flushes the exit.
         command(&cmds, &waker, IoCmd::Tear { generation: 1 });
-        let exit = recv_within(&exit_rx, Duration::from_secs(5)).unwrap();
+        let exit = exit_within(&exit_rx, Duration::from_secs(5)).unwrap();
         assert_eq!(sum_of(&exit.op.snapshot()), 7);
 
         command(&cmds, &waker, IoCmd::Stop);
@@ -1237,27 +1398,23 @@ mod tests {
         // again at once.
         let mut flat = Pace::new(Duration::ZERO, t0);
         assert_eq!(flat.due(t0), MAX_TICKS_PER_TURN);
-        assert_eq!(poll_timeout_ms([&flat], t0, POLL_TIMEOUT_MS), 0);
+        assert_eq!(poll_timeout_ms([&flat], t0), 0);
     }
 
     #[test]
     fn poll_timeout_is_bounded_by_the_nearest_deadline() {
         let t0 = Instant::now();
         let (a, b) = (Pace::new(ms(10), t0), Pace::new(ms(3), t0));
-        assert_eq!(poll_timeout_ms([&a, &b], t0, POLL_TIMEOUT_MS), 3);
+        assert_eq!(poll_timeout_ms([&a, &b], t0), 3);
         // Rounded up to whole ms: 2.5 ms left waits 3, never 2.
-        assert_eq!(
-            poll_timeout_ms([&a], t0 + Duration::from_micros(7_500), POLL_TIMEOUT_MS),
-            3
-        );
-        assert_eq!(poll_timeout_ms([&a], t0 + ms(11), POLL_TIMEOUT_MS), 0);
-        // No source, or only distant ones: the backstop.
-        assert_eq!(poll_timeout_ms([], t0, POLL_TIMEOUT_MS), POLL_TIMEOUT_MS);
+        assert_eq!(poll_timeout_ms([&a], t0 + Duration::from_micros(7_500)), 3);
+        assert_eq!(poll_timeout_ms([&a], t0 + ms(11)), 0);
+        // No source, or only distant ones: the heartbeat deadline, which
+        // is always in the set, is the backstop.
+        let beat = Pace::new(HEARTBEAT_INTERVAL, t0);
+        assert_eq!(poll_timeout_ms([&beat], t0), 50);
         let slow = Pace::new(Duration::from_secs(5), t0);
-        assert_eq!(
-            poll_timeout_ms([&slow], t0, POLL_TIMEOUT_MS),
-            POLL_TIMEOUT_MS
-        );
+        assert_eq!(poll_timeout_ms([&slow, &beat], t0), 50);
     }
 
     fn temp_store(tag: &str) -> (std::path::PathBuf, Arc<FsStore>) {
@@ -1270,7 +1427,7 @@ mod tests {
     #[test]
     fn a_socket_fed_batch_is_applied_before_a_slow_sources_next_tick() {
         let (dir, store) = temp_store("paced");
-        let (addr, cmds, waker, io) = io_thread();
+        let (addr, cmds, waker, io, _peers) = io_thread();
         let downstream = cell(1, Box::<Sum>::default(), Vec::new());
         let fed = cell(2, Box::<Sum>::default(), Vec::new());
         let (persist, _) = channel();
@@ -1287,7 +1444,7 @@ mod tests {
         let (exit_tx, source_exit) = channel();
         let op = Box::new(CountSource::new(10));
         let pace = Pace::new(ms(200), Instant::now());
-        let source = HostCell::new(Hau::Source { core, op, pace }, exit_tx);
+        let source = HostCell::new(1, Hau::Source { core, op, pace }, exit_tx);
         let gen = generation(
             vec![source, downstream.cell, fed.cell],
             vec![Target::Cell(input(1))],
@@ -1306,7 +1463,7 @@ mod tests {
         // The socket ends the poll the source's deadline bounds: the
         // batch is applied and the cell done while the source, due
         // 200 ms after deploy, has not ticked once.
-        let exit = recv_within(&fed.exit_rx, Duration::from_secs(5)).unwrap();
+        let exit = exit_within(&fed.exit_rx, Duration::from_secs(5)).unwrap();
         assert_eq!(sum_of(&exit.op.snapshot()), 15);
         assert_eq!(store.preserved_tuples(), 0, "the source ticked first");
         // It does tick on its deadline.
@@ -1317,9 +1474,129 @@ mod tests {
         }
 
         command(&cmds, &waker, IoCmd::Tear { generation: 1 });
-        assert!(recv_within(&source_exit, Duration::from_secs(5)).is_some());
+        assert!(exit_within(&source_exit, Duration::from_secs(5)).is_some());
         command(&cmds, &waker, IoCmd::Stop);
         io.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Writes zeros into `s` (nonblocking) until it refuses more;
+    /// returns how many it took.
+    fn fill(s: &TcpStream) -> usize {
+        s.set_nonblocking(true).unwrap();
+        let mut junk = 0;
+        loop {
+            match (&*s).write(&[0u8; 64 << 10]) {
+                Ok(n) => junk += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return junk,
+                Err(e) => panic!("filling a socket: {e}"),
+            }
+        }
+    }
+
+    #[test]
+    fn beats_keep_their_cadence_and_a_peer_that_never_reads_holds_one() {
+        let (dir, store) = temp_store("beat");
+        // The heartbeat connection starts full: its far end does not
+        // read, and the kernel's buffers already hold `junk` bytes.
+        let (near, far) = pair();
+        let junk = fill(&near);
+        let (addr, cmds, waker, io, peers) = io_thread_beating_into((near, far));
+        // A source ticking every 2 ms into a sink, and a socket-fed cell.
+        let sink = cell(1, Box::<Sum>::default(), Vec::new());
+        let fed = cell(2, Box::<Sum>::default(), Vec::new());
+        let (persist, _) = channel();
+        let route = OutputRoute::single(0);
+        let core = SourceCore::new(
+            OperatorId(0),
+            vec![route],
+            0,
+            None,
+            store.clone(),
+            persist,
+            None,
+        );
+        let (exit_tx, _source_exit) = channel();
+        let op = Box::new(CountSource::new(1_000_000));
+        let pace = Pace::new(ms(2), Instant::now());
+        let source = HostCell::new(1, Hau::Source { core, op, pace }, exit_tx);
+        let gen = generation(
+            vec![source, sink.cell, fed.cell],
+            vec![Target::Cell(input(1))],
+            [((0, 2), input(2))],
+        );
+        command(&cmds, &waker, IoCmd::Deploy(gen));
+
+        // The beats find no room, and the cells still run: the fed cell
+        // applies its batch and finishes, the source keeps ticking.
+        let mut peer = TcpStream::connect(addr).unwrap();
+        hello(&mut peer, 2);
+        send_msg(
+            &mut peer,
+            &WireMsg::TupleBatch(vec![tuple(0, 7), tuple(1, 8)]),
+        )
+        .unwrap();
+        send_msg(&mut peer, &WireMsg::Eos).unwrap();
+        let exit = exit_within(&fed.exit_rx, Duration::from_secs(5)).unwrap();
+        assert_eq!(sum_of(&exit.op.snapshot()), 15);
+        thread::sleep(ms(600));
+        let ticked = store.preserved_tuples();
+        assert!(ticked > 100, "the source stalled at {ticked} tuples");
+
+        // Once the peer reads, every beat is a whole frame of this
+        // generation — partial writes never tear one. The few the
+        // kernel took meanwhile arrive at once, the first gap ends
+        // them, and from then on a beat arrives every 50 ms.
+        let mut beats = peers.heartbeat;
+        beats
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        beats.read_exact(&mut vec![0u8; junk]).unwrap();
+        let mut next_beat = || match crate::message::recv_msg(&mut beats).unwrap().unwrap() {
+            WireMsg::Heartbeat { generation: 1, .. } => Instant::now(),
+            other => panic!("unexpected {other:?} on the heartbeat connection"),
+        };
+        let mut last = next_beat();
+        for waiting in 0.. {
+            assert!(waiting < 200, "the beats never settle into a cadence");
+            let at = next_beat();
+            let gap = at - last;
+            last = at;
+            if gap >= ms(20) {
+                break;
+            }
+        }
+        let first = last;
+        for _ in 0..4 {
+            last = next_beat();
+        }
+        let span = last - first;
+        assert!(
+            span >= ms(120) && span < ms(500),
+            "four intervals in {span:?}"
+        );
+        assert!(store.preserved_tuples() > ticked, "the source stopped");
+        command(&cmds, &waker, IoCmd::Stop);
+        io.join().unwrap();
+
+        // The loop's queue for them, beat after beat into a socket that
+        // refuses: one beat, never a backlog, and never torn down.
+        let (near, _far) = pair();
+        fill(&near);
+        let mut queue = EgressBuf::new(near);
+        let beat = Gen::default().heartbeat();
+        let mut refused = false;
+        for _ in 0..1000 {
+            queue.replace(&beat);
+            queue.write();
+            refused |= !queue.frames.is_empty();
+            assert!(
+                queue.frames.len() <= 1,
+                "{} beats queued",
+                queue.frames.len()
+            );
+        }
+        assert!(refused && queue.stream.is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1345,7 +1622,7 @@ mod tests {
     fn gate_cell(
         store: &Arc<FsStore>,
         persist: Sender<PersistItem>,
-    ) -> (HostCell, std::net::SocketAddr, Receiver<HostExit>) {
+    ) -> (HostCell, std::net::SocketAddr, Receiver<Event>) {
         let listener = ms_gate::listen("127.0.0.1:0", None).unwrap();
         let addr = listener.local_addr().unwrap();
         let wiring = GateWiring {
@@ -1364,7 +1641,7 @@ mod tests {
         };
         let (exit_tx, exit_rx) = channel();
         let gate = Box::new(Gate::new(wiring, store.clone(), persist));
-        (HostCell::new(Hau::Gate(gate), exit_tx), addr, exit_rx)
+        (HostCell::new(1, Hau::Gate(gate), exit_tx), addr, exit_rx)
     }
 
     #[test]
@@ -1380,7 +1657,7 @@ mod tests {
             .unwrap();
         let (persist, persisted) = channel::<PersistItem>();
         let (gate, gate_addr, gate_exit) = gate_cell(&store, persist);
-        let (_, cmds, waker, io) = io_thread();
+        let (_, cmds, waker, io, _peers) = io_thread();
         let gen = generation(vec![gate], vec![Target::Egress(EgressBuf::new(edge))], []);
         command(&cmds, &waker, IoCmd::Deploy(gen));
 
@@ -1436,7 +1713,7 @@ mod tests {
             .write_all(&frame(&GateMsg::Fin { producer: 1 }.encode()))
             .unwrap();
         assert_eq!(recv_ack(&mut producer, &mut dec), GateMsg::FinOk);
-        let exit = recv_within(&gate_exit, Duration::from_secs(5)).unwrap();
+        let exit = exit_within(&gate_exit, Duration::from_secs(5)).unwrap();
         assert!(exit.error.is_none());
         command(&cmds, &waker, IoCmd::Stop);
         io.join().unwrap();
@@ -1472,7 +1749,7 @@ mod tests {
         let sink = cell(1, Box::<SlowSum>::default(), Vec::new());
         let (persist, _) = channel();
         let (gate, gate_addr, _) = gate_cell(&store, persist);
-        let (_, cmds, waker, io) = io_thread();
+        let (_, cmds, waker, io, _peers) = io_thread();
         let gen = generation(vec![gate, sink.cell], vec![Target::Cell(input(1))], []);
         command(&cmds, &waker, IoCmd::Deploy(gen));
         let mut producer = TcpStream::connect(gate_addr).unwrap();
@@ -1502,7 +1779,7 @@ mod tests {
             .write_all(&frame(&GateMsg::Fin { producer: 1 }.encode()))
             .unwrap();
         assert_eq!(recv_ack(&mut producer, &mut dec), GateMsg::FinOk);
-        let exit = recv_within(&sink.exit_rx, Duration::from_secs(5)).unwrap();
+        let exit = exit_within(&sink.exit_rx, Duration::from_secs(5)).unwrap();
         assert_eq!(sum_of(&exit.op.snapshot()), 4);
         command(&cmds, &waker, IoCmd::Stop);
         io.join().unwrap();

@@ -63,6 +63,6 @@ pub use ledger::{
     by_shard_summary, read_decisions, read_ledger, summarize, worst_shard_skew, DecisionRecord,
     LedgerFollower, LedgerRecord, LedgerWriter, LEDGER_FILE,
 };
-pub use message::{recv_msg, send_msg, Assignment, GateSpec, OpPlacement, WireMsg};
+pub use message::{send_msg, Assignment, GateSpec, OpPlacement, WireMsg};
 pub use ms_live::FsStore;
 pub use worker::{run_worker, ControllerAddr, WorkerConfig};

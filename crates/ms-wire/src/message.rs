@@ -25,9 +25,9 @@
 //!   [`WireMsg::Checkpoint`], [`WireMsg::Rollback`],
 //!   [`WireMsg::Shutdown`].
 
-use std::io::{Read, Write};
+use std::io::Write;
 
-use ms_core::codec::{read_frame, write_frame, SnapshotReader, SnapshotWriter};
+use ms_core::codec::{write_frame, SnapshotReader, SnapshotWriter};
 use ms_core::error::{Error, Result};
 use ms_core::gate::GateConfig;
 use ms_core::graph::QueryNetwork;
@@ -234,9 +234,9 @@ pub enum WireMsg {
         sample: Option<OperatorSample>,
     },
     /// Worker → controller: first message on a *heartbeat* connection.
-    /// Heartbeats ride their own socket so a stalled report write (the
-    /// shared control connection) can never delay liveness signals
-    /// into a spurious failure detection.
+    /// Heartbeats ride their own socket so a stalled report write can
+    /// never delay liveness signals into a spurious failure detection.
+    /// The worker's I/O thread writes a beat between turns every 50 ms.
     HeartbeatHello {
         /// The registered worker this heartbeat stream belongs to.
         name: String,
@@ -573,11 +573,12 @@ pub fn send_msg(w: &mut impl Write, msg: &WireMsg) -> Result<()> {
     write_frame(w, &msg.encode())
 }
 
-/// Reads one message. `Ok(None)` is a clean end-of-stream (EOF at a
-/// frame boundary); torn frames and decode failures are
-/// [`Error::Wire`].
-pub fn recv_msg(r: &mut impl Read) -> Result<Option<WireMsg>> {
-    match read_frame(r)? {
+#[cfg(test)]
+/// Reads one message, blocking: how tests play a worker's controller.
+/// `Ok(None)` is a clean end-of-stream (EOF at a frame boundary); torn
+/// frames and decode failures are [`Error::Wire`].
+pub(crate) fn recv_msg(r: &mut impl std::io::Read) -> Result<Option<WireMsg>> {
+    match ms_core::codec::read_frame(r)? {
         None => Ok(None),
         Some(payload) => WireMsg::decode(&payload).map(Some),
     }

@@ -1,24 +1,26 @@
 //! The `ms-worker` daemon: hosts operators over real TCP streams.
 //!
 //! One worker process runs any subset of a generation's operators —
-//! including shard instances of key-partitioned HAUs — on six threads,
-//! not O(edges + operators): main, heartbeat, control reader, I/O, and
-//! per generation a joiner and a persister.
+//! including shard instances of key-partitioned HAUs — on three
+//! threads, not O(edges + operators): main, I/O, and per generation a
+//! persister. Each connection has one owner; the threads share no
+//! state and talk over channels.
 //!
-//! * **One I/O thread** (the `evloop` module) owns the data-plane
-//!   listener and every peer socket, nonblocking, multiplexed with
-//!   `poll(2)`, and runs every HAU: interiors and sinks
-//!   ([`ms_live::InteriorCore`]), demo sources ([`ms_live::SourceCore`]
-//!   ticked on deadlines) and ingestion [`Gate`]s. Inbound frames land
-//!   in per-operator inboxes and are applied in the same poll turn;
-//!   outbound frames coalesce in per-connection buffers written after
-//!   each turn's cell pass.
+//! * **The I/O thread** (the `evloop` module) owns every data socket,
+//!   nonblocking, multiplexed with `poll(2)`, and runs every HAU:
+//!   interiors and sinks ([`ms_live::InteriorCore`]), demo sources
+//!   ([`ms_live::SourceCore`] ticked on deadlines) and ingestion
+//!   [`Gate`]s. It is the only reader of the control connection and
+//!   the only writer of the heartbeat connection.
+//! * **The main thread** is the only writer of the control connection
+//!   and the only owner of a generation's lifecycle: one loop over
+//!   `Event`s — control messages, persister outcomes, HAU exits. It
+//!   builds each generation (cells, a recovering source's replay,
+//!   outbound connections, routes, meters) as plain owned data and
+//!   hands it to the I/O thread in one command.
 //!
-//! The main thread builds each generation — cells, a recovering
-//! source's replay, outbound connections, routes — as plain owned data
-//! and hands it to the I/O thread in one command. Local edges are
-//! direct inbox pushes — colocated operators pay no socket tax, exactly
-//! the HAU-grouping benefit of §II-A. A producer
+//! Local edges are direct inbox pushes — colocated operators pay no
+//! socket tax, exactly the HAU-grouping benefit of §II-A. A producer
 //! whose logical consumer is sharded gets one [`OutputRoute`] over
 //! the whole instance group (hash of the routing key picks the
 //! shard); tokens and EOS broadcast to every instance, because each
@@ -37,44 +39,44 @@
 //!   source log or derivable from it, and the rollback rewinds
 //!   downstream state behind them.
 //! * Teardown (`Rollback`, a superseding `Assign`, or `Shutdown`)
-//!   tells the I/O thread to drop the generation's sockets and routes
-//!   and finish its sources, gates and cells, so their final state is
-//!   flushed. It also marks the generation torn, so neither its late
-//!   checkpoint acks nor its partial sink state reach the controller.
-//! * Every wait of a deploy is *generation-scoped*. The control
-//!   connection is read by its own thread, which counts each message
-//!   that ends the current generation (`Assign`, `Rollback`,
-//!   `Shutdown`, a dead connection) the moment it arrives; a deploy
-//!   still restoring state or retrying a connect to a peer that died
-//!   before the controller noticed sees the count move and is
-//!   abandoned on the spot, so the worker is ready for the next
-//!   `Assign` one heartbeat timeout after the failure, not
-//!   [`CONNECT_WAIT`] later.
-//! * The persister acks every durable individual checkpoint to the
-//!   controller (`CkptDone`) — the controller's epoch barrier — and
-//!   surfaces storage failures as `WorkerError` instead of aborting
-//!   the process. Each ack carries its operator's meter sample taken
-//!   after the write, so the controller never needs a second message
-//!   to cut that epoch's ledger row.
+//!   has the I/O thread drop the generation's sockets and routes and
+//!   finish its HAUs, flushing their final state, and waits their exits
+//!   out. Reports go out only for main's current generation, so a torn
+//!   one's late acks and partial sink state never reach the controller.
+//! * Every wait of a deploy is *generation-scoped*. Between its steps
+//!   and connect retries, a deploy queues what waits on main's channel
+//!   for after it; a control message there that ends the generation
+//!   (anything but `Checkpoint`) abandons the deploy on the spot, so
+//!   the worker is ready for the next `Assign` one heartbeat timeout
+//!   after a peer's failure, not [`CONNECT_WAIT`] later.
+//! * Main acks every durable individual checkpoint (`CkptDone`) — the
+//!   controller's epoch barrier — with its operator's meter sample
+//!   taken after the write, and surfaces storage failures as
+//!   `WorkerError` instead of aborting the process. Once every local
+//!   HAU has exited, main drains the persister, acks what the drain
+//!   wrote, and only then reports finished sinks.
 //! * Heartbeats ride a dedicated TCP connection (`HeartbeatHello`
-//!   handshake), so a stalled report write on the shared control
-//!   socket can never delay liveness signals into a spurious failure
-//!   detection. A beat is one `Heartbeat` frame: the generation, the
-//!   hosts' summed backpressure gauges, and a sample of every local
-//!   operator and ingestion gate meter.
+//!   handshake), so a stalled report write can never delay liveness
+//!   signals into a spurious failure detection. A beat is one
+//!   `Heartbeat` frame: the generation, the hosts' summed backpressure
+//!   gauges, and every local operator and gate meter sample. The I/O
+//!   thread writes it between turns, so a beat also proves the data
+//!   plane turns, well inside the 500 ms `--hb-timeout-ms`: the longest
+//!   turn measured is a 21 ms checkpoint capture (a 17 MB `KeyedStat`'s
+//!   `snapshot_delta`; EXPERIMENTS.md, "One event loop per worker").
 
-use std::collections::HashMap;
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::collections::{HashMap, VecDeque};
+use std::mem;
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
+use std::thread;
 use std::time::{Duration, Instant};
 
 use ms_core::error::{Error, Result};
 use ms_core::ids::OperatorId;
-use ms_core::metrics::{BackpressureGauges, BackpressureMeter, OperatorMeter, OperatorSample};
+use ms_core::metrics::OperatorMeter;
 use ms_gate::{Gate, GateMeter, GateOp, GateWiring};
 use ms_live::{
     FsStore, HostExit, HostWiring, InteriorCore, OutputRoute, Persister, SourceCore, StableStore,
@@ -83,8 +85,8 @@ use ms_net::ready::Waker;
 
 use crate::apps::{build_operator, route_key, skewed_delay_us};
 use crate::chaos::{FaultStore, RetryStore, StoreFaultSpec};
-use crate::evloop::{self, CellPort, EgressBuf, Gen, Hau, HostCell, IoCmd, Pace, Target};
-use crate::message::{recv_msg, send_msg, Assignment, WireMsg};
+use crate::evloop::{self, CellPort, EgressBuf, Event, Gen, Hau, HostCell, IoCmd, Pace, Target};
+use crate::message::{send_msg, Assignment, WireMsg};
 use ms_net::fault::FaultPlan;
 
 const FILE_POLL: Duration = Duration::from_millis(20);
@@ -92,10 +94,6 @@ const CONNECT_POLL: Duration = Duration::from_millis(25);
 /// Upper bound on a connect that nothing supersedes: the controller at
 /// start-up, and a deploy's data-plane peers.
 const CONNECT_WAIT: Duration = Duration::from_secs(10);
-/// Heartbeat cadence. Every `--hb-timeout-ms` in use (500–1000) spans
-/// at least ten beats, and the application-aware profiler learns state
-/// sizes from the beats at this cadence.
-const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(50);
 
 /// How a worker finds its controller.
 #[derive(Clone, Debug)]
@@ -119,129 +117,239 @@ pub struct WorkerConfig {
     pub store_dir: PathBuf,
 }
 
-/// The current generation's meters, tagged with that generation so
-/// samplers never attribute a torn-down run's counters to the new one.
-#[derive(Default)]
-struct Meters {
-    generation: u64,
-    /// Per-host backpressure meters, summed into each heartbeat.
-    hosts: Vec<Arc<BackpressureMeter>>,
-    /// Per-operator telemetry meters.
-    ops: Vec<(OperatorId, Arc<OperatorMeter>)>,
-    /// Gateway meters of locally hosted ingestion gates.
-    gates: Vec<(OperatorId, Arc<GateMeter>)>,
+/// Main's inbox: the channel every [`Event`] arrives on, behind the
+/// events a deploy already took off it.
+struct Events {
+    rx: Receiver<Event>,
+    /// Cloned into each generation's cells and persister hook.
+    tx: Sender<Event>,
+    /// Taken off `rx` while a deploy looked for supersession; handled
+    /// first, in order.
+    pending: VecDeque<Event>,
 }
 
-/// Cross-thread worker state.
-struct Shared {
-    /// Sampled by the heartbeat thread on each beat and by the durable
-    /// hook for each `CkptDone`.
-    meters: Mutex<Meters>,
-    /// Whole-process stop flag.
-    stop: AtomicBool,
-}
-
-impl Shared {
-    fn new() -> Shared {
-        Shared {
-            meters: Mutex::new(Meters::default()),
-            stop: AtomicBool::new(false),
+impl Events {
+    fn new() -> Events {
+        let (tx, rx) = channel();
+        Events {
+            rx,
+            tx,
+            pending: VecDeque::new(),
         }
     }
 
-    /// One beat: the hosts' summed gauges and every operator and gate
-    /// sample of the current generation, in one message.
-    fn heartbeat(&self) -> WireMsg {
-        let m = self.meters.lock().expect("meters lock");
-        WireMsg::Heartbeat {
-            generation: m.generation,
-            gauges: m
-                .hosts
-                .iter()
-                .fold(BackpressureGauges::default(), |acc, h| {
-                    acc.merge(&h.sample())
-                }),
-            ops: m.ops.iter().map(|(op, o)| (*op, o.sample())).collect(),
-            gates: m.gates.iter().map(|(op, g)| (*op, g.sample())).collect(),
-        }
+    /// The next event. `tx` keeps the channel open, so one always comes.
+    fn next(&mut self) -> Event {
+        let next = self.pending.pop_front();
+        next.unwrap_or_else(|| self.rx.recv().expect("main holds a sender"))
     }
 
-    /// One operator's sample, if it belongs to `generation`.
-    fn sample_op(&self, generation: u64, op: OperatorId) -> Option<OperatorSample> {
-        let m = self.meters.lock().expect("meters lock");
-        if m.generation != generation {
-            return None;
-        }
-        m.ops
-            .iter()
-            .find(|(id, _)| *id == op)
-            .map(|(_, o)| o.sample())
-    }
-}
-
-/// The process-wide execution engine every generation runs on: the
-/// I/O thread's command channel and its waker.
-struct Engine {
-    io: Sender<IoCmd>,
-    waker: Waker,
-}
-
-impl Engine {
-    fn send_io(&self, cmd: IoCmd) {
-        let _ = self.io.send(cmd);
-        self.waker.wake();
-    }
-}
-
-/// A deploy's view of the control stream: `ticket` is the value
-/// `superseded` had when the deploy's own `Assign` was read, and the
-/// control reader bumps the counter for every later message that ends
-/// a generation. Once the two differ the deploy is stale.
-struct Scope<'a> {
-    superseded: &'a AtomicU64,
-    ticket: u64,
-}
-
-impl Scope<'_> {
-    fn live(&self) -> bool {
-        self.superseded.load(Ordering::SeqCst) == self.ticket
+    /// Whether a control message that ends the current generation is
+    /// waiting — anything but a `Checkpoint`, a closed or failed
+    /// connection included.
+    fn superseded(&mut self) -> bool {
+        self.pending.extend(self.rx.try_iter());
+        self.pending.iter().any(|ev| match ev {
+            Event::Control(msg) => !matches!(msg, Ok(Some(WireMsg::Checkpoint(_)))),
+            _ => false,
+        })
     }
 }
 
 /// One deployed generation on this worker.
 struct Run {
     generation: u64,
-    joiner: JoinHandle<()>,
-    /// Read by the persister's durable hook and the joiner: once set,
-    /// neither reports to the controller.
-    torn: Arc<AtomicBool>,
+    /// Dropped, which drains it, once every local HAU has exited.
+    persister: Option<Persister>,
+    /// Local HAUs whose exit has not arrived.
+    running: usize,
+    /// The exits that have.
+    exits: Vec<HostExit>,
+    sinks: Vec<OperatorId>,
 }
 
-impl Run {
-    /// Tears the generation down. Order matters: mark torn (the hook
-    /// and the joiner go quiet) → drop its sockets and routes and
-    /// finish its HAUs, so each exit record flushes even with no
-    /// traffic → join.
-    fn teardown(self, eng: &Engine) {
-        self.torn.store(true, Ordering::SeqCst);
-        eng.send_io(IoCmd::Tear {
-            generation: self.generation,
+/// The main thread's state.
+struct Worker {
+    cfg: WorkerConfig,
+    /// The I/O thread's command channel, and the waker that goes with it.
+    io: Sender<IoCmd>,
+    waker: Waker,
+    /// The control connection, written only here.
+    ctrl: TcpStream,
+    events: Events,
+    run: Option<Run>,
+}
+
+impl Worker {
+    fn send_io(&self, cmd: IoCmd) {
+        let _ = self.io.send(cmd);
+        self.waker.wake();
+    }
+
+    /// Handles events until `Shutdown` or the control connection's end,
+    /// then tears the current generation down.
+    fn serve(&mut self) -> Result<()> {
+        let outcome = loop {
+            let ev = self.events.next();
+            if let Some(end) = self.handle(ev) {
+                break end;
+            }
+        };
+        self.teardown();
+        outcome
+    }
+
+    /// Handles one event; `Some` ends the worker with that outcome.
+    /// Reports go out only for the current generation.
+    fn handle(&mut self, ev: Event) -> Option<Result<()>> {
+        match ev {
+            Event::Control(Ok(Some(WireMsg::Assign(a)))) => {
+                self.teardown();
+                self.run = self.deploy(a);
+            }
+            Event::Control(Ok(Some(WireMsg::Checkpoint(epoch)))) => {
+                if let Some(r) = &self.run {
+                    let generation = r.generation;
+                    self.send_io(IoCmd::Checkpoint { generation, epoch });
+                }
+            }
+            Event::Control(Ok(Some(WireMsg::Rollback))) => self.teardown(),
+            Event::Control(Ok(Some(WireMsg::Shutdown)) | Ok(None)) => return Some(Ok(())),
+            Event::Control(Ok(Some(other))) => {
+                let e = Error::Wire(format!("unexpected control message {other:?}"));
+                return Some(Err(e));
+            }
+            Event::Control(Err(e)) => return Some(Err(e)),
+            Event::Durable {
+                generation,
+                epoch,
+                op,
+                outcome,
+                sample,
+            } => {
+                if self.run.as_ref().map(|r| r.generation) == Some(generation) {
+                    // The ack carries the operator's sample taken after
+                    // the write, so the ack that closes the epoch-e
+                    // barrier brings its operator's epoch-e checkpoint
+                    // phases — what lets the controller cut complete
+                    // ledger records then.
+                    self.report(match outcome {
+                        Ok(_) => WireMsg::CkptDone {
+                            generation,
+                            epoch,
+                            op,
+                            sample,
+                        },
+                        Err(e) => WireMsg::WorkerError {
+                            generation,
+                            detail: e.to_string(),
+                        },
+                    });
+                }
+            }
+            Event::Exit { generation, exit } => self.on_exit(generation, exit),
+        }
+        None
+    }
+
+    fn report(&mut self, msg: WireMsg) {
+        let _ = send_msg(&mut self.ctrl, &msg);
+    }
+
+    /// One HAU of the current generation finished. After the last one,
+    /// the persister is drained and what it wrote acked; only then are
+    /// finished sinks and failed HAUs reported.
+    fn on_exit(&mut self, generation: u64, exit: HostExit) {
+        let Some(run) = self.run.as_mut().filter(|r| r.generation == generation) else {
+            return;
+        };
+        run.exits.push(exit);
+        run.running -= 1;
+        if run.running > 0 {
+            return;
+        }
+        drop(run.persister.take());
+        let exits = mem::take(&mut run.exits);
+        let sinks = mem::take(&mut run.sinks);
+        // Every outcome of the drain is on the channel now: ack them
+        // ahead of the sink reports; other events wait their turn.
+        for ev in self.events.rx.try_iter().collect::<Vec<_>>() {
+            match ev {
+                Event::Durable { .. } => _ = self.handle(ev),
+                _ => self.events.pending.push_back(ev),
+            }
+        }
+        for exit in exits {
+            // A host that stopped on a storage failure is a failed HAU,
+            // not a finished one: surface it so the controller rolls
+            // the generation back.
+            if let Some(e) = &exit.error {
+                self.report(WireMsg::WorkerError {
+                    generation,
+                    detail: format!("{}: {e}", exit.op_id),
+                });
+            } else if sinks.contains(&exit.op_id) {
+                self.report(WireMsg::SinkDone {
+                    generation,
+                    op: exit.op_id,
+                    snapshot: exit.op.snapshot().data,
+                });
+            }
+        }
+    }
+
+    /// Tears the current generation down, if any. Order matters: it
+    /// stops being current (its reports go quiet) → the I/O thread
+    /// finishes its HAUs, so each exit flushes even with no traffic →
+    /// the exits are waited out → the persister drains.
+    fn teardown(&mut self) {
+        let Some(mut run) = self.run.take() else {
+            return;
+        };
+        self.send_io(IoCmd::Tear {
+            generation: run.generation,
         });
-        let _ = self.joiner.join();
+        while run.running > 0 {
+            match self.events.rx.recv().expect("main holds a sender") {
+                Event::Exit { generation, .. } if generation == run.generation => run.running -= 1,
+                ev @ Event::Control(_) => self.events.pending.push_back(ev),
+                _ => {}
+            }
+        }
+    }
+
+    /// Starts `a`, or leaves the worker idle and clean: a failed or
+    /// abandoned start spawned nothing, but peers may already have
+    /// parked `StreamHello`s for the generation with the I/O thread —
+    /// those go now, not at some later generation's teardown. A failed
+    /// deploy (corrupt checkpoint, unreachable store or peer) fails
+    /// the generation, not the daemon: it is reported and the worker
+    /// awaits the next assignment. An abandoned one reports nothing —
+    /// the controller already moved on.
+    fn deploy(&mut self, a: Assignment) -> Option<Run> {
+        let generation = a.generation;
+        let failure = match self.start(a) {
+            Ok(Some(run)) => return Some(run),
+            Ok(None) => None,
+            Err(e) => Some(e),
+        };
+        self.send_io(IoCmd::Tear { generation });
+        if let Some(e) = failure {
+            self.report(WireMsg::WorkerError {
+                generation,
+                detail: e.to_string(),
+            });
+        }
+        None
     }
 
     /// Builds, restores and wires `a`'s local operators. `Ok(None)`
     /// means the controller superseded the generation while this was
     /// still restoring or connecting, and the deploy was abandoned
     /// with nothing spawned.
-    fn start(
-        a: Assignment,
-        cfg: &WorkerConfig,
-        shared: &Arc<Shared>,
-        ctrl_w: &Arc<Mutex<TcpStream>>,
-        eng: &Engine,
-        scope: &Scope,
-    ) -> Result<Option<Run>> {
+    fn start(&mut self, a: Assignment) -> Result<Option<Run>> {
+        let cfg = &self.cfg;
+        let events = &mut self.events;
         let qn = a.network()?;
         let fs_store = FsStore::open(&cfg.store_dir, qn.len())?;
         // Every store sits behind the transient-retry decorator; chaos
@@ -270,7 +378,7 @@ impl Run {
         let is_gate = |op: OperatorId| a.gates.iter().any(|g| g.op == op);
         let mut restored: HashMap<u32, Restored> = HashMap::new();
         for &op in &my_ops {
-            if !scope.live() {
+            if events.superseded() {
                 return Ok(None);
             }
             // A gateway op hosts no demo operator; the placeholder
@@ -291,7 +399,7 @@ impl Run {
                         ))
                     })?;
                     operator.restore(&ck.snapshot)?;
-                    if !scope.live() {
+                    if events.superseded() {
                         return Ok(None);
                     }
                     let replay = if is_source {
@@ -330,7 +438,8 @@ impl Run {
                 let addr = a
                     .addr_of(down)
                     .ok_or_else(|| Error::Wire(format!("{down} missing from placement")))?;
-                let Some(mut s) = connect_retry(addr, CONNECT_WAIT, || scope.live())? else {
+                let Some(mut s) = connect_retry(addr, CONNECT_WAIT, || !events.superseded())?
+                else {
                     return Ok(None);
                 };
                 s.set_nodelay(true)?;
@@ -354,47 +463,19 @@ impl Run {
             listeners.insert(gate.op.0, ms_gate::listen("127.0.0.1:0", Some(&addr_file))?);
         }
 
-        // Infallible phase: build HAUs and wire routes.
-        let torn = Arc::new(AtomicBool::new(false));
-        let (exits_tx, exits_rx) = channel::<HostExit>();
-
-        // Durable-checkpoint acks close the controller's epoch
-        // barrier: the persister reports every write outcome on the
-        // control connection (CkptDone, or WorkerError on a storage
-        // failure). Acks from a torn-down generation are suppressed.
-        let ack_w = ctrl_w.clone();
-        let ack_torn = torn.clone();
-        let ack_shared = shared.clone();
-        let hook: ms_live::DurableHook = Box::new(move |epoch, op, outcome| {
-            if ack_torn.load(Ordering::SeqCst) {
-                return;
-            }
-            let msg = match outcome {
-                // The ack carries the operator's sample taken after the
-                // write, so the ack that closes the epoch-e barrier
-                // brings its operator's epoch-e checkpoint phases — what
-                // lets the controller cut complete ledger records then.
-                Ok(_) => WireMsg::CkptDone {
-                    generation,
-                    epoch,
-                    op,
-                    sample: ack_shared.sample_op(generation, op),
-                },
-                Err(e) => WireMsg::WorkerError {
-                    generation,
-                    detail: e.to_string(),
-                },
-            };
-            let _ = send_msg(&mut *ack_w.lock().expect("control socket lock"), &msg);
+        // Infallible phase: build HAUs and wire routes. Each persister
+        // write outcome goes to main, with the operator's sample after it.
+        let tx = events.tx.clone();
+        let hook: ms_live::DurableHook = Box::new(move |epoch, op, meter, outcome| {
+            let _ = tx.send(Event::Durable {
+                generation,
+                epoch,
+                op,
+                outcome: outcome.clone(),
+                sample: meter.map(OperatorMeter::sample),
+            });
         });
         let persister = Persister::spawn_with(store.clone(), Some(hook));
-
-        // Fresh generation, fresh gauges — the torn-down run's meters
-        // would otherwise keep reporting their last values forever.
-        *shared.meters.lock().expect("meters lock") = Meters {
-            generation,
-            ..Meters::default()
-        };
 
         // Shard plan lookup: physical op → logical group index. The
         // plan's ordering guarantee (a producer's downstream is
@@ -418,9 +499,7 @@ impl Run {
             order.iter().zip(0..).map(|(op, at)| (op.0, at)).collect();
         let mut gen = Gen {
             generation,
-            cells: Vec::new(),
-            targets: Vec::new(),
-            ingress: HashMap::new(),
+            ..Gen::default()
         };
         for &op in &order {
             let r = restored.remove(&op.0).expect("restored once per local op");
@@ -460,16 +539,14 @@ impl Run {
                 i = j;
             }
 
+            let op_meter = Arc::new(OperatorMeter::new());
+            gen.ops.push((op, op_meter.clone()));
             // A gateway host: same output wiring as any source; the
             // replay is queued here and delivered when the I/O thread
             // adopts the generation, before the gate can admit a batch.
-            if let Some(gate) = a.gates.iter().find(|g| g.op == op) {
-                let op_meter = Arc::new(OperatorMeter::new());
+            let hau = if let Some(gate) = a.gates.iter().find(|g| g.op == op) {
                 let gate_meter = Arc::new(GateMeter::new());
-                let mut meters = shared.meters.lock().expect("meters lock");
-                meters.ops.push((op, op_meter.clone()));
-                meters.gates.push((op, gate_meter.clone()));
-                drop(meters);
+                gen.gates.push((op, gate_meter.clone()));
                 let wiring = GateWiring {
                     op_id: op,
                     cfg: gate.cfg,
@@ -482,19 +559,8 @@ impl Run {
                     telemetry: Some(op_meter),
                 };
                 let gate = Gate::new(wiring, store.clone(), persister.sender());
-                let cell = HostCell::new(Hau::Gate(Box::new(gate)), exits_tx.clone());
-                gen.cells.push(cell);
-                continue;
-            }
-
-            let op_meter = Arc::new(OperatorMeter::new());
-            shared
-                .meters
-                .lock()
-                .expect("meters lock")
-                .ops
-                .push((op, op_meter.clone()));
-            if is_source {
+                Hau::Gate(Box::new(gate))
+            } else if is_source {
                 let mut src = SourceCore::new(
                     op,
                     outputs,
@@ -509,131 +575,46 @@ impl Run {
                 // Later sources of a fan-in run slower, so the merge
                 // sees misaligned inputs.
                 let period = Duration::from_micros(skewed_delay_us(&qn, op, a.source_delay_us));
-                let hau = Hau::Source {
+                Hau::Source {
                     core: src,
                     op: operator,
                     pace: Pace::new(period, Instant::now()),
+                }
+            } else {
+                let wiring = HostWiring {
+                    op_id: op,
+                    op: r.operator,
+                    outputs,
+                    restored_seq: r.restored_seq,
+                    resume_seq: r.resume_seq,
+                    last_durable: a.restore_epoch,
+                    telemetry: Some(op_meter),
                 };
-                gen.cells.push(HostCell::new(hau, exits_tx.clone()));
-                continue;
-            }
-
-            let meter = Arc::new(BackpressureMeter::new());
-            shared
-                .meters
-                .lock()
-                .expect("meters lock")
-                .hosts
-                .push(meter.clone());
-            let wiring = HostWiring {
-                op_id: op,
-                op: r.operator,
-                outputs,
-                restored_seq: r.restored_seq,
-                resume_seq: r.resume_seq,
-                last_durable: a.restore_epoch,
-                meter: Some(meter),
-                telemetry: Some(op_meter),
+                for &up in qn.upstream(op) {
+                    if !is_mine(up) {
+                        let port = qn.input_port(up, op).expect("edge exists").0;
+                        let at = gen.cells.len();
+                        gen.ingress.insert((up.0, op.0), CellPort { at, port });
+                    }
+                }
+                let n_in = qn.upstream(op).len();
+                Hau::Interior(InteriorCore::new(wiring, n_in, persister.sender()))
             };
-            let core = InteriorCore::new(wiring, qn.upstream(op).len(), persister.sender());
-            for &up in qn.upstream(op) {
-                if !is_mine(up) {
-                    let port = qn.input_port(up, op).expect("edge exists").0;
-                    let at = gen.cells.len();
-                    gen.ingress.insert((up.0, op.0), CellPort { at, port });
-                }
-            }
-            gen.cells
-                .push(HostCell::new(Hau::Interior(core), exits_tx.clone()));
+            let cell = HostCell::new(generation, hau, events.tx.clone());
+            gen.cells.push(cell);
         }
-        drop(exits_tx);
-        eng.send_io(IoCmd::Deploy(gen));
-        // The joiner waits the hosts out, makes queued checkpoints
-        // durable, then reports finished sinks — unless the generation
-        // was torn down, in which case partial sink state is garbage.
-        let n_local = my_ops.len();
-        let sinks: Vec<OperatorId> = my_ops
-            .iter()
-            .copied()
-            .filter(|&op| qn.downstream(op).is_empty())
-            .collect();
-        let torn_j = torn.clone();
-        let ctrl_w = ctrl_w.clone();
-        let joiner = thread::Builder::new()
-            .name("ms-joiner".into())
-            .spawn(move || {
-                let mut finals = Vec::new();
-                for _ in 0..n_local {
-                    match exits_rx.recv() {
-                        Ok(exit) => finals.push(exit),
-                        Err(_) => break,
-                    }
-                }
-                drop(persister);
-                if !torn_j.load(Ordering::SeqCst) {
-                    for exit in &finals {
-                        // A host that stopped on a storage failure is a
-                        // failed HAU, not a finished one: surface it so
-                        // the controller rolls the generation back.
-                        if let Some(e) = &exit.error {
-                            let msg = WireMsg::WorkerError {
-                                generation,
-                                detail: format!("{}: {e}", exit.op_id),
-                            };
-                            let _ =
-                                send_msg(&mut *ctrl_w.lock().expect("control socket lock"), &msg);
-                        } else if sinks.contains(&exit.op_id) {
-                            let msg = WireMsg::SinkDone {
-                                generation,
-                                op: exit.op_id,
-                                snapshot: exit.op.snapshot().data,
-                            };
-                            let _ =
-                                send_msg(&mut *ctrl_w.lock().expect("control socket lock"), &msg);
-                        }
-                    }
-                }
-            })
-            .expect("spawn joiner thread");
-
+        self.send_io(IoCmd::Deploy(gen));
         Ok(Some(Run {
             generation,
-            joiner,
-            torn,
+            persister: Some(persister),
+            running: my_ops.len(),
+            exits: Vec::new(),
+            sinks: my_ops
+                .iter()
+                .copied()
+                .filter(|&op| qn.downstream(op).is_empty())
+                .collect(),
         }))
-    }
-
-    /// Starts `a`, or leaves the worker idle and clean: a failed or
-    /// abandoned start spawned nothing, but peers may already have
-    /// parked `StreamHello`s for the generation with the I/O thread —
-    /// those go now, not at some later generation's teardown. A failed
-    /// deploy (corrupt checkpoint, unreachable store or peer) fails
-    /// the generation, not the daemon: it is reported and the worker
-    /// awaits the next assignment. An abandoned one reports nothing —
-    /// the controller already moved on.
-    fn deploy(
-        a: Assignment,
-        cfg: &WorkerConfig,
-        shared: &Arc<Shared>,
-        ctrl_w: &Arc<Mutex<TcpStream>>,
-        eng: &Engine,
-        scope: &Scope,
-    ) -> Option<Run> {
-        let generation = a.generation;
-        let failure = match Run::start(a, cfg, shared, ctrl_w, eng, scope) {
-            Ok(Some(run)) => return Some(run),
-            Ok(None) => None,
-            Err(e) => Some(e),
-        };
-        eng.send_io(IoCmd::Tear { generation });
-        if let Some(e) = failure {
-            let msg = WireMsg::WorkerError {
-                generation,
-                detail: e.to_string(),
-            };
-            let _ = send_msg(&mut *ctrl_w.lock().expect("control socket lock"), &msg);
-        }
-        None
     }
 }
 
@@ -642,7 +623,7 @@ impl Run {
 fn connect_retry(
     addr: &str,
     wait: Duration,
-    wanted: impl Fn() -> bool,
+    mut wanted: impl FnMut() -> bool,
 ) -> Result<Option<TcpStream>> {
     let deadline = Instant::now() + wait;
     while wanted() {
@@ -684,22 +665,13 @@ fn resolve_controller(addr: &ControllerAddr, wait: Duration) -> Result<String> {
 /// across generations, exit on `Shutdown` (or controller loss).
 pub fn run_worker(cfg: WorkerConfig) -> Result<()> {
     let ctrl_addr = resolve_controller(&cfg.controller, CONNECT_WAIT)?;
-    let shared = Arc::new(Shared::new());
-
-    // The engine: data-plane listener + I/O thread, created once per
-    // process and reused across generations.
+    // The data-plane listener is bound before registering, which
+    // carries its address.
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let data_addr = listener.local_addr()?.to_string();
-    listener.set_nonblocking(true)?;
-    let waker = Waker::new()?;
-    let (io_tx, io_rx) = channel();
     // Chaos runs plant a deterministic fault plan (`MS_FAULT_PLAN`) in
     // the I/O thread; production workers carry `None` and pay nothing.
     let plan = FaultPlan::from_env().map_err(|e| Error::Wire(format!("MS_FAULT_PLAN: {e}")))?;
-    let io = evloop::spawn_io(listener, waker.clone(), io_rx, plan);
-    let eng = Engine { io: io_tx, waker };
-
-    // Control plane.
     let connect =
         || connect_retry(&ctrl_addr, CONNECT_WAIT, || true).map(|s| s.expect("always wanted"));
     let mut ctrl = connect()?;
@@ -711,110 +683,48 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<()> {
             data_addr,
         },
     )?;
-    let ctrl_w = Arc::new(Mutex::new(ctrl.try_clone()?));
-    // Heartbeats ride a dedicated connection: the shared control
-    // writer can stall behind a large SinkDone/CkptDone while the
-    // controller is busy, and a liveness signal queued behind it would
-    // read as a dead worker. A socket of their own means heartbeat
-    // cadence only ever reflects this process being alive.
-    let mut hb = connect()?;
-    hb.set_nodelay(true)?;
+    // Heartbeats ride a dedicated connection: a report write can stall
+    // behind a large SinkDone/CkptDone while the controller is busy,
+    // and a liveness signal queued behind it would read as a dead
+    // worker. A socket of their own means heartbeat cadence only ever
+    // reflects this process being alive.
+    let mut heartbeat = connect()?;
+    heartbeat.set_nodelay(true)?;
     send_msg(
-        &mut hb,
+        &mut heartbeat,
         &WireMsg::HeartbeatHello {
             name: cfg.name.clone(),
         },
     )?;
-    let hb_shared = shared.clone();
-    let heartbeat = thread::spawn(move || {
-        while !hb_shared.stop.load(Ordering::SeqCst) {
-            thread::sleep(HEARTBEAT_INTERVAL);
-            if send_msg(&mut hb, &hb_shared.heartbeat()).is_err() {
-                return;
-            }
-        }
-    });
-
-    // The control connection gets a reader thread of its own, so a
-    // message that ends the current generation is *counted* the moment
-    // it arrives — while the loop below may still be inside that
-    // generation's `Run::start` — and handled in order afterwards.
-    let superseded = Arc::new(AtomicU64::new(0));
-    let (ctl_tx, ctl_rx) = channel();
-    let reader_superseded = superseded.clone();
-    let reader = thread::Builder::new()
-        .name("ms-control".into())
-        .spawn(move || loop {
-            let msg = recv_msg(&mut ctrl);
-            let last = !matches!(msg, Ok(Some(_)));
-            let ticket = match msg {
-                Ok(Some(WireMsg::Checkpoint(_))) => reader_superseded.load(Ordering::SeqCst),
-                _ => reader_superseded.fetch_add(1, Ordering::SeqCst) + 1,
-            };
-            if ctl_tx.send((ticket, msg)).is_err() || last {
-                return;
-            }
-        })
-        .expect("spawn control reader thread");
-
-    let mut run: Option<Run> = None;
-    let mut outcome = Ok(());
-    for (ticket, msg) in ctl_rx {
-        match msg {
-            Ok(Some(WireMsg::Assign(a))) => {
-                if let Some(r) = run.take() {
-                    r.teardown(&eng);
-                }
-                let scope = Scope {
-                    superseded: &superseded,
-                    ticket,
-                };
-                run = Run::deploy(a, &cfg, &shared, &ctrl_w, &eng, &scope);
-            }
-            Ok(Some(WireMsg::Checkpoint(epoch))) => {
-                if let Some(r) = &run {
-                    let generation = r.generation;
-                    eng.send_io(IoCmd::Checkpoint { generation, epoch });
-                }
-            }
-            Ok(Some(WireMsg::Rollback)) => {
-                if let Some(r) = run.take() {
-                    r.teardown(&eng);
-                }
-            }
-            Ok(Some(WireMsg::Shutdown)) | Ok(None) => break,
-            Ok(Some(other)) => {
-                outcome = Err(Error::Wire(format!("unexpected control message {other:?}")));
-                break;
-            }
-            Err(e) => {
-                outcome = Err(e);
-                break;
-            }
-        }
-    }
-    if let Some(r) = run.take() {
-        r.teardown(&eng);
-    }
-    shared.stop.store(true, Ordering::SeqCst);
-    // Closing the socket is also what ends the reader's blocking read.
-    let _ = ctrl_w
-        .lock()
-        .expect("control socket lock")
-        .shutdown(Shutdown::Both);
-    let _ = reader.join();
-    let _ = heartbeat.join();
-    eng.send_io(IoCmd::Stop);
-    let _ = io.join();
+    listener.set_nonblocking(true)?;
+    heartbeat.set_nonblocking(true)?;
+    let control = ctrl.try_clone()?;
+    let waker = Waker::new()?;
+    let (io, io_rx) = channel();
+    let events = Events::new();
+    let (tx, wake) = (events.tx.clone(), waker.clone());
+    let thread = evloop::spawn_io(listener, control, heartbeat, wake, io_rx, tx, plan);
+    let mut worker = Worker {
+        cfg,
+        io,
+        waker,
+        ctrl,
+        events,
+        run: None,
+    };
+    let outcome = worker.serve();
+    worker.send_io(IoCmd::Stop);
+    let _ = thread.join();
     outcome
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::OpPlacement;
+    use crate::message::{recv_msg, OpPlacement};
     use ms_core::ids::EpochId;
-    use std::sync::mpsc::Receiver;
+    use std::collections::BTreeSet;
+    use std::io::Write;
 
     /// An address nothing listens on: bound, then closed.
     fn dead_addr() -> String {
@@ -822,55 +732,56 @@ mod tests {
         l.local_addr().unwrap().to_string()
     }
 
-    /// Everything `Run::deploy` needs, with both far ends in hand: the
+    /// Two ends of one loopback connection.
+    fn pair() -> (TcpStream, TcpStream) {
+        let l = TcpListener::bind("127.0.0.1:0").unwrap();
+        let near = TcpStream::connect(l.local_addr().unwrap()).unwrap();
+        let (far, _) = l.accept().unwrap();
+        (near, far)
+    }
+
+    fn store_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("ms_worker_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Main's state with no I/O thread, and both far ends in hand: the
     /// I/O thread's command queue and the controller's side of the
     /// control socket.
     struct Rig {
-        cfg: WorkerConfig,
-        shared: Arc<Shared>,
-        eng: Engine,
+        worker: Worker,
         io_rx: Receiver<IoCmd>,
-        ctrl_w: Arc<Mutex<TcpStream>>,
         controller_side: TcpStream,
-        superseded: Arc<AtomicU64>,
     }
 
     fn rig(tag: &str) -> Rig {
-        let store_dir =
-            std::env::temp_dir().join(format!("ms_worker_{tag}_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&store_dir);
         let (io, io_rx) = channel();
-        let l = TcpListener::bind("127.0.0.1:0").unwrap();
-        let ctrl = TcpStream::connect(l.local_addr().unwrap()).unwrap();
-        let (controller_side, _) = l.accept().unwrap();
+        let (ctrl, controller_side) = pair();
         controller_side
             .set_read_timeout(Some(Duration::from_millis(100)))
             .unwrap();
         Rig {
-            cfg: WorkerConfig {
-                name: "me".into(),
-                controller: ControllerAddr::Addr(String::new()),
-                store_dir,
-            },
-            shared: Arc::new(Shared::new()),
-            eng: Engine {
+            worker: Worker {
+                cfg: WorkerConfig {
+                    name: "me".into(),
+                    controller: ControllerAddr::Addr(String::new()),
+                    store_dir: store_dir(tag),
+                },
                 io,
                 waker: Waker::new().unwrap(),
+                ctrl,
+                events: Events::new(),
+                run: None,
             },
             io_rx,
-            ctrl_w: Arc::new(Mutex::new(ctrl)),
             controller_side,
-            superseded: Arc::new(AtomicU64::new(0)),
         }
     }
 
     impl Rig {
-        fn deploy(&self, a: Assignment) -> Option<Run> {
-            let scope = Scope {
-                superseded: &self.superseded,
-                ticket: 0,
-            };
-            Run::deploy(a, &self.cfg, &self.shared, &self.ctrl_w, &self.eng, &scope)
+        fn deploy(&mut self, a: Assignment) -> Option<Run> {
+            self.worker.deploy(a)
         }
 
         /// The control socket stays silent until its read times out.
@@ -887,23 +798,19 @@ mod tests {
         }
     }
 
-    /// chain2 with the source here and the sink on a peer whose data
-    /// port refuses: the worker that died after its last heartbeat.
-    fn onto_dead_peer(generation: u64, restore_epoch: Option<EpochId>) -> Assignment {
-        let place = |op, worker: &str, data_addr| OpPlacement {
-            op: OperatorId(op),
-            worker: worker.into(),
-            data_addr,
-        };
+    /// chain2, the source on `source` and the sink on `sink`.
+    fn chain2(
+        generation: u64,
+        restore_epoch: Option<EpochId>,
+        source: OpPlacement,
+        sink: OpPlacement,
+    ) -> Assignment {
         Assignment {
             generation,
             restore_epoch,
             n_ops: 2,
             edges: vec![(OperatorId(0), OperatorId(1))],
-            placement: vec![
-                place(0, "me", "127.0.0.1:1".into()),
-                place(1, "peer", dead_addr()),
-            ],
+            placement: vec![source, sink],
             source_limit: 10,
             source_delay_us: 0,
             keyed_state: 0,
@@ -911,6 +818,26 @@ mod tests {
             groups: vec![vec![OperatorId(0)], vec![OperatorId(1)]],
             gates: Vec::new(),
         }
+    }
+
+    fn place(op: u32, worker: &str, data_addr: String) -> OpPlacement {
+        OpPlacement {
+            op: OperatorId(op),
+            worker: worker.into(),
+            data_addr,
+        }
+    }
+
+    /// chain2 with the source here and the sink on a peer whose data
+    /// port refuses: the worker that died after its last heartbeat.
+    fn onto_dead_peer(generation: u64, restore_epoch: Option<EpochId>) -> Assignment {
+        let source = place(0, "me", "127.0.0.1:1".into());
+        chain2(
+            generation,
+            restore_epoch,
+            source,
+            place(1, "peer", dead_addr()),
+        )
     }
 
     #[test]
@@ -927,14 +854,14 @@ mod tests {
 
     #[test]
     fn deploy_onto_a_dead_peer_is_abandoned_on_supersession() {
-        let b = rig("abandon");
-        let superseded = b.superseded.clone();
-        // What the control reader does when the controller's Rollback
+        let mut b = rig("abandon");
+        let events = b.worker.events.tx.clone();
+        // What the I/O thread forwards when the controller's Rollback
         // arrives, some time into the connect retries.
         let bump = thread::spawn(move || {
             thread::sleep(Duration::from_millis(300));
             let at = Instant::now();
-            superseded.fetch_add(1, Ordering::SeqCst);
+            let _ = events.send(Event::Control(Ok(Some(WireMsg::Rollback))));
             at
         });
         let run = b.deploy(onto_dead_peer(7, None));
@@ -948,12 +875,12 @@ mod tests {
         // — which already moved on — hears nothing.
         assert_eq!(b.torn(), Some(7));
         assert!(b.controller_hears_nothing());
-        let _ = std::fs::remove_dir_all(&b.cfg.store_dir);
+        let _ = std::fs::remove_dir_all(&b.worker.cfg.store_dir);
     }
 
     #[test]
     fn failed_deploy_tears_its_generation_and_reports_once() {
-        let b = rig("failed");
+        let mut b = rig("failed");
         // Restores an epoch the store never saw: fails before any connect.
         assert!(b.deploy(onto_dead_peer(3, Some(EpochId(5)))).is_none());
         assert_eq!(b.torn(), Some(3));
@@ -962,6 +889,178 @@ mod tests {
             other => panic!("want WorkerError for generation 3, got {other:?}"),
         }
         assert!(b.controller_hears_nothing());
-        let _ = std::fs::remove_dir_all(&b.cfg.store_dir);
+        let _ = std::fs::remove_dir_all(&b.worker.cfg.store_dir);
+    }
+
+    #[test]
+    fn the_last_exit_acks_what_the_persister_drains_before_the_sink_report() {
+        use ms_core::operator::{DeferredSnapshot, OperatorSnapshot};
+        use ms_live::{PersistItem, Summer};
+
+        let mut b = rig("drain");
+        // A checkpoint write that takes 200 ms: still in flight when the
+        // generation's one HAU, a sink, exits.
+        let slow = StoreFaultSpec {
+            slow_ckpt_us: 200_000,
+            ..StoreFaultSpec::default()
+        };
+        let fs = FsStore::open(&b.worker.cfg.store_dir, 2).unwrap();
+        let tx = b.worker.events.tx.clone();
+        let hook: ms_live::DurableHook = Box::new(move |epoch, op, _, outcome| {
+            let _ = tx.send(Event::Durable {
+                generation: 1,
+                epoch,
+                op,
+                outcome: outcome.clone(),
+                sample: None,
+            });
+        });
+        let persister = Persister::spawn_with(Arc::new(FaultStore::new(fs, slow)), Some(hook));
+        let item = PersistItem {
+            epoch: EpochId(1),
+            op: OperatorId(1),
+            snapshot: DeferredSnapshot::Ready(OperatorSnapshot::empty()),
+            base: None,
+            next_seq: 0,
+            resume_seq: Vec::new(),
+            align_us: 0,
+            meter: None,
+        };
+        assert!(persister.sender().send(item).is_ok());
+        b.worker.run = Some(Run {
+            generation: 1,
+            persister: Some(persister),
+            running: 1,
+            exits: Vec::new(),
+            sinks: vec![OperatorId(1)],
+        });
+        let exit = HostExit {
+            op_id: OperatorId(1),
+            op: Box::<Summer>::default(),
+            error: None,
+        };
+        assert!(b
+            .worker
+            .handle(Event::Exit {
+                generation: 1,
+                exit
+            })
+            .is_none());
+        // The drain's ack goes out first, then the sink's report.
+        match recv_msg(&mut &b.controller_side) {
+            Ok(Some(WireMsg::CkptDone {
+                generation: 1,
+                epoch: EpochId(1),
+                op: OperatorId(1),
+                ..
+            })) => {}
+            other => panic!("want the drained CkptDone first, got {other:?}"),
+        }
+        match recv_msg(&mut &b.controller_side) {
+            Ok(Some(WireMsg::SinkDone { generation: 1, .. })) => {}
+            other => panic!("want SinkDone after the ack, got {other:?}"),
+        }
+        assert!(b.controller_hears_nothing());
+        let _ = std::fs::remove_dir_all(&b.worker.cfg.store_dir);
+    }
+
+    #[test]
+    fn acks_precede_the_sink_report_and_a_torn_generation_reports_nothing() {
+        let dir = store_dir("acks");
+        let ctl = TcpListener::bind("127.0.0.1:0").unwrap();
+        let cfg = WorkerConfig {
+            name: "me".into(),
+            controller: ControllerAddr::Addr(ctl.local_addr().unwrap().to_string()),
+            store_dir: dir.clone(),
+        };
+        let worker = thread::spawn(move || run_worker(cfg));
+        // The worker registers on its control connection, then opens its
+        // heartbeat connection.
+        let (mut controller, _) = ctl.accept().unwrap();
+        controller
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let Ok(Some(WireMsg::Register {
+            data_addr: here, ..
+        })) = recv_msg(&mut controller)
+        else {
+            panic!("the worker did not register");
+        };
+        let (mut beats, _) = ctl.accept().unwrap();
+        beats
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        // Both operators here; the source emits one tuple a millisecond,
+        // 300 in all.
+        let local = |generation| Assignment {
+            source_limit: 300,
+            source_delay_us: 1000,
+            ..chain2(
+                generation,
+                None,
+                place(0, "me", here.clone()),
+                place(1, "me", here.clone()),
+            )
+        };
+
+        // Generation 1 runs to its end through two barriers.
+        send_msg(&mut controller, &WireMsg::Assign(local(1))).unwrap();
+        for epoch in 1..=2 {
+            thread::sleep(Duration::from_millis(50));
+            send_msg(&mut controller, &WireMsg::Checkpoint(EpochId(epoch))).unwrap();
+        }
+        let mut acked = BTreeSet::new();
+        loop {
+            match recv_msg(&mut controller).unwrap().unwrap() {
+                WireMsg::CkptDone {
+                    generation: 1,
+                    epoch,
+                    op,
+                    ..
+                } => assert!(acked.insert((epoch.0, op.0))),
+                WireMsg::SinkDone {
+                    generation: 1, op, ..
+                } => {
+                    assert_eq!(op, OperatorId(1));
+                    break;
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        // Both epochs of both operators were acked, every ack ahead of
+        // the sink's report, and nothing follows it.
+        assert_eq!(acked, BTreeSet::from([(1, 0), (1, 1), (2, 0), (2, 1)]));
+        controller
+            .set_read_timeout(Some(Duration::from_millis(300)))
+            .unwrap();
+        assert!(
+            recv_msg(&mut controller).is_err(),
+            "a report after SinkDone"
+        );
+
+        // Generation 2 is torn while it runs: once a beat shows the I/O
+        // thread runs it, a barrier and the Rollback arrive in one
+        // write, so main handles the Rollback before any outcome of the
+        // barrier's writes.
+        send_msg(&mut controller, &WireMsg::Assign(local(2))).unwrap();
+        while !matches!(
+            recv_msg(&mut beats).unwrap(),
+            Some(WireMsg::Heartbeat { generation: 2, .. })
+        ) {}
+        let mut both = Vec::new();
+        send_msg(&mut both, &WireMsg::Checkpoint(EpochId(3))).unwrap();
+        send_msg(&mut both, &WireMsg::Rollback).unwrap();
+        controller.write_all(&both).unwrap();
+        assert!(
+            recv_msg(&mut controller).is_err(),
+            "the torn generation reported"
+        );
+        send_msg(&mut controller, &WireMsg::Shutdown).unwrap();
+        worker.join().unwrap().unwrap();
+        // The barrier's checkpoint was written: its ack was withheld,
+        // not lost.
+        let store = FsStore::open(&dir, 2).unwrap();
+        assert!(store.get_checkpoint(EpochId(3), OperatorId(0)).is_some());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
