@@ -537,7 +537,7 @@ impl Operator for KMeansOp {
             removed,
             logical_bytes: self.state_size(),
         };
-        Some(DeferredSnapshot::Delta(Box::new(move || delta)))
+        Some(DeferredSnapshot::Delta(delta.into()))
     }
 
     fn restore(&mut self, s: &OperatorSnapshot) -> ms_core::Result<()> {

@@ -335,54 +335,45 @@ fn bench_meter_overhead(c: &mut Criterion) {
     g.finish();
 }
 
-/// Checkpoint stall: p99 tuple latency while a 64 MiB snapshot is
-/// being persisted, versus steady state. The big-state operator holds
-/// its state as `Arc`'d chunks and overrides `snapshot_deferred`, so
-/// the host thread's capture is a refcount walk and the 64 MiB
-/// serialization runs on the persister thread — tuple latency during
-/// a checkpoint must stay within 2× of steady state. The eager
-/// `snapshot()` bench shows what the host thread would pay per
-/// checkpoint if the capture were synchronous.
+/// Checkpoint stall: tuple latency while a 16 MiB table is being
+/// persisted, versus steady state. The big-state operator keeps its
+/// state in a `DeltaTable` (65,536 keys of 256 bytes, `bigstate_paced`'s
+/// shape) and captures it as a copy-on-write view, so the host thread's
+/// capture is a clone of the page map and the 16 MiB encode runs on
+/// the persister thread, while every tuple writes a key. Keys are
+/// written in order, so one tuple in sixteen lands on a page the view
+/// still holds and pays that page's copy: the tail of the "during"
+/// latencies is that copy. The eager `snapshot()` bench shows what the
+/// host thread would pay per checkpoint if the capture were
+/// synchronous.
 fn bench_ckpt_stall(c: &mut Criterion) {
+    use std::io;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
+    use ms_core::delta::DeltaTable;
     use ms_core::error::Result;
     use ms_core::ids::{EpochId, PortId};
     use ms_core::operator::{DeferredSnapshot, Operator, OperatorContext, OperatorSnapshot};
     use ms_core::tuple::Fields;
+    use ms_live::ckpt_codec;
     use ms_live::{CkptWrite, LiveHauCheckpoint, PersistItem, Persister, StableStore};
 
-    const CHUNKS: usize = 64;
-    const CHUNK_BYTES: usize = 1 << 20; // 64 MiB of logical state
-    const LOGICAL: u64 = (CHUNKS * CHUNK_BYTES) as u64;
-
-    fn serialize(chunks: &[Arc<Vec<u8>>], applied: u64) -> OperatorSnapshot {
-        let mut w = SnapshotWriter::with_capacity(CHUNKS * CHUNK_BYTES + 64);
-        w.put_u64(applied);
-        for ch in chunks {
-            w.put_bytes(ch);
-        }
-        OperatorSnapshot {
-            data: w.finish(),
-            logical_bytes: LOGICAL,
-        }
-    }
+    const KEYS: u64 = 1 << 16;
+    const VALUE_BYTES: usize = 256; // 16 MiB of values
 
     struct BigState {
-        chunks: Vec<Arc<Vec<u8>>>,
-        applied: u64,
+        table: DeltaTable,
     }
 
     impl BigState {
         fn new() -> BigState {
-            BigState {
-                chunks: (0..CHUNKS)
-                    .map(|i| Arc::new(vec![i as u8; CHUNK_BYTES]))
-                    .collect(),
-                applied: 0,
+            let mut table = DeltaTable::new();
+            for k in 0..KEYS {
+                table.insert(k, vec![k as u8; VALUE_BYTES]);
             }
+            BigState { table }
         }
     }
 
@@ -392,29 +383,27 @@ fn bench_ckpt_stall(c: &mut Criterion) {
         }
 
         fn on_tuple(&mut self, _p: PortId, t: Tuple, _ctx: &mut dyn OperatorContext) {
-            let chunk = (t.seq as usize) % CHUNKS;
-            let byte = (t.seq as usize) % CHUNK_BYTES;
-            std::hint::black_box(self.chunks[chunk][byte]);
-            self.applied += 1;
+            self.table
+                .insert(t.seq % KEYS, vec![t.seq as u8; VALUE_BYTES]);
         }
 
         fn state_size(&self) -> u64 {
-            LOGICAL
+            self.table.value_bytes()
         }
 
         fn snapshot(&self) -> OperatorSnapshot {
-            serialize(&self.chunks, self.applied)
+            OperatorSnapshot {
+                data: self.table.snapshot(),
+                logical_bytes: self.table.value_bytes(),
+            }
         }
 
         fn snapshot_deferred(&mut self) -> DeferredSnapshot {
-            let chunks = self.chunks.clone();
-            let applied = self.applied;
-            DeferredSnapshot::Deferred(Box::new(move || serialize(&chunks, applied)))
+            DeferredSnapshot::Full(self.table.freeze(self.table.value_bytes()))
         }
 
         fn restore(&mut self, s: &OperatorSnapshot) -> Result<()> {
-            let mut r = SnapshotReader::new(&s.data);
-            self.applied = r.get_u64()?;
+            self.table = DeltaTable::restore(&s.data)?;
             Ok(())
         }
     }
@@ -438,19 +427,18 @@ fn bench_ckpt_stall(c: &mut Criterion) {
         }
     }
 
-    /// A store that discards checkpoints after forcing the encoded
-    /// bytes to exist — the bench measures capture + serialization
-    /// contention, not disk bandwidth.
+    /// A store that encodes each checkpoint into nothing — the bench
+    /// measures capture + encode contention, not disk bandwidth.
     struct DevNullStore;
 
     impl StableStore for DevNullStore {
-        fn put_checkpoint(
+        fn write_checkpoint(
             &self,
             _epoch: EpochId,
             _op: OperatorId,
-            ckpt: CkptWrite,
+            ckpt: &CkptWrite,
         ) -> Result<bool> {
-            std::hint::black_box(ckpt.state.logical_bytes());
+            ckpt_codec::write_ckpt(ckpt, &mut io::sink()).expect("a sink takes every write");
             Ok(true)
         }
         fn get_checkpoint(&self, _epoch: EpochId, _op: OperatorId) -> Option<LiveHauCheckpoint> {
@@ -523,10 +511,11 @@ fn bench_ckpt_stall(c: &mut Criterion) {
             next_seq: seq,
             resume_seq: Vec::new(),
             align_us: 0,
+            capture_us: 0,
             meter: None,
         });
         assert!(sent.is_ok(), "persister thread died");
-        // Keep streaming while the persister serializes 64 MiB.
+        // Keep streaming while the persister encodes 16 MiB.
         while in_flight.load(Ordering::SeqCst) && during.count() < 1_000_000 {
             during.record(apply_one(&mut op, &mut ctx, seq).as_nanos() as u64);
             seq += 1;
@@ -537,7 +526,7 @@ fn bench_ckpt_stall(c: &mut Criterion) {
 
     eprintln!(
         "ckpt_stall: tuple latency steady p50={}ns p95={}ns p99={}ns \
-         during-64MiB-ckpt p50={}ns p95={}ns p99={}ns \
+         during-16MiB-ckpt p50={}ns p95={}ns p99={}ns \
          p99-ratio={:.2} ({} in-ckpt samples)",
         steady.p50(),
         steady.p95(),
@@ -551,11 +540,11 @@ fn bench_ckpt_stall(c: &mut Criterion) {
 
     // --- Criterion timings for the two capture strategies. ---
     let mut g = c.benchmark_group("ckpt_stall");
-    g.bench_function("deferred_capture_64mb", |b| {
+    g.bench_function("deferred_capture_16mb", |b| {
         b.iter(|| op.snapshot_deferred())
     });
     g.sample_size(10);
-    g.bench_function("eager_snapshot_64mb", |b| b.iter(|| op.snapshot()));
+    g.bench_function("eager_snapshot_16mb", |b| b.iter(|| op.snapshot()));
     g.finish();
 }
 

@@ -117,6 +117,17 @@ impl SnapshotWriter {
         self.buf.is_empty()
     }
 
+    /// The bytes written so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Forgets what was written, keeping the buffer: a streaming
+    /// encoder reuses one writer for each small header it emits.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// Appends an untagged little-endian length prefix.
     fn put_len(&mut self, n: usize) {
         self.buf.extend_from_slice(&(n as u64).to_le_bytes());
@@ -255,6 +266,20 @@ impl SnapshotWriter {
             write(self, item);
         }
         self
+    }
+}
+
+/// Raw, untagged bytes appended as they are: what lets one streaming
+/// encoder, written against [`std::io::Write`], fill a file or a
+/// writer alike.
+impl std::io::Write for SnapshotWriter {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        self.buf.extend_from_slice(bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
     }
 }
 

@@ -22,9 +22,23 @@
 //! a table entry is one tagged `u64` key plus one tagged byte string
 //! ([`encoded_entry_bytes`]), and the table is a counted sequence of
 //! entries ([`encoded_table_bytes`]), so writers allocate once.
+//!
+//! A [`DeltaTable`] keeps its entries in pages shared copy-on-write —
+//! the paper's `fork()` checkpoint (§III-B) at page granularity, in
+//! process. A capture ([`DeltaTable::freeze`]) is a [`TableView`]: a
+//! clone of the page map, O(pages), plus the change marks moved out.
+//! The table keeps running; its first write to a page the view still
+//! shares copies that page alone. Whoever holds the view — the
+//! persister thread — encodes the full table or the delta from it,
+//! straight into a writer ([`TableView::write_table`],
+//! [`TableView::write_delta`]), with lengths known up front, so no
+//! buffer of the state's size is ever built.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 use std::io::{self, BufRead, Read, Take, Write};
+use std::mem;
+use std::sync::Arc;
 
 use crate::codec::{SnapshotReader, SnapshotWriter};
 use crate::error::{Error, Result};
@@ -48,22 +62,29 @@ impl StateDelta {
     /// Encoded size of this delta's payload (changed table + removed
     /// list + logical size), for exact pre-sizing.
     pub fn encoded_bytes(&self) -> usize {
-        // logical_bytes + counted changed entries + counted removed keys.
-        9 + encoded_table_bytes(self.changed.iter().map(|(_, v)| v.len()))
-            + 9
-            + 9 * self.removed.len()
+        delta_payload_bytes(
+            self.changed.iter().map(|(_, v)| v.len()),
+            self.removed.len(),
+        )
     }
 
     /// Writes the delta payload (logical size, changed entries,
     /// removed keys) into `w`.
     pub fn encode_into(&self, w: &mut SnapshotWriter) {
-        w.put_u64(self.logical_bytes);
-        w.put_seq(self.changed.iter(), |w, (k, v)| {
-            w.put_u64(*k).put_bytes(v);
-        });
-        w.put_seq(self.removed.iter(), |w, k| {
-            w.put_u64(*k);
-        });
+        self.write_to(w)
+            .expect("a SnapshotWriter takes every write");
+    }
+
+    /// Writes the delta payload into `out`: the bytes of
+    /// [`StateDelta::encode_into`], streamed.
+    pub fn write_to(&self, out: &mut impl Write) -> io::Result<()> {
+        let changed = self.changed.iter().map(|(k, v)| (*k, v.as_slice()));
+        write_delta_payload(
+            out,
+            self.logical_bytes,
+            (self.changed.len(), changed),
+            (self.removed.len(), self.removed.iter().copied()),
+        )
     }
 
     /// Reads a delta payload written by [`StateDelta::encode_into`].
@@ -82,12 +103,56 @@ impl StateDelta {
     /// links of a chain to price it.
     pub fn encoded_bytes_from(r: &mut SnapshotReader<'_>) -> Result<usize> {
         let (_, changed, removed) = decode_with(r, <[u8]>::len)?;
-        Ok(
-            9 + encoded_table_bytes(changed.into_iter().map(|(_, len)| len))
-                + 9
-                + 9 * removed.len(),
-        )
+        Ok(delta_payload_bytes(
+            changed.into_iter().map(|(_, len)| len),
+            removed.len(),
+        ))
     }
+}
+
+/// Encoded size of a delta payload: the logical size, the counted
+/// changed entries, the counted removed keys.
+fn delta_payload_bytes(changed: impl Iterator<Item = usize>, removed: usize) -> usize {
+    9 + encoded_table_bytes(changed) + 9 + 9 * removed
+}
+
+/// The one writer of the delta payload layout.
+fn write_delta_payload<'a>(
+    out: &mut impl Write,
+    logical_bytes: u64,
+    changed: (usize, impl Iterator<Item = (u64, &'a [u8])>),
+    removed: (usize, impl Iterator<Item = u64>),
+) -> io::Result<()> {
+    let mut w = SnapshotWriter::with_capacity(TABLE_HEAD_BYTES);
+    w.put_u64(logical_bytes);
+    out.write_all(w.as_bytes())?;
+    write_entries(out, changed.0, changed.1)?;
+    for k in std::iter::once(removed.0 as u64).chain(removed.1) {
+        w.clear();
+        w.put_u64(k);
+        out.write_all(w.as_bytes())?;
+    }
+    Ok(())
+}
+
+/// The one writer of a counted run of table entries — `n` of them —
+/// in the layout [`encode_table`] defines: the count, then each key
+/// and value, the value written from where it lies.
+fn write_entries<'a>(
+    out: &mut impl Write,
+    n: usize,
+    entries: impl Iterator<Item = (u64, &'a [u8])>,
+) -> io::Result<()> {
+    let mut head = SnapshotWriter::with_capacity(ENTRY_HEAD_BYTES);
+    head.put_u64(n as u64);
+    out.write_all(head.as_bytes())?;
+    for (k, v) in entries {
+        head.clear();
+        head.put_u64(k).put_bytes_header(v.len());
+        out.write_all(head.as_bytes())?;
+        out.write_all(v)?;
+    }
+    Ok(())
 }
 
 /// The one reader of [`StateDelta::encode_into`]'s layout:
@@ -123,11 +188,10 @@ pub fn encoded_table_bytes(value_lens: impl Iterator<Item = usize>) -> usize {
 /// iteration order). This *is* the full-snapshot byte format of every
 /// delta-capable operator.
 pub fn encode_table(table: &BTreeMap<u64, Vec<u8>>) -> Vec<u8> {
-    let mut w = SnapshotWriter::with_capacity(encoded_table_bytes(table.values().map(Vec::len)));
-    w.put_seq(table.iter(), |w, (k, v)| {
-        w.put_u64(*k).put_bytes(v);
-    });
-    w.finish()
+    let mut out = Vec::with_capacity(encoded_table_bytes(table.values().map(Vec::len)));
+    let entries = table.iter().map(|(k, v)| (*k, v.as_slice()));
+    write_entries(&mut out, table.len(), entries).expect("a Vec takes every write");
+    out
 }
 
 /// Decodes a canonical table written by [`encode_table`].
@@ -161,25 +225,35 @@ impl<'a> Patch<'a> {
     /// Layers `delta` over every delta already in the patch.
     pub fn push(&mut self, delta: &'a StateDelta) {
         let changed = delta.changed.iter().map(|(k, v)| (*k, v.as_slice()));
-        self.layer(changed, &delta.removed);
+        self.layer(changed, delta.removed.iter().copied());
+    }
+
+    /// Layers the delta a [`TableView`] carries, every value borrowed
+    /// from the view's pages.
+    pub fn push_view(&mut self, view: &'a TableView) {
+        self.layer(view.changed(), view.removed.iter().copied());
     }
 
     /// Layers a delta payload written by [`StateDelta::encode_into`],
     /// read in place from `r`: no value is copied.
     pub fn push_encoded(&mut self, r: &mut SnapshotReader<'a>) -> Result<()> {
         let (_, changed, removed) = decode_with(r, |v| v)?;
-        self.layer(changed.into_iter(), &removed);
+        self.layer(changed.into_iter(), removed.into_iter());
         Ok(())
     }
 
     /// A delta's changed entries, then its removals: the order
     /// [`apply_delta`] applies them in.
-    fn layer(&mut self, changed: impl Iterator<Item = (u64, &'a [u8])>, removed: &[u64]) {
+    fn layer(
+        &mut self,
+        changed: impl Iterator<Item = (u64, &'a [u8])>,
+        removed: impl Iterator<Item = u64>,
+    ) {
         for (k, v) in changed {
             self.keys.insert(k, Some(v));
         }
         for k in removed {
-            self.keys.insert(*k, None);
+            self.keys.insert(k, None);
         }
     }
 
@@ -363,25 +437,182 @@ pub fn fold(base: &[u8], deltas: &[StateDelta]) -> Result<Vec<u8>> {
     fold_from(&mut Read::take(base, base.len() as u64), &patch)
 }
 
-/// A dirty-tracking canonical state table — the building block for
-/// delta-capable operators. Mutations mark keys; [`DeltaTable::take_delta`]
-/// drains the marks into a [`StateDelta`]; [`DeltaTable::snapshot`]
-/// serializes the full table in the canonical format the fold rebuilds.
-#[derive(Clone, Debug, Default)]
-pub struct DeltaTable {
-    entries: BTreeMap<u64, Vec<u8>>,
-    dirty: BTreeSet<u64>,
-    removed: BTreeSet<u64>,
-    /// Sum of the live entries' value lengths, kept current by every
+/// Keys per page, as a power of two: a page holds the keys that share
+/// `key >> PAGE_BITS`. Sixteen `KeyedStat` records (264 B each) are
+/// about 4 KiB of values: what the first write to a page a view still
+/// holds copies, however large the table.
+const PAGE_BITS: u32 = 4;
+
+/// One page: its keys in ascending order, each with the end of its
+/// value in `data`, where the values lie back to back. A copy is two
+/// allocations and one copy of the bytes; an overwrite of the same
+/// length writes in place. Never empty in a table.
+#[derive(Clone, Default)]
+struct Page {
+    entries: Vec<(u64, usize)>,
+    data: Vec<u8>,
+}
+
+impl Page {
+    fn find(&self, key: u64) -> std::result::Result<usize, usize> {
+        self.entries.binary_search_by_key(&key, |e| e.0)
+    }
+
+    fn start(&self, i: usize) -> usize {
+        i.checked_sub(1).map_or(0, |prev| self.entries[prev].1)
+    }
+
+    fn value(&self, i: usize) -> &[u8] {
+        &self.data[self.start(i)..self.entries[i].1]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (u64, &[u8])> {
+        (0..self.entries.len()).map(|i| (self.entries[i].0, self.value(i)))
+    }
+
+    /// Moves the value ends from entry `i` on by `by` bytes.
+    fn shift(&mut self, i: usize, by: isize) {
+        for e in &mut self.entries[i..] {
+            e.1 = e.1.wrapping_add_signed(by);
+        }
+    }
+
+    /// Overwrites entry `i`'s value; returns the old value's length.
+    fn set(&mut self, i: usize, value: &[u8]) -> usize {
+        let (start, end) = (self.start(i), self.entries[i].1);
+        if end - start == value.len() {
+            self.data[start..end].copy_from_slice(value);
+        } else {
+            self.data.splice(start..end, value.iter().copied());
+            self.shift(i, value.len() as isize - (end - start) as isize);
+        }
+        end - start
+    }
+
+    /// Inserts `key` with `value` as entry `i`.
+    fn insert(&mut self, i: usize, key: u64, value: &[u8]) {
+        let at = self.start(i);
+        self.data.splice(at..at, value.iter().copied());
+        self.entries.insert(i, (key, at));
+        self.shift(i, value.len() as isize);
+    }
+
+    /// Removes entry `i`; returns its value.
+    fn remove(&mut self, i: usize) -> Vec<u8> {
+        let (start, end) = (self.start(i), self.entries[i].1);
+        let old: Vec<u8> = self.data.drain(start..end).collect();
+        self.entries.remove(i);
+        self.shift(i, -(old.len() as isize));
+        old
+    }
+}
+
+/// A table's pages, each shared behind an `Arc`, with the counters the
+/// size queries read. The page map is a vector sorted by page id
+/// (`key >> PAGE_BITS`): a capture clones it as one allocation and a
+/// handle increment per page, where a tree would allocate every node.
+#[derive(Clone, Default)]
+struct Pages {
+    map: Vec<(u64, Arc<Page>)>,
+    len: usize,
+    /// Sum of the entries' value lengths, kept current by every
     /// mutation so the size queries never walk the table.
     value_bytes: u64,
+}
+
+impl Pages {
+    /// Where the page holding `key` is in the map, or would go. A dense
+    /// table — page ids 0, 1, 2, … — finds each page at its id.
+    fn find(&self, key: u64) -> std::result::Result<usize, usize> {
+        let id = key >> PAGE_BITS;
+        let at = usize::try_from(id).unwrap_or(usize::MAX);
+        match self.map.get(at) {
+            Some((p, _)) if *p == id => Ok(at),
+            _ => self.map.binary_search_by_key(&id, |e| e.0),
+        }
+    }
+
+    fn get(&self, key: u64) -> Option<&[u8]> {
+        let page = &self.map[self.find(key).ok()?].1;
+        Some(page.value(page.find(key).ok()?))
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (u64, &[u8])> {
+        self.map.iter().flat_map(|(_, page)| page.iter())
+    }
+
+    /// The entries of `keys` — ascending, each present — in one pass
+    /// over the pages, so a walk of many keys reads each page once
+    /// instead of searching the page map per key.
+    fn walk<'a>(
+        &'a self,
+        keys: impl Iterator<Item = u64> + 'a,
+    ) -> impl Iterator<Item = (u64, &'a [u8])> + 'a {
+        let mut pages = self.map.iter().peekable();
+        keys.map(move |k| {
+            let id = k >> PAGE_BITS;
+            while pages.next_if(|(p, _)| *p < id).is_some() {}
+            let value = pages
+                .peek()
+                .filter(|(p, _)| *p == id)
+                .and_then(|(_, page)| Some(page.value(page.find(k).ok()?)));
+            (k, value.expect("a walked key is in the table"))
+        })
+    }
+
+    fn encoded_bytes(&self) -> usize {
+        TABLE_HEAD_BYTES + self.len * encoded_entry_bytes(0) + self.value_bytes as usize
+    }
+
+    fn write_table(&self, out: &mut impl Write) -> io::Result<()> {
+        write_entries(out, self.len, self.iter())
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.encoded_bytes());
+        self.write_table(&mut out).expect("a Vec takes every write");
+        out
+    }
+}
+
+/// A dirty-tracking canonical state table — the building block for
+/// delta-capable operators. Mutations mark keys; [`DeltaTable::freeze`]
+/// moves the marks into a [`TableView`] of the table as it stands,
+/// from which the full table or the delta encodes;
+/// [`DeltaTable::snapshot`] serializes the full table in the canonical
+/// format the fold rebuilds.
+///
+/// Entries live in copy-on-write pages (see the module docs): a clone
+/// or a view shares every page, and a write copies the one page it
+/// lands on if anything else still holds it.
+#[derive(Clone, Default)]
+pub struct DeltaTable {
+    pages: Pages,
+    dirty: BTreeSet<u64>,
+    /// Sum of the dirty keys' value lengths: what a delta's size needs,
+    /// kept current so a capture never walks its keys to price it.
+    dirty_bytes: u64,
+    removed: BTreeSet<u64>,
+    /// Pages copied on write since the last [`DeltaTable::freeze`].
+    copied: u64,
+}
+
+impl fmt::Debug for DeltaTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DeltaTable")
+            .field("len", &self.pages.len)
+            .field("value_bytes", &self.pages.value_bytes)
+            .field("pages", &self.pages.map.len())
+            .field("pending_changes", &self.pending_changes())
+            .finish()
+    }
 }
 
 impl PartialEq for DeltaTable {
     /// Tables compare by content only: dirty marks are capture-cycle
     /// bookkeeping, not state (a restored table is clean).
     fn eq(&self, other: &DeltaTable) -> bool {
-        self.entries == other.entries
+        self.pages.len == other.pages.len && self.iter().eq(other.iter())
     }
 }
 
@@ -394,107 +625,277 @@ impl DeltaTable {
     /// Rebuilds a table from canonical snapshot bytes. The result is
     /// clean: the snapshot is by definition the last durable capture.
     pub fn restore(buf: &[u8]) -> Result<DeltaTable> {
-        let entries = decode_table(buf)?;
-        Ok(DeltaTable {
-            value_bytes: entries.values().map(|v| v.len() as u64).sum(),
-            entries,
-            dirty: BTreeSet::new(),
-            removed: BTreeSet::new(),
-        })
+        let mut r = SnapshotReader::new(buf);
+        let mut t = DeltaTable::new();
+        // No allocation is sized by the count: a hostile one runs out
+        // of bytes at its first missing entry.
+        for _ in 0..r.get_u64()? {
+            let key = r.get_u64()?;
+            t.put(key, r.get_bytes_ref()?);
+        }
+        Ok(t)
     }
 
     /// Value bytes for a key.
     pub fn get(&self, key: u64) -> Option<&[u8]> {
-        self.entries.get(&key).map(Vec::as_slice)
+        self.pages.get(key)
     }
 
-    /// Inserts or overwrites a key, marking it dirty.
-    pub fn insert(&mut self, key: u64, value: Vec<u8>) {
+    /// The page `key` lands on, unshared: copied first if a view or a
+    /// clone still holds it, and created if absent.
+    fn page_mut(&mut self, key: u64) -> &mut Page {
+        let at = match self.pages.find(key) {
+            Ok(at) => at,
+            Err(at) => {
+                self.pages
+                    .map
+                    .insert(at, (key >> PAGE_BITS, Arc::default()));
+                at
+            }
+        };
+        let page = &mut self.pages.map[at].1;
+        if Arc::strong_count(page) > 1 {
+            self.copied += 1;
+        }
+        Arc::make_mut(page)
+    }
+
+    /// Inserts or overwrites a key without marking it; returns the
+    /// length of the value it replaced.
+    fn put(&mut self, key: u64, value: &[u8]) -> Option<u64> {
+        let added = value.len() as u64;
+        let page = self.page_mut(key);
+        let old = match page.find(key) {
+            Ok(i) => Some(page.set(i, value) as u64),
+            Err(i) => {
+                page.insert(i, key, value);
+                None
+            }
+        };
+        self.pages.len += old.is_none() as usize;
+        self.pages.value_bytes = self.pages.value_bytes + added - old.unwrap_or(0);
+        old
+    }
+
+    /// Inserts or overwrites a key, marking it dirty. The value is
+    /// copied into its page.
+    pub fn insert(&mut self, key: u64, value: impl AsRef<[u8]>) {
+        let value = value.as_ref();
         self.removed.remove(&key);
-        self.dirty.insert(key);
-        self.value_bytes += value.len() as u64;
-        if let Some(old) = self.entries.insert(key, value) {
-            self.value_bytes -= old.len() as u64;
+        self.dirty_bytes += value.len() as u64;
+        let was_dirty = !self.dirty.insert(key);
+        let old = self.put(key, value);
+        if was_dirty {
+            self.dirty_bytes -= old.expect("a dirty key is in the table");
         }
     }
 
     /// Removes a key, recording the removal for the next delta.
     pub fn remove(&mut self, key: u64) -> Option<Vec<u8>> {
-        let prev = self.entries.remove(&key);
-        if let Some(old) = &prev {
-            self.value_bytes -= old.len() as u64;
-        }
-        self.dirty.remove(&key);
+        let was_dirty = self.dirty.remove(&key);
         // Recorded even if the key was never present here: removing an
         // absent key is a no-op when the chain is folded.
         self.removed.insert(key);
-        prev
+        let at = self.pages.find(key).ok()?;
+        let page = &self.pages.map[at].1;
+        let i = page.find(key).ok()?;
+        let old = if page.entries.len() == 1 {
+            // The page's last entry: the page goes, and a view holding
+            // it keeps its own handle, so nothing is copied.
+            let (_, page) = self.pages.map.remove(at);
+            page.value(0).to_vec()
+        } else {
+            self.page_mut(key).remove(i)
+        };
+        self.pages.len -= 1;
+        self.pages.value_bytes -= old.len() as u64;
+        if was_dirty {
+            self.dirty_bytes -= old.len() as u64;
+        }
+        Some(old)
     }
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.pages.len
     }
 
     /// True if the table holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.pages.len == 0
     }
 
-    /// Number of keys the next [`DeltaTable::take_delta`] would carry.
+    /// Number of keys the next capture's delta would carry.
     pub fn pending_changes(&self) -> usize {
         self.dirty.len() + self.removed.len()
     }
 
     /// Iterates live entries in ascending key order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &[u8])> {
-        self.entries.iter().map(|(k, v)| (*k, v.as_slice()))
+        self.pages.iter()
     }
 
     /// Sum of value lengths, O(1): a maintained counter, so an
     /// operator's `state_size()` can return it however large the table
     /// (the host samples that gauge every few applied tuples).
     pub fn value_bytes(&self) -> u64 {
-        self.value_bytes
+        self.pages.value_bytes
     }
 
     /// Exact size of [`DeltaTable::snapshot`]'s output, O(1) —
     /// [`encoded_table_bytes`] of the values, from the entry count and
     /// the maintained value-byte sum.
     pub fn encoded_bytes(&self) -> usize {
-        9 + self.entries.len() * encoded_entry_bytes(0) + self.value_bytes as usize
+        self.pages.encoded_bytes()
     }
 
     /// Serializes the full table canonically (see [`encode_table`]).
     pub fn snapshot(&self) -> Vec<u8> {
-        encode_table(&self.entries)
+        self.pages.encode()
     }
 
-    /// Drains the dirty/removed marks into a [`StateDelta`] relative
-    /// to the previous capture; the table is clean afterwards.
-    pub fn take_delta(&mut self, logical_bytes: u64) -> StateDelta {
-        let changed = std::mem::take(&mut self.dirty)
-            .into_iter()
-            .filter_map(|k| self.entries.get(&k).map(|v| (k, v.clone())))
-            .collect();
-        let removed = std::mem::take(&mut self.removed).into_iter().collect();
-        StateDelta {
-            changed,
-            removed,
+    /// Captures the table: a [`TableView`] of every entry as it stands,
+    /// carrying the keys written and removed since the previous
+    /// capture, and `logical_bytes` as the operator's state size. The
+    /// table is clean afterwards. The cost is a clone of the page map,
+    /// O(pages), whatever the values hold; a full capture and a delta
+    /// capture are the same call, told apart by what the holder of
+    /// the view encodes.
+    pub fn freeze(&mut self, logical_bytes: u64) -> TableView {
+        TableView {
+            pages: self.pages.clone(),
+            dirty: mem::take(&mut self.dirty),
+            dirty_bytes: mem::take(&mut self.dirty_bytes),
+            removed: mem::take(&mut self.removed),
             logical_bytes,
+            pages_copied: mem::take(&mut self.copied),
         }
     }
 
-    /// Clears the dirty/removed marks without producing a delta. A
-    /// delta-capable operator calls this in its full capture
-    /// ([`crate::operator::Operator::snapshot_deferred`]): the full
-    /// snapshot covers every change so far, so the next
-    /// [`DeltaTable::take_delta`] carries only the keys written or
-    /// removed after it. Without it, the first delta after a full
-    /// capture would repeat every key the table was ever given.
+    /// Drains the dirty/removed marks into a [`StateDelta`] relative
+    /// to the previous capture, every changed value copied; the table
+    /// is clean afterwards. [`DeltaTable::freeze`] is the same capture
+    /// without the copies.
+    pub fn take_delta(&mut self, logical_bytes: u64) -> StateDelta {
+        self.freeze(logical_bytes).to_delta()
+    }
+
+    /// Clears the dirty/removed marks without producing a delta: the
+    /// next capture's delta carries only the keys written or removed
+    /// after this call. (A full capture through [`DeltaTable::freeze`]
+    /// clears them itself.)
     pub fn mark_clean(&mut self) {
         self.dirty.clear();
+        self.dirty_bytes = 0;
         self.removed.clear();
+    }
+}
+
+/// A frozen capture of a [`DeltaTable`] ([`DeltaTable::freeze`]): every
+/// entry as it stood, on pages shared copy-on-write with the live
+/// table, plus the keys written and removed since the capture before.
+/// It is `Send` and owns what it reads, so the thread holding it
+/// encodes the full table ([`TableView::write_table`]) or the delta
+/// ([`TableView::write_delta`]) while the table keeps changing.
+#[derive(Clone)]
+pub struct TableView {
+    pages: Pages,
+    dirty: BTreeSet<u64>,
+    dirty_bytes: u64,
+    removed: BTreeSet<u64>,
+    logical_bytes: u64,
+    pages_copied: u64,
+}
+
+impl fmt::Debug for TableView {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TableView")
+            .field("len", &self.pages.len)
+            .field("value_bytes", &self.pages.value_bytes)
+            .field("dirty", &self.dirty.len())
+            .field("removed", &self.removed.len())
+            .field("logical_bytes", &self.logical_bytes)
+            .finish()
+    }
+}
+
+impl TableView {
+    /// The operator's logical state size at the capture.
+    pub fn logical_bytes(&self) -> u64 {
+        self.logical_bytes
+    }
+
+    /// Pages the table copied on write between the previous capture and
+    /// this one: the price, in pages, of the views alive meanwhile.
+    pub fn pages_copied(&self) -> u64 {
+        self.pages_copied
+    }
+
+    /// Exact size of the full table's encoding, O(1).
+    pub fn encoded_bytes(&self) -> usize {
+        self.pages.encoded_bytes()
+    }
+
+    /// Writes the full table, [`encode_table`]'s bytes, into `out`.
+    pub fn write_table(&self, out: &mut impl Write) -> io::Result<()> {
+        self.pages.write_table(out)
+    }
+
+    /// The full table's encoding in one buffer.
+    pub fn encode(&self) -> Vec<u8> {
+        self.pages.encode()
+    }
+
+    /// The changed entries, ascending: the dirty keys with their values
+    /// at the capture. Every dirty key is in the table: a write marks
+    /// it, and a removal unmarks it.
+    fn changed(&self) -> impl Iterator<Item = (u64, &[u8])> {
+        self.pages.walk(self.dirty.iter().copied())
+    }
+
+    /// Exact size of the delta's encoding: [`StateDelta::encoded_bytes`]
+    /// of [`TableView::to_delta`], O(1) from the table's counters.
+    pub fn delta_bytes(&self) -> usize {
+        delta_payload_bytes(std::iter::empty(), self.removed.len())
+            + self.dirty.len() * encoded_entry_bytes(0)
+            + self.dirty_bytes as usize
+    }
+
+    /// Writes the delta, [`StateDelta::encode_into`]'s bytes for
+    /// [`TableView::to_delta`], into `out`.
+    pub fn write_delta(&self, out: &mut impl Write) -> io::Result<()> {
+        write_delta_payload(
+            out,
+            self.logical_bytes,
+            (self.dirty.len(), self.changed()),
+            (self.removed.len(), self.removed.iter().copied()),
+        )
+    }
+
+    /// The delta as an owned [`StateDelta`], every changed value copied.
+    pub fn to_delta(&self) -> StateDelta {
+        StateDelta {
+            changed: self.changed().map(|(k, v)| (k, v.to_vec())).collect(),
+            removed: self.removed.iter().copied().collect(),
+            logical_bytes: self.logical_bytes,
+        }
+    }
+}
+
+impl From<StateDelta> for TableView {
+    /// The view of a delta computed elsewhere, for an operator whose
+    /// state is not a [`DeltaTable`]: its delta is `delta` (sorted and
+    /// deduplicated, as a table would hold it); its table holds only
+    /// the changed entries.
+    fn from(delta: StateDelta) -> TableView {
+        let mut t = DeltaTable::new();
+        for (k, v) in delta.changed {
+            t.insert(k, v);
+        }
+        for k in delta.removed {
+            t.remove(k);
+        }
+        t.freeze(delta.logical_bytes)
     }
 }
 
@@ -628,6 +1029,37 @@ mod tests {
         let d = t.take_delta(0);
         assert!(d.changed.is_empty());
         assert_eq!(d.removed, vec![6]);
+    }
+
+    #[test]
+    fn a_write_copies_only_the_page_a_live_view_shares() {
+        let mut t = DeltaTable::new();
+        let per_page = 1u64 << PAGE_BITS;
+        for k in 0..4 * per_page {
+            t.insert(k, val(k, 8));
+        }
+        let before = t.snapshot();
+        let view = t.freeze(7);
+        assert_eq!(view.pages_copied(), 0, "no view was alive before");
+        // Two writes on the first page copy it once; a write on the
+        // second copies that one; removing a page's last entry copies
+        // nothing.
+        t.insert(1, val(99, 8));
+        t.insert(2, val(98, 8));
+        t.insert(per_page, val(97, 3));
+        let mut lone = DeltaTable::new();
+        lone.insert(1000, val(1, 4));
+        let lone_view = lone.freeze(0);
+        assert_eq!(lone.remove(1000), Some(val(1, 4)));
+        assert_eq!(lone.freeze(0).pages_copied(), 0);
+        assert_eq!(lone_view.to_delta().changed, vec![(1000, val(1, 4))]);
+        // The view still reads the table as it was.
+        assert_eq!(view.encode(), before);
+        assert_eq!(view.logical_bytes(), 7);
+        drop(view);
+        // With no view alive, writes copy nothing.
+        t.insert(3 * per_page, val(96, 8));
+        assert_eq!(t.freeze(0).pages_copied(), 2);
     }
 
     #[test]

@@ -72,8 +72,28 @@ pub struct OperatorMeter {
     full_bytes_total: AtomicU64,
     delta_bytes_total: AtomicU64,
     align_wait_us: AtomicU64,
+    capture_us: AtomicU64,
     serialize_us: AtomicU64,
     persist_us: AtomicU64,
+    cow_pages_copied: AtomicU64,
+}
+
+/// The phases of one checkpoint, µs, in the paper's Fig. 14 order:
+/// token alignment and the capture on the host thread, then
+/// serialization and the store write on the persister.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CkptPhases {
+    /// Window opened → cut. Zero for sources, which never align.
+    pub align_us: u64,
+    /// The capture itself, on the host thread: what a checkpoint holds
+    /// the event loop for.
+    pub capture_us: u64,
+    /// Serialization on the persister before the store write. Zero for
+    /// a table view, which encodes straight into the store write and so
+    /// counts in `persist_us`.
+    pub serialize_us: u64,
+    /// The store write.
+    pub persist_us: u64,
 }
 
 impl OperatorMeter {
@@ -109,17 +129,16 @@ impl OperatorMeter {
     }
 
     /// Records one durable checkpoint: its epoch, encoded size,
-    /// delta-vs-full kind, and per-phase timings (align-wait measured
-    /// host-side, serialize/persist measured on the persister thread).
-    /// Called once per epoch from the persister after the write lands.
+    /// delta-vs-full kind, its [`CkptPhases`], and the pages its table
+    /// copied on write since the capture before. Called once per epoch
+    /// from the persister after the write lands.
     pub fn record_checkpoint(
         &self,
         epoch: u64,
         bytes: u64,
         delta: bool,
-        align_us: u64,
-        serialize_us: u64,
-        persist_us: u64,
+        phases: CkptPhases,
+        cow_pages_copied: u64,
     ) {
         self.ckpt_bytes.store(bytes, Ordering::Relaxed);
         self.ckpt_delta.store(delta as u64, Ordering::Relaxed);
@@ -128,9 +147,13 @@ impl OperatorMeter {
         } else {
             self.full_bytes_total.fetch_add(bytes, Ordering::Relaxed);
         }
-        self.align_wait_us.store(align_us, Ordering::Relaxed);
-        self.serialize_us.store(serialize_us, Ordering::Relaxed);
-        self.persist_us.store(persist_us, Ordering::Relaxed);
+        self.align_wait_us.store(phases.align_us, Ordering::Relaxed);
+        self.capture_us.store(phases.capture_us, Ordering::Relaxed);
+        self.serialize_us
+            .store(phases.serialize_us, Ordering::Relaxed);
+        self.persist_us.store(phases.persist_us, Ordering::Relaxed);
+        self.cow_pages_copied
+            .store(cow_pages_copied, Ordering::Relaxed);
         // Epoch last: a sampler that sees the new epoch has, at worst,
         // gauge values at most one store behind it.
         self.ckpt_epoch.store(epoch, Ordering::Relaxed);
@@ -149,8 +172,10 @@ impl OperatorMeter {
             full_bytes_total: self.full_bytes_total.load(Ordering::Relaxed),
             delta_bytes_total: self.delta_bytes_total.load(Ordering::Relaxed),
             align_wait_us: self.align_wait_us.load(Ordering::Relaxed),
+            capture_us: self.capture_us.load(Ordering::Relaxed),
             serialize_us: self.serialize_us.load(Ordering::Relaxed),
             persist_us: self.persist_us.load(Ordering::Relaxed),
+            cow_pages_copied: self.cow_pages_copied.load(Ordering::Relaxed),
         }
     }
 }
@@ -182,18 +207,27 @@ pub struct OperatorSample {
     /// Token-alignment wait for the last checkpoint (window opened →
     /// window cut), µs. Zero for sources.
     pub align_wait_us: u64,
-    /// State-serialization time for the last checkpoint, µs.
+    /// The last checkpoint's capture on the host thread, µs.
+    pub capture_us: u64,
+    /// State-serialization time for the last checkpoint, µs (see
+    /// [`CkptPhases::serialize_us`]).
     pub serialize_us: u64,
     /// Stable-store write time for the last checkpoint, µs.
     pub persist_us: u64,
+    /// Pages the operator's table copied on write between the last
+    /// checkpoint's capture and the one before — the measured
+    /// counterpart of the simulator's COW cost (`cow_overhead`).
+    pub cow_pages_copied: u64,
 }
 
 impl OperatorSample {
     /// The last checkpoint's phase breakdown in the paper's Fig. 14
-    /// shape: align-wait (token collection) / serialize / persist.
+    /// shape: align-wait (token collection) / capture / serialize /
+    /// persist.
     pub fn ckpt_breakdown(&self) -> Breakdown {
         let mut b = Breakdown::new();
         b.add("align_wait", SimDuration::from_micros(self.align_wait_us));
+        b.add("capture", SimDuration::from_micros(self.capture_us));
         b.add("serialize", SimDuration::from_micros(self.serialize_us));
         b.add("persist", SimDuration::from_micros(self.persist_us));
         b
@@ -688,7 +722,13 @@ mod tests {
         m.add_tuples_in(3);
         m.add_tuples_out(2, 64);
         m.set_state_bytes(1024);
-        m.record_checkpoint(7, 256, true, 10, 20, 30);
+        let phases = |align_us, capture_us, serialize_us, persist_us| CkptPhases {
+            align_us,
+            capture_us,
+            serialize_us,
+            persist_us,
+        };
+        m.record_checkpoint(7, 256, true, phases(10, 5, 20, 30), 4);
         let s = m.sample();
         assert_eq!(s.tuples_in, 3);
         assert_eq!(s.tuples_out, 2);
@@ -699,14 +739,16 @@ mod tests {
         assert!(s.ckpt_is_delta);
         assert_eq!(s.delta_bytes_total, 256);
         assert_eq!(s.full_bytes_total, 0);
-        m.record_checkpoint(8, 4096, false, 1, 2, 3);
+        assert_eq!(s.cow_pages_copied, 4);
+        m.record_checkpoint(8, 4096, false, phases(1, 1, 2, 3), 0);
         assert_eq!(m.sample().full_bytes_total, 4096);
         assert_eq!(m.sample().delta_bytes_total, 256);
         let b = s.ckpt_breakdown();
         assert_eq!(b.get("align_wait"), SimDuration::from_micros(10));
+        assert_eq!(b.get("capture"), SimDuration::from_micros(5));
         assert_eq!(b.get("serialize"), SimDuration::from_micros(20));
         assert_eq!(b.get("persist"), SimDuration::from_micros(30));
-        assert_eq!(b.total(), SimDuration::from_micros(60));
+        assert_eq!(b.total(), SimDuration::from_micros(65));
     }
 
     #[test]
@@ -759,7 +801,7 @@ mod tests {
             std::thread::spawn(move || {
                 for e in 1..=EPOCHS {
                     meter.set_state_bytes(64 * e);
-                    meter.record_checkpoint(e, 100, false, 1, 2, 3);
+                    meter.record_checkpoint(e, 100, false, CkptPhases::default(), 0);
                 }
             })
         };

@@ -7,7 +7,7 @@
 //! parallelism in the system comes from running many operators on many
 //! nodes, so the trait is deliberately `&mut self` and dyn-safe.
 
-use crate::delta::StateDelta;
+use crate::delta::{StateDelta, TableView};
 use crate::ids::{OperatorId, PortId};
 use crate::state::StateSize;
 use crate::time::{SimDuration, SimTime};
@@ -35,27 +35,28 @@ impl OperatorSnapshot {
     }
 }
 
-/// A state capture that may defer serialization off the processing
-/// thread.
+/// A state capture on its way to stable storage: plain owned data
+/// with no closure in it, so it crosses to the persister thread as it
+/// is.
 ///
-/// `Ready` is the eager form: the bytes were produced inline by
-/// [`Operator::snapshot`]. `Deferred` carries a closure holding cheap
-/// shared handles to the state (typically `Arc` clones) and performs
-/// the serialization only when [`DeferredSnapshot::resolve`] is
-/// called — on the persister thread, not the hot path. This is the
-/// live stand-in for the paper's forked copy-on-write child (§III-B):
-/// the capture is O(handles), the byte-copy happens off-thread.
+/// `Ready` is bytes: small operators (gates, sinks, sources) serialize
+/// inline with [`Operator::snapshot`]. `Full` and `Delta` are a frozen
+/// [`TableView`] of a [`crate::delta::DeltaTable`] — O(pages) to take,
+/// its pages shared copy-on-write with the live table, the live
+/// stand-in for the paper's forked child (§III-B). Whoever holds the
+/// view encodes from it: the whole table for `Full`, the changes since
+/// the operator's previous capture for `Delta`. Only operators whose
+/// full snapshot is a canonical [`crate::delta::encode_table`] table
+/// may produce a `Delta` — the store folds the chain back into exactly
+/// those bytes.
+#[derive(Debug)]
 pub enum DeferredSnapshot {
     /// Already-serialized state.
     Ready(OperatorSnapshot),
-    /// A capture whose serialization is still pending.
-    Deferred(Box<dyn FnOnce() -> OperatorSnapshot + Send>),
-    /// An *incremental* capture: only the keys changed or removed
-    /// since the operator's previous capture, serialized lazily like
-    /// `Deferred`. Only operators whose full snapshot is a canonical
-    /// [`crate::delta::encode_table`] table may produce this — the
-    /// store folds the chain back into exactly those bytes.
-    Delta(Box<dyn FnOnce() -> StateDelta + Send>),
+    /// The whole table, as a view.
+    Full(TableView),
+    /// The changes since the previous capture, as a view.
+    Delta(TableView),
 }
 
 /// What a resolved capture turned out to be: a full snapshot, or a
@@ -69,23 +70,34 @@ pub enum SnapshotPayload {
 }
 
 impl DeferredSnapshot {
-    /// Produces the capture's payload, running the deferred
-    /// serialization if there is one.
+    /// Produces the capture's payload in owned buffers: a full view
+    /// encoded, a delta view's changed values copied. The persister
+    /// never calls this — it streams a view into the store.
     pub fn resolve(self) -> SnapshotPayload {
         match self {
             DeferredSnapshot::Ready(s) => SnapshotPayload::Full(s),
-            DeferredSnapshot::Deferred(f) => SnapshotPayload::Full(f()),
-            DeferredSnapshot::Delta(f) => SnapshotPayload::Delta(f()),
+            DeferredSnapshot::Full(view) => SnapshotPayload::Full(OperatorSnapshot {
+                data: view.encode(),
+                logical_bytes: view.logical_bytes(),
+            }),
+            DeferredSnapshot::Delta(view) => SnapshotPayload::Delta(view.to_delta()),
         }
     }
-}
 
-impl std::fmt::Debug for DeferredSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+    /// The operator's logical state size at the capture.
+    pub fn logical_bytes(&self) -> u64 {
         match self {
-            DeferredSnapshot::Ready(s) => f.debug_tuple("Ready").field(s).finish(),
-            DeferredSnapshot::Deferred(_) => f.write_str("Deferred(..)"),
-            DeferredSnapshot::Delta(_) => f.write_str("Delta(..)"),
+            DeferredSnapshot::Ready(s) => s.logical_bytes,
+            DeferredSnapshot::Full(view) | DeferredSnapshot::Delta(view) => view.logical_bytes(),
+        }
+    }
+
+    /// Pages the operator's table copied on write since its previous
+    /// capture (zero for bytes).
+    pub fn pages_copied(&self) -> u64 {
+        match self {
+            DeferredSnapshot::Ready(_) => 0,
+            DeferredSnapshot::Full(view) | DeferredSnapshot::Delta(view) => view.pages_copied(),
         }
     }
 }
@@ -182,18 +194,18 @@ pub trait Operator: Send {
     /// Serializes the operator's full state.
     fn snapshot(&self) -> OperatorSnapshot;
 
-    /// Captures the full state for checkpointing, deferring
-    /// serialization off the processing thread when the operator can
-    /// share its state cheaply (e.g. `Arc`-held chunks). The default
-    /// serializes eagerly via [`Operator::snapshot`]; large-state
-    /// operators override this so the host thread resumes processing
-    /// immediately while the persister serializes — the §III-B
+    /// Captures the full state for checkpointing. The default
+    /// serializes eagerly via [`Operator::snapshot`]; an operator that
+    /// keeps its state in a [`crate::delta::DeltaTable`] returns
+    /// [`DeferredSnapshot::Full`] of [`crate::delta::DeltaTable::freeze`]
+    /// instead, so the host thread resumes processing after an
+    /// O(pages) capture while the persister encodes — the §III-B
     /// hot-checkpoint path.
     ///
     /// An operator that implements [`Operator::snapshot_delta`] clears
-    /// its dirty tracker here (hence `&mut self`): the full capture
-    /// covers every change so far, and the next delta must carry only
-    /// the changes made after it.
+    /// its dirty tracker here (hence `&mut self`; `freeze` does it):
+    /// the full capture covers every change so far, and the next delta
+    /// must carry only the changes made after it.
     fn snapshot_deferred(&mut self) -> DeferredSnapshot {
         DeferredSnapshot::Ready(self.snapshot())
     }
@@ -204,6 +216,9 @@ pub trait Operator: Send {
     /// back to [`Operator::snapshot_deferred`].
     ///
     /// Contract for implementors:
+    /// * The capture is a [`DeferredSnapshot::Delta`]: a
+    ///   [`crate::delta::DeltaTable::freeze`], or the view of a
+    ///   [`StateDelta`] the operator computed itself.
     /// * [`Operator::snapshot`] must serialize the full state as a
     ///   canonical [`crate::delta::encode_table`] table, so folding a
     ///   base + delta chain is byte-identical to a full snapshot.

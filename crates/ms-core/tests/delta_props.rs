@@ -5,10 +5,16 @@
 //! delta wire encoding must roundtrip exactly at its pre-sized length.
 //! The one-pass [`fold`] must equal the decode → apply → encode fold it
 //! replaced, kept here as the oracle, and a table's O(1) size counters
-//! must equal a walk of its entries whatever it went through.
+//! must equal a walk of its entries whatever it went through. A frozen
+//! [`TableView`] must stay the table as it was at its freeze, however
+//! the paged, copy-on-write table changes while the view is alive.
+
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use ms_core::codec::{SnapshotReader, SnapshotWriter};
-use ms_core::delta::{apply_delta, decode_table, encode_table, fold, DeltaTable, StateDelta};
+use ms_core::delta::{
+    apply_delta, decode_table, encode_table, fold, DeltaTable, StateDelta, TableView,
+};
 use ms_core::error::Result;
 use proptest::prelude::*;
 
@@ -234,5 +240,155 @@ proptest! {
             prop_assert!(want.is_some() || got.is_none());
             prop_assert!(got.is_none() || got == want);
         }
+    }
+}
+
+/// The table a [`DeltaTable`] should be: its entries, and the keys
+/// written and removed since the last capture.
+#[derive(Default)]
+struct Oracle {
+    entries: BTreeMap<u64, Vec<u8>>,
+    written: BTreeSet<u64>,
+    removed: BTreeSet<u64>,
+}
+
+impl Oracle {
+    fn insert(&mut self, k: u64, v: Vec<u8>) {
+        self.entries.insert(k, v);
+        self.removed.remove(&k);
+        self.written.insert(k);
+    }
+
+    fn remove(&mut self, k: u64) -> Option<Vec<u8>> {
+        self.written.remove(&k);
+        self.removed.insert(k);
+        self.entries.remove(&k)
+    }
+
+    /// The capture's delta, and the marks cleared.
+    fn capture(&mut self, logical_bytes: u64) -> StateDelta {
+        let written = std::mem::take(&mut self.written);
+        StateDelta {
+            changed: written
+                .into_iter()
+                .map(|k| (k, self.entries[&k].clone()))
+                .collect(),
+            removed: std::mem::take(&mut self.removed).into_iter().collect(),
+            logical_bytes,
+        }
+    }
+}
+
+/// A view, and what the oracle said it must hold at its freeze: the
+/// full table's bytes, the delta, and the table the delta applies to.
+struct Frozen {
+    view: TableView,
+    table: Vec<u8>,
+    delta: StateDelta,
+    before: BTreeMap<u64, Vec<u8>>,
+}
+
+/// Every encoding of a view is what the oracle held at its freeze.
+fn check_view(f: &Frozen) -> std::result::Result<(), proptest::test_runner::TestCaseError> {
+    prop_assert_eq!(f.view.encode(), f.table.clone());
+    prop_assert_eq!(f.view.encoded_bytes(), f.table.len());
+    let mut streamed = Vec::new();
+    f.view.write_table(&mut streamed).unwrap();
+    prop_assert_eq!(&streamed, &f.table);
+    prop_assert_eq!(f.view.to_delta(), f.delta.clone());
+    let mut want = SnapshotWriter::new();
+    f.delta.encode_into(&mut want);
+    let mut got = Vec::new();
+    f.view.write_delta(&mut got).unwrap();
+    prop_assert_eq!(&got, &want.finish());
+    prop_assert_eq!(f.view.delta_bytes(), got.len());
+    // The delta is the diff: applied to the table at the capture
+    // before, it gives the table at this one.
+    let mut applied = f.before.clone();
+    apply_delta(&mut applied, &f.delta);
+    prop_assert_eq!(encode_table(&applied), f.table.clone());
+    Ok(())
+}
+
+/// A table's life with views: step 0–3 inserts, 4–5 removes (keys span
+/// four pages, so pages empty and refill), 6–7 freezes a view kept
+/// alive while the table goes on (at most two at once, the oldest
+/// checked and dropped first), 8 takes an owned delta, 9 drops the
+/// oldest view.
+fn arb_view_steps() -> impl Strategy<Value = Vec<(u8, u64, Vec<u8>)>> {
+    proptest::collection::vec(
+        (
+            0u8..10,
+            0u64..64,
+            proptest::collection::vec(any::<u8>(), 0..24),
+        ),
+        0..96,
+    )
+}
+
+proptest! {
+    /// Each view's full encode is `encode_table` of the oracle at its
+    /// freeze and its delta is the oracle's diff since the capture
+    /// before, while writes land with one or two views alive; the live
+    /// table tracks the oracle throughout.
+    #[test]
+    fn views_hold_the_table_at_their_freeze_while_it_changes(steps in arb_view_steps()) {
+        let mut t = DeltaTable::new();
+        let mut oracle = Oracle::default();
+        let mut captured: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        let mut views: VecDeque<Frozen> = VecDeque::new();
+        for (step, k, v) in steps {
+            match step {
+                0..=3 => {
+                    t.insert(k, v.clone());
+                    oracle.insert(k, v);
+                }
+                4 | 5 => prop_assert_eq!(t.remove(k), oracle.remove(k)),
+                6 | 7 => {
+                    if views.len() == 2 {
+                        check_view(&views.pop_front().unwrap())?;
+                    }
+                    let logical = t.value_bytes() + k;
+                    let before = std::mem::replace(&mut captured, oracle.entries.clone());
+                    views.push_back(Frozen {
+                        view: t.freeze(logical),
+                        table: encode_table(&oracle.entries),
+                        delta: oracle.capture(logical),
+                        before,
+                    });
+                }
+                8 => {
+                    captured = oracle.entries.clone();
+                    prop_assert_eq!(t.take_delta(k), oracle.capture(k));
+                }
+                _ => {
+                    if let Some(f) = views.pop_front() {
+                        check_view(&f)?;
+                    }
+                }
+            }
+            prop_assert_eq!(t.snapshot(), encode_table(&oracle.entries));
+            prop_assert_eq!(t.len(), oracle.entries.len());
+        }
+        for f in &views {
+            check_view(f)?;
+        }
+    }
+
+    /// A delta computed elsewhere, as a view, encodes as itself.
+    #[test]
+    fn a_view_of_a_computed_delta_is_that_delta(
+        changed in arb_entries(),
+        removed in proptest::collection::vec(48u64..96, 0..16),
+        logical in any::<u64>(),
+    ) {
+        let d = StateDelta {
+            changed: changed.into_iter().collect::<BTreeMap<_, _>>().into_iter().collect(),
+            removed: removed.into_iter().collect::<BTreeSet<_>>().into_iter().collect(),
+            logical_bytes: logical,
+        };
+        let view = TableView::from(d.clone());
+        prop_assert_eq!(view.to_delta(), d.clone());
+        prop_assert_eq!(view.delta_bytes(), d.encoded_bytes());
     }
 }

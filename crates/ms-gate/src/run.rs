@@ -45,7 +45,7 @@ use ms_core::ids::{EpochId, OperatorId, PortId};
 use ms_core::metrics::OperatorMeter;
 use ms_core::operator::{DeferredSnapshot, Operator, OperatorContext, OperatorSnapshot};
 use ms_core::tuple::Tuple;
-use ms_live::{HostExit, Outbox, OutputRoute, PersistItem, SourceCore, StableStore};
+use ms_live::{Capture, HostExit, Outbox, OutputRoute, PersistItem, SourceCore, StableStore};
 use ms_net::ready::{Interest, PollTarget, ReadyEvent};
 
 use crate::admission::{is_fin_marker, Admission, GateCore};
@@ -474,12 +474,9 @@ impl Gate {
     /// and routed ahead of the token. A failed mark stops the gate.
     pub fn checkpoint(&mut self, epoch: EpochId) {
         self.commit();
-        let snap = self.core.snapshot();
-        let state_bytes = snap.logical_bytes;
-        if self
-            .src
-            .checkpoint(epoch, DeferredSnapshot::Ready(snap), None, state_bytes)
-        {
+        let capture = Capture::full(|| DeferredSnapshot::Ready(self.core.snapshot()));
+        let state_bytes = capture.snapshot.logical_bytes();
+        if self.src.checkpoint(epoch, capture, state_bytes) {
             self.core.reset_window();
         } else {
             self.failed = true;

@@ -2,7 +2,8 @@
 //!
 //! A [`CkptWrite`] serializes to exactly one payload layout, which
 //! [`FsStore`](crate::FsStore) frames into `ckpt/e{epoch}_op{N}.ckpt` /
-//! `.delta` files.
+//! `.delta` files. A table view's state encodes to the same bytes as
+//! the owned state it stands for, streamed ([`write_ckpt`]).
 //!
 //! Layout (all fields tagged by the snapshot codec):
 //!
@@ -18,11 +19,12 @@
 //! ([`decode_full_head`], then the data, then [`decode_cut`]), so a
 //! store can stream or read its data without holding the payload.
 
+use std::io::{self, Write};
+
 use ms_core::codec::{SnapshotReader, SnapshotWriter};
 use ms_core::delta::{Patch, StateDelta};
 use ms_core::error::{Error, Result};
 use ms_core::ids::EpochId;
-use ms_core::operator::OperatorSnapshot;
 use ms_core::tuple::Tuple;
 
 use crate::storage::{CkptState, CkptWrite};
@@ -78,24 +80,53 @@ fn get_cut(r: &mut SnapshotReader<'_>) -> Result<Cut> {
 /// Serializes a checkpoint write into the shared payload format, into
 /// one buffer allocated at its exact size.
 pub fn encode_ckpt(ckpt: &CkptWrite) -> Vec<u8> {
-    match &ckpt.state {
-        CkptState::Full(snapshot) => {
-            let head = FullHead::of(ckpt.next_seq, snapshot);
+    let mut out = Vec::with_capacity(encoded_len(ckpt));
+    write_ckpt(ckpt, &mut out).expect("a Vec takes every write");
+    out
+}
+
+/// Exact length of [`encode_ckpt`]'s bytes, known before any is
+/// written: what a store puts in the frame header in front of them.
+pub fn encoded_len(ckpt: &CkptWrite) -> usize {
+    let head = match ckpt.state.base() {
+        None => FULL_HEAD_BYTES,
+        Some(_) => DELTA_HEAD_BYTES,
+    };
+    head + ckpt.state.encoded_bytes() + cut_bytes(&ckpt.in_flight, &ckpt.resume_seq)
+}
+
+/// Writes [`encode_ckpt`]'s bytes into `out`, the state from where it
+/// lies: a snapshot's data as one slice, a table view encoded straight
+/// into `out`. Nothing the size of the state is allocated.
+pub fn write_ckpt(ckpt: &CkptWrite, out: &mut impl Write) -> io::Result<()> {
+    let cut = match &ckpt.state {
+        CkptState::Full(_) | CkptState::FullView(_) => {
+            let head = FullHead {
+                next_seq: ckpt.next_seq,
+                logical_bytes: ckpt.state.logical_bytes(),
+                data_len: ckpt.state.encoded_bytes() as u64,
+            };
             let [head, cut] = encode_full_parts(&head, &ckpt.in_flight, &ckpt.resume_seq);
-            [head.as_slice(), &snapshot.data, &cut].concat()
+            out.write_all(&head)?;
+            cut
         }
-        CkptState::Delta { base, delta } => {
-            let mut w = SnapshotWriter::with_capacity(
-                DELTA_HEAD_BYTES
-                    + delta.encoded_bytes()
-                    + cut_bytes(&ckpt.in_flight, &ckpt.resume_seq),
-            );
+        CkptState::Delta { base, .. } | CkptState::DeltaView { base, .. } => {
+            let mut w = SnapshotWriter::with_capacity(DELTA_HEAD_BYTES);
             w.put_u64(ckpt.next_seq).put_u64(base.0);
-            delta.encode_into(&mut w);
-            put_cut(&mut w, &ckpt.in_flight, &ckpt.resume_seq);
-            w.finish()
+            out.write_all(w.as_bytes())?;
+            let mut cut =
+                SnapshotWriter::with_capacity(cut_bytes(&ckpt.in_flight, &ckpt.resume_seq));
+            put_cut(&mut cut, &ckpt.in_flight, &ckpt.resume_seq);
+            cut.finish()
         }
+    };
+    match &ckpt.state {
+        CkptState::Full(snapshot) => out.write_all(&snapshot.data)?,
+        CkptState::Delta { delta, .. } => delta.write_to(out)?,
+        CkptState::FullView(view) => view.write_table(out)?,
+        CkptState::DeltaView { view, .. } => view.write_delta(out)?,
     }
+    out.write_all(&cut)
 }
 
 /// The fields of a full payload in front of its snapshot data.
@@ -107,17 +138,6 @@ pub struct FullHead {
     pub logical_bytes: u64,
     /// Length of the serialized operator state that follows.
     pub data_len: u64,
-}
-
-impl FullHead {
-    /// The head of a payload carrying `snapshot`.
-    pub fn of(next_seq: u64, snapshot: &OperatorSnapshot) -> FullHead {
-        FullHead {
-            next_seq,
-            logical_bytes: snapshot.logical_bytes,
-            data_len: snapshot.data.len() as u64,
-        }
-    }
 }
 
 /// A full payload as the two buffers around its snapshot data:
@@ -204,6 +224,7 @@ mod tests {
     use super::*;
     use ms_core::delta::DeltaTable;
     use ms_core::ids::OperatorId;
+    use ms_core::operator::OperatorSnapshot;
     use ms_core::time::SimTime;
     use ms_core::value::Value;
 
@@ -323,7 +344,11 @@ mod tests {
         };
         let payload = encode_ckpt(&full);
         assert_eq!(payload.capacity(), payload.len());
-        let full_head = FullHead::of(8, &snapshot);
+        let full_head = FullHead {
+            next_seq: 8,
+            logical_bytes: 31,
+            data_len: 4,
+        };
         let [head, cut] = encode_full_parts(&full_head, &full.in_flight, &full.resume_seq);
         assert_eq!(head.len(), FULL_HEAD_BYTES);
         assert_eq!([head.as_slice(), &snapshot.data, &cut].concat(), payload);

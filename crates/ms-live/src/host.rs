@@ -48,9 +48,10 @@
 //!
 //! 1. records per-input replay thresholds — one past the last tuple
 //!    it applied from each input, the window's tuples not counted,
-//! 2. captures its state with [`Operator::snapshot_deferred`] — an
-//!    O(handles) capture; serialization happens on the persister
-//!    thread (the live stand-in for the forked COW child of §III-B),
+//! 2. captures its state with [`Operator::snapshot_deferred`] (or a
+//!    delta) — for a table-backed operator an O(pages) copy-on-write
+//!    view; the encode happens on the persister thread (the live
+//!    stand-in for the forked COW child of §III-B),
 //! 3. forwards the token and only then applies the buffered tuples.
 //!
 //! Alignment state is kept per epoch (a deque of windows), so a fast
@@ -81,8 +82,8 @@ use std::time::Instant;
 use ms_core::codec::BatchSizer;
 use ms_core::error::{Error, Result};
 use ms_core::ids::{EpochId, OperatorId, PortId};
-use ms_core::metrics::{BackpressureGauges, OperatorMeter};
-use ms_core::operator::{DeferredSnapshot, Operator, OperatorContext, SnapshotPayload};
+use ms_core::metrics::{BackpressureGauges, CkptPhases, OperatorMeter};
+use ms_core::operator::{DeferredSnapshot, Operator, OperatorContext};
 use ms_core::shard::shard_of;
 use ms_core::time::SimTime;
 use ms_core::tuple::{Fields, Tuple};
@@ -115,14 +116,14 @@ impl HostMsg {
 }
 
 /// One persistence work item: an individual checkpoint on its way to
-/// stable storage. The snapshot may still be deferred — the persister
-/// thread resolves (serializes) it off the hot path.
+/// stable storage. A table view is still unencoded — the persister
+/// thread encodes it straight into the store write, off the hot path.
 pub struct PersistItem {
     /// Checkpoint epoch.
     pub epoch: EpochId,
     /// The operator the checkpoint belongs to.
     pub op: OperatorId,
-    /// The state capture (possibly unserialized).
+    /// The state capture: bytes, or a view still to encode.
     pub snapshot: DeferredSnapshot,
     /// For a [`DeferredSnapshot::Delta`] capture, the epoch of the
     /// previous capture the delta builds on. Must be `Some` for delta
@@ -136,6 +137,8 @@ pub struct PersistItem {
     /// Token-alignment wait for this cut (window opened → cut), µs.
     /// Zero for sources, which never align.
     pub align_us: u64,
+    /// How long taking the capture held the host thread, µs.
+    pub capture_us: u64,
     /// Per-operator meter the persister reports checkpoint bytes and
     /// phase timings into once the write lands. `None` disables
     /// telemetry for this item.
@@ -143,47 +146,43 @@ pub struct PersistItem {
 }
 
 impl PersistItem {
-    /// Resolves the capture (the expensive serialization) and writes
-    /// the checkpoint to `store` — the persister thread's whole job per
-    /// item, callable inline by a single-threaded driver. `Ok(complete)`
-    /// is the store's verdict on the epoch.
+    /// Writes the checkpoint to `store`, a view encoded on the way —
+    /// the persister thread's whole job per item, callable inline by a
+    /// single-threaded driver. `Ok(complete)` is the store's verdict on
+    /// the epoch.
     pub fn persist(self, store: &dyn StableStore) -> Result<bool> {
-        let serialize_start = Instant::now();
-        let state = match (self.snapshot.resolve(), self.base) {
-            (SnapshotPayload::Full(s), _) => CkptState::Full(s),
-            (SnapshotPayload::Delta(delta), Some(base)) => CkptState::Delta { base, delta },
-            (SnapshotPayload::Delta(_), None) => {
+        let pages_copied = self.snapshot.pages_copied();
+        let state = match (self.snapshot, self.base) {
+            (DeferredSnapshot::Ready(s), _) => CkptState::Full(s),
+            (DeferredSnapshot::Full(view), _) => CkptState::FullView(view),
+            (DeferredSnapshot::Delta(view), Some(base)) => CkptState::DeltaView { base, view },
+            (DeferredSnapshot::Delta(_), None) => {
                 return Err(Error::Storage(format!(
                     "delta capture {}/{} submitted without a base epoch",
                     self.epoch, self.op
                 )))
             }
         };
-        let serialize_us = serialize_start.elapsed().as_micros() as u64;
-        let (bytes, is_delta) = match &state {
-            CkptState::Full(s) => (s.data.len() as u64, false),
-            CkptState::Delta { delta, .. } => (delta.encoded_bytes() as u64, true),
+        let write = CkptWrite {
+            state,
+            next_seq: self.next_seq,
+            in_flight: Vec::new(),
+            resume_seq: self.resume_seq,
         };
         let persist_start = Instant::now();
-        let complete = store.put_checkpoint(
-            self.epoch,
-            self.op,
-            CkptWrite {
-                state,
-                next_seq: self.next_seq,
-                in_flight: Vec::new(),
-                resume_seq: self.resume_seq,
-            },
-        )?;
+        let complete = store.write_checkpoint(self.epoch, self.op, &write)?;
         if let Some(m) = &self.meter {
-            m.record_checkpoint(
-                self.epoch.0,
-                bytes,
-                is_delta,
-                self.align_us,
-                serialize_us,
-                persist_start.elapsed().as_micros() as u64,
-            );
+            let phases = CkptPhases {
+                align_us: self.align_us,
+                capture_us: self.capture_us,
+                // Bytes were serialized on the host thread (inside
+                // `capture_us`), a view inside the store write.
+                serialize_us: 0,
+                persist_us: persist_start.elapsed().as_micros() as u64,
+            };
+            let bytes = write.state.encoded_bytes() as u64;
+            let is_delta = write.state.base().is_some();
+            m.record_checkpoint(self.epoch.0, bytes, is_delta, phases, pages_copied);
         }
         Ok(complete)
     }
@@ -422,20 +421,46 @@ impl OperatorContext for LiveCtx {
     }
 }
 
-/// Chooses the capture mode for one checkpoint: an incremental delta
-/// chained on the previous capture when the operator supports it *and*
-/// a previous capture exists, else a full snapshot. Returns the
-/// capture plus the base epoch it builds on (`None` for fulls).
-fn capture(
-    op: &mut dyn Operator,
-    last_captured: Option<EpochId>,
-) -> (DeferredSnapshot, Option<EpochId>) {
-    if let Some(base) = last_captured {
-        if let Some(d) = op.snapshot_delta() {
-            return (d, Some(base));
+/// One checkpoint's state as the host thread took it.
+#[derive(Debug)]
+pub struct Capture {
+    /// The state: bytes, or a view the persister encodes.
+    pub snapshot: DeferredSnapshot,
+    /// The epoch a delta builds on; `None` for a full capture.
+    pub base: Option<EpochId>,
+    /// How long taking it held the host thread, µs.
+    pub capture_us: u64,
+}
+
+impl Capture {
+    /// Captures `op` for one checkpoint: an incremental delta chained
+    /// on the previous capture when the operator supports it *and* a
+    /// previous capture exists, else a full capture.
+    pub fn of(op: &mut dyn Operator, last_captured: Option<EpochId>) -> Capture {
+        Capture::timed(|| {
+            if let Some(base) = last_captured {
+                if let Some(delta) = op.snapshot_delta() {
+                    return (delta, Some(base));
+                }
+            }
+            (op.snapshot_deferred(), None)
+        })
+    }
+
+    /// The full capture `take` returns, timed.
+    pub fn full(take: impl FnOnce() -> DeferredSnapshot) -> Capture {
+        Capture::timed(|| (take(), None))
+    }
+
+    fn timed(take: impl FnOnce() -> (DeferredSnapshot, Option<EpochId>)) -> Capture {
+        let started = Instant::now();
+        let (snapshot, base) = take();
+        Capture {
+            snapshot,
+            base,
+            capture_us: started.elapsed().as_micros() as u64,
         }
     }
-    (op.snapshot_deferred(), None)
 }
 
 /// One outstanding epoch in the alignment window of an interior host.
@@ -721,18 +746,19 @@ impl InteriorCore {
             if let Some(m) = &self.telemetry {
                 m.set_state_bytes(self.op.state_size());
             }
-            let (snapshot, base) = capture(self.op.as_mut(), self.last_captured);
+            let capture = Capture::of(self.op.as_mut(), self.last_captured);
             self.last_captured = Some(win.epoch);
             let _ = self.persist.send(PersistItem {
                 epoch: win.epoch,
                 op: self.op_id,
-                snapshot,
-                base,
+                snapshot: capture.snapshot,
+                base: capture.base,
                 next_seq: self.next_seq,
                 // Recorded before the window is applied: its tuples are
                 // post-cut and pass these thresholds when re-sent.
                 resume_seq: self.cut_seq.clone(),
                 align_us,
+                capture_us: capture.capture_us,
                 meter: self.telemetry.clone(),
             });
             for route in &self.outputs {
@@ -907,16 +933,9 @@ impl SourceCore {
     /// The source checkpoint, in the only safe order: the stream
     /// boundary is durable before the checkpoint is even enqueued (an
     /// epoch that looks complete on disk always has its replay
-    /// boundary), and the token leaves last. `base` is the epoch a
-    /// delta `capture` chains on; `state_bytes` feeds the state-size
-    /// gauge. `false`: the mark failed — nothing enqueued, no token.
-    pub fn checkpoint(
-        &mut self,
-        epoch: EpochId,
-        capture: DeferredSnapshot,
-        base: Option<EpochId>,
-        state_bytes: u64,
-    ) -> bool {
+    /// boundary), and the token leaves last. `state_bytes` feeds the
+    /// state-size gauge. `false`: the mark failed — nothing enqueued, no token.
+    pub fn checkpoint(&mut self, epoch: EpochId, capture: Capture, state_bytes: u64) -> bool {
         if self.error.is_some() {
             return false;
         }
@@ -931,11 +950,12 @@ impl SourceCore {
         let _ = self.persist.send(PersistItem {
             epoch,
             op: self.op_id,
-            snapshot: capture,
-            base,
+            snapshot: capture.snapshot,
+            base: capture.base,
             next_seq: self.next_seq,
             resume_seq: Vec::new(),
             align_us: 0,
+            capture_us: capture.capture_us,
             meter: self.telemetry.clone(),
         });
         for route in &self.outputs {
@@ -947,8 +967,8 @@ impl SourceCore {
     /// [`SourceCore::checkpoint`] of a generating operator's state — a
     /// delta on its previous capture when the operator supports it.
     pub fn checkpoint_operator(&mut self, epoch: EpochId, op: &mut dyn Operator) -> bool {
-        let (snapshot, base) = capture(op, self.last_captured);
-        self.checkpoint(epoch, snapshot, base, op.state_size())
+        let capture = Capture::of(op, self.last_captured);
+        self.checkpoint(epoch, capture, op.state_size())
     }
 
     /// Consumes the host: queues EOS downstream and returns the exit
@@ -1017,7 +1037,7 @@ mod tests {
     }
 
     impl StableStore for Rec {
-        fn put_checkpoint(&self, _: EpochId, _: OperatorId, _: CkptWrite) -> Result<bool> {
+        fn write_checkpoint(&self, _: EpochId, _: OperatorId, _: &CkptWrite) -> Result<bool> {
             unreachable!("no persister runs")
         }
         fn get_checkpoint(&self, _: EpochId, _: OperatorId) -> Option<LiveHauCheckpoint> {

@@ -26,8 +26,8 @@ pub mod storage;
 pub mod store;
 
 pub use host::{
-    DurableHook, HostExit, HostMsg, HostWiring, InteriorCore, Outbox, OutputRoute, PersistItem,
-    Persister, RouteKeyFn, SourceCore, STATE_GAUGE_SAMPLE_EVERY,
+    Capture, DurableHook, HostExit, HostMsg, HostWiring, InteriorCore, Outbox, OutputRoute,
+    PersistItem, Persister, RouteKeyFn, SourceCore, STATE_GAUGE_SAMPLE_EVERY,
 };
 pub use protocol::{CountSource, Doubler, Summer};
 pub use storage::{CkptState, CkptWrite, LiveHauCheckpoint, RebasePolicy, StableStore};

@@ -23,14 +23,22 @@
 //! chain grows past `max_chain` deltas or the accumulated delta bytes
 //! exceed `max_delta_pct` percent of the base, and garbage-collects
 //! epochs older than the newest complete epoch's oldest needed base.
+//!
+//! A capture reaches the store as it left the host: bytes, or a frozen
+//! [`TableView`] the store encodes straight into the checkpoint file
+//! ([`CkptState::FullView`], [`CkptState::DeltaView`]). Stores take the
+//! write by reference ([`StableStore::write_checkpoint`]), so a retry
+//! re-reads the same capture and nothing copies it.
 
-use ms_core::delta::StateDelta;
+use ms_core::delta::{StateDelta, TableView};
 use ms_core::error::Result;
 use ms_core::ids::{EpochId, OperatorId};
 use ms_core::operator::OperatorSnapshot;
 use ms_core::tuple::Tuple;
 
 /// The state portion of a checkpoint on its way to stable storage.
+/// A full state and a delta each come as owned bytes or as a view;
+/// both forms of one kind land as the same file bytes.
 #[derive(Clone, Debug)]
 pub enum CkptState {
     /// Complete serialized operator state.
@@ -44,6 +52,17 @@ pub enum CkptState {
         /// The changed/removed key set.
         delta: StateDelta,
     },
+    /// Complete operator state as a table view: the data is
+    /// [`TableView::write_table`]'s bytes.
+    FullView(TableView),
+    /// Changes since the capture persisted at `base`, as a table view:
+    /// the delta is [`TableView::write_delta`]'s bytes.
+    DeltaView {
+        /// Epoch of the previous durable capture this delta builds on.
+        base: EpochId,
+        /// The capture whose delta this is.
+        view: TableView,
+    },
 }
 
 impl CkptState {
@@ -52,6 +71,26 @@ impl CkptState {
         match self {
             CkptState::Full(s) => s.logical_bytes,
             CkptState::Delta { delta, .. } => delta.logical_bytes,
+            CkptState::FullView(view) | CkptState::DeltaView { view, .. } => view.logical_bytes(),
+        }
+    }
+
+    /// The epoch a delta builds on; `None` for a full state.
+    pub fn base(&self) -> Option<EpochId> {
+        match self {
+            CkptState::Full(_) | CkptState::FullView(_) => None,
+            CkptState::Delta { base, .. } | CkptState::DeltaView { base, .. } => Some(*base),
+        }
+    }
+
+    /// Encoded bytes of the state: a full state's data, or a delta's
+    /// payload ([`StateDelta::encoded_bytes`]).
+    pub fn encoded_bytes(&self) -> usize {
+        match self {
+            CkptState::Full(s) => s.data.len(),
+            CkptState::Delta { delta, .. } => delta.encoded_bytes(),
+            CkptState::FullView(view) => view.encoded_bytes(),
+            CkptState::DeltaView { view, .. } => view.delta_bytes(),
         }
     }
 }
@@ -130,8 +169,14 @@ pub trait StableStore: Send + Sync {
     /// is now complete (every HAU has checkpointed it, each resolvable
     /// to a full snapshot). An `Err` means stable storage is unusable —
     /// the caller must stop streaming and surface the failure, never
-    /// continue unpreserved.
-    fn put_checkpoint(&self, epoch: EpochId, op: OperatorId, ckpt: CkptWrite) -> Result<bool>;
+    /// continue unpreserved. The write is borrowed: a failed attempt
+    /// leaves it intact for the next.
+    fn write_checkpoint(&self, epoch: EpochId, op: OperatorId, ckpt: &CkptWrite) -> Result<bool>;
+
+    /// [`StableStore::write_checkpoint`] of an owned write.
+    fn put_checkpoint(&self, epoch: EpochId, op: OperatorId, ckpt: CkptWrite) -> Result<bool> {
+        self.write_checkpoint(epoch, op, &ckpt)
+    }
 
     /// Reads one individual checkpoint, folding any delta chain: the
     /// returned snapshot is always complete, byte-identical to the

@@ -72,7 +72,7 @@ use ms_core::codec::{
     frame, frame_batch, BatchHeader, SnapshotReader, SnapshotWriter, BATCH_HEADER_MAX_BYTES,
     FRAME_HEADER_BYTES, MAX_FILE_FRAME_BYTES, MAX_FRAME_BYTES,
 };
-use ms_core::delta::{self, Patch, StateDelta};
+use ms_core::delta::{self, Patch};
 use ms_core::error::{Error, Result};
 use ms_core::ids::{EpochId, OperatorId};
 use ms_core::operator::OperatorSnapshot;
@@ -170,51 +170,32 @@ impl FsStore {
         self.root.join("marks").join(format!("op{}.marks", op.0))
     }
 
-    /// Atomically writes one checkpoint frame (temp file + rename)
-    /// whose payload is `parts` back to back, each written from where
-    /// it lies. Checkpoint files carry full operator state, so they use
-    /// the file cap, not the wire cap — and an over-cap payload must
-    /// fail *here*, loudly, never land on disk unreadable.
-    fn write_ckpt_file(&self, path: &Path, parts: &[&[u8]]) -> Result<()> {
-        let len = parts.iter().map(|p| p.len() as u64).sum();
-        let header = frame_header(path, len)?;
-        write_atomic(path, |mut file| {
-            for part in [&[header.as_slice()], parts].concat() {
-                file.write_all(part).map_err(not_persisted(path))?;
-            }
-            Ok(())
+    /// Atomically writes `ckpt` as one checkpoint frame (temp file +
+    /// rename) at `path`. The payload streams through a buffer into the
+    /// file, its length known before the first byte: a table view
+    /// encodes straight into the file, and a snapshot's data is written
+    /// from where it lies.
+    fn write_ckpt_file(&self, path: &Path, ckpt: &CkptWrite) -> Result<()> {
+        let header = frame_header(path, ckpt_codec::encoded_len(ckpt) as u64)?;
+        let io = not_persisted(path);
+        write_atomic(path, |file| {
+            let mut out = BufWriter::with_capacity(STREAM_BUF_BYTES, file);
+            out.write_all(&header).map_err(&io)?;
+            ckpt_codec::write_ckpt(ckpt, &mut out).map_err(&io)?;
+            out.flush().map_err(&io)
         })
     }
 
-    /// Writes a full checkpoint file, the snapshot data straight from
-    /// its buffer.
-    fn write_full(
-        &self,
-        epoch: EpochId,
-        op: OperatorId,
-        snapshot: &OperatorSnapshot,
-        next_seq: u64,
-        in_flight: &[(u32, Tuple)],
-        resume_seq: &[u64],
-    ) -> Result<()> {
-        let head = FullHead::of(next_seq, snapshot);
-        let [head, cut] = ckpt_codec::encode_full_parts(&head, in_flight, resume_seq);
-        self.write_ckpt_file(&self.full_path(epoch, op), &[&head, &snapshot.data, &cut])
-    }
-
     /// Writes `epoch`'s checkpoint as a full file folded from `chain`
-    /// with `newest` on top. The base streams from its file through
-    /// [`delta::merge`] straight into the temp file; the frame, head
-    /// and table lengths in front of the data are written last, once
-    /// the merge has counted them, and before the rename.
+    /// with the delta `ckpt` carries on top. The base streams from its
+    /// file through [`delta::merge`] straight into the temp file; the
+    /// frame, head and table lengths in front of the data are written
+    /// last, once the merge has counted them, and before the rename.
     fn write_rebase(
         &self,
         (epoch, op): (EpochId, OperatorId),
         chain: &Chain,
-        newest: &StateDelta,
-        next_seq: u64,
-        in_flight: &[(u32, Tuple)],
-        resume_seq: &[u64],
+        ckpt: &CkptWrite,
     ) -> Result<()> {
         let failed = |e: Error| {
             Error::Storage(format!(
@@ -222,7 +203,7 @@ impl FsStore {
                 chain.base
             ))
         };
-        let patch = chain.patch(newest).map_err(failed)?;
+        let patch = chain.patch(&ckpt.state).map_err(failed)?;
         let mut base = open_full(&self.full_path(chain.base, op)).map_err(failed)?;
         let path = self.full_path(epoch, op);
         let io = not_persisted(&path);
@@ -236,11 +217,12 @@ impl FsStore {
                 e => e,
             })?;
             let head = FullHead {
-                next_seq,
-                logical_bytes: newest.logical_bytes,
+                next_seq: ckpt.next_seq,
+                logical_bytes: ckpt.state.logical_bytes(),
                 data_len: delta::TABLE_HEAD_BYTES as u64 + merged.bytes,
             };
-            let [head_bytes, cut] = ckpt_codec::encode_full_parts(&head, in_flight, resume_seq);
+            let [head_bytes, cut] =
+                ckpt_codec::encode_full_parts(&head, &ckpt.in_flight, &ckpt.resume_seq);
             out.write_all(&cut).map_err(&io)?;
             out.flush().map_err(&io)?;
             let len = (head_bytes.len() + cut.len()) as u64 + head.data_len;
@@ -441,7 +423,7 @@ fn frame_header(path: &Path, len: u64) -> Result<[u8; FRAME_HEADER_BYTES]> {
 
 /// The delta chain under a checkpoint, as much as a write needs to
 /// decide on a rebase: its delta links' payloads (newest first) with
-/// their summed [`StateDelta::encoded_bytes`], and the full base's
+/// their summed [`delta::StateDelta::encoded_bytes`], and the full base's
 /// epoch and data length, read from the base's header.
 struct Chain {
     links: Vec<Vec<u8>>,
@@ -451,14 +433,21 @@ struct Chain {
 }
 
 impl Chain {
-    /// The net change of the chain's links, oldest first, with `newest`
-    /// on top — every value borrowed from where it lies.
-    fn patch<'a>(&'a self, newest: &'a StateDelta) -> Result<Patch<'a>> {
+    /// The net change of the chain's links, oldest first, with the
+    /// delta `newest` holds on top — every value borrowed from where it
+    /// lies.
+    fn patch<'a>(&'a self, newest: &'a CkptState) -> Result<Patch<'a>> {
         let mut patch = Patch::default();
         for link in self.links.iter().rev() {
             ckpt_codec::patch_delta(link, &mut patch)?;
         }
-        patch.push(newest);
+        match newest {
+            CkptState::Delta { delta, .. } => patch.push(delta),
+            CkptState::DeltaView { view, .. } => patch.push_view(view),
+            CkptState::Full(_) | CkptState::FullView(_) => {
+                return Err(Error::Storage("a full state rebases nothing".into()))
+            }
+        }
         Ok(patch)
     }
 }
@@ -645,18 +634,10 @@ fn read_ckpt_head(path: &Path, n: usize) -> Option<Vec<u8>> {
 }
 
 impl StableStore for FsStore {
-    fn put_checkpoint(&self, epoch: EpochId, op: OperatorId, ckpt: CkptWrite) -> Result<bool> {
-        let CkptWrite {
-            state,
-            next_seq,
-            in_flight,
-            resume_seq,
-        } = ckpt;
-        match state {
-            CkptState::Full(snapshot) => {
-                self.write_full(epoch, op, &snapshot, next_seq, &in_flight, &resume_seq)?;
-            }
-            CkptState::Delta { base, delta } => {
+    fn write_checkpoint(&self, epoch: EpochId, op: OperatorId, ckpt: &CkptWrite) -> Result<bool> {
+        match ckpt.state.base() {
+            None => self.write_ckpt_file(&self.full_path(epoch, op), ckpt)?,
+            Some(base) => {
                 // Price the chain the incoming delta would extend
                 // without reading the base's body: only a rebase needs
                 // it.
@@ -665,29 +646,13 @@ impl StableStore for FsStore {
                 })?;
                 if self.policy.should_rebase(
                     chain.links.len() as u32 + 1,
-                    chain.delta_bytes + delta.encoded_bytes() as u64,
+                    chain.delta_bytes + ckpt.state.encoded_bytes() as u64,
                     chain.base_bytes,
                 ) {
                     // Fold the whole chain into a fresh full snapshot.
-                    self.write_rebase(
-                        (epoch, op),
-                        &chain,
-                        &delta,
-                        next_seq,
-                        &in_flight,
-                        &resume_seq,
-                    )?;
+                    self.write_rebase((epoch, op), &chain, ckpt)?;
                 } else {
-                    let write = CkptWrite {
-                        state: CkptState::Delta { base, delta },
-                        next_seq,
-                        in_flight,
-                        resume_seq,
-                    };
-                    self.write_ckpt_file(
-                        &self.delta_path(epoch, op),
-                        &[&ckpt_codec::encode_ckpt(&write)],
-                    )?;
+                    self.write_ckpt_file(&self.delta_path(epoch, op), ckpt)?;
                 }
             }
         }
@@ -706,27 +671,20 @@ impl StableStore for FsStore {
             return read_full(&full).ok();
         }
         let payload = read_ckpt_frame(&self.delta_path(epoch, op))?;
-        let CkptWrite {
-            state: CkptState::Delta { base, delta },
-            next_seq,
-            in_flight,
-            resume_seq,
-        } = ckpt_codec::decode_delta(&payload).ok()?
-        else {
-            unreachable!("decode_delta yields a delta");
-        };
+        let newest = ckpt_codec::decode_delta(&payload).ok()?;
         // The chain folds into one buffer, the base streamed into it.
-        let chain = self.chain_under(base, op).ok()?;
-        let patch = chain.patch(&delta).ok()?;
+        let chain = self.chain_under(newest.state.base()?, op).ok()?;
+        let patch = chain.patch(&newest.state).ok()?;
         let mut base = open_full(&self.full_path(chain.base, op)).ok()?;
+        let data = delta::fold_from(&mut base.data, &patch).ok()?;
         Some(LiveHauCheckpoint {
             snapshot: OperatorSnapshot {
-                data: delta::fold_from(&mut base.data, &patch).ok()?,
-                logical_bytes: delta.logical_bytes,
+                data,
+                logical_bytes: newest.state.logical_bytes(),
             },
-            next_seq,
-            in_flight,
-            resume_seq,
+            next_seq: newest.next_seq,
+            in_flight: newest.in_flight,
+            resume_seq: newest.resume_seq,
         })
     }
 
@@ -844,7 +802,7 @@ impl StableStore for FsStore {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use ms_core::delta::DeltaTable;
+    use ms_core::delta::{DeltaTable, StateDelta};
     use ms_core::time::SimTime;
     use ms_core::value::Value;
     use proptest::prelude::*;
@@ -1309,6 +1267,86 @@ pub(crate) mod tests {
         assert!(!dir.join("ckpt").join("e3_op0.ckpt").exists());
         assert!(!dir.join("ckpt").join("e3_op0.delta").exists());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A capture written as a table view lands as the bytes of its
+    /// owned form: full, delta and rebased files alike.
+    #[test]
+    fn views_land_as_the_bytes_of_their_owned_form() {
+        let op = OperatorId(0);
+        let policy = RebasePolicy {
+            max_chain: 3,
+            max_delta_pct: 40,
+        };
+        let (owned_dir, view_dir) = (tmpdir("owned_form"), tmpdir("view_form"));
+        let owned = FsStore::open(&owned_dir, 1).unwrap().with_policy(policy);
+        let viewed = FsStore::open(&view_dir, 1).unwrap().with_policy(policy);
+        let (mut a, mut b) = (DeltaTable::new(), DeltaTable::new());
+        let mut rebased = 0;
+        for e in 1..=16u64 {
+            for i in 0..[50u64, 2, 7, 1, 30][e as usize % 5] {
+                let (k, v) = (
+                    (e * 37 + i * 11) % 120,
+                    vec![(e + i) as u8; (i % 40) as usize],
+                );
+                a.insert(k, v.clone());
+                b.insert(k, v);
+            }
+            a.remove(e * 13 % 120);
+            b.remove(e * 13 % 120);
+            let logical = a.value_bytes();
+            let (write_a, state_b) = if e % 6 == 1 {
+                let s = OperatorSnapshot {
+                    data: a.snapshot(),
+                    logical_bytes: logical,
+                };
+                a.mark_clean();
+                (
+                    CkptWrite::full(s, e),
+                    CkptState::FullView(b.freeze(logical)),
+                )
+            } else {
+                let base = EpochId(e - 1);
+                let view = b.freeze(logical);
+                (
+                    delta_write(base, a.take_delta(logical), e),
+                    CkptState::DeltaView { base, view },
+                )
+            };
+            let write_b = CkptWrite {
+                state: state_b,
+                resume_seq: write_a.resume_seq.clone(),
+                ..CkptWrite::full(OperatorSnapshot::empty(), e)
+            };
+            assert_eq!(
+                ckpt_codec::encode_ckpt(&write_a),
+                ckpt_codec::encode_ckpt(&write_b)
+            );
+            assert_eq!(
+                ckpt_codec::encoded_len(&write_b),
+                ckpt_codec::encode_ckpt(&write_b).len()
+            );
+            owned.put_checkpoint(EpochId(e), op, write_a).unwrap();
+            viewed.write_checkpoint(EpochId(e), op, &write_b).unwrap();
+            if write_b.state.base().is_some()
+                && view_dir.join(format!("ckpt/e{e}_op0.ckpt")).exists()
+            {
+                rebased += 1;
+            }
+            let files = |dir: &Path| {
+                let mut files: Vec<_> = fs::read_dir(dir.join("ckpt"))
+                    .unwrap()
+                    .map(|f| f.unwrap())
+                    .map(|f| (f.file_name(), fs::read(f.path()).unwrap()))
+                    .collect();
+                files.sort();
+                files
+            };
+            assert_eq!(files(&owned_dir), files(&view_dir), "epoch {e}");
+        }
+        assert!(rebased > 0, "no view was rebased");
+        let _ = fs::remove_dir_all(&owned_dir);
+        let _ = fs::remove_dir_all(&view_dir);
     }
 
     #[test]

@@ -61,10 +61,14 @@ impl KeyedStat {
         }
     }
 
-    fn record(key: u64, count: u64) -> Vec<u8> {
-        let mut v = Vec::with_capacity(8 + FEATURE_BYTES);
-        v.extend_from_slice(&count.to_le_bytes());
-        v.extend((0..FEATURE_BYTES).map(|i| (key as u8) ^ (count as u8).wrapping_add(i as u8)));
+    /// One key's record, built on the stack: the table copies it into
+    /// its page.
+    fn record(key: u64, count: u64) -> [u8; 8 + FEATURE_BYTES] {
+        let mut v = [0u8; 8 + FEATURE_BYTES];
+        v[..8].copy_from_slice(&count.to_le_bytes());
+        for (i, b) in v[8..].iter_mut().enumerate() {
+            *b = (key as u8) ^ (count as u8).wrapping_add(i as u8);
+        }
         v
     }
 }
@@ -101,13 +105,13 @@ impl Operator for KeyedStat {
     }
 
     fn snapshot_deferred(&mut self) -> DeferredSnapshot {
-        self.table.mark_clean();
-        DeferredSnapshot::Ready(self.snapshot())
+        DeferredSnapshot::Full(self.table.freeze(self.table.value_bytes()))
     }
 
     fn snapshot_delta(&mut self) -> Option<DeferredSnapshot> {
-        let delta = self.table.take_delta(self.table.value_bytes());
-        Some(DeferredSnapshot::Delta(Box::new(move || delta)))
+        Some(DeferredSnapshot::Delta(
+            self.table.freeze(self.table.value_bytes()),
+        ))
     }
 
     fn restore(&mut self, s: &OperatorSnapshot) -> Result<()> {
@@ -170,8 +174,7 @@ impl Operator for SawtoothStat {
                 .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte slice")))
                 .unwrap_or(0)
                 + 1;
-            self.table
-                .insert(SAWTOOTH_SEEN_KEY, seen.to_le_bytes().to_vec());
+            self.table.insert(SAWTOOTH_SEEN_KEY, seen.to_le_bytes());
             let key = (v as u64 / KEY_STRIDE) % self.keys;
             let count = self
                 .table
@@ -211,13 +214,13 @@ impl Operator for SawtoothStat {
     }
 
     fn snapshot_deferred(&mut self) -> DeferredSnapshot {
-        self.table.mark_clean();
-        DeferredSnapshot::Ready(self.snapshot())
+        DeferredSnapshot::Full(self.table.freeze(self.table.value_bytes()))
     }
 
     fn snapshot_delta(&mut self) -> Option<DeferredSnapshot> {
-        let delta = self.table.take_delta(self.table.value_bytes());
-        Some(DeferredSnapshot::Delta(Box::new(move || delta)))
+        Some(DeferredSnapshot::Delta(
+            self.table.freeze(self.table.value_bytes()),
+        ))
     }
 
     fn restore(&mut self, s: &OperatorSnapshot) -> Result<()> {

@@ -37,8 +37,8 @@ use ms_live::{CkptWrite, LiveHauCheckpoint, StableStore};
 pub struct StoreFaultSpec {
     /// Sleep this long before every write (append / mark / checkpoint).
     pub slow_us: u64,
-    /// Extra sleep before checkpoint-path writes only (`put_checkpoint`
-    /// and `mark_epoch`) — widens the persister's vulnerable window
+    /// Extra sleep before checkpoint-path writes only
+    /// (`write_checkpoint` and `mark_epoch`) — widens the persister's vulnerable window
     /// without stretching every per-tuple preservation append.
     pub slow_ckpt_us: u64,
     /// Fail every Nth write with a transient error (1-based count;
@@ -128,9 +128,9 @@ impl<S: StableStore> FaultStore<S> {
 }
 
 impl<S: StableStore> StableStore for FaultStore<S> {
-    fn put_checkpoint(&self, epoch: EpochId, op: OperatorId, ckpt: CkptWrite) -> Result<bool> {
-        self.gate("put_checkpoint", self.spec.slow_ckpt_us)?;
-        self.inner.put_checkpoint(epoch, op, ckpt)
+    fn write_checkpoint(&self, epoch: EpochId, op: OperatorId, ckpt: &CkptWrite) -> Result<bool> {
+        self.gate("write_checkpoint", self.spec.slow_ckpt_us)?;
+        self.inner.write_checkpoint(epoch, op, ckpt)
     }
 
     fn get_checkpoint(&self, epoch: EpochId, op: OperatorId) -> Option<LiveHauCheckpoint> {
@@ -221,11 +221,11 @@ impl<S: StableStore> RetryStore<S> {
 }
 
 impl<S: StableStore> StableStore for RetryStore<S> {
-    fn put_checkpoint(&self, epoch: EpochId, op: OperatorId, ckpt: CkptWrite) -> Result<bool> {
-        // `CkptWrite` is consumed per attempt; clone is cheap relative
-        // to a checkpoint write and only paid on this path.
+    fn write_checkpoint(&self, epoch: EpochId, op: OperatorId, ckpt: &CkptWrite) -> Result<bool> {
+        // Every attempt reads the same borrowed write: a view is
+        // encoded again from its pages, and nothing is copied.
         self.with_retry("checkpoint write", || {
-            self.inner.put_checkpoint(epoch, op, ckpt.clone())
+            self.inner.write_checkpoint(epoch, op, ckpt)
         })
     }
 

@@ -638,8 +638,10 @@ impl<L: Link> Control<L> {
                 ckpt_bytes: s.ckpt_bytes,
                 delta: s.ckpt_is_delta,
                 align_wait_us: s.align_wait_us,
+                capture_us: s.capture_us,
                 serialize_us: s.serialize_us,
                 persist_us: s.persist_us,
+                cow_pages_copied: s.cow_pages_copied,
                 tuples_in: s.tuples_in,
                 tuples_out: s.tuples_out,
                 bytes_out: s.bytes_out,

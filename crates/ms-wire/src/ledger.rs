@@ -8,9 +8,10 @@
 //! [`LedgerRecord`] per operator from the freshest meter samples:
 //! state size (the paper's Fig. 5 trace, and the series the ROADMAP's
 //! `+aa` profiler will consume), checkpoint bytes with delta-vs-full
-//! kind, the three-phase checkpoint breakdown (align-wait / serialize
-//! / persist, Fig. 14), the hosting worker's backpressure gauges, and
-//! the token-broadcast→last-ack barrier latency.
+//! kind, the checkpoint phase breakdown (align-wait / capture /
+//! serialize / persist, Fig. 14) with the pages the operator's table
+//! copied on write, the hosting worker's backpressure gauges, and the
+//! token-broadcast→last-ack barrier latency.
 //!
 //! Records are hand-encoded JSON objects, one per line — flat,
 //! numeric, append-only — so the file survives controller restarts
@@ -55,10 +56,19 @@ pub struct LedgerRecord {
     pub delta: bool,
     /// Token-alignment wait of the cut (µs). Zero for sources.
     pub align_wait_us: u64,
-    /// State-serialization time (µs).
+    /// The capture on the host thread (µs): how long the checkpoint
+    /// held the worker's event loop. Zero in rows written before the
+    /// column existed.
+    pub capture_us: u64,
+    /// State-serialization time (µs). Zero for a table view, which
+    /// encodes inside the store write (`persist_us`).
     pub serialize_us: u64,
     /// Stable-store write time (µs).
     pub persist_us: u64,
+    /// Pages the operator's table copied on write between this capture
+    /// and the one before. Zero in rows written before the column
+    /// existed.
+    pub cow_pages_copied: u64,
     /// Tuples the operator has consumed since its generation started.
     pub tuples_in: u64,
     /// Tuples the operator has emitted.
@@ -96,7 +106,8 @@ impl LedgerRecord {
             concat!(
                 "{{\"generation\":{},\"epoch\":{},\"op\":{},\"logical\":{},",
                 "\"state_bytes\":{},\"ckpt_bytes\":{},\"delta\":{},",
-                "\"align_wait_us\":{},\"serialize_us\":{},\"persist_us\":{},",
+                "\"align_wait_us\":{},\"capture_us\":{},\"serialize_us\":{},",
+                "\"persist_us\":{},\"cow_pages_copied\":{},",
                 "\"tuples_in\":{},\"tuples_out\":{},\"bytes_out\":{},",
                 "\"queued_tuples\":{},\"open_windows\":{},\"window_tuples\":{},",
                 "\"gate_accepted\":{},\"gate_shed\":{},\"gate_wal_bytes\":{},",
@@ -111,8 +122,10 @@ impl LedgerRecord {
             self.ckpt_bytes,
             self.delta,
             self.align_wait_us,
+            self.capture_us,
             self.serialize_us,
             self.persist_us,
+            self.cow_pages_copied,
             self.tuples_in,
             self.tuples_out,
             self.bytes_out,
@@ -128,8 +141,10 @@ impl LedgerRecord {
         )
     }
 
-    /// Parses one JSON line. Every schema field must be present;
-    /// unknown fields are ignored (forward compatibility).
+    /// Parses one JSON line. Every schema field must be present, but
+    /// for the columns added after the first ledgers were written
+    /// (`capture_us`, `cow_pages_copied`), which read as zero when
+    /// absent; unknown fields are ignored (forward compatibility).
     pub fn from_json(line: &str) -> Result<LedgerRecord> {
         let s = line.trim();
         if !(s.starts_with('{') && s.ends_with('}')) {
@@ -149,8 +164,10 @@ impl LedgerRecord {
             ckpt_bytes: json_u64(s, "ckpt_bytes")?,
             delta: json_bool(s, "delta")?,
             align_wait_us: json_u64(s, "align_wait_us")?,
+            capture_us: json_u64_or_zero(s, "capture_us")?,
             serialize_us: json_u64(s, "serialize_us")?,
             persist_us: json_u64(s, "persist_us")?,
+            cow_pages_copied: json_u64_or_zero(s, "cow_pages_copied")?,
             tuples_in: json_u64(s, "tuples_in")?,
             tuples_out: json_u64(s, "tuples_out")?,
             bytes_out: json_u64(s, "bytes_out")?,
@@ -171,6 +188,7 @@ impl LedgerRecord {
     pub fn breakdown(&self) -> Breakdown {
         let mut b = Breakdown::new();
         b.add("align_wait", SimDuration::from_micros(self.align_wait_us));
+        b.add("capture", SimDuration::from_micros(self.capture_us));
         b.add("serialize", SimDuration::from_micros(self.serialize_us));
         b.add("persist", SimDuration::from_micros(self.persist_us));
         b
@@ -359,6 +377,16 @@ fn json_u64(s: &str, key: &str) -> Result<u64> {
     json_value(s, key)?
         .parse()
         .map_err(|_| Error::Storage(format!("ledger field {key:?} is not an integer")))
+}
+
+/// [`json_u64`] of a column older rows lack: absent reads as zero,
+/// present but malformed is still an error.
+fn json_u64_or_zero(s: &str, key: &str) -> Result<u64> {
+    if s.contains(&format!("\"{key}\":")) {
+        json_u64(s, key)
+    } else {
+        Ok(0)
+    }
 }
 
 fn json_bool(s: &str, key: &str) -> Result<bool> {
@@ -629,7 +657,7 @@ pub fn summarize(records: &[LedgerRecord], top_n: usize) -> String {
         generations.len()
     ));
     out.push_str(
-        "epoch  gen  ops  state_B    ckpt_B   delta  align_ms  serial_ms  persist_ms  barrier_ms\n",
+        "epoch  gen  ops  state_B    ckpt_B   delta  align_ms  capture_ms  serial_ms  persist_ms  cow_pages  barrier_ms\n",
     );
     for (epoch, rows) in &epochs {
         let gen = rows.iter().map(|r| r.generation).max().unwrap_or(0);
@@ -639,13 +667,17 @@ pub fn summarize(records: &[LedgerRecord], top_n: usize) -> String {
         // Phase columns report the slowest operator — the phase's
         // critical path, which is what bounds the epoch.
         let align = rows.iter().map(|r| r.align_wait_us).max().unwrap_or(0);
+        let capture = rows.iter().map(|r| r.capture_us).max().unwrap_or(0);
         let serial = rows.iter().map(|r| r.serialize_us).max().unwrap_or(0);
         let persist = rows.iter().map(|r| r.persist_us).max().unwrap_or(0);
         let barrier = rows.iter().map(|r| r.barrier_us).max().unwrap_or(0);
+        // Copied pages add up: every operator's copies cost memory.
+        let cow: u64 = rows.iter().map(|r| r.cow_pages_copied).sum();
         out.push_str(&format!(
-            "{epoch:>5}  {gen:>3}  {:>3}  {state:>8}  {ckpt:>8}  {deltas:>5}  {:>8.1}  {:>9.1}  {:>10.1}  {:>10.1}\n",
+            "{epoch:>5}  {gen:>3}  {:>3}  {state:>8}  {ckpt:>8}  {deltas:>5}  {:>8.1}  {:>10.2}  {:>9.1}  {:>10.1}  {cow:>9}  {:>10.1}\n",
             rows.len(),
             ms(align),
+            ms(capture),
             ms(serial),
             ms(persist),
             ms(barrier),
@@ -821,8 +853,10 @@ mod tests {
             ckpt_bytes: 128 * (op as u64 + 1),
             delta: epoch > 1,
             align_wait_us: 40 * op as u64,
+            capture_us: 60 + epoch,
             serialize_us: 350,
             persist_us: 900,
+            cow_pages_copied: 3 * op as u64,
             tuples_in: 10_000 * epoch,
             tuples_out: 9_000 * epoch,
             bytes_out: 72_000 * epoch,
@@ -875,6 +909,35 @@ mod tests {
             assert!(json.contains(&column), "{json}");
             assert!(LedgerRecord::from_json(&json.replace(&column, "")).is_err());
             // A present-but-malformed field is an error too.
+            let bad = json.replace(&column, &format!("\"{field}\":x,"));
+            assert!(LedgerRecord::from_json(&bad).is_err());
+        }
+        // The capture columns postdate the first ledgers: a row
+        // without them parses as zero; a malformed one is still refused.
+        let rec = sample(2, 1);
+        let json = rec.to_json();
+        for (field, value, zeroed) in [
+            (
+                "capture_us",
+                rec.capture_us,
+                LedgerRecord {
+                    capture_us: 0,
+                    ..rec.clone()
+                },
+            ),
+            (
+                "cow_pages_copied",
+                rec.cow_pages_copied,
+                LedgerRecord {
+                    cow_pages_copied: 0,
+                    ..rec.clone()
+                },
+            ),
+        ] {
+            let column = format!("\"{field}\":{value},");
+            assert!(value > 0 && json.contains(&column), "{json}");
+            let old_row = LedgerRecord::from_json(&json.replace(&column, "")).unwrap();
+            assert_eq!(old_row, zeroed);
             let bad = json.replace(&column, &format!("\"{field}\":x,"));
             assert!(LedgerRecord::from_json(&bad).is_err());
         }

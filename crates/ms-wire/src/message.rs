@@ -541,7 +541,9 @@ fn put_sample(w: &mut SnapshotWriter, s: &OperatorSample) {
         .put_u64(s.delta_bytes_total)
         .put_u64(s.align_wait_us)
         .put_u64(s.serialize_us)
-        .put_u64(s.persist_us);
+        .put_u64(s.persist_us)
+        .put_u64(s.capture_us)
+        .put_u64(s.cow_pages_copied);
 }
 
 fn get_sample(r: &mut SnapshotReader<'_>) -> Result<OperatorSample> {
@@ -558,6 +560,8 @@ fn get_sample(r: &mut SnapshotReader<'_>) -> Result<OperatorSample> {
         align_wait_us: r.get_u64()?,
         serialize_us: r.get_u64()?,
         persist_us: r.get_u64()?,
+        capture_us: r.get_u64()?,
+        cow_pages_copied: r.get_u64()?,
     })
 }
 
@@ -696,8 +700,10 @@ mod tests {
             full_bytes_total: 64,
             delta_bytes_total: 0,
             align_wait_us: 0,
+            capture_us: 2,
             serialize_us: 3,
             persist_us: 120,
+            cow_pages_copied: 5,
         }
     }
 

@@ -61,9 +61,11 @@
 //!   `Heartbeat` frame: the generation, the hosts' summed backpressure
 //!   gauges, and every local operator and gate meter sample. The I/O
 //!   thread writes it between turns, so a beat also proves the data
-//!   plane turns, well inside the 500 ms `--hb-timeout-ms`: the longest
-//!   turn measured is a 21 ms checkpoint capture (a 17 MB `KeyedStat`'s
-//!   `snapshot_delta`; EXPERIMENTS.md, "One event loop per worker").
+//!   plane turns, well inside the 500 ms `--hb-timeout-ms`. A
+//!   checkpoint capture, once the longest turn at 21 ms, is a
+//!   copy-on-write view: the ledger's `capture_us` for a 17 MB
+//!   `KeyedStat` reads p50 0.11 ms and p99 0.69 ms (EXPERIMENTS.md,
+//!   "Copy-on-write operator state").
 
 use std::collections::{HashMap, VecDeque};
 use std::mem;
@@ -924,6 +926,7 @@ mod tests {
             next_seq: 0,
             resume_seq: Vec::new(),
             align_us: 0,
+            capture_us: 0,
             meter: None,
         };
         assert!(persister.sender().send(item).is_ok());

@@ -79,8 +79,10 @@ fn spread_sample(seed: u64, delta: bool) -> OperatorSample {
         full_bytes_total: v(7),
         delta_bytes_total: v(8),
         align_wait_us: v(9),
+        capture_us: v(12),
         serialize_us: v(10),
         persist_us: v(11),
+        cow_pages_copied: v(13),
     }
 }
 
