@@ -358,7 +358,7 @@ fn bench_ckpt_stall(c: &mut Criterion) {
     use ms_core::operator::{DeferredSnapshot, Operator, OperatorContext, OperatorSnapshot};
     use ms_core::tuple::Fields;
     use ms_live::ckpt_codec;
-    use ms_live::{CkptWrite, LiveHauCheckpoint, PersistItem, Persister, StableStore};
+    use ms_live::{CkptWrite, CkptWritten, LiveHauCheckpoint, PersistItem, Persister, StableStore};
 
     const KEYS: u64 = 1 << 16;
     const VALUE_BYTES: usize = 256; // 16 MiB of values
@@ -437,9 +437,12 @@ fn bench_ckpt_stall(c: &mut Criterion) {
             _epoch: EpochId,
             _op: OperatorId,
             ckpt: &CkptWrite,
-        ) -> Result<bool> {
+        ) -> Result<CkptWritten> {
             ckpt_codec::write_ckpt(ckpt, &mut io::sink()).expect("a sink takes every write");
-            Ok(true)
+            Ok(CkptWritten {
+                complete: true,
+                ..CkptWritten::default()
+            })
         }
         fn get_checkpoint(&self, _epoch: EpochId, _op: OperatorId) -> Option<LiveHauCheckpoint> {
             None

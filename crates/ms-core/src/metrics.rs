@@ -76,6 +76,8 @@ pub struct OperatorMeter {
     serialize_us: AtomicU64,
     persist_us: AtomicU64,
     cow_pages_copied: AtomicU64,
+    file_bytes: AtomicU64,
+    file_delta: AtomicU64,
 }
 
 /// The phases of one checkpoint, µs, in the paper's Fig. 14 order:
@@ -94,6 +96,17 @@ pub struct CkptPhases {
     pub serialize_us: u64,
     /// The store write.
     pub persist_us: u64,
+}
+
+/// The file a store wrote for one checkpoint. A store may rebase a
+/// submitted delta into a full snapshot, so this can differ in kind
+/// and size from the capture the host handed it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CkptFile {
+    /// Bytes of the file, frame header included.
+    pub bytes: u64,
+    /// The file is a delta link (`false`: a full snapshot).
+    pub delta: bool,
 }
 
 impl OperatorMeter {
@@ -128,10 +141,11 @@ impl OperatorMeter {
         self.state_bytes.store(bytes, Ordering::Relaxed);
     }
 
-    /// Records one durable checkpoint: its epoch, encoded size,
-    /// delta-vs-full kind, its [`CkptPhases`], and the pages its table
-    /// copied on write since the capture before. Called once per epoch
-    /// from the persister after the write lands.
+    /// Records one durable checkpoint: its epoch, the encoded size and
+    /// delta-vs-full kind of the capture submitted, its [`CkptPhases`],
+    /// the pages its table copied on write since the capture before,
+    /// and the [`CkptFile`] the store wrote. Called once per epoch from
+    /// the persister after the write lands.
     pub fn record_checkpoint(
         &self,
         epoch: u64,
@@ -139,6 +153,7 @@ impl OperatorMeter {
         delta: bool,
         phases: CkptPhases,
         cow_pages_copied: u64,
+        file: CkptFile,
     ) {
         self.ckpt_bytes.store(bytes, Ordering::Relaxed);
         self.ckpt_delta.store(delta as u64, Ordering::Relaxed);
@@ -154,6 +169,8 @@ impl OperatorMeter {
         self.persist_us.store(phases.persist_us, Ordering::Relaxed);
         self.cow_pages_copied
             .store(cow_pages_copied, Ordering::Relaxed);
+        self.file_bytes.store(file.bytes, Ordering::Relaxed);
+        self.file_delta.store(file.delta as u64, Ordering::Relaxed);
         // Epoch last: a sampler that sees the new epoch has, at worst,
         // gauge values at most one store behind it.
         self.ckpt_epoch.store(epoch, Ordering::Relaxed);
@@ -176,6 +193,8 @@ impl OperatorMeter {
             serialize_us: self.serialize_us.load(Ordering::Relaxed),
             persist_us: self.persist_us.load(Ordering::Relaxed),
             cow_pages_copied: self.cow_pages_copied.load(Ordering::Relaxed),
+            file_bytes: self.file_bytes.load(Ordering::Relaxed),
+            file_is_delta: self.file_delta.load(Ordering::Relaxed) != 0,
         }
     }
 }
@@ -218,6 +237,12 @@ pub struct OperatorSample {
     /// checkpoint's capture and the one before — the measured
     /// counterpart of the simulator's COW cost (`cow_overhead`).
     pub cow_pages_copied: u64,
+    /// Bytes of the file the store wrote for that checkpoint (see
+    /// [`CkptFile`]): a delta it rebased counts its full file here,
+    /// while `ckpt_bytes` keeps the delta's size.
+    pub file_bytes: u64,
+    /// Whether that file is a delta link.
+    pub file_is_delta: bool,
 }
 
 impl OperatorSample {
@@ -728,7 +753,8 @@ mod tests {
             serialize_us,
             persist_us,
         };
-        m.record_checkpoint(7, 256, true, phases(10, 5, 20, 30), 4);
+        let file = |bytes, delta| CkptFile { bytes, delta };
+        m.record_checkpoint(7, 256, true, phases(10, 5, 20, 30), 4, file(270, true));
         let s = m.sample();
         assert_eq!(s.tuples_in, 3);
         assert_eq!(s.tuples_out, 2);
@@ -740,7 +766,12 @@ mod tests {
         assert_eq!(s.delta_bytes_total, 256);
         assert_eq!(s.full_bytes_total, 0);
         assert_eq!(s.cow_pages_copied, 4);
-        m.record_checkpoint(8, 4096, false, phases(1, 1, 2, 3), 0);
+        assert_eq!((s.file_bytes, s.file_is_delta), (270, true));
+        m.record_checkpoint(8, 4096, false, phases(1, 1, 2, 3), 0, file(4108, false));
+        assert_eq!(
+            (m.sample().file_bytes, m.sample().file_is_delta),
+            (4108, false)
+        );
         assert_eq!(m.sample().full_bytes_total, 4096);
         assert_eq!(m.sample().delta_bytes_total, 256);
         let b = s.ckpt_breakdown();
@@ -801,7 +832,14 @@ mod tests {
             std::thread::spawn(move || {
                 for e in 1..=EPOCHS {
                     meter.set_state_bytes(64 * e);
-                    meter.record_checkpoint(e, 100, false, CkptPhases::default(), 0);
+                    meter.record_checkpoint(
+                        e,
+                        100,
+                        false,
+                        CkptPhases::default(),
+                        0,
+                        CkptFile::default(),
+                    );
                 }
             })
         };

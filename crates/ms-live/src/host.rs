@@ -170,7 +170,7 @@ impl PersistItem {
             resume_seq: self.resume_seq,
         };
         let persist_start = Instant::now();
-        let complete = store.write_checkpoint(self.epoch, self.op, &write)?;
+        let written = store.write_checkpoint(self.epoch, self.op, &write)?;
         if let Some(m) = &self.meter {
             let phases = CkptPhases {
                 align_us: self.align_us,
@@ -182,9 +182,16 @@ impl PersistItem {
             };
             let bytes = write.state.encoded_bytes() as u64;
             let is_delta = write.state.base().is_some();
-            m.record_checkpoint(self.epoch.0, bytes, is_delta, phases, pages_copied);
+            m.record_checkpoint(
+                self.epoch.0,
+                bytes,
+                is_delta,
+                phases,
+                pages_copied,
+                written.file,
+            );
         }
-        Ok(complete)
+        Ok(written.complete)
     }
 }
 
@@ -995,7 +1002,7 @@ mod tests {
     use ms_core::value::Value;
 
     use crate::protocol::{CountSource, Doubler};
-    use crate::storage::LiveHauCheckpoint;
+    use crate::storage::{CkptWritten, LiveHauCheckpoint};
 
     /// A recording store, and the ordered log it shares with the
     /// messages drained from a core's outbox. Every note first moves
@@ -1037,7 +1044,12 @@ mod tests {
     }
 
     impl StableStore for Rec {
-        fn write_checkpoint(&self, _: EpochId, _: OperatorId, _: &CkptWrite) -> Result<bool> {
+        fn write_checkpoint(
+            &self,
+            _: EpochId,
+            _: OperatorId,
+            _: &CkptWrite,
+        ) -> Result<CkptWritten> {
             unreachable!("no persister runs")
         }
         fn get_checkpoint(&self, _: EpochId, _: OperatorId) -> Option<LiveHauCheckpoint> {
@@ -1292,5 +1304,54 @@ mod tests {
             let want = (0..48u64).filter(|&seq| shard_of(seq, 2) == shard);
             assert_eq!(got, want.collect::<Vec<_>>(), "shard {shard} order");
         }
+    }
+
+    #[test]
+    fn a_rebased_delta_meters_its_delta_and_the_full_file_the_store_wrote() {
+        use crate::store::tests::tmpdir;
+        use crate::{FsStore, RebasePolicy};
+        use ms_core::delta::DeltaTable;
+
+        let dir = tmpdir("meter_file");
+        // Every delta is the chain's first link past its limit.
+        let store = FsStore::open(&dir, 1).unwrap().with_policy(RebasePolicy {
+            max_chain: 1,
+            max_delta_pct: 1_000_000,
+        });
+        let meter = Arc::new(OperatorMeter::new());
+        let item = |epoch, snapshot, base| PersistItem {
+            epoch: EpochId(epoch),
+            op: OperatorId(0),
+            snapshot,
+            base,
+            next_seq: 0,
+            resume_seq: Vec::new(),
+            align_us: 0,
+            capture_us: 0,
+            meter: Some(Arc::clone(&meter)),
+        };
+        let mut t = DeltaTable::new();
+        for k in 0..64u64 {
+            t.insert(k, [k as u8; 16]);
+        }
+        let full = DeferredSnapshot::Full(t.freeze(0));
+        assert!(item(1, full, None).persist(&store).unwrap());
+        t.insert(7, [0xCC; 16]);
+        let view = t.freeze(0);
+        let delta_bytes = view.delta_bytes() as u64;
+        let delta = DeferredSnapshot::Delta(view);
+        assert!(item(2, delta, Some(EpochId(1))).persist(&store).unwrap());
+
+        let s = meter.sample();
+        let file = std::fs::metadata(dir.join("ckpt").join("e2_op0.ckpt"))
+            .unwrap()
+            .len();
+        assert_eq!((s.ckpt_bytes, s.ckpt_is_delta), (delta_bytes, true));
+        assert_eq!((s.file_bytes, s.file_is_delta), (file, false));
+        assert!(
+            file > 10 * delta_bytes,
+            "{file} B rebased from {delta_bytes} B"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

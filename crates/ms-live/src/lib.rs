@@ -30,5 +30,7 @@ pub use host::{
     PersistItem, Persister, RouteKeyFn, SourceCore, STATE_GAUGE_SAMPLE_EVERY,
 };
 pub use protocol::{CountSource, Doubler, Summer};
-pub use storage::{CkptState, CkptWrite, LiveHauCheckpoint, RebasePolicy, StableStore};
+pub use storage::{
+    CkptState, CkptWrite, CkptWritten, LiveHauCheckpoint, RebasePolicy, StableStore,
+};
 pub use store::FsStore;

@@ -33,6 +33,7 @@
 use ms_core::delta::{StateDelta, TableView};
 use ms_core::error::Result;
 use ms_core::ids::{EpochId, OperatorId};
+use ms_core::metrics::CkptFile;
 use ms_core::operator::OperatorSnapshot;
 use ms_core::tuple::Tuple;
 
@@ -122,6 +123,17 @@ impl CkptWrite {
     }
 }
 
+/// A store's account of one checkpoint write.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CkptWritten {
+    /// The epoch is now complete: every HAU has checkpointed it, each
+    /// resolvable to a full snapshot.
+    pub complete: bool,
+    /// The file that landed: a submitted delta the store rebased is a
+    /// full file, with the full file's size.
+    pub file: CkptFile,
+}
+
 /// When a store rewrites a delta chain into a fresh full snapshot.
 /// Both bounds cap recovery-time fold work; the byte bound also keeps
 /// a chain of large deltas from costing more disk than it saves.
@@ -165,17 +177,23 @@ impl RebasePolicy {
 /// writes, the caller additionally guarantees the base capture was
 /// submitted (and therefore, under FIFO persistence, durable) first.
 pub trait StableStore: Send + Sync {
-    /// Persists one individual checkpoint; returns `true` if `epoch`
-    /// is now complete (every HAU has checkpointed it, each resolvable
-    /// to a full snapshot). An `Err` means stable storage is unusable —
+    /// Persists one individual checkpoint and says what it wrote:
+    /// whether `epoch` is now complete, and the file that landed
+    /// ([`CkptWritten`]). An `Err` means stable storage is unusable —
     /// the caller must stop streaming and surface the failure, never
     /// continue unpreserved. The write is borrowed: a failed attempt
     /// leaves it intact for the next.
-    fn write_checkpoint(&self, epoch: EpochId, op: OperatorId, ckpt: &CkptWrite) -> Result<bool>;
+    fn write_checkpoint(
+        &self,
+        epoch: EpochId,
+        op: OperatorId,
+        ckpt: &CkptWrite,
+    ) -> Result<CkptWritten>;
 
-    /// [`StableStore::write_checkpoint`] of an owned write.
+    /// [`StableStore::write_checkpoint`] of an owned write; returns
+    /// `true` if `epoch` is now complete.
     fn put_checkpoint(&self, epoch: EpochId, op: OperatorId, ckpt: CkptWrite) -> Result<bool> {
-        self.write_checkpoint(epoch, op, &ckpt)
+        self.write_checkpoint(epoch, op, &ckpt).map(|w| w.complete)
     }
 
     /// Reads one individual checkpoint, folding any delta chain: the

@@ -75,11 +75,14 @@ use ms_core::codec::{
 use ms_core::delta::{self, Patch};
 use ms_core::error::{Error, Result};
 use ms_core::ids::{EpochId, OperatorId};
+use ms_core::metrics::CkptFile;
 use ms_core::operator::OperatorSnapshot;
 use ms_core::tuple::Tuple;
 
 use crate::ckpt_codec::{self, FullHead};
-use crate::storage::{CkptState, CkptWrite, LiveHauCheckpoint, RebasePolicy, StableStore};
+use crate::storage::{
+    CkptState, CkptWrite, CkptWritten, LiveHauCheckpoint, RebasePolicy, StableStore,
+};
 
 struct LogWriter {
     file: File,
@@ -175,15 +178,17 @@ impl FsStore {
     /// file, its length known before the first byte: a table view
     /// encodes straight into the file, and a snapshot's data is written
     /// from where it lies.
-    fn write_ckpt_file(&self, path: &Path, ckpt: &CkptWrite) -> Result<()> {
-        let header = frame_header(path, ckpt_codec::encoded_len(ckpt) as u64)?;
+    fn write_ckpt_file(&self, path: &Path, ckpt: &CkptWrite) -> Result<u64> {
+        let len = ckpt_codec::encoded_len(ckpt) as u64;
+        let header = frame_header(path, len)?;
         let io = not_persisted(path);
         write_atomic(path, |file| {
             let mut out = BufWriter::with_capacity(STREAM_BUF_BYTES, file);
             out.write_all(&header).map_err(&io)?;
             ckpt_codec::write_ckpt(ckpt, &mut out).map_err(&io)?;
             out.flush().map_err(&io)
-        })
+        })?;
+        Ok(FRAME_HEADER_BYTES as u64 + len)
     }
 
     /// Writes `epoch`'s checkpoint as a full file folded from `chain`
@@ -191,12 +196,13 @@ impl FsStore {
     /// file through [`delta::merge`] straight into the temp file; the
     /// frame, head and table lengths in front of the data are written
     /// last, once the merge has counted them, and before the rename.
+    /// Returns the file's size.
     fn write_rebase(
         &self,
         (epoch, op): (EpochId, OperatorId),
         chain: &Chain,
         ckpt: &CkptWrite,
-    ) -> Result<()> {
+    ) -> Result<u64> {
         let failed = |e: Error| {
             Error::Storage(format!(
                 "delta checkpoint {epoch}/{op}: rebase onto {} failed: {e}",
@@ -207,6 +213,7 @@ impl FsStore {
         let mut base = open_full(&self.full_path(chain.base, op)).map_err(failed)?;
         let path = self.full_path(epoch, op);
         let io = not_persisted(&path);
+        let mut file_bytes = 0;
         write_atomic(&path, |file| {
             const PREFIX: usize =
                 FRAME_HEADER_BYTES + ckpt_codec::FULL_HEAD_BYTES + delta::TABLE_HEAD_BYTES;
@@ -226,6 +233,7 @@ impl FsStore {
             out.write_all(&cut).map_err(&io)?;
             out.flush().map_err(&io)?;
             let len = (head_bytes.len() + cut.len()) as u64 + head.data_len;
+            file_bytes = FRAME_HEADER_BYTES as u64 + len;
             let prefix = [
                 frame_header(&path, len)?.as_slice(),
                 &head_bytes,
@@ -233,7 +241,8 @@ impl FsStore {
             ]
             .concat();
             file.write_all_at(&prefix, 0).map_err(&io)
-        })
+        })?;
+        Ok(file_bytes)
     }
 
     /// Reads only a delta file's base pointer (chain validation reads
@@ -634,9 +643,17 @@ fn read_ckpt_head(path: &Path, n: usize) -> Option<Vec<u8>> {
 }
 
 impl StableStore for FsStore {
-    fn write_checkpoint(&self, epoch: EpochId, op: OperatorId, ckpt: &CkptWrite) -> Result<bool> {
-        match ckpt.state.base() {
-            None => self.write_ckpt_file(&self.full_path(epoch, op), ckpt)?,
+    fn write_checkpoint(
+        &self,
+        epoch: EpochId,
+        op: OperatorId,
+        ckpt: &CkptWrite,
+    ) -> Result<CkptWritten> {
+        let file = match ckpt.state.base() {
+            None => CkptFile {
+                bytes: self.write_ckpt_file(&self.full_path(epoch, op), ckpt)?,
+                delta: false,
+            },
             Some(base) => {
                 // Price the chain the incoming delta would extend
                 // without reading the base's body: only a rebase needs
@@ -650,17 +667,23 @@ impl StableStore for FsStore {
                     chain.base_bytes,
                 ) {
                     // Fold the whole chain into a fresh full snapshot.
-                    self.write_rebase((epoch, op), &chain, ckpt)?;
+                    CkptFile {
+                        bytes: self.write_rebase((epoch, op), &chain, ckpt)?,
+                        delta: false,
+                    }
                 } else {
-                    self.write_ckpt_file(&self.delta_path(epoch, op), ckpt)?;
+                    CkptFile {
+                        bytes: self.write_ckpt_file(&self.delta_path(epoch, op), ckpt)?,
+                        delta: true,
+                    }
                 }
             }
-        }
+        };
         let complete = self.epoch_is_complete(epoch);
         if complete {
             self.gc_below(epoch);
         }
-        Ok(complete)
+        Ok(CkptWritten { complete, file })
     }
 
     fn get_checkpoint(&self, epoch: EpochId, op: OperatorId) -> Option<LiveHauCheckpoint> {
@@ -1138,26 +1161,43 @@ pub(crate) mod tests {
             max_chain: 3,
             max_delta_pct: 1_000_000,
         });
+        // Each write reports the file that landed, as the file system
+        // sees it (read before a later completion GCs it).
+        let landed = |name: &str, delta: bool| CkptFile {
+            bytes: fs::metadata(dir.join("ckpt").join(name)).unwrap().len(),
+            delta,
+        };
         let mut t = DeltaTable::new();
         for k in 0..64u64 {
             t.insert(k, vec![k as u8; 16]);
         }
-        s.put_checkpoint(
-            EpochId(1),
-            OperatorId(0),
-            CkptWrite::full(snap(t.snapshot()), 0),
-        )
-        .unwrap();
+        let full = CkptWrite::full(snap(t.snapshot()), 0);
+        let w = s.write_checkpoint(EpochId(1), OperatorId(0), &full);
+        let file = landed("e1_op0.ckpt", false);
+        assert_eq!(
+            w.unwrap(),
+            CkptWritten {
+                complete: true,
+                file
+            }
+        );
         t.mark_clean();
         let mut prev = EpochId(1);
         for e in 2..=4u64 {
             t.insert(100 + e, vec![0xCC; 16]);
-            s.put_checkpoint(
-                EpochId(e),
-                OperatorId(0),
-                delta_write(prev, t.take_delta(0), e),
-            )
-            .unwrap();
+            let delta = delta_write(prev, t.take_delta(0), e);
+            let w = s.write_checkpoint(EpochId(e), OperatorId(0), &delta);
+            let file = match e {
+                4 => landed("e4_op0.ckpt", false),
+                _ => landed(&format!("e{e}_op0.delta"), true),
+            };
+            assert_eq!(
+                w.unwrap(),
+                CkptWritten {
+                    complete: true,
+                    file
+                }
+            );
             prev = EpochId(e);
         }
         // Epoch 4 would be the third delta in the chain — rebased to a

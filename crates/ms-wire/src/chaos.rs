@@ -30,7 +30,7 @@ use std::time::Duration;
 use ms_core::error::{Error, Result};
 use ms_core::ids::{EpochId, OperatorId};
 use ms_core::tuple::Tuple;
-use ms_live::{CkptWrite, LiveHauCheckpoint, StableStore};
+use ms_live::{CkptWrite, CkptWritten, LiveHauCheckpoint, StableStore};
 
 /// Parsed `MS_FAULT_STORE` spec: what the fault layer injects.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -128,7 +128,12 @@ impl<S: StableStore> FaultStore<S> {
 }
 
 impl<S: StableStore> StableStore for FaultStore<S> {
-    fn write_checkpoint(&self, epoch: EpochId, op: OperatorId, ckpt: &CkptWrite) -> Result<bool> {
+    fn write_checkpoint(
+        &self,
+        epoch: EpochId,
+        op: OperatorId,
+        ckpt: &CkptWrite,
+    ) -> Result<CkptWritten> {
         self.gate("write_checkpoint", self.spec.slow_ckpt_us)?;
         self.inner.write_checkpoint(epoch, op, ckpt)
     }
@@ -221,7 +226,12 @@ impl<S: StableStore> RetryStore<S> {
 }
 
 impl<S: StableStore> StableStore for RetryStore<S> {
-    fn write_checkpoint(&self, epoch: EpochId, op: OperatorId, ckpt: &CkptWrite) -> Result<bool> {
+    fn write_checkpoint(
+        &self,
+        epoch: EpochId,
+        op: OperatorId,
+        ckpt: &CkptWrite,
+    ) -> Result<CkptWritten> {
         // Every attempt reads the same borrowed write: a view is
         // encoded again from its pages, and nothing is copied.
         self.with_retry("checkpoint write", || {

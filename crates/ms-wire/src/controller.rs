@@ -14,11 +14,13 @@
 //! ticks, each with its instant, and reaches workers through `Link`s.
 //! Its transitions are the paper's §IV sequence:
 //!
-//! * **deploy** (tick, nothing deployed, a full bench — or, after a
-//!   failure, any survivors once `respawn_wait` has passed): broadcast
-//!   the next generation's [`Assignment`]. After a failure, or on a
-//!   controller resumed onto a store with history, it restores the
-//!   latest *complete* checkpoint and sources replay their logs.
+//! * **deploy** (nothing deployed and a full bench, evaluated on the
+//!   input that can fill it — a registration or a rollback — so the
+//!   [`Assignment`] leaves in the same call; after a failure, the tick
+//!   deploys onto any survivors once `respawn_wait` has passed):
+//!   broadcast the next generation's [`Assignment`]. After a failure,
+//!   or on a controller resumed onto a store with history, it restores
+//!   the latest *complete* checkpoint and sources replay their logs.
 //! * **initiate** (tick, no barrier outstanding): the
 //!   [`TelemetryPlane`] — the fixed timer unless `--aware` or a
 //!   recovery budget is set — decides; `Checkpoint(e+1)` goes to every
@@ -30,8 +32,8 @@
 //! * **roll back** (heartbeat silence past `hb_timeout` of a worker
 //!   hosting operators, a current `WorkerError`, a barrier open past
 //!   `barrier_stall`, or an op-hosting worker registering again): one
-//!   path — `Rollback` to the survivors, redeploy and recovery clock
-//!   armed.
+//!   path — `Rollback` to the survivors, recovery clock armed, and the
+//!   redeploy at once if the survivors (with any spare) fill the bench.
 //! * **finish** (every sink's `SinkDone`): write the result file and
 //!   shut the cluster down. The recovered answer is byte-identical to
 //!   a failure-free run, which the integration tests assert.
@@ -380,6 +382,7 @@ impl<L: Link> Control<L> {
             gauges: BackpressureGauges::default(),
             stalled: false,
         });
+        self.try_deploy(now);
     }
 
     /// One message from worker `from`, on either of its connections.
@@ -443,8 +446,10 @@ impl<L: Link> Control<L> {
         Ok(())
     }
 
-    /// The 25 ms beat: failure detection, then the barrier (a stall
-    /// or the next initiation), then deployment.
+    /// The 25 ms beat, timer work only: heartbeat silence, then the
+    /// barrier (a stall or the next initiation) — or, with nothing
+    /// deployed, the redeploy onto survivors that `respawn_wait`'s
+    /// expiry enables.
     pub fn tick(&mut self, now: Instant) {
         // Heartbeat silence counts whether or not a generation is
         // deployed: a worker that dies while a redeploy waits for
@@ -462,7 +467,9 @@ impl<L: Link> Control<L> {
                 lost_ops |= w.has_ops;
             }
         }
-        if self.deployed {
+        if !self.deployed {
+            self.try_deploy(now);
+        } else {
             // A severed edge eats tokens without killing a process, so
             // heartbeats never stop: only a stall limit sees a
             // live-but-partitioned cluster.
@@ -481,9 +488,6 @@ impl<L: Link> Control<L> {
             } else if self.barrier.is_none() {
                 self.initiate(now);
             }
-        }
-        if !self.deployed {
-            self.try_deploy(now);
         }
     }
 
@@ -530,7 +534,8 @@ impl<L: Link> Control<L> {
     }
 
     /// The one rollback path: abandon the generation, tell every
-    /// survivor, arm the redeploy and the recovery clock.
+    /// survivor, arm the recovery clock, and redeploy at once when the
+    /// bench is still full.
     fn roll_back(&mut self, now: Instant) {
         println!("ms-controller: rolling back generation {}", self.generation);
         self.report.recoveries += 1;
@@ -539,6 +544,7 @@ impl<L: Link> Control<L> {
         self.barrier = None;
         self.failed_at = Some(now);
         self.broadcast(&WireMsg::Rollback);
+        self.try_deploy(now);
     }
 
     /// The one initiation path: the plane decides, and every barrier it
@@ -642,6 +648,8 @@ impl<L: Link> Control<L> {
                 serialize_us: s.serialize_us,
                 persist_us: s.persist_us,
                 cow_pages_copied: s.cow_pages_copied,
+                file_bytes: s.file_bytes,
+                file_delta: s.file_is_delta,
                 tuples_in: s.tuples_in,
                 tuples_out: s.tuples_out,
                 bytes_out: s.bytes_out,
@@ -662,11 +670,15 @@ impl<L: Link> Control<L> {
         }
     }
 
-    /// Deploys the next generation once the bench is ready: the first
-    /// deployment waits for the configured cluster size; a redeploy
-    /// prefers a full bench (a spare may be mid-registration) but
-    /// continues with the survivors after `respawn_wait`.
+    /// Deploys the next generation if nothing is deployed and the bench
+    /// is ready: the first deployment waits for the configured cluster
+    /// size; a redeploy prefers a full bench (a spare may be
+    /// mid-registration) but continues with the survivors after
+    /// `respawn_wait`.
     fn try_deploy(&mut self, now: Instant) {
+        if self.deployed {
+            return;
+        }
         let live = self.workers.iter().filter(|w| w.alive).count();
         let ready = live >= self.cfg.workers
             || (live >= 1
@@ -900,7 +912,10 @@ pub fn run_controller(cfg: ControllerConfig) -> Result<ClusterReport> {
             if let Some(name) = conns.swap_remove(i).worker {
                 // Heartbeats from this worker have stopped too; the
                 // timeout-based detector classifies the failure, as
-                // the paper's controller does.
+                // the paper's controller does. Acting on the close
+                // itself waits on a benchmark that can measure a
+                // recovery with no late batch, and on losses keyed by
+                // incarnation (ROADMAP P).
                 println!("ms-controller: lost connection to {name}");
             }
         }
@@ -1000,12 +1015,12 @@ mod tests {
         }
 
         /// chain3 on `wa` (ops 0 and 2) and `wb` (op 1), both
-        /// registered at 0 ms, generation 1 deployed at the 25 ms tick.
+        /// registered at 0 ms, generation 1 deployed by `wb`'s
+        /// registration.
         fn deployed(cfg: ControllerConfig) -> Rig {
             let mut r = Rig::new(cfg);
             r.register("wa", 0);
             r.register("wb", 0);
-            r.tick(25);
             for w in ["wa", "wb"] {
                 assert!(matches!(r.sent(w)[..], [WireMsg::Assign(ref a)] if a.generation == 1));
             }
@@ -1062,10 +1077,7 @@ mod tests {
 
         /// Rollbacks among what `name` was sent since the last call.
         fn rollbacks(&self, name: &str) -> usize {
-            self.sent(name)
-                .iter()
-                .filter(|m| matches!(m, WireMsg::Rollback))
-                .count()
+            count_rollbacks(&self.sent(name))
         }
 
         fn dir(&self) -> &std::path::Path {
@@ -1095,6 +1107,12 @@ mod tests {
         store.latest_complete()
     }
 
+    fn count_rollbacks(msgs: &[WireMsg]) -> usize {
+        msgs.iter()
+            .filter(|m| matches!(m, WireMsg::Rollback))
+            .count()
+    }
+
     /// The generation and restore point `name` was last assigned.
     fn assigned(msgs: &[WireMsg]) -> Option<(u64, Option<EpochId>)> {
         msgs.iter().rev().find_map(|m| match m {
@@ -1106,25 +1124,25 @@ mod tests {
     #[test]
     fn the_next_checkpoint_waits_for_every_op_to_ack_the_current_epoch() {
         let mut r = Rig::deployed(config("barrier"));
-        r.tick(100);
+        r.tick(75);
         assert!(r.sent("wa").is_empty(), "the period has not elapsed");
-        r.tick(125);
+        r.tick(100);
         for w in ["wa", "wb"] {
             assert_eq!(r.sent(w), vec![WireMsg::Checkpoint(EpochId(1))]);
         }
-        r.ack(130, 1, 1, 0);
-        r.ack(131, 1, 1, 0); // a duplicate counts once
-        r.ack(132, 1, 1, 1);
-        r.ack(133, 0, 1, 2); // stale generation
-        r.ack(134, 2, 1, 2); // a generation not yet deployed
-        r.ack(135, 1, 2, 2); // another epoch
-        r.ack(136, 1, 0, 2);
-        for ms in (150..=400).step_by(25) {
+        r.ack(105, 1, 1, 0);
+        r.ack(106, 1, 1, 0); // a duplicate counts once
+        r.ack(107, 1, 1, 1);
+        r.ack(108, 0, 1, 2); // stale generation
+        r.ack(109, 2, 1, 2); // a generation not yet deployed
+        r.ack(110, 1, 2, 2); // another epoch
+        r.ack(111, 1, 0, 2);
+        for ms in (125..=375).step_by(25) {
             r.tick(ms);
         }
         assert!(r.sent("wa").is_empty() && r.sent("wb").is_empty());
-        r.ack(410, 1, 1, 2);
-        r.tick(425);
+        r.ack(385, 1, 1, 2);
+        r.tick(400);
         for w in ["wa", "wb"] {
             assert_eq!(r.sent(w), vec![WireMsg::Checkpoint(EpochId(2))]);
         }
@@ -1209,18 +1227,22 @@ mod tests {
         };
         r.send("wa", 30, fault(0));
         assert_eq!(r.rollbacks("wa") + r.rollbacks("wb"), 0);
-        // No tick: the report alone rolls the generation back.
+        // No tick: the report alone rolls the generation back, and the
+        // bench it leaves is full, so generation 2 goes out with it.
         r.send("wa", 40, fault(1));
-        assert_eq!((r.rollbacks("wa"), r.rollbacks("wb")), (1, 1));
+        for w in ["wa", "wb"] {
+            let sent = r.sent(w);
+            assert!(matches!(sent[..], [WireMsg::Rollback, WireMsg::Assign(_)]));
+            assert_eq!(assigned(&sent), Some((2, None)));
+        }
         r.send("wb", 45, fault(1)); // the same generation, already gone
         r.tick(50);
-        assert_eq!(assigned(&r.sent("wa")), Some((2, None)));
         r.send("wa", 60, fault(1));
         assert_eq!(r.rollbacks("wa") + r.rollbacks("wb"), 0);
         assert_eq!(r.ctl.report.recoveries, 1);
     }
 
-    /// Checkpoint 1 goes out at 125 ms and is never acked; both
+    /// Checkpoint 1 goes out at 100 ms and is never acked; both
     /// workers beat throughout. Returns when, if ever, it rolled back.
     fn stalled_barrier(tag: &str, limit: Option<Duration>) -> Option<u64> {
         let mut r = Rig::deployed(ControllerConfig {
@@ -1246,19 +1268,23 @@ mod tests {
     fn a_stalled_barrier_rolls_back_only_under_a_stall_limit() {
         assert_eq!(stalled_barrier("nostall", None), None);
         let limit = Duration::from_millis(1000);
-        // Held 1,000 ms at 1,125 ms; past the limit one tick later.
-        assert_eq!(stalled_barrier("stall", Some(limit)), Some(1150));
+        // Held 1,000 ms at 1,100 ms; past the limit one tick later.
+        assert_eq!(stalled_barrier("stall", Some(limit)), Some(1125));
     }
 
     #[test]
     fn the_ack_samples_land_in_their_epochs_ledger_rows() {
         let mut r = Rig::deployed(config("ledger"));
         r.tick(125);
+        // Each operator's delta was rebased into a full file.
         let sample = |ckpt_epoch, state_bytes| OperatorSample {
             ckpt_epoch,
             state_bytes,
             ckpt_bytes: state_bytes / 2,
+            ckpt_is_delta: true,
             persist_us: 7,
+            file_bytes: state_bytes + 40,
+            file_is_delta: false,
             ..OperatorSample::default()
         };
         let ack = |op: u32, s| WireMsg::CkptDone {
@@ -1294,6 +1320,19 @@ mod tests {
                 (1, 1, 2, 102, 25_000)
             ]
         );
+        // The submitted capture and the file the store wrote, side by side.
+        let files: Vec<(u64, bool, u64, bool)> = rows
+            .iter()
+            .map(|x| (x.ckpt_bytes, x.delta, x.file_bytes, x.file_delta))
+            .collect();
+        assert_eq!(
+            files,
+            vec![
+                (50, true, 140, false),
+                (50, true, 141, false),
+                (51, true, 142, false)
+            ]
+        );
         // The fixed timer's initiation has its decision row too.
         let decisions = read_decisions(&r.dir().join(LEDGER_FILE)).unwrap();
         let reasons: Vec<(u64, &str)> = decisions
@@ -1310,22 +1349,55 @@ mod tests {
         r.register("wa", 0);
         r.register("wa", 5);
         r.register("wb", 10);
-        r.tick(25);
         assert_eq!(assigned(&r.sent("wa")), Some((1, None)));
         assert_eq!(assigned(&r.sent("wb")), Some((1, None)));
         let old_wb = r.links["wb"].clone();
         // wb's process restarts well inside the heartbeat timeout.
         r.beat("wb", 100);
         r.register("wb", 200);
-        assert_eq!(r.rollbacks("wa"), 1);
+        let (wa, wb) = (r.sent("wa"), r.sent("wb"));
+        assert_eq!(count_rollbacks(&wa), 1);
         assert!(old_wb.0.borrow().sent.is_empty());
-        assert!(
-            r.sent("wb").is_empty(),
+        assert_eq!(
+            count_rollbacks(&wb),
+            0,
             "the new incarnation has nothing to roll back"
         );
         assert_eq!(r.ctl.report.recoveries, 1);
-        r.tick(225);
-        assert_eq!(assigned(&r.sent("wa")), Some((2, None)));
-        assert_eq!(assigned(&r.sent("wb")), Some((2, None)));
+        assert_eq!(assigned(&wa), Some((2, None)));
+        assert_eq!(assigned(&wb), Some((2, None)));
+    }
+
+    #[test]
+    fn the_registration_that_fills_the_bench_deploys_at_its_own_instant() {
+        let mut r = Rig::new(config("fill"));
+        r.register("wa", 0);
+        assert!(r.sent("wa").is_empty(), "one worker of two is no bench");
+        // No tick anywhere: wb's registration is what completes it.
+        r.register("wb", 7);
+        for w in ["wa", "wb"] {
+            assert_eq!(assigned(&r.sent(w)), Some((1, None)));
+        }
+        // A spare registering under a deployed generation waits.
+        r.register("wc", 9);
+        assert!(r.sent("wc").is_empty());
+        assert!(r.sent("wa").is_empty() && r.sent("wb").is_empty());
+        assert_eq!(r.ctl.report.recoveries, 0);
+    }
+
+    #[test]
+    fn a_restart_under_the_same_name_rolls_back_and_redeploys_in_the_same_call() {
+        let mut r = Rig::deployed(config("restart_now"));
+        // Before any tick, wb's process comes back under its own name.
+        r.register("wb", 3);
+        let (wa, wb) = (r.sent("wa"), r.sent("wb"));
+        assert!(
+            matches!(wa[..], [WireMsg::Rollback, WireMsg::Assign(_)]),
+            "{wa:?}"
+        );
+        assert!(matches!(wb[..], [WireMsg::Assign(_)]), "{wb:?}");
+        assert_eq!(assigned(&wa), Some((2, None)));
+        assert_eq!(assigned(&wb), Some((2, None)));
+        assert_eq!(r.ctl.report.recoveries, 1);
     }
 }

@@ -50,9 +50,10 @@ pub struct LedgerRecord {
     pub logical: u32,
     /// Logical state size at the operator's last snapshot.
     pub state_bytes: u64,
-    /// Encoded bytes of the operator's epoch checkpoint.
+    /// Encoded bytes of the capture the operator submitted for the
+    /// epoch (a delta's own bytes, even when the store rebased it).
     pub ckpt_bytes: u64,
-    /// Whether that checkpoint was a delta rather than a full.
+    /// Whether that capture was a delta rather than a full.
     pub delta: bool,
     /// Token-alignment wait of the cut (µs). Zero for sources.
     pub align_wait_us: u64,
@@ -69,6 +70,14 @@ pub struct LedgerRecord {
     /// and the one before. Zero in rows written before the column
     /// existed.
     pub cow_pages_copied: u64,
+    /// Bytes of the checkpoint file the store wrote: a delta it
+    /// rebased counts its full file here. Zero in rows written before
+    /// the column existed.
+    pub file_bytes: u64,
+    /// Whether that file is a delta link; `delta` without `file_delta`
+    /// is a rebased epoch. False in rows written before the column
+    /// existed.
+    pub file_delta: bool,
     /// Tuples the operator has consumed since its generation started.
     pub tuples_in: u64,
     /// Tuples the operator has emitted.
@@ -108,6 +117,7 @@ impl LedgerRecord {
                 "\"state_bytes\":{},\"ckpt_bytes\":{},\"delta\":{},",
                 "\"align_wait_us\":{},\"capture_us\":{},\"serialize_us\":{},",
                 "\"persist_us\":{},\"cow_pages_copied\":{},",
+                "\"file_bytes\":{},\"file_delta\":{},",
                 "\"tuples_in\":{},\"tuples_out\":{},\"bytes_out\":{},",
                 "\"queued_tuples\":{},\"open_windows\":{},\"window_tuples\":{},",
                 "\"gate_accepted\":{},\"gate_shed\":{},\"gate_wal_bytes\":{},",
@@ -126,6 +136,8 @@ impl LedgerRecord {
             self.serialize_us,
             self.persist_us,
             self.cow_pages_copied,
+            self.file_bytes,
+            self.file_delta,
             self.tuples_in,
             self.tuples_out,
             self.bytes_out,
@@ -143,8 +155,9 @@ impl LedgerRecord {
 
     /// Parses one JSON line. Every schema field must be present, but
     /// for the columns added after the first ledgers were written
-    /// (`capture_us`, `cow_pages_copied`), which read as zero when
-    /// absent; unknown fields are ignored (forward compatibility).
+    /// (`capture_us`, `cow_pages_copied`, `file_bytes`, `file_delta`),
+    /// which read as zero (false) when absent; unknown fields are
+    /// ignored (forward compatibility).
     pub fn from_json(line: &str) -> Result<LedgerRecord> {
         let s = line.trim();
         if !(s.starts_with('{') && s.ends_with('}')) {
@@ -164,10 +177,12 @@ impl LedgerRecord {
             ckpt_bytes: json_u64(s, "ckpt_bytes")?,
             delta: json_bool(s, "delta")?,
             align_wait_us: json_u64(s, "align_wait_us")?,
-            capture_us: json_u64_or_zero(s, "capture_us")?,
+            capture_us: or_default(s, "capture_us", json_u64)?,
             serialize_us: json_u64(s, "serialize_us")?,
             persist_us: json_u64(s, "persist_us")?,
-            cow_pages_copied: json_u64_or_zero(s, "cow_pages_copied")?,
+            cow_pages_copied: or_default(s, "cow_pages_copied", json_u64)?,
+            file_bytes: or_default(s, "file_bytes", json_u64)?,
+            file_delta: or_default(s, "file_delta", json_bool)?,
             tuples_in: json_u64(s, "tuples_in")?,
             tuples_out: json_u64(s, "tuples_out")?,
             bytes_out: json_u64(s, "bytes_out")?,
@@ -381,11 +396,13 @@ fn json_u64(s: &str, key: &str) -> Result<u64> {
 
 /// [`json_u64`] of a column older rows lack: absent reads as zero,
 /// present but malformed is still an error.
-fn json_u64_or_zero(s: &str, key: &str) -> Result<u64> {
+/// `parse`'s reading of a column added after the first ledgers were
+/// written, or its zero value in a row without it.
+fn or_default<T: Default>(s: &str, key: &str, parse: fn(&str, &str) -> Result<T>) -> Result<T> {
     if s.contains(&format!("\"{key}\":")) {
-        json_u64(s, key)
+        parse(s, key)
     } else {
-        Ok(0)
+        Ok(T::default())
     }
 }
 
@@ -657,13 +674,17 @@ pub fn summarize(records: &[LedgerRecord], top_n: usize) -> String {
         generations.len()
     ));
     out.push_str(
-        "epoch  gen  ops  state_B    ckpt_B   delta  align_ms  capture_ms  serial_ms  persist_ms  cow_pages  barrier_ms\n",
+        "epoch  gen  ops  state_B    ckpt_B   delta    file_B  file_delta  align_ms  capture_ms  serial_ms  persist_ms  cow_pages  barrier_ms\n",
     );
     for (epoch, rows) in &epochs {
         let gen = rows.iter().map(|r| r.generation).max().unwrap_or(0);
         let state: u64 = rows.iter().map(|r| r.state_bytes).sum();
         let ckpt: u64 = rows.iter().map(|r| r.ckpt_bytes).sum();
         let deltas = rows.iter().filter(|r| r.delta).count();
+        // What the store wrote: a rebased epoch counts its delta under
+        // `delta` but lands as a full file.
+        let file: u64 = rows.iter().map(|r| r.file_bytes).sum();
+        let file_deltas = rows.iter().filter(|r| r.file_delta).count();
         // Phase columns report the slowest operator — the phase's
         // critical path, which is what bounds the epoch.
         let align = rows.iter().map(|r| r.align_wait_us).max().unwrap_or(0);
@@ -674,7 +695,7 @@ pub fn summarize(records: &[LedgerRecord], top_n: usize) -> String {
         // Copied pages add up: every operator's copies cost memory.
         let cow: u64 = rows.iter().map(|r| r.cow_pages_copied).sum();
         out.push_str(&format!(
-            "{epoch:>5}  {gen:>3}  {:>3}  {state:>8}  {ckpt:>8}  {deltas:>5}  {:>8.1}  {:>10.2}  {:>9.1}  {:>10.1}  {cow:>9}  {:>10.1}\n",
+            "{epoch:>5}  {gen:>3}  {:>3}  {state:>8}  {ckpt:>8}  {deltas:>5}  {file:>8}  {file_deltas:>10}  {:>8.1}  {:>10.2}  {:>9.1}  {:>10.1}  {cow:>9}  {:>10.1}\n",
             rows.len(),
             ms(align),
             ms(capture),
@@ -857,6 +878,13 @@ mod tests {
             serialize_us: 350,
             persist_us: 900,
             cow_pages_copied: 3 * op as u64,
+            // Epoch 3's deltas were rebased into full files.
+            file_bytes: if epoch == 3 {
+                9_000
+            } else {
+                128 * (op as u64 + 1) + 40
+            },
+            file_delta: epoch > 1 && epoch != 3,
             tuples_in: 10_000 * epoch,
             tuples_out: 9_000 * epoch,
             bytes_out: 72_000 * epoch,
@@ -912,14 +940,15 @@ mod tests {
             let bad = json.replace(&column, &format!("\"{field}\":x,"));
             assert!(LedgerRecord::from_json(&bad).is_err());
         }
-        // The capture columns postdate the first ledgers: a row
-        // without them parses as zero; a malformed one is still refused.
+        // The capture and file columns postdate the first ledgers: a
+        // row without them parses as zero; a malformed one is still
+        // refused.
         let rec = sample(2, 1);
         let json = rec.to_json();
         for (field, value, zeroed) in [
             (
                 "capture_us",
-                rec.capture_us,
+                rec.capture_us.to_string(),
                 LedgerRecord {
                     capture_us: 0,
                     ..rec.clone()
@@ -927,15 +956,31 @@ mod tests {
             ),
             (
                 "cow_pages_copied",
-                rec.cow_pages_copied,
+                rec.cow_pages_copied.to_string(),
                 LedgerRecord {
                     cow_pages_copied: 0,
                     ..rec.clone()
                 },
             ),
+            (
+                "file_bytes",
+                rec.file_bytes.to_string(),
+                LedgerRecord {
+                    file_bytes: 0,
+                    ..rec.clone()
+                },
+            ),
+            (
+                "file_delta",
+                rec.file_delta.to_string(),
+                LedgerRecord {
+                    file_delta: false,
+                    ..rec.clone()
+                },
+            ),
         ] {
             let column = format!("\"{field}\":{value},");
-            assert!(value > 0 && json.contains(&column), "{json}");
+            assert!(zeroed != rec && json.contains(&column), "{json}");
             let old_row = LedgerRecord::from_json(&json.replace(&column, "")).unwrap();
             assert_eq!(old_row, zeroed);
             let bad = json.replace(&column, &format!("\"{field}\":x,"));
@@ -1256,6 +1301,15 @@ mod tests {
                 "epoch {epoch} missing:\n{text}"
             );
         }
+        // The rebased epoch: three deltas submitted (768 B), three full
+        // files written (27,000 B).
+        let row3: Vec<&str> = text
+            .lines()
+            .find(|l| l.trim_start().starts_with("3  "))
+            .unwrap()
+            .split_whitespace()
+            .collect();
+        assert_eq!(row3[4..8], ["768", "3", "27000", "0"], "{text}");
         assert_eq!(summarize(&[], 3), "run ledger: empty\n");
     }
 }

@@ -543,7 +543,9 @@ fn put_sample(w: &mut SnapshotWriter, s: &OperatorSample) {
         .put_u64(s.serialize_us)
         .put_u64(s.persist_us)
         .put_u64(s.capture_us)
-        .put_u64(s.cow_pages_copied);
+        .put_u64(s.cow_pages_copied)
+        .put_u64(s.file_bytes)
+        .put_u64(s.file_is_delta as u64);
 }
 
 fn get_sample(r: &mut SnapshotReader<'_>) -> Result<OperatorSample> {
@@ -562,6 +564,8 @@ fn get_sample(r: &mut SnapshotReader<'_>) -> Result<OperatorSample> {
         persist_us: r.get_u64()?,
         capture_us: r.get_u64()?,
         cow_pages_copied: r.get_u64()?,
+        file_bytes: r.get_u64()?,
+        file_is_delta: r.get_u64()? != 0,
     })
 }
 
@@ -704,6 +708,8 @@ mod tests {
             serialize_us: 3,
             persist_us: 120,
             cow_pages_copied: 5,
+            file_bytes: 40,
+            file_is_delta: true,
         }
     }
 

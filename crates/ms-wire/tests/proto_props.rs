@@ -83,6 +83,8 @@ fn spread_sample(seed: u64, delta: bool) -> OperatorSample {
         serialize_us: v(10),
         persist_us: v(11),
         cow_pages_copied: v(13),
+        file_bytes: v(14),
+        file_is_delta: !delta,
     }
 }
 
