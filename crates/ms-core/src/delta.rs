@@ -89,24 +89,14 @@ impl StateDelta {
 
     /// Reads a delta payload written by [`StateDelta::encode_into`].
     pub fn decode_from(r: &mut SnapshotReader<'_>) -> Result<StateDelta> {
-        let (logical_bytes, changed, removed) = decode_with(r, <[u8]>::to_vec)?;
+        let logical_bytes = r.get_u64()?;
+        let changed = r.get_seq(|r| Ok((r.get_u64()?, r.get_bytes()?)))?;
+        let removed = r.get_seq(|r| r.get_u64())?;
         Ok(StateDelta {
             changed,
             removed,
             logical_bytes,
         })
-    }
-
-    /// Steps over one delta payload and returns what
-    /// [`StateDelta::encoded_bytes`] of its decoded form would be,
-    /// without copying a value out — what a store needs from the older
-    /// links of a chain to price it.
-    pub fn encoded_bytes_from(r: &mut SnapshotReader<'_>) -> Result<usize> {
-        let (_, changed, removed) = decode_with(r, <[u8]>::len)?;
-        Ok(delta_payload_bytes(
-            changed.into_iter().map(|(_, len)| len),
-            removed.len(),
-        ))
     }
 }
 
@@ -155,21 +145,6 @@ fn write_entries<'a>(
     Ok(())
 }
 
-/// The one reader of [`StateDelta::encode_into`]'s layout:
-/// `(logical_bytes, changed, removed)`, each changed value mapped by
-/// `value` from its bytes borrowed in place.
-type DecodedDelta<V> = (u64, Vec<(u64, V)>, Vec<u64>);
-
-fn decode_with<'a, V>(
-    r: &mut SnapshotReader<'a>,
-    value: impl Fn(&'a [u8]) -> V,
-) -> Result<DecodedDelta<V>> {
-    let logical_bytes = r.get_u64()?;
-    let changed = r.get_seq(|r| Ok((r.get_u64()?, value(r.get_bytes_ref()?))))?;
-    let removed = r.get_seq(|r| r.get_u64())?;
-    Ok((logical_bytes, changed, removed))
-}
-
 /// Encoded size of one table entry: a tagged `u64` key (9 bytes) plus
 /// a tagged byte string (9 + len).
 pub fn encoded_entry_bytes(value_len: usize) -> usize {
@@ -212,59 +187,6 @@ pub fn apply_delta(table: &mut BTreeMap<u64, Vec<u8>>, delta: &StateDelta) {
     }
 }
 
-/// The net change a delta chain makes to a table, key by key, each
-/// value borrowed from where its delta lies: the newest write wins and
-/// a removal is `None` (removing a key absent from the base is a
-/// no-op). [`merge`] applies it to a base.
-#[derive(Debug, Default)]
-pub struct Patch<'a> {
-    keys: BTreeMap<u64, Option<&'a [u8]>>,
-}
-
-impl<'a> Patch<'a> {
-    /// Layers `delta` over every delta already in the patch.
-    pub fn push(&mut self, delta: &'a StateDelta) {
-        let changed = delta.changed.iter().map(|(k, v)| (*k, v.as_slice()));
-        self.layer(changed, delta.removed.iter().copied());
-    }
-
-    /// Layers the delta a [`TableView`] carries, every value borrowed
-    /// from the view's pages.
-    pub fn push_view(&mut self, view: &'a TableView) {
-        self.layer(view.changed(), view.removed.iter().copied());
-    }
-
-    /// Layers a delta payload written by [`StateDelta::encode_into`],
-    /// read in place from `r`: no value is copied.
-    pub fn push_encoded(&mut self, r: &mut SnapshotReader<'a>) -> Result<()> {
-        let (_, changed, removed) = decode_with(r, |v| v)?;
-        self.layer(changed.into_iter(), removed.into_iter());
-        Ok(())
-    }
-
-    /// A delta's changed entries, then its removals: the order
-    /// [`apply_delta`] applies them in.
-    fn layer(
-        &mut self,
-        changed: impl Iterator<Item = (u64, &'a [u8])>,
-        removed: impl Iterator<Item = u64>,
-    ) {
-        for (k, v) in changed {
-            self.keys.insert(k, Some(v));
-        }
-        for k in removed {
-            self.keys.insert(k, None);
-        }
-    }
-
-    /// An upper bound on the bytes the patch adds to a base: each of
-    /// its writes as a new entry.
-    fn added_bytes(&self) -> u64 {
-        let writes = self.keys.values().flatten();
-        writes.map(|v| encoded_entry_bytes(v.len()) as u64).sum()
-    }
-}
-
 /// Bytes of a table's entry-count header: one tagged `u64`.
 pub const TABLE_HEAD_BYTES: usize = 9;
 
@@ -289,70 +211,240 @@ pub struct Merged {
 /// value's tag and length.
 const ENTRY_HEAD_BYTES: usize = 18;
 
-/// The one merge of a canonical base table with a [`Patch`]. It reads
-/// the base from `base`, no further than its limit, and writes the
-/// folded table's entries to `out`, without the [`table_head`], whose
-/// count is known only at the end. The result is byte-identical to
-/// decoding the base, applying the chain oldest-first with
-/// [`apply_delta`] and re-encoding with [`encode_table`].
+/// Bytes of a tagged key: one entry of a removed run.
+const KEY_BYTES: usize = 9;
+
+/// One layer of a [`merge`]: the keys a delta wrote, with their values,
+/// and the keys it removed, each run in strictly ascending key order.
+pub enum Layer<'a, R> {
+    /// An encoded delta's two runs, each read from its own reader, no
+    /// further than its limit: the changed entries, counted as
+    /// [`encode_table`] counts a table's, and the removed keys, counted
+    /// the same way — the runs of [`StateDelta::encode_into`]'s layout
+    /// behind its logical size.
+    Encoded {
+        /// The changed run.
+        changed: Take<R>,
+        /// The removed run.
+        removed: Take<R>,
+    },
+    /// An owned delta, each value read where it lies.
+    Delta(&'a StateDelta),
+    /// The delta a [`TableView`] carries, each value read from its
+    /// pages.
+    View(&'a TableView),
+}
+
+/// The one merge of sorted runs into a canonical table: a base table,
+/// read from `base` no further than its limit, and the `layers` over
+/// it, oldest first. It writes the folded table's entries to `out`,
+/// without the [`table_head`], whose count is known only at the end.
+/// The result is byte-identical to decoding the base, applying the
+/// layers oldest-first with [`apply_delta`] and re-encoding with
+/// [`encode_table`]: per key the newest layer wins, and within a layer
+/// a removal beats a write.
 ///
-/// Memory is the two sides' buffers and nothing else. A base entry
-/// passes from reader to writer in the pieces the reader yields, or is
-/// skipped the same way when the patch overrides it, so no buffer is
-/// sized by the base or by a length read from it. The base must be
-/// canonical, with keys strictly ascending as [`encode_table`] writes
-/// them. Anything else is an [`Error::Codec`], as are truncated or
-/// mistagged bytes and an entry longer than what is left of the limit.
-/// A failed write to `out` is a storage error.
-pub fn merge<R: BufRead>(
-    base: &mut Take<R>,
-    patch: &Patch<'_>,
+/// Memory is the readers' and the writer's buffers and nothing else.
+/// An encoded entry passes from reader to writer in the pieces the
+/// reader yields, or is skipped the same way when a newer layer
+/// overrides it, so no buffer is sized by a run or by a length read
+/// from one. Every run's keys must strictly ascend, as [`encode_table`]
+/// and [`DeltaTable::freeze`] write them. Anything else is an
+/// [`Error::Codec`], as are truncated or mistagged bytes and an entry
+/// longer than what is left of its run. A failed write to `out` is a
+/// storage error.
+pub fn merge<'a, R: BufRead + 'a>(
+    base: Take<R>,
+    layers: impl IntoIterator<Item = Layer<'a, R>>,
     out: &mut impl Write,
 ) -> Result<Merged> {
+    // Oldest first, and a layer's removals after its writes: the last
+    // run at a key is the one that wins it.
+    let mut runs = vec![Run::read(base, false)?];
+    for layer in layers {
+        let (changed, removed) = match layer {
+            Layer::Encoded { changed, removed } => {
+                (Run::read(changed, false)?, Run::read(removed, true)?)
+            }
+            Layer::Delta(d) => (
+                Run::held(d.changed.iter().map(|(k, v)| (*k, v.as_slice())), false)?,
+                Run::held(d.removed.iter().map(|&k| (k, &[][..])), true)?,
+            ),
+            Layer::View(v) => (
+                Run::held(v.changed(), false)?,
+                Run::held(v.removed.iter().map(|&k| (k, &[][..])), true)?,
+            ),
+        };
+        runs.extend([changed, removed]);
+    }
     let mut out = Counted {
         out,
         merged: Merged::default(),
     };
-    let mut head = [0u8; ENTRY_HEAD_BYTES];
-    read_base(base, &mut head[..TABLE_HEAD_BYTES])?;
-    let n = SnapshotReader::new(&head).get_u64()?;
-    let mut patch = patch.keys.iter().map(|(k, v)| (*k, *v)).peekable();
-    let mut prev: Option<u64> = None;
-    for _ in 0..n {
-        read_base(base, &mut head)?;
-        let mut r = SnapshotReader::new(&head);
-        let (k, len) = (r.get_u64()?, r.get_bytes_len()?);
-        if let Some(p) = prev.filter(|&p| p >= k) {
-            return Err(Error::Codec(format!(
-                "non-canonical table: key {k} after {p}"
-            )));
-        }
-        prev = Some(k);
-        if len > base.limit() {
-            return Err(Error::Codec(format!(
-                "table entry {k}: length {len} exceeds remaining {}",
-                base.limit()
-            )));
-        }
-        while let Some((pk, pv)) = patch.next_if(|&(pk, _)| pk < k) {
-            out.patched(pk, pv)?;
-        }
-        match patch.next_if(|&(pk, _)| pk == k) {
-            Some((_, pv)) => {
-                pass(base, len, |_| Ok(()))?;
-                out.patched(k, pv)?;
+    loop {
+        let mut least: Option<(u64, usize)> = None;
+        for (i, run) in runs.iter().enumerate() {
+            if let Some(k) = run.key.filter(|&k| least.is_none_or(|(m, _)| k <= m)) {
+                least = Some((k, i));
             }
-            None => {
-                out.put(&head)?;
-                pass(base, len, |piece| out.put(piece))?;
-                out.merged.entries += 1;
+        }
+        let Some((k, newest)) = least else {
+            return Ok(out.merged);
+        };
+        for (i, run) in runs.iter_mut().enumerate() {
+            if run.key == Some(k) {
+                if i == newest && !run.removes {
+                    run.emit(&mut out)?;
+                } else {
+                    run.skip()?;
+                }
             }
         }
     }
-    for (k, pv) in patch {
-        out.patched(k, pv)?;
+}
+
+/// Steps over one encoded run at the front of `r` — a table's or a
+/// delta's changed entries, or a delta's `removed` keys — checking what
+/// [`merge`] checks of it, and holds none of its values. Returns the
+/// run's encoded bytes: what a store needs of a delta's runs to price
+/// a chain and to find them again.
+pub fn skip_run<R: BufRead>(r: &mut Take<R>, removed: bool) -> Result<u64> {
+    let limit = r.limit();
+    let mut run = Run::read(r.by_ref().take(limit), removed)?;
+    while run.key.is_some() {
+        run.skip()?;
     }
-    Ok(out.merged)
+    Ok(limit - r.limit())
+}
+
+/// One sorted run of a [`merge`], at its current key.
+struct Run<'a, R> {
+    /// The key at the cursor; `None` past the run's end.
+    key: Option<u64>,
+    /// Whether the run's keys are removals rather than writes.
+    removes: bool,
+    from: Source<'a, R>,
+}
+
+/// Where a run's entries come from.
+enum Source<'a, R> {
+    /// Encoded entries, read one head at a time.
+    Read {
+        r: Take<R>,
+        /// Entries the run's count still promises.
+        left: u64,
+        /// The current entry's head: its tagged key, then, in a run of
+        /// writes, its value's tag and length.
+        head: [u8; ENTRY_HEAD_BYTES],
+        /// Length of the current entry's value, still unread in `r`.
+        len: u64,
+    },
+    /// Entries in memory, each value where it lies.
+    Held {
+        value: &'a [u8],
+        rest: Box<dyn Iterator<Item = (u64, &'a [u8])> + 'a>,
+    },
+}
+
+impl<'a, R: BufRead> Run<'a, R> {
+    /// A run encoded at the front of `r`: its count, then its entries.
+    fn read(mut r: Take<R>, removes: bool) -> Result<Run<'a, R>> {
+        let mut count = [0u8; TABLE_HEAD_BYTES];
+        read_run(&mut r, &mut count)?;
+        let left = SnapshotReader::new(&count).get_u64()?;
+        let from = Source::Read {
+            r,
+            left,
+            head: [0; ENTRY_HEAD_BYTES],
+            len: 0,
+        };
+        Run::open(from, removes)
+    }
+
+    fn held(
+        entries: impl Iterator<Item = (u64, &'a [u8])> + 'a,
+        removes: bool,
+    ) -> Result<Run<'a, R>> {
+        let from = Source::Held {
+            value: &[],
+            rest: Box::new(entries),
+        };
+        Run::open(from, removes)
+    }
+
+    fn open(from: Source<'a, R>, removes: bool) -> Result<Run<'a, R>> {
+        let mut run = Run {
+            key: None,
+            removes,
+            from,
+        };
+        run.step()?;
+        Ok(run)
+    }
+
+    /// Moves to the next entry, checking its key comes after the last.
+    fn step(&mut self) -> Result<()> {
+        let next = match &mut self.from {
+            Source::Read { left: 0, .. } => None,
+            Source::Read { r, left, head, len } => {
+                *left -= 1;
+                let head = &mut head[..if self.removes {
+                    KEY_BYTES
+                } else {
+                    ENTRY_HEAD_BYTES
+                }];
+                read_run(r, head)?;
+                let mut h = SnapshotReader::new(head);
+                let k = h.get_u64()?;
+                *len = if self.removes { 0 } else { h.get_bytes_len()? };
+                if *len > r.limit() {
+                    return Err(Error::Codec(format!(
+                        "run entry {k}: length {len} exceeds remaining {}",
+                        r.limit()
+                    )));
+                }
+                Some(k)
+            }
+            Source::Held { value, rest } => rest.next().map(|(k, v)| {
+                *value = v;
+                k
+            }),
+        };
+        if let Some((p, k)) = self.key.zip(next).filter(|(p, k)| p >= k) {
+            return Err(Error::Codec(format!(
+                "non-canonical run: key {k} after {p}"
+            )));
+        }
+        self.key = next;
+        Ok(())
+    }
+
+    /// Writes the current entry, a write, then moves on.
+    fn emit<W: Write>(&mut self, out: &mut Counted<'_, W>) -> Result<()> {
+        match &mut self.from {
+            Source::Read { r, head, len, .. } => {
+                out.put(head)?;
+                pass(r, *len, |piece| out.put(piece))?;
+            }
+            Source::Held { value, .. } => {
+                let mut w = SnapshotWriter::with_capacity(ENTRY_HEAD_BYTES);
+                w.put_u64(self.key.expect("an emitted run is at a key"))
+                    .put_bytes_header(value.len());
+                out.put(w.as_bytes())?;
+                out.put(value)?;
+            }
+        }
+        out.merged.entries += 1;
+        self.step()
+    }
+
+    /// Moves past the current entry without writing it.
+    fn skip(&mut self) -> Result<()> {
+        if let Source::Read { r, len, .. } = &mut self.from {
+            pass(r, *len, |_| Ok(()))?;
+        }
+        self.step()
+    }
 }
 
 /// [`merge`]'s writer, counting what it is handed.
@@ -369,72 +461,63 @@ impl<W: Write> Counted<'_, W> {
         self.merged.bytes += bytes.len() as u64;
         Ok(())
     }
-
-    /// Writes a patch's entry for `k`; a removal writes nothing.
-    fn patched(&mut self, k: u64, value: Option<&[u8]>) -> Result<()> {
-        let Some(v) = value else { return Ok(()) };
-        let mut w = SnapshotWriter::with_capacity(ENTRY_HEAD_BYTES);
-        w.put_u64(k).put_bytes_header(v.len());
-        self.put(&w.finish())?;
-        self.put(v)?;
-        self.merged.entries += 1;
-        Ok(())
-    }
 }
 
-/// A base read that ran short is a truncated table.
-fn base_err(e: io::Error) -> Error {
+/// A run read that ran short is a truncated run.
+fn run_err(e: io::Error) -> Error {
     if e.kind() == io::ErrorKind::UnexpectedEof {
-        Error::Codec("truncated table".into())
+        Error::Codec("truncated run".into())
     } else {
-        Error::storage_io("table base unreadable", &e)
+        Error::storage_io("checkpoint run unreadable", &e)
     }
 }
 
-fn read_base(base: &mut impl Read, buf: &mut [u8]) -> Result<()> {
-    base.read_exact(buf).map_err(base_err)
+fn read_run(r: &mut impl Read, buf: &mut [u8]) -> Result<()> {
+    r.read_exact(buf).map_err(run_err)
 }
 
-/// Hands the next `len` bytes of `base` to `to`, in the pieces the
-/// reader yields.
-fn pass(
-    base: &mut impl BufRead,
-    mut len: u64,
-    mut to: impl FnMut(&[u8]) -> Result<()>,
-) -> Result<()> {
+/// Hands the next `len` bytes of `r` to `to`, in the pieces the reader
+/// yields.
+fn pass(r: &mut impl BufRead, mut len: u64, mut to: impl FnMut(&[u8]) -> Result<()>) -> Result<()> {
     while len > 0 {
-        let piece = base.fill_buf().map_err(base_err)?;
+        let piece = r.fill_buf().map_err(run_err)?;
         if piece.is_empty() {
-            return Err(Error::Codec("truncated table".into()));
+            return Err(Error::Codec("truncated run".into()));
         }
         let n = piece.len().min(usize::try_from(len).unwrap_or(usize::MAX));
         to(&piece[..n])?;
-        base.consume(n);
+        r.consume(n);
         len -= n as u64;
     }
     Ok(())
 }
 
-/// [`merge`] into one buffer: the folded table, count header included.
-/// The buffer is sized once, for the base's limit plus every write of
-/// the patch, so it never regrows.
-pub fn fold_from<R: BufRead>(base: &mut Take<R>, patch: &Patch<'_>) -> Result<Vec<u8>> {
-    let mut out = Vec::with_capacity((base.limit() + patch.added_bytes()) as usize);
-    out.resize(TABLE_HEAD_BYTES, 0);
-    let merged = merge(base, patch, &mut out)?;
-    out[..TABLE_HEAD_BYTES].copy_from_slice(&table_head(merged.entries));
-    Ok(out)
-}
-
 /// Folds a delta chain onto a full-snapshot base held in memory: the
 /// full snapshot the operator would have produced at the last delta's
-/// epoch, through [`merge`].
+/// epoch, through [`merge`], into one buffer sized once for the base
+/// and every delta. A delta as any encoder could write it — keys out of
+/// order, a key written twice — is merged as the view of it a table
+/// would capture ([`TableView::from`]), which reads it as
+/// [`apply_delta`] does; one already sorted is merged where it lies.
 pub fn fold(base: &[u8], deltas: &[StateDelta]) -> Result<Vec<u8>> {
-    let mut patch = Patch::default();
-    for d in deltas {
-        patch.push(d);
-    }
-    fold_from(&mut Read::take(base, base.len() as u64), &patch)
+    let views: Vec<Option<TableView>> = deltas
+        .iter()
+        .map(|d| {
+            let sorted =
+                d.changed.is_sorted_by(|a, b| a.0 < b.0) && d.removed.is_sorted_by(|a, b| a < b);
+            (!sorted).then(|| TableView::from(d.clone()))
+        })
+        .collect();
+    let layers = deltas.iter().zip(&views).map(|(d, view)| match view {
+        Some(view) => Layer::View(view),
+        None => Layer::Delta(d),
+    });
+    let added: usize = deltas.iter().map(StateDelta::encoded_bytes).sum();
+    let mut out = Vec::with_capacity(base.len() + added);
+    out.resize(TABLE_HEAD_BYTES, 0);
+    let merged = merge(Read::take(base, base.len() as u64), layers, &mut out)?;
+    out[..TABLE_HEAD_BYTES].copy_from_slice(&table_head(merged.entries));
+    Ok(out)
 }
 
 /// Keys per page, as a power of two: a page holds the keys that share
@@ -962,6 +1045,17 @@ mod tests {
         assert_eq!(folded, t.snapshot());
     }
 
+    /// The runs of `d`'s encoding behind its logical size (a tagged
+    /// `u64`, as long as a [`table_head`]): the changed entries, then
+    /// the removed keys.
+    fn runs_of(d: &StateDelta) -> (Vec<u8>, Vec<u8>) {
+        let mut w = SnapshotWriter::new();
+        d.encode_into(&mut w);
+        let mut changed = w.finish().split_off(TABLE_HEAD_BYTES);
+        let removed = changed.split_off(encoded_table_bytes(d.changed.iter().map(|e| e.1.len())));
+        (changed, removed)
+    }
+
     #[test]
     fn merge_through_a_three_byte_buffer_is_the_fold() {
         let mut t = DeltaTable::new();
@@ -973,20 +1067,66 @@ mod tests {
         t.insert(3, val(33, 9));
         t.remove(7);
         t.insert(99, val(1, 5));
-        let d = t.take_delta(0);
-        let mut patch = Patch::default();
-        patch.push(&d);
-        // Every entry, and most values, straddle the reader's pieces.
-        let piecewise =
-            |limit: usize| io::BufReader::with_capacity(3, base.as_slice()).take(limit as u64);
-        assert_eq!(
-            fold_from(&mut piecewise(base.len()), &patch).unwrap(),
-            t.snapshot()
-        );
-        assert!(
-            fold_from(&mut piecewise(base.len() - 1), &patch).is_err(),
-            "short limit"
-        );
+        let (changed, removed) = runs_of(&t.take_delta(0));
+        t.insert(7, val(77, 2));
+        t.remove(3);
+        t.insert(12, val(12, 40));
+        let newest = t.freeze(0);
+        // Every entry, and most values, straddle the readers' pieces.
+        fn piecewise(bytes: &[u8], cut: usize) -> Take<io::BufReader<&[u8]>> {
+            let limit = (bytes.len() - cut) as u64;
+            io::BufReader::with_capacity(3, bytes).take(limit)
+        }
+        let fold_in_pieces = |cut: [usize; 3]| -> Result<Vec<u8>> {
+            let layers = [
+                Layer::Encoded {
+                    changed: piecewise(&changed, cut[1]),
+                    removed: piecewise(&removed, cut[2]),
+                },
+                Layer::View(&newest),
+            ];
+            let mut out = table_head(0);
+            let merged = merge(piecewise(&base, cut[0]), layers, &mut out)?;
+            out[..TABLE_HEAD_BYTES].copy_from_slice(&table_head(merged.entries));
+            Ok(out)
+        };
+        assert_eq!(fold_in_pieces([0; 3]).unwrap(), t.snapshot());
+        for short in [[1, 0, 0], [0, 1, 0], [0, 0, 1]] {
+            assert!(fold_in_pieces(short).is_err(), "short limit {short:?}");
+        }
+    }
+
+    /// A run whose keys repeat or descend is no run a table captured:
+    /// the merge refuses it, encoded or held, and the in-memory fold
+    /// alone reads a raw delta the way [`apply_delta`] does.
+    #[test]
+    fn a_run_whose_keys_do_not_ascend_is_refused() {
+        fn take(bytes: &[u8]) -> Take<&[u8]> {
+            Read::take(bytes, bytes.len() as u64)
+        }
+        let base = DeltaTable::new().snapshot();
+        let descending = StateDelta {
+            changed: vec![(5, val(5, 3)), (5, val(6, 3)), (3, val(3, 3))],
+            removed: vec![9, 4],
+            logical_bytes: 0,
+        };
+        let (bad_changed, bad_removed) = runs_of(&descending);
+        let (changed, removed) = runs_of(&StateDelta::default());
+        for (changed, removed) in [(&bad_changed, &removed), (&changed, &bad_removed)] {
+            let layer = Layer::Encoded {
+                changed: take(changed),
+                removed: take(removed),
+            };
+            let merged = merge(take(&base), [layer], &mut Vec::new());
+            assert!(matches!(merged, Err(Error::Codec(_))), "{merged:?}");
+        }
+        assert!(skip_run(&mut take(&bad_changed), false).is_err());
+        assert!(skip_run(&mut take(&bad_removed), true).is_err());
+        let held = merge(take(&base), [Layer::Delta(&descending)], &mut Vec::new());
+        assert!(matches!(held, Err(Error::Codec(_))), "{held:?}");
+        let mut table = BTreeMap::new();
+        apply_delta(&mut table, &descending);
+        assert_eq!(fold(&base, &[descending]).unwrap(), encode_table(&table));
     }
 
     #[test]
@@ -1094,12 +1234,19 @@ mod tests {
         d.encode_into(&mut w);
         w.put_u64(77); // whatever follows is left unread
         let bytes = w.finish();
-        let mut r = SnapshotReader::new(&bytes);
+        let runs = &bytes[TABLE_HEAD_BYTES..]; // behind the logical size
+        let mut r = Read::take(runs, runs.len() as u64);
+        let sizes = [
+            skip_run(&mut r, false).unwrap(),
+            skip_run(&mut r, true).unwrap(),
+        ];
         assert_eq!(
-            StateDelta::encoded_bytes_from(&mut r).unwrap(),
-            d.encoded_bytes()
+            TABLE_HEAD_BYTES as u64 + sizes[0] + sizes[1],
+            d.encoded_bytes() as u64
         );
-        assert_eq!(r.get_u64().unwrap(), 77);
-        assert!(StateDelta::encoded_bytes_from(&mut SnapshotReader::new(&bytes[..20])).is_err());
+        let mut rest = Vec::new();
+        r.read_to_end(&mut rest).unwrap();
+        assert_eq!(SnapshotReader::new(&rest).get_u64().unwrap(), 77);
+        assert!(skip_run(&mut Read::take(&runs[..20], 20), false).is_err());
     }
 }

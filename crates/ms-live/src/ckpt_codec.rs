@@ -9,7 +9,7 @@
 //!
 //! * full:  `next_seq`, `logical_bytes`, `data`, cut suffix
 //! * delta: `next_seq`, `base epoch`, delta payload
-//!   ([`StateDelta::encode_into`]), cut suffix
+//!   ([`delta::StateDelta::encode_into`]), cut suffix
 //!
 //! where the cut suffix is the counted `(input port, tuple)` in-flight
 //! sequence followed by the counted per-input `resume_seq` thresholds.
@@ -17,12 +17,14 @@
 //! (the file extension, or the [`CkptState`] variant), which is why
 //! each kind has its own decoders. A full payload is read in pieces
 //! ([`decode_full_head`], then the data, then [`decode_cut`]), so a
-//! store can stream or read its data without holding the payload.
+//! store can stream or read its data without holding the payload. A
+//! delta payload is walked once ([`read_delta_link`]) for where its
+//! runs lie, which a store then streams from its file.
 
-use std::io::{self, Write};
+use std::io::{self, BufRead, Read, Take, Write};
 
 use ms_core::codec::{SnapshotReader, SnapshotWriter};
-use ms_core::delta::{Patch, StateDelta};
+use ms_core::delta;
 use ms_core::error::{Error, Result};
 use ms_core::ids::EpochId;
 use ms_core::tuple::Tuple;
@@ -172,21 +174,6 @@ pub fn decode_full_head(head: &[u8]) -> Result<FullHead> {
     })
 }
 
-/// Decodes a delta payload written by [`encode_ckpt`].
-pub fn decode_delta(payload: &[u8]) -> Result<CkptWrite> {
-    let mut r = SnapshotReader::new(payload);
-    let next_seq = r.get_u64()?;
-    let base = EpochId(r.get_u64()?);
-    let delta = StateDelta::decode_from(&mut r)?;
-    let (in_flight, resume_seq) = get_cut(&mut r)?;
-    Ok(CkptWrite {
-        state: CkptState::Delta { base, delta },
-        next_seq,
-        in_flight,
-        resume_seq,
-    })
-}
-
 /// Reads only a delta payload's header — `(next_seq, base epoch)`,
 /// its first [`DELTA_HEAD_BYTES`] bytes — so chain validation never
 /// decodes value bytes.
@@ -196,33 +183,76 @@ pub fn decode_delta_base(payload: &[u8]) -> Result<(u64, EpochId)> {
     Ok((next_seq, EpochId(r.get_u64()?)))
 }
 
-/// Validates a whole delta payload like [`decode_delta`] but copies no
-/// value out: returns its base epoch and its delta's
-/// [`StateDelta::encoded_bytes`] — what an older chain link contributes
-/// to a store's rebase decision.
-pub fn decode_delta_link(payload: &[u8]) -> Result<(EpochId, u64)> {
-    let mut r = SnapshotReader::new(payload);
-    r.get_u64()?;
-    let base = EpochId(r.get_u64()?);
-    let bytes = StateDelta::encoded_bytes_from(&mut r)?;
-    get_cut(&mut r)?;
-    Ok((base, bytes as u64))
+/// Bytes of a delta payload in front of its changed run: `next_seq`,
+/// the base epoch and the delta's logical size.
+pub const LINK_HEAD_BYTES: usize = 27;
+
+/// A delta payload as [`read_delta_link`] found it: its header, and
+/// where its two runs lie — offsets and lengths in the payload — but
+/// none of their bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct DeltaLink {
+    /// Next emission sequence at the boundary.
+    pub next_seq: u64,
+    /// The capture the delta is relative to.
+    pub base: EpochId,
+    /// The operator's logical state size at capture time.
+    pub logical_bytes: u64,
+    /// The changed entries' run: `(offset, length)`.
+    pub changed: (u64, u64),
+    /// The removed keys' run: `(offset, length)`.
+    pub removed: (u64, u64),
 }
 
-/// Layers a delta payload's changes over `patch`, every value borrowed
-/// from the payload in place. The cut behind them is not read:
-/// [`decode_delta_link`] validates a whole link.
-pub fn patch_delta<'a>(payload: &'a [u8], patch: &mut Patch<'a>) -> Result<()> {
-    let mut r = SnapshotReader::new(payload);
-    r.get_u64()?;
-    r.get_u64()?;
-    patch.push_encoded(&mut r)
+impl DeltaLink {
+    /// [`delta::StateDelta::encoded_bytes`] of the delta the payload
+    /// holds.
+    pub fn encoded_bytes(&self) -> u64 {
+        (LINK_HEAD_BYTES - DELTA_HEAD_BYTES) as u64 + self.changed.1 + self.removed.1
+    }
+}
+
+/// Walks a whole delta payload, read from `r` no further than its
+/// limit: the header, each run's entries with their keys strictly
+/// ascending ([`delta::skip_run`]), then the cut, which must end the
+/// payload. No value is held and no allocation is sized by a field of
+/// the payload; the cut is read into a buffer of the bytes left.
+pub fn read_delta_link<R: BufRead>(r: &mut Take<R>) -> Result<(DeltaLink, Cut)> {
+    let len = r.limit();
+    let mut head = [0; LINK_HEAD_BYTES];
+    r.read_exact(&mut head).map_err(torn)?;
+    let mut h = SnapshotReader::new(&head);
+    let (next_seq, base, logical_bytes) = (h.get_u64()?, EpochId(h.get_u64()?), h.get_u64()?);
+    let mut run = |removed| -> Result<(u64, u64)> {
+        let at = len - r.limit();
+        Ok((at, delta::skip_run(r, removed)?))
+    };
+    let (changed, removed) = (run(false)?, run(true)?);
+    let mut cut = vec![0; r.limit() as usize];
+    r.read_exact(&mut cut).map_err(torn)?;
+    let link = DeltaLink {
+        next_seq,
+        base,
+        logical_bytes,
+        changed,
+        removed,
+    };
+    Ok((link, decode_cut(&cut)?))
+}
+
+/// A payload read that ran short is a torn payload.
+fn torn(e: io::Error) -> Error {
+    if e.kind() == io::ErrorKind::UnexpectedEof {
+        Error::Codec("truncated delta payload".into())
+    } else {
+        Error::storage_io("delta payload unreadable", &e)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ms_core::delta::DeltaTable;
+    use ms_core::delta::{DeltaTable, StateDelta};
     use ms_core::ids::OperatorId;
     use ms_core::operator::OperatorSnapshot;
     use ms_core::time::SimTime;
@@ -235,6 +265,22 @@ mod tests {
             SimTime::ZERO,
             vec![Value::Int(seq as i64), Value::Str("x".into())],
         )
+    }
+
+    /// Decodes a whole delta payload written by [`encode_ckpt`], every
+    /// value copied out.
+    fn decode_delta(payload: &[u8]) -> Result<CkptWrite> {
+        let mut r = SnapshotReader::new(payload);
+        let next_seq = r.get_u64()?;
+        let base = EpochId(r.get_u64()?);
+        let delta = StateDelta::decode_from(&mut r)?;
+        let (in_flight, resume_seq) = get_cut(&mut r)?;
+        Ok(CkptWrite {
+            state: CkptState::Delta { base, delta },
+            next_seq,
+            in_flight,
+            resume_seq,
+        })
     }
 
     /// A whole full payload read the way a store reads it: the head,
@@ -384,11 +430,24 @@ mod tests {
             decode_delta_base(&payload[..DELTA_HEAD_BYTES]).unwrap(),
             (40, EpochId(12))
         );
+        let walk = |bytes: &[u8]| read_delta_link(&mut Read::take(bytes, bytes.len() as u64));
+        let (link, cut) = walk(&payload).unwrap();
         assert_eq!(
-            decode_delta_link(&payload).unwrap(),
-            (EpochId(12), delta.encoded_bytes() as u64)
+            (link.next_seq, link.base, link.logical_bytes),
+            (40, EpochId(12), 55)
         );
-        assert!(decode_delta_link(&payload[..payload.len() - 1]).is_err());
+        assert_eq!(link.encoded_bytes(), delta.encoded_bytes() as u64);
+        assert_eq!(cut, (write.in_flight.clone(), write.resume_seq.clone()));
+        // The runs lie where the walk says they do.
+        let run = |(at, len): (u64, u64)| &payload[at as usize..(at + len) as usize];
+        let changed = delta::encode_table(&delta.changed.iter().cloned().collect());
+        let mut removed = SnapshotWriter::new();
+        removed.put_seq(delta.removed.iter(), |w, k| {
+            w.put_u64(*k);
+        });
+        assert_eq!(run(link.changed), changed.as_slice());
+        assert_eq!(run(link.removed), removed.finish().as_slice());
+        assert!(walk(&payload[..payload.len() - 1]).is_err());
     }
 
     #[test]

@@ -34,9 +34,9 @@
 //! epoch recovery could not restore. A [`RebasePolicy`] bounds chain
 //! length and cumulative delta bytes: past either bound the store
 //! folds the chain and writes a fresh `.ckpt` instead of a `.delta`,
-//! streaming the base from its file into the new one. A rebase or a
-//! restore holds the chain's links and fixed buffers, never a copy of
-//! the base.
+//! merging the base and every link as sorted runs, each streamed from
+//! its file. A rebase or a restore holds fixed buffers, never a copy of
+//! the base or of a link.
 //! When an epoch completes, files older than the oldest base its
 //! chains rest on are deleted — they are unreachable from the newest
 //! restorable epoch. Crash-safety of GC: deletion happens only after
@@ -62,7 +62,7 @@
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Take, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -72,14 +72,14 @@ use ms_core::codec::{
     frame, frame_batch, BatchHeader, SnapshotReader, SnapshotWriter, BATCH_HEADER_MAX_BYTES,
     FRAME_HEADER_BYTES, MAX_FILE_FRAME_BYTES, MAX_FRAME_BYTES,
 };
-use ms_core::delta::{self, Patch};
+use ms_core::delta::{self, Layer, Merged};
 use ms_core::error::{Error, Result};
 use ms_core::ids::{EpochId, OperatorId};
 use ms_core::metrics::CkptFile;
 use ms_core::operator::OperatorSnapshot;
 use ms_core::tuple::Tuple;
 
-use crate::ckpt_codec::{self, FullHead};
+use crate::ckpt_codec::{self, Cut, DeltaLink, FullHead};
 use crate::storage::{
     CkptState, CkptWrite, CkptWritten, LiveHauCheckpoint, RebasePolicy, StableStore,
 };
@@ -192,11 +192,10 @@ impl FsStore {
     }
 
     /// Writes `epoch`'s checkpoint as a full file folded from `chain`
-    /// with the delta `ckpt` carries on top. The base streams from its
-    /// file through [`delta::merge`] straight into the temp file; the
-    /// frame, head and table lengths in front of the data are written
-    /// last, once the merge has counted them, and before the rename.
-    /// Returns the file's size.
+    /// with the delta `ckpt` carries on top, merged by [`Chain::merge`]
+    /// straight into the temp file; the frame, head and table lengths
+    /// in front of the data are written last, once the merge has
+    /// counted them, and before the rename. Returns the file's size.
     fn write_rebase(
         &self,
         (epoch, op): (EpochId, OperatorId),
@@ -209,17 +208,24 @@ impl FsStore {
                 chain.base
             ))
         };
-        let patch = chain.patch(&ckpt.state).map_err(failed)?;
-        let mut base = open_full(&self.full_path(chain.base, op)).map_err(failed)?;
+        let newest = match &ckpt.state {
+            CkptState::Delta { delta, .. } => Layer::Delta(delta),
+            CkptState::DeltaView { view, .. } => Layer::View(view),
+            CkptState::Full(_) | CkptState::FullView(_) => {
+                return Err(Error::Storage("a full state rebases nothing".into()))
+            }
+        };
+        let base = open_full(&self.full_path(chain.base, op)).map_err(failed)?;
         let path = self.full_path(epoch, op);
         let io = not_persisted(&path);
         let mut file_bytes = 0;
         write_atomic(&path, |file| {
             const PREFIX: usize =
                 FRAME_HEADER_BYTES + ckpt_codec::FULL_HEAD_BYTES + delta::TABLE_HEAD_BYTES;
-            let mut out = BufWriter::with_capacity(base.data.get_ref().capacity(), file);
+            let cap = STREAM_BUF_BYTES.min(base.head.data_len as usize);
+            let mut out = BufWriter::with_capacity(cap, file);
             out.write_all(&[0; PREFIX]).map_err(&io)?;
-            let merged = delta::merge(&mut base.data, &patch, &mut out).map_err(|e| match e {
+            let merged = chain.merge(&base, newest, &mut out).map_err(|e| match e {
                 Error::Codec(_) => failed(e),
                 e => e,
             })?;
@@ -255,8 +261,8 @@ impl FsStore {
     }
 
     /// Walks the chain from `top` down to its full base: each delta
-    /// link is read and sized in place, the base only by its header.
-    /// `Err` names where the chain breaks.
+    /// link once through one buffer ([`Link::walk`]), the base only by
+    /// its header. `Err` names where the chain breaks.
     fn chain_under(&self, top: EpochId, op: OperatorId) -> std::result::Result<Chain, String> {
         let mut links = Vec::new();
         let mut delta_bytes = 0;
@@ -275,13 +281,13 @@ impl FsStore {
                     base_bytes,
                 });
             }
-            let payload = read_ckpt_frame(&self.delta_path(at, op)).ok_or_else(broken)?;
-            let (base, bytes) = ckpt_codec::decode_delta_link(&payload).map_err(|_| broken())?;
+            let (link, _cut) = Link::walk(&self.delta_path(at, op)).map_err(|_| broken())?;
+            let base = link.found.base;
             if base >= at {
                 return Err(format!("corrupt base pointer at {at}"));
             }
-            delta_bytes += bytes;
-            links.push(payload);
+            delta_bytes += link.found.encoded_bytes();
+            links.push(link);
             at = base;
         }
     }
@@ -431,33 +437,66 @@ fn frame_header(path: &Path, len: u64) -> Result<[u8; FRAME_HEADER_BYTES]> {
 }
 
 /// The delta chain under a checkpoint, as much as a write needs to
-/// decide on a rebase: its delta links' payloads (newest first) with
-/// their summed [`delta::StateDelta::encoded_bytes`], and the full base's
-/// epoch and data length, read from the base's header.
+/// decide on a rebase: its delta links (newest first) with their summed
+/// [`delta::StateDelta::encoded_bytes`], and the full base's epoch and
+/// data length, read from the base's header.
 struct Chain {
-    links: Vec<Vec<u8>>,
+    links: Vec<Link>,
     delta_bytes: u64,
     base: EpochId,
     base_bytes: u64,
 }
 
 impl Chain {
-    /// The net change of the chain's links, oldest first, with the
-    /// delta `newest` holds on top — every value borrowed from where it
-    /// lies.
-    fn patch<'a>(&'a self, newest: &'a CkptState) -> Result<Patch<'a>> {
-        let mut patch = Patch::default();
-        for link in self.links.iter().rev() {
-            ckpt_codec::patch_delta(link, &mut patch)?;
+    /// Merges `base`, the chain's full base, with every link, oldest
+    /// first, and `newest` on top, into `out` ([`delta::merge`]): each
+    /// link's two runs stream from its file through buffers of their
+    /// own.
+    fn merge<'a>(
+        &'a self,
+        base: &'a FullFile,
+        newest: Layer<'a, BufReader<At<'a>>>,
+        out: &mut impl Write,
+    ) -> Result<Merged> {
+        let layers = self.links.iter().rev().map(Link::layer);
+        delta::merge(base.data(), layers.chain([newest]), out)
+    }
+}
+
+/// One delta link of a chain: its file, kept open, and where in it the
+/// link's runs lie — none of its payload.
+struct Link {
+    file: File,
+    found: DeltaLink,
+}
+
+impl Link {
+    /// Walks the delta file at `path` once, through one buffer of at
+    /// most [`STREAM_BUF_BYTES`] ([`ckpt_codec::read_delta_link`]), and
+    /// returns it with its cut.
+    fn walk(path: &Path) -> Result<(Link, Cut)> {
+        let (file, len) = open_ckpt_frame(path)
+            .ok_or_else(|| Error::Storage(format!("delta checkpoint {path:?} unreadable")))?;
+        let payload = (FRAME_HEADER_BYTES as u64, len as u64);
+        let (found, cut) =
+            ckpt_codec::read_delta_link(&mut span(&file, payload, STREAM_BUF_BYTES))?;
+        Ok((Link { file, found }, cut))
+    }
+
+    /// The link's changed and removed runs, each read from the file
+    /// through a buffer of at most [`RUN_BUF_BYTES`].
+    fn layer(&self) -> Layer<'_, BufReader<At<'_>>> {
+        let run = |(at, len)| {
+            span(
+                &self.file,
+                (FRAME_HEADER_BYTES as u64 + at, len),
+                RUN_BUF_BYTES,
+            )
+        };
+        Layer::Encoded {
+            changed: run(self.found.changed),
+            removed: run(self.found.removed),
         }
-        match newest {
-            CkptState::Delta { delta, .. } => patch.push(delta),
-            CkptState::DeltaView { view, .. } => patch.push_view(view),
-            CkptState::Full(_) | CkptState::FullView(_) => {
-                return Err(Error::Storage("a full state rebases nothing".into()))
-            }
-        }
-        Ok(patch)
     }
 }
 
@@ -466,25 +505,60 @@ impl Chain {
 /// a buffer of its own size.
 const STREAM_BUF_BYTES: usize = 1 << 16;
 
+/// The largest read buffer of one run of a delta link in a merge: a
+/// chain of `n` links holds `2n` of them at most.
+const RUN_BUF_BYTES: usize = 1 << 15;
+
+/// A file read from an offset of its own, by positioned reads: the runs
+/// of one file read side by side without sharing a cursor.
+struct At<'f> {
+    file: &'f File,
+    pos: u64,
+}
+
+impl Read for At<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.file.read_at(buf, self.pos)?;
+        self.pos += n as u64;
+        Ok(n)
+    }
+}
+
+/// The `len` bytes of `file` from `at`, through a buffer of at most
+/// `cap` bytes and no larger than they are.
+fn span(file: &File, (at, len): (u64, u64), cap: usize) -> Take<BufReader<At<'_>>> {
+    let cap = usize::try_from(len).map_or(cap, |len| cap.min(len));
+    BufReader::with_capacity(cap, At { file, pos: at }).take(len)
+}
+
 /// A full checkpoint file opened at its snapshot data.
 struct FullFile {
     head: FullHead,
-    /// The snapshot data, through a buffer of at most
-    /// [`STREAM_BUF_BYTES`] and no further than the data's length.
-    data: io::Take<BufReader<File>>,
+    file: File,
+    /// Where the snapshot data starts in the file.
+    data_at: u64,
     /// Bytes of the cut suffix behind the data.
     cut_len: u64,
+}
+
+impl FullFile {
+    /// The snapshot data, through a buffer of at most
+    /// [`STREAM_BUF_BYTES`].
+    fn data(&self) -> Take<BufReader<At<'_>>> {
+        let data = (self.data_at, self.head.data_len);
+        span(&self.file, data, STREAM_BUF_BYTES)
+    }
 }
 
 /// Opens the full checkpoint at `path` and reads its head. The data
 /// length the head claims is checked against the frame, and the frame
 /// against the file, before anything is read or allocated.
 fn open_full(path: &Path) -> Result<FullFile> {
-    let (mut file, len) = open_ckpt_frame(path)
+    let (file, len) = open_ckpt_frame(path)
         .ok_or_else(|| Error::Storage(format!("full checkpoint {path:?} unreadable")))?;
     let mut head = [0; ckpt_codec::FULL_HEAD_BYTES];
     let head_len = head.len().min(len);
-    file.read_exact(&mut head[..head_len])
+    file.read_exact_at(&mut head[..head_len], FRAME_HEADER_BYTES as u64)
         .map_err(|e| Error::storage_io("full checkpoint head", &e))?;
     let head = ckpt_codec::decode_full_head(&head[..head_len])?;
     let rest = (len - head_len) as u64;
@@ -496,7 +570,8 @@ fn open_full(path: &Path) -> Result<FullFile> {
     }
     Ok(FullFile {
         head,
-        data: BufReader::with_capacity(STREAM_BUF_BYTES.min(len), file).take(head.data_len),
+        file,
+        data_at: (FRAME_HEADER_BYTES + head_len) as u64,
         cut_len: rest - head.data_len,
     })
 }
@@ -506,14 +581,17 @@ fn open_full(path: &Path) -> Result<FullFile> {
 fn read_full(path: &Path) -> Result<LiveHauCheckpoint> {
     let FullFile {
         head,
-        mut data,
+        file,
+        data_at,
         cut_len,
     } = open_full(path)?;
     let unreadable = |e: io::Error| Error::storage_io("full checkpoint", &e);
     let mut snapshot = vec![0; head.data_len as usize];
-    data.read_exact(&mut snapshot).map_err(unreadable)?;
+    file.read_exact_at(&mut snapshot, data_at)
+        .map_err(unreadable)?;
     let mut cut = vec![0; cut_len as usize];
-    data.into_inner().read_exact(&mut cut).map_err(unreadable)?;
+    file.read_exact_at(&mut cut, data_at + head.data_len)
+        .map_err(unreadable)?;
     let (in_flight, resume_seq) = ckpt_codec::decode_cut(&cut)?;
     Ok(LiveHauCheckpoint {
         snapshot: OperatorSnapshot {
@@ -623,18 +701,9 @@ fn open_ckpt_frame(path: &Path) -> Option<(File, usize)> {
         .then_some((file, len))
 }
 
-/// Reads the single frame of a checkpoint file into a buffer of its
-/// own size.
-fn read_ckpt_frame(path: &Path) -> Option<Vec<u8>> {
-    let (mut file, len) = open_ckpt_frame(path)?;
-    let mut payload = vec![0; len];
-    file.read_exact(&mut payload).ok()?;
-    Some(payload)
-}
-
 /// Reads the first `n` payload bytes of a checkpoint file (all of them
 /// when the payload is shorter) — a header, without the body behind
-/// it. `None` exactly when [`read_ckpt_frame`] would find nothing.
+/// it. `None` for a file [`open_ckpt_frame`] finds no frame in.
 fn read_ckpt_head(path: &Path, n: usize) -> Option<Vec<u8>> {
     let (mut file, len) = open_ckpt_frame(path)?;
     let mut head = vec![0; n.min(len)];
@@ -693,21 +762,26 @@ impl StableStore for FsStore {
         if open_ckpt_frame(&full).is_some() {
             return read_full(&full).ok();
         }
-        let payload = read_ckpt_frame(&self.delta_path(epoch, op))?;
-        let newest = ckpt_codec::decode_delta(&payload).ok()?;
-        // The chain folds into one buffer, the base streamed into it.
-        let chain = self.chain_under(newest.state.base()?, op).ok()?;
-        let patch = chain.patch(&newest.state).ok()?;
-        let mut base = open_full(&self.full_path(chain.base, op)).ok()?;
-        let data = delta::fold_from(&mut base.data, &patch).ok()?;
+        // The top delta is walked like every link under it, and the
+        // chain folds into one buffer, sized for the base and every
+        // link's writes, with the base and each link streamed into it.
+        let (top, (in_flight, resume_seq)) = Link::walk(&self.delta_path(epoch, op)).ok()?;
+        let chain = self.chain_under(top.found.base, op).ok()?;
+        let base = open_full(&self.full_path(chain.base, op)).ok()?;
+        let links = chain.links.iter().chain([&top]);
+        let writes: u64 = links.map(|link| link.found.changed.1).sum();
+        let mut data = Vec::with_capacity(usize::try_from(base.head.data_len + writes).ok()?);
+        data.resize(delta::TABLE_HEAD_BYTES, 0);
+        let merged = chain.merge(&base, top.layer(), &mut data).ok()?;
+        data[..delta::TABLE_HEAD_BYTES].copy_from_slice(&delta::table_head(merged.entries));
         Some(LiveHauCheckpoint {
             snapshot: OperatorSnapshot {
                 data,
-                logical_bytes: newest.state.logical_bytes(),
+                logical_bytes: top.found.logical_bytes,
             },
-            next_seq: newest.next_seq,
-            in_flight: newest.in_flight,
-            resume_seq: newest.resume_seq,
+            next_seq: top.found.next_seq,
+            in_flight,
+            resume_seq,
         })
     }
 
@@ -824,11 +898,22 @@ impl StableStore for FsStore {
 
 #[cfg(test)]
 pub(crate) mod tests {
+    use std::collections::{BTreeMap, BTreeSet};
+
     use super::*;
-    use ms_core::delta::{DeltaTable, StateDelta};
+    use ms_core::delta::{DeltaTable, StateDelta, TableView};
     use ms_core::time::SimTime;
     use ms_core::value::Value;
     use proptest::prelude::*;
+
+    /// The single frame of a checkpoint file, whole.
+    fn read_ckpt_frame(path: &Path) -> Option<Vec<u8>> {
+        let (file, len) = open_ckpt_frame(path)?;
+        let mut payload = vec![0; len];
+        file.read_exact_at(&mut payload, FRAME_HEADER_BYTES as u64)
+            .ok()?;
+        Some(payload)
+    }
 
     /// A fresh directory for one test's store, unique per process and
     /// call (a property test opens one per case).
@@ -1479,19 +1564,25 @@ pub(crate) mod tests {
     }
 
     proptest! {
-        /// On random chains over a random base and over an empty one —
-        /// removals, re-inserts, keys past the base's range — every
-        /// rebased file is the shared encoder's bytes for the in-memory
-        /// fold of its chain, and every epoch restores to the live
-        /// table.
+        /// On random chains of one to seven links over a random base and
+        /// over an empty one — a key written and removed in one link,
+        /// removed in one and rewritten in a later one, empty links,
+        /// keys past the base's range, the newest delta owned or a
+        /// table view — every rebased file is the shared encoder's
+        /// bytes for the `apply_delta` fold of its chain, and every
+        /// epoch, rebased or at the top of a chain, restores to it.
         #[test]
         fn rebased_files_are_the_in_memory_fold_of_random_chains(
             base_keys in 1u64..24,
             epochs in proptest::collection::vec(
-                proptest::collection::vec((any::<bool>(), 0u64..48, 0usize..40), 0..12),
-                1..10,
+                (
+                    proptest::collection::vec((0u64..48, 0usize..40), 0..8),
+                    proptest::collection::vec(0u64..48, 0..4),
+                    any::<bool>(),
+                ),
+                1..12,
             ),
-            max_chain in 1u32..5,
+            max_chain in 2u32..9,
             byte_bound in any::<bool>(),
         ) {
             let op = OperatorId(0);
@@ -1500,47 +1591,50 @@ pub(crate) mod tests {
                 let max_delta_pct = if byte_bound { 50 } else { 1_000_000 };
                 let policy = RebasePolicy { max_chain, max_delta_pct };
                 let s = FsStore::open(&dir, 1).unwrap().with_policy(policy);
-                let mut t = DeltaTable::new();
-                for k in 0..n {
-                    t.insert(k, vec![k as u8; 16]);
-                }
-                let mut base = t.snapshot();
-                s.put_checkpoint(EpochId(1), op, CkptWrite::full(snap(base.clone()), 0))
-                    .unwrap();
-                t.mark_clean();
-                let mut chain = Vec::new();
-                for (e, ops) in (2u64..).zip(&epochs) {
-                    for &(insert, k, len) in ops {
-                        if insert {
-                            t.insert(k, vec![e as u8; len]);
-                        } else {
-                            t.remove(k);
-                        }
-                    }
-                    let delta = t.take_delta(t.value_bytes());
-                    chain.push(delta.clone());
+                let mut table: BTreeMap<u64, Vec<u8>> =
+                    (0..n).map(|k| (k, vec![k as u8; 16])).collect();
+                let base = snap(delta::encode_table(&table));
+                s.put_checkpoint(EpochId(1), op, CkptWrite::full(base, 0)).unwrap();
+                for (e, (writes, removes, as_view)) in (2u64..).zip(&epochs) {
+                    let changed: BTreeMap<u64, Vec<u8>> =
+                        writes.iter().map(|&(k, len)| (k, vec![e as u8; len])).collect();
+                    let removed: BTreeSet<u64> = removes.iter().copied().collect();
+                    let delta = StateDelta {
+                        changed: changed.into_iter().collect(),
+                        removed: removed.into_iter().collect(),
+                        logical_bytes: e,
+                    };
+                    delta::apply_delta(&mut table, &delta);
+                    let base = EpochId(e - 1);
+                    let state = if *as_view {
+                        CkptState::DeltaView { base, view: TableView::from(delta) }
+                    } else {
+                        CkptState::Delta { base, delta }
+                    };
                     let w = CkptWrite {
+                        state,
+                        next_seq: e,
                         in_flight: vec![(0, tup(e))],
                         resume_seq: vec![e],
-                        ..delta_write(EpochId(e - 1), delta, e)
                     };
-                    s.put_checkpoint(EpochId(e), op, w.clone()).unwrap();
+                    s.write_checkpoint(EpochId(e), op, &w).unwrap();
+                    let folded = delta::encode_table(&table);
                     let full = dir.join("ckpt").join(format!("e{e}_op0.ckpt"));
                     if full.exists() {
-                        let data = delta::fold(&base, &chain).unwrap();
                         let logical_bytes = w.state.logical_bytes();
                         let expect = ckpt_codec::encode_ckpt(&CkptWrite {
                             state: CkptState::Full(OperatorSnapshot {
-                                data: data.clone(),
+                                data: folded.clone(),
                                 logical_bytes,
                             }),
-                            ..w
+                            ..w.clone()
                         });
                         prop_assert_eq!(read_ckpt_frame(&full).unwrap(), expect);
-                        (base, chain) = (data, Vec::new());
                     }
                     let got = s.get_checkpoint(EpochId(e), op).unwrap();
-                    prop_assert_eq!(got.snapshot.data, t.snapshot());
+                    prop_assert_eq!(got.snapshot.data, folded);
+                    prop_assert_eq!(got.snapshot.logical_bytes, e);
+                    prop_assert_eq!((got.in_flight, got.resume_seq), (w.in_flight, w.resume_seq));
                 }
                 let _ = fs::remove_dir_all(&dir);
             }
