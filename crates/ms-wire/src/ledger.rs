@@ -900,6 +900,96 @@ mod tests {
         }
     }
 
+    /// A row as the ledger writes it today, every column distinct.
+    const FULL_LINE: &str = concat!(
+        "{\"generation\":1,\"epoch\":2,\"op\":3,\"logical\":4,",
+        "\"state_bytes\":5,\"ckpt_bytes\":6,\"delta\":true,",
+        "\"align_wait_us\":8,\"capture_us\":9,\"serialize_us\":10,",
+        "\"persist_us\":11,\"cow_pages_copied\":12,",
+        "\"file_bytes\":13,\"file_delta\":false,",
+        "\"tuples_in\":15,\"tuples_out\":16,\"bytes_out\":17,",
+        "\"queued_tuples\":18,\"open_windows\":19,\"window_tuples\":20,",
+        "\"gate_accepted\":21,\"gate_shed\":22,\"gate_wal_bytes\":23,",
+        "\"gate_ack_p50_us\":24,\"gate_ack_p99_us\":25,",
+        "\"barrier_us\":26}"
+    );
+
+    /// The record [`FULL_LINE`] holds.
+    fn full_record() -> LedgerRecord {
+        LedgerRecord {
+            generation: 1,
+            epoch: 2,
+            op: 3,
+            logical: 4,
+            state_bytes: 5,
+            ckpt_bytes: 6,
+            delta: true,
+            align_wait_us: 8,
+            capture_us: 9,
+            serialize_us: 10,
+            persist_us: 11,
+            cow_pages_copied: 12,
+            file_bytes: 13,
+            file_delta: false,
+            tuples_in: 15,
+            tuples_out: 16,
+            bytes_out: 17,
+            queued_tuples: 18,
+            open_windows: 19,
+            window_tuples: 20,
+            gate_accepted: 21,
+            gate_shed: 22,
+            gate_wal_bytes: 23,
+            gate_ack_p50_us: 24,
+            gate_ack_p99_us: 25,
+            barrier_us: 26,
+        }
+    }
+
+    /// A flat JSON object's key → value pairs, whatever their order.
+    fn keys_and_values(line: &str) -> std::collections::BTreeMap<&str, &str> {
+        line.trim_start_matches('{')
+            .trim_end_matches('}')
+            .split(',')
+            .map(|kv| kv.split_once(':').expect("key:value"))
+            .collect()
+    }
+
+    #[test]
+    fn a_full_line_pins_every_column() {
+        assert_eq!(LedgerRecord::from_json(FULL_LINE).unwrap(), full_record());
+        assert_eq!(
+            keys_and_values(&full_record().to_json()),
+            keys_and_values(FULL_LINE)
+        );
+    }
+
+    #[test]
+    fn a_line_from_before_the_capture_column_still_parses() {
+        // The row format before the capture, copy-on-write and file
+        // columns: they read as zero.
+        let old = concat!(
+            "{\"generation\":1,\"epoch\":2,\"op\":3,\"logical\":4,",
+            "\"state_bytes\":5,\"ckpt_bytes\":6,\"delta\":true,",
+            "\"align_wait_us\":8,\"serialize_us\":10,\"persist_us\":11,",
+            "\"tuples_in\":15,\"tuples_out\":16,\"bytes_out\":17,",
+            "\"queued_tuples\":18,\"open_windows\":19,\"window_tuples\":20,",
+            "\"gate_accepted\":21,\"gate_shed\":22,\"gate_wal_bytes\":23,",
+            "\"gate_ack_p50_us\":24,\"gate_ack_p99_us\":25,",
+            "\"barrier_us\":26}"
+        );
+        assert_eq!(
+            LedgerRecord::from_json(old).unwrap(),
+            LedgerRecord {
+                capture_us: 0,
+                cow_pages_copied: 0,
+                file_bytes: 0,
+                file_delta: false,
+                ..full_record()
+            }
+        );
+    }
+
     #[test]
     fn record_roundtrips_through_json() {
         for epoch in 0..6 {
