@@ -6,24 +6,135 @@
 //! (Figs. 14, 16), and state-size traces (Fig. 5). These types collect
 //! exactly those quantities.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
 use crate::time::{SimDuration, SimTime};
 
-/// A point-in-time reading of one worker's backpressure state: how
-/// much input is queued ahead of its hosts and how much the alignment
-/// windows are holding back. Rising queue depths or window occupancy
-/// are the early signal of a stalled stage — visible in the heartbeat
-/// long before the stall degrades into a timeout-detected failure.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BackpressureGauges {
-    /// Tuples sitting unread in host input channels.
-    pub queued_tuples: u64,
-    /// Alignment windows currently open (epochs mid-alignment).
-    pub open_windows: u64,
-    /// Tuples buffered inside open alignment windows (arrived after a
-    /// token, held back until the epoch cuts).
-    pub window_tuples: u64,
+/// A flat record of telemetry columns, each a `u64` or a `bool`,
+/// declared once with [`columns!`](crate::columns): the wire encodes a
+/// record as its columns' words, in declaration order.
+pub trait Columns: Sized {
+    /// The column names, in declaration order.
+    const NAMES: &'static [&'static str];
+
+    /// Hands each column's word to `put`, in declaration order.
+    fn put_words(&self, put: impl FnMut(u64));
+
+    /// Builds a record from its words, read in declaration order.
+    fn from_words<E>(
+        word: impl FnMut() -> std::result::Result<u64, E>,
+    ) -> std::result::Result<Self, E>;
+}
+
+/// The type of one column: what it is as a word.
+pub trait Column: Copy {
+    /// The column as a word (`true` is 1).
+    fn to_word(self) -> u64;
+    /// The column a word holds (any nonzero word is `true`).
+    fn from_word(word: u64) -> Self;
+}
+
+impl Column for u64 {
+    fn to_word(self) -> u64 {
+        self
+    }
+    fn from_word(word: u64) -> u64 {
+        word
+    }
+}
+
+impl Column for bool {
+    fn to_word(self) -> u64 {
+        self as u64
+    }
+    fn from_word(word: u64) -> bool {
+        word != 0
+    }
+}
+
+/// Declares a telemetry record as one table of columns: the struct
+/// (every column `pub`) and its [`Columns`] impl. A second, field-less
+/// struct after the table declares that record's lock-free meter: one
+/// `AtomicU64` per column, and a `sample` that loads each. The meter's
+/// setters stay hand-written next to it.
+///
+/// [`Columns`]: crate::metrics::Columns
+#[macro_export]
+macro_rules! columns {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $( $(#[$doc:meta])* $col:ident : $ty:ty ),* $(,)?
+        }
+        $(#[$meter_meta:meta])*
+        $meter_vis:vis struct $meter:ident;
+    ) => {
+        $crate::columns! {
+            $(#[$meta])*
+            $vis struct $name { $( $(#[$doc])* $col: $ty ),* }
+        }
+
+        $(#[$meter_meta])*
+        $meter_vis struct $meter {
+            $( $col: ::std::sync::atomic::AtomicU64 ),*
+        }
+
+        impl $meter {
+            /// A point-in-time reading of every column.
+            pub fn sample(&self) -> $name {
+                $name {
+                    $( $col: $crate::metrics::Column::from_word(
+                        self.$col.load(::std::sync::atomic::Ordering::Relaxed),
+                    ) ),*
+                }
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $( $(#[$doc:meta])* $col:ident : $ty:ty ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $( $(#[$doc])* pub $col: $ty ),*
+        }
+
+        impl $crate::metrics::Columns for $name {
+            const NAMES: &'static [&'static str] = &[$( stringify!($col) ),*];
+
+            fn put_words(&self, mut put: impl FnMut(u64)) {
+                $( put($crate::metrics::Column::to_word(self.$col)); )*
+            }
+
+            fn from_words<E>(
+                mut word: impl FnMut() -> ::std::result::Result<u64, E>,
+            ) -> ::std::result::Result<Self, E> {
+                Ok($name {
+                    $( $col: $crate::metrics::Column::from_word(word()?) ),*
+                })
+            }
+        }
+    };
+}
+
+columns! {
+    /// A point-in-time reading of one worker's backpressure state: how
+    /// much input is queued ahead of its hosts and how much the alignment
+    /// windows are holding back. Rising queue depths or window occupancy
+    /// are the early signal of a stalled stage — visible in the heartbeat
+    /// long before the stall degrades into a timeout-detected failure.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct BackpressureGauges {
+        /// Tuples sitting unread in host input channels.
+        queued_tuples: u64,
+        /// Alignment windows currently open (epochs mid-alignment).
+        open_windows: u64,
+        /// Tuples buffered inside open alignment windows (arrived after a
+        /// token, held back until the epoch cuts).
+        window_tuples: u64,
+    }
 }
 
 impl BackpressureGauges {
@@ -38,51 +149,76 @@ impl BackpressureGauges {
     }
 }
 
-/// Lock-free per-operator (per-HAU) meter: the host thread and the
-/// persister thread bump it on their hot paths with relaxed atomics,
-/// and a sampler (the worker's heartbeat, and its durable-checkpoint
-/// acks) reads it concurrently. Collects the quantities the paper's evaluation plots
-/// per HAU: tuple flow, the state-size trace (Fig. 5), and the
-/// checkpoint phase breakdown (Fig. 14) with delta-vs-full byte
-/// accounting.
-///
-/// Every field is an independent `AtomicU64`; a [`sample`] is advisory
-/// (fields may be from slightly different instants) but each counter
-/// is individually exact and monotone — a sampler can never observe a
-/// torn or decreasing total.
-///
-/// Each field has exactly one writer: the host thread owns the flow
-/// counters and the state gauge (written at the snapshot cut), the
-/// persister thread owns the checkpoint fields. That contract lets
-/// the tuple-path increments be a relaxed
-/// load+store pair instead of an atomic read-modify-write — plain
-/// `mov`s on x86, keeping the metered hot path within the ≤2%
-/// throughput budget — while any number of samplers read concurrently.
-///
-/// [`sample`]: OperatorMeter::sample
-#[derive(Debug, Default)]
-pub struct OperatorMeter {
-    tuples_in: AtomicU64,
-    tuples_out: AtomicU64,
-    bytes_out: AtomicU64,
-    state_bytes: AtomicU64,
-    ckpt_epoch: AtomicU64,
-    ckpt_bytes: AtomicU64,
-    ckpt_delta: AtomicU64,
-    full_bytes_total: AtomicU64,
-    delta_bytes_total: AtomicU64,
-    align_wait_us: AtomicU64,
-    capture_us: AtomicU64,
-    serialize_us: AtomicU64,
-    persist_us: AtomicU64,
-    cow_pages_copied: AtomicU64,
-    file_bytes: AtomicU64,
-    file_delta: AtomicU64,
+columns! {
+    /// One reading of an [`OperatorMeter`] — a plain value that crosses
+    /// threads and the wire (workers fold these into telemetry messages;
+    /// the controller keys them into the run ledger).
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct OperatorSample {
+        /// Tuples applied to the operator since launch.
+        tuples_in: u64,
+        /// Tuples emitted since launch.
+        tuples_out: u64,
+        /// Encoded batch-record bytes handed to the output routes since
+        /// launch — what the edges carry, before the per-message frame.
+        bytes_out: u64,
+        /// Logical state size at the last snapshot.
+        state_bytes: u64,
+        /// Epoch of the most recent durable checkpoint (0 = none yet).
+        ckpt_epoch: u64,
+        /// Encoded bytes of that checkpoint (delta bytes if incremental).
+        ckpt_bytes: u64,
+        /// Whether that checkpoint was a delta rather than a full snapshot.
+        ckpt_is_delta: bool,
+        /// Token-alignment wait for the last checkpoint (window opened →
+        /// window cut), µs. Zero for sources.
+        align_wait_us: u64,
+        /// The last checkpoint's capture on the host thread, µs.
+        capture_us: u64,
+        /// Stable-store write time for the last checkpoint, µs (a table
+        /// view is encoded inside the write).
+        persist_us: u64,
+        /// Pages the operator's table copied on write between the last
+        /// checkpoint's capture and the one before — the measured
+        /// counterpart of the simulator's COW cost (`cow_overhead`).
+        cow_pages_copied: u64,
+        /// Bytes of the file the store wrote for that checkpoint (see
+        /// [`CkptFile`]): a delta it rebased counts its full file here,
+        /// while `ckpt_bytes` keeps the delta's size.
+        file_bytes: u64,
+        /// Whether that file is a delta link.
+        file_is_delta: bool,
+    }
+
+    /// Lock-free per-operator (per-HAU) meter: the host thread and the
+    /// persister thread bump it on their hot paths with relaxed atomics,
+    /// and a sampler (the worker's heartbeat, and its durable-checkpoint
+    /// acks) reads it concurrently. Collects the quantities the paper's
+    /// evaluation plots per HAU: tuple flow, the state-size trace
+    /// (Fig. 5), and the checkpoint phase breakdown (Fig. 14) with
+    /// delta-vs-full byte accounting.
+    ///
+    /// Every column is an independent `AtomicU64`; a [`sample`] is
+    /// advisory (columns may be from slightly different instants) but
+    /// each counter is individually exact and monotone — a sampler can
+    /// never observe a torn or decreasing total.
+    ///
+    /// Each column has exactly one writer: the host thread owns the flow
+    /// counters and the state gauge (written at the snapshot cut), the
+    /// persister thread owns the checkpoint columns. That contract lets
+    /// the tuple-path increments be a relaxed load+store pair instead of
+    /// an atomic read-modify-write — plain `mov`s on x86, keeping the
+    /// metered hot path within the ≤2% throughput budget — while any
+    /// number of samplers read concurrently.
+    ///
+    /// [`sample`]: OperatorMeter::sample
+    #[derive(Debug, Default)]
+    pub struct OperatorMeter;
 }
 
 /// The phases of one checkpoint, µs, in the paper's Fig. 14 order:
-/// token alignment and the capture on the host thread, then
-/// serialization and the store write on the persister.
+/// token alignment and the capture on the host thread, then the store
+/// write on the persister.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CkptPhases {
     /// Window opened → cut. Zero for sources, which never align.
@@ -90,11 +226,8 @@ pub struct CkptPhases {
     /// The capture itself, on the host thread: what a checkpoint holds
     /// the event loop for.
     pub capture_us: u64,
-    /// Serialization on the persister before the store write. Zero for
-    /// a table view, which encodes straight into the store write and so
-    /// counts in `persist_us`.
-    pub serialize_us: u64,
-    /// The store write.
+    /// The store write. A table view is encoded inside it; a ready
+    /// snapshot was encoded on the host thread, inside `capture_us`.
     pub persist_us: u64,
 }
 
@@ -156,106 +289,18 @@ impl OperatorMeter {
         file: CkptFile,
     ) {
         self.ckpt_bytes.store(bytes, Ordering::Relaxed);
-        self.ckpt_delta.store(delta as u64, Ordering::Relaxed);
-        if delta {
-            self.delta_bytes_total.fetch_add(bytes, Ordering::Relaxed);
-        } else {
-            self.full_bytes_total.fetch_add(bytes, Ordering::Relaxed);
-        }
+        self.ckpt_is_delta.store(delta.to_word(), Ordering::Relaxed);
         self.align_wait_us.store(phases.align_us, Ordering::Relaxed);
         self.capture_us.store(phases.capture_us, Ordering::Relaxed);
-        self.serialize_us
-            .store(phases.serialize_us, Ordering::Relaxed);
         self.persist_us.store(phases.persist_us, Ordering::Relaxed);
         self.cow_pages_copied
             .store(cow_pages_copied, Ordering::Relaxed);
         self.file_bytes.store(file.bytes, Ordering::Relaxed);
-        self.file_delta.store(file.delta as u64, Ordering::Relaxed);
+        self.file_is_delta
+            .store(file.delta.to_word(), Ordering::Relaxed);
         // Epoch last: a sampler that sees the new epoch has, at worst,
         // gauge values at most one store behind it.
         self.ckpt_epoch.store(epoch, Ordering::Relaxed);
-    }
-
-    /// A point-in-time reading of every gauge and counter.
-    pub fn sample(&self) -> OperatorSample {
-        OperatorSample {
-            tuples_in: self.tuples_in.load(Ordering::Relaxed),
-            tuples_out: self.tuples_out.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-            state_bytes: self.state_bytes.load(Ordering::Relaxed),
-            ckpt_epoch: self.ckpt_epoch.load(Ordering::Relaxed),
-            ckpt_bytes: self.ckpt_bytes.load(Ordering::Relaxed),
-            ckpt_is_delta: self.ckpt_delta.load(Ordering::Relaxed) != 0,
-            full_bytes_total: self.full_bytes_total.load(Ordering::Relaxed),
-            delta_bytes_total: self.delta_bytes_total.load(Ordering::Relaxed),
-            align_wait_us: self.align_wait_us.load(Ordering::Relaxed),
-            capture_us: self.capture_us.load(Ordering::Relaxed),
-            serialize_us: self.serialize_us.load(Ordering::Relaxed),
-            persist_us: self.persist_us.load(Ordering::Relaxed),
-            cow_pages_copied: self.cow_pages_copied.load(Ordering::Relaxed),
-            file_bytes: self.file_bytes.load(Ordering::Relaxed),
-            file_is_delta: self.file_delta.load(Ordering::Relaxed) != 0,
-        }
-    }
-}
-
-/// One reading of an [`OperatorMeter`] — a plain value that crosses
-/// threads and the wire (workers fold these into telemetry messages;
-/// the controller keys them into the run ledger).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct OperatorSample {
-    /// Tuples applied to the operator since launch.
-    pub tuples_in: u64,
-    /// Tuples emitted since launch.
-    pub tuples_out: u64,
-    /// Encoded batch-record bytes handed to the output routes since
-    /// launch — what the edges carry, before the per-message frame.
-    pub bytes_out: u64,
-    /// Logical state size at the last snapshot.
-    pub state_bytes: u64,
-    /// Epoch of the most recent durable checkpoint (0 = none yet).
-    pub ckpt_epoch: u64,
-    /// Encoded bytes of that checkpoint (delta bytes if incremental).
-    pub ckpt_bytes: u64,
-    /// Whether that checkpoint was a delta rather than a full snapshot.
-    pub ckpt_is_delta: bool,
-    /// Cumulative encoded bytes of full checkpoints.
-    pub full_bytes_total: u64,
-    /// Cumulative encoded bytes of delta checkpoints.
-    pub delta_bytes_total: u64,
-    /// Token-alignment wait for the last checkpoint (window opened →
-    /// window cut), µs. Zero for sources.
-    pub align_wait_us: u64,
-    /// The last checkpoint's capture on the host thread, µs.
-    pub capture_us: u64,
-    /// State-serialization time for the last checkpoint, µs (see
-    /// [`CkptPhases::serialize_us`]).
-    pub serialize_us: u64,
-    /// Stable-store write time for the last checkpoint, µs.
-    pub persist_us: u64,
-    /// Pages the operator's table copied on write between the last
-    /// checkpoint's capture and the one before — the measured
-    /// counterpart of the simulator's COW cost (`cow_overhead`).
-    pub cow_pages_copied: u64,
-    /// Bytes of the file the store wrote for that checkpoint (see
-    /// [`CkptFile`]): a delta it rebased counts its full file here,
-    /// while `ckpt_bytes` keeps the delta's size.
-    pub file_bytes: u64,
-    /// Whether that file is a delta link.
-    pub file_is_delta: bool,
-}
-
-impl OperatorSample {
-    /// The last checkpoint's phase breakdown in the paper's Fig. 14
-    /// shape: align-wait (token collection) / capture / serialize /
-    /// persist.
-    pub fn ckpt_breakdown(&self) -> Breakdown {
-        let mut b = Breakdown::new();
-        b.add("align_wait", SimDuration::from_micros(self.align_wait_us));
-        b.add("capture", SimDuration::from_micros(self.capture_us));
-        b.add("serialize", SimDuration::from_micros(self.serialize_us));
-        b.add("persist", SimDuration::from_micros(self.persist_us));
-        b
     }
 }
 
@@ -741,20 +786,19 @@ mod tests {
     }
 
     #[test]
-    fn operator_meter_counts_and_breakdown() {
+    fn operator_meter_counts() {
         let m = OperatorMeter::new();
         assert_eq!(m.sample(), OperatorSample::default());
         m.add_tuples_in(3);
         m.add_tuples_out(2, 64);
         m.set_state_bytes(1024);
-        let phases = |align_us, capture_us, serialize_us, persist_us| CkptPhases {
+        let phases = |align_us, capture_us, persist_us| CkptPhases {
             align_us,
             capture_us,
-            serialize_us,
             persist_us,
         };
         let file = |bytes, delta| CkptFile { bytes, delta };
-        m.record_checkpoint(7, 256, true, phases(10, 5, 20, 30), 4, file(270, true));
+        m.record_checkpoint(7, 256, true, phases(10, 5, 30), 4, file(270, true));
         let s = m.sample();
         assert_eq!(s.tuples_in, 3);
         assert_eq!(s.tuples_out, 2);
@@ -763,23 +807,51 @@ mod tests {
         assert_eq!(s.ckpt_epoch, 7);
         assert_eq!(s.ckpt_bytes, 256);
         assert!(s.ckpt_is_delta);
-        assert_eq!(s.delta_bytes_total, 256);
-        assert_eq!(s.full_bytes_total, 0);
+        assert_eq!((s.align_wait_us, s.capture_us, s.persist_us), (10, 5, 30));
         assert_eq!(s.cow_pages_copied, 4);
         assert_eq!((s.file_bytes, s.file_is_delta), (270, true));
-        m.record_checkpoint(8, 4096, false, phases(1, 1, 2, 3), 0, file(4108, false));
+        m.record_checkpoint(8, 4096, false, phases(1, 1, 3), 0, file(4108, false));
         assert_eq!(
             (m.sample().file_bytes, m.sample().file_is_delta),
             (4108, false)
         );
-        assert_eq!(m.sample().full_bytes_total, 4096);
-        assert_eq!(m.sample().delta_bytes_total, 256);
-        let b = s.ckpt_breakdown();
-        assert_eq!(b.get("align_wait"), SimDuration::from_micros(10));
-        assert_eq!(b.get("capture"), SimDuration::from_micros(5));
-        assert_eq!(b.get("serialize"), SimDuration::from_micros(20));
-        assert_eq!(b.get("persist"), SimDuration::from_micros(30));
-        assert_eq!(b.total(), SimDuration::from_micros(65));
+        assert!(!m.sample().ckpt_is_delta);
+    }
+
+    #[test]
+    fn columns_are_their_words_in_declaration_order() {
+        let s = OperatorSample {
+            tuples_in: 1,
+            ckpt_is_delta: true,
+            file_bytes: 7,
+            ..OperatorSample::default()
+        };
+        let mut words = Vec::new();
+        s.put_words(|w| words.push(w));
+        assert_eq!(words.len(), OperatorSample::NAMES.len());
+        let at = |name| {
+            OperatorSample::NAMES
+                .iter()
+                .position(|n| *n == name)
+                .unwrap()
+        };
+        assert_eq!(
+            (
+                words[at("tuples_in")],
+                words[at("ckpt_is_delta")],
+                words[at("file_bytes")]
+            ),
+            (1, 1, 7)
+        );
+        assert_eq!(words.iter().sum::<u64>(), 9);
+        let mut it = words.into_iter();
+        let back = OperatorSample::from_words(|| it.next().ok_or(()));
+        assert_eq!(back, Ok(s));
+        // Too few words is the reader's error, passed through.
+        assert_eq!(
+            BackpressureGauges::from_words(|| Err::<u64, _>("short")),
+            Err("short")
+        );
     }
 
     #[test]
@@ -805,7 +877,6 @@ mod tests {
                     assert!(s.tuples_in >= last.tuples_in);
                     assert!(s.tuples_out >= last.tuples_out);
                     assert!(s.bytes_out >= last.bytes_out);
-                    assert!(s.full_bytes_total >= last.full_bytes_total);
                     assert!(s.ckpt_epoch >= last.ckpt_epoch);
                     last = s;
                     reads += 1;
@@ -815,15 +886,16 @@ mod tests {
         };
 
         // The real writer topology (the single-writer contract): the
-        // host thread owns the flow counters, the persister thread
-        // owns the state gauge and checkpoint fields, and the sampler
-        // races both.
+        // host thread owns the flow counters and the state gauge (set at
+        // the cut), the persister thread owns the checkpoint columns,
+        // and the sampler races both.
         let host = {
             let meter = Arc::clone(&meter);
             std::thread::spawn(move || {
-                for _ in 0..TUPLES {
+                for i in 0..TUPLES {
                     meter.add_tuples_in(1);
                     meter.add_tuples_out(1, 8);
+                    meter.set_state_bytes(i);
                 }
             })
         };
@@ -831,7 +903,6 @@ mod tests {
             let meter = Arc::clone(&meter);
             std::thread::spawn(move || {
                 for e in 1..=EPOCHS {
-                    meter.set_state_bytes(64 * e);
                     meter.record_checkpoint(
                         e,
                         100,
@@ -853,7 +924,8 @@ mod tests {
         assert_eq!(s.tuples_out, TUPLES);
         assert_eq!(s.bytes_out, TUPLES * 8);
         assert_eq!(s.ckpt_epoch, EPOCHS);
-        assert_eq!(s.full_bytes_total, 100 * EPOCHS);
+        assert_eq!(s.state_bytes, TUPLES - 1);
+        assert_eq!(s.ckpt_bytes, 100);
     }
 
     #[test]

@@ -31,5 +31,5 @@ pub mod meter;
 pub mod run;
 
 pub use admission::{field, is_fin_marker, Admission, GateCore};
-pub use meter::{GateMeter, GateSample};
+pub use meter::GateSample;
 pub use run::{listen, Gate, GateOp, GateWiring};

@@ -49,7 +49,7 @@ use ms_live::{Capture, HostExit, Outbox, OutputRoute, PersistItem, SourceCore, S
 use ms_net::ready::{Interest, PollTarget, ReadyEvent};
 
 use crate::admission::{is_fin_marker, Admission, GateCore};
-use crate::meter::GateMeter;
+use crate::meter::{GateMeter, GateSample};
 
 const READ_CHUNK: usize = 64 * 1024;
 
@@ -72,8 +72,6 @@ pub struct GateWiring {
     /// Preserved tuples to resend before accepting traffic (recovery);
     /// also rebuilds the dedup table for batches WAL'd after the mark.
     pub replay: Vec<Tuple>,
-    /// Gateway-specific counters (always on; cheap atomics).
-    pub meter: Arc<GateMeter>,
     /// Standard per-operator meter (checkpoint phases, tuples out);
     /// `None` disables.
     pub telemetry: Option<Arc<OperatorMeter>>,
@@ -184,8 +182,6 @@ struct PendingAccept {
     conn: usize,
     /// Batch id for the `Accepted` ack.
     batch: u64,
-    /// Producer events the batch carried (pre-agg input count).
-    events: u64,
     /// The batch's tuples inside [`Turn::wal`].
     range: Range<usize>,
     /// Admission instant, for the ack-latency meter.
@@ -231,12 +227,13 @@ pub fn listen(addr: &str, addr_file: Option<&Path>) -> Result<TcpListener> {
 /// command; [`Gate::finish`] once [`Gate::is_done`] or at teardown. It
 /// moves what the gate emitted with [`Gate::take_outbox`].
 pub struct Gate {
+    op: OperatorId,
     core: GateCore,
     src: SourceCore,
     listener: TcpListener,
     conns: Vec<Conn>,
     turn: Turn,
-    meter: Arc<GateMeter>,
+    meter: GateMeter,
     all_fin: bool,
     failed: bool,
 }
@@ -275,12 +272,13 @@ impl Gate {
         // be re-sent (the producers exited on their acks).
         let all_fin = core.all_finished();
         Gate {
+            op: w.op_id,
             core,
             src,
             listener: w.listener,
             conns: Vec::new(),
             turn: Turn::default(),
-            meter: w.meter,
+            meter: GateMeter::default(),
             all_fin,
             failed,
         }
@@ -359,7 +357,6 @@ impl Gate {
                             self.turn.accepts.push(PendingAccept {
                                 conn: conn_idx,
                                 batch,
-                                events: events.len() as u64,
                                 range,
                                 start,
                             });
@@ -442,7 +439,7 @@ impl Gate {
         };
         self.meter.record_wal_bytes(wal_bytes);
         for acc in turn.accepts.drain(..) {
-            self.meter.record_accept(acc.events, acc.range.len() as u64);
+            self.meter.record_accept();
             if let Some(c) = self.conns.get_mut(acc.conn) {
                 c.queue(&GateMsg::Accepted { batch: acc.batch });
             }
@@ -483,6 +480,12 @@ impl Gate {
         }
     }
 
+    /// The gate's operator and a reading of its meter, for the
+    /// heartbeat.
+    pub fn sample(&self) -> (OperatorId, GateSample) {
+        (self.op, self.meter.sample())
+    }
+
     /// Whether every expected producer sent `Fin` or storage failed;
     /// asked after [`Gate::commit`], so the last `FinOk`s are queued.
     pub fn is_done(&self) -> bool {
@@ -514,13 +517,20 @@ mod tests {
     use ms_net::ready::poll;
     use std::path::PathBuf;
     use std::sync::mpsc::{channel, Receiver};
+    use std::sync::Mutex;
     use std::time::Duration;
 
     /// Hosts a gate the way the worker's I/O thread does, on a thread
     /// of its own: one poll over the gate's entries, readiness, queued
     /// checkpoints, the group commit and the ack flush per turn, then
-    /// the gate's outbox onto `edge`.
-    fn pump(mut gate: Gate, checkpoints: Receiver<EpochId>, edge: Sender<HostMsg>) -> HostExit {
+    /// the gate's outbox onto `edge`. Each turn's meter reading lands
+    /// in `meter` before the turn's acks go out.
+    fn pump(
+        mut gate: Gate,
+        checkpoints: Receiver<EpochId>,
+        edge: Sender<HostMsg>,
+        meter: Arc<Mutex<GateSample>>,
+    ) -> HostExit {
         let forward = |outbox: Outbox| {
             for (_, msg) in outbox {
                 let _ = edge.send(msg);
@@ -540,6 +550,7 @@ mod tests {
                 gate.checkpoint(epoch);
             }
             gate.commit();
+            *meter.lock().unwrap() = gate.sample().1;
             gate.flush_acks();
             forward(gate.take_outbox());
             if gate.is_done() {
@@ -590,7 +601,7 @@ mod tests {
         cmd_tx: Sender<EpochId>,
         rx: Receiver<HostMsg>,
         store: Arc<FsStore>,
-        meter: Arc<GateMeter>,
+        meter: Arc<Mutex<GateSample>>,
         handle: std::thread::JoinHandle<HostExit>,
         dir: PathBuf,
     }
@@ -605,7 +616,7 @@ mod tests {
         let (cmd_tx, cmd_rx) = channel();
         let (tx, rx) = channel::<HostMsg>();
         let addr_file = dir.join("gate.addr");
-        let meter = Arc::new(GateMeter::new());
+        let meter = Arc::new(Mutex::new(GateSample::default()));
         let wiring = GateWiring {
             op_id: OperatorId(0),
             cfg,
@@ -614,12 +625,11 @@ mod tests {
             restored: None,
             restored_seq: 0,
             replay: Vec::new(),
-            meter: meter.clone(),
             telemetry: None,
         };
-        let store2 = store.clone();
+        let (store2, meter2) = (store.clone(), meter.clone());
         let handle = std::thread::spawn(move || {
-            let exit = pump(Gate::new(wiring, store2, persist), cmd_rx, tx);
+            let exit = pump(Gate::new(wiring, store2, persist), cmd_rx, tx, meter2);
             drop(persister);
             exit
         });
@@ -657,7 +667,11 @@ mod tests {
             send(&mut a, &GateMsg::Batch { batch, events });
             assert_eq!(recv(&mut a, &mut da), GateMsg::Accepted { batch });
             let grown = fs::metadata(&log).unwrap().len();
-            assert_eq!(g.meter.sample().wal_bytes, grown, "after batch {batch}");
+            assert_eq!(
+                g.meter.lock().unwrap().wal_bytes,
+                grown,
+                "after batch {batch}"
+            );
         }
         send(&mut a, &GateMsg::Fin { producer: 1 });
         assert_eq!(recv(&mut a, &mut da), GateMsg::FinOk);
@@ -671,7 +685,7 @@ mod tests {
             (1..=6).map(|b| b * 37).sum::<u64>() as usize + 2
         );
         assert_eq!(
-            g.meter.sample().wal_bytes,
+            g.meter.lock().unwrap().wal_bytes,
             fs::metadata(&log).unwrap().len()
         );
         let _ = fs::remove_dir_all(&g.dir);
@@ -864,11 +878,11 @@ mod tests {
             restored: None,
             restored_seq: 0,
             replay,
-            meter: Arc::new(GateMeter::new()),
             telemetry: None,
         };
+        let meter = Arc::default();
         let handle =
-            std::thread::spawn(move || pump(Gate::new(wiring, store, persist), cmd_rx, tx));
+            std::thread::spawn(move || pump(Gate::new(wiring, store, persist), cmd_rx, tx, meter));
         // No producer ever connects. The gate must still terminate:
         // replayed data, then Eos — and no marker in between.
         let mut got = Vec::new();
@@ -919,12 +933,11 @@ mod tests {
             restored: None,
             restored_seq: 0,
             replay: walled.clone(),
-            meter: Arc::new(GateMeter::new()),
             telemetry: None,
         };
-        let store2 = store.clone();
+        let (store2, meter) = (store.clone(), Arc::default());
         let handle =
-            std::thread::spawn(move || pump(Gate::new(wiring, store2, persist), cmd_rx, tx));
+            std::thread::spawn(move || pump(Gate::new(wiring, store2, persist), cmd_rx, tx, meter));
         let addr = wait_addr(&addr_file);
         // The replayed tuples arrive downstream before any new data.
         let mut got = Vec::new();

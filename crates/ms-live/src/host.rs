@@ -175,9 +175,6 @@ impl PersistItem {
             let phases = CkptPhases {
                 align_us: self.align_us,
                 capture_us: self.capture_us,
-                // Bytes were serialized on the host thread (inside
-                // `capture_us`), a view inside the store write.
-                serialize_us: 0,
                 persist_us: persist_start.elapsed().as_micros() as u64,
             };
             let bytes = write.state.encoded_bytes() as u64;

@@ -430,7 +430,6 @@ mod tests {
             assert!(smp.state_bytes > 0);
             assert!(smp.ckpt_bytes > 0);
             assert!(!smp.ckpt_is_delta);
-            assert_eq!(smp.full_bytes_total, smp.ckpt_bytes);
         }
         // Sources never align.
         assert_eq!(src.align_wait_us, 0);

@@ -635,34 +635,17 @@ impl<L: Link> Control<L> {
                 .map(|w| w.gauges)
                 .unwrap_or_default();
             let gate = self.latest_gate.get(&op).copied().unwrap_or_default();
-            let record = LedgerRecord {
-                generation: self.generation,
-                epoch: epoch.0,
-                op: op.0,
-                logical: self.plan.logical_of(op).map_or(op.0, |l| l.0),
-                state_bytes: s.state_bytes,
-                ckpt_bytes: s.ckpt_bytes,
-                delta: s.ckpt_is_delta,
-                align_wait_us: s.align_wait_us,
-                capture_us: s.capture_us,
-                serialize_us: s.serialize_us,
-                persist_us: s.persist_us,
-                cow_pages_copied: s.cow_pages_copied,
-                file_bytes: s.file_bytes,
-                file_delta: s.file_is_delta,
-                tuples_in: s.tuples_in,
-                tuples_out: s.tuples_out,
-                bytes_out: s.bytes_out,
-                queued_tuples: gauges.queued_tuples,
-                open_windows: gauges.open_windows,
-                window_tuples: gauges.window_tuples,
-                gate_accepted: gate.accepted_batches,
-                gate_shed: gate.shed_batches,
-                gate_wal_bytes: gate.wal_bytes,
-                gate_ack_p50_us: gate.ack_p50_us,
-                gate_ack_p99_us: gate.ack_p99_us,
+            let logical = self.plan.logical_of(op).map_or(op.0, |l| l.0);
+            let record = LedgerRecord::cut(
+                self.generation,
+                epoch.0,
+                op.0,
+                logical,
+                s,
+                &gauges,
+                &gate,
                 barrier_us,
-            };
+            );
             if let Err(e) = ledger.append(&record) {
                 eprintln!("ms-controller: ledger append failed: {e}");
                 return;

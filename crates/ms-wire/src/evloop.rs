@@ -77,7 +77,7 @@ use ms_core::error::{Error, Result};
 use ms_core::ids::{EpochId, OperatorId};
 use ms_core::metrics::{BackpressureGauges, OperatorMeter, OperatorSample};
 use ms_core::operator::Operator;
-use ms_gate::{Gate, GateMeter};
+use ms_gate::{Gate, GateSample};
 use ms_live::{HostExit, HostMsg, InteriorCore, Outbox, SourceCore};
 use ms_net::fault::FaultPlan;
 use ms_net::ready::{poll, Interest, PollTarget, ReadyEvent, Waker};
@@ -199,8 +199,9 @@ pub(crate) enum Hau {
     /// An ingestion gate, whose sockets join the poll set.
     Gate(Box<Gate>),
     /// Finished, its exit record sent. The tombstone keeps the cell's
-    /// index, its address, until the generation is torn down.
-    Done,
+    /// index, its address, until the generation is torn down, and a
+    /// gate's last meter reading, which the heartbeats keep carrying.
+    Done(Option<(OperatorId, GateSample)>),
 }
 
 /// One HAU, owned by the I/O thread: its state machine, its inbox (fed
@@ -268,7 +269,7 @@ impl HostCell {
                 gate.flush_acks();
                 !gate.is_done()
             }
-            Hau::Done => return Outbox::new(),
+            Hau::Done(_) => return Outbox::new(),
         };
         if live {
             self.take_outbox()
@@ -283,7 +284,7 @@ impl HostCell {
         match &mut self.hau {
             Hau::Source { core, op, .. } => _ = core.checkpoint_operator(epoch, op.as_mut()),
             Hau::Gate(gate) => gate.checkpoint(epoch),
-            Hau::Interior(_) | Hau::Done => {}
+            Hau::Interior(_) | Hau::Done(_) => {}
         }
         self.take_outbox()
     }
@@ -293,7 +294,7 @@ impl HostCell {
             Hau::Interior(core) => core.take_outbox(),
             Hau::Source { core, .. } => core.take_outbox(),
             Hau::Gate(gate) => gate.take_outbox(),
-            Hau::Done => Outbox::new(),
+            Hau::Done(_) => Outbox::new(),
         }
     }
 
@@ -301,16 +302,27 @@ impl HostCell {
     /// record as an [`Event::Exit`]; the cell stays as a tombstone.
     /// Returns the last of the HAU's outbox.
     fn finish(&mut self) -> Outbox {
-        let (exit, outbox) = match mem::replace(&mut self.hau, Hau::Done) {
+        let tombstone = Hau::Done(self.gate_sample());
+        let (exit, outbox) = match mem::replace(&mut self.hau, tombstone) {
             Hau::Interior(core) => core.finish(),
             Hau::Source { core, op, .. } => core.finish(op),
             Hau::Gate(gate) => gate.finish(),
-            Hau::Done => return Outbox::new(),
+            Hau::Done(_) => return Outbox::new(),
         };
         self.inbox = VecDeque::new();
         let generation = self.generation;
         let _ = self.exits.send(Event::Exit { generation, exit });
         outbox
+    }
+
+    /// A gate's operator and meter reading, live or kept by its
+    /// tombstone.
+    fn gate_sample(&self) -> Option<(OperatorId, GateSample)> {
+        match &self.hau {
+            Hau::Gate(gate) => Some(gate.sample()),
+            Hau::Done(last) => *last,
+            Hau::Interior(_) | Hau::Source { .. } => None,
+        }
     }
 }
 
@@ -344,8 +356,6 @@ pub(crate) struct Gen {
     pub(crate) ingress: HashMap<(u32, u32), CellPort>,
     /// Every HAU's telemetry meter, sampled into each heartbeat.
     pub(crate) ops: Vec<(OperatorId, Arc<OperatorMeter>)>,
-    /// The ingestion gates' meters, sampled into each heartbeat.
-    pub(crate) gates: Vec<(OperatorId, Arc<GateMeter>)>,
 }
 
 impl Gen {
@@ -360,7 +370,11 @@ impl Gen {
             generation: self.generation,
             gauges: gauges.fold(BackpressureGauges::default(), |acc, g| acc.merge(&g)),
             ops: self.ops.iter().map(|(op, m)| (*op, m.sample())).collect(),
-            gates: self.gates.iter().map(|(op, g)| (*op, g.sample())).collect(),
+            gates: self
+                .cells
+                .iter()
+                .filter_map(HostCell::gate_sample)
+                .collect(),
         }
     }
 
@@ -994,7 +1008,7 @@ mod tests {
     use ms_core::operator::{OperatorContext, OperatorSnapshot, SnapshotPayload};
     use ms_core::tuple::Tuple;
     use ms_core::value::Value;
-    use ms_gate::{GateMeter, GateWiring};
+    use ms_gate::GateWiring;
     use ms_live::{
         CountSource, Doubler, FsStore, HostWiring, OutputRoute, PersistItem, StableStore,
     };
@@ -1186,7 +1200,7 @@ mod tests {
         let mut gen = generation(vec![cell], Vec::new(), []);
         run_cells(&mut gen, Instant::now(), false);
         assert!(
-            matches!(gen.cells[0].hau, Hau::Done),
+            matches!(gen.cells[0].hau, Hau::Done(_)),
             "a cell at Eos is a tombstone after the pass"
         );
         let exit = exit_within(&exit_rx, Duration::from_secs(5)).unwrap();
@@ -1223,7 +1237,7 @@ mod tests {
 
         // Every cell finished in that one pass: Σ 4v over 0..N at the
         // sink, closed by the Eos that followed the data down.
-        assert!(gen.cells.iter().all(|c| matches!(c.hau, Hau::Done)));
+        assert!(gen.cells.iter().all(|c| matches!(c.hau, Hau::Done(_))));
         assert!(first.exit_rx.try_recv().is_ok());
         assert!(second.exit_rx.try_recv().is_ok());
         let exit = exit_within(&sink.exit_rx, Duration::ZERO).unwrap();
@@ -1636,7 +1650,6 @@ mod tests {
             restored: None,
             restored_seq: 0,
             replay: Vec::new(),
-            meter: Arc::new(GateMeter::new()),
             telemetry: None,
         };
         let (exit_tx, exit_rx) = channel();
@@ -1717,6 +1730,21 @@ mod tests {
         assert!(exit.error.is_none());
         command(&cmds, &waker, IoCmd::Stop);
         io.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_finished_gate_keeps_riding_the_heartbeat() {
+        let (dir, store) = temp_store("tombstone");
+        let (persist, _) = channel();
+        let (mut gate, _, _exit) = gate_cell(&store, persist);
+        gate.finish();
+        assert!(matches!(gate.hau, Hau::Done(Some(_))));
+        let gen = generation(vec![gate], Vec::new(), []);
+        let WireMsg::Heartbeat { gates, .. } = gen.heartbeat() else {
+            panic!("a beat is a heartbeat");
+        };
+        assert_eq!(gates, vec![(OperatorId(0), GateSample::default())]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -9,205 +9,185 @@
 //! state size (the paper's Fig. 5 trace, and the series the ROADMAP's
 //! `+aa` profiler will consume), checkpoint bytes with delta-vs-full
 //! kind, the checkpoint phase breakdown (align-wait / capture /
-//! serialize / persist, Fig. 14) with the pages the operator's table
-//! copied on write, the hosting worker's backpressure gauges, and the
+//! persist, Fig. 14) with the pages the operator's table copied on
+//! write, the hosting worker's backpressure gauges, and the
 //! token-broadcast→last-ack barrier latency.
 //!
-//! Records are hand-encoded JSON objects, one per line — flat,
-//! numeric, append-only — so the file survives controller restarts
-//! (recovery generations append to the same ledger) and any JSON tool
-//! can consume it. [`read_ledger`] and [`summarize`] are the
-//! programmatic consumers; the `ms_ledger` bin wraps them for the
-//! command line.
+//! Each record is one flat, numeric JSON object per line, append-only,
+//! so the file survives controller restarts (recovery generations
+//! append to the same ledger) and any JSON tool can consume it. The
+//! row is declared once, as a table of columns that names what each
+//! is cut from ([`LedgerRecord::cut`]); its JSON writer and reader are
+//! generated from that table, as the samples' wire encoding is from
+//! theirs ([`ms_core::columns!`]). [`read_ledger`] and [`summarize`]
+//! are the programmatic consumers; the `ms_ledger` bin wraps them for
+//! the command line.
 //!
 //! [`WireMsg::Heartbeat`]: crate::WireMsg::Heartbeat
 //! [`WireMsg::CkptDone`]: crate::WireMsg::CkptDone
 
+use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::Path;
+use std::str::FromStr;
 
 use ms_core::error::{Error, Result};
-use ms_core::metrics::{Breakdown, DurationStats};
+use ms_core::metrics::{BackpressureGauges, DurationStats, OperatorSample};
 use ms_core::time::SimDuration;
+use ms_gate::GateSample;
 
 /// File name of the run ledger inside the controller's store
 /// directory, next to `ckpt/` and `log/`.
 pub const LEDGER_FILE: &str = "ledger.jsonl";
 
-/// One (epoch, operator) row of the run ledger.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct LedgerRecord {
+/// Whether a ledger column carries the `or_default` marker.
+macro_rules! or_default {
+    () => {
+        false
+    };
+    (or_default) => {
+        true
+    };
+}
+
+/// Declares the ledger row as one table. Each column gives its name,
+/// type and doc, the expression of `cut`'s arguments it is cut from,
+/// and, for a column added after the first ledgers were written, the
+/// `or_default` marker: a row without that column reads its default.
+/// Every other column is required. The struct, `cut`, `to_json` and
+/// `from_json` are generated from the table.
+macro_rules! ledger_table {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident;
+        $(#[$cut_doc:meta])*
+        pub fn cut($($arg:ident: $arg_ty:ty),* $(,)?);
+        $( $(#[$doc:meta])* $col:ident: $ty:ty = $src:expr $(, $marker:ident)?; )*
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $( $(#[$doc])* pub $col: $ty, )*
+        }
+
+        impl $name {
+            $(#[$cut_doc])*
+            #[allow(clippy::too_many_arguments)]
+            pub fn cut($($arg: $arg_ty),*) -> $name {
+                $name { $( $col: $src, )* }
+            }
+
+            /// Encodes the record as one flat JSON object (no trailing
+            /// newline), its columns in table order.
+            pub fn to_json(&self) -> String {
+                let mut out = String::from("{");
+                $( let _ = write!(out, concat!("\"", stringify!($col), "\":{},"), self.$col); )*
+                out.pop();
+                out.push('}');
+                out
+            }
+
+            /// Parses one JSON line. Unknown fields are ignored (forward
+            /// compatibility).
+            pub fn from_json(line: &str) -> Result<$name> {
+                let s = line.trim();
+                if !(s.starts_with('{') && s.ends_with('}')) {
+                    return Err(Error::Storage(format!(
+                        "ledger line is not a JSON object: {s:?}"
+                    )));
+                }
+                Ok($name {
+                    $( $col: column(s, stringify!($col), or_default!($($marker)?))?, )*
+                })
+            }
+        }
+    };
+}
+
+ledger_table! {
+    /// One (epoch, operator) row of the run ledger.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct LedgerRecord;
+
+    /// The row of operator `op` for a just-closed barrier: flow counters
+    /// and checkpoint phases from its sample `s`, its hosting worker's
+    /// `gauges`, its `gate` sample (zero for an operator that is no
+    /// gate), and the epoch's `barrier_us`.
+    pub fn cut(
+        generation: u64,
+        epoch: u64,
+        op: u32,
+        logical: u32,
+        s: &OperatorSample,
+        gauges: &BackpressureGauges,
+        gate: &GateSample,
+        barrier_us: u64,
+    );
+
     /// Deployment generation the epoch completed in.
-    pub generation: u64,
+    generation: u64 = generation;
     /// The completed (barrier-closed) epoch.
-    pub epoch: u64,
+    epoch: u64 = epoch;
     /// The (physical) operator this row describes.
-    pub op: u32,
+    op: u32 = op;
     /// The logical operator the physical instance belongs to. Equal to
     /// `op` for unsharded deployments; shards of one keyed operator
     /// share a `logical` and differ in `op`.
-    pub logical: u32,
+    logical: u32 = logical;
     /// Logical state size at the operator's last snapshot.
-    pub state_bytes: u64,
+    state_bytes: u64 = s.state_bytes;
     /// Encoded bytes of the capture the operator submitted for the
     /// epoch (a delta's own bytes, even when the store rebased it).
-    pub ckpt_bytes: u64,
+    ckpt_bytes: u64 = s.ckpt_bytes;
     /// Whether that capture was a delta rather than a full.
-    pub delta: bool,
+    delta: bool = s.ckpt_is_delta;
     /// Token-alignment wait of the cut (µs). Zero for sources.
-    pub align_wait_us: u64,
+    align_wait_us: u64 = s.align_wait_us;
     /// The capture on the host thread (µs): how long the checkpoint
-    /// held the worker's event loop. Zero in rows written before the
-    /// column existed.
-    pub capture_us: u64,
-    /// State-serialization time (µs). Zero for a table view, which
-    /// encodes inside the store write (`persist_us`).
-    pub serialize_us: u64,
+    /// held the worker's event loop.
+    capture_us: u64 = s.capture_us, or_default;
+    /// Written as zero: no phase serializes apart from the capture and
+    /// the store write any more. The column stays only until ROADMAP
+    /// I-a(2) drops the benchmark report's reading of it.
+    serialize_us: u64 = 0;
     /// Stable-store write time (µs).
-    pub persist_us: u64,
+    persist_us: u64 = s.persist_us;
     /// Pages the operator's table copied on write between this capture
-    /// and the one before. Zero in rows written before the column
-    /// existed.
-    pub cow_pages_copied: u64,
+    /// and the one before.
+    cow_pages_copied: u64 = s.cow_pages_copied, or_default;
     /// Bytes of the checkpoint file the store wrote: a delta it
-    /// rebased counts its full file here. Zero in rows written before
-    /// the column existed.
-    pub file_bytes: u64,
+    /// rebased counts its full file here.
+    file_bytes: u64 = s.file_bytes, or_default;
     /// Whether that file is a delta link; `delta` without `file_delta`
-    /// is a rebased epoch. False in rows written before the column
-    /// existed.
-    pub file_delta: bool,
+    /// is a rebased epoch.
+    file_delta: bool = s.file_is_delta, or_default;
     /// Tuples the operator has consumed since its generation started.
-    pub tuples_in: u64,
+    tuples_in: u64 = s.tuples_in;
     /// Tuples the operator has emitted.
-    pub tuples_out: u64,
+    tuples_out: u64 = s.tuples_out;
     /// Encoded batch-record bytes the operator has emitted on its
     /// routes.
-    pub bytes_out: u64,
+    bytes_out: u64 = s.bytes_out;
     /// Hosting worker's queued-input gauge at the barrier.
-    pub queued_tuples: u64,
+    queued_tuples: u64 = gauges.queued_tuples;
     /// Hosting worker's open-alignment-window gauge at the barrier.
-    pub open_windows: u64,
+    open_windows: u64 = gauges.open_windows;
     /// Hosting worker's window-buffered-tuple gauge at the barrier.
-    pub window_tuples: u64,
+    window_tuples: u64 = gauges.window_tuples;
     /// Ingestion-gateway rows only (zero elsewhere): batches admitted
     /// and acked `Accepted` since the generation started.
-    pub gate_accepted: u64,
+    gate_accepted: u64 = gate.accepted_batches;
     /// Gateway rows only: batches shed at admission (acked `Busy`).
-    pub gate_shed: u64,
+    gate_shed: u64 = gate.shed_batches;
     /// Gateway rows only: bytes appended to the preservation log.
-    pub gate_wal_bytes: u64,
+    gate_wal_bytes: u64 = gate.wal_bytes;
     /// Gateway rows only: median admission-to-ack latency (µs).
-    pub gate_ack_p50_us: u64,
+    gate_ack_p50_us: u64 = gate.ack_p50_us;
     /// Gateway rows only: p99 admission-to-ack latency (µs).
-    pub gate_ack_p99_us: u64,
+    gate_ack_p99_us: u64 = gate.ack_p99_us;
     /// Token broadcast → last `CkptDone` for the epoch (µs). The same
     /// value repeats on every row of the epoch.
-    pub barrier_us: u64,
-}
-
-impl LedgerRecord {
-    /// Encodes the record as one flat JSON object (no trailing
-    /// newline).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"generation\":{},\"epoch\":{},\"op\":{},\"logical\":{},",
-                "\"state_bytes\":{},\"ckpt_bytes\":{},\"delta\":{},",
-                "\"align_wait_us\":{},\"capture_us\":{},\"serialize_us\":{},",
-                "\"persist_us\":{},\"cow_pages_copied\":{},",
-                "\"file_bytes\":{},\"file_delta\":{},",
-                "\"tuples_in\":{},\"tuples_out\":{},\"bytes_out\":{},",
-                "\"queued_tuples\":{},\"open_windows\":{},\"window_tuples\":{},",
-                "\"gate_accepted\":{},\"gate_shed\":{},\"gate_wal_bytes\":{},",
-                "\"gate_ack_p50_us\":{},\"gate_ack_p99_us\":{},",
-                "\"barrier_us\":{}}}"
-            ),
-            self.generation,
-            self.epoch,
-            self.op,
-            self.logical,
-            self.state_bytes,
-            self.ckpt_bytes,
-            self.delta,
-            self.align_wait_us,
-            self.capture_us,
-            self.serialize_us,
-            self.persist_us,
-            self.cow_pages_copied,
-            self.file_bytes,
-            self.file_delta,
-            self.tuples_in,
-            self.tuples_out,
-            self.bytes_out,
-            self.queued_tuples,
-            self.open_windows,
-            self.window_tuples,
-            self.gate_accepted,
-            self.gate_shed,
-            self.gate_wal_bytes,
-            self.gate_ack_p50_us,
-            self.gate_ack_p99_us,
-            self.barrier_us,
-        )
-    }
-
-    /// Parses one JSON line. Every schema field must be present, but
-    /// for the columns added after the first ledgers were written
-    /// (`capture_us`, `cow_pages_copied`, `file_bytes`, `file_delta`),
-    /// which read as zero (false) when absent; unknown fields are
-    /// ignored (forward compatibility).
-    pub fn from_json(line: &str) -> Result<LedgerRecord> {
-        let s = line.trim();
-        if !(s.starts_with('{') && s.ends_with('}')) {
-            return Err(Error::Storage(format!(
-                "ledger line is not a JSON object: {s:?}"
-            )));
-        }
-        let op = u32::try_from(json_u64(s, "op")?)
-            .map_err(|_| Error::Storage("ledger operator id out of range".into()))?;
-        Ok(LedgerRecord {
-            generation: json_u64(s, "generation")?,
-            epoch: json_u64(s, "epoch")?,
-            op,
-            logical: u32::try_from(json_u64(s, "logical")?)
-                .map_err(|_| Error::Storage("ledger logical id out of range".into()))?,
-            state_bytes: json_u64(s, "state_bytes")?,
-            ckpt_bytes: json_u64(s, "ckpt_bytes")?,
-            delta: json_bool(s, "delta")?,
-            align_wait_us: json_u64(s, "align_wait_us")?,
-            capture_us: or_default(s, "capture_us", json_u64)?,
-            serialize_us: json_u64(s, "serialize_us")?,
-            persist_us: json_u64(s, "persist_us")?,
-            cow_pages_copied: or_default(s, "cow_pages_copied", json_u64)?,
-            file_bytes: or_default(s, "file_bytes", json_u64)?,
-            file_delta: or_default(s, "file_delta", json_bool)?,
-            tuples_in: json_u64(s, "tuples_in")?,
-            tuples_out: json_u64(s, "tuples_out")?,
-            bytes_out: json_u64(s, "bytes_out")?,
-            queued_tuples: json_u64(s, "queued_tuples")?,
-            open_windows: json_u64(s, "open_windows")?,
-            window_tuples: json_u64(s, "window_tuples")?,
-            gate_accepted: json_u64(s, "gate_accepted")?,
-            gate_shed: json_u64(s, "gate_shed")?,
-            gate_wal_bytes: json_u64(s, "gate_wal_bytes")?,
-            gate_ack_p50_us: json_u64(s, "gate_ack_p50_us")?,
-            gate_ack_p99_us: json_u64(s, "gate_ack_p99_us")?,
-            barrier_us: json_u64(s, "barrier_us")?,
-        })
-    }
-
-    /// The row's checkpoint phases as a labelled [`Breakdown`]
-    /// (Fig. 14's shape).
-    pub fn breakdown(&self) -> Breakdown {
-        let mut b = Breakdown::new();
-        b.add("align_wait", SimDuration::from_micros(self.align_wait_us));
-        b.add("capture", SimDuration::from_micros(self.capture_us));
-        b.add("serialize", SimDuration::from_micros(self.serialize_us));
-        b.add("persist", SimDuration::from_micros(self.persist_us));
-        b
-    }
+    barrier_us: u64 = barrier_us;
 }
 
 /// One cadence/recovery decision of the controller's telemetry plane,
@@ -291,17 +271,17 @@ impl DecisionRecord {
             return Err(Error::Storage("not a decision record".into()));
         }
         Ok(DecisionRecord {
-            generation: json_u64(s, "generation")?,
-            epoch: json_u64(s, "epoch")?,
+            generation: field(s, "generation")?,
+            epoch: field(s, "epoch")?,
             reason: json_str(s, "reason")?.to_string(),
-            state_bytes: json_u64(s, "state_bytes")?,
-            ckpt_bytes: json_u64(s, "ckpt_bytes")?,
-            barrier_us: json_u64(s, "barrier_us")?,
-            est_recovery_us: json_u64(s, "est_recovery_us")?,
-            budget_us: json_u64(s, "budget_us")?,
-            period_us_before: json_u64(s, "period_us_before")?,
-            period_us_after: json_u64(s, "period_us_after")?,
-            recovery_us: json_u64(s, "recovery_us")?,
+            state_bytes: field(s, "state_bytes")?,
+            ckpt_bytes: field(s, "ckpt_bytes")?,
+            barrier_us: field(s, "barrier_us")?,
+            est_recovery_us: field(s, "est_recovery_us")?,
+            budget_us: field(s, "budget_us")?,
+            period_us_before: field(s, "period_us_before")?,
+            period_us_after: field(s, "period_us_after")?,
+            recovery_us: field(s, "recovery_us")?,
         })
     }
 
@@ -388,31 +368,20 @@ fn json_value<'a>(s: &'a str, key: &str) -> Result<&'a str> {
     Ok(rest[..end].trim())
 }
 
-fn json_u64(s: &str, key: &str) -> Result<u64> {
-    json_value(s, key)?
-        .parse()
-        .map_err(|_| Error::Storage(format!("ledger field {key:?} is not an integer")))
+/// The value of field `key` of a JSON object line.
+fn field<T: FromStr>(s: &str, key: &str) -> Result<T> {
+    let v = json_value(s, key)?;
+    v.parse()
+        .map_err(|_| Error::Storage(format!("ledger field {key:?} is malformed: {v:?}")))
 }
 
-/// [`json_u64`] of a column older rows lack: absent reads as zero,
-/// present but malformed is still an error.
-/// `parse`'s reading of a column added after the first ledgers were
-/// written, or its zero value in a row without it.
-fn or_default<T: Default>(s: &str, key: &str, parse: fn(&str, &str) -> Result<T>) -> Result<T> {
-    if s.contains(&format!("\"{key}\":")) {
-        parse(s, key)
-    } else {
+/// [`field`] of a ledger column; with `or_default`, a row without the
+/// column reads its default. A present but malformed one is an error.
+fn column<T: FromStr + Default>(s: &str, key: &str, or_default: bool) -> Result<T> {
+    if or_default && !s.contains(&format!("\"{key}\":")) {
         Ok(T::default())
-    }
-}
-
-fn json_bool(s: &str, key: &str) -> Result<bool> {
-    match json_value(s, key)? {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        other => Err(Error::Storage(format!(
-            "ledger field {key:?} is not a bool: {other:?}"
-        ))),
+    } else {
+        field(s, key)
     }
 }
 
@@ -674,7 +643,7 @@ pub fn summarize(records: &[LedgerRecord], top_n: usize) -> String {
         generations.len()
     ));
     out.push_str(
-        "epoch  gen  ops  state_B    ckpt_B   delta    file_B  file_delta  align_ms  capture_ms  serial_ms  persist_ms  cow_pages  barrier_ms\n",
+        "epoch  gen  ops  state_B    ckpt_B   delta    file_B  file_delta  align_ms  capture_ms  persist_ms  cow_pages  barrier_ms\n",
     );
     for (epoch, rows) in &epochs {
         let gen = rows.iter().map(|r| r.generation).max().unwrap_or(0);
@@ -689,17 +658,15 @@ pub fn summarize(records: &[LedgerRecord], top_n: usize) -> String {
         // critical path, which is what bounds the epoch.
         let align = rows.iter().map(|r| r.align_wait_us).max().unwrap_or(0);
         let capture = rows.iter().map(|r| r.capture_us).max().unwrap_or(0);
-        let serial = rows.iter().map(|r| r.serialize_us).max().unwrap_or(0);
         let persist = rows.iter().map(|r| r.persist_us).max().unwrap_or(0);
         let barrier = rows.iter().map(|r| r.barrier_us).max().unwrap_or(0);
         // Copied pages add up: every operator's copies cost memory.
         let cow: u64 = rows.iter().map(|r| r.cow_pages_copied).sum();
         out.push_str(&format!(
-            "{epoch:>5}  {gen:>3}  {:>3}  {state:>8}  {ckpt:>8}  {deltas:>5}  {file:>8}  {file_deltas:>10}  {:>8.1}  {:>10.2}  {:>9.1}  {:>10.1}  {cow:>9}  {:>10.1}\n",
+            "{epoch:>5}  {gen:>3}  {:>3}  {state:>8}  {ckpt:>8}  {deltas:>5}  {file:>8}  {file_deltas:>10}  {:>8.1}  {:>10.2}  {:>10.1}  {cow:>9}  {:>10.1}\n",
             rows.len(),
             ms(align),
             ms(capture),
-            ms(serial),
             ms(persist),
             ms(barrier),
         ));
@@ -863,6 +830,9 @@ pub fn worst_shard_skew(records: &[LedgerRecord]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WireMsg;
+    use ms_core::ids::{EpochId, OperatorId};
+    use ms_core::metrics::Columns;
 
     fn sample(epoch: u64, op: u32) -> LedgerRecord {
         LedgerRecord {
@@ -988,6 +958,128 @@ mod tests {
                 ..full_record()
             }
         );
+    }
+
+    /// The ledger key each telemetry column lands in; `None` for a
+    /// column no ledger column is cut from.
+    const LANDS: [(&str, Option<&str>); 21] = [
+        ("tuples_in", Some("tuples_in")),
+        ("tuples_out", Some("tuples_out")),
+        ("bytes_out", Some("bytes_out")),
+        ("state_bytes", Some("state_bytes")),
+        ("ckpt_epoch", None),
+        ("ckpt_bytes", Some("ckpt_bytes")),
+        ("ckpt_is_delta", Some("delta")),
+        ("align_wait_us", Some("align_wait_us")),
+        ("capture_us", Some("capture_us")),
+        ("persist_us", Some("persist_us")),
+        ("cow_pages_copied", Some("cow_pages_copied")),
+        ("file_bytes", Some("file_bytes")),
+        ("file_is_delta", Some("file_delta")),
+        ("queued_tuples", Some("queued_tuples")),
+        ("open_windows", Some("open_windows")),
+        ("window_tuples", Some("window_tuples")),
+        ("accepted_batches", Some("gate_accepted")),
+        ("shed_batches", Some("gate_shed")),
+        ("wal_bytes", Some("gate_wal_bytes")),
+        ("ack_p50_us", Some("gate_ack_p50_us")),
+        ("ack_p99_us", Some("gate_ack_p99_us")),
+    ];
+
+    /// Each column of `C` set alone, to a distinct nonzero word (`true`
+    /// for a flag), with the JSON value it must read as in the ledger.
+    fn alone<C: Columns>() -> Vec<(&'static str, C, String)> {
+        let alone = |(i, &name): (usize, &&'static str)| {
+            let word = 1000 + i as u64;
+            let mut at = 0;
+            let c = C::from_words(|| {
+                at += 1;
+                Ok::<_, ()>(if at == i + 1 { word } else { 0 })
+            })
+            .unwrap();
+            let mut back = 0;
+            c.put_words(|w| back += w);
+            assert!(back == word || back == 1, "{name} reads back {back}");
+            let json = if back == 1 {
+                "true".into()
+            } else {
+                word.to_string()
+            };
+            (name, c, json)
+        };
+        C::NAMES.iter().enumerate().map(alone).collect()
+    }
+
+    #[test]
+    fn every_telemetry_column_reaches_its_ledger_key() {
+        let heartbeat = |gauges, ops, gates| WireMsg::Heartbeat {
+            generation: 0,
+            gauges,
+            ops,
+            gates,
+        };
+        let decode = |msg: WireMsg| WireMsg::decode(&msg.encode()).unwrap();
+        let zero = (OperatorSample::default(), GateSample::default());
+        let cut = |s: &OperatorSample, g: &BackpressureGauges, gate: &GateSample| {
+            LedgerRecord::cut(0, 0, 0, 0, s, g, gate, 0)
+        };
+        let mut rows = Vec::new();
+        for (name, s, json) in alone::<OperatorSample>() {
+            let ack = WireMsg::CkptDone {
+                generation: 0,
+                epoch: EpochId(0),
+                op: OperatorId(0),
+                sample: Some(s),
+            };
+            let WireMsg::CkptDone {
+                sample: Some(s), ..
+            } = decode(ack)
+            else {
+                panic!("an ack decodes to an ack");
+            };
+            rows.push((name, json.clone(), cut(&s, &Default::default(), &zero.1)));
+            let beat = heartbeat(Default::default(), vec![(OperatorId(0), s)], Vec::new());
+            let WireMsg::Heartbeat { ops, .. } = decode(beat) else {
+                panic!("a beat decodes to a beat");
+            };
+            rows.push((name, json, cut(&ops[0].1, &Default::default(), &zero.1)));
+        }
+        for (name, g, json) in alone::<BackpressureGauges>() {
+            let WireMsg::Heartbeat { gauges, .. } = decode(heartbeat(g, Vec::new(), Vec::new()))
+            else {
+                panic!("a beat decodes to a beat");
+            };
+            rows.push((name, json, cut(&zero.0, &gauges, &zero.1)));
+        }
+        for (name, gate, json) in alone::<GateSample>() {
+            let beat = heartbeat(Default::default(), Vec::new(), vec![(OperatorId(0), gate)]);
+            let WireMsg::Heartbeat { gates, .. } = decode(beat) else {
+                panic!("a beat decodes to a beat");
+            };
+            rows.push((name, json, cut(&zero.0, &Default::default(), &gates[0].1)));
+        }
+        // The map above names every column of the three tables.
+        let mut named: Vec<&str> = rows.iter().map(|(name, ..)| *name).collect();
+        named.dedup();
+        assert_eq!(named, LANDS.map(|(name, _)| name));
+
+        for (name, json, rec) in rows {
+            let line = rec.to_json();
+            assert_eq!(LedgerRecord::from_json(&line).unwrap(), rec);
+            let key = LANDS.iter().find(|(n, _)| *n == name).unwrap().1;
+            let values = keys_and_values(&line);
+            if let Some(key) = key {
+                assert_eq!(
+                    values.get(format!("\"{key}\"").as_str()),
+                    Some(&json.as_str())
+                );
+            }
+            for (k, v) in values {
+                if Some(k.trim_matches('"')) != key {
+                    assert!(v == "0" || v == "false", "{name} leaked into {k}: {line}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ use ms_core::error::{Error, Result};
 use ms_core::gate::GateConfig;
 use ms_core::graph::QueryNetwork;
 use ms_core::ids::{EpochId, OperatorId};
-use ms_core::metrics::{BackpressureGauges, OperatorSample};
+use ms_core::metrics::{BackpressureGauges, Columns, OperatorSample};
 use ms_core::tuple::Tuple;
 use ms_gate::GateSample;
 
@@ -286,24 +286,13 @@ impl WireMsg {
                 ops,
                 gates,
             } => {
-                w.put_u64(TAG_HEARTBEAT)
-                    .put_u64(*generation)
-                    .put_u64(gauges.queued_tuples)
-                    .put_u64(gauges.open_windows)
-                    .put_u64(gauges.window_tuples);
+                w.put_u64(TAG_HEARTBEAT).put_u64(*generation);
+                put_columns(&mut w, gauges);
                 w.put_seq(ops.iter(), |w, (op, s)| {
-                    w.put_u64(op.0 as u64);
-                    put_sample(w, s);
+                    put_columns(w.put_u64(op.0 as u64), s);
                 });
                 w.put_seq(gates.iter(), |w, (op, s)| {
-                    w.put_u64(op.0 as u64)
-                        .put_u64(s.accepted_batches)
-                        .put_u64(s.shed_batches)
-                        .put_u64(s.accepted_events)
-                        .put_u64(s.emitted_tuples)
-                        .put_u64(s.wal_bytes)
-                        .put_u64(s.ack_p50_us)
-                        .put_u64(s.ack_p99_us);
+                    put_columns(w.put_u64(op.0 as u64), s);
                 });
             }
             WireMsg::SinkDone {
@@ -384,7 +373,7 @@ impl WireMsg {
                     .put_u64(epoch.0)
                     .put_u64(op.0 as u64);
                 match sample {
-                    Some(s) => put_sample(w.put_u64(1), s),
+                    Some(s) => put_columns(w.put_u64(1), s),
                     None => {
                         w.put_u64(0);
                     }
@@ -413,26 +402,9 @@ impl WireMsg {
             },
             TAG_HEARTBEAT => WireMsg::Heartbeat {
                 generation: r.get_u64()?,
-                gauges: BackpressureGauges {
-                    queued_tuples: r.get_u64()?,
-                    open_windows: r.get_u64()?,
-                    window_tuples: r.get_u64()?,
-                },
-                ops: r.get_seq(|r| Ok((get_op(r)?, get_sample(r)?)))?,
-                gates: r.get_seq(|r| {
-                    Ok((
-                        get_op(r)?,
-                        GateSample {
-                            accepted_batches: r.get_u64()?,
-                            shed_batches: r.get_u64()?,
-                            accepted_events: r.get_u64()?,
-                            emitted_tuples: r.get_u64()?,
-                            wal_bytes: r.get_u64()?,
-                            ack_p50_us: r.get_u64()?,
-                            ack_p99_us: r.get_u64()?,
-                        },
-                    ))
-                })?,
+                gauges: get_columns(&mut r)?,
+                ops: r.get_seq(|r| Ok((get_op(r)?, get_columns(r)?)))?,
+                gates: r.get_seq(|r| Ok((get_op(r)?, get_columns(r)?)))?,
             },
             TAG_SINK_DONE => WireMsg::SinkDone {
                 generation: r.get_u64()?,
@@ -501,7 +473,7 @@ impl WireMsg {
                 op: get_op(&mut r)?,
                 sample: match r.get_u64()? {
                     0 => None,
-                    1 => Some(get_sample(&mut r)?),
+                    1 => Some(get_columns(&mut r)?),
                     n => return Err(Error::Wire(format!("CkptDone sample flag {n}"))),
                 },
             },
@@ -529,44 +501,15 @@ pub(crate) fn encode_tuple_batch(tuples: &[Tuple]) -> Vec<u8> {
     w.finish()
 }
 
-fn put_sample(w: &mut SnapshotWriter, s: &OperatorSample) {
-    w.put_u64(s.tuples_in)
-        .put_u64(s.tuples_out)
-        .put_u64(s.bytes_out)
-        .put_u64(s.state_bytes)
-        .put_u64(s.ckpt_epoch)
-        .put_u64(s.ckpt_bytes)
-        .put_u64(s.ckpt_is_delta as u64)
-        .put_u64(s.full_bytes_total)
-        .put_u64(s.delta_bytes_total)
-        .put_u64(s.align_wait_us)
-        .put_u64(s.serialize_us)
-        .put_u64(s.persist_us)
-        .put_u64(s.capture_us)
-        .put_u64(s.cow_pages_copied)
-        .put_u64(s.file_bytes)
-        .put_u64(s.file_is_delta as u64);
+/// A telemetry record on the wire: its columns' words, in table order.
+fn put_columns(w: &mut SnapshotWriter, record: &impl Columns) {
+    record.put_words(|word| {
+        w.put_u64(word);
+    });
 }
 
-fn get_sample(r: &mut SnapshotReader<'_>) -> Result<OperatorSample> {
-    Ok(OperatorSample {
-        tuples_in: r.get_u64()?,
-        tuples_out: r.get_u64()?,
-        bytes_out: r.get_u64()?,
-        state_bytes: r.get_u64()?,
-        ckpt_epoch: r.get_u64()?,
-        ckpt_bytes: r.get_u64()?,
-        ckpt_is_delta: r.get_u64()? != 0,
-        full_bytes_total: r.get_u64()?,
-        delta_bytes_total: r.get_u64()?,
-        align_wait_us: r.get_u64()?,
-        serialize_us: r.get_u64()?,
-        persist_us: r.get_u64()?,
-        capture_us: r.get_u64()?,
-        cow_pages_copied: r.get_u64()?,
-        file_bytes: r.get_u64()?,
-        file_is_delta: r.get_u64()? != 0,
-    })
+fn get_columns<C: Columns>(r: &mut SnapshotReader<'_>) -> Result<C> {
+    C::from_words(|| r.get_u64())
 }
 
 fn get_op(r: &mut SnapshotReader<'_>) -> Result<OperatorId> {
@@ -701,11 +644,8 @@ mod tests {
             ckpt_epoch: 4,
             ckpt_bytes: 16,
             ckpt_is_delta: true,
-            full_bytes_total: 64,
-            delta_bytes_total: 0,
             align_wait_us: 0,
             capture_us: 2,
-            serialize_us: 3,
             persist_us: 120,
             cow_pages_copied: 5,
             file_bytes: 40,
@@ -736,8 +676,6 @@ mod tests {
                         GateSample {
                             accepted_batches: 40,
                             shed_batches: 3,
-                            accepted_events: 640,
-                            emitted_tuples: 200,
                             wal_bytes: 12800,
                             ack_p50_us: 90,
                             ack_p99_us: 410,

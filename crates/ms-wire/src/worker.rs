@@ -79,7 +79,7 @@ use std::time::{Duration, Instant};
 use ms_core::error::{Error, Result};
 use ms_core::ids::OperatorId;
 use ms_core::metrics::OperatorMeter;
-use ms_gate::{Gate, GateMeter, GateOp, GateWiring};
+use ms_gate::{Gate, GateOp, GateWiring};
 use ms_live::{
     FsStore, HostExit, HostWiring, InteriorCore, OutputRoute, Persister, SourceCore, StableStore,
 };
@@ -547,8 +547,6 @@ impl Worker {
             // replay is queued here and delivered when the I/O thread
             // adopts the generation, before the gate can admit a batch.
             let hau = if let Some(gate) = a.gates.iter().find(|g| g.op == op) {
-                let gate_meter = Arc::new(GateMeter::new());
-                gen.gates.push((op, gate_meter.clone()));
                 let wiring = GateWiring {
                     op_id: op,
                     cfg: gate.cfg,
@@ -557,7 +555,6 @@ impl Worker {
                     restored: a.restore_epoch.is_some().then(|| r.operator.snapshot()),
                     restored_seq: r.restored_seq,
                     replay: r.replay,
-                    meter: gate_meter,
                     telemetry: Some(op_meter),
                 };
                 let gate = Gate::new(wiring, store.clone(), persister.sender());

@@ -76,11 +76,8 @@ fn spread_sample(seed: u64, delta: bool) -> OperatorSample {
         ckpt_epoch: v(5),
         ckpt_bytes: v(6),
         ckpt_is_delta: delta,
-        full_bytes_total: v(7),
-        delta_bytes_total: v(8),
         align_wait_us: v(9),
         capture_us: v(12),
-        serialize_us: v(10),
         persist_us: v(11),
         cow_pages_copied: v(13),
         file_bytes: v(14),
@@ -253,8 +250,8 @@ proptest! {
         prop_assert_eq!(WireMsg::decode(&msg.encode()).unwrap(), msg);
     }
 
-    /// Heartbeats roundtrip for any sample values — all twelve counters
-    /// and the delta flag of every operator sample, any gauge values,
+    /// Heartbeats roundtrip for any sample values — all eleven counters
+    /// and both flags of every operator sample, any gauge values,
     /// and any number of samples including none.
     #[test]
     fn wire_telemetry_roundtrip(
@@ -273,8 +270,6 @@ proptest! {
                 let s = GateSample {
                     accepted_batches: v(1),
                     shed_batches: v(2),
-                    accepted_events: v(3),
-                    emitted_tuples: v(4),
                     wal_bytes: v(5),
                     ack_p50_us: v(6),
                     ack_p99_us: v(7),
