@@ -1,14 +1,15 @@
-//! The worker's data plane: one I/O thread that multiplexes every peer
-//! socket and runs every HAU the worker hosts, as an HAU of the paper
-//! is one processing thread ([`spawn_io`]), not one per edge or
-//! operator:
+//! The worker's event loop: one thread — the process's main thread —
+//! that multiplexes every socket of the worker, runs every HAU it
+//! hosts, as an HAU of the paper is one processing thread, not one per
+//! edge or operator, and owns each generation's lifecycle
+//! ([`Worker::run`]):
 //!
 //! * It owns the data-plane listener and every data socket,
 //!   nonblocking, driven by [`ms_net::ready::poll`]. Inbound frames are
 //!   batch-decoded into the consuming cell's inbox (a
 //!   [`WireMsg::TupleBatch`] frame lands as one inbox push for the
 //!   whole run).
-//! * It owns every [`HostCell`] of every generation ([`Gen`]) — an
+//! * It owns every [`HostCell`] of the generation ([`Gen`]) — an
 //!   interior or sink ([`InteriorCore`] plus its inbox), a demo source
 //!   ([`SourceCore`]) ticked on its deadlines, or an ingestion [`Gate`]
 //!   whose sockets join the poll set — and every inbox and egress
@@ -19,26 +20,32 @@
 //!   interior applies and every step, checkpoint and finish: a message
 //!   for a colocated consumer goes into that consumer's inbox, one for
 //!   another worker is encoded onto the connection's [`EgressBuf`].
-//! * Each turn reads the ready sockets, applies commands, visits the
-//!   cells in topological order (sources and gates first, so a gate's
-//!   group commit lands before the interiors run and a colocated chain
-//!   drains in one pass), then writes every non-empty [`EgressBuf`]
-//!   with vectored writes — many frames per syscall. It blocks in poll
-//!   until a socket, a command, a deadline (a source's, or the next
-//!   heartbeat's) or cells left waiting behind producer input
+//! * Each turn reads the ready sockets and acts on the control messages
+//!   they brought, acks what the persister wrote, retries a deploy's
+//!   refused connects when due, visits the cells in topological order
+//!   (sources and gates first, so a gate's group commit lands before
+//!   the interiors run and a colocated chain drains in one pass), then
+//!   writes every non-empty [`EgressBuf`] with vectored writes — many
+//!   frames per syscall. It blocks in poll until a socket, the
+//!   persister's wake, a deadline (a source's, a connect retry's or the
+//!   next heartbeat's) or cells left waiting behind producer input
 //!   ([`QUIET_MS`]) need it: idle means *blocked in poll*, not sleeping
 //!   in a loop.
-//! * It is the only reader of the control connection ([`Event::Control`]
-//!   to the main thread, in order) and the only writer of the heartbeat
-//!   connection: a beat of the newest generation's meters every
+//! * It is the only reader and the only writer of the control
+//!   connection, and acts on each message where it decodes it:
+//!   `Assign` tears the generation down and deploys the next
+//!   ([`Deploy`]), `Checkpoint` visits the cells, `Rollback` tears
+//!   down, and `Shutdown` or the connection's end stops the worker.
+//!   Reports (`CkptDone`, `WorkerError`, `SinkDone`) queue on the
+//!   connection's [`EgressBuf`], so a controller slow to read never
+//!   blocks the loop. It is the only writer of the heartbeat
+//!   connection: a beat of the generation's meters every
 //!   [`HEARTBEAT_INTERVAL`], replacing one the socket has not taken.
 //!   That deadline is the backstop should a wake ever be lost.
 //!
-//! The thread takes input from other threads only through [`IoCmd`]
-//! and the [`Waker`], and sends them [`Event`]s. The worker's main
-//! thread builds a generation — its cells with a recovering source's
-//! replay in their outboxes, its connections, routes and meters — as
-//! plain owned data that crosses once, in [`IoCmd::Deploy`].
+//! The generation's persister is the one other thread, and the one
+//! sender: each checkpoint write's outcome ([`Durable`]) crosses on a
+//! channel paired with the [`Waker`].
 //!
 //! Failure semantics:
 //!
@@ -51,25 +58,23 @@
 //!   discarded tuples are preserved in (or derivable from) the source
 //!   logs; the controller's rollback rewinds downstream state behind
 //!   them.
-//! * [`IoCmd::Tear`] drops the generation's connections and routes and
+//! * A teardown drops the generation's connections and routes,
 //!   finishes its sources, gates and cells, discarding what they would
-//!   still send, so each final [`HostExit`] reaches the main thread
-//!   ([`Event::Exit`]) even if no message ever arrives.
+//!   still send, and drains its persister, before the loop acts on the
+//!   next message. A torn generation reports nothing.
 //!
-//! Streams that arrive before their `Assign` (the controller sends
+//! Streams that arrive before their generation (the controller sends
 //! assignments concurrently, so a peer can connect first) sit in a
 //! *pending* state with **no read interest** — TCP backpressure holds
-//! the bytes upstream — until [`IoCmd::Deploy`] delivers the route
-//! table.
+//! the bytes upstream — until the loop adopts the generation.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read};
 use std::mem;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use ms_core::codec::{frame, FrameDecoder};
@@ -78,12 +83,13 @@ use ms_core::ids::{EpochId, OperatorId};
 use ms_core::metrics::{BackpressureGauges, OperatorMeter, OperatorSample};
 use ms_core::operator::Operator;
 use ms_gate::{Gate, GateSample};
-use ms_live::{HostExit, HostMsg, InteriorCore, Outbox, SourceCore};
+use ms_live::{DurableHook, HostExit, HostMsg, InteriorCore, Outbox, Persister, SourceCore};
 use ms_net::fault::FaultPlan;
 use ms_net::ready::{poll, Interest, PollTarget, ReadyEvent, Waker};
 use ms_net::vectored;
 
 use crate::message::{encode_tuple_batch, WireMsg};
+use crate::worker::{Deploy, WorkerConfig};
 
 /// Heartbeat cadence. Every `--hb-timeout-ms` in use (500–1000) spans
 /// at least ten beats, and the application-aware profiler learns state
@@ -103,13 +109,13 @@ const READ_CHUNK: usize = 16 * 1024;
 
 // ---------------- egress ----------------
 
-/// One outbound data connection and its userspace send queue. Delivery
+/// One outbound connection and its userspace send queue. Delivery
 /// appends encoded frames; the write pass drains the queue with
 /// vectored writes ([`ms_net::vectored::write_frames`], `writev(2)` on
 /// unix) — many frames per syscall instead of one. The queue stays
 /// unbounded until end-to-end credit bounds it (ROADMAP B): a colocated
 /// gate feeds it at producer speed, and the alternative (blocking the
-/// I/O thread on a slow socket) stalls every operator of the worker.
+/// loop on a slow socket) stalls every operator of the worker.
 pub(crate) struct EgressBuf {
     /// The socket; `None` once it broke: drain mode, pushes are
     /// discarded (see module docs).
@@ -144,6 +150,13 @@ impl EgressBuf {
         self.frames.push_back(frame(&payload));
     }
 
+    /// Queues one control-plane message: a report or a beat.
+    fn send(&mut self, msg: &WireMsg) {
+        if self.stream.is_some() {
+            self.frames.push_back(frame(&msg.encode()));
+        }
+    }
+
     /// Queues `msg` in place of every frame not yet begun, so a
     /// heartbeat stream whose peer stops reading holds one beat, never a
     /// backlog. A frame partly written finishes first; `msg` is dropped.
@@ -151,8 +164,8 @@ impl EgressBuf {
         if self.head == 0 {
             self.frames.clear();
         }
-        if self.frames.is_empty() && self.stream.is_some() {
-            self.frames.push_back(frame(&msg.encode()));
+        if self.frames.is_empty() {
+            self.send(msg);
         }
     }
 
@@ -198,29 +211,26 @@ pub(crate) enum Hau {
     },
     /// An ingestion gate, whose sockets join the poll set.
     Gate(Box<Gate>),
-    /// Finished, its exit record sent. The tombstone keeps the cell's
-    /// index, its address, until the generation is torn down, and a
-    /// gate's last meter reading, which the heartbeats keep carrying.
+    /// Finished, its exit record returned. The tombstone keeps the
+    /// cell's index, its address, until the generation is torn down,
+    /// and a gate's last meter reading, which the heartbeats keep
+    /// carrying.
     Done(Option<(OperatorId, GateSample)>),
 }
 
-/// One HAU, owned by the I/O thread: its state machine, its inbox (fed
-/// only to interiors and sinks), and where its exit record goes.
+/// One HAU, owned by the loop: its state machine and its inbox (fed
+/// only to interiors and sinks).
 pub(crate) struct HostCell {
-    generation: u64,
     hau: Hau,
     /// `(input port, message)`, in arrival order.
     inbox: VecDeque<(u32, HostMsg)>,
-    exits: Sender<Event>,
 }
 
 impl HostCell {
-    pub(crate) fn new(generation: u64, hau: Hau, exits: Sender<Event>) -> HostCell {
+    pub(crate) fn new(hau: Hau) -> HostCell {
         HostCell {
-            generation,
             hau,
             inbox: VecDeque::new(),
-            exits,
         }
     }
 
@@ -259,8 +269,8 @@ impl HostCell {
     /// the ticks due at `now`; an interior, whose inbox [`run_cells`]
     /// applies, only reports whether it is done. Returns what the HAU
     /// queued downstream; a HAU that is done finishes here, so its EOS
-    /// is at the end.
-    fn step(&mut self, now: Instant) -> Outbox {
+    /// is at the end, and its exit record comes back with it.
+    fn step(&mut self, now: Instant) -> (Outbox, Option<HostExit>) {
         let live = match &mut self.hau {
             Hau::Interior(core) => !core.is_done(),
             Hau::Source { core, op, pace } => (0..pace.due(now)).all(|_| core.tick(op.as_mut())),
@@ -269,13 +279,13 @@ impl HostCell {
                 gate.flush_acks();
                 !gate.is_done()
             }
-            Hau::Done(_) => return Outbox::new(),
+            Hau::Done(_) => return (Outbox::new(), None),
         };
         if live {
-            self.take_outbox()
-        } else {
-            self.finish()
+            return (self.take_outbox(), None);
         }
+        let (exit, outbox) = self.finish().expect("a live HAU finishes");
+        (outbox, Some(exit))
     }
 
     /// A source's or gate's checkpoint, with what it queued; an
@@ -298,21 +308,19 @@ impl HostCell {
         }
     }
 
-    /// Finishes the HAU, EOS queued downstream, and sends its exit
-    /// record as an [`Event::Exit`]; the cell stays as a tombstone.
-    /// Returns the last of the HAU's outbox.
-    fn finish(&mut self) -> Outbox {
+    /// Finishes the HAU, EOS queued downstream; the cell stays as a
+    /// tombstone. Returns its exit record and the last of its outbox,
+    /// or `None` if it had finished.
+    fn finish(&mut self) -> Option<(HostExit, Outbox)> {
         let tombstone = Hau::Done(self.gate_sample());
-        let (exit, outbox) = match mem::replace(&mut self.hau, tombstone) {
+        let finished = match mem::replace(&mut self.hau, tombstone) {
             Hau::Interior(core) => core.finish(),
             Hau::Source { core, op, .. } => core.finish(op),
             Hau::Gate(gate) => gate.finish(),
-            Hau::Done(_) => return Outbox::new(),
+            Hau::Done(_) => return None,
         };
         self.inbox = VecDeque::new();
-        let generation = self.generation;
-        let _ = self.exits.send(Event::Exit { generation, exit });
-        outbox
+        Some(finished)
     }
 
     /// A gate's operator and meter reading, live or kept by its
@@ -342,8 +350,8 @@ pub(crate) enum Target {
     Egress(EgressBuf),
 }
 
-/// One deployed generation, as the worker builds it and the I/O thread
-/// owns it.
+/// One deployed generation, as a [`Deploy`] builds it and the loop owns
+/// it.
 #[derive(Default)]
 pub(crate) struct Gen {
     pub(crate) generation: u64,
@@ -356,6 +364,13 @@ pub(crate) struct Gen {
     pub(crate) ingress: HashMap<(u32, u32), CellPort>,
     /// Every HAU's telemetry meter, sampled into each heartbeat.
     pub(crate) ops: Vec<(OperatorId, Arc<OperatorMeter>)>,
+    /// The operators whose final state is reported once all exit.
+    pub(crate) sinks: Vec<OperatorId>,
+    /// The exit record of each HAU that finished, in order.
+    pub(crate) exits: Vec<HostExit>,
+    /// Writes the generation's checkpoints; `None` once drained. After
+    /// the cells, which hold its senders: a drain waits for them all.
+    pub(crate) persister: Option<Persister>,
 }
 
 impl Gen {
@@ -399,8 +414,9 @@ impl Gen {
         }
     }
 
-    /// Finishes every cell, discarding what each would still send, and
-    /// drops the generation's connections.
+    /// Finishes every cell, discarding what each would still send and
+    /// its exit record, then drops the generation's connections and
+    /// drains its persister.
     fn tear(mut self) {
         for cell in &mut self.cells {
             cell.finish();
@@ -424,17 +440,19 @@ fn run_cells(gen: &mut Gen, now: Instant, lagging: bool) {
                 gen.deliver(outbox);
             }
         }
-        let outbox = gen.cells[at].step(now);
+        let (outbox, exit) = gen.cells[at].step(now);
         gen.deliver(outbox);
+        gen.exits.extend(exit);
     }
 }
 
-// ---------------- source pacing ----------------
+// ---------------- deadlines ----------------
 
-/// A paced source's tick schedule, a function of the instants its
-/// caller passes in. Each deadline advances one period from the
-/// previous one, never from the turn that ran it: a late turn runs
-/// every tick it missed and the rate never drifts.
+/// A schedule of deadlines one period apart — a paced source's ticks, a
+/// deploy's connect retries — a function of the instants its caller
+/// passes in. Each deadline advances one period from the previous one,
+/// never from the turn that ran it: a late turn runs every tick it
+/// missed and the rate never drifts.
 pub(crate) struct Pace {
     period: Duration,
     next: Instant,
@@ -469,62 +487,24 @@ fn poll_timeout_ms<'a>(paces: impl IntoIterator<Item = &'a Pace>, now: Instant) 
     us.div_ceil(1000).min(i32::MAX as u128) as i32
 }
 
-// ---------------- the I/O thread ----------------
+// ---------------- the loop ----------------
 
-/// What the worker's main thread hears, on one channel in arrival order:
-/// control messages and HAU exits from here, the persister's outcomes.
-pub(crate) enum Event {
-    /// One message off the control connection; `Ok(None)` once it
-    /// closed cleanly, `Err` once it failed. Either is the last.
-    Control(Result<Option<WireMsg>>),
-    /// A generation's persister wrote one checkpoint: the store's
-    /// verdict, and the operator's meter sampled after the write.
-    Durable {
-        generation: u64,
-        epoch: EpochId,
-        op: OperatorId,
-        outcome: Result<bool>,
-        sample: Option<OperatorSample>,
-    },
-    /// A HAU of `generation` finished.
-    Exit { generation: u64, exit: HostExit },
-}
-
-/// Commands the worker sends the I/O thread (paired with a
-/// [`Waker::wake`] so a blocked poll picks them up immediately).
-pub(crate) enum IoCmd {
-    /// Adopt a generation: its cells, its target table with the
-    /// outbound connections in it (nonblocking, hello already sent) and
-    /// its ingress routes. Delivers what the cells queued while they
-    /// were built (a recovering source's replay), then resolves any
-    /// pending streams that connected before the assignment arrived.
-    Deploy(Gen),
-    /// Checkpoint every source and gate of `generation`.
-    Checkpoint {
-        /// Generation the checkpoint belongs to.
-        generation: u64,
-        /// The epoch to cut.
-        epoch: EpochId,
-    },
-    /// Finish every source, gate and cell and drop every connection and
-    /// route of generations `<= generation`. Streams still awaiting
-    /// their hello are kept and checked against the raised floor when
-    /// the hello arrives.
-    Tear {
-        /// Highest generation to tear down.
-        generation: u64,
-    },
-    /// Exit the I/O thread, dropping all state.
-    Stop,
+/// A generation's persister wrote one checkpoint: the store's verdict,
+/// and the operator's meter sampled after the write.
+pub(crate) struct Durable {
+    generation: u64,
+    epoch: EpochId,
+    op: OperatorId,
+    outcome: Result<bool>,
+    sample: Option<OperatorSample>,
 }
 
 #[derive(Clone, Copy)]
 enum IngressState {
     /// Connected, hello not yet read.
     AwaitHello,
-    /// Hello read, but the route table for its generation has not
-    /// arrived: no read interest (TCP backpressure) until
-    /// [`IoCmd::Deploy`] resolves it.
+    /// Hello read, but its generation has not been adopted: no read
+    /// interest (TCP backpressure) until it is.
     Pending { generation: u64, from: u32, to: u32 },
     /// Streaming into a consumer inbox. `from`/`to` identify the edge
     /// for per-edge fault injection.
@@ -542,24 +522,37 @@ struct IngressConn {
     state: IngressState,
 }
 
-struct Io {
+/// The loop's state: every socket of the worker and its generation.
+pub(crate) struct Worker {
+    cfg: WorkerConfig,
     listener: TcpListener,
+    /// Woken by the persister hook after each outcome it sends.
     waker: Waker,
-    cmds: Receiver<IoCmd>,
-    events: Sender<Event>,
+    durable_tx: Sender<Durable>,
+    durable: Receiver<Durable>,
     /// The control connection's read side; `None` once it closed.
     control: Option<(TcpStream, FrameDecoder)>,
+    /// Its write side: the reports.
+    reports: EgressBuf,
     heartbeat: EgressBuf,
     /// When the next beat is due.
     beat: Pace,
     ingress: Vec<IngressConn>,
-    /// Every deployed generation, oldest first.
-    gens: Vec<Gen>,
+    /// The deployed generation. There is at most one: a deploy starts
+    /// after its predecessor's teardown.
+    gen: Option<Gen>,
+    /// The next generation, while its outbound edges connect.
+    deploy: Option<Deploy>,
     /// Generations below this are stale; hellos for them are dropped.
     min_gen: u64,
     /// Deterministic fault injection consulted once per routed ingress
     /// frame (chaos runs only; `None` in production).
     plan: Option<FaultPlan>,
+    /// Since when the interior cells have waited behind producer input.
+    lag: Option<Instant>,
+    /// How the worker ends, once a control message or the connection's
+    /// end decided it.
+    end: Option<Result<()>>,
 }
 
 /// What one poll entry refers to this iteration.
@@ -569,113 +562,130 @@ enum Slot {
     Listener,
     Control,
     Ingress(usize),
-    /// A blocked egress or heartbeat socket; the write pass retries it.
+    /// A blocked egress, heartbeat or report socket; the write pass
+    /// retries it.
     Egress,
-    /// Poll entry `entry` of the gate at `gens[gen].cells[at]`.
+    /// Poll entry `entry` of the gate at `gen.cells[at]`.
     Gate {
-        gen: usize,
         at: usize,
         entry: usize,
     },
 }
 
-/// Spawns the I/O thread over the worker's connections, which it owns
-/// for the worker's life: the data-plane `listener` and the
-/// `heartbeat` connection (its hello sent), both nonblocking, and a
-/// handle on the `control` connection, which it only reads — main
-/// writes it with blocking writes. `waker` must be the one written
-/// after every send on `cmds`; control messages and exits go out on
-/// `events`.
-pub(crate) fn spawn_io(
-    listener: TcpListener,
-    control: TcpStream,
-    heartbeat: TcpStream,
-    waker: Waker,
-    cmds: Receiver<IoCmd>,
-    events: Sender<Event>,
-    plan: Option<FaultPlan>,
-) -> JoinHandle<()> {
-    thread::Builder::new()
-        .name("ms-io".into())
-        .spawn(move || {
-            let mut io = Io {
-                listener,
-                waker,
-                cmds,
-                events,
-                control: Some((control, FrameDecoder::new())),
-                heartbeat: EgressBuf::new(heartbeat),
-                beat: Pace::new(HEARTBEAT_INTERVAL, Instant::now()),
-                ingress: Vec::new(),
-                gens: Vec::new(),
-                min_gen: 0,
-                plan,
-            };
-            io.run();
+impl Worker {
+    /// A worker over its connections, which the loop owns for the
+    /// worker's life: the data-plane `listener`, the `control`
+    /// connection (registered) and the `heartbeat` connection (its
+    /// hello sent).
+    pub(crate) fn new(
+        cfg: WorkerConfig,
+        listener: TcpListener,
+        control: TcpStream,
+        heartbeat: TcpStream,
+        plan: Option<FaultPlan>,
+    ) -> Result<Worker> {
+        listener.set_nonblocking(true)?;
+        control.set_nonblocking(true)?;
+        heartbeat.set_nonblocking(true)?;
+        let (durable_tx, durable) = channel();
+        Ok(Worker {
+            cfg,
+            listener,
+            waker: Waker::new()?,
+            durable_tx,
+            durable,
+            reports: EgressBuf::new(control.try_clone()?),
+            control: Some((control, FrameDecoder::new())),
+            heartbeat: EgressBuf::new(heartbeat),
+            beat: Pace::new(HEARTBEAT_INTERVAL, Instant::now()),
+            ingress: Vec::new(),
+            gen: None,
+            deploy: None,
+            min_gen: 0,
+            plan,
+            lag: None,
+            end: None,
         })
-        .expect("spawn io thread")
-}
+    }
 
-impl Io {
-    /// One turn per pass: read the ready sockets, apply commands, visit
-    /// the cells, beat when due, write the egress and heartbeat queues.
-    fn run(&mut self) {
-        // Since when the interior cells have waited behind producer input.
-        let mut lag: Option<Instant> = None;
+    /// Turns until `Shutdown` or the control connection's end.
+    pub(crate) fn run(&mut self) -> Result<()> {
         loop {
-            let (targets, slots) = self.build_poll_set();
-            let cells = self.gens.iter().flat_map(|gen| &gen.cells);
-            let paces = cells.filter_map(|c| match &c.hau {
-                Hau::Source { pace, .. } => Some(pace),
-                _ => None,
-            });
-            let mut timeout = poll_timeout_ms(paces.chain([&self.beat]), Instant::now());
-            if lag.is_some() {
-                timeout = timeout.min(QUIET_MS);
+            if let Some(end) = self.turn() {
+                return end;
             }
-            let produced = poll(&targets, timeout).is_ok_and(|r| self.read_ready(r, &slots));
-            if !self.drain_cmds() {
-                return;
-            }
-            let now = Instant::now();
-            lag = produced
-                .then(|| lag.unwrap_or(now))
-                .filter(|since| now.duration_since(*since) < MAX_APPLY_LAG);
-            for gen in &mut self.gens {
-                run_cells(gen, now, lag.is_some());
-            }
-            if self.beat.due(now) > 0 {
-                let newest = self.gens.last();
-                let beat = newest.map_or_else(|| Gen::default().heartbeat(), Gen::heartbeat);
-                self.heartbeat.replace(&beat);
-            }
-            for target in self.gens.iter_mut().flat_map(|gen| &mut gen.targets) {
-                if let Target::Egress(buf) = target {
-                    buf.write();
-                }
-            }
-            self.heartbeat.write();
         }
     }
 
-    /// Handles one poll's readiness; `true` if a gate read producer
-    /// input.
+    /// One turn: read the ready sockets and act on the control messages
+    /// they brought, ack what the persister wrote, retry a deploy's
+    /// connects when due, visit the cells, beat when due, write the
+    /// egress, heartbeat and report queues. `Some` once the worker
+    /// ended, its generation torn down.
+    pub(crate) fn turn(&mut self) -> Option<Result<()>> {
+        let (targets, slots) = self.build_poll_set();
+        let cells = self.gen.iter().flat_map(|gen| &gen.cells);
+        let paces = cells.filter_map(|c| match &c.hau {
+            Hau::Source { pace, .. } => Some(pace),
+            _ => None,
+        });
+        let retry = self.deploy.as_ref().map(|d| &d.retry);
+        let mut timeout = poll_timeout_ms(paces.chain(retry).chain([&self.beat]), Instant::now());
+        if self.lag.is_some() {
+            timeout = timeout.min(QUIET_MS);
+        }
+        let produced = poll(&targets, timeout).is_ok_and(|r| self.read_ready(r, &slots));
+        if let Some(end) = self.end.take() {
+            self.teardown();
+            self.reports.write();
+            return Some(end);
+        }
+        self.ack_durable();
+        let now = Instant::now();
+        if self.deploy.as_mut().is_some_and(|d| d.retry.due(now) > 0) {
+            self.deploy_step(now);
+        }
+        self.lag = produced
+            .then(|| self.lag.unwrap_or(now))
+            .filter(|since| now.duration_since(*since) < MAX_APPLY_LAG);
+        if let Some(gen) = &mut self.gen {
+            run_cells(gen, now, self.lag.is_some());
+        }
+        self.on_exits();
+        if self.beat.due(now) > 0 {
+            let gen = self.gen.as_ref();
+            let beat = gen.map_or_else(|| Gen::default().heartbeat(), Gen::heartbeat);
+            self.heartbeat.replace(&beat);
+        }
+        for target in self.gen.iter_mut().flat_map(|gen| &mut gen.targets) {
+            if let Target::Egress(buf) = target {
+                buf.write();
+            }
+        }
+        self.heartbeat.write();
+        self.reports.write();
+        None
+    }
+
+    /// Handles one poll's readiness, the control connection last: a
+    /// message there may tear down the generation the slots index.
+    /// `true` if a gate read producer input.
     fn read_ready(&mut self, ready: Vec<ReadyEvent>, slots: &[Slot]) -> bool {
         let mut dead: Vec<usize> = Vec::new();
-        let mut produced = false;
+        let (mut produced, mut control) = (false, false);
         for ev in ready {
             match slots[ev.token] {
                 Slot::Waker => self.waker.drain(),
                 Slot::Listener => self.accept_ready(),
-                Slot::Control => self.control_ready(),
+                Slot::Control => control = true,
                 Slot::Ingress(i) => {
                     if ev.readable && !self.ingress_ready(i) {
                         dead.push(i);
                     }
                 }
                 Slot::Egress => {}
-                Slot::Gate { gen, at, entry } => {
-                    if let Hau::Gate(gate) = &mut self.gens[gen].cells[at].hau {
+                Slot::Gate { at, entry } => {
+                    if let Some(Hau::Gate(gate)) = self.gen.as_mut().map(|g| &mut g.cells[at].hau) {
                         produced |= ev.readable;
                         gate.on_ready(entry, &ev);
                     }
@@ -688,77 +698,246 @@ impl Io {
         for i in dead {
             self.ingress.swap_remove(i);
         }
+        if control {
+            self.control_ready();
+        }
         produced
     }
 
-    /// Applies queued commands; `false` means Stop.
-    fn drain_cmds(&mut self) -> bool {
-        while let Ok(cmd) = self.cmds.try_recv() {
-            match cmd {
-                IoCmd::Deploy(mut gen) => {
-                    if gen.generation < self.min_gen {
-                        gen.tear();
-                        continue;
-                    }
-                    // A recovering source's replay goes out first.
-                    gen.visit(HostCell::take_outbox);
-                    // Resolve streams that connected ahead of the
-                    // assignment. Frames already buffered (bytes that
-                    // rode in with the hello) flow now; the socket
-                    // itself is picked up by the next poll, which is
-                    // level-triggered.
-                    let plan = &mut self.plan;
-                    self.ingress.retain_mut(|conn| {
-                        let IngressState::Pending {
-                            generation,
-                            from,
-                            to,
-                        } = conn.state
-                        else {
-                            return true;
-                        };
-                        let dest = gen.ingress.get(&(from, to));
-                        let Some(&dest) = dest.filter(|_| generation == gen.generation) else {
-                            return true;
-                        };
-                        conn.state = IngressState::Routed {
-                            generation,
-                            from,
-                            to,
-                            dest,
-                        };
-                        drain_frames(conn, &mut gen, plan.as_mut())
-                    });
-                    self.gens.push(gen);
+    /// Reads the control connection once — poll reported it readable —
+    /// and acts on every whole message, in order, until one ends the
+    /// worker; then on a close or failure, which does.
+    fn control_ready(&mut self) {
+        let Some((stream, decoder)) = &mut self.control else {
+            return;
+        };
+        let mut scratch = [0u8; READ_CHUNK];
+        let mut last = match stream.read(&mut scratch) {
+            Ok(0) if decoder.buffered() == 0 => Some(Ok(())),
+            Ok(0) => Some(Err(Error::Wire("torn frame at control EOF".into()))),
+            Ok(n) => {
+                decoder.feed(&scratch[..n]);
+                None
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => None,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => None,
+            Err(e) => Some(Err(e.into())),
+        };
+        while self.end.is_none() {
+            let next = self
+                .control
+                .as_mut()
+                .and_then(|(_, d)| d.next_frame().transpose());
+            match next.map(|f| f.and_then(|f| WireMsg::decode(&f))) {
+                None => break,
+                Some(Ok(msg)) => self.on_control(msg),
+                Some(Err(e)) => {
+                    last = Some(Err(e));
+                    break;
                 }
-                IoCmd::Checkpoint { generation, epoch } => {
-                    for gen in self.gens.iter_mut().filter(|g| g.generation == generation) {
-                        gen.visit(|cell| cell.checkpoint(epoch));
-                    }
-                }
-                IoCmd::Tear { generation } => {
-                    self.min_gen = self.min_gen.max(generation + 1);
-                    self.ingress.retain(|c| match c.state {
-                        IngressState::AwaitHello => true,
-                        IngressState::Pending { generation: g, .. }
-                        | IngressState::Routed { generation: g, .. } => g > generation,
-                    });
-                    let (torn, live): (Vec<Gen>, Vec<Gen>) = mem::take(&mut self.gens)
-                        .into_iter()
-                        .partition(|gen| gen.generation <= generation);
-                    self.gens = live;
-                    for gen in torn {
-                        gen.tear();
-                    }
-                }
-                IoCmd::Stop => return false,
             }
         }
-        true
+        if let Some(last) = last {
+            self.end.get_or_insert(last);
+            self.control = None;
+        }
+    }
+
+    fn on_control(&mut self, msg: WireMsg) {
+        match msg {
+            WireMsg::Assign(a) => {
+                self.teardown();
+                let generation = a.generation;
+                match Deploy::new(&self.cfg, a) {
+                    Ok(deploy) => {
+                        self.deploy = Some(deploy);
+                        self.deploy_step(Instant::now());
+                    }
+                    Err(e) => self.fail(generation, e),
+                }
+            }
+            WireMsg::Checkpoint(epoch) => {
+                if let Some(gen) = &mut self.gen {
+                    gen.visit(|cell| cell.checkpoint(epoch));
+                } else if let Some(deploy) = &mut self.deploy {
+                    deploy.barriers.push(epoch);
+                }
+            }
+            WireMsg::Rollback => self.teardown(),
+            WireMsg::Shutdown => self.end = Some(Ok(())),
+            other => {
+                let e = Error::Wire(format!("unexpected control message {other:?}"));
+                self.end = Some(Err(e));
+            }
+        }
+    }
+
+    /// Connects what the deploy can; once every edge is up, builds the
+    /// generation and adopts it. A failed deploy (corrupt checkpoint,
+    /// unreachable store or peer) fails the generation, not the worker.
+    fn deploy_step(&mut self, now: Instant) {
+        let connected = match &mut self.deploy {
+            Some(deploy) => deploy.connect_retry(now),
+            None => return,
+        };
+        if let Ok(false) = connected {
+            return;
+        }
+        let mut deploy = self.deploy.take().expect("deploying");
+        let (generation, barriers) = (deploy.generation(), mem::take(&mut deploy.barriers));
+        match connected.and_then(|_| deploy.build(&self.cfg, self.hook(generation))) {
+            Ok(gen) => self.adopt(gen, barriers),
+            Err(e) => self.fail(generation, e),
+        }
+    }
+
+    /// The hook a generation's persister calls after each write.
+    pub(crate) fn hook(&self, generation: u64) -> DurableHook {
+        let (tx, waker) = (self.durable_tx.clone(), self.waker.clone());
+        Box::new(move |epoch, op, meter, outcome| {
+            let _ = tx.send(Durable {
+                generation,
+                epoch,
+                op,
+                outcome: outcome.clone(),
+                sample: meter.map(OperatorMeter::sample),
+            });
+            waker.wake();
+        })
+    }
+
+    /// Adopts a built generation: delivers what its cells queued while
+    /// they were built (a recovering source's replay), resolves the
+    /// streams that connected ahead of it, and cuts the barriers that
+    /// arrived while it deployed.
+    pub(crate) fn adopt(&mut self, mut gen: Gen, barriers: Vec<EpochId>) {
+        gen.visit(HostCell::take_outbox);
+        // Frames already buffered (bytes that rode in with the hello)
+        // flow now; the socket itself is picked up by the next poll,
+        // which is level-triggered.
+        let plan = &mut self.plan;
+        self.ingress.retain_mut(|conn| {
+            let IngressState::Pending {
+                generation,
+                from,
+                to,
+            } = conn.state
+            else {
+                return true;
+            };
+            let dest = gen.ingress.get(&(from, to));
+            let Some(&dest) = dest.filter(|_| generation == gen.generation) else {
+                return true;
+            };
+            conn.state = IngressState::Routed {
+                generation,
+                from,
+                to,
+                dest,
+            };
+            drain_frames(conn, &mut gen, plan.as_mut())
+        });
+        for epoch in barriers {
+            gen.visit(|cell| cell.checkpoint(epoch));
+        }
+        self.gen = Some(gen);
+    }
+
+    /// Fails generation `generation`'s deploy: its streams close, and the
+    /// controller hears why.
+    fn fail(&mut self, generation: u64, e: Error) {
+        self.close_streams(generation);
+        let detail = e.to_string();
+        self.reports
+            .send(&WireMsg::WorkerError { generation, detail });
+    }
+
+    /// Tears the current generation down, deployed or deploying. It
+    /// stops being current, so it reports nothing more; its streams,
+    /// parked ones included, close; its cells finish, each flushing its
+    /// final state; its persister drains.
+    fn teardown(&mut self) {
+        let deploying = self.deploy.take().map(|d| d.generation());
+        let Some(generation) = deploying.or(self.gen.as_ref().map(|g| g.generation)) else {
+            return;
+        };
+        self.close_streams(generation);
+        if let Some(gen) = self.gen.take() {
+            gen.tear();
+        }
+    }
+
+    /// Drops the streams of generations `<= generation` and refuses
+    /// their later hellos. Streams still awaiting their hello are kept
+    /// and checked against the raised floor when the hello arrives.
+    fn close_streams(&mut self, generation: u64) {
+        self.min_gen = self.min_gen.max(generation + 1);
+        self.ingress.retain(|c| match c.state {
+            IngressState::AwaitHello => true,
+            IngressState::Pending { generation: g, .. }
+            | IngressState::Routed { generation: g, .. } => g > generation,
+        });
+    }
+
+    /// Acks each checkpoint the persister wrote for the current
+    /// generation, or reports its failure. The ack carries the
+    /// operator's sample taken after the write, so the ack that closes
+    /// the epoch-e barrier brings its operator's epoch-e checkpoint
+    /// phases — what lets the controller cut complete ledger records
+    /// then.
+    fn ack_durable(&mut self) {
+        while let Ok(d) = self.durable.try_recv() {
+            let generation = d.generation;
+            if self.gen.as_ref().map(|g| g.generation) != Some(generation) {
+                continue;
+            }
+            self.reports.send(&match d.outcome {
+                Ok(_) => WireMsg::CkptDone {
+                    generation,
+                    epoch: d.epoch,
+                    op: d.op,
+                    sample: d.sample,
+                },
+                Err(e) => WireMsg::WorkerError {
+                    generation,
+                    detail: e.to_string(),
+                },
+            });
+        }
+    }
+
+    /// Once every HAU of the generation has exited: the persister
+    /// drains, what it wrote is acked, and only then are finished sinks
+    /// and failed HAUs reported.
+    fn on_exits(&mut self) {
+        let Some(gen) = &mut self.gen else { return };
+        if gen.persister.is_none() || gen.exits.len() < gen.cells.len() {
+            return;
+        }
+        drop(gen.persister.take());
+        let generation = gen.generation;
+        let (exits, sinks) = (mem::take(&mut gen.exits), mem::take(&mut gen.sinks));
+        self.ack_durable();
+        for exit in exits {
+            // A host that stopped on a storage failure is a failed HAU,
+            // not a finished one: surface it so the controller rolls
+            // the generation back.
+            if let Some(e) = &exit.error {
+                let detail = format!("{}: {e}", exit.op_id);
+                self.reports
+                    .send(&WireMsg::WorkerError { generation, detail });
+            } else if sinks.contains(&exit.op_id) {
+                self.reports.send(&WireMsg::SinkDone {
+                    generation,
+                    op: exit.op_id,
+                    snapshot: exit.op.snapshot().data,
+                });
+            }
+        }
     }
 
     fn build_poll_set(&self) -> (Vec<(PollTarget, usize, Interest)>, Vec<Slot>) {
-        let mut targets = Vec::with_capacity(2 + self.ingress.len());
+        let mut targets = Vec::with_capacity(3 + self.ingress.len());
         let mut slots = Vec::with_capacity(targets.capacity());
         let mut add = |fd: PollTarget, slot: Slot, want: Interest| {
             targets.push((fd, slots.len(), want));
@@ -769,8 +948,10 @@ impl Io {
         if let Some((stream, _)) = &self.control {
             add(stream.as_raw_fd(), Slot::Control, Interest::READ);
         }
-        if let Some(fd) = self.heartbeat.blocked_fd() {
-            add(fd, Slot::Egress, Interest::WRITE);
+        for buf in [&self.heartbeat, &self.reports] {
+            if let Some(fd) = buf.blocked_fd() {
+                add(fd, Slot::Egress, Interest::WRITE);
+            }
         }
         for (i, c) in self.ingress.iter().enumerate() {
             // Pending streams keep no read interest: the bytes wait in
@@ -782,56 +963,24 @@ impl Io {
             };
             add(c.stream.as_raw_fd(), Slot::Ingress(i), want);
         }
-        for (g, gen) in self.gens.iter().enumerate() {
-            for target in &gen.targets {
-                if let Target::Egress(buf) = target {
-                    if let Some(fd) = buf.blocked_fd() {
-                        add(fd, Slot::Egress, Interest::WRITE);
-                    }
+        let Some(gen) = &self.gen else {
+            return (targets, slots);
+        };
+        for target in &gen.targets {
+            if let Target::Egress(buf) = target {
+                if let Some(fd) = buf.blocked_fd() {
+                    add(fd, Slot::Egress, Interest::WRITE);
                 }
             }
-            for (at, c) in gen.cells.iter().enumerate() {
-                if let Hau::Gate(gate) = &c.hau {
-                    for (entry, (fd, want)) in gate.poll_entries().enumerate() {
-                        add(fd, Slot::Gate { gen: g, at, entry }, want);
-                    }
+        }
+        for (at, c) in gen.cells.iter().enumerate() {
+            if let Hau::Gate(gate) = &c.hau {
+                for (entry, (fd, want)) in gate.poll_entries().enumerate() {
+                    add(fd, Slot::Gate { at, entry }, want);
                 }
             }
         }
         (targets, slots)
-    }
-
-    /// Reads the control connection once — poll reported it readable,
-    /// so the read does not block — and forwards every whole message,
-    /// then a close or failure, which ends the connection.
-    fn control_ready(&mut self) {
-        let Some((stream, decoder)) = &mut self.control else {
-            return;
-        };
-        let mut scratch = [0u8; READ_CHUNK];
-        let mut last = match stream.read(&mut scratch) {
-            Ok(0) if decoder.buffered() == 0 => Some(Ok(None)),
-            Ok(0) => Some(Err(Error::Wire("torn frame at control EOF".into()))),
-            Ok(n) => {
-                decoder.feed(&scratch[..n]);
-                None
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => None,
-            Err(e) => Some(Err(e.into())),
-        };
-        while let Some(msg) = decoder.next_frame().transpose() {
-            match msg.and_then(|f| WireMsg::decode(&f)) {
-                Ok(msg) => _ = self.events.send(Event::Control(Ok(Some(msg)))),
-                Err(e) => {
-                    last = Some(Err(e));
-                    break;
-                }
-            }
-        }
-        if let Some(last) = last {
-            let _ = self.events.send(Event::Control(last));
-            self.control = None;
-        }
     }
 
     fn accept_ready(&mut self) {
@@ -913,7 +1062,7 @@ impl Io {
             if generation < self.min_gen {
                 return false;
             }
-            let gen = self.gens.iter().find(|gen| gen.generation == generation);
+            let gen = self.gen.as_ref().filter(|gen| gen.generation == generation);
             conn.state = match gen.and_then(|gen| gen.ingress.get(&(from, to))) {
                 Some(&dest) => IngressState::Routed {
                     generation,
@@ -938,11 +1087,7 @@ impl Io {
         let IngressState::Routed { generation, .. } = conn.state else {
             return true;
         };
-        match self
-            .gens
-            .iter_mut()
-            .find(|gen| gen.generation == generation)
-        {
+        match self.gen.as_mut().filter(|gen| gen.generation == generation) {
             Some(gen) => drain_frames(conn, gen, self.plan.as_mut()),
             None => false,
         }
@@ -999,9 +1144,10 @@ fn drain_frames(conn: &mut IngressConn, gen: &mut Gen, mut plan: Option<&mut Fau
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::message::send_msg;
+    use crate::worker::ControllerAddr;
     use ms_core::gate::{GateConfig, GateMsg};
     use ms_core::ids::OperatorId;
     use ms_core::ids::PortId;
@@ -1015,6 +1161,7 @@ mod tests {
     use std::io::Write;
     use std::sync::mpsc::channel;
     use std::sync::Arc;
+    use std::thread;
 
     /// A sink that sums Int fields (local stand-in for apps::Summer
     /// without the crate cycle).
@@ -1052,15 +1199,51 @@ mod tests {
         i64::from_le_bytes(b)
     }
 
-    fn recv_within<T>(rx: &Receiver<T>, d: Duration) -> Option<T> {
-        rx.recv_timeout(d).ok()
+    /// Turns `w` until `done(w)` holds, for at most `d`; whether it did.
+    fn turn_until(w: &mut Worker, d: Duration, mut done: impl FnMut(&mut Worker) -> bool) -> bool {
+        let deadline = Instant::now() + d;
+        while !done(w) {
+            if Instant::now() > deadline {
+                return false;
+            }
+            assert!(w.turn().is_none(), "the worker stopped");
+        }
+        true
     }
 
-    /// The exit record a cell sent on `rx`, if one comes within `d`.
-    fn exit_within(rx: &Receiver<Event>, d: Duration) -> Option<HostExit> {
-        match recv_within(rx, d)? {
-            Event::Exit { exit, .. } => Some(exit),
-            _ => panic!("a cell sends only its exit"),
+    /// The exit record of `op`, if its cell has finished.
+    fn exit_of(w: &Worker, op: u32) -> Option<&HostExit> {
+        let exits = w.gen.as_ref().map_or(&[][..], |gen| &gen.exits);
+        exits.iter().find(|exit| exit.op_id == OperatorId(op))
+    }
+
+    /// Turns `w` until `op`'s cell has finished, for at most 5 s, and
+    /// returns its exit record.
+    fn exit_after_turns(w: &mut Worker, op: u32) -> &HostExit {
+        let finished = turn_until(w, Duration::from_secs(5), |w| exit_of(w, op).is_some());
+        assert!(finished, "op{op} never finished");
+        exit_of(w, op).unwrap()
+    }
+
+    /// Turns `w` until a whole frame arrives on `sock`, read
+    /// nonblocking through `dec`, for at most 5 s.
+    fn next_frame(w: &mut Worker, sock: &mut TcpStream, dec: &mut FrameDecoder) -> Vec<u8> {
+        sock.set_nonblocking(true).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            if let Some(f) = dec.next_frame().unwrap() {
+                return f;
+            }
+            let mut buf = [0u8; 4096];
+            match sock.read(&mut buf) {
+                Ok(0) => panic!("closed mid-conversation"),
+                Ok(n) => dec.feed(&buf[..n]),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    assert!(Instant::now() < deadline, "no frame within 5 s");
+                    assert!(w.turn().is_none(), "the worker stopped");
+                }
+                Err(e) => panic!("reading: {e}"),
+            }
         }
     }
 
@@ -1074,10 +1257,9 @@ mod tests {
     }
 
     /// Everything a test needs to drive one single-input cell: the
-    /// cell itself, its exit channel and the checkpoints it captured.
+    /// cell itself and the checkpoints it captured.
     struct CellRig {
         cell: HostCell,
-        exit_rx: Receiver<Event>,
         persisted: Receiver<PersistItem>,
     }
 
@@ -1093,10 +1275,8 @@ mod tests {
             telemetry: None,
         };
         let core = InteriorCore::new(wiring, 1, ptx);
-        let (exit_tx, exit_rx) = channel();
         CellRig {
-            cell: HostCell::new(1, Hau::Interior(core), exit_tx),
-            exit_rx,
+            cell: HostCell::new(Hau::Interior(core)),
             persisted,
         }
     }
@@ -1127,52 +1307,46 @@ mod tests {
     }
 
     /// Two ends of one loopback connection.
-    fn pair() -> (TcpStream, TcpStream) {
+    pub(crate) fn pair() -> (TcpStream, TcpStream) {
         let l = TcpListener::bind("127.0.0.1:0").unwrap();
         let near = TcpStream::connect(l.local_addr().unwrap()).unwrap();
         let (far, _) = l.accept().unwrap();
         (near, far)
     }
 
-    /// The controller's ends of an I/O thread's control and heartbeat
-    /// connections, and the thread's event channel.
-    struct Peers {
-        _control: TcpStream,
-        heartbeat: TcpStream,
-        _events: Receiver<Event>,
+    /// A worker, not yet turning, and the far ends of its connections:
+    /// its data address and the controller's ends of its control and
+    /// heartbeat connections.
+    struct Rig {
+        w: Worker,
+        addr: String,
+        controller: TcpStream,
+        beats: TcpStream,
     }
 
-    /// Starts an I/O thread on a fresh loopback listener, beating into
-    /// `heartbeat`; returns its address, command queue, waker, handle
-    /// and far ends.
-    fn io_thread_beating_into(
-        heartbeat: (TcpStream, TcpStream),
-    ) -> (String, Sender<IoCmd>, Waker, JoinHandle<()>, Peers) {
+    /// A worker on a fresh loopback listener, beating into `heartbeat`.
+    fn rig_beating_into(heartbeat: (TcpStream, TcpStream)) -> Rig {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
-        listener.set_nonblocking(true).unwrap();
-        heartbeat.0.set_nonblocking(true).unwrap();
         let (control, controller) = pair();
-        let waker = Waker::new().unwrap();
-        let (cmd_tx, cmd_rx) = channel();
-        let (events, events_rx) = channel();
-        let near = heartbeat.0;
-        let io = spawn_io(listener, control, near, waker.clone(), cmd_rx, events, None);
-        let peers = Peers {
-            _control: controller,
-            heartbeat: heartbeat.1,
-            _events: events_rx,
+        let cfg = WorkerConfig {
+            name: "me".into(),
+            controller: ControllerAddr::Addr(String::new()),
+            store_dir: std::env::temp_dir(),
         };
-        (addr, cmd_tx, waker, io, peers)
+        let w = Worker::new(cfg, listener, control, heartbeat.0, None).unwrap();
+        Rig {
+            w,
+            addr,
+            controller,
+            beats: heartbeat.1,
+        }
     }
 
-    fn io_thread() -> (String, Sender<IoCmd>, Waker, JoinHandle<()>, Peers) {
-        io_thread_beating_into(pair())
-    }
-
-    fn command(cmds: &Sender<IoCmd>, waker: &Waker, cmd: IoCmd) {
-        assert!(cmds.send(cmd).is_ok());
-        waker.wake();
+    fn rig(gen: Gen) -> Rig {
+        let mut r = rig_beating_into(pair());
+        r.w.adopt(gen, Vec::new());
+        r
     }
 
     fn hello(peer: &mut TcpStream, to: u32) {
@@ -1189,9 +1363,7 @@ mod tests {
 
     #[test]
     fn cell_applies_batches_and_finishes_on_eos() {
-        let CellRig {
-            mut cell, exit_rx, ..
-        } = sink_cell();
+        let CellRig { mut cell, .. } = sink_cell();
         for v in 0..100i64 {
             cell.push(0, HostMsg::DataBatch([tuple(v as u64, v)].into()));
         }
@@ -1203,7 +1375,9 @@ mod tests {
             matches!(gen.cells[0].hau, Hau::Done(_)),
             "a cell at Eos is a tombstone after the pass"
         );
-        let exit = exit_within(&exit_rx, Duration::from_secs(5)).unwrap();
+        let [exit] = &gen.exits[..] else {
+            panic!("{} exits", gen.exits.len());
+        };
         assert!(exit.error.is_none());
         assert_eq!(sum_of(&exit.op.snapshot()), (0..100).sum::<i64>());
         // A finished cell discards further input.
@@ -1214,7 +1388,7 @@ mod tests {
     #[test]
     fn one_pass_carries_batches_a_token_and_eos_through_a_colocated_chain() {
         // doubler --inbox--> doubler --inbox--> sink, fed by hand: one
-        // run_cells call, no I/O thread, no socket.
+        // run_cells call, no turn, no socket.
         const N: i64 = 300;
         const BEFORE_TOKEN: i64 = 120;
         let first = cell(1, Box::<Doubler>::default(), vec![OutputRoute::single(0)]);
@@ -1238,9 +1412,9 @@ mod tests {
         // Every cell finished in that one pass: Σ 4v over 0..N at the
         // sink, closed by the Eos that followed the data down.
         assert!(gen.cells.iter().all(|c| matches!(c.hau, Hau::Done(_))));
-        assert!(first.exit_rx.try_recv().is_ok());
-        assert!(second.exit_rx.try_recv().is_ok());
-        let exit = exit_within(&sink.exit_rx, Duration::ZERO).unwrap();
+        let ops: Vec<OperatorId> = gen.exits.iter().map(|exit| exit.op_id).collect();
+        assert_eq!(ops, [1, 2, 3].map(OperatorId));
+        let exit = &gen.exits[2];
         assert!(exit.error.is_none());
         assert_eq!(sum_of(&exit.op.snapshot()), 2 * N * (N - 1));
         // The token reached the sink behind exactly the tuples sent
@@ -1271,24 +1445,25 @@ mod tests {
 
     #[test]
     fn torn_cell_flushes_exit_without_traffic() {
-        let (_, cmds, waker, io, _peers) = io_thread();
-        let CellRig { cell, exit_rx, .. } = sink_cell();
-        let gen = generation(vec![cell], Vec::new(), []);
-        command(&cmds, &waker, IoCmd::Deploy(gen));
-        command(&cmds, &waker, IoCmd::Tear { generation: 1 });
-        let exit = exit_within(&exit_rx, Duration::from_secs(5)).unwrap();
+        let CellRig { cell, .. } = sink_cell();
+        let mut r = rig(generation(vec![cell], Vec::new(), []));
+        assert!(r.w.turn().is_none());
+        assert!(exit_of(&r.w, 1).is_none(), "no input, no exit");
+        // Finishing the cell, as a teardown does, hands its exit back.
+        let cell = &mut r.w.gen.as_mut().unwrap().cells[0];
+        let (exit, _) = cell.finish().unwrap();
         assert_eq!(exit.op_id, OperatorId(1));
-        command(&cmds, &waker, IoCmd::Stop);
-        io.join().unwrap();
+        assert!(cell.finish().is_none(), "a cell finishes once");
+        r.w.teardown();
+        assert!(r.w.gen.is_none());
     }
 
     #[test]
     fn io_thread_runs_a_socket_fed_chain_of_colocated_cells() {
         // peer --socket--> doubler cell --inbox--> sink cell, both
-        // cells on the one I/O thread.
+        // cells on the one loop.
         const N: i64 = 300;
         const BEFORE_TOKEN: i64 = 120;
-        let (addr, cmds, waker, io, _peers) = io_thread();
         let sink = cell(2, Box::<Sum>::default(), Vec::new());
         let doubler = cell(1, Box::<Doubler>::default(), vec![OutputRoute::single(0)]);
         let gen = generation(
@@ -1296,9 +1471,9 @@ mod tests {
             vec![Target::Cell(input(1))],
             [((0, 1), input(0))],
         );
-        command(&cmds, &waker, IoCmd::Deploy(gen));
+        let mut r = rig(gen);
 
-        let mut peer = TcpStream::connect(addr).unwrap();
+        let mut peer = TcpStream::connect(&r.addr).unwrap();
         hello(&mut peer, 1);
         let batch = |vs: std::ops::Range<i64>| {
             WireMsg::TupleBatch(vs.map(|v| tuple(v as u64, v)).collect())
@@ -1313,13 +1488,13 @@ mod tests {
         send_msg(&mut peer, &WireMsg::Eos).unwrap();
 
         // Σ 2v over 0..N, and the doubler closes the sink with its Eos.
-        let exit = exit_within(&sink.exit_rx, Duration::from_secs(5)).unwrap();
+        let exit = exit_after_turns(&mut r.w, 2);
         assert!(exit.error.is_none());
         assert_eq!(sum_of(&exit.op.snapshot()), N * (N - 1));
-        assert!(exit_within(&doubler.exit_rx, Duration::from_secs(5)).is_some());
+        assert!(exit_of(&r.w, 1).is_some());
         // The token reached the sink behind exactly the batches sent
         // before it: its epoch-1 cut holds Σ 2v over 0..BEFORE_TOKEN.
-        let cut = recv_within(&sink.persisted, Duration::from_secs(5)).unwrap();
+        let cut = sink.persisted.try_recv().unwrap();
         assert_eq!(cut.epoch, EpochId(1));
         assert_eq!(cut.resume_seq, vec![BEFORE_TOKEN as u64]);
         match cut.snapshot.resolve() {
@@ -1328,58 +1503,52 @@ mod tests {
             }
             SnapshotPayload::Delta(_) => panic!("Sum captures full snapshots"),
         }
-        command(&cmds, &waker, IoCmd::Stop);
-        io.join().unwrap();
     }
 
     #[test]
     fn io_routes_stream_even_when_hello_races_routes() {
-        // Connect and send the hello BEFORE the route table is
-        // installed: the stream must park as Pending and resolve on
-        // IoCmd::Deploy, with no data lost.
-        let (addr, cmds, waker, io, _peers) = io_thread();
-        let mut peer = TcpStream::connect(addr).unwrap();
+        // Connect and send the hello BEFORE the generation is adopted:
+        // the stream must park as Pending and resolve on adoption, with
+        // no data lost.
+        let mut r = rig_beating_into(pair());
+        let mut peer = TcpStream::connect(&r.addr).unwrap();
         hello(&mut peer, 1);
         for v in 0..10i64 {
             send_msg(&mut peer, &WireMsg::TupleBatch(vec![tuple(v as u64, v)])).unwrap();
         }
-        // Give the io thread time to accept and park the stream.
-        std::thread::sleep(Duration::from_millis(100));
+        // The loop accepts and parks the stream.
+        let parked = |w: &mut Worker| {
+            let mut states = w.ingress.iter().map(|c| c.state);
+            states.any(|s| matches!(s, IngressState::Pending { .. }))
+        };
+        assert!(turn_until(&mut r.w, Duration::from_secs(5), parked));
 
-        let CellRig { cell, exit_rx, .. } = sink_cell();
+        let CellRig { cell, .. } = sink_cell();
         let gen = generation(vec![cell], Vec::new(), [((0, 1), input(0))]);
-        command(&cmds, &waker, IoCmd::Deploy(gen));
+        r.w.adopt(gen, Vec::new());
         send_msg(&mut peer, &WireMsg::Eos).unwrap();
 
-        let exit = exit_within(&exit_rx, Duration::from_secs(5)).unwrap();
+        let exit = exit_after_turns(&mut r.w, 1);
         assert_eq!(sum_of(&exit.op.snapshot()), (0..10).sum::<i64>());
-
-        command(&cmds, &waker, IoCmd::Stop);
-        io.join().unwrap();
     }
 
     #[test]
     fn bare_close_does_not_deliver_eos() {
-        let (addr, cmds, waker, io, _peers) = io_thread();
-        let CellRig { cell, exit_rx, .. } = sink_cell();
-        let gen = generation(vec![cell], Vec::new(), [((0, 1), input(0))]);
-        command(&cmds, &waker, IoCmd::Deploy(gen));
+        let CellRig { cell, .. } = sink_cell();
+        let mut r = rig(generation(vec![cell], Vec::new(), [((0, 1), input(0))]));
 
-        let mut peer = TcpStream::connect(addr).unwrap();
+        let mut peer = TcpStream::connect(&r.addr).unwrap();
         hello(&mut peer, 1);
         send_msg(&mut peer, &WireMsg::TupleBatch(vec![tuple(0, 7)])).unwrap();
         drop(peer); // crash, not Eos
 
         // The consumer must NOT finish: no Eos was ever sent.
-        assert!(exit_within(&exit_rx, Duration::from_millis(600)).is_none());
+        let finished = |w: &mut Worker| exit_of(w, 1).is_some();
+        assert!(!turn_until(&mut r.w, Duration::from_millis(600), finished));
 
-        // Teardown still flushes the exit.
-        command(&cmds, &waker, IoCmd::Tear { generation: 1 });
-        let exit = exit_within(&exit_rx, Duration::from_secs(5)).unwrap();
+        // Finishing it, as a teardown does, still flushes the exit.
+        let (exit, _) = r.w.gen.as_mut().unwrap().cells[0].finish().unwrap();
         assert_eq!(sum_of(&exit.op.snapshot()), 7);
-
-        command(&cmds, &waker, IoCmd::Stop);
-        io.join().unwrap();
     }
 
     fn ms(n: u64) -> Duration {
@@ -1441,7 +1610,6 @@ mod tests {
     #[test]
     fn a_socket_fed_batch_is_applied_before_a_slow_sources_next_tick() {
         let (dir, store) = temp_store("paced");
-        let (addr, cmds, waker, io, _peers) = io_thread();
         let downstream = cell(1, Box::<Sum>::default(), Vec::new());
         let fed = cell(2, Box::<Sum>::default(), Vec::new());
         let (persist, _) = channel();
@@ -1455,18 +1623,17 @@ mod tests {
             persist,
             None,
         );
-        let (exit_tx, source_exit) = channel();
         let op = Box::new(CountSource::new(10));
         let pace = Pace::new(ms(200), Instant::now());
-        let source = HostCell::new(1, Hau::Source { core, op, pace }, exit_tx);
+        let source = HostCell::new(Hau::Source { core, op, pace });
         let gen = generation(
             vec![source, downstream.cell, fed.cell],
             vec![Target::Cell(input(1))],
             [((0, 2), input(2))],
         );
-        command(&cmds, &waker, IoCmd::Deploy(gen));
+        let mut r = rig(gen);
 
-        let mut peer = TcpStream::connect(addr).unwrap();
+        let mut peer = TcpStream::connect(&r.addr).unwrap();
         hello(&mut peer, 2);
         send_msg(
             &mut peer,
@@ -1477,26 +1644,22 @@ mod tests {
         // The socket ends the poll the source's deadline bounds: the
         // batch is applied and the cell done while the source, due
         // 200 ms after deploy, has not ticked once.
-        let exit = exit_within(&fed.exit_rx, Duration::from_secs(5)).unwrap();
+        let exit = exit_after_turns(&mut r.w, 2);
         assert_eq!(sum_of(&exit.op.snapshot()), 15);
         assert_eq!(store.preserved_tuples(), 0, "the source ticked first");
         // It does tick on its deadline.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while store.preserved_tuples() == 0 {
-            assert!(Instant::now() < deadline, "the paced source never ticked");
-            thread::sleep(ms(10));
-        }
+        let ticked = |_: &mut Worker| store.preserved_tuples() > 0;
+        let on_time = turn_until(&mut r.w, Duration::from_secs(5), ticked);
+        assert!(on_time, "the paced source never ticked");
 
-        command(&cmds, &waker, IoCmd::Tear { generation: 1 });
-        assert!(exit_within(&source_exit, Duration::from_secs(5)).is_some());
-        command(&cmds, &waker, IoCmd::Stop);
-        io.join().unwrap();
+        let source = &mut r.w.gen.as_mut().unwrap().cells[0];
+        assert!(source.finish().is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Writes zeros into `s` (nonblocking) until it refuses more;
     /// returns how many it took.
-    fn fill(s: &TcpStream) -> usize {
+    pub(crate) fn fill(s: &TcpStream) -> usize {
         s.set_nonblocking(true).unwrap();
         let mut junk = 0;
         loop {
@@ -1515,7 +1678,7 @@ mod tests {
         // read, and the kernel's buffers already hold `junk` bytes.
         let (near, far) = pair();
         let junk = fill(&near);
-        let (addr, cmds, waker, io, peers) = io_thread_beating_into((near, far));
+        let mut r = rig_beating_into((near, far));
         // A source ticking every 2 ms into a sink, and a socket-fed cell.
         let sink = cell(1, Box::<Sum>::default(), Vec::new());
         let fed = cell(2, Box::<Sum>::default(), Vec::new());
@@ -1530,20 +1693,19 @@ mod tests {
             persist,
             None,
         );
-        let (exit_tx, _source_exit) = channel();
         let op = Box::new(CountSource::new(1_000_000));
         let pace = Pace::new(ms(2), Instant::now());
-        let source = HostCell::new(1, Hau::Source { core, op, pace }, exit_tx);
+        let source = HostCell::new(Hau::Source { core, op, pace });
         let gen = generation(
             vec![source, sink.cell, fed.cell],
             vec![Target::Cell(input(1))],
             [((0, 2), input(2))],
         );
-        command(&cmds, &waker, IoCmd::Deploy(gen));
+        r.w.adopt(gen, Vec::new());
 
         // The beats find no room, and the cells still run: the fed cell
         // applies its batch and finishes, the source keeps ticking.
-        let mut peer = TcpStream::connect(addr).unwrap();
+        let mut peer = TcpStream::connect(&r.addr).unwrap();
         hello(&mut peer, 2);
         send_msg(
             &mut peer,
@@ -1551,9 +1713,9 @@ mod tests {
         )
         .unwrap();
         send_msg(&mut peer, &WireMsg::Eos).unwrap();
-        let exit = exit_within(&fed.exit_rx, Duration::from_secs(5)).unwrap();
+        let exit = exit_after_turns(&mut r.w, 2);
         assert_eq!(sum_of(&exit.op.snapshot()), 15);
-        thread::sleep(ms(600));
+        turn_until(&mut r.w, ms(600), |_| false);
         let ticked = store.preserved_tuples();
         assert!(ticked > 100, "the source stalled at {ticked} tuples");
 
@@ -1561,13 +1723,14 @@ mod tests {
         // generation — partial writes never tear one. The few the
         // kernel took meanwhile arrive at once, the first gap ends
         // them, and from then on a beat arrives every 50 ms.
-        let mut beats = peers.heartbeat;
+        let mut beats = r.beats;
         beats
             .set_read_timeout(Some(Duration::from_secs(5)))
             .unwrap();
         beats.read_exact(&mut vec![0u8; junk]).unwrap();
-        let mut next_beat = || match crate::message::recv_msg(&mut beats).unwrap().unwrap() {
-            WireMsg::Heartbeat { generation: 1, .. } => Instant::now(),
+        let mut dec = FrameDecoder::new();
+        let mut next_beat = || match WireMsg::decode(&next_frame(&mut r.w, &mut beats, &mut dec)) {
+            Ok(WireMsg::Heartbeat { generation: 1, .. }) => Instant::now(),
             other => panic!("unexpected {other:?} on the heartbeat connection"),
         };
         let mut last = next_beat();
@@ -1590,8 +1753,6 @@ mod tests {
             "four intervals in {span:?}"
         );
         assert!(store.preserved_tuples() > ticked, "the source stopped");
-        command(&cmds, &waker, IoCmd::Stop);
-        io.join().unwrap();
 
         // The loop's queue for them, beat after beat into a socket that
         // refuses: one beat, never a backlog, and never torn down.
@@ -1614,16 +1775,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    fn recv_ack(sock: &mut TcpStream, dec: &mut FrameDecoder) -> GateMsg {
-        loop {
-            if let Some(p) = dec.next_frame().unwrap() {
-                return GateMsg::decode(&p).unwrap();
-            }
-            let mut buf = [0u8; 4096];
-            let n = sock.read(&mut buf).unwrap();
-            assert!(n > 0, "gate closed mid-conversation");
-            dec.feed(&buf[..n]);
-        }
+    /// Turns `w` until the gate's next reply arrives on `sock`.
+    fn recv_ack(w: &mut Worker, sock: &mut TcpStream, dec: &mut FrameDecoder) -> GateMsg {
+        GateMsg::decode(&next_frame(w, sock, dec)).unwrap()
     }
 
     fn batch(batch: u64, keys: std::ops::Range<u64>) -> Vec<u8> {
@@ -1631,12 +1785,12 @@ mod tests {
         frame(&GateMsg::Batch { batch, events }.encode())
     }
 
-    /// A one-producer gate cell emitting on address 0, its producer
-    /// address and its exit channel.
+    /// A one-producer gate cell emitting on address 0, and its producer
+    /// address.
     fn gate_cell(
         store: &Arc<FsStore>,
         persist: Sender<PersistItem>,
-    ) -> (HostCell, std::net::SocketAddr, Receiver<Event>) {
+    ) -> (HostCell, std::net::SocketAddr) {
         let listener = ms_gate::listen("127.0.0.1:0", None).unwrap();
         let addr = listener.local_addr().unwrap();
         let wiring = GateWiring {
@@ -1652,9 +1806,8 @@ mod tests {
             replay: Vec::new(),
             telemetry: None,
         };
-        let (exit_tx, exit_rx) = channel();
         let gate = Box::new(Gate::new(wiring, store.clone(), persist));
-        (HostCell::new(1, Hau::Gate(gate), exit_tx), addr, exit_rx)
+        (HostCell::new(Hau::Gate(gate)), addr)
     }
 
     #[test]
@@ -1669,10 +1822,9 @@ mod tests {
             .set_read_timeout(Some(Duration::from_secs(5)))
             .unwrap();
         let (persist, persisted) = channel::<PersistItem>();
-        let (gate, gate_addr, gate_exit) = gate_cell(&store, persist);
-        let (_, cmds, waker, io, _peers) = io_thread();
+        let (gate, gate_addr) = gate_cell(&store, persist);
         let gen = generation(vec![gate], vec![Target::Egress(EgressBuf::new(edge))], []);
-        command(&cmds, &waker, IoCmd::Deploy(gen));
+        let mut r = rig(gen);
 
         let mut producer = TcpStream::connect(gate_addr).unwrap();
         let mut dec = FrameDecoder::new();
@@ -1681,29 +1833,25 @@ mod tests {
             .unwrap();
         producer.write_all(&batch(1, 0..3)).unwrap();
         assert_eq!(
-            recv_ack(&mut producer, &mut dec),
+            recv_ack(&mut r.w, &mut producer, &mut dec),
             GateMsg::Accepted { batch: 1 }
         );
-        // The checkpoint is queued without a wake and four batches
-        // follow in one write: the turn their bytes end stages all four
-        // and then applies the command.
-        assert!(cmds
-            .send(IoCmd::Checkpoint {
-                generation: 1,
-                epoch: EpochId(1),
-            })
-            .is_ok());
+        // The checkpoint arrives on the control connection and four
+        // batches follow in one write, both while the loop waits: the
+        // turn that reads them stages all four, then acts on the
+        // checkpoint.
+        send_msg(&mut r.controller, &WireMsg::Checkpoint(EpochId(1))).unwrap();
         let staged: Vec<u8> = (2..6).flat_map(|b| batch(b, b * 10..b * 10 + 4)).collect();
         producer.write_all(&staged).unwrap();
         for b in 2..6 {
             assert_eq!(
-                recv_ack(&mut producer, &mut dec),
+                recv_ack(&mut r.w, &mut producer, &mut dec),
                 GateMsg::Accepted { batch: b }
             );
         }
         // Every acked batch lies below the mark: its next_seq counts
         // all 3 + 4 × 4 tuples, and the WAL holds nothing above it.
-        let cut = recv_within(&persisted, Duration::from_secs(5)).unwrap();
+        let cut = persisted.try_recv().unwrap();
         assert_eq!(cut.epoch, EpochId(1));
         assert_eq!(cut.next_seq, 19);
         assert_eq!(store.preserved_tuples(), 19);
@@ -1725,11 +1873,9 @@ mod tests {
         producer
             .write_all(&frame(&GateMsg::Fin { producer: 1 }.encode()))
             .unwrap();
-        assert_eq!(recv_ack(&mut producer, &mut dec), GateMsg::FinOk);
-        let exit = exit_within(&gate_exit, Duration::from_secs(5)).unwrap();
+        assert_eq!(recv_ack(&mut r.w, &mut producer, &mut dec), GateMsg::FinOk);
+        let exit = exit_after_turns(&mut r.w, 0);
         assert!(exit.error.is_none());
-        command(&cmds, &waker, IoCmd::Stop);
-        io.join().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1737,7 +1883,7 @@ mod tests {
     fn a_finished_gate_keeps_riding_the_heartbeat() {
         let (dir, store) = temp_store("tombstone");
         let (persist, _) = channel();
-        let (mut gate, _, _exit) = gate_cell(&store, persist);
+        let (mut gate, _) = gate_cell(&store, persist);
         gate.finish();
         assert!(matches!(gate.hau, Hau::Done(Some(_))));
         let gen = generation(vec![gate], Vec::new(), []);
@@ -1776,10 +1922,9 @@ mod tests {
         let (dir, store) = temp_store("admit");
         let sink = cell(1, Box::<SlowSum>::default(), Vec::new());
         let (persist, _) = channel();
-        let (gate, gate_addr, _) = gate_cell(&store, persist);
-        let (_, cmds, waker, io, _peers) = io_thread();
+        let (gate, gate_addr) = gate_cell(&store, persist);
         let gen = generation(vec![gate, sink.cell], vec![Target::Cell(input(1))], []);
-        command(&cmds, &waker, IoCmd::Deploy(gen));
+        let mut r = rig(gen);
         let mut producer = TcpStream::connect(gate_addr).unwrap();
         let mut dec = FrameDecoder::new();
         producer
@@ -1792,7 +1937,7 @@ mod tests {
         for b in 1..5 {
             producer.write_all(&batch(b, b..b + 1)).unwrap();
             assert_eq!(
-                recv_ack(&mut producer, &mut dec),
+                recv_ack(&mut r.w, &mut producer, &mut dec),
                 GateMsg::Accepted { batch: b }
             );
         }
@@ -1806,11 +1951,9 @@ mod tests {
         producer
             .write_all(&frame(&GateMsg::Fin { producer: 1 }.encode()))
             .unwrap();
-        assert_eq!(recv_ack(&mut producer, &mut dec), GateMsg::FinOk);
-        let exit = exit_within(&sink.exit_rx, Duration::from_secs(5)).unwrap();
+        assert_eq!(recv_ack(&mut r.w, &mut producer, &mut dec), GateMsg::FinOk);
+        let exit = exit_after_turns(&mut r.w, 1);
         assert_eq!(sum_of(&exit.op.snapshot()), 4);
-        command(&cmds, &waker, IoCmd::Stop);
-        io.join().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

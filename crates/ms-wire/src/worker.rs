@@ -1,23 +1,16 @@
 //! The `ms-worker` daemon: hosts operators over real TCP streams.
 //!
 //! One worker process runs any subset of a generation's operators —
-//! including shard instances of key-partitioned HAUs — on three
-//! threads, not O(edges + operators): main, I/O, and per generation a
-//! persister. Each connection has one owner; the threads share no
-//! state and talk over channels.
-//!
-//! * **The I/O thread** (the `evloop` module) owns every data socket,
-//!   nonblocking, multiplexed with `poll(2)`, and runs every HAU:
-//!   interiors and sinks ([`ms_live::InteriorCore`]), demo sources
-//!   ([`ms_live::SourceCore`] ticked on deadlines) and ingestion
-//!   [`Gate`]s. It is the only reader of the control connection and
-//!   the only writer of the heartbeat connection.
-//! * **The main thread** is the only writer of the control connection
-//!   and the only owner of a generation's lifecycle: one loop over
-//!   `Event`s — control messages, persister outcomes, HAU exits. It
-//!   builds each generation (cells, a recovering source's replay,
-//!   outbound connections, routes, meters) as plain owned data and
-//!   hands it to the I/O thread in one command.
+//! including shard instances of key-partitioned HAUs — on two threads,
+//! not O(edges + operators): the event loop (the `evloop` module) on
+//! the process's main thread, and per generation a persister. The loop
+//! owns every socket, runs every HAU — interiors and sinks
+//! ([`ms_live::InteriorCore`]), demo sources ([`ms_live::SourceCore`]
+//! ticked on deadlines) and ingestion [`Gate`]s — and owns each
+//! generation's lifecycle. It is the only reader and writer of the
+//! control connection and the only writer of the heartbeat connection.
+//! The persister writes checkpoints beside it and sends it each
+//! outcome, the one thing that crosses between the two.
 //!
 //! Local edges are direct inbox pushes — colocated operators pay no
 //! socket tax, exactly the HAU-grouping benefit of §II-A. A producer
@@ -39,59 +32,62 @@
 //!   source log or derivable from it, and the rollback rewinds
 //!   downstream state behind them.
 //! * Teardown (`Rollback`, a superseding `Assign`, or `Shutdown`)
-//!   has the I/O thread drop the generation's sockets and routes and
-//!   finish its HAUs, flushing their final state, and waits their exits
-//!   out. Reports go out only for main's current generation, so a torn
+//!   drops the generation's sockets and routes, finishes its HAUs,
+//!   flushing their final state, and drains its persister, before the
+//!   loop reads on. Only the current generation reports, so a torn
 //!   one's late acks and partial sink state never reach the controller.
-//! * Every wait of a deploy is *generation-scoped*. Between its steps
-//!   and connect retries, a deploy queues what waits on main's channel
-//!   for after it; a control message there that ends the generation
-//!   (anything but `Checkpoint`) abandons the deploy on the spot, so
-//!   the worker is ready for the next `Assign` one heartbeat timeout
-//!   after a peer's failure, not [`CONNECT_WAIT`] later.
-//! * Main acks every durable individual checkpoint (`CkptDone`) — the
-//!   controller's epoch barrier — with its operator's meter sample
+//! * A [`Deploy`] builds and restores every local operator at once,
+//!   then connects its outbound edges from the loop. No attempt blocks
+//!   longer than [`CONNECT_POLL`]; a refused one is retried when the
+//!   next `CONNECT_POLL` deadline comes due, while the loop turns and
+//!   beats. A control message that ends the generation (anything but
+//!   `Checkpoint`) drops the half-built deploy on the spot, so the
+//!   worker is ready for the next `Assign` one heartbeat timeout after
+//!   a peer's failure, not [`CONNECT_WAIT`] later.
+//! * The loop acks every durable individual checkpoint (`CkptDone`) —
+//!   the controller's epoch barrier — with its operator's meter sample
 //!   taken after the write, and surfaces storage failures as
 //!   `WorkerError` instead of aborting the process. Once every local
-//!   HAU has exited, main drains the persister, acks what the drain
-//!   wrote, and only then reports finished sinks.
+//!   HAU has exited, it drains the persister, acks what the drain
+//!   wrote, and only then reports finished sinks. Reports are written
+//!   nonblocking, so a controller slow to read never stalls the loop.
 //! * Heartbeats ride a dedicated TCP connection (`HeartbeatHello`
-//!   handshake), so a stalled report write can never delay liveness
-//!   signals into a spurious failure detection. A beat is one
-//!   `Heartbeat` frame: the generation, the hosts' summed backpressure
-//!   gauges, and every local operator and gate meter sample. The I/O
-//!   thread writes it between turns, so a beat also proves the data
-//!   plane turns, well inside the 500 ms `--hb-timeout-ms`. A
+//!   handshake), so a report queued behind a slow controller can never
+//!   delay liveness signals into a spurious failure detection. A beat
+//!   is one `Heartbeat` frame: the generation, the hosts' summed
+//!   backpressure gauges, and every local operator and gate meter
+//!   sample. The loop writes it between turns, so a beat also proves
+//!   the data plane turns, well inside the 500 ms `--hb-timeout-ms`. A
 //!   checkpoint capture, once the longest turn at 21 ms, is a
 //!   copy-on-write view: the ledger's `capture_us` for a 17 MB
 //!   `KeyedStat` reads p50 0.11 ms and p99 0.69 ms (EXPERIMENTS.md,
 //!   "Copy-on-write operator state").
 
-use std::collections::{HashMap, VecDeque};
-use std::mem;
-use std::net::{TcpListener, TcpStream};
+use std::collections::HashMap;
+use std::io;
+use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use ms_core::error::{Error, Result};
-use ms_core::ids::OperatorId;
+use ms_core::graph::QueryNetwork;
+use ms_core::ids::{EpochId, OperatorId};
 use ms_core::metrics::OperatorMeter;
 use ms_gate::{Gate, GateOp, GateWiring};
 use ms_live::{
-    FsStore, HostExit, HostWiring, InteriorCore, OutputRoute, Persister, SourceCore, StableStore,
+    DurableHook, FsStore, HostWiring, InteriorCore, OutputRoute, Persister, SourceCore, StableStore,
 };
-use ms_net::ready::Waker;
 
 use crate::apps::{build_operator, route_key, skewed_delay_us};
 use crate::chaos::{FaultStore, RetryStore, StoreFaultSpec};
-use crate::evloop::{self, CellPort, EgressBuf, Event, Gen, Hau, HostCell, IoCmd, Pace, Target};
+use crate::evloop::{CellPort, EgressBuf, Gen, Hau, HostCell, Pace, Target, Worker};
 use crate::message::{send_msg, Assignment, WireMsg};
 use ms_net::fault::FaultPlan;
 
 const FILE_POLL: Duration = Duration::from_millis(20);
+/// The longest one connect attempt blocks, and the period of retries.
 const CONNECT_POLL: Duration = Duration::from_millis(25);
 /// Upper bound on a connect that nothing supersedes: the controller at
 /// start-up, and a deploy's data-plane peers.
@@ -119,239 +115,39 @@ pub struct WorkerConfig {
     pub store_dir: PathBuf,
 }
 
-/// Main's inbox: the channel every [`Event`] arrives on, behind the
-/// events a deploy already took off it.
-struct Events {
-    rx: Receiver<Event>,
-    /// Cloned into each generation's cells and persister hook.
-    tx: Sender<Event>,
-    /// Taken off `rx` while a deploy looked for supersession; handled
-    /// first, in order.
-    pending: VecDeque<Event>,
+/// One local operator, built and restored.
+struct Restored {
+    operator: Box<dyn ms_core::operator::Operator>,
+    restored_seq: u64,
+    replay: Vec<ms_core::tuple::Tuple>,
+    resume_seq: Vec<u64>,
 }
 
-impl Events {
-    fn new() -> Events {
-        let (tx, rx) = channel();
-        Events {
-            rx,
-            tx,
-            pending: VecDeque::new(),
-        }
-    }
-
-    /// The next event. `tx` keeps the channel open, so one always comes.
-    fn next(&mut self) -> Event {
-        let next = self.pending.pop_front();
-        next.unwrap_or_else(|| self.rx.recv().expect("main holds a sender"))
-    }
-
-    /// Whether a control message that ends the current generation is
-    /// waiting — anything but a `Checkpoint`, a closed or failed
-    /// connection included.
-    fn superseded(&mut self) -> bool {
-        self.pending.extend(self.rx.try_iter());
-        self.pending.iter().any(|ev| match ev {
-            Event::Control(msg) => !matches!(msg, Ok(Some(WireMsg::Checkpoint(_)))),
-            _ => false,
-        })
-    }
+/// A generation between its `Assign` and its adoption by the loop:
+/// every local operator built and restored, its outbound edges
+/// connecting. Nothing runs yet, so a superseded deploy is dropped.
+pub(crate) struct Deploy {
+    a: Assignment,
+    qn: QueryNetwork,
+    store: Arc<dyn StableStore>,
+    restored: HashMap<u32, Restored>,
+    /// Outbound edges to other workers not yet connected,
+    /// `(producer, consumer)`.
+    unconnected: Vec<(OperatorId, OperatorId)>,
+    /// The connected ones, hello sent, nonblocking.
+    remote: HashMap<(u32, u32), TcpStream>,
+    /// When a refused connect is tried again.
+    pub(crate) retry: Pace,
+    /// When a connect that nothing superseded gives up.
+    give_up: Instant,
+    /// Barriers that arrived while it connected, cut once it runs.
+    pub(crate) barriers: Vec<EpochId>,
 }
 
-/// One deployed generation on this worker.
-struct Run {
-    generation: u64,
-    /// Dropped, which drains it, once every local HAU has exited.
-    persister: Option<Persister>,
-    /// Local HAUs whose exit has not arrived.
-    running: usize,
-    /// The exits that have.
-    exits: Vec<HostExit>,
-    sinks: Vec<OperatorId>,
-}
-
-/// The main thread's state.
-struct Worker {
-    cfg: WorkerConfig,
-    /// The I/O thread's command channel, and the waker that goes with it.
-    io: Sender<IoCmd>,
-    waker: Waker,
-    /// The control connection, written only here.
-    ctrl: TcpStream,
-    events: Events,
-    run: Option<Run>,
-}
-
-impl Worker {
-    fn send_io(&self, cmd: IoCmd) {
-        let _ = self.io.send(cmd);
-        self.waker.wake();
-    }
-
-    /// Handles events until `Shutdown` or the control connection's end,
-    /// then tears the current generation down.
-    fn serve(&mut self) -> Result<()> {
-        let outcome = loop {
-            let ev = self.events.next();
-            if let Some(end) = self.handle(ev) {
-                break end;
-            }
-        };
-        self.teardown();
-        outcome
-    }
-
-    /// Handles one event; `Some` ends the worker with that outcome.
-    /// Reports go out only for the current generation.
-    fn handle(&mut self, ev: Event) -> Option<Result<()>> {
-        match ev {
-            Event::Control(Ok(Some(WireMsg::Assign(a)))) => {
-                self.teardown();
-                self.run = self.deploy(a);
-            }
-            Event::Control(Ok(Some(WireMsg::Checkpoint(epoch)))) => {
-                if let Some(r) = &self.run {
-                    let generation = r.generation;
-                    self.send_io(IoCmd::Checkpoint { generation, epoch });
-                }
-            }
-            Event::Control(Ok(Some(WireMsg::Rollback))) => self.teardown(),
-            Event::Control(Ok(Some(WireMsg::Shutdown)) | Ok(None)) => return Some(Ok(())),
-            Event::Control(Ok(Some(other))) => {
-                let e = Error::Wire(format!("unexpected control message {other:?}"));
-                return Some(Err(e));
-            }
-            Event::Control(Err(e)) => return Some(Err(e)),
-            Event::Durable {
-                generation,
-                epoch,
-                op,
-                outcome,
-                sample,
-            } => {
-                if self.run.as_ref().map(|r| r.generation) == Some(generation) {
-                    // The ack carries the operator's sample taken after
-                    // the write, so the ack that closes the epoch-e
-                    // barrier brings its operator's epoch-e checkpoint
-                    // phases — what lets the controller cut complete
-                    // ledger records then.
-                    self.report(match outcome {
-                        Ok(_) => WireMsg::CkptDone {
-                            generation,
-                            epoch,
-                            op,
-                            sample,
-                        },
-                        Err(e) => WireMsg::WorkerError {
-                            generation,
-                            detail: e.to_string(),
-                        },
-                    });
-                }
-            }
-            Event::Exit { generation, exit } => self.on_exit(generation, exit),
-        }
-        None
-    }
-
-    fn report(&mut self, msg: WireMsg) {
-        let _ = send_msg(&mut self.ctrl, &msg);
-    }
-
-    /// One HAU of the current generation finished. After the last one,
-    /// the persister is drained and what it wrote acked; only then are
-    /// finished sinks and failed HAUs reported.
-    fn on_exit(&mut self, generation: u64, exit: HostExit) {
-        let Some(run) = self.run.as_mut().filter(|r| r.generation == generation) else {
-            return;
-        };
-        run.exits.push(exit);
-        run.running -= 1;
-        if run.running > 0 {
-            return;
-        }
-        drop(run.persister.take());
-        let exits = mem::take(&mut run.exits);
-        let sinks = mem::take(&mut run.sinks);
-        // Every outcome of the drain is on the channel now: ack them
-        // ahead of the sink reports; other events wait their turn.
-        for ev in self.events.rx.try_iter().collect::<Vec<_>>() {
-            match ev {
-                Event::Durable { .. } => _ = self.handle(ev),
-                _ => self.events.pending.push_back(ev),
-            }
-        }
-        for exit in exits {
-            // A host that stopped on a storage failure is a failed HAU,
-            // not a finished one: surface it so the controller rolls
-            // the generation back.
-            if let Some(e) = &exit.error {
-                self.report(WireMsg::WorkerError {
-                    generation,
-                    detail: format!("{}: {e}", exit.op_id),
-                });
-            } else if sinks.contains(&exit.op_id) {
-                self.report(WireMsg::SinkDone {
-                    generation,
-                    op: exit.op_id,
-                    snapshot: exit.op.snapshot().data,
-                });
-            }
-        }
-    }
-
-    /// Tears the current generation down, if any. Order matters: it
-    /// stops being current (its reports go quiet) → the I/O thread
-    /// finishes its HAUs, so each exit flushes even with no traffic →
-    /// the exits are waited out → the persister drains.
-    fn teardown(&mut self) {
-        let Some(mut run) = self.run.take() else {
-            return;
-        };
-        self.send_io(IoCmd::Tear {
-            generation: run.generation,
-        });
-        while run.running > 0 {
-            match self.events.rx.recv().expect("main holds a sender") {
-                Event::Exit { generation, .. } if generation == run.generation => run.running -= 1,
-                ev @ Event::Control(_) => self.events.pending.push_back(ev),
-                _ => {}
-            }
-        }
-    }
-
-    /// Starts `a`, or leaves the worker idle and clean: a failed or
-    /// abandoned start spawned nothing, but peers may already have
-    /// parked `StreamHello`s for the generation with the I/O thread —
-    /// those go now, not at some later generation's teardown. A failed
-    /// deploy (corrupt checkpoint, unreachable store or peer) fails
-    /// the generation, not the daemon: it is reported and the worker
-    /// awaits the next assignment. An abandoned one reports nothing —
-    /// the controller already moved on.
-    fn deploy(&mut self, a: Assignment) -> Option<Run> {
-        let generation = a.generation;
-        let failure = match self.start(a) {
-            Ok(Some(run)) => return Some(run),
-            Ok(None) => None,
-            Err(e) => Some(e),
-        };
-        self.send_io(IoCmd::Tear { generation });
-        if let Some(e) = failure {
-            self.report(WireMsg::WorkerError {
-                generation,
-                detail: e.to_string(),
-            });
-        }
-        None
-    }
-
-    /// Builds, restores and wires `a`'s local operators. `Ok(None)`
-    /// means the controller superseded the generation while this was
-    /// still restoring or connecting, and the deploy was abandoned
-    /// with nothing spawned.
-    fn start(&mut self, a: Assignment) -> Result<Option<Run>> {
-        let cfg = &self.cfg;
-        let events = &mut self.events;
+impl Deploy {
+    /// Builds and restores `a`'s local operators, and lists the
+    /// outbound edges to connect.
+    pub(crate) fn new(cfg: &WorkerConfig, a: Assignment) -> Result<Deploy> {
         let qn = a.network()?;
         let fs_store = FsStore::open(&cfg.store_dir, qn.len())?;
         // Every store sits behind the transient-retry decorator; chaos
@@ -365,24 +161,10 @@ impl Worker {
             None => Arc::new(RetryStore::new(fs_store)),
         };
         let generation = a.generation;
-        let my_ops = a.ops_on(&cfg.name);
-        let is_mine = |op: OperatorId| a.worker_of(op) == Some(cfg.name.as_str());
-
-        // Fallible phase first: build + restore every local operator,
-        // connect every outbound edge. Nothing is spawned yet, so a
-        // superseded deploy can simply return between any two steps.
-        struct Restored {
-            operator: Box<dyn ms_core::operator::Operator>,
-            restored_seq: u64,
-            replay: Vec<ms_core::tuple::Tuple>,
-            resume_seq: Vec<u64>,
-        }
         let is_gate = |op: OperatorId| a.gates.iter().any(|g| g.op == op);
         let mut restored: HashMap<u32, Restored> = HashMap::new();
-        for &op in &my_ops {
-            if events.superseded() {
-                return Ok(None);
-            }
+        let mut unconnected = Vec::new();
+        for op in a.ops_on(&cfg.name) {
             // A gateway op hosts no demo operator; the placeholder
             // GateOp carries the restored dedup snapshot (its generic
             // `restore` below just stores the bytes) into the gate's
@@ -401,9 +183,6 @@ impl Worker {
                         ))
                     })?;
                     operator.restore(&ck.snapshot)?;
-                    if events.superseded() {
-                        return Ok(None);
-                    }
                     let replay = if is_source {
                         store.replay_from(op, epoch)
                     } else {
@@ -424,59 +203,85 @@ impl Worker {
                     resume_seq,
                 },
             );
-        }
-        // Outbound connections, blocking while the hello goes out,
-        // then switched nonblocking for the I/O thread. A live peer's
-        // listener is up before the controller assigns (it binds
-        // before registering), so its connect resolves immediately; a
-        // peer that died after its last heartbeat refuses until the
-        // controller notices and supersedes this generation.
-        let mut remote: HashMap<(u32, u32), TcpStream> = HashMap::new();
-        for &op in &my_ops {
             for &down in qn.downstream(op) {
-                if is_mine(down) {
-                    continue;
+                if !is_mine(&a, cfg, down) {
+                    unconnected.push((op, down));
                 }
-                let addr = a
-                    .addr_of(down)
-                    .ok_or_else(|| Error::Wire(format!("{down} missing from placement")))?;
-                let Some(mut s) = connect_retry(addr, CONNECT_WAIT, || !events.superseded())?
-                else {
-                    return Ok(None);
-                };
-                s.set_nodelay(true)?;
-                send_msg(
-                    &mut s,
-                    &WireMsg::StreamHello {
-                        generation,
-                        from: op,
-                        to: down,
-                    },
-                )?;
-                s.set_nonblocking(true)?;
-                remote.insert((op.0, down.0), s);
             }
         }
-        // Gate listeners last: a bind error fails the deploy, and an
-        // early producer waits in the backlog until the gate is adopted.
+        let now = Instant::now();
+        Ok(Deploy {
+            a,
+            qn,
+            store,
+            restored,
+            unconnected,
+            remote: HashMap::new(),
+            retry: Pace::new(CONNECT_POLL, now),
+            give_up: now + CONNECT_WAIT,
+            barriers: Vec::new(),
+        })
+    }
+
+    pub(crate) fn generation(&self) -> u64 {
+        self.a.generation
+    }
+
+    /// Connects the outbound edges not yet up, each hello sent before
+    /// its socket turns nonblocking; `Ok(true)` once all are. A live
+    /// peer's listener is up before the controller assigns (it binds
+    /// before registering), so its connect resolves at once; a peer
+    /// that died after its last heartbeat refuses until the controller
+    /// notices and supersedes the generation. So a refusal is
+    /// `Ok(false)`, tried again when `retry` comes due, and an error
+    /// once `give_up` has passed.
+    pub(crate) fn connect_retry(&mut self, now: Instant) -> Result<bool> {
+        while let Some(&(op, down)) = self.unconnected.last() {
+            let addr = self
+                .a
+                .addr_of(down)
+                .ok_or_else(|| Error::Wire(format!("{down} missing from placement")))?;
+            let mut s = match connect(addr) {
+                Ok(s) => s,
+                Err(e) if now > self.give_up => {
+                    return Err(Error::Wire(format!("connect {addr}: {e}")));
+                }
+                Err(_) => return Ok(false),
+            };
+            s.set_nodelay(true)?;
+            let generation = self.a.generation;
+            let hello = WireMsg::StreamHello {
+                generation,
+                from: op,
+                to: down,
+            };
+            send_msg(&mut s, &hello)?;
+            s.set_nonblocking(true)?;
+            self.remote.insert((op.0, down.0), s);
+            self.unconnected.pop();
+        }
+        Ok(true)
+    }
+
+    /// Binds the gate listeners, then builds the generation: its
+    /// persister, reporting each write through `hook`, its cells and
+    /// its routes. A bind error fails the deploy; an early producer
+    /// waits in the backlog until the loop adopts the gate.
+    pub(crate) fn build(self, cfg: &WorkerConfig, hook: DurableHook) -> Result<Gen> {
+        let Deploy {
+            a,
+            qn,
+            store,
+            mut restored,
+            mut remote,
+            ..
+        } = self;
+        let is_mine = |op: OperatorId| is_mine(&a, cfg, op);
         let mut listeners: HashMap<u32, TcpListener> = HashMap::new();
         for gate in a.gates.iter().filter(|g| is_mine(g.op)) {
             let addr_file = cfg.store_dir.join(format!("gate_op{}.addr", gate.op.0));
             listeners.insert(gate.op.0, ms_gate::listen("127.0.0.1:0", Some(&addr_file))?);
         }
-
-        // Infallible phase: build HAUs and wire routes. Each persister
-        // write outcome goes to main, with the operator's sample after it.
-        let tx = events.tx.clone();
-        let hook: ms_live::DurableHook = Box::new(move |epoch, op, meter, outcome| {
-            let _ = tx.send(Event::Durable {
-                generation,
-                epoch,
-                op,
-                outcome: outcome.clone(),
-                sample: meter.map(OperatorMeter::sample),
-            });
-        });
         let persister = Persister::spawn_with(store.clone(), Some(hook));
 
         // Shard plan lookup: physical op → logical group index. The
@@ -500,7 +305,12 @@ impl Worker {
         let cell_of: HashMap<u32, usize> =
             order.iter().zip(0..).map(|(op, at)| (op.0, at)).collect();
         let mut gen = Gen {
-            generation,
+            generation: a.generation,
+            sinks: order
+                .iter()
+                .copied()
+                .filter(|&op| qn.downstream(op).is_empty())
+                .collect(),
             ..Gen::default()
         };
         for &op in &order {
@@ -544,8 +354,8 @@ impl Worker {
             let op_meter = Arc::new(OperatorMeter::new());
             gen.ops.push((op, op_meter.clone()));
             // A gateway host: same output wiring as any source; the
-            // replay is queued here and delivered when the I/O thread
-            // adopts the generation, before the gate can admit a batch.
+            // replay is queued here and delivered when the loop adopts
+            // the generation, before the gate can admit a batch.
             let hau = if let Some(gate) = a.gates.iter().find(|g| g.op == op) {
                 let wiring = GateWiring {
                     op_id: op,
@@ -599,82 +409,79 @@ impl Worker {
                 let n_in = qn.upstream(op).len();
                 Hau::Interior(InteriorCore::new(wiring, n_in, persister.sender()))
             };
-            let cell = HostCell::new(generation, hau, events.tx.clone());
-            gen.cells.push(cell);
+            gen.cells.push(HostCell::new(hau));
         }
-        self.send_io(IoCmd::Deploy(gen));
-        Ok(Some(Run {
-            generation,
-            persister: Some(persister),
-            running: my_ops.len(),
-            exits: Vec::new(),
-            sinks: my_ops
-                .iter()
-                .copied()
-                .filter(|&op| qn.downstream(op).is_empty())
-                .collect(),
-        }))
+        gen.persister = Some(persister);
+        Ok(gen)
     }
 }
 
-/// Connects to `addr`, retrying refusals for up to `wait` while
-/// `wanted()` holds; `Ok(None)` once it no longer does.
-fn connect_retry(
-    addr: &str,
+/// Whether `a` places `op` on this worker.
+fn is_mine(a: &Assignment, cfg: &WorkerConfig, op: OperatorId) -> bool {
+    a.worker_of(op) == Some(cfg.name.as_str())
+}
+
+/// One connect attempt per address `addr` resolves to, each blocking no
+/// longer than [`CONNECT_POLL`]; the last error if none connects.
+fn connect(addr: &str) -> io::Result<TcpStream> {
+    let mut last = io::Error::from(io::ErrorKind::AddrNotAvailable);
+    for addr in addr.to_socket_addrs()? {
+        match TcpStream::connect_timeout(&addr, CONNECT_POLL) {
+            Ok(s) => return Ok(s),
+            Err(e) => last = e,
+        }
+    }
+    Err(last)
+}
+
+/// Polls `attempt` every `period` until it succeeds or `wait` has
+/// passed, then fails with its last error — start-up only, before the
+/// loop runs.
+fn retry_for<T>(
     wait: Duration,
-    mut wanted: impl FnMut() -> bool,
-) -> Result<Option<TcpStream>> {
+    period: Duration,
+    mut attempt: impl FnMut() -> std::result::Result<T, String>,
+) -> Result<T> {
     let deadline = Instant::now() + wait;
-    while wanted() {
-        match TcpStream::connect(addr) {
-            Ok(s) => return Ok(Some(s)),
-            Err(e) if Instant::now() > deadline => {
-                return Err(Error::Wire(format!("connect {addr}: {e}")));
-            }
-            Err(_) => thread::sleep(CONNECT_POLL),
-        }
-    }
-    Ok(None)
-}
-
-fn resolve_controller(addr: &ControllerAddr, wait: Duration) -> Result<String> {
-    match addr {
-        ControllerAddr::Addr(a) => Ok(a.clone()),
-        ControllerAddr::File(path) => {
-            let deadline = Instant::now() + wait;
-            loop {
-                if let Ok(text) = std::fs::read_to_string(path) {
-                    let text = text.trim();
-                    if !text.is_empty() {
-                        return Ok(text.to_string());
-                    }
-                }
-                if Instant::now() > deadline {
-                    return Err(Error::Wire(format!(
-                        "controller address file {path:?} never appeared"
-                    )));
-                }
-                thread::sleep(FILE_POLL);
-            }
+    loop {
+        match attempt() {
+            Ok(v) => return Ok(v),
+            Err(e) if Instant::now() > deadline => return Err(Error::Wire(e)),
+            Err(_) => thread::sleep(period),
         }
     }
 }
 
-/// Runs a worker to completion: register, host assigned operators
-/// across generations, exit on `Shutdown` (or controller loss).
+/// Runs a worker to completion on the calling thread: register, host
+/// assigned operators across generations, exit on `Shutdown` (or
+/// controller loss).
 pub fn run_worker(cfg: WorkerConfig) -> Result<()> {
-    let ctrl_addr = resolve_controller(&cfg.controller, CONNECT_WAIT)?;
+    let ctrl_addr = match &cfg.controller {
+        ControllerAddr::Addr(a) => a.clone(),
+        ControllerAddr::File(path) => retry_for(CONNECT_WAIT, FILE_POLL, || {
+            let text = std::fs::read_to_string(path).unwrap_or_default();
+            let text = text.trim();
+            let missing = || format!("controller address file {path:?} never appeared");
+            (!text.is_empty())
+                .then(|| text.to_string())
+                .ok_or_else(missing)
+        })?,
+    };
     // The data-plane listener is bound before registering, which
     // carries its address.
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let data_addr = listener.local_addr()?.to_string();
     // Chaos runs plant a deterministic fault plan (`MS_FAULT_PLAN`) in
-    // the I/O thread; production workers carry `None` and pay nothing.
+    // the loop; production workers carry `None` and pay nothing.
     let plan = FaultPlan::from_env().map_err(|e| Error::Wire(format!("MS_FAULT_PLAN: {e}")))?;
-    let connect =
-        || connect_retry(&ctrl_addr, CONNECT_WAIT, || true).map(|s| s.expect("always wanted"));
+    let connect = || {
+        let s = retry_for(CONNECT_WAIT, CONNECT_POLL, || {
+            connect(&ctrl_addr).map_err(|e| format!("connect {ctrl_addr}: {e}"))
+        })?;
+        s.set_nodelay(true)?;
+        Ok::<_, Error>(s)
+    };
     let mut ctrl = connect()?;
-    ctrl.set_nodelay(true)?;
     send_msg(
         &mut ctrl,
         &WireMsg::Register {
@@ -682,61 +489,34 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<()> {
             data_addr,
         },
     )?;
-    // Heartbeats ride a dedicated connection: a report write can stall
-    // behind a large SinkDone/CkptDone while the controller is busy,
-    // and a liveness signal queued behind it would read as a dead
-    // worker. A socket of their own means heartbeat cadence only ever
-    // reflects this process being alive.
+    // Heartbeats ride a dedicated connection: a report can queue behind
+    // a large SinkDone/CkptDone while the controller is busy, and a
+    // liveness signal queued behind it would read as a dead worker. A
+    // socket of their own means heartbeat cadence only ever reflects
+    // this process being alive.
     let mut heartbeat = connect()?;
-    heartbeat.set_nodelay(true)?;
     send_msg(
         &mut heartbeat,
         &WireMsg::HeartbeatHello {
             name: cfg.name.clone(),
         },
     )?;
-    listener.set_nonblocking(true)?;
-    heartbeat.set_nonblocking(true)?;
-    let control = ctrl.try_clone()?;
-    let waker = Waker::new()?;
-    let (io, io_rx) = channel();
-    let events = Events::new();
-    let (tx, wake) = (events.tx.clone(), waker.clone());
-    let thread = evloop::spawn_io(listener, control, heartbeat, wake, io_rx, tx, plan);
-    let mut worker = Worker {
-        cfg,
-        io,
-        waker,
-        ctrl,
-        events,
-        run: None,
-    };
-    let outcome = worker.serve();
-    worker.send_io(IoCmd::Stop);
-    let _ = thread.join();
-    outcome
+    Worker::new(cfg, listener, ctrl, heartbeat, plan)?.run()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evloop::tests::{fill, pair};
     use crate::message::{recv_msg, OpPlacement};
-    use ms_core::ids::EpochId;
     use std::collections::BTreeSet;
-    use std::io::Write;
+    use std::io::{Read, Write};
+    use std::path::Path;
 
     /// An address nothing listens on: bound, then closed.
     fn dead_addr() -> String {
         let l = TcpListener::bind("127.0.0.1:0").unwrap();
         l.local_addr().unwrap().to_string()
-    }
-
-    /// Two ends of one loopback connection.
-    fn pair() -> (TcpStream, TcpStream) {
-        let l = TcpListener::bind("127.0.0.1:0").unwrap();
-        let near = TcpStream::connect(l.local_addr().unwrap()).unwrap();
-        let (far, _) = l.accept().unwrap();
-        (near, far)
     }
 
     fn store_dir(tag: &str) -> PathBuf {
@@ -745,55 +525,110 @@ mod tests {
         dir
     }
 
-    /// Main's state with no I/O thread, and both far ends in hand: the
-    /// I/O thread's command queue and the controller's side of the
-    /// control socket.
-    struct Rig {
-        worker: Worker,
-        io_rx: Receiver<IoCmd>,
-        controller_side: TcpStream,
-    }
-
-    fn rig(tag: &str) -> Rig {
-        let (io, io_rx) = channel();
-        let (ctrl, controller_side) = pair();
-        controller_side
-            .set_read_timeout(Some(Duration::from_millis(100)))
-            .unwrap();
-        Rig {
-            worker: Worker {
-                cfg: WorkerConfig {
-                    name: "me".into(),
-                    controller: ControllerAddr::Addr(String::new()),
-                    store_dir: store_dir(tag),
-                },
-                io,
-                waker: Waker::new().unwrap(),
-                ctrl,
-                events: Events::new(),
-                run: None,
-            },
-            io_rx,
-            controller_side,
+    fn config(dir: &Path) -> WorkerConfig {
+        WorkerConfig {
+            name: "me".into(),
+            controller: ControllerAddr::Addr(String::new()),
+            store_dir: dir.to_path_buf(),
         }
     }
 
+    /// A worker's loop, not yet turning, and the far ends of its
+    /// connections: its data address, and the controller's ends of its
+    /// control and heartbeat connections.
+    struct Rig {
+        worker: Worker,
+        here: String,
+        controller: TcpStream,
+        beats: TcpStream,
+        dir: PathBuf,
+    }
+
+    /// A worker over `control`, whose far end is the controller's.
+    fn rig_over(tag: &str, control: (TcpStream, TcpStream)) -> Rig {
+        let dir = store_dir(tag);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let here = listener.local_addr().unwrap().to_string();
+        let (heartbeat, beats) = pair();
+        let worker = Worker::new(config(&dir), listener, control.0, heartbeat, None).unwrap();
+        let controller = control.1;
+        controller
+            .set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        Rig {
+            worker,
+            here,
+            controller,
+            beats,
+            dir,
+        }
+    }
+
+    fn rig(tag: &str) -> Rig {
+        rig_over(tag, pair())
+    }
+
+    /// The loop of a [`Rig`] running on a thread of its own.
+    struct Running {
+        worker: thread::JoinHandle<Result<()>>,
+        controller: TcpStream,
+        beats: TcpStream,
+        dir: PathBuf,
+    }
+
     impl Rig {
-        fn deploy(&mut self, a: Assignment) -> Option<Run> {
-            self.worker.deploy(a)
+        fn run(self) -> Running {
+            let mut worker = self.worker;
+            Running {
+                worker: thread::spawn(move || worker.run()),
+                controller: self.controller,
+                beats: self.beats,
+                dir: self.dir,
+            }
+        }
+
+        /// A peer's stream for `generation`, its hello sent: parked
+        /// until the generation runs.
+        fn stream_of(&self, generation: u64) -> TcpStream {
+            let mut s = TcpStream::connect(&self.here).unwrap();
+            let hello = WireMsg::StreamHello {
+                generation,
+                from: OperatorId(1),
+                to: OperatorId(0),
+            };
+            send_msg(&mut s, &hello).unwrap();
+            s
+        }
+    }
+
+    impl Running {
+        fn send(&mut self, msg: &WireMsg) {
+            send_msg(&mut self.controller, msg).unwrap();
         }
 
         /// The control socket stays silent until its read times out.
         fn controller_hears_nothing(&self) -> bool {
-            recv_msg(&mut &self.controller_side).is_err()
+            recv_msg(&mut &self.controller).is_err()
         }
 
-        /// The generation the I/O thread was told to tear, if any.
-        fn torn(&self) -> Option<u64> {
-            match self.io_rx.try_recv() {
-                Ok(IoCmd::Tear { generation }) => Some(generation),
-                _ => None,
-            }
+        /// Shuts the worker down cleanly.
+        fn shutdown(mut self) {
+            self.send(&WireMsg::Shutdown);
+            self.worker.join().unwrap().unwrap();
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
+
+    /// Whether the worker closed `s` within `wait`.
+    fn closed_within(s: &TcpStream, wait: Duration) -> bool {
+        s.set_read_timeout(Some(wait)).unwrap();
+        match (&*s).read(&mut [0u8; 64]) {
+            Ok(0) => true,
+            Ok(_) => panic!("the worker wrote on a data stream"),
+            Err(e) => !matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ),
         }
     }
 
@@ -841,79 +676,85 @@ mod tests {
 
     #[test]
     fn connect_never_superseded_is_bounded_by_its_wait() {
+        let dir = store_dir("bounded");
+        let mut deploy = Deploy::new(&config(&dir), onto_dead_peer(1, None)).unwrap();
         let wait = Duration::from_millis(150);
         let t0 = Instant::now();
-        assert!(connect_retry(&dead_addr(), wait, || true).is_err());
+        deploy.give_up = t0 + wait;
+        loop {
+            // Each attempt is one refused connect, not a wait.
+            let at = Instant::now();
+            let tried = deploy.connect_retry(at);
+            assert!(
+                at.elapsed() < CONNECT_POLL,
+                "one attempt took {:?}",
+                at.elapsed()
+            );
+            match tried {
+                Ok(false) => thread::sleep(CONNECT_POLL),
+                Ok(true) => panic!("connected to a dead peer"),
+                Err(_) => break,
+            }
+        }
         let took = t0.elapsed();
         assert!(
             took >= wait && took < wait + Duration::from_millis(200),
             "{took:?}"
         );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn deploy_onto_a_dead_peer_is_abandoned_on_supersession() {
-        let mut b = rig("abandon");
-        let events = b.worker.events.tx.clone();
-        // What the I/O thread forwards when the controller's Rollback
-        // arrives, some time into the connect retries.
-        let bump = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(300));
-            let at = Instant::now();
-            let _ = events.send(Event::Control(Ok(Some(WireMsg::Rollback))));
-            at
-        });
-        let run = b.deploy(onto_dead_peer(7, None));
-        let returned = Instant::now();
-        let bumped = bump.join().unwrap();
-        assert!(run.is_none());
-        assert!(returned >= bumped, "gave up before it was superseded");
-        let lag = returned - bumped;
+        let r = rig("abandon");
+        let parked = r.stream_of(7);
+        let mut w = r.run();
+        w.send(&WireMsg::Assign(onto_dead_peer(7, None)));
+        // The deploy retries its refusing peer for as long as nothing
+        // supersedes it, and the generation's parked stream waits.
+        assert!(!closed_within(&parked, Duration::from_millis(300)));
+        let bumped = Instant::now();
+        w.send(&WireMsg::Rollback);
+        // The Rollback drops the deploy, and the generation's parked
+        // hellos go with it; the controller — which already moved on —
+        // hears nothing.
+        assert!(closed_within(&parked, Duration::from_secs(5)));
+        let lag = bumped.elapsed();
         assert!(lag < Duration::from_millis(200), "abandoned {lag:?} late");
-        // The generation's parked hellos go with it, and the controller
-        // — which already moved on — hears nothing.
-        assert_eq!(b.torn(), Some(7));
-        assert!(b.controller_hears_nothing());
-        let _ = std::fs::remove_dir_all(&b.worker.cfg.store_dir);
+        assert!(w.controller_hears_nothing());
+        w.shutdown();
     }
 
     #[test]
     fn failed_deploy_tears_its_generation_and_reports_once() {
-        let mut b = rig("failed");
+        let r = rig("failed");
+        let parked = r.stream_of(3);
+        let mut w = r.run();
         // Restores an epoch the store never saw: fails before any connect.
-        assert!(b.deploy(onto_dead_peer(3, Some(EpochId(5)))).is_none());
-        assert_eq!(b.torn(), Some(3));
-        match recv_msg(&mut &b.controller_side) {
+        w.send(&WireMsg::Assign(onto_dead_peer(3, Some(EpochId(5)))));
+        match recv_msg(&mut w.controller) {
             Ok(Some(WireMsg::WorkerError { generation: 3, .. })) => {}
             other => panic!("want WorkerError for generation 3, got {other:?}"),
         }
-        assert!(b.controller_hears_nothing());
-        let _ = std::fs::remove_dir_all(&b.worker.cfg.store_dir);
+        assert!(w.controller_hears_nothing());
+        assert!(closed_within(&parked, Duration::from_secs(5)));
+        w.shutdown();
     }
 
     #[test]
     fn the_last_exit_acks_what_the_persister_drains_before_the_sink_report() {
         use ms_core::operator::{DeferredSnapshot, OperatorSnapshot};
-        use ms_live::{PersistItem, Summer};
+        use ms_live::{HostExit, PersistItem, Summer};
 
-        let mut b = rig("drain");
+        let mut r = rig("drain");
         // A checkpoint write that takes 200 ms: still in flight when the
         // generation's one HAU, a sink, exits.
         let slow = StoreFaultSpec {
             slow_ckpt_us: 200_000,
             ..StoreFaultSpec::default()
         };
-        let fs = FsStore::open(&b.worker.cfg.store_dir, 2).unwrap();
-        let tx = b.worker.events.tx.clone();
-        let hook: ms_live::DurableHook = Box::new(move |epoch, op, _, outcome| {
-            let _ = tx.send(Event::Durable {
-                generation: 1,
-                epoch,
-                op,
-                outcome: outcome.clone(),
-                sample: None,
-            });
-        });
+        let fs = FsStore::open(&r.dir, 2).unwrap();
+        let hook = r.worker.hook(1);
         let persister = Persister::spawn_with(Arc::new(FaultStore::new(fs, slow)), Some(hook));
         let item = PersistItem {
             epoch: EpochId(1),
@@ -927,27 +768,23 @@ mod tests {
             meter: None,
         };
         assert!(persister.sender().send(item).is_ok());
-        b.worker.run = Some(Run {
-            generation: 1,
-            persister: Some(persister),
-            running: 1,
-            exits: Vec::new(),
-            sinks: vec![OperatorId(1)],
-        });
         let exit = HostExit {
             op_id: OperatorId(1),
             op: Box::<Summer>::default(),
             error: None,
         };
-        assert!(b
-            .worker
-            .handle(Event::Exit {
-                generation: 1,
-                exit
-            })
-            .is_none());
+        let gen = Gen {
+            generation: 1,
+            cells: vec![HostCell::new(Hau::Done(None))],
+            sinks: vec![OperatorId(1)],
+            exits: vec![exit],
+            persister: Some(persister),
+            ..Gen::default()
+        };
+        r.worker.adopt(gen, Vec::new());
+        assert!(r.worker.turn().is_none());
         // The drain's ack goes out first, then the sink's report.
-        match recv_msg(&mut &b.controller_side) {
+        match recv_msg(&mut r.controller) {
             Ok(Some(WireMsg::CkptDone {
                 generation: 1,
                 epoch: EpochId(1),
@@ -956,12 +793,45 @@ mod tests {
             })) => {}
             other => panic!("want the drained CkptDone first, got {other:?}"),
         }
-        match recv_msg(&mut &b.controller_side) {
+        match recv_msg(&mut r.controller) {
             Ok(Some(WireMsg::SinkDone { generation: 1, .. })) => {}
             other => panic!("want SinkDone after the ack, got {other:?}"),
         }
-        assert!(b.controller_hears_nothing());
-        let _ = std::fs::remove_dir_all(&b.worker.cfg.store_dir);
+        assert!(recv_msg(&mut r.controller).is_err());
+        let _ = std::fs::remove_dir_all(&r.dir);
+    }
+
+    #[test]
+    fn beats_keep_their_cadence_while_a_deploy_retries_and_reports_back_up() {
+        // The worker's side of the control socket starts full, and the
+        // controller never reads it: every report queues.
+        let control = pair();
+        fill(&control.0);
+        let mut w = rig_over("cadence", control).run();
+        w.beats
+            .set_read_timeout(Some(Duration::from_secs(1)))
+            .unwrap();
+        let cadence = |w: &mut Running| {
+            let mut next_beat = || match recv_msg(&mut w.beats) {
+                Ok(Some(WireMsg::Heartbeat { .. })) => Instant::now(),
+                other => panic!("want a beat, got {other:?}"),
+            };
+            let first = next_beat();
+            let last = (0..4).map(|_| next_beat()).last().unwrap();
+            let span = last - first;
+            assert!(
+                span >= Duration::from_millis(120) && span < Duration::from_millis(500),
+                "four intervals in {span:?}"
+            );
+        };
+        // A deploy whose peer refuses keeps retrying, and the beats go on.
+        w.send(&WireMsg::Assign(onto_dead_peer(5, None)));
+        cadence(&mut w);
+        // The next deploy fails, and its report waits behind the full
+        // socket; the beats go on.
+        w.send(&WireMsg::Assign(onto_dead_peer(6, Some(EpochId(9)))));
+        cadence(&mut w);
+        w.shutdown();
     }
 
     #[test]
@@ -1038,9 +908,9 @@ mod tests {
             "a report after SinkDone"
         );
 
-        // Generation 2 is torn while it runs: once a beat shows the I/O
-        // thread runs it, a barrier and the Rollback arrive in one
-        // write, so main handles the Rollback before any outcome of the
+        // Generation 2 is torn while it runs: once a beat shows the loop
+        // runs it, a barrier and the Rollback arrive in one write, so
+        // the loop acts on the Rollback before any outcome of the
         // barrier's writes.
         send_msg(&mut controller, &WireMsg::Assign(local(2))).unwrap();
         while !matches!(

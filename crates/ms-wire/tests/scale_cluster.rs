@@ -38,14 +38,14 @@ const SHARDS: u64 = 8;
 /// 6 sources + 6 stages × 8 shards + 1 sink.
 const HAUS: usize = 55;
 const LIMIT: u64 = 2500;
-/// The worker thread budget: three threads — main (the only writer of
-/// the control connection and owner of each generation's lifecycle),
-/// I/O (the only reader of the control connection, the only writer of
-/// the heartbeat connection, and the runner of every HAU the worker
-/// hosts: sources, gates, interiors and sinks) and the generation's
-/// persister — plus one thread of headroom. A thread-per-edge worker at
-/// this scale runs 50–100 threads.
-const MAX_WORKER_THREADS: usize = 4;
+/// The worker thread budget, with no headroom: two threads — the event
+/// loop on the main thread (the only reader and writer of the control
+/// connection, the only writer of the heartbeat connection, the owner
+/// of each generation's lifecycle and the runner of every HAU the
+/// worker hosts: sources, gates, interiors and sinks) and the
+/// generation's persister. A thread-per-edge worker at this scale runs
+/// 50–100 threads.
+const MAX_WORKER_THREADS: usize = 2;
 /// The controller polls the listener and both connections of every
 /// worker on its main thread, however many workers register.
 const CONTROLLER_THREADS: usize = 1;
