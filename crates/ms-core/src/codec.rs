@@ -34,7 +34,7 @@ use crate::value::Value;
 /// Type tags guarding each encoded item.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
-enum Tag {
+pub(crate) enum Tag {
     U64 = 1,
     I64 = 2,
     F64 = 3,
@@ -363,18 +363,38 @@ pub fn read_frame(r: &mut impl std::io::Read) -> Result<Option<Vec<u8>>> {
     Ok(Some(payload))
 }
 
+/// Most bytes [`FrameDecoder::read_from`] offers a source per read
+/// call. A nonblocking reader stops at a read that returns fewer: the
+/// source had no more for now, or the buffer offered less, and a
+/// level-triggered `poll(2)` reports the socket again in either case.
+pub const READ_CHUNK: usize = 64 << 10;
+
 /// Incremental frame decoder for callers that receive bytes in
-/// arbitrary chunks (non-blocking reads, replaying a log tail). Feed
-/// bytes in with [`FrameDecoder::feed`], pop complete frames with
-/// [`FrameDecoder::next_frame`]; partial frames stay buffered until
-/// their remaining bytes arrive, so torn reads — down to one byte at a
-/// time — reassemble losslessly.
+/// arbitrary chunks (non-blocking reads, replaying a log tail).
+///
+/// One buffer holds everything between the source and the frames
+/// popped from it. [`FrameDecoder::read_from`] reads a socket straight
+/// into that buffer's free tail — no stack buffer, no zero-fill per
+/// read — and [`FrameDecoder::pop_frame`] hands each complete frame
+/// back as a slice of it, so a frame's bytes are written once, by the
+/// kernel, and then only read. [`FrameDecoder::feed`] and
+/// [`FrameDecoder::next_frame`] are the copying forms over the same
+/// buffer, for callers that hold bytes already or need an owned frame.
+/// Partial frames stay buffered until their remaining bytes arrive, so
+/// torn reads — down to one byte at a time — reassemble losslessly.
+///
+/// The buffer grows with the bytes that arrive, never with what a
+/// length prefix claims: a peer that announces [`MAX_FRAME_BYTES`] and
+/// sends 16 bytes makes it hold one [`READ_CHUNK`].
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
+    /// Initialized storage; the live bytes are `buf[start..end]`.
+    /// Growth zero-fills once, and later reads overwrite in place.
     buf: Vec<u8>,
-    /// Read cursor into `buf`; consumed bytes are compacted away once
-    /// they outnumber the live remainder.
-    pos: usize,
+    /// Start of the first byte not yet returned as a frame.
+    start: usize,
+    /// End of the bytes received.
+    end: usize,
 }
 
 impl FrameDecoder {
@@ -383,25 +403,63 @@ impl FrameDecoder {
         FrameDecoder::default()
     }
 
+    /// Moves the live bytes to the front of the buffer. Once the
+    /// caller has popped every complete frame they are at most one
+    /// partial frame.
+    fn compact(&mut self) {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+    }
+
     /// Appends raw bytes from the stream.
     pub fn feed(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        if self.buf.len() - self.end < bytes.len() {
+            self.compact();
+            if self.buf.len() - self.end < bytes.len() {
+                self.buf.resize(self.end + bytes.len(), 0);
+            }
+        }
+        self.buf[self.end..self.end + bytes.len()].copy_from_slice(bytes);
+        self.end += bytes.len();
+    }
+
+    /// One `read` call from `src` into the buffer's free tail, offering
+    /// at most [`READ_CHUNK`] bytes; returns what `read` returned, so
+    /// `Ok(0)` is end of stream. A tail shorter than a chunk is first
+    /// lengthened by compacting, and the buffer grows — by one chunk —
+    /// only when it is full of one partial frame. Pop what completed
+    /// before reading again: popped frames free the space reads reuse.
+    pub fn read_from(&mut self, src: &mut impl std::io::Read) -> std::io::Result<usize> {
+        if self.buf.len() - self.end < READ_CHUNK {
+            self.compact();
+            if self.end == self.buf.len() {
+                self.buf.resize(self.end + READ_CHUNK, 0);
+            }
+        }
+        let room = (self.buf.len() - self.end).min(READ_CHUNK);
+        let n = src.read(&mut self.buf[self.end..self.end + room])?;
+        self.end += n;
+        Ok(n)
     }
 
     /// Bytes buffered but not yet returned as frames.
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.pos
+        self.end - self.start
     }
 
-    /// Pops the next complete frame, if one is fully buffered.
-    /// `Ok(None)` means "need more bytes"; an oversized length prefix
-    /// errors immediately.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>> {
-        let avail = self.buf.len() - self.pos;
+    /// Pops the next complete frame as a slice of the buffer, valid
+    /// until the decoder is next used. `Ok(None)` means "need more
+    /// bytes"; an oversized length prefix errors immediately.
+    pub fn pop_frame(&mut self) -> Result<Option<&[u8]>> {
+        let avail = self.end - self.start;
         if avail < FRAME_HEADER_BYTES {
             return Ok(None);
         }
-        let header: [u8; FRAME_HEADER_BYTES] = self.buf[self.pos..self.pos + FRAME_HEADER_BYTES]
+        let header: [u8; FRAME_HEADER_BYTES] = self.buf
+            [self.start..self.start + FRAME_HEADER_BYTES]
             .try_into()
             .expect("header slice");
         let len = u32::from_le_bytes(header) as usize;
@@ -409,14 +467,19 @@ impl FrameDecoder {
         if avail < FRAME_HEADER_BYTES + len {
             return Ok(None);
         }
-        let start = self.pos + FRAME_HEADER_BYTES;
-        let payload = self.buf[start..start + len].to_vec();
-        self.pos = start + len;
-        if self.pos >= self.buf.len() - self.pos {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
+        let payload = self.start + FRAME_HEADER_BYTES..self.start + FRAME_HEADER_BYTES + len;
+        self.start = payload.end;
+        if self.start == self.end {
+            // Drained: the next read or feed starts at the front.
+            self.start = 0;
+            self.end = 0;
         }
-        Ok(Some(payload))
+        Ok(Some(&self.buf[payload]))
+    }
+
+    /// [`FrameDecoder::pop_frame`], copied out into an owned buffer.
+    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>> {
+        Ok(self.pop_frame()?.map(<[u8]>::to_vec))
     }
 }
 
@@ -435,6 +498,12 @@ impl<'a> SnapshotReader<'a> {
     /// True if the whole buffer has been consumed.
     pub fn is_exhausted(&self) -> bool {
         self.buf.is_empty()
+    }
+
+    /// The bytes not yet read, all consumed: for a caller that parses
+    /// the rest of the buffer in place.
+    pub(crate) fn take_rest(&mut self) -> &'a [u8] {
+        std::mem::take(&mut self.buf)
     }
 
     /// Splits `n` bytes off the front, or reports the truncation.

@@ -23,8 +23,15 @@
 //! should retry after the hinted delay. [`GateMsg::Fin`] declares a
 //! producer done; the gateway closes its downstream stream once every
 //! expected producer has finished.
+//!
+//! A batch event is 18 bytes: a tagged `u64` key and a tagged `i64`
+//! value. [`GateMsg::decode_in_place`] parses a batch without moving
+//! its events: it checks every event's tags and the exact length up
+//! front, and [`BatchEvents`] then reads them from the payload. The
+//! gateway admits batches that way; [`GateMsg::decode`] collects the
+//! same events into a `Vec`.
 
-use crate::codec::{SnapshotReader, SnapshotWriter};
+use crate::codec::{SnapshotReader, SnapshotWriter, Tag};
 use crate::error::{Error, Result};
 
 /// Logical admission cost charged per event: one key plus one value,
@@ -38,6 +45,10 @@ const TAG_FIN: u64 = 3;
 const TAG_ACCEPTED: u64 = 4;
 const TAG_BUSY: u64 = 5;
 const TAG_FIN_OK: u64 = 6;
+
+/// Encoded bytes of one `Batch` event: a tagged `u64` key, then a
+/// tagged `i64` value.
+const BATCH_EVENT_BYTES: usize = 18;
 
 /// One message of the producer↔gateway protocol.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -115,15 +126,29 @@ impl GateMsg {
 
     /// Decodes one message payload; trailing bytes are an error.
     pub fn decode(buf: &[u8]) -> Result<GateMsg> {
+        Ok(match GateMsg::decode_in_place(buf)? {
+            Inbound::Batch { batch, events } => GateMsg::Batch {
+                batch,
+                events: events.iter().collect(),
+            },
+            Inbound::Msg(msg) => msg,
+        })
+    }
+
+    /// Decodes one message payload with a `Batch`'s events left where
+    /// they are: validated, and read from `buf` when iterated. The one
+    /// decoder behind [`GateMsg::decode`]; trailing bytes are an error.
+    pub fn decode_in_place(buf: &[u8]) -> Result<Inbound<'_>> {
         let mut r = SnapshotReader::new(buf);
         let msg = match r.get_u64()? {
             TAG_HELLO => GateMsg::Hello {
                 producer: r.get_u64()?,
             },
-            TAG_BATCH => GateMsg::Batch {
-                batch: r.get_u64()?,
-                events: r.get_seq(|r| Ok((r.get_u64()?, r.get_i64()?)))?,
-            },
+            TAG_BATCH => {
+                let batch = r.get_u64()?;
+                let events = BatchEvents::parse(r.take_rest())?;
+                return Ok(Inbound::Batch { batch, events });
+            }
             TAG_FIN => GateMsg::Fin {
                 producer: r.get_u64()?,
             },
@@ -140,7 +165,65 @@ impl GateMsg {
         if !r.is_exhausted() {
             return Err(Error::Codec("trailing bytes after gate message".into()));
         }
-        Ok(msg)
+        Ok(Inbound::Msg(msg))
+    }
+}
+
+/// A producer message decoded by [`GateMsg::decode_in_place`].
+#[derive(Clone, Debug)]
+pub enum Inbound<'a> {
+    /// A `Batch`, its events still in the payload.
+    Batch {
+        /// Per-producer batch id.
+        batch: u64,
+        /// The batched events, in producer order.
+        events: BatchEvents<'a>,
+    },
+    /// Any other message (never a `Batch`).
+    Msg(GateMsg),
+}
+
+/// A `Batch`'s events in the payload they arrived in. Every event was
+/// checked when the payload was parsed — both tag bytes, and a length
+/// of exactly 18 bytes times the event count — so reading them cannot
+/// fail, and a malformed batch is refused before anything looks at
+/// its events.
+#[derive(Clone, Copy, Debug)]
+pub struct BatchEvents<'a> {
+    bytes: &'a [u8],
+}
+
+impl<'a> BatchEvents<'a> {
+    /// Parses the event sequence that ends a `Batch` payload: a tagged
+    /// count, then exactly that many events.
+    fn parse(seq: &'a [u8]) -> Result<BatchEvents<'a>> {
+        let mut r = SnapshotReader::new(seq);
+        let n = r.get_u64()?;
+        let bytes = r.take_rest();
+        if n.checked_mul(BATCH_EVENT_BYTES as u64) != Some(bytes.len() as u64) {
+            return Err(Error::Codec(format!(
+                "batch of {n} events in {} bytes",
+                bytes.len()
+            )));
+        }
+        let (key, value) = (Tag::U64 as u8, Tag::I64 as u8);
+        if bytes
+            .chunks_exact(BATCH_EVENT_BYTES)
+            .any(|e| e[0] != key || e[9] != value)
+        {
+            return Err(Error::Codec("batch event with a wrong tag".into()));
+        }
+        Ok(BatchEvents { bytes })
+    }
+
+    /// The `(key, value)` events, in producer order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (u64, i64)> + 'a {
+        self.bytes.chunks_exact(BATCH_EVENT_BYTES).map(|e| {
+            (
+                u64::from_le_bytes(e[1..9].try_into().expect("8-byte key")),
+                i64::from_le_bytes(e[10..18].try_into().expect("8-byte value")),
+            )
+        })
     }
 }
 

@@ -1,23 +1,43 @@
 //! [`GateCore`]: the gateway's pure admission state machine.
 //!
-//! Everything the event loop decides — duplicate suppression, load
-//! shedding, pre-aggregation, tuple stamping, Fin accounting — lives
-//! here with no sockets or threads, so the durability-critical logic
-//! is unit- and property-testable in isolation. The caller
-//! ([`crate::Gate`], or a test) owns the ordering obligation:
-//! every tuple of an [`Admission::Accept`] goes to the preservation
-//! log *before* the batch is acked.
+//! Everything the event loop decides — protocol violations, duplicate
+//! suppression, load shedding, pre-aggregation, tuple stamping, Fin
+//! accounting — lives here with no sockets or threads, so the
+//! durability-critical logic is unit- and property-testable in
+//! isolation. [`GateCore::on_frame`] takes one producer frame as the
+//! connection's decoder holds it and returns what to stage and ack.
+//! The caller ([`crate::Gate`], or a test) owns the ordering
+//! obligation: every tuple of an [`Admission::Accept`] goes to the
+//! preservation log *before* the batch is acked.
+//!
+//! A batch is never copied out of its frame. The payload is parsed
+//! in place ([`GateMsg::decode_in_place`]), which checks every event
+//! before any admission decision, so a malformed batch drops its
+//! connection even when its id is a duplicate, and is never staged,
+//! deduped or charged. An admitted batch's events then fold straight
+//! from the payload: a fixed inline table of `INLINE_KEYS` entries
+//! takes a batch's first distinct keys, and the first key that finds
+//! it full switches the batch to sort-and-merge over a reused buffer.
+//! Either way the tuples come out in ascending key order with wrapping
+//! sums — what a `BTreeMap` fold yields, byte for byte.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use ms_core::codec::{SnapshotReader, SnapshotWriter};
 use ms_core::error::Result;
-use ms_core::gate::{GateConfig, EVENT_BYTES};
+use ms_core::gate::{GateConfig, GateMsg, Inbound, EVENT_BYTES};
 use ms_core::ids::OperatorId;
 use ms_core::operator::OperatorSnapshot;
 use ms_core::time::SimTime;
-use ms_core::tuple::Tuple;
+use ms_core::tuple::{Fields, Tuple};
 use ms_core::value::Value;
+
+/// Distinct keys a batch's fold holds in its inline table. A batch
+/// with more switches to sort-and-merge when the next new key
+/// arrives: a linear probe of a few keys beats sorting, and sorting
+/// beats probing a full table (measured in DESIGN.md, "Ingestion
+/// gateway").
+const INLINE_KEYS: usize = 16;
 
 /// Field layout of every tuple a gateway emits. Downstream operators
 /// read only field 0 (the value); the rest make the preservation log
@@ -65,6 +85,31 @@ pub enum Admission {
     Shed,
 }
 
+/// What one producer frame asks of the gateway ([`GateCore::on_frame`]).
+#[derive(Debug)]
+pub enum FrameStep {
+    /// A `Hello` bound the connection to its producer; nothing to ack.
+    Hello,
+    /// A batch's admission: stage and ack `Accepted`, re-ack
+    /// `Accepted`, or ack `Busy`.
+    Batch {
+        /// The batch id to ack.
+        batch: u64,
+        /// What was decided about it.
+        admission: Admission,
+    },
+    /// A producer's `Fin`, recorded: ack `FinOk` once `marker` — the
+    /// first `Fin` of that producer only — is in the preservation log.
+    Fin {
+        /// The Fin WAL marker to append, if this is the first `Fin`.
+        marker: Option<Tuple>,
+    },
+    /// A protocol violation (a malformed payload, a batch before
+    /// `Hello`, a gateway-to-producer message): drop the connection.
+    /// Nothing was admitted, deduped or charged to the window.
+    Drop,
+}
+
 /// The gateway's checkpointable state plus admission-window counters.
 pub struct GateCore {
     op: OperatorId,
@@ -77,6 +122,8 @@ pub struct GateCore {
     /// Admission-window usage in [`EVENT_BYTES`] units, reset at every
     /// checkpoint.
     window_bytes: u64,
+    /// One batch's folded `(key, sum)` pairs, reused across batches.
+    folded: Vec<(u64, i64)>,
 }
 
 impl GateCore {
@@ -88,18 +135,67 @@ impl GateCore {
             dedup: BTreeMap::new(),
             finished: BTreeSet::new(),
             window_bytes: 0,
+            folded: Vec::new(),
         }
     }
 
-    /// Decides one batch. On `Accept`, tuples are stamped from
-    /// `*next_seq` (which advances) and the admission window is
-    /// charged.
+    /// Decides one producer frame's payload on a connection bound to
+    /// `*producer` (a `Hello` or `Fin` binds it). A batch is parsed
+    /// and checked whole before any admission decision; on `Accept`
+    /// its tuples are stamped from `*next_seq`, which advances.
+    pub fn on_frame(
+        &mut self,
+        next_seq: &mut u64,
+        producer: &mut Option<u64>,
+        payload: &[u8],
+    ) -> FrameStep {
+        let Ok(msg) = GateMsg::decode_in_place(payload) else {
+            return FrameStep::Drop;
+        };
+        match msg {
+            Inbound::Batch { batch, events } => match *producer {
+                Some(p) => FrameStep::Batch {
+                    batch,
+                    admission: self.admit_events(next_seq, p, batch, events.iter()),
+                },
+                None => FrameStep::Drop,
+            },
+            Inbound::Msg(GateMsg::Hello { producer: p }) => {
+                *producer = Some(p);
+                FrameStep::Hello
+            }
+            Inbound::Msg(GateMsg::Fin { producer: p }) => {
+                producer.get_or_insert(p);
+                let marker = (!self.is_finished(p)).then(|| self.fin_marker(next_seq, p));
+                self.fin(p);
+                FrameStep::Fin { marker }
+            }
+            // Gateway-to-producer messages arriving at the gateway are
+            // a protocol violation.
+            Inbound::Msg(_) => FrameStep::Drop,
+        }
+    }
+
+    /// Decides one batch of decoded events — [`GateCore::on_frame`]'s
+    /// admission, for a caller that holds the events already. On
+    /// `Accept`, tuples are stamped from `*next_seq` (which advances)
+    /// and the admission window is charged.
     pub fn admit(
         &mut self,
         next_seq: &mut u64,
         producer: u64,
         batch: u64,
         events: &[(u64, i64)],
+    ) -> Admission {
+        self.admit_events(next_seq, producer, batch, events.iter().copied())
+    }
+
+    fn admit_events(
+        &mut self,
+        next_seq: &mut u64,
+        producer: u64,
+        batch: u64,
+        events: impl ExactSizeIterator<Item = (u64, i64)>,
     ) -> Admission {
         if self.dedup.get(&producer).is_some_and(|&last| batch <= last) {
             return Admission::Duplicate;
@@ -115,30 +211,25 @@ impl GateCore {
         // Pre-aggregation: one tuple per distinct key per batch,
         // ascending key order — deterministic in the batch alone, so a
         // retried batch regenerates byte-identical tuples.
-        let mut folded: BTreeMap<u64, i64> = BTreeMap::new();
-        for &(k, v) in events {
-            let slot = folded.entry(k).or_insert(0);
-            // Wrapping: the fold must never panic on hostile producer
-            // input, and wrapping is still deterministic.
-            *slot = slot.wrapping_add(v);
-        }
-        let n = folded.len();
-        let tuples = folded
-            .into_iter()
+        fold(events, &mut self.folded);
+        let n = self.folded.len();
+        let tuples = self
+            .folded
+            .iter()
             .enumerate()
-            .map(|(i, (k, v))| {
-                let t = Tuple::new(
-                    self.op,
-                    *next_seq,
-                    SimTime::ZERO,
-                    vec![
-                        Value::Int(v),
-                        Value::Int(k as i64),
-                        Value::Int(producer as i64),
-                        Value::Int(batch as i64),
-                        Value::Int((i + 1 == n) as i64),
-                    ],
-                );
+            .map(|(i, &(k, v))| {
+                // Collected from an array, the fields are allocated
+                // once, in place; a `Vec` would be copied into them.
+                let fields: Fields = [
+                    Value::Int(v),
+                    Value::Int(k as i64),
+                    Value::Int(producer as i64),
+                    Value::Int(batch as i64),
+                    Value::Int((i + 1 == n) as i64),
+                ]
+                .into_iter()
+                .collect();
+                let t = Tuple::new(self.op, *next_seq, SimTime::ZERO, fields);
                 *next_seq += 1;
                 t
             })
@@ -265,6 +356,46 @@ impl GateCore {
     pub fn last_accepted(&self, producer: u64) -> Option<u64> {
         self.dedup.get(&producer).copied()
     }
+
+    /// Admission-window usage in [`EVENT_BYTES`] units (diagnostics/tests).
+    pub fn window_bytes(&self) -> u64 {
+        self.window_bytes
+    }
+}
+
+/// Folds `events` into `out` as one `(key, wrapping sum)` pair per
+/// distinct key, in ascending key order. Up to [`INLINE_KEYS`]
+/// distinct keys fold in a table on the stack; the first key beyond
+/// it moves the table and the rest of the events into `out` to be
+/// sorted and merged.
+fn fold(mut events: impl Iterator<Item = (u64, i64)>, out: &mut Vec<(u64, i64)>) {
+    out.clear();
+    let mut table = [(0u64, 0i64); INLINE_KEYS];
+    let mut n = 0;
+    while let Some((k, v)) = events.next() {
+        if let Some(slot) = table[..n].iter_mut().find(|slot| slot.0 == k) {
+            // Wrapping: the fold must never panic on hostile producer
+            // input, and wrapping is still deterministic.
+            slot.1 = slot.1.wrapping_add(v);
+        } else if n < INLINE_KEYS {
+            table[n] = (k, v);
+            n += 1;
+        } else {
+            out.extend_from_slice(&table);
+            out.push((k, v));
+            out.extend(events);
+            out.sort_unstable_by_key(|e| e.0);
+            out.dedup_by(|later, kept| {
+                later.0 == kept.0 && {
+                    kept.1 = kept.1.wrapping_add(later.1);
+                    true
+                }
+            });
+            return;
+        }
+    }
+    out.extend_from_slice(&table[..n]);
+    out.sort_unstable_by_key(|e| e.0);
 }
 
 #[cfg(test)]
@@ -426,6 +557,64 @@ mod tests {
             r.admit(&mut seq2, 1, 2, &[(0, 1)]),
             Admission::Accept(_)
         ));
+    }
+
+    #[test]
+    fn on_frame_binds_producers_and_drops_protocol_violations() {
+        let mut c = core(GateConfig::default());
+        let (mut seq, mut bound) = (0, None);
+        let batch = GateMsg::Batch {
+            batch: 1,
+            events: vec![(2, 5), (1, 1), (2, -3)],
+        }
+        .encode();
+        // A batch before `Hello` has no producer to dedup under.
+        assert!(matches!(
+            c.on_frame(&mut seq, &mut bound, &batch),
+            FrameStep::Drop
+        ));
+        assert_eq!((seq, c.window_bytes()), (0, 0));
+        let hello = GateMsg::Hello { producer: 4 }.encode();
+        assert!(matches!(
+            c.on_frame(&mut seq, &mut bound, &hello),
+            FrameStep::Hello
+        ));
+        assert_eq!(bound, Some(4));
+        let FrameStep::Batch {
+            batch: 1,
+            admission: Admission::Accept(tuples),
+        } = c.on_frame(&mut seq, &mut bound, &batch)
+        else {
+            panic!("accept expected");
+        };
+        let folded: Vec<_> = tuples
+            .iter()
+            .map(|t| (t.field(field::KEY), t.field(field::VALUE)))
+            .collect();
+        assert_eq!(
+            folded,
+            [
+                (Some(&Value::Int(1)), Some(&Value::Int(1))),
+                (Some(&Value::Int(2)), Some(&Value::Int(2)))
+            ]
+        );
+        // A gateway-to-producer message is a violation.
+        let ack = GateMsg::Accepted { batch: 1 }.encode();
+        assert!(matches!(
+            c.on_frame(&mut seq, &mut bound, &ack),
+            FrameStep::Drop
+        ));
+        // Only a producer's first `Fin` carries a WAL marker.
+        let fin = GateMsg::Fin { producer: 4 }.encode();
+        let FrameStep::Fin { marker: Some(m) } = c.on_frame(&mut seq, &mut bound, &fin) else {
+            panic!("first Fin carries its marker");
+        };
+        assert!(is_fin_marker(&m));
+        assert!(matches!(
+            c.on_frame(&mut seq, &mut bound, &fin),
+            FrameStep::Fin { marker: None }
+        ));
+        assert!(c.is_finished(4));
     }
 
     #[test]

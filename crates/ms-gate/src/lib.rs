@@ -30,6 +30,6 @@ pub mod admission;
 pub mod meter;
 pub mod run;
 
-pub use admission::{field, is_fin_marker, Admission, GateCore};
+pub use admission::{field, is_fin_marker, Admission, FrameStep, GateCore};
 pub use meter::GateSample;
 pub use run::{listen, Gate, GateOp, GateWiring};

@@ -7,6 +7,14 @@
 //! pending-ack buffer drained on write readiness, so a slow producer
 //! can never stall the host.
 //!
+//! Ingest leaves each batch where the socket delivered it. A readable
+//! connection is read straight into its decoder's buffer
+//! ([`FrameDecoder::read_from`]) until a short read; each complete
+//! frame is popped as a slice of that buffer and handed to
+//! [`GateCore::on_frame`], which checks a batch's every event in place
+//! and folds them into tuples without an intermediate copy. The only
+//! per-batch allocations are the tuples themselves.
+//!
 //! The durability order per accepted batch is the whole contract:
 //! admit → stamp tuples → append to the preservation log (`Err` is
 //! fatal: the gate stops streaming rather than ack unpreserved data)
@@ -29,7 +37,7 @@
 //! gate then reopens its admission window.
 
 use std::fs;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
 use std::ops::Range;
 use std::os::unix::io::AsRawFd;
@@ -38,7 +46,7 @@ use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ms_core::codec::{frame, FrameDecoder};
+use ms_core::codec::{frame, FrameDecoder, READ_CHUNK};
 use ms_core::error::Result;
 use ms_core::gate::{GateConfig, GateMsg};
 use ms_core::ids::{EpochId, OperatorId, PortId};
@@ -48,10 +56,8 @@ use ms_core::tuple::Tuple;
 use ms_live::{Capture, HostExit, Outbox, OutputRoute, PersistItem, SourceCore, StableStore};
 use ms_net::ready::{Interest, PollTarget, ReadyEvent};
 
-use crate::admission::{is_fin_marker, Admission, GateCore};
+use crate::admission::{is_fin_marker, Admission, FrameStep, GateCore};
 use crate::meter::{GateMeter, GateSample};
-
-const READ_CHUNK: usize = 64 * 1024;
 
 /// Everything [`Gate::new`] needs to host one gateway HAU.
 pub struct GateWiring {
@@ -155,21 +161,21 @@ impl Conn {
         }
     }
 
-    /// Reads everything currently available into the frame decoder.
-    fn read_available(&mut self) {
-        let mut buf = [0u8; READ_CHUNK];
+    /// Reads one chunk from the socket into the frame decoder; `true`
+    /// if the socket may hold more (the read filled the chunk).
+    fn read_chunk(&mut self) -> bool {
         loop {
-            match self.sock.read(&mut buf) {
+            match self.dec.read_from(&mut self.sock) {
                 Ok(0) => {
                     self.gone = true;
-                    return;
+                    return false;
                 }
-                Ok(n) => self.dec.feed(&buf[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                Ok(n) => return n == READ_CHUNK,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return false,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => {
                     self.gone = true;
-                    return;
+                    return false;
                 }
             }
         }
@@ -313,21 +319,30 @@ impl Gate {
         if ev.writable {
             conn.flush();
         }
-        if ev.readable {
-            conn.read_available();
+        if !ev.readable {
+            return;
         }
-        self.stage(idx);
+        // Stage between reads, so the decoder holds at most one chunk
+        // beyond a partial frame however much the producer sends.
+        loop {
+            let more = self.conns[idx].read_chunk();
+            self.stage(idx);
+            if !more {
+                return;
+            }
+        }
     }
 
-    /// Handles every decoded frame on one connection, staging admitted
-    /// work into `turn` for the turn's group commit. Protocol violations
-    /// just drop the connection (producers are unreliable by design); acks
-    /// queued here (duplicates, sheds) are not flushed until the turn
-    /// commits, so no ack can overtake the group's WAL append.
+    /// Handles every complete frame buffered on one connection, staging
+    /// admitted work into `turn` for the turn's group commit. Protocol
+    /// violations just drop the connection (producers are unreliable by
+    /// design); acks queued here (duplicates, sheds) are not flushed
+    /// until the turn commits, so no ack can overtake the group's WAL
+    /// append.
     fn stage(&mut self, conn_idx: usize) {
         let (conn, next_seq) = (&mut self.conns[conn_idx], self.src.next_seq_mut());
         while !conn.gone {
-            let payload = match conn.dec.next_frame() {
+            let payload = match conn.dec.pop_frame() {
                 Ok(Some(p)) => p,
                 Ok(None) => break,
                 Err(_) => {
@@ -335,51 +350,40 @@ impl Gate {
                     break;
                 }
             };
-            let Ok(msg) = GateMsg::decode(&payload) else {
-                conn.gone = true;
-                break;
-            };
-            match msg {
-                GateMsg::Hello { producer } => conn.producer = Some(producer),
-                GateMsg::Batch { batch, events } => {
-                    let Some(producer) = conn.producer else {
-                        conn.gone = true;
-                        break;
-                    };
-                    let start = Instant::now();
-                    match self.core.admit(next_seq, producer, batch, &events) {
-                        Admission::Accept(tuples) => {
-                            // Stage for the group commit: the tuples are
-                            // owned, so they move straight into the WAL
-                            // batch — no per-tuple clone on this path.
-                            let range = self.turn.wal.len()..self.turn.wal.len() + tuples.len();
-                            self.turn.wal.extend(tuples);
-                            self.turn.accepts.push(PendingAccept {
-                                conn: conn_idx,
-                                batch,
-                                range,
-                                start,
-                            });
-                        }
-                        Admission::Duplicate => {
-                            // The original admission was WAL'd before its
-                            // ack, so a duplicate can re-ack without
-                            // touching storage. The queued bytes still
-                            // only flush after this turn's commit.
-                            conn.queue(&GateMsg::Accepted { batch });
-                            self.meter.record_ack_us(start.elapsed().as_micros() as u64);
-                        }
-                        Admission::Shed => {
-                            self.meter.record_shed();
-                            conn.queue(&GateMsg::Busy {
-                                batch,
-                                retry_after_ms: self.core.retry_after_ms(),
-                            });
-                        }
+            let start = Instant::now();
+            match self.core.on_frame(next_seq, &mut conn.producer, payload) {
+                FrameStep::Hello => {}
+                FrameStep::Batch { batch, admission } => match admission {
+                    Admission::Accept(tuples) => {
+                        // Stage for the group commit: the tuples are
+                        // owned, so they move straight into the WAL
+                        // batch — no per-tuple clone on this path.
+                        let range = self.turn.wal.len()..self.turn.wal.len() + tuples.len();
+                        self.turn.wal.extend(tuples);
+                        self.turn.accepts.push(PendingAccept {
+                            conn: conn_idx,
+                            batch,
+                            range,
+                            start,
+                        });
                     }
-                }
-                GateMsg::Fin { producer } => {
-                    conn.producer.get_or_insert(producer);
+                    Admission::Duplicate => {
+                        // The original admission was WAL'd before its
+                        // ack, so a duplicate can re-ack without
+                        // touching storage. The queued bytes still
+                        // only flush after this turn's commit.
+                        conn.queue(&GateMsg::Accepted { batch });
+                        self.meter.record_ack_us(start.elapsed().as_micros() as u64);
+                    }
+                    Admission::Shed => {
+                        self.meter.record_shed();
+                        conn.queue(&GateMsg::Busy {
+                            batch,
+                            retry_after_ms: self.core.retry_after_ms(),
+                        });
+                    }
+                },
+                FrameStep::Fin { marker } => {
                     // Ack-after-WAL for Fin too: the marker rides this
                     // turn's group append, and FinOk is only queued after
                     // it returns — so a durable FinOk still implies a
@@ -387,20 +391,13 @@ impl Gate {
                     // replays it, and the recovered gate counts the
                     // producer as done. Retried Fins re-ack without
                     // re-appending.
-                    if !self.core.is_finished(producer) {
-                        let marker = self.core.fin_marker(next_seq, producer);
-                        self.turn.wal.push(marker);
-                    }
-                    if self.core.fin(producer) {
+                    self.turn.wal.extend(marker);
+                    if self.core.all_finished() {
                         self.all_fin = true;
                     }
                     self.turn.fins.push(conn_idx);
                 }
-                // Gateway-to-producer messages arriving at the gateway are
-                // a protocol violation.
-                GateMsg::Accepted { .. } | GateMsg::Busy { .. } | GateMsg::FinOk => {
-                    conn.gone = true;
-                }
+                FrameStep::Drop => conn.gone = true,
             }
         }
     }
@@ -570,10 +567,8 @@ mod tests {
             if let Some(p) = dec.next_frame().unwrap() {
                 return GateMsg::decode(&p).unwrap();
             }
-            let mut buf = [0u8; 4096];
-            let n = sock.read(&mut buf).unwrap();
+            let n = dec.read_from(sock).unwrap();
             assert!(n > 0, "gateway closed mid-conversation");
-            dec.feed(&buf[..n]);
         }
     }
 

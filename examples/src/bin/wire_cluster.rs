@@ -7,9 +7,9 @@
 //! every stage expands to 8 hash-partitioned HAU instances, so the
 //! cluster deploys 6 + 48 + 1 = **55 HAUs**, the paper's scale.
 //!
-//! Each worker hosts its ~7 HAUs on the event-loop core: one I/O
-//! thread multiplexing every peer socket plus a fixed 2–4 thread
-//! apply pool, so the whole 55-HAU topology fits in 8 small
+//! Each worker hosts its ~7 HAUs on the event-loop core: one thread
+//! runs every cell and multiplexes every peer socket, and a second
+//! persists checkpoints, so the whole 55-HAU topology fits in 8 small
 //! processes instead of hundreds of threads.
 //!
 //! Run with `cargo run --release -p ms-examples --bin wire_cluster`.
@@ -36,9 +36,24 @@ const STAGES: u32 = 6;
 const SHARDS: u64 = 8;
 /// 6 + 6×8 + 1.
 const HAUS: usize = 55;
-/// Long enough (slowest skewed source ≈ 1 s of emission) that several
-/// 150 ms checkpoint epochs close their barrier and reach the ledger.
-const LIMIT: u64 = 1200;
+/// Tuples per source. A barrier closes only while every source still
+/// emits, so the *fastest* source sets the window: 10 000 tuples at
+/// 50 µs is 0.5 s, over which several 150 ms checkpoint epochs close
+/// their barrier and reach the ledger. The slowest source, 16× slower
+/// ([`ms_wire::apps::SOURCE_SKEW`]), emits for 8 s.
+const LIMIT: u64 = 10_000;
+/// Ledger epochs the run must close, at the least.
+const MIN_EPOCHS: usize = 2;
+
+/// The demo's scratch directory, removed when the run ends — on a
+/// failed assertion too.
+struct TempDir(std::path::PathBuf);
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
 
 fn main() {
     // Re-executed in worker mode by the parent below.
@@ -48,7 +63,8 @@ fn main() {
         return;
     }
 
-    let dir = std::env::temp_dir().join(format!("ms_wire_example_{}", std::process::id()));
+    let tmp = TempDir(std::env::temp_dir().join(format!("ms_wire_example_{}", std::process::id())));
+    let dir = tmp.0.clone();
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let store = dir.join("store");
@@ -126,15 +142,13 @@ fn main() {
     // view shows how evenly the keyed state spread over each stage's
     // 8 instances.
     let records = read_ledger(&store.join(LEDGER_FILE)).expect("run ledger must parse");
+    let epochs: std::collections::BTreeSet<_> = records.iter().map(|r| r.epoch).collect();
     assert!(
-        !records.is_empty(),
-        "no epoch barrier closed during the run — ledger is empty"
+        epochs.len() >= MIN_EPOCHS,
+        "{} epoch barrier(s) closed during the run, want at least {MIN_EPOCHS}",
+        epochs.len()
     );
-    for epoch in records
-        .iter()
-        .map(|r| r.epoch)
-        .collect::<std::collections::BTreeSet<_>>()
-    {
+    for epoch in epochs {
         let ops: std::collections::BTreeSet<u32> = records
             .iter()
             .filter(|r| r.epoch == epoch)
@@ -144,8 +158,6 @@ fn main() {
     }
     print!("{}", summarize(&records, 3));
     print!("{}", by_shard_summary(&records));
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// One worker process: the same `run_worker` the `ms-worker` binary
